@@ -6,9 +6,10 @@ if kernel event dispatch or the transaction path regresses badly, every
 experiment silently turns into a coffee break.  This bench pins
 per-transaction host cost to an order of magnitude, enforces a kernel
 dispatch-rate floor so hot-path regressions fail loudly, and emits the
-machine-readable ``BENCH_harness.json`` that tracks the perf trajectory
-across PRs (per-txn host cost, kernel events/sec, figure-regeneration
-wall time, parallel speedup).
+machine-readable ``BENCH_harness.json`` (per-txn host cost, kernel
+events/sec, tracing overhead, open-loop throughput and peak RSS).  The
+repo's benchmark proper — repeats, spread, per-layer attribution — is
+``python -m perf``; this file only keeps coarse floors for CI.
 """
 
 import json
@@ -20,13 +21,10 @@ import time
 from pathlib import Path
 
 from repro import CamelotSystem, SystemConfig
-from repro.bench.figures import figure2_cells, figure4_cells
-from repro.bench.parallel import run_cells, warm_pool
-from repro.bench.report import render_speedups
 from repro.bench.workloads import serial_minimal_txns
 from repro.obs.spans import SpanRecorder
 from repro.sim.kernel import Kernel
-from repro.sim.tracing import NullTracer, Tracer
+from repro.sim.tracing import NullTracer
 
 from benchmarks.conftest import emit
 
@@ -38,16 +36,15 @@ from benchmarks.conftest import emit
 # creeping back into the heap) still fails loudly.
 KERNEL_EVENTS_PER_SEC_FLOOR = 500_000.0
 
-# Floor for the self-rescheduling schedule() spin specifically.  The
-# timer wheel lifted it from the seed's ~1.09M ev/s to ~1.5M ev/s on the
-# reference container; a revert to the pure-heap path lands back at the
-# seed mark and fails this, while the margin absorbs CI runner noise.
+# Floor for the self-rescheduling schedule() spin specifically: one
+# Timer allocation, one heappush and one heappop per event.  The single
+# (time, seq) heap read 1.32M-1.96M ev/s over 8 runs on the 2-cpu
+# builder box (7 of them 1.89M-1.96M; the host drops to a slower speed
+# level for seconds at a time) and 1.55M inside this pytest file, so
+# the floor sits ~35% under the usual reading and ~5% under the
+# slowest; a per-event Python-level cost creeping into schedule() or
+# Timer construction fails it.
 KERNEL_SCHEDULE_EVENTS_PER_SEC_FLOOR = 1_250_000.0
-
-# The figure-suite pool must beat serial regeneration by this much on
-# any multi-core host.  Single-core hosts cannot see a speedup from
-# process fan-out, so there the ratio is recorded but not gated.
-PARALLEL_SPEEDUP_FLOOR = 1.5
 
 # Open-loop guard rails: measured throughput must track offered load
 # (the run is well under saturation), and the whole CLI process —
@@ -141,7 +138,7 @@ def test_kernel_dispatch_rate_floor():
     assert schedule_rate >= KERNEL_SCHEDULE_EVENTS_PER_SEC_FLOOR, (
         f"kernel schedule() spin regressed: {schedule_rate:,.0f} ev/s is "
         f"below the {KERNEL_SCHEDULE_EVENTS_PER_SEC_FLOOR:,.0f} ev/s "
-        f"floor (timer wheel reverted to heap dispatch?)")
+        f"floor (extra per-event work in schedule() or Timer?)")
 
 
 def test_transaction_host_cost(benchmark):
@@ -219,61 +216,6 @@ def test_tracing_overhead_floor():
     assert ratio <= 1.05, (
         f"count-only span instrumentation costs {ratio:.3f}x over an "
         f"untraced run; the layer must stay within 5% when spans are off")
-
-
-def test_figure_regeneration_speedup():
-    """Per-figure wall time of reduced sweeps, serial vs warm pool.
-
-    The pool is warmed (workers spawned, ``repro.system`` imported, cost
-    profiles built) *before* the timed region: the measurement gates the
-    steady-state figure-regeneration speedup, not worker startup, which
-    a full-suite run pays once.  On any multi-core host the aggregate
-    speedup must clear :data:`PARALLEL_SPEEDUP_FLOOR`; a single-core
-    container cannot see fan-out gains, so there the ratio is recorded
-    in BENCH_harness.json but not gated.  Result equality is asserted
-    everywhere — parallel regeneration must be indistinguishable from
-    serial.
-    """
-    figures = {
-        "figure2": [c for _, _, c in figure2_cells(trials=6)],
-        "figure4": [c for _, c in figure4_cells(pairs_range=(1, 2),
-                                                duration_ms=2_000.0)],
-    }
-    jobs = 4
-    warm_pool(jobs)
-
-    timings = {}
-    for name, cells in figures.items():
-        start = time.perf_counter()
-        serial = run_cells(cells, jobs=1)
-        serial_s = time.perf_counter() - start
-
-        start = time.perf_counter()
-        fanned = run_cells(cells, jobs=jobs)
-        fanned_s = time.perf_counter() - start
-
-        assert [o.value for o in serial] == [o.value for o in fanned], (
-            f"{name}: parallel regeneration diverged from serial")
-        timings[name] = (serial_s, fanned_s)
-
-    emit(render_speedups(timings))
-    serial_total = sum(s for s, _ in timings.values())
-    fanned_total = sum(f for _, f in timings.values())
-    speedup = serial_total / fanned_total
-    _results["figure2_serial_wall_s"] = round(timings["figure2"][0], 3)
-    _results["figure2_jobs4_wall_s"] = round(timings["figure2"][1], 3)
-    _results["parallel_speedup"] = round(speedup, 2)
-    _results["parallel_speedup_cpus"] = os.cpu_count() or 1
-    cpus = os.cpu_count() or 1
-    if cpus >= 2:
-        assert speedup >= PARALLEL_SPEEDUP_FLOOR, (
-            f"warm pool regenerates the figure suite only {speedup:.2f}x "
-            f"faster than serial on {cpus} CPUs; the floor is "
-            f"{PARALLEL_SPEEDUP_FLOOR}x")
-    else:
-        # parallel_speedup_cpus above still records the machine shape,
-        # so a skipped gate is visible in the artifact, not silent.
-        emit(f"parallel_speedup gate skipped ({cpus} cpus)")
 
 
 def test_open_loop_throughput_and_memory():

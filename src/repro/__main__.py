@@ -5,19 +5,12 @@ Usage::
     python -m repro list
     python -m repro figure2 --trials 30
     python -m repro figure4 --duration 10000
-    python -m repro all --jobs 4              # fan cells across processes
-    python -m repro all --trials-scale 4      # 4x the trials, same shape
-    python -m repro figure2 --no-cache        # force recomputation
+    python -m repro all
 
 Each experiment prints in the paper's format; see EXPERIMENTS.md for a
 recorded run and the benchmarks/ suite for the asserted shape checks.
-
-Every multi-cell experiment (Figures 2-5, Table 3, multicast variance,
-the ablations) goes through :mod:`repro.bench.parallel`: ``--jobs N``
-fans the independent cells across N worker processes with results keyed
-by cell spec, so output is byte-identical to a serial run.  Results are
-memoised in an on-disk cache (:mod:`repro.bench.cache`) keyed by cell
-spec, seed, and cost-model fingerprint; ``--no-cache`` bypasses it.
+Every measurement builds its own seeded system in this process, so a
+run's output depends only on the source tree and the flags.
 """
 
 from __future__ import annotations
@@ -27,9 +20,7 @@ import sys
 from typing import Callable, Dict
 
 from repro.analysis.primitives import table2_rows
-from repro.bench import figures
-from repro.bench.cache import ResultCache
-from repro.bench.parallel import Cell, auto_jobs, cell_values, run_cells
+from repro.bench import ablations, figures
 from repro.bench.report import (
     render_figure,
     render_multicast,
@@ -65,39 +56,30 @@ def run_rpc(args: argparse.Namespace) -> str:
 
 def run_figure2(args: argparse.Namespace) -> str:
     return render_figure("Figure 2  2PC latency vs subordinates (ms)",
-                         figures.figure2(trials=args.trials,
-                                         jobs=args.jobs, cache=args.cache))
+                         figures.figure2(trials=args.trials))
 
 
 def run_table3(args: argparse.Namespace) -> str:
-    return render_table3(figures.table3(trials=args.trials,
-                                        jobs=args.jobs, cache=args.cache))
+    return render_table3(figures.table3(trials=args.trials))
 
 
 def run_figure3(args: argparse.Namespace) -> str:
     return render_figure("Figure 3  Non-blocking latency vs subordinates (ms)",
-                         figures.figure3(trials=args.trials,
-                                         jobs=args.jobs, cache=args.cache))
+                         figures.figure3(trials=args.trials))
 
 
 def run_figure4(args: argparse.Namespace) -> str:
     return render_throughput("Figure 4  Update throughput (TPS)",
-                             figures.figure4(duration_ms=args.duration,
-                                             jobs=args.jobs,
-                                             cache=args.cache))
+                             figures.figure4(duration_ms=args.duration))
 
 
 def run_figure5(args: argparse.Namespace) -> str:
     return render_throughput("Figure 5  Read throughput (TPS)",
-                             figures.figure5(duration_ms=args.duration,
-                                             jobs=args.jobs,
-                                             cache=args.cache))
+                             figures.figure5(duration_ms=args.duration))
 
 
 def run_multicast(args: argparse.Namespace) -> str:
-    return render_multicast(figures.multicast_variance(trials=args.trials,
-                                                       jobs=args.jobs,
-                                                       cache=args.cache))
+    return render_multicast(figures.multicast_variance(trials=args.trials))
 
 
 def run_contention(args: argparse.Namespace) -> str:
@@ -108,17 +90,11 @@ def run_contention(args: argparse.Namespace) -> str:
 
 
 def run_ablations(args: argparse.Namespace) -> str:
-    # Four independent studies: submit them as cells so --jobs overlaps
-    # them (each is internally serial but they share nothing).
-    cells = [
-        Cell.make("read_only_ablation", trials=max(8, args.trials // 2)),
-        Cell.make("quorum_policy_ablation", trials=max(6, args.trials // 3)),
-        Cell.make("group_commit_window_ablation"),
-        Cell.make("protocol_overhead_ablation",
-                  trials=max(4, args.trials // 4)),
-    ]
-    ro, quorum, window, overhead = cell_values(
-        run_cells(cells, jobs=args.jobs, cache=args.cache))
+    ro = ablations.read_only_ablation(trials=max(8, args.trials // 2))
+    quorum = ablations.quorum_policy_ablation(trials=max(6, args.trials // 3))
+    window = ablations.group_commit_window_ablation()
+    overhead = ablations.protocol_overhead_ablation(
+        trials=max(4, args.trials // 4))
     parts = []
     parts.append(render_table(
         "Ablation: read-only optimization (1-sub read)",
@@ -161,13 +137,6 @@ EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], str]] = {
 }
 
 
-def _jobs_arg(text: str) -> int:
-    """``--jobs`` accepts an integer or ``auto`` (size to the machine)."""
-    if text == "auto":
-        return auto_jobs()
-    return int(text)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -177,24 +146,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="which experiment to run")
     parser.add_argument("--trials", type=int, default=20,
                         help="trials per measurement point (default 20)")
-    parser.add_argument("--trials-scale", type=float, default=1.0,
-                        help="multiply every trial count (crank statistics "
-                             "without re-deriving per-figure counts)")
     parser.add_argument("--duration", type=float, default=8_000.0,
                         help="throughput window in sim-ms (default 8000)")
-    parser.add_argument("--jobs", type=_jobs_arg, default=1,
-                        help="worker processes for independent cells "
-                             "(default 1 = in-process; 'auto' sizes to "
-                             "the machine)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="recompute every cell, bypassing the on-disk "
-                             "result cache")
-    parser.add_argument("--cache-dir", default=None,
-                        help="result cache directory (default .repro-cache "
-                             "or $REPRO_CACHE_DIR)")
     args = parser.parse_args(argv)
-    args.trials = max(1, round(args.trials * args.trials_scale))
-    args.cache = None if args.no_cache else ResultCache(args.cache_dir)
+    args.trials = max(1, args.trials)
 
     if args.experiment == "list":
         for name in sorted(EXPERIMENTS):

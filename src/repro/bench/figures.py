@@ -3,15 +3,8 @@
 Every function is deterministic given its arguments (fresh seeded
 system per measurement) and returns plain data structures the
 ``benchmarks/`` suite asserts on and renders.  Trial counts default to
-values that keep a full regeneration under a few minutes of wall time;
-crank them up for smoother curves — with ``jobs > 1`` the sweep fans
-across worker processes (see :mod:`repro.bench.parallel`), so higher
-trial counts no longer trade statistical quality for wall time.
-
-The multi-cell figures (2-5, Table 3, multicast variance) build lists
-of :class:`~repro.bench.parallel.Cell` specs and submit them through
-:func:`~repro.bench.parallel.run_cells`; results are keyed by cell, so
-serial, parallel, and cache-restored runs are byte-identical.
+values that keep a full regeneration to a few seconds of wall time;
+crank them up for smoother curves.
 """
 
 from __future__ import annotations
@@ -33,13 +26,11 @@ from repro.analysis.static_analysis import (
     twophase_update_completion,
 )
 from repro.analysis.stats import Summary, summarize
-from repro.bench.experiment import LatencyResult, ThroughputResult
-from repro.bench.parallel import (
-    Cell,
-    cell_values,
-    latency_cell,
-    run_cells,
-    throughput_cell,
+from repro.bench.experiment import (
+    LatencyResult,
+    ThroughputResult,
+    measure_latency,
+    measure_throughput,
 )
 from repro.config import SystemConfig, rt_pc_profile
 from repro.core.outcomes import ProtocolKind, TwoPhaseVariant
@@ -210,36 +201,24 @@ class FigureSeries:
         return [r.summary.stdev for _, r in self.points]
 
 
-def figure2_cells(trials: int = 25,
-                  subs_range: Tuple[int, ...] = SUBS_RANGE
-                  ) -> List[Tuple[str, int, Cell]]:
-    """The (label, subs, cell) grid behind Figure 2."""
+def figure2(trials: int = 25,
+            subs_range: Tuple[int, ...] = SUBS_RANGE
+            ) -> Dict[str, FigureSeries]:
+    """Figure 2: two-phase commit latency vs number of subordinates for
+    the three write variants plus read, with derived TM-only series."""
     variants = [
         ("optimized write", "write", TwoPhaseVariant.OPTIMIZED),
         ("semi-optimized write", "write", TwoPhaseVariant.SEMI_OPTIMIZED),
         ("unoptimized write", "write", TwoPhaseVariant.UNOPTIMIZED),
         ("read", "read", TwoPhaseVariant.OPTIMIZED),
     ]
-    return [(label, subs,
-             latency_cell(n_subs=subs, op=op,
-                          protocol=ProtocolKind.TWO_PHASE, variant=variant,
-                          trials=trials, label=f"{label}/{subs} subs"))
-            for label, op, variant in variants for subs in subs_range]
-
-
-def figure2(trials: int = 25,
-            subs_range: Tuple[int, ...] = SUBS_RANGE,
-            jobs: int = 1, cache=None) -> Dict[str, FigureSeries]:
-    """Figure 2: two-phase commit latency vs number of subordinates for
-    the three write variants plus read, with derived TM-only series."""
-    grid = figure2_cells(trials, subs_range)
-    results = cell_values(run_cells([c for _, _, c in grid],
-                                    jobs=jobs, cache=cache))
-    series: Dict[str, FigureSeries] = {}
-    for (label, subs, _), result in zip(grid, results):
-        series.setdefault(label, FigureSeries(label=label)) \
-              .points.append((subs, result))
-    return series
+    return {label: FigureSeries(label=label, points=[
+                (subs, measure_latency(
+                    n_subs=subs, op=op, protocol=ProtocolKind.TWO_PHASE,
+                    variant=variant, trials=trials,
+                    label=f"{label}/{subs} subs"))
+                for subs in subs_range])
+            for label, op, variant in variants}
 
 
 # -------------------------------------------------------------- Table 3
@@ -258,53 +237,41 @@ class Table3Row:
         return self.static_path.total
 
 
-def table3(trials: int = 25, jobs: int = 1, cache=None) -> List[Table3Row]:
+def table3(trials: int = 25) -> List[Table3Row]:
     """Table 3: static versus empirical analysis for the three anchor
     cases the paper tabulates, with the paper's own numbers attached."""
+    nb = ProtocolKind.NON_BLOCKING
     anchors = [
         ("local update", local_update_completion(), 24.5, 31.0,
-         latency_cell(n_subs=0, op="write", trials=trials)),
+         dict(n_subs=0, op="write")),
         ("1-subordinate update", twophase_update_completion(1), 99.5, 110.0,
-         latency_cell(n_subs=1, op="write", trials=trials)),
+         dict(n_subs=1, op="write")),
         ("local read", local_read_completion(), 9.5, 13.0,
-         latency_cell(n_subs=0, op="read", trials=trials)),
+         dict(n_subs=0, op="read")),
         ("1-subordinate NB update", nonblocking_update_completion(1),
-         150.0, 145.0,
-         latency_cell(n_subs=1, op="write",
-                      protocol=ProtocolKind.NON_BLOCKING, trials=trials)),
+         150.0, 145.0, dict(n_subs=1, op="write", protocol=nb)),
         ("1-subordinate NB read", nonblocking_read_completion(1),
-         70.0, 107.0,
-         latency_cell(n_subs=1, op="read",
-                      protocol=ProtocolKind.NON_BLOCKING, trials=trials)),
+         70.0, 107.0, dict(n_subs=1, op="read", protocol=nb)),
     ]
-    results = cell_values(run_cells([c for *_, c in anchors],
-                                    jobs=jobs, cache=cache))
-    return [Table3Row(label, static, result.summary,
+    return [Table3Row(label, static,
+                      measure_latency(trials=trials, **kwargs).summary,
                       paper_static=p_static, paper_measured=p_measured)
-            for (label, static, p_static, p_measured, _), result
-            in zip(anchors, results)]
+            for label, static, p_static, p_measured, kwargs in anchors]
 
 
 # ------------------------------------------------------------- Figure 3
 
 
 def figure3(trials: int = 25,
-            subs_range: Tuple[int, ...] = SUBS_RANGE,
-            jobs: int = 1, cache=None) -> Dict[str, FigureSeries]:
+            subs_range: Tuple[int, ...] = SUBS_RANGE
+            ) -> Dict[str, FigureSeries]:
     """Figure 3: non-blocking commit latency vs subordinates."""
-    grid = [(label, subs,
-             latency_cell(n_subs=subs, op=op,
-                          protocol=ProtocolKind.NON_BLOCKING, trials=trials,
-                          label=f"NB {label}/{subs} subs"))
-            for label, op in (("write", "write"), ("read", "read"))
-            for subs in subs_range]
-    results = cell_values(run_cells([c for _, _, c in grid],
-                                    jobs=jobs, cache=cache))
-    series: Dict[str, FigureSeries] = {}
-    for (label, subs, _), result in zip(grid, results):
-        series.setdefault(label, FigureSeries(label=label)) \
-              .points.append((subs, result))
-    return series
+    return {label: FigureSeries(label=label, points=[
+                (subs, measure_latency(
+                    n_subs=subs, op=label, protocol=ProtocolKind.NON_BLOCKING,
+                    trials=trials, label=f"NB {label}/{subs} subs"))
+                for subs in subs_range])
+            for label in ("write", "read")}
 
 
 # ----------------------------------------------------------- Figures 4-5
@@ -319,52 +286,38 @@ class ThroughputCurve:
         return [p.tps for p in self.points]
 
 
-def figure4_cells(pairs_range: Tuple[int, ...] = (1, 2, 3, 4),
-                  duration_ms: float = 8_000.0) -> List[Tuple[str, Cell]]:
-    """The (label, cell) grid behind Figure 4."""
-    configs = [
-        ("group commit, 20 threads", 20, True),
-        ("20 threads", 20, False),
-        ("5 threads", 5, False),
-        ("1 thread", 1, False),
-    ]
-    return [(label,
-             throughput_cell(pairs=pairs, threads=threads, group_commit=gc,
-                             op="write", duration_ms=duration_ms))
-            for label, threads, gc in configs for pairs in pairs_range]
+def _throughput_curves(configs: List[Tuple[str, int, bool]], op: str,
+                       pairs_range: Tuple[int, ...],
+                       duration_ms: float) -> Dict[str, ThroughputCurve]:
+    """One curve per ``(label, threads, group_commit)`` over ``pairs_range``."""
+    return {label: ThroughputCurve(label=label, points=[
+                measure_throughput(pairs=pairs, threads=threads,
+                                   group_commit=group_commit, op=op,
+                                   duration_ms=duration_ms)
+                for pairs in pairs_range])
+            for label, threads, group_commit in configs}
 
 
 def figure4(pairs_range: Tuple[int, ...] = (1, 2, 3, 4),
-            duration_ms: float = 8_000.0,
-            jobs: int = 1, cache=None) -> Dict[str, ThroughputCurve]:
+            duration_ms: float = 8_000.0) -> Dict[str, ThroughputCurve]:
     """Figure 4: update throughput vs application/server pairs, for
     TranMan thread counts 1/5/20 and with group commit."""
-    grid = figure4_cells(pairs_range, duration_ms)
-    results = cell_values(run_cells([c for _, c in grid],
-                                    jobs=jobs, cache=cache))
-    out: Dict[str, ThroughputCurve] = {}
-    for (label, _), result in zip(grid, results):
-        out.setdefault(label, ThroughputCurve(label=label)) \
-           .points.append(result)
-    return out
+    return _throughput_curves(
+        [("group commit, 20 threads", 20, True),
+         ("20 threads", 20, False),
+         ("5 threads", 5, False),
+         ("1 thread", 1, False)],
+        "write", pairs_range, duration_ms)
 
 
 def figure5(pairs_range: Tuple[int, ...] = (1, 2, 3, 4),
-            duration_ms: float = 8_000.0,
-            jobs: int = 1, cache=None) -> Dict[str, ThroughputCurve]:
+            duration_ms: float = 8_000.0) -> Dict[str, ThroughputCurve]:
     """Figure 5: read throughput vs pairs for 1/5/20 TranMan threads."""
-    grid = [(f"{threads} thread" + ("s" if threads > 1 else ""),
-             throughput_cell(pairs=pairs, threads=threads,
-                             group_commit=False, op="read",
-                             duration_ms=duration_ms))
-            for threads in (20, 5, 1) for pairs in pairs_range]
-    results = cell_values(run_cells([c for _, c in grid],
-                                    jobs=jobs, cache=cache))
-    out: Dict[str, ThroughputCurve] = {}
-    for (label, _), result in zip(grid, results):
-        out.setdefault(label, ThroughputCurve(label=label)) \
-           .points.append(result)
-    return out
+    return _throughput_curves(
+        [("20 threads", 20, False),
+         ("5 threads", 5, False),
+         ("1 thread", 1, False)],
+        "read", pairs_range, duration_ms)
 
 
 # ------------------------------------------------- multicast variance
@@ -383,8 +336,8 @@ class MulticastComparison:
         return 1.0 - self.multicast.stdev / self.unicast.stdev
 
 
-def multicast_variance(trials: int = 40, subs: int = 3,
-                       jobs: int = 1, cache=None) -> MulticastComparison:
+def multicast_variance(trials: int = 40,
+                       subs: int = 3) -> MulticastComparison:
     """§4.2: multicasting coordinator->subordinate messages does not
     reduce mean commit latency but substantially reduces its variance.
 
@@ -393,12 +346,10 @@ def multicast_variance(trials: int = 40, subs: int = 3,
     operation RPCs before it are identical in both modes and would
     otherwise swamp the comparison.
     """
-    uni, multi = cell_values(run_cells(
-        [latency_cell(n_subs=subs, op="write", trials=trials,
-                      use_multicast=False, label="unicast"),
-         latency_cell(n_subs=subs, op="write", trials=trials,
-                      use_multicast=True, label="multicast")],
-        jobs=jobs, cache=cache))
+    uni = measure_latency(n_subs=subs, op="write", trials=trials,
+                          use_multicast=False, label="unicast")
+    multi = measure_latency(n_subs=subs, op="write", trials=trials,
+                            use_multicast=True, label="multicast")
     return MulticastComparison(unicast=uni.commit_summary,
                                multicast=multi.commit_summary)
 

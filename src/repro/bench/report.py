@@ -174,22 +174,3 @@ def render_scale_curve(results) -> str:
         ["SITES", "OFFERED tps", "MEASURED tps", "COMMIT",
          "p50 ms", "p95 ms", "p99 ms", "PEAK IN-FLIGHT"], rows)
 
-
-# -------------------------------------------- harness speedup reporting
-
-
-def render_speedups(timings: Dict[str, tuple]) -> str:
-    """Per-figure parallel speedup: ``{figure: (serial_s, parallel_s)}``.
-
-    Printed by the harness bench so every BENCH_harness.json update
-    shows where the pool pays off figure by figure, not just in
-    aggregate.
-    """
-    rows = []
-    for name, (serial_s, parallel_s) in sorted(timings.items()):
-        ratio = serial_s / parallel_s if parallel_s > 0 else 0.0
-        rows.append((name, f"{serial_s:7.2f}", f"{parallel_s:7.2f}",
-                     f"{ratio:5.2f}x"))
-    return render_table(
-        "Figure regeneration: serial vs parallel wall time",
-        ["FIGURE", "SERIAL s", "PARALLEL s", "SPEEDUP"], rows)

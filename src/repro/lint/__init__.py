@@ -1,17 +1,17 @@
 """repro.lint — a codebase-aware static-analysis pass for the simulator.
 
-The whole reproduction rests on the simulator being *deterministic*: the
-result cache (:mod:`repro.bench.cache`) keys on cost-model fingerprints,
-and the harness asserts byte-equality across serial/parallel runs.  Any
-hidden nondeterminism — a wall-clock read, an unseeded RNG, unordered
+The whole reproduction rests on the simulator being *deterministic*:
+the behaviour gate is that every figure regenerates byte-identically
+and every chaos verdict replays from its seed.  Any hidden
+nondeterminism — a wall-clock read, an unseeded RNG, unordered
 ``set`` iteration feeding event order, two same-timestamp events racing
 on a port — silently corrupts every figure while all tests stay green.
 
 This package checks those properties mechanically:
 
 - :mod:`repro.lint.rules` — ~8 AST rules (wall-clock, unseeded random,
-  unordered iteration into the kernel, ``CostModel`` attribute/fingerprint
-  coverage, message-handler completeness, presumed-abort/delayed-commit
+  unordered iteration into the kernel, ``CostModel`` attribute
+  existence, message-handler completeness, presumed-abort/delayed-commit
   log-force discipline, consumed fire-and-forget results, environment
   reads) in a pluggable registry (:mod:`repro.lint.registry`).
 - :mod:`repro.lint.races` — an opt-in simulation race detector: a kernel

@@ -5,11 +5,7 @@ runs it extracts, from the tree being linted,
 
 - the protocol message classes declared in ``core/messages.py`` and the
   classes actually dispatched on (``isinstance``) anywhere in ``core/``,
-- the ``CostModel`` dataclass fields and methods from ``config.py``,
-- (when linting the live package) the set of fields actually covered by
-  the bench cache's cost-model fingerprint, imported dynamically — so
-  the "every referenced CostModel attribute is fingerprinted" rule
-  checks the real cache, not a parallel reimplementation.
+- the ``CostModel`` dataclass fields and methods from ``config.py``.
 
 Rules receive one :class:`LintContext` and return findings; the engine
 fills in default stable keys (the stripped source line) and applies the
@@ -69,7 +65,6 @@ class LintContext:
     handled_classes: Set[str] = field(default_factory=set)
     costmodel_fields: Set[str] = field(default_factory=set)
     costmodel_methods: Set[str] = field(default_factory=set)
-    fingerprint_covered: Optional[Set[str]] = None
     # Cached whole-program model (built on demand by the flow rules via
     # :func:`repro.lint.flow.flow_program`; typed loosely to keep the
     # engine import-independent of the flow package).
@@ -171,30 +166,10 @@ def _costmodel_facts(ctx: LintContext) -> None:
                     ctx.costmodel_methods.add(stmt.name)
 
 
-def _fingerprint_facts(ctx: LintContext) -> None:
-    """When linting the installed package, ask the *real* bench cache
-    which fields its fingerprint covers (no parallel reimplementation)."""
-    try:
-        import repro
-        live_root = Path(repro.__file__).resolve().parent
-        if ctx.root.resolve() != live_root:
-            return
-        from repro.bench.cache import _canonical
-        from repro.config import PROFILES
-        covered: Set[str] = set()
-        for factory in PROFILES.values():
-            blob = _canonical(factory())
-            covered |= set(blob.get("fields", {}).keys())
-        ctx.fingerprint_covered = covered
-    except Exception:
-        ctx.fingerprint_covered = None
-
-
 def build_context(root: Path) -> LintContext:
     ctx = LintContext(root=root, files=collect_files(root))
     _message_facts(ctx)
     _costmodel_facts(ctx)
-    _fingerprint_facts(ctx)
     return ctx
 
 

@@ -260,12 +260,11 @@ def _cost_typed_names(func: ast.AST) -> Set[str]:
 
 @rule("costmodel-attrs",
       "Every CostModel attribute referenced anywhere must be a real "
-      "dataclass field (covered by the cache fingerprint) or method.")
+      "dataclass field or method.")
 def check_costmodel_attrs(ctx: LintContext) -> List[Finding]:
     valid = ctx.costmodel_fields | ctx.costmodel_methods
     if not valid:
         return []
-    covered = ctx.fingerprint_covered
     out: List[Finding] = []
 
     def check_attr(info: FileInfo, node: ast.Attribute) -> None:
@@ -278,13 +277,6 @@ def check_costmodel_attrs(ctx: LintContext) -> List[Finding]:
                 f"unknown CostModel attribute {attr!r} (not a field or "
                 f"method of repro.config.CostModel)",
                 key=f"attr:{attr}"))
-        elif covered is not None and attr in ctx.costmodel_fields \
-                and attr not in covered:
-            out.append(ctx.finding(
-                info, node, "costmodel-attrs",
-                f"CostModel field {attr!r} is not covered by the bench "
-                f"cache cost-model fingerprint: cached figures would "
-                f"survive edits to it", key=f"uncovered:{attr}"))
 
     for info in ctx.files:
         if info.tree is None or info.sub == "config.py":

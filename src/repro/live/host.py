@@ -511,15 +511,18 @@ class SiteHost:
             self._push(takeover, takeover.on_message(pmsg) or [])
             return
         if isinstance(pmsg, (NbOutcome, PcOutcome)):
-            handled = False
+            # Outcomes concern everyone at this site.  The participant
+            # runs to quiescence first (frames drain before the inbox),
+            # and only then does the takeover see the message — as the
+            # next input, so its on_message is not called early either.
+            if machine is None and takeover is None:
+                self._stateless(pmsg)
+                return
+            if takeover is not None:
+                self._inbox.appendleft(
+                    ("call", takeover, "on_message", (pmsg,)))
             if machine is not None:
                 self._push(machine, machine.on_message(pmsg) or [])
-                handled = True
-            if takeover is not None:
-                self._push(takeover, takeover.on_message(pmsg) or [])
-                handled = True
-            if not handled:
-                self._stateless(pmsg)
             return
         if machine is not None:
             self._push(machine, machine.on_message(pmsg) or [])

@@ -1,4 +1,4 @@
-"""The discrete-event kernel: a clock, a near heap, and a timer wheel.
+"""The discrete-event kernel: a clock and one ``(time, seq)`` heap.
 
 The kernel is deliberately tiny.  It knows nothing about transactions,
 messages, or CPUs; it only orders callbacks in virtual time.  Richer
@@ -10,42 +10,18 @@ order (a monotonically increasing sequence number breaks ties), so a
 simulation with a fixed RNG seed is exactly reproducible.
 
 Hot path: every simulated message, CPU grant, and timer passes through
-this module, so the representation matters.  The pending set is split
-across three tiers chosen by *delay*, not by data structure dogma —
-measured on this workload, C-level ``heappush``/``heappop`` beats any
-per-event Python arithmetic while the heap is small, so the fix for
-cancel-heavy timer load is to keep the timeout traffic out of the hot
-heap entirely:
+this module, so the representation matters.  The pending set is one
+binary heap.  ``post`` entries are plain 4-element lists
+``[time, seq, fn, args]`` (one C ``BUILD_LIST``, no subclass
+constructor, nothing to cancel); ``schedule`` entries are
+:class:`Timer` (a 6-element list subclass).  ``seq`` is unique, so heap
+sifting is decided by C list comparison on ``(time, seq)`` and later
+elements are never compared.
 
-``_heap`` (near tier)
-    A binary heap of the short-fuse events — message hops, CPU grants,
-    process wake-ups.  ``post`` entries are plain 4-element lists
-    ``[time, seq, fn, args]`` (one C ``BUILD_LIST``, no subclass
-    constructor, nothing to cancel); ``schedule`` entries are
-    :class:`Timer` (a 6-element list subclass).  ``seq`` is unique, so
-    heap sifting is decided by C list comparison on ``(time, seq)`` and
-    later elements are never compared.
-
-``_wheel`` (bucket tier)
-    An array-backed bucketed queue — 512 slots of 64 ms — that only
-    timers with ``delay >=`` one slot take: exactly the retransmit /
-    protocol / lock-wait timeouts that are nearly always cancelled
-    before firing.  Insert and cancel are O(1) appends/flag-stores, a
-    cancelled timeout never touches the near heap at all, and the heap
-    stays small (= fast) no matter how many timeouts are outstanding.
-    Buckets drain into the near heap *before* any event at or past
-    their slot edge fires, which preserves the global ``(time, seq)``
-    order exactly.
-
-``_overflow`` (far tier)
-    A heap for timers beyond the wheel horizon (32.768 s) — orphan
-    timers, checkpoint sweeps.  Drained like a one-slot bucket.
-
-Cancelled entries stay where they are (O(1) cancel), are dropped when
-their tier drains, and are compacted in bulk once they outnumber the
-live entries, so cancel-heavy workloads (the datagram retry layer
-cancels a timer per delivered message) cannot grow the pending set
-without bound.
+Cancelled timers stay in the heap (O(1) cancel), are dropped when they
+reach the top, and are compacted in bulk once they outnumber the live
+entries, so cancel-heavy workloads (the datagram retry layer cancels a
+timer per delivered message) cannot grow the pending set without bound.
 """
 
 from __future__ import annotations
@@ -56,16 +32,6 @@ from typing import Any, Callable, Optional
 # Timer slot layout (a Timer IS a 6-element list; index names beat a
 # second object per scheduled event on the allocation profile).
 _TIME, _SEQ, _FN, _ARGS, _CANCELLED, _KERNEL = range(6)
-
-# Bucket tier geometry.  One slot is 64 ms (cheap ``int(t) >> 6`` slot
-# math); 512 slots give a 32.768 s horizon that covers every CostModel
-# timeout except the orphan sweep.  Timers shorter than one slot go to
-# the near heap: for them the wheel's Python-level slot arithmetic
-# costs more than a C heappush (measured, not assumed).
-_SLOT_MS = 64.0
-_SLOT_SHIFT = 6
-_WHEEL_SLOTS = 512
-_WHEEL_MASK = _WHEEL_SLOTS - 1
 
 _INF = float("inf")
 
@@ -85,8 +51,8 @@ class Timer(list):
     Doubles as the queue entry itself: the payload list
     ``[time, seq, fn, args, cancelled, kernel]`` is built by the C list
     constructor, so scheduling an event costs one allocation.
-    ``cancel`` is O(1) — the entry stays in its tier, marked, and is
-    dropped when the tier drains (or compacted away in bulk).
+    ``cancel`` is O(1) — the entry stays in the heap, marked, and is
+    dropped when it reaches the top (or compacted away in bulk).
     """
 
     __slots__ = ()
@@ -120,25 +86,15 @@ class Kernel:
         assert k.now == 5.0
     """
 
-    __slots__ = ("_now", "_seq", "_heap", "_wheel", "_slots", "_bucket_n",
-                 "_overflow", "_horizon", "_running", "_live_processes",
-                 "_cancelled", "monitor")
+    __slots__ = ("_now", "_seq", "_heap", "_running", "_cancelled",
+                 "monitor")
 
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        self._heap: list = []       # near tier: heap of Timer | 4-list
-        self._wheel: list = [[] for _ in range(_WHEEL_SLOTS)]
-        self._slots: list = []      # heap of occupied absolute slot numbers
-        self._bucket_n = 0          # entries resident in the wheel
-        self._overflow: list = []   # far tier: heap of Timer
-        # Lowest time any bucketed/overflow entry may fire at; events at
-        # or past it trigger a drain first.  _INF when both tiers are
-        # empty, so the hot dispatch path pays one float compare.
-        self._horizon = _INF
+        self._heap: list = []       # heap of Timer | 4-list
         self._running = False
-        self._live_processes = 0
-        self._cancelled = 0     # cancelled entries still in some tier
+        self._cancelled = 0     # cancelled Timers still in the heap
         # Opt-in instrumentation (e.g. the repro.lint race detector).
         # When set, the monitor sees every schedule and every dispatch;
         # when None (the default) the hot path pays one predictable
@@ -158,19 +114,18 @@ class Kernel:
         """Number of not-yet-cancelled scheduled calls (O(1) — monitoring
         loops poll this).
 
-        Derived from counters every tier already maintains (fired
-        entries leave their tier by pop, cancelled ones are counted as
-        they cancel), so the per-event hot paths carry no separate
-        live-count read-modify-write.
+        Derived from what the queue already maintains (fired entries
+        leave by pop, cancelled ones are counted as they cancel), so the
+        per-event hot paths carry no separate live-count
+        read-modify-write.
         """
-        return (len(self._heap) + self._bucket_n + len(self._overflow)
-                - self._cancelled)
+        return len(self._heap) - self._cancelled
 
     @property
     def heap_size(self) -> int:
-        """Total retained entries across all tiers, including cancelled
-        ones still awaiting drop (observability)."""
-        return len(self._heap) + self._bucket_n + len(self._overflow)
+        """Total retained entries, including cancelled ones still
+        awaiting drop (observability)."""
+        return len(self._heap)
 
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Timer:
         """Schedule ``fn(*args)`` to run ``delay`` time units from now."""
@@ -178,38 +133,11 @@ class Kernel:
             raise SimulationError(f"negative delay {delay!r}")
         seq = self._seq
         self._seq = seq + 1
-        time = self._now + delay
-        timer = Timer((time, seq, fn, args, False, self))
-        if delay < _SLOT_MS:
-            heappush(self._heap, timer)
-        else:
-            self._enqueue_timeout(timer, time)
+        timer = Timer((self._now + delay, seq, fn, args, False, self))
+        heappush(self._heap, timer)
         if self.monitor is not None:
             self.monitor.on_schedule(seq)
         return timer
-
-    def _enqueue_timeout(self, timer: Timer, time: float) -> None:
-        """Route a timeout-class timer to the wheel or overflow tier.
-
-        ``delay >= _SLOT_MS`` guarantees the target slot is strictly
-        ahead of the current one, and every retained slot is within
-        ``_WHEEL_SLOTS`` of it, so each wheel index maps to exactly one
-        absolute slot at a time.
-        """
-        slot = int(time) >> _SLOT_SHIFT
-        if slot - (int(self._now) >> _SLOT_SHIFT) <= _WHEEL_SLOTS:
-            bucket = self._wheel[slot & _WHEEL_MASK]
-            if not bucket:
-                heappush(self._slots, slot)
-                edge = slot << _SLOT_SHIFT
-                if edge < self._horizon:
-                    self._horizon = edge
-            bucket.append(timer)
-            self._bucket_n += 1
-        else:
-            heappush(self._overflow, timer)
-            if time < self._horizon:
-                self._horizon = time
 
     def call_soon(self, fn: Callable[..., None], *args: Any) -> Timer:
         """Schedule ``fn(*args)`` at the current instant (after current event)."""
@@ -222,10 +150,7 @@ class Kernel:
         subclass constructor, no cancelled flag), which makes this the
         cheapest way to inject an event.  Message delivery, process
         wake-ups, and event triggers — the per-event hot path — never
-        cancel, so they post.  Posts always live in the near heap; the
-        drain invariant only requires *bucketed* entries to be merged
-        before later events fire, so a long-delay post is still
-        ordered correctly.
+        cancel, so they post.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
@@ -244,103 +169,31 @@ class Kernel:
             self.monitor.on_schedule(seq)
 
     def _note_cancel(self) -> None:
-        """Timer bookkeeping: keep ``pending`` O(1) and retention bounded."""
-        self._cancelled += 1
-        if (self._cancelled >= _COMPACT_MIN_CANCELLED
-                and self._cancelled * 2 > (len(self._heap) + self._bucket_n
-                                           + len(self._overflow))):
-            self._compact()
+        """Timer bookkeeping: keep ``pending`` O(1) and retention bounded.
 
-    def _compact(self) -> None:
-        """Drop cancelled entries from every tier.
-
-        Called when cancelled entries exceed half the retained set, so
-        retention stays within 2x the live entry count (plus the
-        compaction floor) no matter how cancel-heavy the workload is.
-        The near heap is filtered *in place* (slice assignment) so the
+        Once cancelled entries exceed half the heap they are dropped in
+        bulk, so retention stays within 2x the live entry count (plus
+        the compaction floor) no matter how cancel-heavy the workload
+        is.  The heap is filtered *in place* (slice assignment) so the
         list object bound by a running dispatch loop stays valid.
         """
+        self._cancelled += 1
         heap = self._heap
-        heap[:] = [e for e in heap if e.__class__ is list or not e[4]]
-        heapify(heap)
-        wheel = self._wheel
-        kept_slots = []
-        bucket_n = 0
-        for slot in self._slots:
-            idx = slot & _WHEEL_MASK
-            bucket = wheel[idx]
-            if bucket:
-                live = [e for e in bucket if not e[4]]
-                if live:
-                    wheel[idx] = live
-                    kept_slots.append(slot)
-                    bucket_n += len(live)
-                else:
-                    wheel[idx] = []
-        heapify(kept_slots)
-        self._slots = kept_slots
-        self._bucket_n = bucket_n
-        overflow = self._overflow
-        overflow[:] = [e for e in overflow if not e[4]]
-        heapify(overflow)
-        self._cancelled = 0
-        self._horizon = min(
-            (kept_slots[0] << _SLOT_SHIFT) if kept_slots else _INF,
-            overflow[0][0] if overflow else _INF)
-
-    def _drain(self, boundary: float) -> None:
-        """Merge bucketed/overflow entries due by ``boundary`` into the
-        near heap, dropping cancelled ones, and recompute the horizon.
-
-        Called before any event at or past the horizon fires, so every
-        timeout re-enters the global ``(time, seq)`` order in time.  A
-        slot drains wholesale (entries later in the slot just sift into
-        place); overflow drains by exact entry time.
-        """
-        heap = self._heap
-        slots = self._slots
-        wheel = self._wheel
-        while slots and slots[0] << _SLOT_SHIFT <= boundary:
-            idx = heappop(slots) & _WHEEL_MASK
-            bucket = wheel[idx]
-            if bucket:
-                wheel[idx] = []
-                self._bucket_n -= len(bucket)
-                for e in bucket:
-                    if e[4]:
-                        self._cancelled -= 1
-                    else:
-                        heappush(heap, e)
-        overflow = self._overflow
-        while overflow and overflow[0][0] <= boundary:
-            e = heappop(overflow)
-            if e[4]:
-                self._cancelled -= 1
-            else:
-                heappush(heap, e)
-        self._horizon = min(
-            (slots[0] << _SLOT_SHIFT) if slots else _INF,
-            overflow[0][0] if overflow else _INF)
+        if (self._cancelled >= _COMPACT_MIN_CANCELLED
+                and self._cancelled * 2 > len(heap)):
+            heap[:] = [e for e in heap if e.__class__ is list or not e[4]]
+            heapify(heap)
+            self._cancelled = 0
 
     def step(self) -> bool:
         """Run the single next event.  Returns False if none remained."""
-        while True:
-            heap = self._heap
-            if not heap:
-                if self._horizon < _INF:
-                    self._drain(self._horizon)
-                    continue
-                return False
-            entry = heap[0]
+        heap = self._heap
+        while heap:
+            entry = heappop(heap)
             if entry.__class__ is not list and entry[4]:  # cancelled Timer
-                heappop(heap)
                 self._cancelled -= 1
                 continue
             time = entry[0]
-            if time >= self._horizon:
-                self._drain(time)
-                continue
-            heappop(heap)
             if time < self._now:
                 raise SimulationError("event heap time went backwards")
             self._now = time
@@ -355,9 +208,10 @@ class Kernel:
             else:
                 fn()
             return True
+        return False
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run events until the queues drain, ``until`` passes, or the budget ends.
+        """Run events until the heap drains, ``until`` passes, or the budget ends.
 
         ``until`` is an absolute virtual time: the clock is advanced to it
         even if the last event fires earlier, matching the usual
@@ -368,8 +222,7 @@ class Kernel:
         self._running = True
         # Hoist the optional bounds and the hot attributes out of the
         # dispatch loop.  The heap local stays valid across compaction
-        # (which filters in place) but the horizon must be re-read per
-        # event: a callback scheduling a timeout can lower it.
+        # (which filters in place).
         deadline = _INF if until is None else until
         budget = -1 if max_events is None else max_events
         events = 0
@@ -383,20 +236,12 @@ class Kernel:
                 try:
                     entry = heappop(heap)
                 except IndexError:
-                    horizon = self._horizon
-                    if horizon < _INF and horizon <= deadline:
-                        self._drain(horizon)
-                        continue
                     break
                 # Two dispatch arms so each event pays exactly one type
                 # check: posts (plain lists) have no cancelled flag and
                 # no fired-marking; Timers have both.
                 if entry.__class__ is list:
                     time = entry[0]
-                    if time >= self._horizon:
-                        heappush(heap, entry)
-                        self._drain(time)
-                        continue
                     if time > deadline:
                         heappush(heap, entry)
                         break
@@ -426,10 +271,6 @@ class Kernel:
                         self._cancelled -= 1
                         continue
                     time = entry[0]
-                    if time >= self._horizon:
-                        heappush(heap, entry)
-                        self._drain(time)
-                        continue
                     if time > deadline:
                         heappush(heap, entry)
                         break

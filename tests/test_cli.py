@@ -27,38 +27,6 @@ def test_contention_with_trials(capsys):
     assert "unoptimized" in out
 
 
-def test_jobs_flag_matches_serial_output(tmp_path, capsys):
-    assert main(["multicast", "--trials", "2", "--no-cache"]) == 0
-    serial = capsys.readouterr().out
-    assert main(["multicast", "--trials", "2", "--no-cache",
-                 "--jobs", "2"]) == 0
-    fanned = capsys.readouterr().out
-    assert serial == fanned
-    assert "Multicast" in serial
-
-
-def test_trials_scale_multiplies_trials(capsys):
-    # contention prints lock-wait counts proportional to txns; scaling
-    # trials 2x must match passing the doubled count directly.
-    assert main(["contention", "--trials", "4", "--trials-scale", "2"]) == 0
-    scaled = capsys.readouterr().out
-    assert main(["contention", "--trials", "8"]) == 0
-    direct = capsys.readouterr().out
-    assert scaled == direct
-
-
-def test_cache_roundtrip_via_cli(tmp_path, capsys):
-    cache_dir = str(tmp_path / "cache")
-    assert main(["multicast", "--trials", "2",
-                 "--cache-dir", cache_dir]) == 0
-    cold = capsys.readouterr().out
-    assert list((tmp_path / "cache").glob("*.pkl"))
-    assert main(["multicast", "--trials", "2",
-                 "--cache-dir", cache_dir]) == 0
-    warm = capsys.readouterr().out
-    assert cold == warm
-
-
 def test_rejects_unknown_experiment():
     with pytest.raises(SystemExit):
         main(["figure99"])

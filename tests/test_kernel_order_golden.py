@@ -1,19 +1,19 @@
-"""Golden-transcript equivalence: timer wheel vs a reference heap.
+"""Golden-transcript equivalence: the kernel vs a reference heap.
 
-The kernel routes timeout-class timers (``delay >= 64 ms``) through an
-array-backed bucket wheel instead of the near heap (see
-``sim/kernel.py``).  The wheel must be *observationally invisible*: the
-fired-event transcript — every ``(time, seq)`` in order — has to be
-byte-identical to what a single global ``(time, seq)`` heap produces,
-no matter how schedule/cancel/post calls interleave across tiers.
+The kernel's queue must be *observationally* a single global
+``(time, seq)`` heap: the fired-event transcript — every ``(time, seq)``
+in order — has to be identical to what ``ReferenceKernel`` below
+produces, no matter how schedule/cancel/post calls interleave, which
+entry shape (``post`` 4-list or ``Timer``) carries an event, or when
+bulk compaction of cancelled timers runs mid-dispatch.
 
-``ReferenceKernel`` below is the old design kept on purpose: one heap,
-lazy cancellation.  It is deliberately naive (no wheel, no compaction
-pressure games) so the comparison pins semantics, not implementation.
+``ReferenceKernel`` is deliberately naive (one heap of one entry shape,
+lazy cancellation, no compaction) so the comparison pins semantics, not
+implementation.
 
-The headline test is the cancel-heavy regression from the issue: 100k
-short-horizon schedule/cancel timers (the datagram-retry pattern) with
-live traffic interleaved, asserted transcript-identical.
+The headline test is the cancel-heavy regression: 100k timeout-class
+schedule/cancel timers (the datagram-retry pattern) with live traffic
+interleaved, asserted transcript-identical.
 """
 
 from heapq import heappop, heappush
@@ -95,8 +95,8 @@ def _assert_identical(workload, **run_kw):
 
 
 def test_cancel_heavy_100k_transcript_identical():
-    """The issue's regression gate: 100k schedule/cancel short-horizon
-    timers produce the identical fired transcript on wheel and heap."""
+    """The regression gate: 100k schedule/cancel timeout-class timers
+    produce the identical fired transcript on kernel and reference."""
 
     def workload(k, fired):
         rng = RngStreams(1234).stream("golden")
@@ -106,8 +106,8 @@ def test_cancel_heavy_100k_transcript_identical():
         def deliver(i):
             fired.append((k.now, ("deliver", i)))
             count[0] += 1
-            # Datagram pattern: every delivery arms a retry timeout in
-            # the wheel tier, then cancels it (ack arrived) — except a
+            # Datagram pattern: every delivery arms a retry timeout,
+            # then cancels it (ack arrived) — except a
             # 1-in-64 straggler whose timeout is allowed to fire.
             t = k.schedule(64.0 + rng.random() * 400.0, miss, i)
             if rng.random() < 1.0 / 64.0:
@@ -128,9 +128,9 @@ def test_cancel_heavy_100k_transcript_identical():
     assert len(golden) > 100_000
 
 
-def test_mixed_tier_fuzz_transcript_identical():
-    """Randomized schedule/cancel/post across all three tiers (near,
-    wheel, overflow) with re-entrant scheduling from callbacks."""
+def test_mixed_delay_fuzz_transcript_identical():
+    """Randomized schedule/cancel/post across delays from zero to far
+    future, with re-entrant scheduling from callbacks."""
 
     def workload(k, fired):
         rng = RngStreams(99).stream("fuzz")
@@ -140,8 +140,8 @@ def test_mixed_tier_fuzz_transcript_identical():
             fired.append((k.now, i))
             r = rng.random()
             if r < 0.55:
-                # Delays straddle the tier boundaries: sub-slot, wheel
-                # range, and past the 32.768 s horizon.
+                # Delays span message hops, timeouts and far-future
+                # sweeps, with near-equal values around 64 ms and 32 s.
                 delay = rng.choice(
                     [0.0, 1.5, 63.9, 64.0, 65.0, 640.0, 4_000.0,
                      32_768.0, 40_000.0, 100_000.0])
@@ -165,28 +165,29 @@ def test_mixed_tier_fuzz_transcript_identical():
     _assert_identical(workload, until=500_000.0)
 
 
-def test_same_instant_cross_tier_ties_fire_in_schedule_order():
-    """Events landing at one instant from different tiers (wheel drain
-    vs near heap) still fire in scheduling order."""
+def test_same_instant_timer_and_post_ties_fire_in_schedule_order():
+    """Events landing at one instant from different entry shapes
+    (Timer vs post) still fire in scheduling order."""
 
     def workload(k, fired):
         def tag(x):
             fired.append((k.now, x))
 
-        k.schedule(128.0, tag, "wheel-first")   # wheel tier
-        k.post(128.0, tag, "near-post")         # near tier, same time
-        k.schedule(128.0, tag, "wheel-second")  # wheel tier again
+        k.schedule(128.0, tag, "timer-first")
+        k.post(128.0, tag, "post")              # same time, other shape
+        k.schedule(128.0, tag, "timer-second")
         k.schedule(1.0, tag, "early")
         # A timer scheduled *from a callback* for the same instant.
         k.schedule(64.0, lambda: k.schedule(64.0, tag, "nested"))
 
     golden = _assert_identical(workload)
     assert [tag for _, tag in golden] == [
-        "early", "wheel-first", "near-post", "wheel-second", "nested"]
+        "early", "timer-first", "post", "timer-second", "nested"]
 
 
-def test_run_until_boundary_inside_wheel_slot():
-    """Stopping mid-slot must not lose or reorder bucketed timers."""
+def test_run_until_boundary_between_close_timers():
+    """Stopping between closely spaced timers must not lose or reorder
+    the ones still queued."""
 
     def workload(k, fired):
         for i in range(10):
@@ -208,15 +209,17 @@ def test_run_until_boundary_inside_wheel_slot():
 
 
 @pytest.mark.parametrize("delay", [64.0, 100.0, 5_000.0, 40_000.0])
-def test_wheel_tier_timers_cancel_without_heap_traffic(delay):
-    """Cancelled timeout-class timers are dropped at drain time; the
-    near heap never sees them (the whole point of the wheel tier)."""
+def test_cancelled_timeout_class_timers_are_not_retained(delay):
+    """Cancelled timeout-class timers are compacted away long before
+    their time comes: retention stays within 2x live plus the floor."""
     k = Kernel()
     fired = []
     for i in range(1_000):
         k.schedule(delay, fired.append, i).cancel()
     assert k.pending == 0
+    assert k.heap_size <= 2 * (k.pending + 64)
     survivor = k.schedule(delay, fired.append, "live")
     k.run()
     assert fired == ["live"]
     assert not survivor.active
+    assert k.heap_size == 0

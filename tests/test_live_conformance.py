@@ -15,7 +15,10 @@ import json
 
 import pytest
 
+from repro.core.effects import ForceLog, Trace
+from repro.core.messages import NbOutcome
 from repro.core.outcomes import Vote
+from repro.core.tid import TID
 from repro.live.conformance import run_conformance, run_live_scenario
 from repro.live.scenario import (
     Scenario,
@@ -23,8 +26,10 @@ from repro.live.scenario import (
     conformance_cost,
     conformance_scenario,
 )
+from repro.live.host import SiteHost, Substrate
 from repro.live.simhost import run_sim_scenario
 from repro.live.walfile import read_records
+from repro.log.records import commit_record
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +110,57 @@ class TestDivergenceIsDetected:
             votes={"beta": Vote.NO})
         live = asyncio.run(run_live_scenario(scenario_no, str(tmp_path)))
         assert live.live_bytes != sim_bytes
+
+
+class _RecordingSubstrate(Substrate):
+    """Logs traces; holds each force until the test releases it."""
+
+    def __init__(self, log):
+        self.log = log
+        self.forces = []
+
+    def append(self, record):
+        return 1
+
+    def force(self, lsn, done):
+        self.forces.append(done)
+
+    def trace(self, kind, detail):
+        self.log.append(kind)
+
+
+class _StubMachine:
+    def __init__(self, name, tid, log, effects):
+        self.name, self.tid, self.log, self.effects = name, tid, log, effects
+
+    def on_message(self, message):
+        self.log.append(f"{self.name}.on_message")
+        return list(self.effects)
+
+    def on_log_forced(self, token):
+        return [Trace(f"{self.name}.forced")]
+
+
+class TestOutcomeRoutingOrder:
+    def test_participant_runs_to_quiescence_before_takeover(self):
+        """An outcome for a site holding both a participant and a
+        takeover goes to the participant first, force wait included, and
+        the takeover's ``on_message`` is not even called until then —
+        the order ``TransactionManager._on_datagram`` produces."""
+        log = []
+        substrate = _RecordingSubstrate(log)
+        host = SiteHost("beta", substrate, conformance_cost())
+        tid = TID("T1@alpha")
+        host.machines[tid] = _StubMachine(
+            "participant", tid, log,
+            [ForceLog(commit_record(str(tid), "beta"), "tok"),
+             Trace("participant.effect")])
+        host.takeovers[tid] = _StubMachine(
+            "takeover", tid, log, [Trace("takeover.effect")])
+
+        host.deliver("alpha", NbOutcome(tid=tid, sender="alpha"))
+        assert log == ["participant.on_message"]  # parked on the force
+        substrate.forces.pop()()
+        assert log == ["participant.on_message", "participant.forced",
+                       "participant.effect",
+                       "takeover.on_message", "takeover.effect"]

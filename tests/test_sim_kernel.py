@@ -162,16 +162,20 @@ def test_cancel_heavy_workload_keeps_heap_bounded():
     # datagram retry layer cancels a timer per delivered message).  The
     # kernel compacts once cancelled entries exceed half the heap, so
     # the heap stays within 2x the live count plus the compaction floor.
-    k = Kernel()
-    live = [k.schedule(100_000.0 + i, lambda: None) for i in range(50)]
-    for i in range(10_000):
-        k.schedule(50_000.0 + i, lambda: None).cancel()
-    assert k.pending == 50
-    assert k.heap_size <= 2 * (k.pending + 64)
-    for timer in live:
-        timer.cancel()
-    assert k.pending == 0
-    assert k.heap_size <= 128
+    # Doomed delays: the far-future spread the regression was first
+    # seen with, then timeout-class delays (a short retry, the 5 s
+    # lock wait, past the 30 s orphan sweep).
+    for doomed_delay in (50_000.0, 64.0, 5_000.0, 40_000.0):
+        k = Kernel()
+        live = [k.schedule(100_000.0 + i, lambda: None) for i in range(50)]
+        for i in range(10_000):
+            k.schedule(doomed_delay + i, lambda: None).cancel()
+        assert k.pending == 50
+        assert k.heap_size <= 2 * (k.pending + 64)
+        for timer in live:
+            timer.cancel()
+        assert k.pending == 0
+        assert k.heap_size <= 128
 
 
 def test_compaction_during_run_preserves_order():
