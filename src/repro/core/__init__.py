@@ -20,8 +20,11 @@ Contents:
 - :mod:`repro.core.quorum` — commit/abort quorum arithmetic.
 - :mod:`repro.core.abortproto` — abort with incomplete site knowledge,
   nested abort propagation.
-- :mod:`repro.core.tranman` — the transaction manager process that hosts
-  the state machines on the simulated substrate.
+- :mod:`repro.core.edge` — every decision a site makes *around* its
+  machines (coordinator construction, datagram routing, the stateless
+  edge, takeovers), shared by the two hosts: the simulated transaction
+  manager process :mod:`repro.servers.tranman` and the live
+  :mod:`repro.live.host`.
 """
 
 from repro.core.outcomes import Outcome, ProtocolKind, TwoPhaseVariant, Vote

@@ -39,7 +39,6 @@ from repro.lint.engine import LintContext
 from repro.lint.findings import Finding
 from repro.lint.flow import cfg
 from repro.lint.flow.callgraph import ClassNode, FuncNode, Program
-from repro.lint.flow.purity import HOST_EXEMPT
 
 HANDLER_NAMES = {
     "on_message", "on_timer", "on_log_forced", "on_log_durable",
@@ -67,7 +66,7 @@ def machine_classes(program: Program) -> List[ClassNode]:
     """Protocol machines: pure-core classes with at least one handler."""
     out = []
     for cls in program.classes.values():
-        if not cls.module.startswith("core/") or cls.module in HOST_EXEMPT:
+        if not cls.module.startswith("core/"):
             continue
         if any(name in cls.methods for name in HANDLER_NAMES):
             out.append(cls)

@@ -606,10 +606,9 @@ def _state_enums(program: Program) -> Dict[str, Tuple[ClassNode,
                                                       Dict[str, ast.AST]]]:
     """State enums declared in pure core modules: name -> (class,
     member -> definition node)."""
-    from repro.lint.flow.purity import HOST_EXEMPT
     out: Dict[str, Tuple[ClassNode, Dict[str, ast.AST]]] = {}
     for cls in program.classes.values():
-        if not cls.module.startswith("core/") or cls.module in HOST_EXEMPT:
+        if not cls.module.startswith("core/"):
             continue
         if not cls.name.endswith("State"):
             continue

@@ -5,7 +5,8 @@ consumes one input and returns a list of effect objects; the host
 executes them.  That property is what lets the same machines run under
 the simulator, the chaos explorer, and (ROADMAP item 2) real sockets.
 This analysis machine-checks it three ways for every module under
-``core/`` except the host (``core/tranman.py``):
+``core/`` (the hosts that drive the machines live outside it, in
+``servers/tranman.py`` and ``live/host.py``):
 
 A. **Import fence** — pure modules may import only other pure modules,
    ``log/records.py`` (record constructors are data), and a small
@@ -28,9 +29,6 @@ from repro.lint.engine import LintContext
 from repro.lint.findings import Finding
 from repro.lint.flow.callgraph import FuncNode, Program, dotted_name
 
-# The host half of core/: it imports mach/net/sim to *drive* machines.
-HOST_EXEMPT = {"core/tranman.py"}
-
 _ALLOWED_INTERNAL = ("core/", "log/records.py")
 _ALLOWED_STDLIB = {
     "__future__", "enum", "dataclasses", "typing", "itertools", "math",
@@ -52,7 +50,7 @@ _HOST_PARAM_NAMES = {
 def pure_files(program: Program) -> List[str]:
     return sorted(
         info.sub for info in program.files
-        if info.sub.startswith("core/") and info.sub not in HOST_EXEMPT)
+        if info.sub.startswith("core/"))
 
 
 def _io_primitive(dotted: str, is_call: bool) -> Optional[str]:

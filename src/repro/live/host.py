@@ -7,10 +7,12 @@ send a datagram, append/force the WAL, arm a timer.  The simulator
 harness (:mod:`repro.live.simhost`) plugs the deterministic kernel +
 token-ring LAN into that interface; the live harness
 (:mod:`repro.live.site`) plugs asyncio TCP + an fsync-backed WAL file.
-Everything above the interface — effect execution order, the stateless
-protocol edge, takeover spawning, machine bookkeeping — is this one
-class, so the conformance harness compares *substrates*, never two
-reimplementations of the host.
+Everything above the interface is this one class, so the conformance
+harness compares *substrates*, never two reimplementations of the host.
+Every protocol decision made around the machines (coordinator choice,
+datagram routing, the stateless edge, takeovers) is the
+:class:`~repro.core.edge.ProtocolEdge` this host shares with the
+simulated TranMan; what is left here is an execution engine.
 
 Execution discipline (what makes transcripts comparable): each site
 processes one input at a time.  An input (message, timer, durability
@@ -27,10 +29,13 @@ interpreter substrate-blind is the whole point.
 
 Scope vs the full simulator: there are no data servers behind a live
 site, so ``LocalPrepare`` resolves to a scripted vote (YES unless
-configured) and ``LocalCommit``/``LocalAbort`` are traced no-ops; and a
-site that recovered from a non-empty WAL answers prepares for unknown
-transactions conservatively (vote NO / stay silent), as the TranMan
-does once a crash has destroyed volatile family state.
+configured), ``LocalCommit``/``LocalAbort`` are traced no-ops and
+nested-commit / family-abort traffic is acknowledged but not acted on.
+A fresh live site treats every transaction's family as known (no
+application could have "begun" it first); one that recovered from a
+non-empty WAL treats none as known, so the edge refuses prepares for
+unknown transactions (vote NO / stay silent) as it does for a TranMan
+whose volatile family state a crash destroyed.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.config import CostModel
+from repro.core.edge import PIGGYBACK_SWEEP_MS, ProtocolEdge, Step
 from repro.core.effects import (
     CancelTimer,
     Complete,
@@ -56,59 +62,19 @@ from repro.core.effects import (
     Trace,
     WriteLog,
 )
-from repro.core.messages import (
-    AbortNotice,
-    CommitAck,
-    CommitNotice,
-    FamilyAbort,
-    FamilyAbortAck,
-    InquiryResponse,
-    NbAbortJoin,
-    NbAbortJoinAck,
-    NbOutcome,
-    NbOutcomeAck,
-    NbPrepare,
-    NbReplicate,
-    NbReplicateAck,
-    NbStateReport,
-    NbStateRequest,
-    NbVote,
-    NestedCommit,
-    PcOutcome,
-    PcOutcomeAck,
-    PcP1a,
-    PcP1b,
-    PcP2a,
-    PcPhase2b,
-    PcPrepare,
-    PcVote,
-    PrepareRequest,
-    TxnInquiry,
-    VoteResponse,
-)
-from repro.core.nonblocking import NbCoordinator, NbSubordinate, NbTakeover
+from repro.core.messages import FamilyAbort, FamilyAbortAck
 from repro.core.outcomes import Outcome, ProtocolKind, TwoPhaseVariant, Vote
-from repro.core.paxoscommit import PcCandidate, PcLeader, PcParticipant
-from repro.core.quorum import QuorumSpec
 from repro.core.tid import TID, TidGenerator
-from repro.core.twophase import TwoPhaseCoordinator, TwoPhaseSubordinate
-from repro.log.records import LogRecord, RecordKind, abort_pledge_record
+from repro.log.records import LogRecord
 from repro.servers.recovery import RecoveryPlan, build_machines
-
-# Mirrors tranman.PIGGYBACK_SWEEP_MS: the cadence at which lazily queued
-# (piggybacked) datagrams and the lazy WAL tail get flushed.
-SWEEP_MS = 50.0
 
 # Same dedup memory as DatagramService.
 DEDUP_WINDOW = 4096
 
-_STALE_RESPONSES = (VoteResponse, NbVote, CommitAck, NbReplicateAck,
-                    NbAbortJoinAck, NbOutcomeAck, NbStateReport,
-                    FamilyAbortAck, InquiryResponse, PcPhase2b, PcP1b,
-                    PcOutcomeAck)
-
-_TAKEOVER_ROUTED = (NbStateReport, NbReplicateAck, NbAbortJoinAck,
-                    NbOutcomeAck, PcP1b, PcOutcomeAck)
+# The short protocol names the drivers and the control channel use.
+_PROTOCOLS = {"2pc": ProtocolKind.TWO_PHASE,
+              "nb": ProtocolKind.NON_BLOCKING,
+              "paxos": ProtocolKind.PAXOS_COMMIT}
 
 
 class Substrate:
@@ -143,38 +109,6 @@ class Substrate:
         raise NotImplementedError
 
 
-def build_coordinator(protocol: str, tid: TID, site: str,
-                      subordinates: Sequence[str], cost: CostModel,
-                      variant: TwoPhaseVariant = TwoPhaseVariant.OPTIMIZED
-                      ) -> Any:
-    """The coordinator machine the TranMan would build (``_commit``)."""
-    subs = sorted(s for s in subordinates if s != site)
-    kind = ProtocolKind(protocol) if protocol not in ("2pc", "nb", "paxos") \
-        else {"2pc": ProtocolKind.TWO_PHASE,
-              "nb": ProtocolKind.NON_BLOCKING,
-              "paxos": ProtocolKind.PAXOS_COMMIT}[protocol]
-    if kind is ProtocolKind.NON_BLOCKING:
-        return NbCoordinator(
-            tid, site, subs, quorum=QuorumSpec.majority(len(subs) + 1),
-            use_multicast=False,
-            vote_timeout_ms=cost.protocol_timeout,
-            repl_timeout_ms=cost.protocol_timeout,
-            notify_timeout_ms=cost.protocol_timeout)
-    if kind is ProtocolKind.PAXOS_COMMIT:
-        all_sites = [site] + subs
-        n_acceptors = (len(all_sites) if len(all_sites) % 2
-                       else len(all_sites) - 1)
-        return PcLeader(
-            tid, site, subs, acceptors=all_sites[:n_acceptors],
-            quorum=QuorumSpec.paxos(n_acceptors),
-            vote_timeout_ms=cost.protocol_timeout,
-            notify_timeout_ms=cost.protocol_timeout)
-    return TwoPhaseCoordinator(
-        tid, site, subs, variant=variant, use_multicast=False,
-        vote_timeout_ms=cost.protocol_timeout,
-        ack_timeout_ms=cost.protocol_timeout)
-
-
 class SiteHost:
     """One site's machines + effect interpreter over a substrate."""
 
@@ -190,17 +124,23 @@ class SiteHost:
         self.prepare_delay_ms = prepare_delay_ms
 
         self.tid_gen = TidGenerator(site)
-        self.machines: Dict[TID, Any] = {}
-        self.takeovers: Dict[TID, Any] = {}
-        self.tombstones: Dict[str, Outcome] = {}
-        self.pledges: Set[str] = set()
-        self.read_only_votes: Set[str] = set()
+        # A host that recovered from a non-empty WAL lost volatile state
+        # in a crash: no transaction's family is known here any more.
+        self.conservative = False
+        # The edge owns the protocol tables (no retire log: demo-scale
+        # host); the names below are the same objects, kept for drivers.
+        self.edge = ProtocolEdge(
+            site, cost.protocol_timeout,
+            family_known=lambda tid: not self.conservative,
+            txn_active=lambda tid: False, recorded=lambda tid_str: None)
+        self.machines: Dict[TID, Any] = self.edge.machines
+        self.takeovers: Dict[TID, Any] = self.edge.takeovers
+        self.tombstones: Dict[str, Outcome] = self.edge.tombstones
+        self.pledges: Set[str] = self.edge.pledges
+        self.read_only_votes: Set[str] = self.edge.read_only_votes
         self.completions: Dict[str, Outcome] = {}
         self.held: List[str] = []
         self.duplicates = 0
-        # A host that recovered from a non-empty WAL lost volatile state
-        # in a crash: prepares for unknown transactions are refused.
-        self.conservative = False
         self.on_complete: Optional[Callable[[TID, Outcome], None]] = None
 
         self._timers: Dict[Tuple[Any, str], Any] = {}
@@ -218,7 +158,7 @@ class SiteHost:
 
     def start_sweeps(self) -> None:
         """Arm the periodic piggyback/WAL-tail flush (re-arms itself)."""
-        self._sweep_handle = self.substrate.start_timer(SWEEP_MS, self._sweep)
+        self._sweep_handle = self.substrate.start_timer(PIGGYBACK_SWEEP_MS, self._sweep)
 
     def stop_sweeps(self) -> None:
         if self._sweep_handle is not None:
@@ -229,7 +169,7 @@ class SiteHost:
         self.substrate.force_tail()
         for dst in list(self._lazy):
             self._flush_lazy(dst)
-        self._sweep_handle = self.substrate.start_timer(SWEEP_MS, self._sweep)
+        self.start_sweeps()
 
     @property
     def idle(self) -> bool:
@@ -246,32 +186,28 @@ class SiteHost:
         """Start commitment as coordinator; returns the transaction id."""
         if tid is None:
             tid = self.tid_gen.new_top_level()
-        machine = build_coordinator(protocol, tid, self.site, subordinates,
-                                    self.cost, variant)
-        self.machines[tid] = machine
+        machine = self.edge.coordinator(
+            tid, subordinates,
+            _PROTOCOLS.get(protocol) or ProtocolKind(protocol),
+            variant=variant)
         self._inbox.append(("effects", machine, machine.start()))
         self._pump()
         return tid
 
     def recover_from_plan(self, plan: RecoveryPlan) -> None:
         """Adopt a recovery plan built from the durable WAL prefix."""
-        for tid_str, outcome in plan.tombstones.items():
-            self.tombstones[tid_str] = outcome
-        self.pledges |= set(plan.pledges)
+        self.edge.restore(plan.tombstones, plan.pledges)
         self.conservative = True
         for machine, resume in build_machines(
                 plan, self.site, protocol_timeout_ms=self.cost.protocol_timeout):
-            if isinstance(machine, (NbTakeover, PcCandidate)):
-                self.takeovers[machine.tid] = machine
-            else:
-                self.machines[machine.tid] = machine
+            self.edge.adopt(machine)
             self._inbox.append(("effects", machine, list(resume)))
         self._pump()
 
     # -------------------------------------------------------- inbound
 
     def deliver(self, src: str, message: Any) -> None:
-        """One datagram from the substrate (dedup mirror of the sim)."""
+        """One datagram from the substrate, deduplicated by its key."""
         key = getattr(message, "dedup_key", None)
         if key is not None and self._is_duplicate(src, key):
             self.duplicates += 1
@@ -326,19 +262,15 @@ class SiteHost:
             self._route(message)
         elif kind == "call":
             _, machine, method, args = item
-            if method == "on_timer" and not self._machine_live(machine):
+            if method == "on_timer" and not self.edge.is_live(machine):
                 return
             self._push(machine, getattr(machine, method)(*args) or [])
+        elif kind == "step":
+            _, machine, thunk = item
+            self._push(machine, thunk())
         elif kind == "effects":
             _, machine, effects = item
             self._push(machine, effects)
-
-    def _machine_live(self, machine: Any) -> bool:
-        tid = getattr(machine, "tid", None)
-        if tid is None:
-            return False
-        return (self.machines.get(tid) is machine
-                or self.takeovers.get(tid) is machine)
 
     # ----------------------------------------------- effect execution
 
@@ -419,7 +351,7 @@ class SiteHost:
     def _local_prepared(self, machine: Any, tid: TID) -> None:
         vote = self.scripted_votes.get(self.site, Vote.YES)
         if vote is Vote.READ_ONLY:
-            self.read_only_votes.add(str(tid))  # lint: bounded(demo-scale host, no retire log)
+            self.edge.note_read_only(str(tid))
         self.substrate.trace("live.local_prepared",
                              {"tid": str(tid), "vote": vote.value})
         self._enqueue_call(machine, "on_local_prepared", vote)
@@ -440,19 +372,13 @@ class SiteHost:
             self.substrate.send(dst, message)
 
     def _note_membership(self, record: LogRecord) -> None:
-        if record.kind is RecordKind.ABORT_PLEDGE:
-            self.pledges.add(record.tid)  # lint: bounded(demo-scale host, no retire log)
-            sub = self.machines.get(TID.parse(record.tid))
-            if isinstance(sub, NbSubordinate):
-                sub.note_local_pledge()
-        elif record.kind is RecordKind.REPLICATION:
-            sub = self.machines.get(TID.parse(record.tid))
-            if isinstance(sub, NbSubordinate):
-                sub.note_local_replication()
+        note = self.edge.note_membership(record)
+        if note is not None:
+            note()  # one input at a time: no machine is mid-step
 
     def _complete(self, effect: Complete) -> None:
         tid_str = str(effect.tid)
-        self.tombstones[tid_str] = effect.outcome  # lint: bounded(demo-scale host, no retire log)
+        self.edge.note_outcome(tid_str, effect.outcome)
         self.completions[tid_str] = effect.outcome  # lint: bounded(demo-scale host, no retire log)
         self.substrate.trace("live.complete",
                              {"tid": tid_str, "outcome": effect.outcome.value})
@@ -460,291 +386,35 @@ class SiteHost:
             self.on_complete(effect.tid, effect.outcome)
 
     def _forget(self, machine: Any, tid: TID) -> None:
-        outcome = getattr(machine, "outcome", None)
-        if outcome is not None:
-            self.tombstones[str(tid)] = outcome  # lint: bounded(demo-scale host, no retire log)
-        if self.machines.get(tid) is machine:
-            del self.machines[tid]
-        if self.takeovers.get(tid) is machine:
-            del self.takeovers[tid]
+        self.edge.forget(machine, tid)
         for key in [k for k in self._timers if k[0] is machine]:
             self.substrate.cancel_timer(self._timers.pop(key))
 
     def _start_takeover(self, tid: TID) -> None:
-        if tid in self.takeovers:
-            return
-        sub = self.machines.get(tid)
-        if isinstance(sub, (PcParticipant, PcLeader)):
-            candidate = PcCandidate(
-                tid, self.site, sub.sites, sub.acceptors, sub.quorum,
-                poll_timeout_ms=self.cost.protocol_timeout / 2,
-                notify_timeout_ms=self.cost.protocol_timeout)
-            self.takeovers[tid] = candidate
-            self.substrate.trace("live.takeover",
-                                 {"tid": str(tid), "status": "paxos_election"})
-            self._push(candidate, candidate.start())
-            return
-        if not isinstance(sub, NbSubordinate):
-            return
-        status, data = sub.status_report()
-        takeover = NbTakeover(tid, self.site, sub.sites, sub.quorum,
-                              own_status=status, own_decision_data=data,
-                              poll_timeout_ms=self.cost.protocol_timeout / 2,
-                              notify_timeout_ms=self.cost.protocol_timeout)
-        self.takeovers[tid] = takeover
-        self.substrate.trace("live.takeover",
-                             {"tid": str(tid), "status": status})
-        self._push(takeover, takeover.start())
+        self._run_steps(self.edge.start_takeover(tid))
 
     # ------------------------------------------------ message routing
 
     def _route(self, pmsg: Any) -> None:
-        """Mirror of ``TransactionManager._on_datagram``."""
-        tid: TID = pmsg.tid
-        takeover = self.takeovers.get(tid)
-        if takeover is not None and isinstance(pmsg, _TAKEOVER_ROUTED):
-            self._push(takeover, takeover.on_message(pmsg) or [])
-            return
-        machine = self.machines.get(tid)
-        if isinstance(pmsg, PcPhase2b) and pmsg.ballot != 0 \
-                and takeover is not None:
-            self._push(takeover, takeover.on_message(pmsg) or [])
-            return
-        if isinstance(pmsg, (NbOutcome, PcOutcome)):
-            # Outcomes concern everyone at this site.  The participant
-            # runs to quiescence first (frames drain before the inbox),
-            # and only then does the takeover see the message — as the
-            # next input, so its on_message is not called early either.
-            if machine is None and takeover is None:
-                self._stateless(pmsg)
-                return
-            if takeover is not None:
-                self._inbox.appendleft(
-                    ("call", takeover, "on_message", (pmsg,)))
-            if machine is not None:
-                self._push(machine, machine.on_message(pmsg) or [])
-            return
-        if machine is not None:
-            self._push(machine, machine.on_message(pmsg) or [])
-            return
-        self._stateless(pmsg)
-
-    def _spawn(self, machine: Any, effects: Sequence[Effect]) -> None:
-        self.machines[machine.tid] = machine
-        self._push(machine, effects)
-
-    def _stateless(self, pmsg: Any) -> None:
-        """Protocol edge for transactions with no live machine here.
-
-        Mirrors ``TransactionManager._stateless`` with two deliberate
-        deltas (documented in DESIGN.md §11): a fresh live site accepts
-        any prepare (there is no application to have "begun" the
-        transaction first), and a crash-recovered site refuses unknown
-        transactions exactly as the TranMan's destroyed family state
-        makes it do.
-        """
-        tid: TID = pmsg.tid
-        tomb = self.tombstones.get(str(tid))
-        timeout = self.cost.protocol_timeout
-        if isinstance(pmsg, PrepareRequest):
-            if tomb is Outcome.COMMITTED:
-                self.substrate.send(pmsg.sender,
-                                    CommitAck(tid=tid, sender=self.site))
-            elif str(tid) in self.read_only_votes:
-                self.substrate.send(pmsg.sender, VoteResponse(
-                    tid=tid, sender=self.site, vote=Vote.READ_ONLY))
-            elif tomb is Outcome.ABORTED or self.conservative:
-                self.substrate.send(pmsg.sender, VoteResponse(
-                    tid=tid, sender=self.site, vote=Vote.NO))
-            else:
-                sub = TwoPhaseSubordinate(tid, self.site, pmsg.sender,
-                                          variant=pmsg.variant,
-                                          outcome_timeout_ms=timeout)
-                self._spawn(sub, sub.start())
-        elif isinstance(pmsg, NbPrepare):
-            if tomb is Outcome.COMMITTED:
-                self.substrate.send(pmsg.sender,
-                                    NbOutcomeAck(tid=tid, sender=self.site))
-            elif str(tid) in self.read_only_votes:
-                self.substrate.send(pmsg.sender, NbVote(
-                    tid=tid, sender=self.site, vote=Vote.READ_ONLY))
-            elif tomb is Outcome.ABORTED or (
-                    self.conservative and str(tid) not in self.pledges):
-                self.substrate.send(pmsg.sender, NbVote(
-                    tid=tid, sender=self.site, vote=Vote.NO))
-            else:
-                sub = NbSubordinate(tid, self.site, pmsg.sender,
-                                    list(pmsg.sites), pmsg.quorum,
-                                    outcome_timeout_ms=timeout,
-                                    already_pledged=str(tid) in self.pledges)
-                self._spawn(sub, sub.start())
-        elif isinstance(pmsg, CommitNotice):
-            if tomb is Outcome.COMMITTED:
-                self.substrate.send(pmsg.sender,
-                                    CommitAck(tid=tid, sender=self.site))
-        elif isinstance(pmsg, AbortNotice):
-            pass  # nothing known, nothing to do (presumed abort)
-        elif isinstance(pmsg, TxnInquiry):
-            outcome = tomb if tomb is not None else Outcome.ABORTED
-            self.substrate.send(pmsg.sender, InquiryResponse(
-                tid=tid, sender=self.site, outcome=outcome))
-        elif isinstance(pmsg, NbReplicate):
-            self._stateless_replicate(pmsg, tomb)
-        elif isinstance(pmsg, NbAbortJoin):
-            self._stateless_abort_join(pmsg, tomb)
-        elif isinstance(pmsg, NbStateRequest):
-            if tomb is Outcome.COMMITTED:
-                status = "committed"
-            elif tomb is Outcome.ABORTED:
-                status = "aborted"
-            elif str(tid) in self.pledges:
-                status = "abort_pledged"
-            else:
-                status = "no_state"
-            self.substrate.send(pmsg.sender, NbStateReport(
-                tid=tid, sender=self.site, status=status, round=pmsg.round))
-        elif isinstance(pmsg, NbOutcome):
-            self._check_tombstone(tid, tomb, pmsg.outcome)
-            self.substrate.send(pmsg.sender,
-                                NbOutcomeAck(tid=tid, sender=self.site))
-        elif isinstance(pmsg, PcPrepare):
-            self._stateless_prepare_pc(pmsg, tomb)
-        elif isinstance(pmsg, (PcVote, PcP1a, PcP2a)):
-            self._stateless_pc_acceptor(pmsg, tomb)
-        elif isinstance(pmsg, PcOutcome):
-            self._check_tombstone(tid, tomb, pmsg.outcome)
-            self.substrate.send(pmsg.sender,
-                                PcOutcomeAck(tid=tid, sender=self.site))
-        elif isinstance(pmsg, (NestedCommit, FamilyAbort)):
+        if self.edge.for_servers(pmsg):
             # Nested transactions and the family abort protocol need the
             # application/server layer the live host does not carry.
             if isinstance(pmsg, FamilyAbort):
-                self.substrate.send(pmsg.sender,
-                                    FamilyAbortAck(tid=tid, sender=self.site))
-        elif isinstance(pmsg, _STALE_RESPONSES):
-            pass  # stale response to a machine that already finished
-        else:
-            raise ValueError(f"unhandled datagram payload {pmsg!r}")
-
-    def _check_tombstone(self, tid: TID, tomb: Optional[Outcome],
-                         outcome: Outcome) -> None:
-        if tomb is not None and tomb is not outcome:
-            raise AssertionError(
-                f"{tid}: outcome {outcome} conflicts with tombstone "
-                f"{tomb} at {self.site}")
-
-    def _stateless_replicate(self, pmsg: NbReplicate,
-                             tomb: Optional[Outcome]) -> None:
-        tid = pmsg.tid
-        if str(tid) in self.pledges or tomb is Outcome.ABORTED:
-            self.substrate.send(pmsg.sender, NbReplicateAck(
-                tid=tid, sender=self.site, ok=False))
+                self.substrate.send(pmsg.sender, FamilyAbortAck(
+                    tid=pmsg.tid, sender=self.site))
             return
-        if tomb is Outcome.COMMITTED:
-            self.substrate.send(pmsg.sender, NbReplicateAck(
-                tid=tid, sender=self.site, ok=True))
-            return
-        helper = NbSubordinate.helper(
-            tid, self.site, pmsg,
-            outcome_timeout_ms=self.cost.protocol_timeout)
-        self.machines[tid] = helper
-        self._push(helper, helper.on_message(pmsg) or [])
+        replies, steps = self.edge.route(pmsg)
+        for dst, message in replies:
+            self.substrate.send(dst, message)
+        self._run_steps(steps)
 
-    def _stateless_abort_join(self, pmsg: NbAbortJoin,
-                              tomb: Optional[Outcome]) -> None:
-        tid = pmsg.tid
-        if tomb is Outcome.COMMITTED:
-            self.substrate.send(pmsg.sender, NbAbortJoinAck(
-                tid=tid, sender=self.site, ok=False))
-            return
-        if str(tid) in self.pledges or tomb is Outcome.ABORTED:
-            self.substrate.send(pmsg.sender, NbAbortJoinAck(
-                tid=tid, sender=self.site, ok=True))
-            return
-        # Durable pledge: force it, then acknowledge — via a one-shot
-        # effect frame so the force waits inline like every other force.
-        record = abort_pledge_record(str(tid), self.site)
-        pledge_machine = _PledgeAck(self.site, pmsg)
-        self._push(pledge_machine,
-                   [ForceLog(record, _PledgeAck.TOKEN)])
-
-    def _stateless_prepare_pc(self, pmsg: PcPrepare,
-                              tomb: Optional[Outcome]) -> None:
-        tid = pmsg.tid
-        if tomb is Outcome.COMMITTED:
-            self.substrate.send(pmsg.sender,
-                                PcOutcomeAck(tid=tid, sender=self.site))
-            return
-        if str(tid) in self.read_only_votes:
-            targets = [a for a in pmsg.acceptors if a != self.site]
-            if pmsg.sender not in targets:
-                targets.append(pmsg.sender)
-            for dst in targets:
-                self.substrate.send(dst, PcVote(
-                    tid=tid, sender=self.site, vote=Vote.READ_ONLY,
-                    leader=pmsg.sender, sites=pmsg.sites,
-                    acceptors=pmsg.acceptors))
-            return
-        if tomb is Outcome.ABORTED:
-            self.substrate.send(pmsg.sender, PcOutcome(
-                tid=tid, sender=self.site, outcome=Outcome.ABORTED))
-            return
-        if self.conservative:
-            # We may have voted READ_ONLY (volatile) before the crash; an
-            # RM must never propose two ballot-0 values.  Stay silent and
-            # let the leader's timeout or an election resolve us.
-            return
-        sub = PcParticipant(tid, self.site, pmsg.sender,
-                            list(pmsg.sites), list(pmsg.acceptors),
-                            QuorumSpec.paxos(len(pmsg.acceptors)),
-                            protocol_timeout_ms=self.cost.protocol_timeout)
-        self._spawn(sub, sub.start())
-
-    def _stateless_pc_acceptor(self, pmsg: Any,
-                               tomb: Optional[Outcome]) -> None:
-        tid = pmsg.tid
-        if tomb is not None:
-            self.substrate.send(pmsg.sender, PcOutcome(
-                tid=tid, sender=self.site, outcome=tomb))
-            return
-        if self.site not in pmsg.acceptors:
-            return  # stale / misrouted: we owe no acceptor duties
-        if not self.conservative:
-            # Acceptor traffic overtook the leader's PcPrepare (votes
-            # come from third-party RMs, so TCP FIFO does not order
-            # them): spawn the full participant, then deliver.
-            sub = PcParticipant(tid, self.site,
-                                pmsg.leader or pmsg.sender,
-                                list(pmsg.sites), list(pmsg.acceptors),
-                                QuorumSpec.paxos(len(pmsg.acceptors)),
-                                protocol_timeout_ms=self.cost.protocol_timeout)
-            self.machines[tid] = sub
-            self._push(sub, (sub.start() or []) + (sub.on_message(pmsg) or []))
-            return
-        sub = PcParticipant.recovered(
-            tid, self.site, leader=pmsg.leader or pmsg.sender,
-            sites=list(pmsg.sites), acceptors=list(pmsg.acceptors),
-            prepared=False,
-            protocol_timeout_ms=self.cost.protocol_timeout)
-        self.machines[tid] = sub
-        self.substrate.trace("live.acceptor_rebuilt",
-                             {"tid": str(tid),
-                              "kind_of": type(pmsg).__name__})
-        self._push(sub, sub.on_message(pmsg) or [])
-
-
-class _PledgeAck:
-    """One-shot pseudo-machine: ack an NbAbortJoin once the pledge forced."""
-
-    TOKEN = "live.pledge_force"
-
-    def __init__(self, site: str, request: NbAbortJoin):
-        self.tid = request.tid
-        self._site = site
-        self._request = request
-
-    def on_log_forced(self, token: str) -> List[Effect]:
-        if token != self.TOKEN:
-            return []
-        return [SendDatagram(self._request.sender, NbAbortJoinAck(
-            tid=self._request.tid, sender=self._site, ok=True))]
+    def _run_steps(self, steps: Sequence[Step]) -> None:
+        """Run the first step now; each later one becomes the next input
+        at the head of the inbox, so its thunk is not even called until
+        the step before it has run to quiescence, force waits included
+        (frames drain before the inbox)."""
+        for machine, thunk in reversed(steps[1:]):
+            self._inbox.appendleft(("step", machine, thunk))
+        if steps:
+            machine, thunk = steps[0]
+            self._push(machine, thunk())

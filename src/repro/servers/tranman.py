@@ -2,9 +2,11 @@
 
 "The transaction manager is essentially a protocol processor; most calls
 from applications or servers invoke one protocol or another" (paper §3).
-This module hosts the sans-IO state machines of
-:mod:`repro.core.twophase`, :mod:`repro.core.nonblocking` and
-:mod:`repro.core.abortproto` on the simulated substrate:
+This module is the simulated *engine* of that processor.  It hosts the
+sans-IO machines of :mod:`repro.core.twophase`, ``nonblocking``,
+``paxoscommit`` and ``abortproto``, and leaves every protocol decision
+made around them to the :class:`~repro.core.edge.ProtocolEdge` it
+shares with the live host:
 
 - a request port drained by a **C-Threads-style pool** (size is the
   experimental parameter of Figures 4-5); every thread waits for any
@@ -15,9 +17,8 @@ This module hosts the sans-IO state machines of
 - an **effect executor** that maps machine effects onto the substrate:
   datagrams (with piggybacked lazy sends), log forces through the disk
   manager, local server prepare/commit/abort rounds, timers;
-- the **stateless protocol edge**: presumed-abort answers for forgotten
-  transactions, tombstones (change 4: never report "no state" for a
-  transaction that decided), durable abort pledges, quorum helpers.
+- the clock-driven **retire log** that bounds the edge's tombstones,
+  pledges and read-only votes on long runs.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from typing import (
 
 from repro.config import CostModel
 from repro.core.abortproto import AbortInitiator, AbortParticipant
+from repro.core.edge import PIGGYBACK_SWEEP_MS, ProtocolEdge
 from repro.core.effects import (
     CancelTimer,
     Complete,
@@ -56,43 +58,11 @@ from repro.core.effects import (
     WriteLog,
 )
 from repro.core.family import FamilyTable
-from repro.core.messages import (
-    AbortNotice,
-    CommitAck,
-    CommitNotice,
-    FamilyAbort,
-    FamilyAbortAck,
-    InquiryResponse,
-    NbAbortJoin,
-    NbAbortJoinAck,
-    NbOutcome,
-    NbOutcomeAck,
-    NbPrepare,
-    NbReplicate,
-    NbReplicateAck,
-    NbStateReport,
-    NbStateRequest,
-    NbVote,
-    NestedCommit,
-    PcOutcome,
-    PcOutcomeAck,
-    PcP1a,
-    PcP1b,
-    PcP2a,
-    PcPhase2b,
-    PcPrepare,
-    PcVote,
-    PrepareRequest,
-    TxnInquiry,
-    VoteResponse,
-)
-from repro.core.nonblocking import NbCoordinator, NbSubordinate, NbTakeover
-from repro.core.paxoscommit import PcCandidate, PcLeader, PcParticipant
+from repro.core.messages import FamilyAbort, NestedCommit
+from repro.core.nonblocking import NbProtocolViolation
 from repro.core.outcomes import Outcome, ProtocolKind, TwoPhaseVariant, Vote
-from repro.core.quorum import QuorumSpec
 from repro.core.tid import TID, TidGenerator
-from repro.core.twophase import TwoPhaseCoordinator, TwoPhaseSubordinate
-from repro.log.records import abort_pledge_record
+from repro.core.twophase import TwoPhaseSubordinate
 from repro.mach.ipc import IpcFabric
 from repro.mach.message import Message
 from repro.mach.site import Site
@@ -104,8 +74,6 @@ from repro.sim.kernel import Kernel, Timer
 from repro.sim.process import Sleep, Wait
 from repro.sim.resources import SimLock
 from repro.sim.tracing import Tracer
-
-PIGGYBACK_SWEEP_MS = 50.0
 
 
 class TransactionManager:
@@ -127,14 +95,17 @@ class TransactionManager:
         self.families = FamilyTable()
         self.family_locks: Dict[str, SimLock] = {}
         self.tid_gen = TidGenerator(site.name)
-        self.machines: Dict[TID, Any] = {}
-        # Termination-protocol machines: NbTakeover or PcCandidate.
-        self.takeovers: Dict[TID, Any] = {}
-        self.tombstones: Dict[str, Outcome] = {}
-        self.pledges: Set[str] = set()
-        # TIDs this site answered READ_ONLY for: a retried prepare must
-        # re-vote read-only, not NO (the machine is long forgotten).
-        self.read_only_votes: Set[str] = set()
+        # The edge owns the protocol tables; the names below are the
+        # same objects, kept for chaos oracles, recovery and tests.
+        self.edge = ProtocolEdge(
+            site.name, cost.protocol_timeout,
+            family_known=lambda tid: self.families.family_of(tid) is not None,
+            txn_active=self._is_active, recorded=self.note_retirable)
+        self.machines: Dict[TID, Any] = self.edge.machines
+        self.takeovers: Dict[TID, Any] = self.edge.takeovers
+        self.tombstones: Dict[str, Outcome] = self.edge.tombstones
+        self.pledges: Set[str] = self.edge.pledges
+        self.read_only_votes: Set[str] = self.edge.read_only_votes
         # Completed-transaction bookkeeping (tombstones, pledges,
         # read-only votes) answers late inquiries, so entries must
         # outlive the protocol's retry horizon — but not the run: kept
@@ -226,8 +197,7 @@ class TransactionManager:
                 top = TID(family_name)
                 self.tracer.record(now, "tranman.orphan_abort",
                                    site=self.site.name, tid=family_name)
-                self.tombstones[family_name] = Outcome.ABORTED
-                self.note_retirable(family_name)
+                self.edge.note_outcome(family_name, Outcome.ABORTED)
                 self._local_abort(top)
                 self.families.forget_family(family_name)
                 self.family_locks.pop(family_name, None)
@@ -237,6 +207,10 @@ class TransactionManager:
         desc = self.families.descriptor(tid)
         if desc is not None:
             desc.last_activity = self.kernel.now
+
+    def _is_active(self, tid: TID) -> bool:
+        desc = self.families.descriptor(tid)
+        return desc is not None and desc.active
 
     def _flush_lazy(self, dst: str) -> None:
         queued = self._lazy.pop(dst, None)
@@ -370,53 +344,16 @@ class TransactionManager:
         protocol = ProtocolKind(msg.body.get("protocol", desc.protocol.value))
         variant = TwoPhaseVariant(msg.body.get(
             "variant", TwoPhaseVariant.OPTIMIZED.value))
-        fam = self.families.family_of(tid)
-        subordinates = sorted(s for s in fam.all_sites()
-                              if s != self.site.name)
         self._pending_calls[tid] = msg
-        if protocol is ProtocolKind.NON_BLOCKING:
-            policy = msg.body.get("quorum_policy", "majority")
-            n_sites = len(subordinates) + 1
-            if policy == "commit_weighted":
-                quorum = QuorumSpec.commit_weighted(n_sites)
-            elif policy == "majority":
-                quorum = QuorumSpec.majority(n_sites)
-            else:
-                raise ValueError(f"unknown quorum policy {policy!r}")
-            machine: Any = NbCoordinator(
-                tid, self.site.name, subordinates, quorum=quorum,
-                use_multicast=self.use_multicast,
-                vote_timeout_ms=self.cost.protocol_timeout,
-                repl_timeout_ms=self.cost.protocol_timeout,
-                notify_timeout_ms=self.cost.protocol_timeout,
-                # A takeover may have extracted our abort pledge while
-                # the family sat idle here; the coordinator must then
-                # refuse to drive a commit (see on_local_prepared).
-                already_pledged=str(tid) in self.pledges)
-        elif protocol is ProtocolKind.PAXOS_COMMIT:
-            # Acceptors are the leader-first odd prefix of the site list
-            # (N = 2F+1): two sites degenerate to F=0 (leader is the
-            # sole acceptor, 2PC's exact cost profile), three sites give
-            # F=1, and so on.
-            all_sites = [self.site.name] + subordinates
-            n_acceptors = (len(all_sites) if len(all_sites) % 2
-                           else len(all_sites) - 1)
-            machine = PcLeader(
-                tid, self.site.name, subordinates,
-                acceptors=all_sites[:n_acceptors],
-                quorum=QuorumSpec.paxos(n_acceptors),
-                vote_timeout_ms=self.cost.protocol_timeout,
-                notify_timeout_ms=self.cost.protocol_timeout)
-        else:
-            machine = TwoPhaseCoordinator(
-                tid, self.site.name, subordinates, variant=variant,
-                use_multicast=self.use_multicast,
-                vote_timeout_ms=self.cost.protocol_timeout,
-                ack_timeout_ms=self.cost.protocol_timeout)
-        self.machines[tid] = machine
+        machine = self.edge.coordinator(
+            tid, self.families.family_of(tid).all_sites(), protocol,
+            variant=variant,
+            quorum_policy=msg.body.get("quorum_policy", "majority"),
+            use_multicast=self.use_multicast)
         self.tracer.record(self.kernel.now, "tranman.commit_call",
                            site=self.site.name, tid=str(tid),
-                           protocol=protocol.value, subs=len(subordinates))
+                           protocol=protocol.value,
+                           subs=len(machine.subordinates))
         yield from self._execute(machine, machine.start())
 
     def _commit_nested(self, tid: TID, msg: Message) -> None:
@@ -453,8 +390,6 @@ class TransactionManager:
                 self.fabric.reply(msg, msg.reply(
                     "abort_failed", reason="already decided"))
                 return
-            from repro.core.nonblocking import NbProtocolViolation
-
             try:
                 effects = machine.abort_now()
             except NbProtocolViolation:
@@ -481,307 +416,22 @@ class TransactionManager:
 
     def _on_datagram(self, dgram: Datagram) -> Generator[Any, Any, None]:
         pmsg = dgram.payload
-        tid: TID = pmsg.tid
         self.tracer.record(self.kernel.now, "tranman.dgram_in",
                            site=self.site.name, kind_of=type(pmsg).__name__)
-        # Takeover-coordinated message types go to the takeover first.
-        takeover = self.takeovers.get(tid)
-        if takeover is not None and isinstance(
-                pmsg, (NbStateReport, NbReplicateAck, NbAbortJoinAck,
-                       NbOutcomeAck, PcP1b, PcOutcomeAck)):
-            yield from self._execute(takeover, takeover.on_message(pmsg))
+        if self.edge.for_servers(pmsg):
+            if isinstance(pmsg, NestedCommit):
+                self._on_nested_commit(pmsg)
+            else:
+                yield from self._on_family_abort(pmsg)
             return
-        machine = self.machines.get(tid)
-        if isinstance(pmsg, PcPhase2b) and pmsg.ballot != 0 \
-                and takeover is not None:
-            # Election-ballot 2bs belong to the candidate; ballot-0 2bs
-            # are the leader machine's prepare-round tally.
-            yield from self._execute(takeover, takeover.on_message(pmsg))
-            return
-        if isinstance(pmsg, (NbOutcome, PcOutcome)):
-            # Outcomes concern everyone at this site: participant machine,
-            # takeover, or neither (tombstone ack).
-            handled = False
-            if machine is not None:
-                yield from self._execute(machine, machine.on_message(pmsg))
-                handled = True
-            if takeover is not None:
-                yield from self._execute(takeover, takeover.on_message(pmsg))
-                handled = True
-            if not handled:
-                yield from self._stateless(pmsg)
-            return
-        if machine is not None:
-            yield from self._execute(machine, machine.on_message(pmsg))
-            return
-        yield from self._stateless(pmsg)
-
-    def _stateless(self, pmsg: Any) -> Generator[Any, Any, None]:
-        """Protocol edge for transactions with no live machine here."""
-        tid: TID = pmsg.tid
-        tomb = self.tombstones.get(str(tid))
-        if isinstance(pmsg, PrepareRequest):
-            yield from self._stateless_prepare_2pc(pmsg, tomb)
-        elif isinstance(pmsg, NbPrepare):
-            yield from self._stateless_prepare_nb(pmsg, tomb)
-        elif isinstance(pmsg, CommitNotice):
-            if tomb is Outcome.COMMITTED:
-                self.dgram.send(pmsg.sender,
-                                CommitAck(tid=tid, sender=self.site.name))
-        elif isinstance(pmsg, AbortNotice):
-            pass  # nothing known, nothing to do (presumed abort)
-        elif isinstance(pmsg, TxnInquiry):
-            outcome = tomb if tomb is not None else Outcome.ABORTED
-            live = self.families.descriptor(tid)
-            if tomb is None and live is not None and live.active:
-                return  # still running; the inquirer should not exist yet
-            self.dgram.send(pmsg.sender,
-                            InquiryResponse(tid=tid, sender=self.site.name,
-                                            outcome=outcome))
-        elif isinstance(pmsg, NbReplicate):
-            yield from self._stateless_replicate(pmsg, tomb)
-        elif isinstance(pmsg, NbAbortJoin):
-            yield from self._stateless_abort_join(pmsg, tomb)
-        elif isinstance(pmsg, NbStateRequest):
-            self._stateless_state_request(pmsg, tomb)
-        elif isinstance(pmsg, NbOutcome):
-            if tomb is not None and tomb is not (
-                    Outcome.COMMITTED if pmsg.outcome is Outcome.COMMITTED
-                    else Outcome.ABORTED):
-                raise AssertionError(
-                    f"{tid}: outcome {pmsg.outcome} conflicts with tombstone "
-                    f"{tomb} at {self.site.name}")
-            self.dgram.send(pmsg.sender,
-                            NbOutcomeAck(tid=tid, sender=self.site.name))
-        elif isinstance(pmsg, PcPrepare):
-            yield from self._stateless_prepare_pc(pmsg, tomb)
-        elif isinstance(pmsg, (PcVote, PcP1a, PcP2a)):
-            yield from self._stateless_pc_acceptor(pmsg, tomb)
-        elif isinstance(pmsg, PcOutcome):
-            if tomb is not None and tomb is not pmsg.outcome:
-                raise AssertionError(
-                    f"{tid}: outcome {pmsg.outcome} conflicts with "
-                    f"tombstone {tomb} at {self.site.name}")
-            self.dgram.send(pmsg.sender,
-                            PcOutcomeAck(tid=tid, sender=self.site.name))
-        elif isinstance(pmsg, NestedCommit):
-            self._on_nested_commit(pmsg)
-        elif isinstance(pmsg, FamilyAbort):
-            yield from self._on_family_abort(pmsg)
-        elif isinstance(pmsg, (VoteResponse, NbVote, CommitAck,
-                               NbReplicateAck, NbAbortJoinAck, NbOutcomeAck,
-                               NbStateReport, FamilyAbortAck,
-                               InquiryResponse, PcPhase2b, PcP1b,
-                               PcOutcomeAck)):
-            pass  # stale response to a machine that already finished
-        else:
-            raise ValueError(f"unhandled datagram payload {pmsg!r}")
-
-    def _stateless_prepare_2pc(self, pmsg: PrepareRequest,
-                               tomb: Optional[Outcome]
-                               ) -> Generator[Any, Any, None]:
-        tid = pmsg.tid
-        if tomb is Outcome.COMMITTED:
-            # We finished and the coordinator retried: it wants the ack.
-            self.dgram.send(pmsg.sender,
-                            CommitAck(tid=tid, sender=self.site.name))
-            return
-        if str(tid) in self.read_only_votes:
-            self.dgram.send(pmsg.sender,
-                            VoteResponse(tid=tid, sender=self.site.name,
-                                         vote=Vote.READ_ONLY))
-            return
-        if tomb is Outcome.ABORTED or self.families.family_of(tid) is None:
-            # Presumed abort: no family state means any pre-crash work is
-            # gone; we must refuse, never claim read-only.  (The family,
-            # not the top-level descriptor: a remote site often knows the
-            # transaction only through nested children that ran here.)
-            self.dgram.send(pmsg.sender,
-                            VoteResponse(tid=tid, sender=self.site.name,
-                                         vote=Vote.NO))
-            return
-        sub = TwoPhaseSubordinate(tid, self.site.name, pmsg.sender,
-                                  variant=pmsg.variant,
-                                  outcome_timeout_ms=self.cost.protocol_timeout)
-        self.machines[tid] = sub
-        yield from self._execute(sub, sub.start())
-
-    def _stateless_prepare_nb(self, pmsg: NbPrepare, tomb: Optional[Outcome]
-                              ) -> Generator[Any, Any, None]:
-        tid = pmsg.tid
-        if tomb is Outcome.COMMITTED:
-            self.dgram.send(pmsg.sender,
-                            NbOutcomeAck(tid=tid, sender=self.site.name))
-            return
-        if str(tid) in self.read_only_votes:
-            self.dgram.send(pmsg.sender,
-                            NbVote(tid=tid, sender=self.site.name,
-                                   vote=Vote.READ_ONLY))
-            return
-        pledged = str(tid) in self.pledges
-        if (tomb is Outcome.ABORTED
-                or (self.families.family_of(tid) is None and not pledged)):
-            self.dgram.send(pmsg.sender,
-                            NbVote(tid=tid, sender=self.site.name,
-                                   vote=Vote.NO))
-            return
-        sub = NbSubordinate(tid, self.site.name, pmsg.sender,
-                            list(pmsg.sites), pmsg.quorum,
-                            outcome_timeout_ms=self.cost.protocol_timeout,
-                            already_pledged=pledged)
-        self.machines[tid] = sub
-        yield from self._execute(sub, sub.start())
-
-    def _stateless_replicate(self, pmsg: NbReplicate, tomb: Optional[Outcome]
-                             ) -> Generator[Any, Any, None]:
-        tid = pmsg.tid
-        if str(tid) in self.pledges or tomb is Outcome.ABORTED:
-            self.dgram.send(pmsg.sender,
-                            NbReplicateAck(tid=tid, sender=self.site.name,
-                                           ok=False))
-            return
-        if tomb is Outcome.COMMITTED:
-            self.dgram.send(pmsg.sender,
-                            NbReplicateAck(tid=tid, sender=self.site.name,
-                                           ok=True))
-            return
-        # Quorum helper: a read-only (or forgotten) site drafted into the
-        # commit quorum; the replicate message is self-contained.
-        helper = NbSubordinate.helper(tid, self.site.name, pmsg,
-                                      outcome_timeout_ms=self.cost.protocol_timeout)
-        self.machines[tid] = helper
-        yield from self._execute(helper, helper.on_message(pmsg))
-
-    def _stateless_abort_join(self, pmsg: NbAbortJoin, tomb: Optional[Outcome]
-                              ) -> Generator[Any, Any, None]:
-        tid = pmsg.tid
-        if tomb is Outcome.COMMITTED:
-            self.dgram.send(pmsg.sender,
-                            NbAbortJoinAck(tid=tid, sender=self.site.name,
-                                           ok=False))
-            return
-        if str(tid) in self.pledges or tomb is Outcome.ABORTED:
-            self.dgram.send(pmsg.sender,
-                            NbAbortJoinAck(tid=tid, sender=self.site.name,
-                                           ok=True))
-            return
-        # Durable pledge: force it, then acknowledge.
-        record = self.diskman.append(
-            abort_pledge_record(str(tid), self.site.name))
-        obs = self.tracer.obs
-        if obs is not None:
-            sid = obs.begin(self.kernel.now, "log.force",
-                            site=self.site.name, tid=str(tid),
-                            record_kind="abort_pledge")
-            yield from self.diskman.force(record.lsn)
-            obs.end(sid, self.kernel.now)
-        else:
-            yield from self.diskman.force(record.lsn)
-        self.pledges.add(str(tid))
-        self.note_retirable(str(tid))
-        self.tracer.record(self.kernel.now, "nb.stateless_pledge",
-                           site=self.site.name, tid=str(tid))
-        self.dgram.send(pmsg.sender,
-                        NbAbortJoinAck(tid=tid, sender=self.site.name,
-                                       ok=True))
-
-    def _stateless_state_request(self, pmsg: NbStateRequest,
-                                 tomb: Optional[Outcome]) -> None:
-        tid = pmsg.tid
-        if tomb is Outcome.COMMITTED:
-            status = "committed"
-        elif tomb is Outcome.ABORTED:
-            status = "aborted"
-        elif str(tid) in self.pledges:
-            status = "abort_pledged"
-        else:
-            status = "no_state"
-        self.dgram.send(pmsg.sender,
-                        NbStateReport(tid=tid, sender=self.site.name,
-                                      status=status, round=pmsg.round))
-
-    def _stateless_prepare_pc(self, pmsg: PcPrepare, tomb: Optional[Outcome]
-                              ) -> Generator[Any, Any, None]:
-        tid = pmsg.tid
-        if tomb is Outcome.COMMITTED:
-            # Already resolved here; the leader only wants the ack.
-            self.dgram.send(pmsg.sender,
-                            PcOutcomeAck(tid=tid, sender=self.site.name))
-            return
-        if str(tid) in self.read_only_votes:
-            # Re-vote read-only to the same targets the live machine
-            # would use: every acceptor (the instance still needs an
-            # acceptor quorum) plus the leader.
-            targets = [a for a in pmsg.acceptors if a != self.site.name]
-            if pmsg.sender not in targets:
-                targets.append(pmsg.sender)
-            for dst in targets:
-                self.dgram.send(dst, PcVote(
-                    tid=tid, sender=self.site.name, vote=Vote.READ_ONLY,
-                    leader=pmsg.sender, sites=pmsg.sites,
-                    acceptors=pmsg.acceptors))
-            return
-        if tomb is Outcome.ABORTED:
-            # Already decided abort here: tell the leader outright.
-            self.dgram.send(pmsg.sender,
-                            PcOutcome(tid=tid, sender=self.site.name,
-                                      outcome=Outcome.ABORTED))
-            return
-        if self.families.family_of(tid) is None:
-            # No state: we may have voted READ_ONLY (volatile) before a
-            # crash, and an RM must never propose two different ballot-0
-            # values — a NO here could diverge from an instance that
-            # already chose read-only.  Stay silent; the leader's
-            # timeout (F=0) or an election (F>=1) resolves the
-            # un-proposed instance to abort safely.
-            return
-        sub = PcParticipant(tid, self.site.name, pmsg.sender,
-                            list(pmsg.sites), list(pmsg.acceptors),
-                            QuorumSpec.paxos(len(pmsg.acceptors)),
-                            protocol_timeout_ms=self.cost.protocol_timeout)
-        self.machines[tid] = sub
-        yield from self._execute(sub, sub.start())
-
-    def _stateless_pc_acceptor(self, pmsg: Any, tomb: Optional[Outcome]
-                               ) -> Generator[Any, Any, None]:
-        """A Paxos message reached an acceptor site with no machine: a
-        crash-restarted (or long-forgotten read-only) acceptor.  Rebuild
-        an acceptor-only participant from the message's configuration —
-        every Pc message carries it — and deliver."""
-        tid = pmsg.tid
-        if tomb is not None:
-            # The outcome is known here: short-circuit the election.
-            self.dgram.send(pmsg.sender,
-                            PcOutcome(tid=tid, sender=self.site.name,
-                                      outcome=tomb))
-            return
-        if self.site.name not in pmsg.acceptors:
-            return  # stale / misrouted: we owe no acceptor duties
-        if self.families.family_of(pmsg.tid) is not None:
-            # Live family state means this site never crashed — the
-            # acceptor traffic merely overtook the leader's PcPrepare on
-            # the wire.  Spawn the full participant (it prepares and
-            # votes like the PcPrepare path would) and let it answer
-            # the acceptor duty that arrived early.
-            sub = PcParticipant(tid, self.site.name,
-                                pmsg.leader or pmsg.sender,
-                                list(pmsg.sites), list(pmsg.acceptors),
-                                QuorumSpec.paxos(len(pmsg.acceptors)),
-                                protocol_timeout_ms=self.cost.protocol_timeout)
-            self.machines[tid] = sub
-            yield from self._execute(sub, sub.start())
-            yield from self._execute(sub, sub.on_message(pmsg))
-            return
-        sub = PcParticipant.recovered(
-            tid, self.site.name, leader=pmsg.leader or pmsg.sender,
-            sites=list(pmsg.sites), acceptors=list(pmsg.acceptors),
-            prepared=False,
-            protocol_timeout_ms=self.cost.protocol_timeout)
-        self.machines[tid] = sub
-        self.tracer.record(self.kernel.now, "pc.acceptor_rebuilt",
-                           site=self.site.name, tid=str(tid),
-                           kind_of=type(pmsg).__name__)
-        yield from self._execute(sub, sub.on_message(pmsg))
+        replies, steps = self.edge.route(pmsg)
+        # Stateless answers go straight to the wire: no piggyback flush,
+        # no ``tranman.datagram`` record (the §3.2 datagram counts are
+        # the machines' sends).
+        for dst, message in replies:
+            self.dgram.send(dst, message)
+        for machine, thunk in steps:
+            yield from self._execute(machine, thunk())
 
     def _on_nested_commit(self, pmsg: NestedCommit) -> None:
         tid = pmsg.tid
@@ -891,26 +541,11 @@ class TransactionManager:
         return fire
 
     def _note_membership(self, record: Any) -> None:
-        """Track quorum membership facts as their records are written."""
-        from repro.log.records import RecordKind
-
-        if record.kind is RecordKind.ABORT_PLEDGE:
-            self.pledges.add(record.tid)
-            self.note_retirable(record.tid)
-            tid = TID.parse(record.tid)
-            sub = self.machines.get(tid)
-            if isinstance(sub, NbSubordinate):
-                # A takeover's self-pledge must also bind the co-resident
-                # participant machine, or it could later accept a
-                # replicate and put this site in both quorums.
-                self.kernel.post_soon(sub.note_local_pledge)
-        elif record.kind is RecordKind.REPLICATION:
-            tid = TID.parse(record.tid)
-            sub = self.machines.get(tid)
-            if isinstance(sub, NbSubordinate):
-                # Keep a concurrently-running participant machine's view
-                # of our membership coherent with the takeover's action.
-                self.kernel.post_soon(sub.note_local_replication)
+        note = self.edge.note_membership(record)
+        if note is not None:
+            # Another pool thread may be inside the participant machine's
+            # effect batch: hand it the note after the running step.
+            self.kernel.post_soon(note)
 
     # ------------------------------------------------- local participant
 
@@ -938,8 +573,7 @@ class TransactionManager:
                 votes.extend(results)
             combined = _combine_votes(votes)
         if combined is Vote.READ_ONLY:
-            self.read_only_votes.add(str(tid))
-            self.note_retirable(str(tid))
+            self.edge.note_read_only(str(tid))
         self.tracer.record(self.kernel.now, "tranman.local_prepared",
                            site=self.site.name, tid=str(tid),
                            vote=combined.value)
@@ -995,15 +629,11 @@ class TransactionManager:
         log.append((self.kernel.now, tid_str))
         horizon = self.kernel.now - self.tombstone_retention_ms
         while log and log[0][0] < horizon:
-            __, old = log.popleft()
-            self.tombstones.pop(old, None)
-            self.pledges.discard(old)
-            self.read_only_votes.discard(old)
+            self.edge.expire(log.popleft()[1])
 
     def _complete(self, effect: Complete) -> None:
         tid = effect.tid
-        self.tombstones[str(tid)] = effect.outcome
-        self.note_retirable(str(tid))
+        self.edge.note_outcome(str(tid), effect.outcome)
         if tid.is_top_level:
             if effect.outcome is Outcome.COMMITTED:
                 self.stats["committed"] += 1
@@ -1025,15 +655,7 @@ class TransactionManager:
                 outcome=effect.outcome.value))
 
     def _forget(self, machine: Optional[Any], tid: TID) -> None:
-        outcome = getattr(machine, "outcome", None)
-        if outcome is not None:
-            self.tombstones[str(tid)] = outcome
-            self.note_retirable(str(tid))
-        current = self.machines.get(tid)
-        if current is machine:
-            del self.machines[tid]
-        if self.takeovers.get(tid) is machine:
-            del self.takeovers[tid]
+        self.edge.forget(machine, tid)
         for key in [k for k in self._timers if k[0] is machine]:
             self._timers.pop(key).cancel()
         # Family state goes when the top-level transaction resolves (and
@@ -1072,51 +694,18 @@ class TransactionManager:
         self._timers.pop((machine, token), None)
         if not self.site.alive:
             return
-        if machine is None or not self._machine_live(machine):
+        if machine is None or not self.edge.is_live(machine):
             return
         more = machine.on_timer(token)
         if more:
             self.site.spawn(self._execute(machine, more),
                             f"tranman.timer.{token}")
 
-    def _machine_live(self, machine: Any) -> bool:
-        tid = getattr(machine, "tid", None)
-        if tid is None:
-            return False
-        return (self.machines.get(tid) is machine
-                or self.takeovers.get(tid) is machine)
-
     # ---------------------------------------------------------- takeover
 
     def _start_takeover(self, tid: TID) -> Generator[Any, Any, None]:
-        if tid in self.takeovers:
-            return
-        sub = self.machines.get(tid)
-        if isinstance(sub, (PcParticipant, PcLeader)):
-            # Paxos Commit termination: run the leader election.  The
-            # leader itself lands here too, when votes never arrive and
-            # unilateral abort would be unsafe (F >= 1).
-            candidate = PcCandidate(
-                tid, self.site.name, sub.sites, sub.acceptors, sub.quorum,
-                poll_timeout_ms=self.cost.protocol_timeout / 2,
-                notify_timeout_ms=self.cost.protocol_timeout)
-            self.takeovers[tid] = candidate
-            self.tracer.record(self.kernel.now, "tranman.takeover",
-                               site=self.site.name, tid=str(tid),
-                               status="paxos_election")
-            yield from self._execute(candidate, candidate.start())
-            return
-        if not isinstance(sub, NbSubordinate):
-            return
-        status, data = sub.status_report()
-        takeover = NbTakeover(tid, self.site.name, sub.sites, sub.quorum,
-                              own_status=status, own_decision_data=data,
-                              poll_timeout_ms=self.cost.protocol_timeout / 2,
-                              notify_timeout_ms=self.cost.protocol_timeout)
-        self.takeovers[tid] = takeover
-        self.tracer.record(self.kernel.now, "tranman.takeover",
-                           site=self.site.name, tid=str(tid), status=status)
-        yield from self._execute(takeover, takeover.start())
+        for machine, thunk in self.edge.start_takeover(tid):
+            yield from self._execute(machine, thunk())
 
     def heuristic_resolve(self, tid: TID, outcome: Outcome) -> None:
         """Operator/program resolution of a blocked transaction (the LU
@@ -1137,10 +726,7 @@ class TransactionManager:
                                 resume_effects: Sequence[Effect]) -> None:
         """Install a machine rebuilt by crash recovery and run its
         resumption effects."""
-        if isinstance(machine, (NbTakeover, PcCandidate)):
-            self.takeovers[machine.tid] = machine
-        else:
-            self.machines[machine.tid] = machine
+        self.edge.adopt(machine)
         self.site.spawn(self._execute(machine, list(resume_effects)),
                         "tranman.recovered")
 

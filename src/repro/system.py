@@ -19,7 +19,6 @@ from typing import Any, Dict, Generator, List, Optional
 
 from repro.config import CostModel, SystemConfig
 from repro.core.outcomes import Outcome
-from repro.core.tranman import TransactionManager
 from repro.log.storage import StableStoreDirectory
 from repro.mach.ipc import IpcFabric
 from repro.mach.netmsgserver import NameDirectory, NetMsgServer
@@ -32,6 +31,7 @@ from repro.servers.comman import CommunicationManager
 from repro.servers.dataserver import DataServer
 from repro.servers.diskman import DiskManager
 from repro.servers.recovery import analyze, build_machines
+from repro.servers.tranman import TransactionManager
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process, ProcessBody, Sleep
 from repro.sim.rng import RngStreams
@@ -219,12 +219,10 @@ class CamelotSystem:
                 merged.update(plan.base_values.get(server_name, {}))
                 merged.update(plan.redo_values.get(server_name, {}))
                 server.load_state(merged)
-        runtime.tranman.tombstones.update(plan.tombstones)
-        runtime.tranman.pledges.update(plan.pledges)
-        # Adopted bookkeeping joins the retire log so recovered state is
-        # pruned on the same retention horizon as live state.
-        for tid_str in set(plan.tombstones) | set(plan.pledges):
-            runtime.tranman.note_retirable(tid_str)
+        # Adopted bookkeeping joins the retire log (the edge's recorded
+        # hook) so recovered state is pruned on the same retention
+        # horizon as live state.
+        runtime.tranman.edge.restore(plan.tombstones, plan.pledges)
         for machine, effects in build_machines(
                 plan, name, protocol_timeout_ms=self.cost.protocol_timeout):
             runtime.tranman.adopt_recovered_machine(machine, effects)

@@ -163,6 +163,17 @@ class TestSansIoPurity:
                 def lookup(self):
                     return _resolve()
             """)
+        # No file under core/ is a host any more: the protocol edge is
+        # held to the same fences as the machines.
+        _write(tmp_path, "core/edge.py", """
+            import socket
+
+
+            class ProtocolEdge:
+                def __init__(self, site, kernel):
+                    self.site = site
+                    self.kernel = kernel
+            """)
         report = run_lint(root=tmp_path, rule_ids=["flow-sansio-purity"])
         keys = {f.key for f in _ids(report, "flow-sansio-purity")}
         assert "import:core/machine.py:socket" in keys
@@ -170,6 +181,8 @@ class TestSansIoPurity:
         assert any(k.startswith("reach:core/machine.py::Proto.lookup")
                    for k in keys)
         assert "ctor:core/machine.py::Proto:kernel" in keys
+        assert "import:core/edge.py:socket" in keys
+        assert "ctor:core/edge.py::ProtocolEdge:kernel" in keys
 
     def test_pure_module_stays_clean(self, tmp_path):
         _write(tmp_path, "core/clean.py", """
