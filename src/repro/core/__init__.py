@@ -20,11 +20,11 @@ Contents:
 - :mod:`repro.core.quorum` — commit/abort quorum arithmetic.
 - :mod:`repro.core.abortproto` — abort with incomplete site knowledge,
   nested abort propagation.
-- :mod:`repro.core.edge` — every decision a site makes *around* its
-  machines (coordinator construction, datagram routing, the stateless
-  edge, takeovers), shared by the two hosts: the simulated transaction
-  manager process :mod:`repro.servers.tranman` and the live
-  :mod:`repro.live.host`.
+- :mod:`repro.core.edge` (every decision a site makes *around* its
+  machines: coordinator construction, datagram routing, the stateless
+  edge, takeovers) and :mod:`repro.core.interpreter` (what executing
+  their effects means), shared by the two engines: the simulated
+  :mod:`repro.servers.tranman` and the live :mod:`repro.live.host`.
 """
 
 from repro.core.outcomes import Outcome, ProtocolKind, TwoPhaseVariant, Vote

@@ -17,11 +17,11 @@ simulated :mod:`repro.servers.tranman` and :mod:`repro.live.host`):
   those decisions read.
 
 Sans-IO like the machines: :meth:`ProtocolEdge.route` returns plain
-``(dst, message)`` replies, which the host puts straight on the wire,
-plus ordered *steps* ``(machine, thunk)``.  A host calls a step's thunk
-only after the previous step's effects have run to quiescence (force
-waits included) and then executes the effects it returns on behalf of
-``machine``.
+``(dst, message)`` replies, which go straight on the wire, plus ordered
+*steps* ``(machine, thunk)``.  :mod:`repro.core.interpreter` calls a
+step's thunk only after the previous step's effects have run to
+quiescence (force waits included) and then executes the effects it
+returns on behalf of ``machine``.
 
 The hosts differ, from here, only in three facts handed over as
 callables: whether a transaction's family is known at this site (lost

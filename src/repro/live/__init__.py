@@ -12,13 +12,15 @@ logic:
   frames carrying :mod:`repro.core.messages` on the wire;
 - :mod:`repro.live.walfile` — an on-disk WAL whose ``force`` is a real
   ``fsync``, readable by :func:`repro.servers.recovery.analyze`;
-- :mod:`repro.live.host` — the substrate-agnostic effect interpreter
-  shared by the simulated and the live harness;
+- :mod:`repro.live.host` — the substrate-agnostic engine: one inbox
+  under the effect interpreter (:mod:`repro.core.interpreter`) that it
+  shares with the simulated TranMan;
 - :mod:`repro.live.site` — ``LiveSite``: one process hosting machines
   behind TCP transport, the WAL, and crash recovery;
 - :mod:`repro.live.conformance` — runs one scripted scenario under the
   simulated LAN and under live loopback sockets and asserts the two
-  canonicalized protocol transcripts are byte-identical;
+  canonicalized protocol transcripts are byte-identical, with the
+  simulated TranMan as a third leg;
 - :mod:`repro.live.cluster` — multi-process demo cluster with
   deterministic ``kill -9`` windows and restart-with-recovery.
 

@@ -25,7 +25,7 @@ and does not prove.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.config import CostModel
 from repro.core.outcomes import TwoPhaseVariant, Vote
@@ -139,38 +139,3 @@ def run_scenario_steps(scenario: Scenario, hosts: Dict[str, Any],
             hosts[s.site].begin_commit(s.protocol, list(s.subordinates),
                                        variant=s.variant)
         at(step.at_ms, fire)
-
-
-def scenario_to_dict(scenario: Scenario) -> Dict[str, Any]:
-    """Wire form for shipping a scenario to LiveSite processes."""
-    return {
-        "sites": list(scenario.sites),
-        "steps": [{"at_ms": s.at_ms, "site": s.site, "protocol": s.protocol,
-                   "subordinates": list(s.subordinates),
-                   "variant": s.variant.value} for s in scenario.steps],
-        "horizon_ms": scenario.horizon_ms,
-        "votes": {site: vote.value for site, vote in scenario.votes.items()},
-        "sim_prepare_ms": scenario.sim_prepare_ms,
-        "live_wire_ms": scenario.live_wire_ms,
-        "live_force_floor_ms": scenario.live_force_floor_ms,
-        "live_prepare_ms": scenario.live_prepare_ms,
-    }
-
-
-def scenario_from_dict(data: Dict[str, Any],
-                       cost: Optional[CostModel] = None) -> Scenario:
-    steps = tuple(
-        ScenarioStep(at_ms=float(s["at_ms"]), site=s["site"],
-                     protocol=s["protocol"],
-                     subordinates=tuple(s["subordinates"]),
-                     variant=TwoPhaseVariant(s.get("variant", "optimized")))
-        for s in data["steps"])
-    return Scenario(
-        sites=tuple(data["sites"]), steps=steps,
-        cost=cost if cost is not None else conformance_cost(),
-        horizon_ms=float(data["horizon_ms"]),
-        votes={site: Vote(v) for site, v in data.get("votes", {}).items()},
-        sim_prepare_ms=float(data.get("sim_prepare_ms", 5.0)),
-        live_wire_ms=float(data.get("live_wire_ms", 40.0)),
-        live_force_floor_ms=float(data.get("live_force_floor_ms", 20.0)),
-        live_prepare_ms=float(data.get("live_prepare_ms", 10.0)))

@@ -1,7 +1,7 @@
 """The simulated substrate: :class:`SiteHost` over kernel + LAN model.
 
-This is the conformance baseline.  The same effect interpreter that the
-live harness uses runs here over the deterministic discrete-event
+This is the conformance baseline.  The same engine that the live
+harness uses runs here over the deterministic discrete-event
 kernel, the token-ring :class:`repro.net.lan.Lan`, and an in-memory WAL
 whose forces complete after the modelled ``log_force`` latency.  A
 scenario executed here produces the reference transcript that the live

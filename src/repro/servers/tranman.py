@@ -14,9 +14,11 @@ shares with the live host:
   processes it, and resumes waiting (paper §3.4);
 - the **family descriptor hash table**, each family protected by its own
   lock so only same-family operations contend;
-- an **effect executor** that maps machine effects onto the substrate:
-  datagrams (with piggybacked lazy sends), log forces through the disk
-  manager, local server prepare/commit/abort rounds, timers;
+- the **primitives** the shared :mod:`repro.core.interpreter` executes
+  machine effects through: datagrams, log forces through the disk
+  manager, local server prepare/commit/abort rounds, timers.  A pool
+  thread runs the interpreter's generator as its own, blocking in the
+  simulator wherever that delegates to ``force`` or ``local_prepare``;
 - the clock-driven **retire log** that bounds the edge's tombstones,
   pledges and read-only votes on long runs.
 """
@@ -26,7 +28,6 @@ from __future__ import annotations
 from collections import deque
 from typing import (
     Any,
-    Callable,
     Deque,
     Dict,
     Generator,
@@ -39,30 +40,16 @@ from typing import (
 
 from repro.config import CostModel
 from repro.core.abortproto import AbortInitiator, AbortParticipant
-from repro.core.edge import PIGGYBACK_SWEEP_MS, ProtocolEdge
-from repro.core.effects import (
-    CancelTimer,
-    Complete,
-    Effect,
-    ForceLog,
-    Forget,
-    LazySendDatagram,
-    LocalAbort,
-    LocalCommit,
-    LocalPrepare,
-    MulticastDatagram,
-    SendDatagram,
-    StartTakeover,
-    StartTimer,
-    Trace,
-    WriteLog,
-)
+from repro.core.edge import PIGGYBACK_SWEEP_MS, ProtocolEdge, Step
+from repro.core.effects import Effect, LocalPrepare
 from repro.core.family import FamilyTable
+from repro.core.interpreter import SENT, Interpreter
 from repro.core.messages import FamilyAbort, NestedCommit
 from repro.core.nonblocking import NbProtocolViolation
 from repro.core.outcomes import Outcome, ProtocolKind, TwoPhaseVariant, Vote
 from repro.core.tid import TID, TidGenerator
 from repro.core.twophase import TwoPhaseSubordinate
+from repro.log.records import LogRecord
 from repro.mach.ipc import IpcFabric
 from repro.mach.message import Message
 from repro.mach.site import Site
@@ -116,9 +103,14 @@ class TransactionManager:
         self.tombstone_retention_ms = (cost.orphan_timeout
                                        + cost.protocol_timeout)
         self._retire_log: Deque[Tuple[float, str]] = deque()
+        self.interp = Interpreter(self.edge, self)
+        # Three of its primitives are the substrate's own.  ``defer``:
+        # another pool thread may be inside the participant machine's
+        # effect batch, so a note runs after the running step.
+        self.defer = kernel.post_soon
+        self.start_timer = kernel.schedule
+        self.watch_durable = diskman.watch_durable
         self._pending_calls: Dict[TID, Message] = {}
-        self._timers: Dict[tuple, Timer] = {}
-        self._lazy: Dict[str, List[Any]] = {}
         self._abort_participant = AbortParticipant(site.name)
         # Local data servers by name; filled in by system assembly.
         self.servers: Dict[str, Any] = {}
@@ -163,8 +155,7 @@ class TransactionManager:
         """Flush lazily queued (piggybacked) messages periodically."""
         while True:
             yield Sleep(PIGGYBACK_SWEEP_MS)
-            for dst in list(self._lazy):
-                self._flush_lazy(dst)
+            self.interp.sweep()
 
     def _orphan_sweep(self) -> Generator[Any, Any, None]:
         """Abort transactions whose coordinator evidently died.
@@ -198,28 +189,14 @@ class TransactionManager:
                 self.tracer.record(now, "tranman.orphan_abort",
                                    site=self.site.name, tid=family_name)
                 self.edge.note_outcome(family_name, Outcome.ABORTED)
-                self._local_abort(top)
+                self.local_abort(top)
                 self.families.forget_family(family_name)
                 self.family_locks.pop(family_name, None)
                 self.tid_gen.forget_family(family_name)
 
-    def _touch(self, tid: TID) -> None:
-        desc = self.families.descriptor(tid)
-        if desc is not None:
-            desc.last_activity = self.kernel.now
-
     def _is_active(self, tid: TID) -> bool:
         desc = self.families.descriptor(tid)
         return desc is not None and desc.active
-
-    def _flush_lazy(self, dst: str) -> None:
-        queued = self._lazy.pop(dst, None)
-        if not queued:
-            return
-        for message in queued:
-            self.tracer.record(self.kernel.now, "tranman.piggyback",
-                               site=self.site.name, dst=dst)
-            self.dgram.send(dst, message)
 
     # --------------------------------------------------------- dispatch
 
@@ -354,25 +331,19 @@ class TransactionManager:
                            site=self.site.name, tid=str(tid),
                            protocol=protocol.value,
                            subs=len(machine.subordinates))
-        yield from self._execute(machine, machine.start())
+        yield from self.interp.run(machine, machine.start())
 
     def _commit_nested(self, tid: TID, msg: Message) -> None:
         """Moss subtransaction commit: volatile, relative to the parent."""
         desc = self.families.descriptor(tid)
         desc.outcome = Outcome.COMMITTED
         self.stats["nested_committed"] += 1
-        fam = self.families.family_of(tid)
         # Local lock inheritance at every server the family touched.
-        for server_name in sorted(fam.all_servers()):
-            server = self.servers.get(server_name)
-            if server is None:
-                continue
-            inherit = Message(kind="commit_child", body={"tid": str(tid)})
-            self.fabric.send(server.port, inherit, flavour="oneway",
-                             sender_site=self.site.name)
+        self._tell_servers(tid, "commit_child")
         # Remote inheritance: one (lazy) datagram per involved site.
         for remote in sorted(desc.sites_used):
-            self._queue_lazy(remote, NestedCommit(tid=tid, sender=self.site.name))
+            self.interp.send_lazily(
+                remote, NestedCommit(tid=tid, sender=self.site.name))
         self.fabric.reply(msg, msg.reply("commit_ok",
                                          outcome=Outcome.COMMITTED.value))
 
@@ -399,7 +370,7 @@ class TransactionManager:
                     "abort_failed", reason="replication phase begun"))
                 return
             self._pending_calls.setdefault(tid, msg)
-            yield from self._execute(machine, effects)
+            yield from self.interp.run(machine, effects)
             return
         if not tid.is_top_level:
             self.stats["nested_aborted"] += 1
@@ -410,7 +381,7 @@ class TransactionManager:
                                    ack_timeout_ms=self.cost.protocol_timeout)
         self.machines[tid] = initiator
         self._pending_calls[tid] = msg
-        yield from self._execute(initiator, initiator.start())
+        yield from self.interp.run(initiator, initiator.start())
 
     # ----------------------------------------------- datagram dispatch
 
@@ -420,137 +391,78 @@ class TransactionManager:
                            site=self.site.name, kind_of=type(pmsg).__name__)
         if self.edge.for_servers(pmsg):
             if isinstance(pmsg, NestedCommit):
-                self._on_nested_commit(pmsg)
+                self._tell_servers(pmsg.tid, "commit_child")
             else:
                 yield from self._on_family_abort(pmsg)
             return
-        replies, steps = self.edge.route(pmsg)
-        # Stateless answers go straight to the wire: no piggyback flush,
-        # no ``tranman.datagram`` record (the §3.2 datagram counts are
-        # the machines' sends).
-        for dst, message in replies:
-            self.dgram.send(dst, message)
-        for machine, thunk in steps:
-            yield from self._execute(machine, thunk())
-
-    def _on_nested_commit(self, pmsg: NestedCommit) -> None:
-        tid = pmsg.tid
-        fam = self.families.family_of(tid)
-        if fam is None:
-            return
-        for server_name in sorted(fam.all_servers()):
-            server = self.servers.get(server_name)
-            if server is None:
-                continue
-            inherit = Message(kind="commit_child", body={"tid": str(tid)})
-            self.fabric.send(server.port, inherit, flavour="oneway",
-                             sender_site=self.site.name)
+        yield from self.interp.deliver(pmsg)
 
     def _on_family_abort(self, pmsg: FamilyAbort) -> Generator[Any, Any, None]:
         known = sorted(self.known_sites(pmsg.tid) - {self.site.name})
         effects = self._abort_participant.on_abort(pmsg, known)
-        yield from self._execute(None, effects)
+        yield from self.interp.run(None, effects)
         desc = self.families.descriptor(pmsg.tid)
         if desc is not None:
             desc.outcome = Outcome.ABORTED
 
-    # ----------------------------------------------- effect execution
+    # ------- the interpreter's primitives (repro.core.interpreter.Engine)
 
-    def _execute(self, machine: Optional[Any],
-                 effects: Sequence[Effect]) -> Generator[Any, Any, None]:
-        """Run an effect batch; continuations recurse through here."""
-        for effect in effects:
-            if isinstance(effect, SendDatagram):
-                self._flush_lazy(effect.dst)  # piggyback opportunity
-                self.tracer.record(self.kernel.now, "tranman.datagram",
-                                   site=self.site.name, dst=effect.dst,
-                                   kind_of=type(effect.message).__name__)
-                self.dgram.send(effect.dst, effect.message)
-            elif isinstance(effect, MulticastDatagram):
-                self.tracer.record(self.kernel.now, "tranman.multicast",
-                                   site=self.site.name,
-                                   fanout=len(effect.dsts),
-                                   kind_of=type(effect.message).__name__)
-                self.dgram.multicast(list(effect.dsts), effect.message)
-            elif isinstance(effect, LazySendDatagram):
-                self._queue_lazy(effect.dst, effect.message)
-            elif isinstance(effect, ForceLog):
-                record = self.diskman.append(effect.record)
-                self._note_membership(effect.record)
-                obs = self.tracer.obs
-                if obs is not None:
-                    sid = obs.begin(self.kernel.now, "log.force",
-                                    site=self.site.name,
-                                    tid=effect.record.tid or None,
-                                    record_kind=effect.record.kind.value)
-                    yield from self.diskman.force(record.lsn)
-                    obs.end(sid, self.kernel.now)
-                else:
-                    yield from self.diskman.force(record.lsn)
-                yield from self._continue(machine, "on_log_forced",
-                                          effect.token)
-            elif isinstance(effect, WriteLog):
-                record = self.diskman.append(effect.record)
-                self._note_membership(effect.record)
-                if effect.token is not None:
-                    self.diskman.watch_durable(
-                        record.lsn,
-                        self._spawn_continuation(machine, "on_log_durable",
-                                                 effect.token))
-            elif isinstance(effect, LocalPrepare):
-                yield from self._local_prepare(machine, effect)
-            elif isinstance(effect, LocalCommit):
-                self._local_commit(effect.tid)
-            elif isinstance(effect, LocalAbort):
-                self._local_abort(effect.tid)
-            elif isinstance(effect, Complete):
-                self._complete(effect)
-            elif isinstance(effect, Forget):
-                self._forget(machine, effect.tid)
-            elif isinstance(effect, StartTimer):
-                self._start_timer(machine, effect)
-            elif isinstance(effect, CancelTimer):
-                self._cancel_timer(machine, effect.token)
-            elif isinstance(effect, StartTakeover):
-                yield from self._start_takeover(effect.tid)
-            elif isinstance(effect, Trace):
-                detail = {k: v for k, v in effect.detail.items()
-                          if k != "site"}
-                self.tracer.record(self.kernel.now, effect.kind,
-                                   site=self.site.name, **detail)
-            else:
-                raise ValueError(f"unknown effect {effect!r}")
+    def send(self, dst: str, message: Any, accounting: Optional[str]) -> None:
+        if accounting == SENT:
+            self.tracer.record(self.kernel.now, "tranman.datagram",
+                               site=self.site.name, dst=dst,
+                               kind_of=type(message).__name__)
+        elif accounting is not None:
+            self.tracer.record(self.kernel.now, f"tranman.{accounting}",
+                               site=self.site.name, dst=dst)
+        self.dgram.send(dst, message)
 
-    def _continue(self, machine: Optional[Any], method: str,
-                  *args: Any) -> Generator[Any, Any, None]:
-        if machine is None:
+    def multicast(self, dsts: Sequence[str], message: Any) -> None:
+        self.tracer.record(self.kernel.now, "tranman.multicast",
+                           site=self.site.name, fanout=len(dsts),
+                           kind_of=type(message).__name__)
+        self.dgram.multicast(list(dsts), message)
+
+    def append(self, record: LogRecord) -> int:
+        lsn = self.diskman.append(record).lsn
+        assert lsn is not None
+        return lsn
+
+    def force(self, lsn: int, record: LogRecord,
+              token: str) -> Generator[Any, Any, None]:
+        obs = self.tracer.obs
+        if obs is None:
+            yield from self.diskman.force(lsn)
             return
-        more = getattr(machine, method)(*args)
+        sid = obs.begin(self.kernel.now, "log.force", site=self.site.name,
+                        tid=record.tid or None,
+                        record_kind=record.kind.value)
+        yield from self.diskman.force(lsn)
+        obs.end(sid, self.kernel.now)
+
+    def cancel_timer(self, handle: Timer) -> None:
+        handle.cancel()
+
+    def trace(self, kind: str, detail: Dict[str, Any]) -> None:
+        self.tracer.record(self.kernel.now, kind, site=self.site.name,
+                           **detail)
+
+    def spawn(self, step: Step, label: str) -> None:
+        """A timer or durability notice: its machine is entered now, in
+        the kernel callback; any effects run on a thread of their own."""
+        if not self.site.alive:
+            return
+        machine, thunk = step
+        more = thunk()
         if more:
-            yield from self._execute(machine, more)
-
-    def _spawn_continuation(self, machine: Optional[Any], method: str,
-                            *args: Any) -> Callable[[], None]:
-        def fire() -> None:
-            if machine is None:
-                return
-            more = getattr(machine, method)(*args)
-            if more:
-                self.site.spawn(self._execute(machine, more),
-                                f"tranman.cont.{method}")
-        return fire
-
-    def _note_membership(self, record: Any) -> None:
-        note = self.edge.note_membership(record)
-        if note is not None:
-            # Another pool thread may be inside the participant machine's
-            # effect batch: hand it the note after the running step.
-            self.kernel.post_soon(note)
+            self.site.spawn(self.interp.run(machine, more),
+                            f"tranman.{label}")
 
     # ------------------------------------------------- local participant
 
-    def _local_prepare(self, machine: Any, effect: LocalPrepare
-                       ) -> Generator[Any, Any, None]:
+    def local_prepare(self, machine: Any, effect: LocalPrepare
+                      ) -> Generator[Any, Any, Vote]:
+        """The data-server round, awaited inline on this pool thread."""
         tid = effect.tid
         fam = self.families.family_of(tid)
         servers = sorted(fam.all_servers()) if fam is not None else []
@@ -569,15 +481,13 @@ class TransactionManager:
                 self.site.spawn(self._ask_server_vote(server, tid, done),
                                 f"tranman.prep.{name}")
             if events:
-                results = yield from _wait_all(self.kernel, events)
-                votes.extend(results)
+                votes.extend((yield Wait(all_of(self.kernel, events,
+                                                name="tranman.votes"))))
             combined = _combine_votes(votes)
-        if combined is Vote.READ_ONLY:
-            self.edge.note_read_only(str(tid))
         self.tracer.record(self.kernel.now, "tranman.local_prepared",
                            site=self.site.name, tid=str(tid),
                            vote=combined.value)
-        yield from self._continue(machine, "on_local_prepared", combined)
+        return combined
 
     def _ask_server_vote(self, server: Any, tid: TID,
                          done: SimEvent) -> Generator[Any, Any, None]:
@@ -590,8 +500,8 @@ class TransactionManager:
             return
         done.trigger(Vote(reply.body["vote"]))
 
-    def _local_commit(self, tid: TID) -> None:
-        """Event 11: tell joined servers to drop the family's locks."""
+    def _tell_servers(self, tid: TID, kind: str) -> None:
+        """One-way ``kind`` to every local server the family joined."""
         fam = self.families.family_of(tid)
         if fam is None:
             return
@@ -599,21 +509,16 @@ class TransactionManager:
             server = self.servers.get(name)
             if server is None:
                 continue
-            msg = Message(kind="drop_locks", body={"tid": str(tid)})
+            msg = Message(kind=kind, body={"tid": str(tid)})
             self.fabric.send(server.port, msg, flavour="oneway",
                              sender_site=self.site.name)
 
-    def _local_abort(self, tid: TID) -> None:
-        fam = self.families.family_of(tid)
-        if fam is None:
-            return
-        for name in sorted(fam.all_servers()):
-            server = self.servers.get(name)
-            if server is None:
-                continue
-            msg = Message(kind="abort", body={"tid": str(tid)})
-            self.fabric.send(server.port, msg, flavour="oneway",
-                             sender_site=self.site.name)
+    def local_commit(self, tid: TID) -> None:
+        """Event 11: tell joined servers to drop the family's locks."""
+        self._tell_servers(tid, "drop_locks")
+
+    def local_abort(self, tid: TID) -> None:
+        self._tell_servers(tid, "abort")
 
     # ------------------------------------------------------ completions
 
@@ -631,33 +536,28 @@ class TransactionManager:
         while log and log[0][0] < horizon:
             self.edge.expire(log.popleft()[1])
 
-    def _complete(self, effect: Complete) -> None:
-        tid = effect.tid
-        self.edge.note_outcome(str(tid), effect.outcome)
+    def completed(self, tid: TID, outcome: Outcome) -> None:
         if tid.is_top_level:
-            if effect.outcome is Outcome.COMMITTED:
+            if outcome is Outcome.COMMITTED:
                 self.stats["committed"] += 1
             else:
                 self.stats["aborted"] += 1
         call = self._pending_calls.pop(tid, None)
         self.tracer.record(self.kernel.now, "tranman.complete",
                            site=self.site.name, tid=str(tid),
-                           outcome=effect.outcome.value)
+                           outcome=outcome.value)
         obs = self.tracer.obs
         if obs is not None:
             obs.instant(self.kernel.now, "tranman.complete",
                         site=self.site.name, tid=tid,
-                        outcome=effect.outcome.value)
+                        outcome=outcome.value)
         if call is not None:
             self.fabric.reply(call, call.reply(
-                "commit_ok" if effect.outcome is Outcome.COMMITTED
+                "commit_ok" if outcome is Outcome.COMMITTED
                 else "commit_aborted",
-                outcome=effect.outcome.value))
+                outcome=outcome.value))
 
-    def _forget(self, machine: Optional[Any], tid: TID) -> None:
-        self.edge.forget(machine, tid)
-        for key in [k for k in self._timers if k[0] is machine]:
-            self._timers.pop(key).cancel()
+    def forgotten(self, tid: TID) -> None:
         # Family state goes when the top-level transaction resolves (and
         # no takeover for it is still notifying peers).
         if tid.is_top_level and tid not in self.takeovers:
@@ -665,47 +565,12 @@ class TransactionManager:
             self.family_locks.pop(tid.family, None)
             self.tid_gen.forget_family(tid.family)
 
-    # ------------------------------------------------------------ timers
-
-    def _start_timer(self, machine: Optional[Any], effect: StartTimer) -> None:
-        key = (machine, effect.token)
-        existing = self._timers.pop(key, None)
-        if existing is not None:
-            existing.cancel()
-        self._timers[key] = self.kernel.schedule(
-            effect.delay_ms, self._fire_timer, machine, effect.token)
-
-    def _cancel_timer(self, machine: Optional[Any], token: str) -> None:
-        timer = self._timers.pop((machine, token), None)
-        if timer is not None:
-            timer.cancel()
-
     def _on_site_crash(self) -> None:
         """Volatile state dies with the site: timers, queues, machines."""
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
-        self._lazy.clear()
+        self.interp.reset()
         self.machines.clear()
         self.takeovers.clear()
         self._pending_calls.clear()
-
-    def _fire_timer(self, machine: Optional[Any], token: str) -> None:
-        self._timers.pop((machine, token), None)
-        if not self.site.alive:
-            return
-        if machine is None or not self.edge.is_live(machine):
-            return
-        more = machine.on_timer(token)
-        if more:
-            self.site.spawn(self._execute(machine, more),
-                            f"tranman.timer.{token}")
-
-    # ---------------------------------------------------------- takeover
-
-    def _start_takeover(self, tid: TID) -> Generator[Any, Any, None]:
-        for machine, thunk in self.edge.start_takeover(tid):
-            yield from self._execute(machine, thunk())
 
     def heuristic_resolve(self, tid: TID, outcome: Outcome) -> None:
         """Operator/program resolution of a blocked transaction (the LU
@@ -720,21 +585,16 @@ class TransactionManager:
             raise ValueError(
                 f"{tid}: no blocked two-phase subordinate at {self.site.name}")
         effects = machine.heuristic_resolve(outcome)
-        self.site.spawn(self._execute(machine, effects), "tranman.heuristic")
+        self.site.spawn(self.interp.run(machine, effects),
+                        "tranman.heuristic")
 
     def adopt_recovered_machine(self, machine: Any,
                                 resume_effects: Sequence[Effect]) -> None:
         """Install a machine rebuilt by crash recovery and run its
         resumption effects."""
         self.edge.adopt(machine)
-        self.site.spawn(self._execute(machine, list(resume_effects)),
+        self.site.spawn(self.interp.run(machine, list(resume_effects)),
                         "tranman.recovered")
-
-    def _queue_lazy(self, dst: str, message: Any) -> None:
-        if dst == self.site.name:
-            self.dgram.send(dst, message)
-            return
-        self._lazy.setdefault(dst, []).append(message)
 
 
 def _combine_votes(votes: List[Vote]) -> Vote:
@@ -743,10 +603,3 @@ def _combine_votes(votes: List[Vote]) -> Vote:
     if any(v is Vote.YES for v in votes):
         return Vote.YES
     return Vote.READ_ONLY
-
-
-def _wait_all(kernel: Kernel, events: List[SimEvent]
-              ) -> Generator[Any, Any, List[Any]]:
-    combined = all_of(kernel, events, name="tranman.votes")
-    results = yield Wait(combined)
-    return results

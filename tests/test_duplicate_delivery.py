@@ -12,12 +12,14 @@ against.
 from repro.core.messages import (
     CommitAck,
     CommitNotice,
+    InquiryResponse,
     NbOutcome,
     NbOutcomeAck,
     NbReplicate,
     NbReplicateAck,
     NbVote,
     PrepareRequest,
+    TxnInquiry,
     VoteResponse,
 )
 from repro.core.nonblocking import (
@@ -31,6 +33,9 @@ from repro.core.twophase import (
     TwoPhaseCoordinator,
     TwoPhaseSubordinate,
 )
+
+from repro.live.scenario import conformance_cost
+from repro.live.simhost import build_sim_cluster
 
 from tests.machine_harness import MachineHost
 
@@ -178,3 +183,39 @@ def test_nb_subordinate_duplicate_outcome_applies_once():
     host.deliver(outcome)                                # duplicate
     assert host.local_commits == [TID1]
     assert host.written_kinds().count("commit") == 1
+
+
+# ------------------------------------------------------------- live host
+#
+# A retransmission carries the same ``dedup_key`` as the original by
+# design, and exists to elicit a re-reply: the live host must hand it to
+# the (idempotent) machine or edge like the TranMan does, not swallow it.
+
+
+def _types_sent(transcript, pair):
+    return [m["type"] for m in transcript.pair_sequences().get(pair, [])]
+
+
+def test_live_host_answers_a_retransmitted_prepare_again():
+    kernel, hosts, transcript = build_sim_cluster(["alpha", "beta"],
+                                                  conformance_cost())
+    prepare = PrepareRequest(tid=TID("T9@alpha"), sender="alpha")
+    hosts["beta"].deliver("alpha", prepare)
+    kernel.run(until=200.0)
+    assert _types_sent(transcript, "beta->alpha") == ["VoteResponse"]
+    hosts["beta"].deliver("alpha", prepare)       # the vote timer's retry
+    kernel.run(until=400.0)
+    assert _types_sent(transcript, "beta->alpha") == 2 * ["VoteResponse"]
+    assert hosts["beta"].duplicates == 0
+
+
+def test_live_host_answers_a_repeated_inquiry_again():
+    kernel, hosts, transcript = build_sim_cluster(["alpha", "beta"],
+                                                  conformance_cost())
+    inquiry = TxnInquiry(tid=TID("T9@alpha"), sender="beta")
+    for _ in range(2):                            # a blocked subordinate asks twice
+        hosts["alpha"].deliver("beta", inquiry)
+    kernel.run(until=200.0)
+    replies = transcript.pair_sequences()["alpha->beta"]
+    assert [m["type"] for m in replies] == 2 * [InquiryResponse.__name__]
+    assert {m["outcome"] for m in replies} == {Outcome.ABORTED.value}

@@ -1,16 +1,20 @@
 """The capstone: one scripted scenario, two substrates, byte-identical
-transcripts for all three protocol families.
+transcripts for all three protocol families — and the simulated TranMan
+that draws the figures as a third leg.
 
 ``run_conformance`` executes the scenario under the simulated LAN
 (deterministic kernel, jitter-free cost model) and under live loopback
 TCP (real sockets, real frame codec, real fsync-backed WALs) with the
-shared :class:`repro.live.host.SiteHost` interpreting effects on both
-sides, then compares the canonicalized per-site-pair transcripts as
-bytes.  These tests assert the equality itself plus the properties that
-make it meaningful: all three families actually appear on the wire, and
-the live run really did go through TCP and on-disk WALs."""
+shared :class:`repro.live.host.SiteHost` engine on both sides, then
+compares the canonicalized per-site-pair transcripts as bytes; the
+TranMan leg must equal them too, but for two pinned consequences of its
+thread pool.  These tests assert the equality itself plus the
+properties that make it meaningful: all three families actually appear
+on the wire, and the live run really did go through TCP and on-disk
+WALs."""
 
 import asyncio
+import copy
 import json
 
 import pytest
@@ -19,7 +23,12 @@ from repro.core.effects import ForceLog, Trace
 from repro.core.messages import NbOutcome
 from repro.core.outcomes import Vote
 from repro.core.tid import TID
-from repro.live.conformance import run_conformance, run_live_scenario
+from repro.live.conformance import (
+    PINNED_PAXOS,
+    _diff_tranman,
+    run_conformance,
+    run_live_scenario,
+)
 from repro.live.scenario import (
     Scenario,
     ScenarioStep,
@@ -67,6 +76,57 @@ class TestByteIdentical:
         for site, completions in report.live_completions.items():
             for tid, outcome in completions.items():
                 assert outcome == "committed", (site, tid, outcome)
+
+
+def _of(pairs, pair, *tids):
+    return [m["type"] for m in pairs[pair] if m["tid"] in tids]
+
+
+class TestTranManLeg:
+    """The engine behind every figure runs the same edge and interpreter
+    under a thread pool instead of one inbox; that parameter may cost
+    exactly two differences, both on the Paxos Commit step."""
+
+    def test_two_phase_and_non_blocking_are_byte_identical(self, report):
+        host = {pair: [m for m in msgs if m["tid"] != "T1@gamma"]
+                for pair, msgs in report.sim_pairs.items()}
+        tranman = {pair: [m for m in msgs if m["tid"] != "T1@gamma"]
+                   for pair, msgs in report.tranman_pairs.items()}
+        assert sum(len(msgs) for msgs in host.values()) == 20
+        assert tranman == host
+
+    def test_pin_leader_prepare_fanout_waits_for_its_own_vote(self, report):
+        """``PcLeader.start()`` emits ``LocalPrepare`` first; the TranMan
+        awaits it, and the prepare force behind it, inline."""
+        for pair in ("gamma->alpha", "gamma->beta"):
+            assert _of(report.sim_pairs, pair, "T1@gamma")[:2] == \
+                ["PcPrepare", "PcVote"]
+            assert _of(report.tranman_pairs, pair, "T1@gamma")[:2] == \
+                ["PcVote", "PcPrepare"]
+
+    def test_pin_inputs_queued_behind_a_force_cost_redundant_outcomes(
+            self, report):
+        """A force parks the whole SiteHost: late ``PcPhase2b``s queue
+        behind the decide force and each is re-answered."""
+        def outcomes(pairs):
+            return [_of(pairs, pair, "T1@gamma").count("PcOutcome")
+                    for pair in ("gamma->alpha", "gamma->beta")]
+
+        assert outcomes(report.sim_pairs) == [2, 3]
+        assert outcomes(report.tranman_pairs) == [1, 1]
+        assert sum(len(m) for m in report.sim_pairs.values()) == 39
+        assert sum(len(m) for m in report.tranman_pairs.values()) == 36
+
+    def test_a_vanished_pin_or_any_other_difference_fails(self, report):
+        host, tranman = report.sim_pairs, report.tranman_pairs
+        assert _diff_tranman(host, tranman) == []
+        # Either pinned difference gone: the pin must be deleted.
+        assert len(_diff_tranman(host, host)) == len(PINNED_PAXOS)
+        # Any other difference, on a pinned pair or off it.
+        for pair, index in (("gamma->alpha", -1), ("alpha->beta", 0)):
+            other = copy.deepcopy(tranman)
+            other[pair][index]["sender"] = "mallory"
+            assert _diff_tranman(host, other)
 
 
 class TestSimDeterminism:
