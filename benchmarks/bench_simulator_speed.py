@@ -2,17 +2,15 @@
 
 Not a paper figure — a guard that keeps the experiment suite usable.
 The full Figure 2-5 regeneration runs hundreds of simulated seconds;
-if kernel event dispatch or the transaction path regresses badly, every
-experiment silently turns into a coffee break.  This bench pins
-per-transaction host cost to an order of magnitude, enforces a kernel
-dispatch-rate floor so hot-path regressions fail loudly, and emits the
-machine-readable ``BENCH_harness.json`` (per-txn host cost, kernel
-events/sec, tracing overhead, open-loop throughput and peak RSS).  The
-repo's benchmark proper — repeats, spread, per-layer attribution — is
-``python -m perf``; this file only keeps coarse floors for CI.
+if kernel event dispatch regresses badly, every experiment silently
+turns into a coffee break.  This bench enforces kernel dispatch-rate
+floors so hot-path regressions fail loudly, a ceiling on what count-only
+tracing may cost, and a ceiling on an open-loop run's peak RSS.  The
+repo's benchmark proper — speed with repeats, spread and per-layer
+attribution — is ``python -m perf``; this file only keeps coarse
+floors for CI and writes nothing.
 """
 
-import json
 import os
 import re
 import subprocess
@@ -46,23 +44,14 @@ KERNEL_EVENTS_PER_SEC_FLOOR = 500_000.0
 # Timer construction fails it.
 KERNEL_SCHEDULE_EVENTS_PER_SEC_FLOOR = 1_250_000.0
 
-# Open-loop guard rails: measured throughput must track offered load
-# (the run is well under saturation), and the whole CLI process —
-# interpreter, import, 10k-transaction run, streaming obs — must stay
-# within a ceiling that an O(txns) memory regression would blow through.
+# Open-loop guard rail: the whole CLI process — interpreter, import,
+# 10k-transaction run, streaming obs — must stay within a ceiling that
+# an O(txns) memory regression would blow through.  (Measured tps
+# equals offered load by construction, so it guards nothing.)
 OPENLOOP_SITES = 24
 OPENLOOP_RATE_TPS = 300.0
 OPENLOOP_TXNS = 10_000
-OPENLOOP_TPS_FLOOR_FRACTION = 0.8
 OPENLOOP_PEAK_RSS_MB_CEILING = 96.0
-
-# Same-host seed baselines (reference container, commit 4ce7758),
-# recorded so BENCH_harness.json can report speedups across PRs.
-SEED_SCHEDULE_EVENTS_PER_SEC = 1_090_000.0
-SEED_PER_TXN_HOST_MS = 0.83
-
-_RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_harness.json"
-_results: dict = {}
 
 
 def _spin_rate(use_post: bool, n: int = 25_000) -> float:
@@ -124,10 +113,6 @@ def test_kernel_dispatch_rate_floor():
     """
     schedule_rate = max(_spin_rate(use_post=False) for _ in range(12))
     post_rate = max(_spin_rate(use_post=True) for _ in range(12))
-    _results["kernel_schedule_events_per_sec"] = round(schedule_rate)
-    _results["kernel_post_events_per_sec"] = round(post_rate)
-    _results["kernel_speedup_vs_seed"] = round(
-        post_rate / SEED_SCHEDULE_EVENTS_PER_SEC, 2)
     emit(f"kernel dispatch: schedule {schedule_rate:,.0f} ev/s "
          f"(floor {KERNEL_SCHEDULE_EVENTS_PER_SEC_FLOOR:,.0f}), "
          f"post {post_rate:,.0f} ev/s "
@@ -139,29 +124,6 @@ def test_kernel_dispatch_rate_floor():
         f"kernel schedule() spin regressed: {schedule_rate:,.0f} ev/s is "
         f"below the {KERNEL_SCHEDULE_EVENTS_PER_SEC_FLOOR:,.0f} ev/s "
         f"floor (extra per-event work in schedule() or Timer?)")
-
-
-def test_transaction_host_cost(benchmark):
-    def run_txns():
-        system = CamelotSystem(SystemConfig(sites={"a": 1, "b": 1},
-                                            keep_trace_events=False))
-        app = system.application("a")
-        committed = system.run_process(
-            serial_minimal_txns(app, system.default_services(), 50),
-            timeout_ms=600_000.0)
-        return committed
-
-    start = time.perf_counter()
-    committed = benchmark.pedantic(run_txns, rounds=1, iterations=1)
-    elapsed = time.perf_counter() - start
-    assert committed == 50
-    per_txn_ms = elapsed * 1000.0 / 50
-    _results["per_txn_host_cost_ms"] = round(per_txn_ms, 3)
-    emit(f"host cost: {per_txn_ms:.2f} ms of real time per simulated "
-         "distributed transaction")
-    # Order-of-magnitude guard: a distributed transaction should cost
-    # well under 50 ms of host time (typically ~2 ms).
-    assert per_txn_ms < 50.0
 
 
 def _txn_workload_seconds(tracer, recorder=None, n: int = 120) -> float:
@@ -210,7 +172,6 @@ def test_tracing_overhead_floor():
         ratio = min(ratio, min(counteds) / min(baselines))
         if ratio <= 1.05:
             break
-    _results["tracing_overhead_ratio"] = round(ratio, 3)
     emit(f"tracing overhead: count-only span layer {ratio:.3f}x over "
          f"untraced (ceiling 1.05x)")
     assert ratio <= 1.05, (
@@ -219,7 +180,7 @@ def test_tracing_overhead_floor():
 
 
 def test_open_loop_throughput_and_memory():
-    """Open-loop guard: throughput tracks offered load, memory stays flat.
+    """Open-loop guard: every transaction finishes, memory stays flat.
 
     Runs the ``repro.bench`` CLI in a fresh interpreter so peak RSS is
     the open-loop run's own footprint — not this pytest process with
@@ -243,34 +204,12 @@ def test_open_loop_throughput_and_memory():
     assert proc.returncode == 0, (
         f"open-loop run left transactions unfinished:\n{proc.stdout}"
         f"\n{proc.stderr}")
-    tps = float(re.search(r"measured tps\s+([\d.]+)", proc.stdout).group(1))
     rss = float(re.search(r"peak RSS: ([\d.]+) MiB", proc.stdout).group(1))
-    _results["openloop_tps"] = tps
-    _results["peak_rss_mb"] = rss
     emit(f"open loop: {OPENLOOP_TXNS:,} txns at {OPENLOOP_RATE_TPS:.0f} tps "
-         f"offered -> {tps:.1f} tps measured, peak RSS {rss:.1f} MiB "
+         f"offered, peak RSS {rss:.1f} MiB "
          f"(ceiling {OPENLOOP_PEAK_RSS_MB_CEILING:.0f})")
-    floor = OPENLOOP_TPS_FLOOR_FRACTION * OPENLOOP_RATE_TPS
-    assert tps >= floor, (
-        f"open-loop throughput collapsed: {tps:.1f} tps measured against "
-        f"{OPENLOOP_RATE_TPS:.0f} offered (floor {floor:.0f})")
     assert rss <= OPENLOOP_PEAK_RSS_MB_CEILING, (
         f"open-loop peak RSS {rss:.1f} MiB exceeds the "
         f"{OPENLOOP_PEAK_RSS_MB_CEILING:.0f} MiB ceiling — per-"
         f"transaction state is being retained somewhere")
 
-
-def test_emit_bench_harness_json():
-    """Last in file: persist the perf numbers gathered above."""
-    payload = {
-        "seed_baselines": {
-            "kernel_schedule_events_per_sec": SEED_SCHEDULE_EVENTS_PER_SEC,
-            "per_txn_host_cost_ms": SEED_PER_TXN_HOST_MS,
-        },
-        **_results,
-    }
-    _RESULTS_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                             + "\n")
-    emit(f"wrote {_RESULTS_PATH.name}: "
-         + json.dumps(_results, sort_keys=True))
-    assert _results.get("kernel_post_events_per_sec", 0) > 0

@@ -32,12 +32,6 @@ class LatencyResult:
     forces_per_txn: float           # disk-manager force requests
     datagrams_per_txn: float        # TranMan protocol datagrams
 
-    def paper_row(self) -> str:
-        return (f"{self.label:34s} {self.summary.mean:7.1f} "
-                f"({self.summary.stdev:5.1f})   TM {self.tm_summary.mean:7.1f}"
-                f"   LF/txn {self.forces_per_txn:4.1f}"
-                f"   DG/txn {self.datagrams_per_txn:4.1f}")
-
 
 @dataclass
 class ThroughputResult:

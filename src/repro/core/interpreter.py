@@ -47,8 +47,9 @@ WITHHELD = object()
 
 
 class Engine(Protocol):
-    """The primitives an engine supplies.  Timer handles, and what a
-    wait yields, are opaque here; delays are protocol milliseconds."""
+    """The primitives an engine supplies.  What a wait yields is opaque
+    here; a timer handle is whatever ``start_timer`` returned, stopped
+    by its own ``cancel()``; delays are protocol milliseconds."""
 
     def send(self, dst: str, message: Any,
              accounting: Optional[str]) -> None: ...
@@ -56,7 +57,6 @@ class Engine(Protocol):
     def append(self, record: LogRecord) -> int: ...
     def watch_durable(self, lsn: int, fn: Callable[[], None]) -> None: ...
     def start_timer(self, delay_ms: float, fn: Callable[[], None]) -> Any: ...
-    def cancel_timer(self, handle: Any) -> None: ...
     def trace(self, kind: str, detail: Dict[str, Any]) -> None: ...
     def local_commit(self, tid: TID) -> None: ...
     def local_abort(self, tid: TID) -> None: ...
@@ -148,7 +148,7 @@ class Interpreter:
     def reset(self) -> None:
         """Volatile state dies with the site: timers and queues."""
         for handle in self._timers.values():
-            self.engine.cancel_timer(handle)
+            handle.cancel()
         self._timers.clear()
         self._lazy.clear()
 
@@ -193,7 +193,7 @@ class Interpreter:
     def _forget(self, machine: Any, effect: fx.Forget) -> None:
         self.edge.forget(machine, effect.tid)
         for key in [k for k in self._timers if k[0] is machine]:
-            self.engine.cancel_timer(self._timers.pop(key))
+            self._timers.pop(key).cancel()
         self.engine.forgotten(effect.tid)
 
     def _start_timer(self, machine: Any, effect: fx.StartTimer) -> None:
@@ -204,7 +204,7 @@ class Interpreter:
     def _cancel_timer(self, machine: Any, effect: Any) -> None:
         handle = self._timers.pop((machine, effect.token), None)
         if handle is not None:
-            self.engine.cancel_timer(handle)
+            handle.cancel()
 
     def _fire(self, machine: Any, token: str) -> None:
         self._timers.pop((machine, token), None)

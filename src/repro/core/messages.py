@@ -2,8 +2,9 @@
 
 These ride the datagram layer (:mod:`repro.net.datagram`), never the
 RPC path — TranMans talk datagrams for speed and implement their own
-timeout/retry, so every message type defines a ``dedup_key`` that stays
-stable across retransmissions.
+timeout/retry: a retransmission is the same frozen message sent again,
+and the machine that receives it twice answers it twice (idempotence is
+the duplicate detection; ``tests/test_duplicate_delivery.py``).
 
 Naming follows the paper: prepare / vote / commit / abort / commit-ack
 for two-phase commit; the non-blocking protocol adds the replication
@@ -28,10 +29,6 @@ class ProtocolMessage:
 
     tid: TID
     sender: str
-
-    @property
-    def dedup_key(self) -> str:
-        return f"{type(self).__name__}:{self.tid}:{self.sender}"
 
 
 # --------------------------------------------------------------------- 2PC
@@ -109,12 +106,6 @@ class NbReplicate(ProtocolMessage):
 
     decision_data: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def dedup_key(self) -> str:
-        # A promotion after a retransmitted original must still deliver,
-        # so the key includes the issuing coordinator.
-        return f"NbReplicate:{self.tid}:{self.sender}"
-
 
 @dataclass(frozen=True)
 class NbReplicateAck(ProtocolMessage):
@@ -153,10 +144,6 @@ class NbStateRequest(ProtocolMessage):
 
     round: int = 0
 
-    @property
-    def dedup_key(self) -> str:
-        return f"NbStateRequest:{self.tid}:{self.sender}:{self.round}"
-
 
 @dataclass(frozen=True)
 class NbStateReport(ProtocolMessage):
@@ -172,10 +159,6 @@ class NbStateReport(ProtocolMessage):
     status: str = "no_state"
     decision_data: Optional[Dict[str, Any]] = None
     round: int = 0
-
-    @property
-    def dedup_key(self) -> str:
-        return f"NbStateReport:{self.tid}:{self.sender}:{self.round}"
 
 
 @dataclass(frozen=True)
@@ -228,12 +211,6 @@ class PcPhase2b(ProtocolMessage):
     ballot: int = 0
     votes: Tuple[Tuple[str, str], ...] = ()
 
-    @property
-    def dedup_key(self) -> str:
-        instances = ",".join(inst for inst, _ in self.votes)
-        return (f"PcPhase2b:{self.tid}:{self.sender}:{self.ballot}:"
-                f"{instances}")
-
 
 @dataclass(frozen=True)
 class PcP1a(ProtocolMessage):
@@ -246,10 +223,6 @@ class PcP1a(ProtocolMessage):
     sites: Tuple[str, ...] = ()
     acceptors: Tuple[str, ...] = ()
 
-    @property
-    def dedup_key(self) -> str:
-        return f"PcP1a:{self.tid}:{self.sender}:{self.ballot}"
-
 
 @dataclass(frozen=True)
 class PcP1b(ProtocolMessage):
@@ -260,10 +233,6 @@ class PcP1b(ProtocolMessage):
     ballot: int = 0
     promised: int = 0
     accepted: Tuple[Tuple[str, int, str], ...] = ()
-
-    @property
-    def dedup_key(self) -> str:
-        return f"PcP1b:{self.tid}:{self.sender}:{self.ballot}"
 
 
 @dataclass(frozen=True)
@@ -277,10 +246,6 @@ class PcP2a(ProtocolMessage):
     leader: str = ""
     sites: Tuple[str, ...] = ()
     acceptors: Tuple[str, ...] = ()
-
-    @property
-    def dedup_key(self) -> str:
-        return f"PcP2a:{self.tid}:{self.sender}:{self.ballot}"
 
 
 @dataclass(frozen=True)

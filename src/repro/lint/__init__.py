@@ -17,13 +17,12 @@ This package checks those properties mechanically:
 - :mod:`repro.lint.races` — an opt-in simulation race detector: a kernel
   monitor that records same-timestamp event pairs scheduled from
   independent causes that touch the same port/lock/WAL object.
-- :mod:`repro.lint.baseline` — a checked-in suppression file
-  (``lint-baseline.json``) so intentional exceptions are explicit and
-  CI fails only on *new* findings.
+
+There is no suppression file: an intentional exception is acknowledged
+inline, next to the code it excuses (``# lint: bounded(<why>)``).
 
 Run it with ``python -m repro.lint`` (see ``--help``); CI runs
-``python -m repro.lint --format json --races`` and fails on any
-non-baselined finding.
+``python -m repro.lint --format json --races`` and fails on any finding.
 """
 
 from repro.lint.findings import Finding, render_json, render_text

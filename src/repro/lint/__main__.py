@@ -6,12 +6,11 @@ Examples::
     python -m repro.lint --format json         # machine-readable (CI)
     python -m repro.lint --races               # + simulation race scan
     python -m repro.lint --rules wallclock,no-environ
-    python -m repro.lint --update-baseline     # accept current findings
     python -m repro.lint path/to/tree          # lint a different tree
 
-Exit status: 0 when no non-baselined findings, 1 otherwise, 2 on usage
-errors.  The baseline (``lint-baseline.json`` at the repo root) carries
-a justification per accepted finding; CI fails on anything new.
+Exit status: 0 when there are no findings, 1 otherwise, 2 on usage
+errors.  There is no suppression file: an accepted exception carries an
+inline ``# lint: bounded(<why>)`` next to the code it excuses.
 """
 
 from __future__ import annotations
@@ -21,28 +20,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint.baseline import (
-    DEFAULT_BASELINE_NAME,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.engine import run_lint
 from repro.lint.findings import render_json, render_text
-
-
-def _default_baseline() -> Optional[Path]:
-    """Walk up from the package (then cwd) looking for the repo baseline."""
-    import repro
-    starts = [Path(repro.__file__).resolve().parent, Path.cwd()]
-    for start in starts:
-        for candidate in [start, *start.parents]:
-            path = candidate / DEFAULT_BASELINE_NAME
-            if path.is_file():
-                return path
-            if (candidate / "pyproject.toml").is_file():
-                # Repo root reached; this is where a baseline would live.
-                return path if path.is_file() else None
-    return None
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -54,20 +33,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--rules", default=None,
                         help="comma-separated rule ids (default: all)")
-    parser.add_argument("--baseline", default=None,
-                        help="baseline file (default: lint-baseline.json "
-                             "at the repo root)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="report every finding, ignoring the baseline")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="accept all current findings into the baseline "
-                             "(existing justifications are kept)")
     parser.add_argument("--races", action="store_true",
                         help="also run the simulation race detector "
                              "(same-timestamp event pairs on shared "
                              "ports/locks/WAL)")
-    parser.add_argument("--verbose", action="store_true",
-                        help="text format: also list baselined findings")
     parser.add_argument("--emit-graphs", metavar="DIR", default=None,
                         help="write extracted protocol transition graphs "
                              "(one JSON spec + Graphviz .dot per machine) "
@@ -89,12 +58,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     rule_ids = ([r.strip() for r in args.rules.split(",") if r.strip()]
                 if args.rules else None)
-    if args.no_baseline:
-        baseline_path: Optional[Path] = None
-    elif args.baseline:
-        baseline_path = Path(args.baseline)
-    else:
-        baseline_path = _default_baseline()
 
     extra = None
     if args.races:
@@ -106,7 +69,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         for root in roots:
             reports.append(run_lint(root=root, rule_ids=rule_ids,
-                                    baseline_path=baseline_path,
                                     extra_findings=extra))
             extra = None  # race findings attach to the first tree only
     except ValueError as exc:
@@ -116,21 +78,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = reports[0]
     for other in reports[1:]:
         report.findings.extend(other.findings)
-        report.baselined.extend(other.baselined)
         report.checked_files += other.checked_files
-
-    if args.update_baseline:
-        path = baseline_path or Path.cwd() / DEFAULT_BASELINE_NAME
-        previous = load_baseline(path if path.is_file() else None)
-        count = write_baseline(report.findings + report.baselined, path,
-                               previous=previous)
-        print(f"baseline written: {path} ({count} entries)")
-        return 0
 
     if args.format == "json":
         print(render_json(report))
     else:
-        print(render_text(report, verbose=args.verbose))
+        print(render_text(report))
     return 0 if report.clean else 1
 
 

@@ -8,8 +8,7 @@ runs it extracts, from the tree being linted,
 - the ``CostModel`` dataclass fields and methods from ``config.py``.
 
 Rules receive one :class:`LintContext` and return findings; the engine
-fills in default stable keys (the stripped source line) and applies the
-baseline.
+fills in default stable keys (the stripped source line).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.lint.baseline import apply_baseline, load_baseline
 from repro.lint.findings import Finding, LintReport, source_line
 from repro.lint.registry import all_rules
 
@@ -178,13 +176,12 @@ def build_context(root: Path) -> LintContext:
 
 def run_lint(root: Optional[Path] = None,
              rule_ids: Optional[Sequence[str]] = None,
-             baseline_path: Optional[Path] = None,
              extra_findings: Optional[Iterable[Finding]] = None
              ) -> LintReport:
     """Lint ``root`` (default: the installed ``repro`` package).
 
     ``extra_findings`` lets dynamic passes (the race detector) feed the
-    same report/baseline pipeline as the AST rules.
+    same report as the AST rules.
     """
     if root is None:
         import repro
@@ -213,8 +210,5 @@ def run_lint(root: Optional[Path] = None,
             f = replace(f, key=line or f.message)
         keyed.append(f)
 
-    baseline = load_baseline(baseline_path)
-    new, suppressed = apply_baseline(keyed, baseline)
-    return LintReport(findings=new, baselined=suppressed,
-                      checked_files=len(ctx.files),
+    return LintReport(findings=keyed, checked_files=len(ctx.files),
                       rules_run=sorted(rules))

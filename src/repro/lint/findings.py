@@ -1,9 +1,9 @@
 """Finding record and report rendering (text + JSON).
 
 A finding is one rule violation at one source location.  Its
-``fingerprint`` is what the baseline file matches on: rule id, file
-(repo-relative), and a *stable key* — by default the stripped source
-line, so findings survive unrelated edits that shift line numbers.
+``fingerprint`` names it across runs: rule id, file (repo-relative), and
+a *stable key* — by default the stripped source line, so it survives
+unrelated edits that shift line numbers.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import List, Optional
 class Finding:
     """One rule violation.
 
-    ``key`` is the stable identity used for baselining; rules that can
+    ``key`` is the stable identity behind the fingerprint; rules that can
     name a symbol (a message class, a CostModel attribute) should pass
     one explicitly, otherwise the engine fills in the stripped source
     line of ``line``.
@@ -43,10 +43,9 @@ class Finding:
 
 @dataclass
 class LintReport:
-    """Everything one lint run produced, before/after baseline filtering."""
+    """Everything one lint run produced."""
 
     findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     checked_files: int = 0
     rules_run: List[str] = field(default_factory=list)
 
@@ -55,15 +54,11 @@ class LintReport:
         return not self.findings
 
 
-def render_text(report: LintReport, verbose: bool = False) -> str:
+def render_text(report: LintReport) -> str:
     lines: List[str] = []
     for f in sorted(report.findings, key=lambda f: (f.file, f.line, f.rule)):
         lines.append(f"{f.location}: [{f.rule}] {f.message}")
-    if verbose:
-        for f in sorted(report.baselined, key=lambda f: (f.file, f.line)):
-            lines.append(f"{f.location}: [{f.rule}] baselined: {f.message}")
     summary = (f"{len(report.findings)} finding(s), "
-               f"{len(report.baselined)} baselined, "
                f"{report.checked_files} file(s) checked, "
                f"{len(report.rules_run)} rule(s)")
     lines.append(summary)
@@ -86,8 +81,6 @@ def render_json(report: LintReport) -> str:
         {
             "findings": [_as_dict(f) for f in sorted(
                 report.findings, key=lambda f: (f.file, f.line, f.rule))],
-            "baselined": [_as_dict(f) for f in sorted(
-                report.baselined, key=lambda f: (f.file, f.line, f.rule))],
             "checked_files": report.checked_files,
             "rules": sorted(report.rules_run),
             "clean": report.clean,

@@ -143,9 +143,6 @@ class Program:
                 if init is not None:
                     yield init
 
-    def module_classes(self, sub: str) -> List[ClassNode]:
-        return [c for c in self.classes.values() if c.module == sub]
-
     def resolve_symbol(self, sub: str, name: str,
                        _depth: int = 0) -> Optional[Symbol]:
         """Chase a name through module symbol tables (re-exports)."""

@@ -22,7 +22,7 @@ Usage::
 :func:`scan_for_races` runs the stock distributed scenario with the
 detector attached and converts the reports into lint findings, so
 ``python -m repro.lint --races`` folds dynamic races into the same
-report/baseline pipeline as the static rules.
+report as the static rules.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ def _default_resource_classes() -> tuple:
     from repro.log.wal import WriteAheadLog
     from repro.mach.ports import Port
     from repro.sim.events import SimEvent
-    from repro.sim.resources import Channel, Condition, Semaphore, SimLock
-    return (Port, Channel, SimLock, Semaphore, Condition, SimEvent,
-            WriteAheadLog)
+    from repro.sim.resources import Channel, Semaphore, SimLock
+    return (Port, Channel, SimLock, Semaphore, SimEvent, WriteAheadLog)
 
 
 def _describe(obj: Any) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.engine import FileInfo, LintContext
 from repro.lint.findings import Finding
@@ -452,6 +452,53 @@ def _root_name(node: ast.AST) -> Optional[str]:
     return None
 
 
+def _readonly_violations(func: ast.AST, tainted: Set[str],
+                         steering: AbstractSet[str] = frozenset()
+                         ) -> List[Tuple[ast.AST, str]]:
+    """``(node, what)`` for every write ``func`` makes through a name in
+    ``tainted`` (simulation state): the taint first spreads through
+    simple local bindings and loop targets, then assignments, deletes
+    and mutator (or ``steering``) method calls rooted at a tainted name
+    are flagged."""
+    tainted = set(tainted)
+    for n in ast.walk(func):
+        if isinstance(n, ast.Assign) and _root_name(n.value) in tainted:
+            for t in n.targets:
+                if isinstance(t, ast.Name):
+                    tainted.add(t.id)
+        elif isinstance(n, (ast.For, ast.comprehension)) \
+                and _root_name(n.iter) in tainted:
+            t = n.target
+            if isinstance(t, ast.Name):
+                tainted.add(t.id)
+            elif isinstance(t, ast.Tuple):
+                tainted.update(e.id for e in t.elts
+                               if isinstance(e, ast.Name))
+
+    def writes(t: ast.AST) -> bool:
+        return isinstance(t, (ast.Attribute, ast.Subscript)) \
+            and _root_name(t) in tainted
+
+    out: List[Tuple[ast.AST, str]] = []
+    for n in ast.walk(func):
+        if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+            out.extend((n, "assigns into simulation state")
+                       for t in targets if writes(t))
+        elif isinstance(n, ast.Delete):
+            out.extend((n, "deletes simulation state")
+                       for t in n.targets if writes(t))
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
+                and _root_name(n.func.value) in tainted:
+            if n.func.attr in _MUTATOR_METHODS:
+                out.append((n, f"calls mutator .{n.func.attr}() on "
+                               f"simulation state"))
+            elif n.func.attr in steering:
+                out.append((n, f"calls steering method .{n.func.attr}() "
+                               f"on simulation state"))
+    return out
+
+
 @rule("chaos-oracle-readonly",
       "Chaos oracles judge a finished run: they may read tracer/kernel/"
       "tranman state through their context but must never mutate it.")
@@ -468,48 +515,13 @@ def check_chaos_oracle_readonly(ctx: LintContext) -> List[Finding]:
             for d in func.decorator_list)
         if not decorated or not func.args.args:
             continue
-        # Taint the context parameter plus any local bound from it.
-        tainted: Set[str] = {func.args.args[0].arg}
-        for n in ast.walk(func):
-            if isinstance(n, ast.Assign) and isinstance(n.value, ast.AST) \
-                    and _root_name(n.value) in tainted:
-                for t in n.targets:
-                    if isinstance(t, ast.Name):
-                        tainted.add(t.id)
-            elif isinstance(n, (ast.For, ast.comprehension)) \
-                    and _root_name(n.iter) in tainted:
-                t = n.target
-                if isinstance(t, ast.Name):
-                    tainted.add(t.id)
-                elif isinstance(t, ast.Tuple):
-                    tainted.update(e.id for e in t.elts
-                                   if isinstance(e, ast.Name))
-
-        def flag(node: ast.AST, what: str) -> None:
+        # The context parameter is the only way in.
+        for node, what in _readonly_violations(func,
+                                               {func.args.args[0].arg}):
             out.append(ctx.finding(
                 info, node, "chaos-oracle-readonly",
                 f"oracle {func.name!r} {what}; oracles must be "
                 f"read-only observers of the finished run"))
-
-        for n in ast.walk(func):
-            if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = n.targets if isinstance(n, ast.Assign) \
-                    else [n.target]
-                for t in targets:
-                    if isinstance(t, (ast.Attribute, ast.Subscript)) \
-                            and _root_name(t) in tainted:
-                        flag(n, "assigns into simulation state")
-            elif isinstance(n, ast.Delete):
-                for t in n.targets:
-                    if isinstance(t, (ast.Attribute, ast.Subscript)) \
-                            and _root_name(t) in tainted:
-                        flag(n, "deletes simulation state")
-            elif isinstance(n, ast.Call) \
-                    and isinstance(n.func, ast.Attribute) \
-                    and n.func.attr in _MUTATOR_METHODS \
-                    and _root_name(n.func.value) in tainted:
-                flag(n, f"calls mutator .{n.func.attr}() on "
-                        f"simulation state")
     return out
 
 
@@ -562,52 +574,13 @@ def check_obs_readonly(ctx: LintContext) -> List[Finding]:
                     tainted.add(a.arg)
             if not tainted:
                 continue
-            # Propagate through simple local bindings and loop targets,
-            # exactly as chaos-oracle-readonly does.
-            for n in ast.walk(func):
-                if isinstance(n, ast.Assign) \
-                        and _root_name(n.value) in tainted:
-                    for t in n.targets:
-                        if isinstance(t, ast.Name):
-                            tainted.add(t.id)
-                elif isinstance(n, (ast.For, ast.comprehension)) \
-                        and _root_name(n.iter) in tainted:
-                    t = n.target
-                    if isinstance(t, ast.Name):
-                        tainted.add(t.id)
-                    elif isinstance(t, ast.Tuple):
-                        tainted.update(e.id for e in t.elts
-                                       if isinstance(e, ast.Name))
-
-            def flag(node: ast.AST, what: str) -> None:
+            for node, what in _readonly_violations(func, tainted,
+                                                   _OBS_STEERING_METHODS):
                 out.append(ctx.finding(
                     info, node, "obs-readonly",
                     f"obs function {func.name!r} {what}; the "
                     f"observability layer must never mutate or steer "
                     f"the simulation"))
-
-            for n in ast.walk(func):
-                if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                    targets = n.targets if isinstance(n, ast.Assign) \
-                        else [n.target]
-                    for t in targets:
-                        if isinstance(t, (ast.Attribute, ast.Subscript)) \
-                                and _root_name(t) in tainted:
-                            flag(n, "assigns into simulation state")
-                elif isinstance(n, ast.Delete):
-                    for t in n.targets:
-                        if isinstance(t, (ast.Attribute, ast.Subscript)) \
-                                and _root_name(t) in tainted:
-                            flag(n, "deletes simulation state")
-                elif isinstance(n, ast.Call) \
-                        and isinstance(n.func, ast.Attribute) \
-                        and _root_name(n.func.value) in tainted:
-                    if n.func.attr in _MUTATOR_METHODS:
-                        flag(n, f"calls mutator .{n.func.attr}() on "
-                                f"simulation state")
-                    elif n.func.attr in _OBS_STEERING_METHODS:
-                        flag(n, f"calls steering method .{n.func.attr}() "
-                                f"on simulation state")
     return out
 
 
@@ -679,9 +652,9 @@ def _bounded_ack(info: "FileInfo", *nodes: Optional[ast.AST]) -> bool:
     ``# lint: bounded(<reason>)`` acknowledgement on its source line.
 
     The ack is accepted on the grow site or on the ``__init__``
-    construction line, and must name a reason — it is the inline
-    equivalent of a baseline entry's justification, kept next to the
-    code it describes so it cannot outlive a refactor silently.
+    construction line, and must name a reason — it is the only
+    suppression there is, kept next to the code it describes so it
+    cannot outlive a refactor silently.
     """
     for node in nodes:
         lineno = getattr(node, "lineno", None)
@@ -707,8 +680,7 @@ def check_unbounded_growth(ctx: LintContext) -> List[Finding]:
     state (config-gated history, per-site registries bounded by the
     deployment size) is acknowledged inline with
     ``# lint: bounded(<reason>)`` on the grow site or the ``__init__``
-    construction line — preferred over a baseline entry because the
-    reason lives next to the code it excuses.
+    construction line, so the reason lives next to the code it excuses.
     """
     out: List[Finding] = []
     for info in ctx.sim_files():
@@ -761,7 +733,7 @@ def check_unbounded_growth(ctx: LintContext) -> List[Finding]:
                     info, node, "unbounded-growth",
                     f"{cls.name}.{attr} grows per event but no method "
                     f"of {cls.name} ever removes entries; long runs "
-                    f"leak — shrink it, bound it, or baseline with a "
-                    f"justification",
+                    f"leak — shrink it, bound it, or acknowledge it inline "
+                    f"with `# lint: bounded(<why>)`",
                     key=f"{cls.name}.{attr}"))
     return out

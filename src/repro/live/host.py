@@ -57,9 +57,9 @@ PROTOCOLS = {"2pc": ProtocolKind.TWO_PHASE,
 
 
 class Substrate(Protocol):
-    """What a harness must provide (see module docstring).  Timer handles
-    are opaque; ``start_timer`` delays are protocol milliseconds, virtual
-    for the simulator and real for live."""
+    """What a harness must provide (see module docstring).  A timer
+    handle is stopped by its own ``cancel()``; ``start_timer`` delays are
+    protocol milliseconds, virtual for the simulator and real for live."""
 
     def send(self, dst: str, message: Any) -> None: ...
     def append(self, record: LogRecord) -> int: ...
@@ -67,7 +67,6 @@ class Substrate(Protocol):
     def force_tail(self) -> None: ...
     def watch_durable(self, lsn: int, fn: Callable[[], None]) -> None: ...
     def start_timer(self, delay_ms: float, fn: Callable[[], None]) -> Any: ...
-    def cancel_timer(self, handle: Any) -> None: ...
     def trace(self, kind: str, detail: Dict[str, Any]) -> None: ...
 
 
@@ -111,7 +110,6 @@ class SiteHost:
         self.append = substrate.append
         self.watch_durable = substrate.watch_durable
         self.start_timer = substrate.start_timer
-        self.cancel_timer = substrate.cancel_timer
         self.trace = substrate.trace
         # Inputs not yet started, the running one, whether it is parked
         # on a force, and the answer that will resume it.
@@ -130,7 +128,7 @@ class SiteHost:
 
     def stop_sweeps(self) -> None:
         if self._sweep_handle is not None:
-            self.substrate.cancel_timer(self._sweep_handle)
+            self._sweep_handle.cancel()
             self._sweep_handle = None
 
     def _sweep(self) -> None:

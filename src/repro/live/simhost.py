@@ -26,46 +26,7 @@ from repro.sim.rng import RngStreams
 from repro.sim.tracing import NullTracer
 from repro.live.host import SiteHost, Substrate
 from repro.live.scenario import Scenario, Transcript, run_scenario_steps
-
-
-class MemoryWal:
-    """The simulator-side WAL: FileWal's contract without the file."""
-
-    def __init__(self) -> None:
-        self.records: List[LogRecord] = []
-        self._next_lsn = 1
-        self._durable_lsn = 0
-        self._watches: List[Tuple[int, Callable[[], None]]] = []
-
-    @property
-    def durable_lsn(self) -> int:
-        return self._durable_lsn
-
-    @property
-    def last_lsn(self) -> int:
-        return self._next_lsn - 1
-
-    def append(self, record: LogRecord) -> LogRecord:
-        record.lsn = self._next_lsn
-        self._next_lsn += 1
-        self.records.append(record)  # lint: bounded(scenario-scale run)
-        return record
-
-    def force(self, lsn: Optional[int] = None) -> List[Callable[[], None]]:
-        target = self.last_lsn if lsn is None else lsn
-        if target > self._durable_lsn:
-            self._durable_lsn = target
-        ready = [fn for watch_lsn, fn in self._watches
-                 if watch_lsn <= self._durable_lsn]
-        self._watches = [(watch_lsn, fn) for watch_lsn, fn in self._watches
-                         if watch_lsn > self._durable_lsn]
-        return ready
-
-    def watch_durable(self, lsn: int, fn: Callable[[], None]) -> None:
-        if lsn <= self._durable_lsn:
-            fn()
-            return
-        self._watches.append((lsn, fn))
+from repro.live.walfile import MemoryWal
 
 
 class SimSubstrate(Substrate):
@@ -81,7 +42,7 @@ class SimSubstrate(Substrate):
         self.wal = MemoryWal()
         self.host: Optional[SiteHost] = None  # wired by build_sim_cluster
         self.peers: Dict[str, "SimSubstrate"] = {}
-        self.traces: List[Tuple[str, Dict[str, Any]]] = []
+        self.traces: Dict[str, int] = {}  # trace kind -> count
         self.alive = True  # Lan liveness probe
 
     # ----------------------------------------------------------- wire
@@ -135,11 +96,8 @@ class SimSubstrate(Substrate):
     def start_timer(self, delay_ms: float, fn: Callable[[], None]) -> Timer:
         return self.kernel.schedule(delay_ms, fn)
 
-    def cancel_timer(self, handle: Any) -> None:
-        handle.cancel()
-
     def trace(self, kind: str, detail: Dict[str, Any]) -> None:
-        self.traces.append((kind, detail))  # lint: bounded(scenario-scale run)
+        self.traces[kind] = self.traces.get(kind, 0) + 1
 
 
 def build_sim_cluster(sites: List[str], cost: CostModel,

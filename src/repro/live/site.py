@@ -110,7 +110,7 @@ class LiveSubstrate(Substrate):
         self.wal = wal
         self.host: Optional[SiteHost] = None
         self.transcript = Transcript()
-        self.traces: List[Tuple[str, Dict[str, Any]]] = []
+        self.traces: Dict[str, int] = {}  # trace kind -> count
         self.inbound = _DelayLine(wire_ms)
         self.forces = _DelayLine(force_floor_ms)
         self.frame_drops: Dict[str, int] = {}
@@ -254,11 +254,8 @@ class LiveSubstrate(Substrate):
     def start_timer(self, delay_ms: float, fn: Callable[[], None]) -> Any:
         return asyncio.get_running_loop().call_later(delay_ms / 1000.0, fn)
 
-    def cancel_timer(self, handle: Any) -> None:
-        handle.cancel()
-
     def trace(self, kind: str, detail: Dict[str, Any]) -> None:
-        self.traces.append((kind, detail))  # lint: bounded(demo-scale run)
+        self.traces[kind] = self.traces.get(kind, 0) + 1
 
 
 class LiveSite:
@@ -412,6 +409,7 @@ class LiveSite:
             "held": list(self.host.held),
             "drops": self.substrate.drop_counts(),
             "duplicates": self.host.duplicates,
+            "traces": dict(self.substrate.traces),
             "recovered": self.recovered,
             "conservative": self.host.conservative,
             "wal_durable": self.wal.durable_lsn,

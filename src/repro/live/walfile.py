@@ -66,7 +66,65 @@ def read_records(path: str) -> List[LogRecord]:
     return records
 
 
-class FileWal:
+class MemoryWal:
+    """The in-memory tail of a live-mode WAL: LSN assignment, the
+    durable prefix and the durability watch list.
+
+    On its own it is the simulator-side WAL — a force has nothing to
+    write — and :class:`FileWal` is the same tail with a file under it,
+    so the two substrates cannot disagree on LSNs or watch order.
+    """
+
+    def __init__(self, durable_lsn: int = 0) -> None:
+        self._durable_lsn = durable_lsn
+        # LSNs are dense: the volatile records are exactly those
+        # numbered durable_lsn+1 .. last_lsn, in order.
+        self._volatile: List[LogRecord] = []
+        self._watches: List[Tuple[int, Callable[[], None]]] = []
+
+    @property
+    def durable_lsn(self) -> int:
+        return self._durable_lsn
+
+    @property
+    def last_lsn(self) -> int:
+        return self._durable_lsn + len(self._volatile)
+
+    def append(self, record: LogRecord) -> LogRecord:
+        record.lsn = self.last_lsn + 1
+        self._volatile.append(record)
+        return record
+
+    def force(self, lsn: Optional[int] = None) -> List[Callable[[], None]]:
+        """Make the prefix up to ``lsn`` (default: everything) durable.
+
+        Returns the durability watches that became satisfied; the caller
+        fires them (after any completion pacing it applies).
+        """
+        target = self.last_lsn if lsn is None else min(lsn, self.last_lsn)
+        if target > self._durable_lsn:
+            count = target - self._durable_lsn
+            self._write(self._volatile[:count])
+            del self._volatile[:count]
+            self._durable_lsn = target
+        ready = [fn for watch_lsn, fn in self._watches
+                 if watch_lsn <= self._durable_lsn]
+        self._watches = [(watch_lsn, fn) for watch_lsn, fn in self._watches
+                         if watch_lsn > self._durable_lsn]
+        return ready
+
+    def _write(self, records: List[LogRecord]) -> None:
+        """Put ``records`` on stable storage; memory has none."""
+
+    def watch_durable(self, lsn: int, fn: Callable[[], None]) -> None:
+        """Run ``fn`` once ``lsn`` is durable (immediately if it already is)."""
+        if lsn <= self._durable_lsn:
+            fn()
+            return
+        self._watches.append((lsn, fn))
+
+
+class FileWal(MemoryWal):
     """One site's on-disk WAL.
 
     All methods are synchronous; the live substrate calls them from the
@@ -84,9 +142,7 @@ class FileWal:
                 existing = fh.read()
         except FileNotFoundError:
             pass
-        records, valid = _scan(existing)
-        self._durable_count = len(records)
-        self._recovered = list(records)
+        self._recovered, valid = _scan(existing)
         self._file = open(path, "r+b" if existing else "w+b")
         if valid < len(_HEADER):
             # Fresh file, or a header so mangled nothing was readable:
@@ -102,64 +158,21 @@ class FileWal:
         # durable prefix, so dense renumbering is invisible across runs.
         for i, record in enumerate(self._recovered, start=1):
             record.lsn = i
-        self._next_lsn = self._durable_count + 1
-        self._volatile: List[LogRecord] = []
-        self._durable_lsn = self._durable_count
-        self._watches: List[Tuple[int, Callable[[], None]]] = []
-
-    # ------------------------------------------------------------ api
+        super().__init__(durable_lsn=len(self._recovered))
 
     @property
     def recovered_records(self) -> List[LogRecord]:
         """The durable prefix found at open (input to recovery analysis)."""
         return list(self._recovered)
 
-    @property
-    def durable_lsn(self) -> int:
-        return self._durable_lsn
-
-    @property
-    def last_lsn(self) -> int:
-        return self._next_lsn - 1
-
-    def append(self, record: LogRecord) -> LogRecord:
-        record.lsn = self._next_lsn
-        self._next_lsn += 1
-        self._volatile.append(record)
-        return record
-
-    def force(self, lsn: Optional[int] = None) -> List[Callable[[], None]]:
-        """Make the prefix up to ``lsn`` (default: everything) durable.
-
-        Returns the durability watches that became satisfied; the caller
-        fires them (after any completion pacing it applies).
-        """
-        target = self.last_lsn if lsn is None else lsn
-        wrote = False
-        while self._volatile and self._volatile[0].lsn is not None \
-                and self._volatile[0].lsn <= target:
-            record = self._volatile.pop(0)
+    def _write(self, records: List[LogRecord]) -> None:
+        for record in records:
             body = json.dumps(record.to_dict(), sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
             self._file.write(_REC.pack(len(body), zlib.crc32(body)) + body)
-            self._durable_lsn = record.lsn
-            wrote = True
-        if wrote:
-            self._file.flush()
-            if self._fsync:
-                os.fsync(self._file.fileno())
-        ready = [fn for watch_lsn, fn in self._watches
-                 if watch_lsn <= self._durable_lsn]
-        self._watches = [(watch_lsn, fn) for watch_lsn, fn in self._watches
-                         if watch_lsn > self._durable_lsn]
-        return ready
-
-    def watch_durable(self, lsn: int, fn: Callable[[], None]) -> None:
-        """Run ``fn`` once ``lsn`` is durable (immediately if it already is)."""
-        if lsn <= self._durable_lsn:
-            fn()
-            return
-        self._watches.append((lsn, fn))
+        self._file.flush()
+        if self._fsync:
+            os.fsync(self._file.fileno())
 
     def close(self) -> None:
         self._file.close()

@@ -133,10 +133,6 @@ class WriteAheadLog:
         for cb in ready:
             self.kernel.post_soon(cb)
 
-    def flush_all(self) -> Generator[Any, Any, None]:
-        """Flush the entire tail (used by lazy background sweeps)."""
-        yield from self.force(self.tail_lsn)
-
     # ------------------------------------------------------- inspection
 
     def buffered_records(self) -> List[LogRecord]:

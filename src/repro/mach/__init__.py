@@ -8,8 +8,7 @@ depends on, at the granularity the paper measures them:
   :mod:`repro.mach.ports`),
 - local IPC and synchronous RPC with the Table 1/2 latencies
   (:mod:`repro.mach.ipc`),
-- a C-Threads-like thread package — pools, spin locks, rw-locks,
-  condition variables (:mod:`repro.mach.threads`),
+- a C-Threads-like thread pool (:mod:`repro.mach.threads`),
 - per-site CPUs with a single master run queue and context-switch cost
   (:mod:`repro.mach.scheduler`),
 - the NetMsgServer: name service plus inter-site RPC forwarding
@@ -21,7 +20,7 @@ from repro.mach.message import Message
 from repro.mach.netmsgserver import NameDirectory, NetMsgServer
 from repro.mach.ports import DeadPortError, Port
 from repro.mach.scheduler import CpuScheduler
-from repro.mach.threads import CThreadsPool, RwLock
+from repro.mach.threads import CThreadsPool
 
 __all__ = [
     "CThreadsPool",
@@ -32,5 +31,4 @@ __all__ = [
     "NameDirectory",
     "NetMsgServer",
     "Port",
-    "RwLock",
 ]

@@ -55,14 +55,7 @@ class Port:
         msg = yield from self.queue.get()
         return msg
 
-    def try_receive(self) -> tuple[bool, Message]:
-        return self.queue.try_get()
-
     def destroy(self) -> list[Message]:
         """Kill the port (site crash); returns and discards queued mail."""
         self.dead = True
         return self.queue.drain()
-
-    def revive(self) -> None:
-        """Bring the port back after site restart (fresh, empty queue)."""
-        self.dead = False

@@ -6,12 +6,12 @@ one); protect primary data structures with locks; and never tie a thread
 to a transaction — every thread waits for *any* input, processes it, and
 resumes waiting.  :class:`CThreadsPool` implements exactly that shape.
 
-Two lock flavours mirror the paper:
-
-- the plain C-Threads mutex (:class:`repro.sim.resources.SimLock`): purely
-  exclusive, spin-style, self-deadlocking if re-acquired;
-- ``rw-lock`` (:class:`RwLock`): shared/exclusive, built on condition
-  variables so long waits do not burn CPU.
+The one lock the simulated TranMan takes is the plain C-Threads mutex
+(:class:`repro.sim.resources.SimLock`, one per transaction family):
+purely exclusive, self-deadlocking if re-acquired.  The paper's
+``rw-lock`` package and lock hierarchy are not modelled: nothing in the
+simulation shares a structure between readers, and one lock per family
+leaves no order to get wrong.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.mach.message import Message
 from repro.mach.ports import Port
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process, ProcessKilled
-from repro.sim.resources import Condition, SimLock
 
 # A handler receives one message and returns a process-body generator.
 Handler = Callable[[Message], Generator[Any, Any, None]]
@@ -83,119 +82,3 @@ class CThreadsPool:
             proc.kill()
         self.workers.clear()
 
-
-class RwLock:
-    """Shared/exclusive lock using condition-variable waiting.
-
-    Matches the paper's "rw-lock" package: readers share, writers
-    exclude, and waiting sleeps on a condition variable instead of
-    spinning — "resulting in considerable CPU savings if a thread must
-    wait for a lock for an extended period".  Writer-priority: once a
-    writer is queued, new readers wait, preventing writer starvation.
-    """
-
-    def __init__(self, kernel: Kernel, name: str = "rwlock"):
-        self.kernel = kernel
-        self.name = name
-        self._mutex = SimLock(kernel, name=f"{name}.mutex")
-        self._readers_ok = Condition(kernel, self._mutex, name=f"{name}.rok")
-        self._writers_ok = Condition(kernel, self._mutex, name=f"{name}.wok")
-        self.active_readers = 0
-        self.active_writer = False
-        self.waiting_writers = 0
-
-    def acquire_read(self) -> Generator[Any, Any, None]:
-        yield from self._mutex.acquire()
-        while self.active_writer or self.waiting_writers > 0:
-            yield from self._readers_ok.wait()
-        self.active_readers += 1
-        self._mutex.release()
-
-    def release_read(self) -> Generator[Any, Any, None]:
-        yield from self._mutex.acquire()
-        if self.active_readers <= 0:
-            self._mutex.release()
-            raise RuntimeError(f"release_read with no readers on {self.name}")
-        self.active_readers -= 1
-        if self.active_readers == 0:
-            self._writers_ok.signal()
-        self._mutex.release()
-
-    def acquire_write(self) -> Generator[Any, Any, None]:
-        yield from self._mutex.acquire()
-        self.waiting_writers += 1
-        while self.active_writer or self.active_readers > 0:
-            yield from self._writers_ok.wait()
-        self.waiting_writers -= 1
-        self.active_writer = True
-        self._mutex.release()
-
-    def release_write(self) -> Generator[Any, Any, None]:
-        yield from self._mutex.acquire()
-        if not self.active_writer:
-            self._mutex.release()
-            raise RuntimeError(f"release_write with no writer on {self.name}")
-        self.active_writer = False
-        if self.waiting_writers > 0:
-            self._writers_ok.signal()
-        else:
-            self._readers_ok.broadcast()
-        self._mutex.release()
-
-
-class LockHierarchy:
-    """Deadlock avoidance by lock ordering (the paper's "classic" method).
-
-    Locks are registered with a level; a thread recording its held locks
-    through a :class:`HierarchyGuard` may only acquire strictly
-    increasing levels.  Violations raise immediately — in the simulation
-    we would rather fail loudly than deadlock silently.
-    """
-
-    def __init__(self) -> None:
-        self._levels: dict[int, int] = {}
-
-    def register(self, lock: SimLock, level: int) -> SimLock:
-        self._levels[id(lock)] = level  # lint: bounded(one entry per static lock level)
-        return lock
-
-    def level_of(self, lock: SimLock) -> int:
-        try:
-            return self._levels[id(lock)]
-        except KeyError:
-            raise RuntimeError(f"lock {lock.name!r} not in hierarchy") from None
-
-    def guard(self) -> "HierarchyGuard":
-        return HierarchyGuard(self)
-
-
-class HierarchyGuard:
-    """Per-thread tracker enforcing ascending acquisition order."""
-
-    def __init__(self, hierarchy: LockHierarchy):
-        self._hierarchy = hierarchy
-        self._held: list[tuple[int, SimLock]] = []
-
-    def acquire(self, lock: SimLock, owner: Any = None) -> Generator[Any, Any, None]:
-        level = self._hierarchy.level_of(lock)
-        if self._held and self._held[-1][0] >= level:
-            held_names = [l.name for _, l in self._held]
-            raise RuntimeError(
-                f"lock-order violation: acquiring {lock.name!r} (level {level}) "
-                f"while holding {held_names}"
-            )
-        yield from lock.acquire(owner=owner)
-        self._held.append((level, lock))
-
-    def release(self, lock: SimLock) -> None:
-        for i, (_, held) in enumerate(self._held):
-            if held is lock:
-                del self._held[i]
-                lock.release()
-                return
-        raise RuntimeError(f"releasing {lock.name!r} that guard does not hold")
-
-    def release_all(self) -> None:
-        while self._held:
-            _, lock = self._held.pop()
-            lock.release()

@@ -10,17 +10,16 @@ Accordingly this service is deliberately thin:
 
 - :meth:`DatagramService.send` / :meth:`DatagramService.multicast` put a
   :class:`Datagram` on the LAN — unreliable, unordered;
-- the receive side suppresses duplicates by ``(src, dedup_key)`` so a
-  protocol retry never delivers twice;
-- timeout/retry is *not* here: the protocol state machines own their
-  timers, exactly as in Camelot.
+- timeout/retry and duplicate detection are *not* here: the protocol
+  state machines own their timers and answer a repeated message
+  idempotently, exactly as in Camelot.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Set
+from typing import Any, Dict, Optional, Sequence
 
 from repro.net.lan import Lan
 from repro.sim.kernel import Kernel
@@ -34,15 +33,13 @@ _dgram_seq = itertools.count(1)
 class Datagram:
     """A protocol message on the wire.
 
-    ``dedup_key`` identifies the *logical* message: retransmissions reuse
-    it, so the receiver can drop duplicates.  ``payload`` is the protocol
-    message object (see :mod:`repro.core.messages`).
+    ``payload`` is the protocol message object (see
+    :mod:`repro.core.messages`).
     """
 
     src: str
     dst: str
     payload: Any
-    dedup_key: Optional[str] = None
     wire_seq: int = field(default_factory=lambda: next(_dgram_seq))
 
 
@@ -53,9 +50,6 @@ class DatagramService:
     TranMan's threads drain.
     """
 
-    # Remember this many recent dedup keys per peer before pruning.
-    DEDUP_WINDOW = 4096
-
     def __init__(self, kernel: Kernel, lan: Lan, site: str, tracer: Tracer,
                  peers: Optional[Dict[str, "DatagramService"]] = None):
         self.kernel = kernel
@@ -64,44 +58,38 @@ class DatagramService:
         self.tracer = tracer
         # Shared endpoint registry: site name -> that site's service.
         # Registration replaces any predecessor (site restart), so mail
-        # in flight across a restart reaches the new incarnation — whose
-        # fresh dedup state treats it like any unknown datagram.
+        # in flight across a restart reaches the new incarnation.
         self.peers: Dict[str, "DatagramService"] = (
             peers if peers is not None else {})
         self.peers[site] = self
         self.inbox: Channel = Channel(kernel, name=f"{site}.dgram")
-        self._seen: Dict[str, Set[str]] = {}
-        self._seen_order: Dict[str, list] = {}
         self.sent = 0
         self.received = 0
-        self.duplicates = 0
 
     # ------------------------------------------------------------ sends
 
-    def send(self, dst: str, payload: Any, dedup_key: Optional[str] = None) -> None:
+    def send(self, dst: str, payload: Any) -> None:
         """One unreliable datagram to ``dst``."""
         if dst == self.site:
             # Local loopback: no LAN transit, deliver next turn.
-            self.kernel.post_soon(self._deliver, Datagram(self.site, dst, payload,
-                                                          dedup_key))
+            self.kernel.post_soon(self._deliver, Datagram(self.site, dst, payload))
             return
         self.sent += 1
-        dgram = Datagram(self.site, dst, payload, dedup_key)
+        dgram = Datagram(self.site, dst, payload)
         self.lan.unicast(self.site, dst, dgram, self._deliver_at_destination)
 
-    def multicast(self, dsts: Sequence[str], payload: Any,
-                  dedup_key: Optional[str] = None) -> None:
+    def multicast(self, dsts: Sequence[str], payload: Any) -> None:
         """One physical multicast carrying ``payload`` to every dst."""
         remote = [d for d in dsts if d != self.site]
         if len(remote) != len(dsts):
             self.kernel.post_soon(
-                self._deliver, Datagram(self.site, self.site, payload, dedup_key))
+                self._deliver, Datagram(self.site, self.site, payload))
         if not remote:
             return
         self.sent += len(remote)
 
         def payload_for(dst: str) -> Datagram:
-            return Datagram(self.site, dst, payload, dedup_key)
+            return Datagram(self.site, dst, payload)
 
         def deliver_for(dst: str):
             return self._deliver_at_destination
@@ -120,28 +108,5 @@ class DatagramService:
         endpoint._deliver(dgram)
 
     def _deliver(self, dgram: Datagram) -> None:
-        if dgram.dedup_key is not None and self._is_duplicate(dgram):
-            self.duplicates += 1
-            self.tracer.record(self.kernel.now, "net.duplicate", site=self.site,
-                               src=dgram.src)
-            return
         self.received += 1
         self.inbox.put(dgram)
-
-    def _is_duplicate(self, dgram: Datagram) -> bool:
-        seen = self._seen.setdefault(dgram.src, set())
-        order = self._seen_order.setdefault(dgram.src, [])
-        if dgram.dedup_key in seen:
-            return True
-        seen.add(dgram.dedup_key)
-        order.append(dgram.dedup_key)
-        if len(order) > self.DEDUP_WINDOW:
-            oldest = order.pop(0)
-            seen.discard(oldest)
-        return False
-
-    def reset(self) -> None:
-        """Forget receive-side state (site restart: RAM contents lost)."""
-        self._seen.clear()
-        self._seen_order.clear()
-        self.inbox.drain()

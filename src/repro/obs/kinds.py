@@ -67,23 +67,6 @@ def classify(kind: str) -> str:
             "cpu": CPU, "lock": LOCK}.get(head, OTHER)
 
 
-# Static Table 3 term names -> primitive class, so a live breakdown and
-# a StaticPath can be cross-checked bucket by bucket.
-def classify_static_term(name: str) -> str:
-    lowered = name.lower()
-    if "datagram" in lowered:
-        return DATAGRAM
-    if "log force" in lowered:
-        return LOG_FORCE
-    if "rpc" in lowered and "remote" in lowered:
-        return RPC
-    if "lock" in lowered:
-        return LOCK
-    if "ipc" in lowered or "vote round" in lowered or "operation" in lowered:
-        return IPC
-    return OTHER
-
-
 # --------------------------------------------------- timeline vocabulary
 
 # Trace kinds worth a timeline row, and how to describe them (moved here

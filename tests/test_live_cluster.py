@@ -83,6 +83,9 @@ class TestRestartDiscovery:
                     lambda: (control(run_dir, "beta", {"cmd": "status"})
                              ["tombstones"].get(tid)) == "committed",
                     20.0, "commit across the restarted site")
+                # Traces are counted per kind, not kept.
+                traces = control(run_dir, "beta", {"cmd": "status"})["traces"]
+                assert traces["live.complete"] == 1
             finally:
                 stop_site(run_dir, "beta", beta)
             assert isinstance(old, int) and isinstance(new, int)

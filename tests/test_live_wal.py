@@ -14,7 +14,7 @@ from repro.log.records import (
     end_record,
     prepare_record,
 )
-from repro.live.walfile import FileWal, read_records
+from repro.live.walfile import FileWal, MemoryWal, read_records
 from repro.servers.recovery import analyze
 
 
@@ -76,6 +76,48 @@ class TestAppendForce:
         wal.force(None)
         assert [r.tid for r in read_records(wal.path)] == ["T9@a"]
         wal.close()
+
+
+    def test_file_and_memory_wal_agree_step_for_step(self, tmp_path):
+        """One append / force / watch script against both: the same
+        LSNs, the same durable prefix after every step, watches released
+        in the same order — the file is all FileWal adds."""
+        def drive(wal):
+            log = []
+
+            def append():
+                log.append(("lsn", wal.append(commit_record("T@a", "a")).lsn))
+
+            def watch(lsn):
+                wal.watch_durable(lsn, lambda: log.append(("fired", lsn)))
+
+            def force(lsn):
+                for fn in wal.force(lsn):
+                    fn()
+                log.append(("durable", wal.durable_lsn, wal.last_lsn))
+
+            for _ in range(4):
+                append()
+            watch(3), watch(1), watch(2)
+            force(2)
+            watch(2)            # already durable: fires at once
+            force(1)            # behind the durable prefix: nothing moves
+            append()
+            watch(5), watch(4)
+            force(None)
+            force(9)            # past the tail: nothing left to cover
+            return log
+
+        file_wal = _wal(tmp_path)
+        script = drive(file_wal)
+        assert script == drive(MemoryWal())
+        assert [step for step in script if step[0] != "lsn"] == [
+            ("fired", 1), ("fired", 2), ("durable", 2, 4),
+            ("fired", 2), ("durable", 2, 4),
+            ("fired", 3), ("fired", 5), ("fired", 4), ("durable", 5, 5),
+            ("durable", 5, 5)]
+        assert [r.lsn for r in read_records(file_wal.path)] == [1, 2, 3, 4, 5]
+        file_wal.close()
 
 
 class TestReopenAndTornTails:

@@ -1,13 +1,12 @@
-"""Unit tests for the C-Threads-style pool, rw-lock, lock hierarchy."""
+"""Unit tests for the C-Threads-style pool."""
 
 import pytest
 
 from repro.mach.message import Message
 from repro.mach.ports import Port
-from repro.mach.threads import CThreadsPool, LockHierarchy, RwLock
+from repro.mach.threads import CThreadsPool
 from repro.sim.kernel import Kernel
-from repro.sim.process import Process, Sleep
-from repro.sim.resources import SimLock
+from repro.sim.process import Sleep
 
 
 # ---------------------------------------------------------------- pool
@@ -97,131 +96,3 @@ def test_pool_busy_and_handled_counters():
     assert pool.handled == 1
     assert pool.busy == 0
 
-
-# -------------------------------------------------------------- RwLock
-
-
-def test_rwlock_readers_share():
-    k = Kernel()
-    rw = RwLock(k)
-    entered = []
-
-    def reader(name):
-        yield from rw.acquire_read()
-        entered.append((name, k.now))
-        yield Sleep(10.0)
-        yield from rw.release_read()
-
-    Process(k, reader("r1"))
-    Process(k, reader("r2"))
-    k.run()
-    assert [t for _, t in entered] == [0.0, 0.0]
-
-
-def test_rwlock_writer_excludes_readers():
-    k = Kernel()
-    rw = RwLock(k)
-    timeline = []
-
-    def writer():
-        yield from rw.acquire_write()
-        timeline.append(("w", k.now))
-        yield Sleep(10.0)
-        yield from rw.release_write()
-
-    def reader():
-        yield Sleep(1.0)
-        yield from rw.acquire_read()
-        timeline.append(("r", k.now))
-        yield from rw.release_read()
-
-    Process(k, writer())
-    Process(k, reader())
-    k.run()
-    assert timeline == [("w", 0.0), ("r", 10.0)]
-
-
-def test_rwlock_writer_priority_blocks_new_readers():
-    k = Kernel()
-    rw = RwLock(k)
-    timeline = []
-
-    def long_reader():
-        yield from rw.acquire_read()
-        yield Sleep(10.0)
-        yield from rw.release_read()
-
-    def writer():
-        yield Sleep(1.0)
-        yield from rw.acquire_write()
-        timeline.append(("w", k.now))
-        yield Sleep(5.0)
-        yield from rw.release_write()
-
-    def late_reader():
-        yield Sleep(2.0)
-        yield from rw.acquire_read()
-        timeline.append(("r", k.now))
-        yield from rw.release_read()
-
-    Process(k, long_reader())
-    Process(k, writer())
-    Process(k, late_reader())
-    k.run()
-    # The late reader must wait behind the queued writer.
-    assert timeline == [("w", 10.0), ("r", 15.0)]
-
-
-def test_rwlock_misuse_raises():
-    k = Kernel()
-    rw = RwLock(k)
-
-    def body():
-        yield from rw.release_read()
-
-    Process(k, body())
-    with pytest.raises(RuntimeError, match="release_read"):
-        k.run()
-
-
-# ------------------------------------------------------ LockHierarchy
-
-
-def test_hierarchy_enforces_ascending_order():
-    k = Kernel()
-    hierarchy = LockHierarchy()
-    low = hierarchy.register(SimLock(k, name="low"), 1)
-    high = hierarchy.register(SimLock(k, name="high"), 2)
-
-    def good():
-        guard = hierarchy.guard()
-        yield from guard.acquire(low)
-        yield from guard.acquire(high)
-        guard.release_all()
-        return "ok"
-
-    proc = Process(k, good())
-    k.run()
-    assert proc.done.value == "ok"
-
-
-def test_hierarchy_violation_raises():
-    k = Kernel()
-    hierarchy = LockHierarchy()
-    low = hierarchy.register(SimLock(k, name="low"), 1)
-    high = hierarchy.register(SimLock(k, name="high"), 2)
-
-    def bad():
-        guard = hierarchy.guard()
-        yield from guard.acquire(high)
-        yield from guard.acquire(low)
-
-    Process(k, bad())
-    with pytest.raises(RuntimeError, match="lock-order violation"):
-        k.run()
-
-
-def test_unregistered_lock_rejected():
-    hierarchy = LockHierarchy()
-    with pytest.raises(RuntimeError, match="not in hierarchy"):
-        hierarchy.level_of(SimLock(Kernel(), name="stray"))

@@ -172,13 +172,9 @@ def test_takeover_round_counter_distinguishes_polls():
 
     requests = [m for _, m in takeover.sent
                 if isinstance(m, NbStateRequest)]
+    # A fresh poll is never mistaken for a repeat of the previous one.
     rounds = {m.round for m in requests}
     assert len(rounds) >= 2
-    # One dedup key per round (shared across destinations — receivers
-    # deduplicate per source, so that is exactly right): a fresh poll is
-    # never mistaken for a wire duplicate of the previous one.
-    keys = {m.dedup_key for m in requests}
-    assert len(keys) == len(rounds)
 
 
 def test_stale_round_report_still_counts_durable_facts():

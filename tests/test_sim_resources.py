@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.kernel import Kernel, SimulationError
 from repro.sim.process import Process, Sleep
-from repro.sim.resources import Channel, Condition, Semaphore, SimLock
+from repro.sim.resources import Channel, Semaphore, SimLock
 
 from tests.conftest import run_proc
 
@@ -189,58 +189,3 @@ def test_channel_drain():
     assert chan.drain() == [1, 2]
     assert len(chan) == 0
 
-
-# ----------------------------------------------------------- Condition
-
-
-def test_condition_wait_signal():
-    k = Kernel()
-    lock = SimLock(k)
-    cond = Condition(k, lock)
-    state = {"ready": False}
-    seen = []
-
-    def waiter():
-        yield from lock.acquire(owner="w")
-        while not state["ready"]:
-            yield from cond.wait(owner="w")
-        seen.append(k.now)
-        lock.release()
-
-    def signaler():
-        yield Sleep(10.0)
-        yield from lock.acquire(owner="s")
-        state["ready"] = True
-        cond.signal()
-        lock.release()
-
-    Process(k, waiter())
-    Process(k, signaler())
-    k.run()
-    assert seen == [10.0]
-
-
-def test_condition_broadcast_wakes_all():
-    k = Kernel()
-    lock = SimLock(k)
-    cond = Condition(k, lock)
-    woke = []
-
-    def waiter(name):
-        yield from lock.acquire(owner=name)
-        yield from cond.wait(owner=name)
-        woke.append(name)
-        lock.release()
-
-    for name in ("a", "b", "c"):
-        Process(k, waiter(name))
-
-    def broadcaster():
-        yield Sleep(5.0)
-        yield from lock.acquire(owner="bc")
-        cond.broadcast()
-        lock.release()
-
-    Process(k, broadcaster())
-    k.run()
-    assert sorted(woke) == ["a", "b", "c"]
