@@ -44,7 +44,6 @@ class CostModel:
 
     # ------------------------------------------------------- Table 2 ---
     local_ipc: float = 1.5                   # local in-line IPC
-    local_ipc_to_server: float = 3.0         # local in-line IPC to a server
     local_outofline_ipc: float = 5.5         # local out-of-line IPC
     local_oneway_message: float = 1.0        # local one-way inline message
     remote_rpc: float = 29.0                 # full Camelot remote RPC
@@ -72,7 +71,6 @@ class CostModel:
     multicast_send_cycle: float = 1.7        # one cycle regardless of fan-out
 
     # ------------------------------------------------------- logging ---
-    log_write_lazy: float = 0.05             # buffer a record, no disk I/O
     log_batch_timer: float = 30.0            # group-commit accumulation window
     log_batch_limit: int = 32                # max commits folded into one force
 
@@ -84,8 +82,6 @@ class CostModel:
     logger_service_cpu: float = 0.3          # DiskMan CPU per log request
 
     # ------------------------------------------------ datagram layer ---
-    retransmit_timeout: float = 200.0        # TranMan datagram retry interval
-    max_retransmits: int = 10
     protocol_timeout: float = 1500.0         # subordinate decision timeout (NB commit)
     # A transaction with no protocol machine and no activity for this
     # long is an orphan (its coordinator died before commitment began):
@@ -131,7 +127,6 @@ def wan_profile() -> CostModel:
         datagram_jitter_base=2.0,
         datagram_jitter_per_load=1.0,
         datagram_send_jitter=3.0,
-        retransmit_timeout=500.0,
         protocol_timeout=4000.0,
     )
 

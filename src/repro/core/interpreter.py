@@ -5,7 +5,11 @@ The machines decide what happens inside one protocol run, the
 and this module *executes*, once, for both engines (the simulated
 :mod:`repro.servers.tranman` and :mod:`repro.live.host`): one handler
 per effect class, the piggyback queue, the ``(machine, token)`` timer
-table, and the running of the edge's replies and ordered steps.
+table, the running of the edge's replies and ordered steps, and the
+§3.2 datagram accounting: a machine's send is traced as
+``tranman.datagram`` / ``tranman.piggyback`` / ``tranman.multicast``
+immediately before it reaches the engine; stateless replies and
+own-site loopback are traced as nothing.
 
 Sans-IO: every act on the world is a call on the :class:`Engine` the
 interpreter was built over, and the interpreter never waits.  Where an
@@ -36,11 +40,6 @@ from repro.log.records import LogRecord
 Run = Generator[Any, Any, None]
 Wait = Generator[Any, Any, Any]
 
-# How a send is accounted: the §3.2 datagram counts are the machines'
-# sends; stateless replies and own-site loopback pass None.
-SENT = "datagram"
-PIGGYBACKED = "piggyback"
-
 # What an engine's force wait returns to stage a crash window: the
 # record is durable, the machine is never told.
 WITHHELD = object()
@@ -51,8 +50,7 @@ class Engine(Protocol):
     here; a timer handle is whatever ``start_timer`` returned, stopped
     by its own ``cancel()``; delays are protocol milliseconds."""
 
-    def send(self, dst: str, message: Any,
-             accounting: Optional[str]) -> None: ...
+    def send(self, dst: str, message: Any) -> None: ...
     def multicast(self, dsts: Sequence[str], message: Any) -> None: ...
     def append(self, record: LogRecord) -> int: ...
     def watch_durable(self, lsn: int, fn: Callable[[], None]) -> None: ...
@@ -113,7 +111,7 @@ class Interpreter:
         # Stateless answers go straight to the wire: no piggyback flush,
         # no part in the datagram counts.
         for dst, message in replies:
-            self.engine.send(dst, message, None)
+            self.engine.send(dst, message)
         return self.steps(steps)
 
     def local_prepared(self, machine: Optional[Any], tid: TID,
@@ -128,13 +126,14 @@ class Interpreter:
 
     def send_lazily(self, dst: str, message: Any) -> None:
         if dst == self.edge.site:
-            self.engine.send(dst, message, None)
+            self.engine.send(dst, message)  # loopback: not a datagram
         else:
             self._lazy.setdefault(dst, []).append(message)
 
     def flush(self, dst: str) -> None:
         for message in self._lazy.pop(dst, ()):
-            self.engine.send(dst, message, PIGGYBACKED)
+            self.engine.trace("tranman.piggyback", {"dst": dst})
+            self.engine.send(dst, message)
 
     def sweep(self) -> None:
         """Flush every destination (the engine's periodic sweep)."""
@@ -156,7 +155,15 @@ class Interpreter:
 
     def _send(self, machine: Any, effect: fx.SendDatagram) -> None:
         self.flush(effect.dst)  # piggyback opportunity
-        self.engine.send(effect.dst, effect.message, SENT)
+        self.engine.trace("tranman.datagram", {
+            "dst": effect.dst, "kind_of": type(effect.message).__name__})
+        self.engine.send(effect.dst, effect.message)
+
+    def _multicast(self, machine: Any, effect: fx.MulticastDatagram) -> None:
+        self.engine.trace("tranman.multicast", {
+            "fanout": len(effect.dsts),
+            "kind_of": type(effect.message).__name__})
+        self.engine.multicast(effect.dsts, effect.message)
 
     def _append(self, record: LogRecord) -> int:
         lsn = self.engine.append(record)
@@ -225,8 +232,7 @@ class Interpreter:
 HANDLERS: Dict[Type[fx.Effect],
                Callable[[Interpreter, Any, Any], Optional[Run]]] = {
     fx.SendDatagram: Interpreter._send,
-    fx.MulticastDatagram: lambda interp, machine, effect:
-        interp.engine.multicast(effect.dsts, effect.message),
+    fx.MulticastDatagram: Interpreter._multicast,
     fx.LazySendDatagram: lambda interp, machine, effect:
         interp.send_lazily(effect.dst, effect.message),
     fx.ForceLog: Interpreter._force,

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.lint.engine import FileInfo
 
@@ -44,6 +45,38 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+def parent_map(tree: ast.AST) -> Dict[ast.AST, ast.AST]:
+    parents: Dict[ast.AST, ast.AST] = {}
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            parents[child] = node
+    return parents
+
+
+# Why a function reaches a primitive:
+# ("prim", what it reads itself) | ("call", the callee qname that does).
+Why = Tuple[str, str]
+
+
+def witness_chain(reached: Dict[str, Why], qname: str,
+                  limit: int = 12) -> str:
+    """'f -> g -> primitive': the call chain :meth:`Program.reaching`
+    found from ``qname`` down to the primitive."""
+    parts: List[str] = []
+    cur: Optional[str] = qname
+    for _ in range(limit):
+        if cur is None or cur not in reached:
+            break
+        kind, detail = reached[cur]
+        parts.append(cur.split("::")[-1])
+        if kind == "prim":
+            parts.append(detail)
+            cur = None
+        else:
+            cur = detail
+    return " -> ".join(parts)
 
 
 @dataclass
@@ -142,6 +175,29 @@ class Program:
                 init = self.class_method(edge.callee, "__init__")
                 if init is not None:
                     yield init
+
+    def reaching(self, own_primitive: Callable[[FuncNode], Optional[str]]
+                 ) -> Dict[str, Why]:
+        """Every function that reaches a primitive over the call graph
+        (least fixed point), with a witness for each.  ``own_primitive``
+        names the primitive a function uses directly, or None."""
+        reached: Dict[str, Why] = {}
+        for qname, fn in self.funcs.items():
+            prim = own_primitive(fn)
+            if prim is not None:
+                reached[qname] = ("prim", prim)
+        changed = True
+        while changed:
+            changed = False
+            for qname in self.funcs:
+                if qname in reached:
+                    continue
+                for callee in self.callees(qname):
+                    if callee in reached:
+                        reached[qname] = ("call", callee)
+                        changed = True
+                        break
+        return reached
 
     def resolve_symbol(self, sub: str, name: str,
                        _depth: int = 0) -> Optional[Symbol]:

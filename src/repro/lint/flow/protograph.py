@@ -45,7 +45,8 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.lint.engine import LintContext
 from repro.lint.findings import Finding
 from repro.lint.flow import cfg
-from repro.lint.flow.callgraph import ClassNode, Program, dotted_name
+from repro.lint.flow.callgraph import (ClassNode, Program, dotted_name,
+                                       parent_map)
 from repro.lint.flow.forcepath import entry_paths, machine_classes
 
 # ----------------------------------------------------------- transitions
@@ -558,14 +559,6 @@ def happy_path_counts(program: Program, coord_name: str, sub_name: str,
 # ------------------------------------------------------------ the checks
 
 
-def _parents(tree: ast.AST) -> Dict[ast.AST, ast.AST]:
-    parents: Dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
-
-
 def _use_kind(node: ast.AST, parents: Dict[ast.AST, ast.AST]) -> str:
     """Classify one ``Enum.MEMBER`` read: 'check' | 'enter' | 'both'."""
     cur: Optional[ast.AST] = node
@@ -591,7 +584,7 @@ def _member_uses(ctx: LintContext,
     for info in ctx.files:
         if info.tree is None:
             continue
-        parents = _parents(info.tree)
+        parents = parent_map(info.tree)
         for node in ast.walk(info.tree):
             if not isinstance(node, ast.Attribute):
                 continue

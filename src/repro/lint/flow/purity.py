@@ -23,11 +23,12 @@ C. **Constructor fence** — machine ``__init__`` signatures must not
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 from repro.lint.engine import LintContext
 from repro.lint.findings import Finding
-from repro.lint.flow.callgraph import FuncNode, Program, dotted_name
+from repro.lint.flow.callgraph import (FuncNode, Program, dotted_name,
+                                       witness_chain)
 
 _ALLOWED_INTERNAL = ("core/", "log/records.py")
 _ALLOWED_STDLIB = {
@@ -68,45 +69,6 @@ def _own_io(fn: FuncNode) -> Optional[str]:
         if prim is not None:
             return prim
     return None
-
-
-_Why = Tuple[str, str]   # ("prim", name) | ("call", callee qname)
-
-
-def _propagate(program: Program) -> Dict[str, _Why]:
-    reaches: Dict[str, _Why] = {}
-    for qname, fn in program.funcs.items():
-        prim = _own_io(fn)
-        if prim is not None:
-            reaches[qname] = ("prim", prim)
-    changed = True
-    while changed:
-        changed = False
-        for qname in program.funcs:
-            if qname in reaches:
-                continue
-            for callee in program.callees(qname):
-                if callee in reaches:
-                    reaches[qname] = ("call", callee)
-                    changed = True
-                    break
-    return reaches
-
-
-def _chain(reaches: Dict[str, _Why], qname: str, limit: int = 12) -> str:
-    parts: List[str] = []
-    cur: Optional[str] = qname
-    for _ in range(limit):
-        if cur is None or cur not in reaches:
-            break
-        kind, detail = reaches[cur]
-        parts.append(cur.split("::")[-1])
-        if kind == "prim":
-            parts.append(f"{detail}")
-            cur = None
-        else:
-            cur = detail
-    return " -> ".join(parts)
 
 
 def _check_imports(ctx: LintContext, program: Program,
@@ -150,7 +112,7 @@ def _check_imports(ctx: LintContext, program: Program,
 
 def _check_reachability(ctx: LintContext, program: Program,
                         subs: Set[str]) -> List[Finding]:
-    reaches = _propagate(program)
+    reaches = program.reaching(_own_io)
     out: List[Finding] = []
     for fn in program.funcs.values():
         if fn.module not in subs:
@@ -168,7 +130,7 @@ def _check_reachability(ctx: LintContext, program: Program,
                 out.append(ctx.finding(
                     fn.info, fn.node, "flow-sansio-purity",
                     f"{fn.qname.split('::')[-1]} reaches IO primitive via "
-                    f"{_chain(reaches, callee)}; no socket/file/thread/"
+                    f"{witness_chain(reaches, callee)}; no socket/file/thread/"
                     f"wall-clock call may be reachable from a handler",
                     key=f"reach:{fn.qname}->{callee}"))
                 break

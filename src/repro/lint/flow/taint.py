@@ -22,11 +22,11 @@ to the primitive.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.lint.engine import LintContext
 from repro.lint.findings import Finding
-from repro.lint.flow.callgraph import FuncNode, Program
+from repro.lint.flow.callgraph import FuncNode, Program, witness_chain
 # The primitive vocabularies are shared with the per-file rules so the
 # two layers can never disagree about what "nondeterministic" means.
 from repro.lint.rules import _GLOBAL_RANDOM_FNS, _WALLCLOCK
@@ -48,48 +48,8 @@ def _own_primitive(fn: FuncNode) -> Optional[str]:
     return None
 
 
-# Witness: qname -> ("prim", detail) | ("call", callee_qname)
-_Why = Tuple[str, str]
-
-
-def _propagate(program: Program) -> Dict[str, _Why]:
-    tainted: Dict[str, _Why] = {}
-    for qname, fn in program.funcs.items():
-        prim = _own_primitive(fn)
-        if prim is not None:
-            tainted[qname] = ("prim", prim)
-    changed = True
-    while changed:
-        changed = False
-        for qname in program.funcs:
-            if qname in tainted:
-                continue
-            for callee in program.callees(qname):
-                if callee in tainted:
-                    tainted[qname] = ("call", callee)
-                    changed = True
-                    break
-    return tainted
-
-
-def chain(tainted: Dict[str, _Why], qname: str, limit: int = 12) -> str:
-    parts: List[str] = []
-    cur: Optional[str] = qname
-    for _ in range(limit):
-        if cur is None or cur not in tainted:
-            break
-        kind, detail = tainted[cur]
-        parts.append(cur.split("::")[-1])
-        if kind == "prim":
-            parts.append(detail)
-            cur = None
-        else:
-            cur = detail
-    return " -> ".join(parts)
-
-
 def run(ctx: LintContext, program: Program) -> List[Finding]:
-    tainted = _propagate(program)
+    tainted = program.reaching(_own_primitive)
     out: List[Finding] = []
     for fn in program.funcs.values():
         if not fn.info.sim_scoped:
@@ -108,7 +68,7 @@ def run(ctx: LintContext, program: Program) -> List[Finding]:
                 # rules' territory; flagging them here would duplicate
                 # every finding.
                 continue
-            witness = chain(tainted, callee)
+            witness = witness_chain(tainted, callee)
             out.append(ctx.finding(
                 fn.info, edge.node, "flow-determinism",
                 f"{fn.qname.split('::')[-1]} (sim-scoped) calls "

@@ -16,6 +16,7 @@ from typing import AbstractSet, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.engine import FileInfo, LintContext
 from repro.lint.findings import Finding
+from repro.lint.flow.callgraph import dotted_name, parent_map
 from repro.lint.registry import rule
 
 # ------------------------------------------------------------- helpers
@@ -26,26 +27,6 @@ def _walk_funcs(tree: ast.AST) -> Iterator[ast.AST]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.Lambda)):
             yield node
-
-
-def _parent_map(tree: ast.AST) -> Dict[ast.AST, ast.AST]:
-    parents: Dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    """'a.b.c' for nested Name/Attribute chains, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _is_kernel_attr(node: ast.AST) -> bool:
@@ -78,7 +59,7 @@ def check_wallclock(ctx: LintContext) -> List[Finding]:
         for node in ast.walk(info.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = _dotted(node.func)
+            name = dotted_name(node.func)
             if name in _WALLCLOCK:
                 out.append(ctx.finding(
                     info, node, "wallclock",
@@ -107,7 +88,7 @@ def check_unseeded_random(ctx: LintContext) -> List[Finding]:
         for node in ast.walk(info.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = _dotted(node.func)
+            name = dotted_name(node.func)
             if name is not None and name.startswith("random.") \
                     and name.split(".", 1)[1] in _GLOBAL_RANDOM_FNS:
                 out.append(ctx.finding(
@@ -168,7 +149,7 @@ def _unordered_iterable(node: ast.AST, set_attrs: Set[str],
     if isinstance(node, ast.Set):
         return "a set literal"
     if isinstance(node, ast.Call):
-        name = _dotted(node.func)
+        name = dotted_name(node.func)
         if name in ("set", "frozenset"):
             return f"{name}(...)"
         if isinstance(node.func, ast.Attribute) and node.func.attr in (
@@ -250,7 +231,7 @@ def _cost_typed_names(func: ast.AST) -> Set[str]:
         if isinstance(n, ast.Assign) and len(n.targets) == 1 \
                 and isinstance(n.targets[0], ast.Name) \
                 and isinstance(n.value, ast.Call):
-            callee = _dotted(n.value.func) or ""
+            callee = dotted_name(n.value.func) or ""
             leaf = callee.rsplit(".", 1)[-1]
             if leaf in ("_c", "CostModel", "rt_pc_profile", "vax_mp_profile",
                         "wan_profile", "with_overrides"):
@@ -345,9 +326,9 @@ def check_lazy_log_force(ctx: LintContext) -> List[Finding]:
         for node in ast.walk(info.tree):
             # ForceLog(abort_record(...)) — presumed abort violation.
             if isinstance(node, ast.Call) \
-                    and _dotted(node.func) == "ForceLog" and node.args \
+                    and dotted_name(node.func) == "ForceLog" and node.args \
                     and isinstance(node.args[0], ast.Call) \
-                    and (_dotted(node.args[0].func) or "").endswith(
+                    and (dotted_name(node.args[0].func) or "").endswith(
                         "abort_record"):
                 out.append(ctx.finding(
                     info, node, "lazy-log-force",
@@ -356,13 +337,13 @@ def check_lazy_log_force(ctx: LintContext) -> List[Finding]:
             # ForceLog inside an `if ... TwoPhaseVariant.OPTIMIZED` body.
             if isinstance(node, ast.If) and any(
                     isinstance(t, ast.Attribute) and t.attr == "OPTIMIZED"
-                    and (_dotted(t) or "").endswith(
+                    and (dotted_name(t) or "").endswith(
                         "TwoPhaseVariant.OPTIMIZED")
                     for t in ast.walk(node.test)):
                 for inner in node.body:
                     for c in ast.walk(inner):
                         if isinstance(c, ast.Call) \
-                                and _dotted(c.func) == "ForceLog":
+                                and dotted_name(c.func) == "ForceLog":
                             out.append(ctx.finding(
                                 info, c, "lazy-log-force",
                                 "log force on the OPTIMIZED delayed-"
@@ -382,7 +363,7 @@ def check_consumed_fire_and_forget(ctx: LintContext) -> List[Finding]:
     for info in ctx.sim_files():
         if info.tree is None:
             continue
-        parents = _parent_map(info.tree)
+        parents = parent_map(info.tree)
         for node in ast.walk(info.tree):
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
@@ -413,9 +394,9 @@ def check_no_environ(ctx: LintContext) -> List[Finding]:
         for node in ast.walk(info.tree):
             name = None
             if isinstance(node, ast.Attribute):
-                name = _dotted(node)
+                name = dotted_name(node)
             elif isinstance(node, ast.Call):
-                name = _dotted(node.func)
+                name = dotted_name(node.func)
             if name in ("os.environ", "os.getenv", "os.environb"):
                 out.append(ctx.finding(
                     info, node, "no-environ",
@@ -511,7 +492,7 @@ def check_chaos_oracle_readonly(ctx: LintContext) -> List[Finding]:
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         decorated = any(
-            isinstance(d, ast.Call) and (_dotted(d.func) or "") == "oracle"
+            isinstance(d, ast.Call) and (dotted_name(d.func) or "") == "oracle"
             for d in func.decorator_list)
         if not decorated or not func.args.args:
             continue
@@ -567,7 +548,7 @@ def check_obs_readonly(ctx: LintContext) -> List[Finding]:
             tainted: Set[str] = set()
             for a in (*func.args.args, *func.args.posonlyargs,
                       *func.args.kwonlyargs):
-                ann = _dotted(a.annotation) if a.annotation is not None \
+                ann = dotted_name(a.annotation) if a.annotation is not None \
                     else None
                 if a.arg in _OBS_SIM_PARAM_NAMES \
                         or (ann or "").split(".")[-1] in _OBS_SIM_TYPE_NAMES:
@@ -633,7 +614,7 @@ def _container_attrs(cls: ast.ClassDef) -> Dict[str, ast.AST]:
                                    ast.ListComp, ast.DictComp,
                                    ast.SetComp))
                 or (isinstance(value, ast.Call)
-                    and (_dotted(value.func) or "").split(".")[-1]
+                    and (dotted_name(value.func) or "").split(".")[-1]
                     in _CONTAINER_CTORS))
             if not is_container:
                 continue

@@ -28,23 +28,12 @@ import tempfile
 import time
 from typing import Optional
 
-from repro.core.outcomes import Vote
-
 
 def _run_site(args: argparse.Namespace) -> int:
     from repro.live.site import LiveSite
 
-    votes = {}
-    for spec in args.vote:
-        site_name, _, value = spec.partition("=")
-        votes[site_name] = Vote(value)
-
     async def main() -> None:
         site = LiveSite(args.name, args.dir,
-                        wire_ms=args.wire_ms,
-                        force_floor_ms=args.force_floor_ms,
-                        prepare_ms=args.prepare_ms,
-                        votes=votes,
                         hold_force_tokens=tuple(args.hold))
         loop = asyncio.get_running_loop()
         loop.add_signal_handler(
@@ -127,12 +116,6 @@ def main(argv: Optional[list] = None) -> int:
                         metavar="TOKEN",
                         help="wedge after fsyncing this force token "
                              "(deterministic crash window)")
-    p_site.add_argument("--vote", action="append", default=[],
-                        metavar="SITE=VOTE",
-                        help="scripted local-prepare vote")
-    p_site.add_argument("--wire-ms", type=float, default=0.0)
-    p_site.add_argument("--force-floor-ms", type=float, default=0.0)
-    p_site.add_argument("--prepare-ms", type=float, default=0.0)
 
     p_conf = sub.add_parser("conformance",
                             help="sim vs live transcript equality")

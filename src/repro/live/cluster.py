@@ -80,16 +80,13 @@ def wait_until(predicate, timeout_s: float, what: str) -> None:
 
 
 def spawn_site(run_dir: str, site: str,
-               hold: Sequence[str] = (),
-               votes: Sequence[str] = ()) -> subprocess.Popen:
+               hold: Sequence[str] = ()) -> subprocess.Popen:
     """Launch one LiveSite process; returns once its port is published."""
     clear_port_file(run_dir, site)
     cmd = [sys.executable, "-m", "repro.live", "site",
            "--name", site, "--dir", run_dir]
     for token in hold:
         cmd += ["--hold", token]
-    for vote in votes:
-        cmd += ["--vote", vote]
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))

@@ -28,7 +28,7 @@ from __future__ import annotations
 import asyncio
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Tuple
 
 from repro.config import SystemConfig
 from repro.core.outcomes import Outcome
@@ -134,21 +134,22 @@ def _diff_tranman(host: Pairs, tranman: Pairs) -> List[str]:
     return out
 
 
-def run_tranman_scenario(scenario: Scenario) -> Transcript:
-    """The third leg: each step is one minimal transaction writing at
-    ``server0`` of the coordinator and of every subordinate.  Protocol
-    datagrams are recorded at the TranMan's send primitive (ComMan's
-    RPC traffic takes another road; nothing here multicasts)."""
+def tranman_leg(scenario: Scenario) -> Tuple[CamelotSystem, Transcript]:
+    """The third leg, built and its steps scheduled, not yet run: each
+    step is one minimal transaction writing at ``server0`` of the
+    coordinator and of every subordinate.  Protocol datagrams are
+    recorded at the TranMan's send primitive (ComMan's RPC traffic takes
+    another road; nothing here multicasts)."""
     system = CamelotSystem(SystemConfig(
         cost=scenario.cost, sites={site: 1 for site in scenario.sites}))
     transcript = Transcript()
     for site in scenario.sites:
         tranman = system.tranman(site)
 
-        def send(dst: str, message: Any, accounting: Optional[str],
-                 src: str = site, wire: Any = tranman.send) -> None:
+        def send(dst: str, message: Any, src: str = site,
+                 wire: Any = tranman.send) -> None:
             transcript.record(src, dst, message)
-            wire(dst, message, accounting)
+            wire(dst, message)
 
         tranman.send = send
     for step in scenario.steps:
@@ -156,8 +157,7 @@ def run_tranman_scenario(scenario: Scenario) -> Transcript:
             [f"server0@{site}" for site in (step.site, *step.subordinates)],
             protocol=PROTOCOLS[step.protocol], variant=step.variant)
         system.kernel.schedule(step.at_ms, system.spawn, body)
-    system.run_for(scenario.horizon_ms)
-    return transcript
+    return system, transcript
 
 
 async def run_live_scenario(scenario: Scenario, run_dir: str,
@@ -198,10 +198,9 @@ async def run_live_scenario(scenario: Scenario, run_dir: str,
                    for name, s in sites.items()}
     for site in sites.values():
         await site.stop()
-    merged = Transcript()
-    merged.from_dicts(live_pairs)
     return ConformanceReport(
-        match=False, sim_bytes=b"", live_bytes=merged.canonical_bytes(),
+        match=False, sim_bytes=b"",
+        live_bytes=canonical_json(live_pairs).encode("utf-8"),
         sim_pairs={}, live_pairs=live_pairs, live_completions=completions)
 
 
@@ -212,12 +211,14 @@ def run_conformance(run_dir: str, fsync: bool = True) -> ConformanceReport:
     sim_pairs = sim_transcript.pair_sequences()
     sim_bytes = sim_transcript.canonical_bytes()
     live = asyncio.run(run_live_scenario(scenario, run_dir, fsync=fsync))
+    system, tranman_transcript = tranman_leg(scenario)
+    system.run_for(scenario.horizon_ms)
     report = ConformanceReport(
         match=sim_bytes == live.live_bytes,
         sim_bytes=sim_bytes, live_bytes=live.live_bytes,
         sim_pairs=sim_pairs, live_pairs=live.live_pairs,
         live_completions=live.live_completions,
-        tranman_pairs=run_tranman_scenario(scenario).pair_sequences())
+        tranman_pairs=tranman_transcript.pair_sequences())
     if not report.match:
         report.mismatches = _diff_pairs(sim_pairs, live.live_pairs)
         if not report.mismatches:

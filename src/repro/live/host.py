@@ -5,7 +5,7 @@ the :class:`~repro.core.edge.ProtocolEdge` and the
 :class:`~repro.core.interpreter.Interpreter` it shares with the
 simulated TranMan; what is left here is a concurrency model, and the
 interpreter's primitives over a small :class:`Substrate` — send a
-datagram, append/force the WAL, arm a timer.  The simulator harness
+datagram, force the WAL it carries, arm a timer.  The simulator harness
 (:mod:`repro.live.simhost`) plugs the deterministic kernel + token-ring
 LAN into that interface; the live harness (:mod:`repro.live.site`)
 plugs asyncio TCP + an fsync-backed WAL file.
@@ -48,6 +48,7 @@ from repro.core.messages import FamilyAbort, FamilyAbortAck
 from repro.core.outcomes import Outcome, ProtocolKind, TwoPhaseVariant, Vote
 from repro.core.tid import TID, TidGenerator
 from repro.log.records import LogRecord
+from repro.log.storage import LogTail
 from repro.servers.recovery import RecoveryPlan, build_machines
 
 # The short protocol names the drivers and the control channel use.
@@ -57,15 +58,16 @@ PROTOCOLS = {"2pc": ProtocolKind.TWO_PHASE,
 
 
 class Substrate(Protocol):
-    """What a harness must provide (see module docstring).  A timer
-    handle is stopped by its own ``cancel()``; ``start_timer`` delays are
-    protocol milliseconds, virtual for the simulator and real for live."""
+    """What a harness must provide (see module docstring).  The host
+    appends to and watches ``wal`` itself; ``force`` makes its prefix up
+    to ``lsn`` durable, in the harness's own time, then calls ``done``.
+    A timer handle is stopped by its own ``cancel()``; ``start_timer``
+    delays are protocol milliseconds, virtual or real."""
+
+    wal: LogTail
 
     def send(self, dst: str, message: Any) -> None: ...
-    def append(self, record: LogRecord) -> int: ...
     def force(self, lsn: int, done: Callable[[], None]) -> None: ...
-    def force_tail(self) -> None: ...
-    def watch_durable(self, lsn: int, fn: Callable[[], None]) -> None: ...
     def start_timer(self, delay_ms: float, fn: Callable[[], None]) -> Any: ...
     def trace(self, kind: str, detail: Dict[str, Any]) -> None: ...
 
@@ -106,9 +108,9 @@ class SiteHost:
         self.on_complete: Optional[Callable[[TID, Outcome], None]] = None
 
         self.interp = Interpreter(self.edge, self)
-        # These primitives are the substrate's own.
-        self.append = substrate.append
-        self.watch_durable = substrate.watch_durable
+        # These primitives are the substrate's, and its WAL's, own.
+        self.send = substrate.send
+        self.watch_durable = substrate.wal.watch_durable
         self.start_timer = substrate.start_timer
         self.trace = substrate.trace
         # Inputs not yet started, the running one, whether it is parked
@@ -132,7 +134,10 @@ class SiteHost:
             self._sweep_handle = None
 
     def _sweep(self) -> None:
-        self.substrate.force_tail()
+        wal = self.substrate.wal
+        if wal.last_lsn > wal.durable_lsn:
+            # Lazy records become durable eventually; nobody waits.
+            self.substrate.force(wal.last_lsn, lambda: None)
         self.interp.sweep()
         self.start_sweeps()
 
@@ -222,12 +227,14 @@ class SiteHost:
 
     # ------- the interpreter's primitives (repro.core.interpreter.Engine)
 
-    def send(self, dst: str, message: Any, accounting: Optional[str]) -> None:
-        self.substrate.send(dst, message)
-
     def multicast(self, dsts: Sequence[str], message: Any) -> None:
         for dst in dsts:
             self.substrate.send(dst, message)
+
+    def append(self, record: LogRecord) -> int:
+        self.substrate.wal.append(record)
+        assert record.lsn is not None
+        return record.lsn
 
     def force(self, lsn: int, record: LogRecord, token: str) -> Wait:
         return (yield lsn, token)  # _pump parks on it, and answers

@@ -45,28 +45,13 @@ class Transcript:
         """Per ``"src->dst"`` pair, the FIFO sequence of messages."""
         pairs: Dict[str, List[Dict[str, Any]]] = {}
         for src, dst, message in self.entries:
-            data = (message.data if isinstance(message, _Raw)
-                    else message_to_dict(message))
-            pairs.setdefault(f"{src}->{dst}", []).append(data)
+            pairs.setdefault(f"{src}->{dst}", []).append(
+                message_to_dict(message))
         return pairs
 
     def canonical_bytes(self) -> bytes:
         """The byte string conformance compares (sorted pairs, FIFO within)."""
         return canonical_json(self.pair_sequences()).encode("utf-8")
-
-    def from_dicts(self, pairs: Dict[str, List[Dict[str, Any]]]) -> None:
-        """Load entries from a remote site's serialized pair sequences."""
-        for pair, messages in pairs.items():
-            src, dst = pair.split("->", 1)
-            for message in messages:
-                self.entries.append((src, dst, _Raw(message)))
-
-
-class _Raw:
-    """A message already in dict form (from a remote site's status)."""
-
-    def __init__(self, data: Dict[str, Any]):
-        self.data = data
 
 
 def merge_pair_sequences(per_site: Sequence[Dict[str, List[Dict[str, Any]]]]

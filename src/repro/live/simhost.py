@@ -19,7 +19,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.config import CostModel
 from repro.core.outcomes import Vote
-from repro.log.records import LogRecord
 from repro.net.lan import Lan
 from repro.sim.kernel import Kernel, Timer
 from repro.sim.rng import RngStreams
@@ -65,11 +64,6 @@ class SimSubstrate(Substrate):
 
     # ------------------------------------------------------------ wal
 
-    def append(self, record: LogRecord) -> int:
-        lsn = self.wal.append(record).lsn
-        assert lsn is not None
-        return lsn
-
     def force(self, lsn: int, done: Callable[[], None]) -> None:
         self.kernel.post(self.cost.log_force, self._force_done, lsn, done)
 
@@ -77,19 +71,6 @@ class SimSubstrate(Substrate):
         for fn in self.wal.force(lsn):
             fn()
         done()
-
-    def force_tail(self) -> None:
-        if self.wal.last_lsn <= self.wal.durable_lsn:
-            return
-        lsn = self.wal.last_lsn
-        self.kernel.post(self.cost.log_force, self._tail_done, lsn)
-
-    def _tail_done(self, lsn: int) -> None:
-        for fn in self.wal.force(lsn):
-            fn()
-
-    def watch_durable(self, lsn: int, fn: Callable[[], None]) -> None:
-        self.wal.watch_durable(lsn, fn)
 
     # ---------------------------------------------------------- timers
 

@@ -32,10 +32,8 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.config import CostModel
 from repro.core.outcomes import TwoPhaseVariant, Vote
-from repro.log.records import LogRecord
 from repro.servers.recovery import analyze
 from repro.live.codec import (
-    KIND_CONTROL,
     KIND_MESSAGE,
     FrameDecoder,
     FrameError,
@@ -215,11 +213,6 @@ class LiveSubstrate(Substrate):
 
     # ------------------------------------------------------------ wal
 
-    def append(self, record: LogRecord) -> int:
-        lsn = self.wal.append(record).lsn
-        assert lsn is not None
-        return lsn
-
     def force(self, lsn: int, done: Callable[[], None]) -> None:
         # fsync NOW — the record must be durable before anything that
         # follows it (that is the whole point of a force, and what the
@@ -234,20 +227,6 @@ class LiveSubstrate(Substrate):
         for fn in ready:
             fn()
         done()
-
-    def force_tail(self) -> None:
-        if self.wal.last_lsn <= self.wal.durable_lsn:
-            return
-        ready = self.wal.force(None)
-        self.forces.put(lambda: self._fire_watches(ready))
-
-    @staticmethod
-    def _fire_watches(ready: List[Callable[[], None]]) -> None:
-        for fn in ready:
-            fn()
-
-    def watch_durable(self, lsn: int, fn: Callable[[], None]) -> None:
-        self.wal.watch_durable(lsn, fn)
 
     # ---------------------------------------------------------- timers
 
@@ -382,12 +361,6 @@ class LiveSite:
             return {"ok": True, "tid": str(tid)}
         if cmd == "status":
             return self._status()
-        if cmd == "transcript":
-            return {"ok": True,
-                    "pairs": self.substrate.transcript.pair_sequences()}
-        if cmd == "hold":
-            self.host.hold_force_tokens = set(payload.get("tokens", []))
-            return {"ok": True}
         if cmd == "stop":
             asyncio.get_running_loop().call_soon(
                 lambda: asyncio.ensure_future(self.stop()))

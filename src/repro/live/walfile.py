@@ -1,9 +1,10 @@
-"""A real on-disk write-ahead log with the simulator WAL's semantics.
+"""The live devices under the log tail: memory, and a real file.
 
-Mirrors :class:`repro.log.wal.WriteAheadLog`'s contract — ``append``
-assigns an LSN to a volatile record, ``force(lsn)`` makes the prefix up
-to ``lsn`` durable, durability watches fire once their LSN is covered —
-but durability here is a genuine ``os.fsync`` on a file the
+LSN assignment, the durable prefix and the durability watches are
+:class:`repro.log.storage.LogTail`'s — the class the simulated
+:class:`repro.log.wal.WriteAheadLog` is built on too, so the three
+cannot disagree on them.  :class:`FileWal` adds what the tail lacks:
+durability as a genuine ``os.fsync`` on a file the
 :mod:`repro.servers.recovery` discriminators can read back after
 ``kill -9``.
 
@@ -24,6 +25,7 @@ import zlib
 from typing import Callable, List, Optional, Tuple
 
 from repro.log.records import LogRecord
+from repro.log.storage import LogTail
 
 WAL_MAGIC = b"RWAL"
 WAL_VERSION = 1
@@ -66,65 +68,18 @@ def read_records(path: str) -> List[LogRecord]:
     return records
 
 
-class MemoryWal:
-    """The in-memory tail of a live-mode WAL: LSN assignment, the
-    durable prefix and the durability watch list.
-
-    On its own it is the simulator-side WAL — a force has nothing to
-    write — and :class:`FileWal` is the same tail with a file under it,
-    so the two substrates cannot disagree on LSNs or watch order.
-    """
-
-    def __init__(self, durable_lsn: int = 0) -> None:
-        self._durable_lsn = durable_lsn
-        # LSNs are dense: the volatile records are exactly those
-        # numbered durable_lsn+1 .. last_lsn, in order.
-        self._volatile: List[LogRecord] = []
-        self._watches: List[Tuple[int, Callable[[], None]]] = []
-
-    @property
-    def durable_lsn(self) -> int:
-        return self._durable_lsn
-
-    @property
-    def last_lsn(self) -> int:
-        return self._durable_lsn + len(self._volatile)
-
-    def append(self, record: LogRecord) -> LogRecord:
-        record.lsn = self.last_lsn + 1
-        self._volatile.append(record)
-        return record
+class MemoryWal(LogTail):
+    """The tail with no device under it: a force has nothing to write.
+    This is the WAL of the ``SiteHost``-over-kernel conformance leg."""
 
     def force(self, lsn: Optional[int] = None) -> List[Callable[[], None]]:
-        """Make the prefix up to ``lsn`` (default: everything) durable.
-
-        Returns the durability watches that became satisfied; the caller
-        fires them (after any completion pacing it applies).
-        """
-        target = self.last_lsn if lsn is None else min(lsn, self.last_lsn)
-        if target > self._durable_lsn:
-            count = target - self._durable_lsn
-            self._write(self._volatile[:count])
-            del self._volatile[:count]
-            self._durable_lsn = target
-        ready = [fn for watch_lsn, fn in self._watches
-                 if watch_lsn <= self._durable_lsn]
-        self._watches = [(watch_lsn, fn) for watch_lsn, fn in self._watches
-                         if watch_lsn > self._durable_lsn]
-        return ready
-
-    def _write(self, records: List[LogRecord]) -> None:
-        """Put ``records`` on stable storage; memory has none."""
-
-    def watch_durable(self, lsn: int, fn: Callable[[], None]) -> None:
-        """Run ``fn`` once ``lsn`` is durable (immediately if it already is)."""
-        if lsn <= self._durable_lsn:
-            fn()
-            return
-        self._watches.append((lsn, fn))
+        """Make the prefix up to ``lsn`` (default: everything) durable;
+        returns the watches that became satisfied, which the caller
+        fires (after any completion pacing it applies)."""
+        return self.publish(self.take(lsn))
 
 
-class FileWal(MemoryWal):
+class FileWal(LogTail):
     """One site's on-disk WAL.
 
     All methods are synchronous; the live substrate calls them from the
@@ -165,14 +120,18 @@ class FileWal(MemoryWal):
         """The durable prefix found at open (input to recovery analysis)."""
         return list(self._recovered)
 
-    def _write(self, records: List[LogRecord]) -> None:
-        for record in records:
-            body = json.dumps(record.to_dict(), sort_keys=True,
-                              separators=(",", ":")).encode("utf-8")
-            self._file.write(_REC.pack(len(body), zlib.crc32(body)) + body)
-        self._file.flush()
-        if self._fsync:
-            os.fsync(self._file.fileno())
+    def force(self, lsn: Optional[int] = None) -> List[Callable[[], None]]:
+        """:meth:`MemoryWal.force`, with a write and an fsync first."""
+        records = self.take(lsn)
+        if records:
+            for record in records:
+                body = json.dumps(record.to_dict(), sort_keys=True,
+                                  separators=(",", ":")).encode("utf-8")
+                self._file.write(_REC.pack(len(body), zlib.crc32(body)) + body)
+            self._file.flush()
+            if self._fsync:
+                os.fsync(self._file.fileno())
+        return self.publish(records)
 
     def close(self) -> None:
         self._file.close()

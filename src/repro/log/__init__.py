@@ -6,11 +6,13 @@ provides:
 
 - :mod:`repro.log.records` — typed log records (update, prepare, commit,
   abort, replication, end) with a serialisable wire form;
-- :mod:`repro.log.storage` — crash-surviving stable storage;
+- :mod:`repro.log.storage` — crash-surviving stable storage, and the
+  one log tail (LSNs, volatile suffix, durable prefix, durability
+  watches) every WAL here and in :mod:`repro.live` is a device under;
 - :mod:`repro.log.disk` — the log device timing model (~15 ms per force,
   ~30 writes/s, the numbers the paper's Table 2 reports);
-- :mod:`repro.log.wal` — the write-ahead log proper: LSNs, lazy buffered
-  writes, synchronous forces;
+- :mod:`repro.log.wal` — the write-ahead log proper: that tail over
+  the modelled disk, lazy buffered writes, synchronous forces;
 - :mod:`repro.log.batcher` — group commit: folding many concurrent force
   requests into one disk write (the enabler for multithreaded TranMan
   throughput, paper §3.5 and Figure 4).

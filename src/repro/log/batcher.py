@@ -27,7 +27,7 @@ from typing import Any, Generator, Optional
 from repro.log.wal import WriteAheadLog
 from repro.sim.events import SimEvent
 from repro.sim.kernel import Kernel, Timer
-from repro.sim.process import Wait
+from repro.sim.process import Process
 from repro.sim.tracing import Tracer
 
 
@@ -64,18 +64,18 @@ class GroupCommitBatcher:
 
     def force(self, lsn: Optional[int] = None) -> Generator[Any, Any, None]:
         """Durably flush up to ``lsn``; batched when enabled."""
-        target = self.wal.tail_lsn if lsn is None else lsn
-        if target <= self.wal.flushed_lsn:
+        target = self.wal.last_lsn if lsn is None else lsn
+        if target <= self.wal.durable_lsn:
             return
         if not self.enabled:
             yield from self.wal.force(target)
             return
         rnd = self._join_round(target)
-        yield Wait(rnd.done)
+        yield rnd.done
         # The round's write may have covered a shorter prefix than this
         # request needs if the WAL grew after the timer fired; rare, but
         # force semantics must hold unconditionally.
-        if target > self.wal.flushed_lsn:
+        if target > self.wal.durable_lsn:
             yield from self.wal.force(target)
 
     def _join_round(self, target: int) -> _Round:
@@ -99,8 +99,6 @@ class GroupCommitBatcher:
             return  # already fired via the batch limit
         self._round = None
         self._timer = None
-        from repro.sim.process import Process
-
         Process(self.kernel, self._flush_round(rnd), name="gc.flush")
 
     def _flush_round(self, rnd: _Round) -> Generator[Any, Any, None]:

@@ -32,7 +32,6 @@ from repro.mach.message import Message
 from repro.mach.ports import Port
 from repro.sim.events import SimEvent
 from repro.sim.kernel import Kernel
-from repro.sim.process import Wait
 from repro.sim.tracing import Tracer
 
 FLAVOURS = ("inline", "oneway", "outofline", "immediate")
@@ -122,14 +121,14 @@ class IpcFabric:
         msg.body.setdefault("_reply_flavour", reply_flavour or flavour)
         self.send(port, msg, flavour=flavour, sender_site=sender_site)
         if timeout is None:
-            response = yield Wait(handle.event)
+            response = yield handle.event
         else:
             from repro.sim.events import any_of, timeout_event
 
-            winner = yield Wait(any_of(
+            winner = yield any_of(
                 self.kernel,
                 [handle.event, timeout_event(self.kernel, timeout)],
-                name="call-or-timeout"))
+                name="call-or-timeout")
             index, value = winner
             if index == 1:
                 return None

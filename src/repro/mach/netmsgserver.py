@@ -28,7 +28,7 @@ from repro.mach.ports import Port
 from repro.net.lan import Lan
 from repro.sim.events import SimEvent, any_of, timeout_event
 from repro.sim.kernel import Kernel
-from repro.sim.process import Sleep, Wait
+from repro.sim.process import Sleep
 from repro.sim.tracing import Tracer
 
 
@@ -131,11 +131,11 @@ class NetMsgServer:
                          lambda m: self._deliver_request(dest_port, m),
                          latency_override=self.wire_leg())
         if timeout is None:
-            response = yield Wait(done)
+            response = yield done
             return response
-        winner = yield Wait(any_of(self.kernel,
-                                   [done, timeout_event(self.kernel, timeout)],
-                                   name="rpc-or-timeout"))
+        winner = yield any_of(self.kernel,
+                              [done, timeout_event(self.kernel, timeout)],
+                              name="rpc-or-timeout")
         index, value = winner
         if index == 0:
             return value

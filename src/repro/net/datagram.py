@@ -10,6 +10,10 @@ Accordingly this service is deliberately thin:
 
 - :meth:`DatagramService.send` / :meth:`DatagramService.multicast` put a
   :class:`Datagram` on the LAN — unreliable, unordered;
+- an arriving datagram is handed, in the kernel turn it arrives in, to
+  the callable the endpoint's owner registered as
+  :attr:`DatagramService.receiver` (the TranMan's puts it on its
+  request port): no queue and no process of this layer's own;
 - timeout/retry and duplicate detection are *not* here: the protocol
   state machines own their timers and answer a repeated message
   idempotently, exactly as in Camelot.
@@ -19,11 +23,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.net.lan import Lan
 from repro.sim.kernel import Kernel
-from repro.sim.resources import Channel
 from repro.sim.tracing import Tracer
 
 _dgram_seq = itertools.count(1)
@@ -44,10 +47,8 @@ class Datagram:
 
 
 class DatagramService:
-    """One endpoint of the datagram layer, owned by one site's TranMan.
-
-    Received payloads land in :attr:`inbox`, a simulation channel the
-    TranMan's threads drain.
+    """One endpoint of the datagram layer, owned by one site's TranMan,
+    which sets :attr:`receiver` to take each received :class:`Datagram`.
     """
 
     def __init__(self, kernel: Kernel, lan: Lan, site: str, tracer: Tracer,
@@ -62,7 +63,8 @@ class DatagramService:
         self.peers: Dict[str, "DatagramService"] = (
             peers if peers is not None else {})
         self.peers[site] = self
-        self.inbox: Channel = Channel(kernel, name=f"{site}.dgram")
+        # Until an owner registers, nobody listens: mail is dropped.
+        self.receiver: Callable[[Datagram], None] = lambda dgram: None
         self.sent = 0
         self.received = 0
 
@@ -109,4 +111,4 @@ class DatagramService:
 
     def _deliver(self, dgram: Datagram) -> None:
         self.received += 1
-        self.inbox.put(dgram)
+        self.receiver(dgram)

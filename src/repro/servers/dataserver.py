@@ -40,7 +40,7 @@ from repro.servers.diskman import DiskManager
 from repro.servers.lockmgr import LockManager, LockMode
 from repro.sim.events import SimEvent
 from repro.sim.kernel import Kernel
-from repro.sim.process import Sleep, Wait
+from repro.sim.process import Sleep
 from repro.sim.tracing import Tracer
 
 
@@ -206,11 +206,11 @@ class DataServer:
         digest = hashlib.sha256(
             f"{self.name}:{tid}:{self._wait_seq}".encode()).digest()
         stagger = 0.75 + 0.5 * (digest[0] / 255.0)
-        winner = yield Wait(any_of(
+        winner = yield any_of(
             self.kernel,
             [granted, timeout_event(self.kernel,
                                     self.cost.lock_wait_timeout * stagger)],
-            name=f"{self.name}.lockwait"))
+            name=f"{self.name}.lockwait")
         if obs is not None:
             obs.end(wait_sid, self.kernel.now)
         index, __ = winner

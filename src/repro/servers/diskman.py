@@ -109,7 +109,7 @@ class DiskManager:
 
     def watch_durable(self, lsn: int, callback: Callable[[], None]) -> None:
         """``callback()`` once the record at ``lsn`` is on stable storage."""
-        self.wal.add_durability_watch(lsn, callback)
+        self.wal.watch_durable(lsn, callback)
 
     # ------------------------------------------------------ checkpoints
 
@@ -157,12 +157,12 @@ class DiskManager:
         try:
             while True:
                 yield Sleep(self.LAZY_FLUSH_POLL_MS)
-                if (self.wal.tail_lsn > self.wal.flushed_lsn
+                if (self.wal.last_lsn > self.wal.durable_lsn
                         and (self.kernel.now - self.wal.last_append_at)
                         >= self.LAZY_FLUSH_DEBOUNCE_MS):
                     self.tracer.record(self.kernel.now, "diskman.lazy_sweep",
                                        site=self.site.name)
-                    yield from self.wal.force(self.wal.tail_lsn)
+                    yield from self.wal.force(self.wal.last_lsn)
         except ProcessKilled:
             raise
 
@@ -197,7 +197,7 @@ class DiskManager:
                     entry = self._pages[key]
                     # The page may be re-dirtied while we wait for the
                     # log; loop until its records really are durable.
-                    while entry.rec_lsn > self.wal.flushed_lsn:
+                    while entry.rec_lsn > self.wal.durable_lsn:
                         yield from self.wal.force(entry.rec_lsn)
                     self._assert_wal_protocol(entry)
                     yield from self.data_disk.write(256)
@@ -208,10 +208,10 @@ class DiskManager:
             raise
 
     def _assert_wal_protocol(self, entry: _BufferedPage) -> None:
-        if entry.rec_lsn > self.wal.flushed_lsn:
+        if entry.rec_lsn > self.wal.durable_lsn:
             raise WalProtocolError(
                 f"page {entry.key} (rec_lsn={entry.rec_lsn}) would reach "
-                f"disk before the log (flushed={self.wal.flushed_lsn})")
+                f"disk before the log (durable={self.wal.durable_lsn})")
 
     # ------------------------------------------------------- statistics
 

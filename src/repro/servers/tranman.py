@@ -11,7 +11,9 @@ shares with the live host:
 - a request port drained by a **C-Threads-style pool** (size is the
   experimental parameter of Figures 4-5); every thread waits for any
   type of input — application calls, server joins, inbound datagrams —
-  processes it, and resumes waiting (paper §3.4);
+  processes it, and resumes waiting (paper §3.4).  Nothing stands
+  between the wire and the pool: the datagram layer enqueues an
+  arriving datagram on the port directly;
 - the **family descriptor hash table**, each family protected by its own
   lock so only same-family operations contend;
 - the **primitives** the shared :mod:`repro.core.interpreter` executes
@@ -32,7 +34,6 @@ from typing import (
     Dict,
     Generator,
     List,
-    Optional,
     Sequence,
     Set,
     Tuple,
@@ -43,7 +44,7 @@ from repro.core.abortproto import AbortInitiator, AbortParticipant
 from repro.core.edge import PIGGYBACK_SWEEP_MS, ProtocolEdge, Step
 from repro.core.effects import Effect, LocalPrepare
 from repro.core.family import FamilyTable
-from repro.core.interpreter import SENT, Interpreter
+from repro.core.interpreter import Interpreter
 from repro.core.messages import FamilyAbort, NestedCommit
 from repro.core.nonblocking import NbProtocolViolation
 from repro.core.outcomes import Outcome, ProtocolKind, TwoPhaseVariant, Vote
@@ -58,7 +59,7 @@ from repro.net.datagram import Datagram, DatagramService
 from repro.servers.diskman import DiskManager
 from repro.sim.events import SimEvent, all_of
 from repro.sim.kernel import Kernel
-from repro.sim.process import Sleep, Wait
+from repro.sim.process import Sleep
 from repro.sim.resources import SimLock
 from repro.sim.tracing import Tracer
 
@@ -98,8 +99,8 @@ class TransactionManager:
         # outlive the protocol's retry horizon — but not the run: kept
         # forever, a million-transaction run leaks one entry per
         # transaction.  The retire log expires them once no straggler
-        # can still ask (orphan timeout + protocol timeout is ~15x the
-        # datagram retry window).
+        # can still ask (orphan timeout + protocol timeout: 21 protocol
+        # timeouts at the defaults).
         self.tombstone_retention_ms = (cost.orphan_timeout
                                        + cost.protocol_timeout)
         self._retire_log: Deque[Tuple[float, str]] = deque()
@@ -125,7 +126,7 @@ class TransactionManager:
             kernel, self.port, self._handle, size=threads,
             name=f"{site.name}/tranman",
             spawn=lambda body, name: site.spawn(body, name))
-        self._pump = site.spawn(self._datagram_pump(), "tranman.dgram_pump")
+        dgram.receiver = self._take_datagram
         self._sweeper = site.spawn(self._piggyback_sweep(), "tranman.piggyback")
         self._orphan_reaper = site.spawn(self._orphan_sweep(),
                                          "tranman.orphans")
@@ -143,11 +144,11 @@ class TransactionManager:
             self.family_locks[family] = lock
         return lock
 
-    def _datagram_pump(self) -> Generator[Any, Any, None]:
-        """Move inbound datagrams onto the request port, so the one
-        thread pool serves 'any type of input' as the paper describes."""
-        while True:
-            dgram = yield from self.dgram.inbox.get()
+    def _take_datagram(self, dgram: Datagram) -> None:
+        """An arriving datagram goes straight onto the request port, so
+        the one thread pool serves 'any type of input' as the paper
+        describes.  Mail for a crashed incarnation is lost."""
+        if not self.port.dead:
             self.port.enqueue(Message(kind="_datagram",
                                       body={"payload": dgram}))
 
@@ -407,20 +408,10 @@ class TransactionManager:
 
     # ------- the interpreter's primitives (repro.core.interpreter.Engine)
 
-    def send(self, dst: str, message: Any, accounting: Optional[str]) -> None:
-        if accounting == SENT:
-            self.tracer.record(self.kernel.now, "tranman.datagram",
-                               site=self.site.name, dst=dst,
-                               kind_of=type(message).__name__)
-        elif accounting is not None:
-            self.tracer.record(self.kernel.now, f"tranman.{accounting}",
-                               site=self.site.name, dst=dst)
+    def send(self, dst: str, message: Any) -> None:
         self.dgram.send(dst, message)
 
     def multicast(self, dsts: Sequence[str], message: Any) -> None:
-        self.tracer.record(self.kernel.now, "tranman.multicast",
-                           site=self.site.name, fanout=len(dsts),
-                           kind_of=type(message).__name__)
         self.dgram.multicast(list(dsts), message)
 
     def append(self, record: LogRecord) -> int:
@@ -478,8 +469,8 @@ class TransactionManager:
                 self.site.spawn(self._ask_server_vote(server, tid, done),
                                 f"tranman.prep.{name}")
             if events:
-                votes.extend((yield Wait(all_of(self.kernel, events,
-                                                name="tranman.votes"))))
+                votes.extend((yield all_of(self.kernel, events,
+                                           name="tranman.votes")))
             combined = _combine_votes(votes)
         self.tracer.record(self.kernel.now, "tranman.local_prepared",
                            site=self.site.name, tid=str(tid),

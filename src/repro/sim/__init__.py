@@ -10,9 +10,9 @@ The public surface:
 
 - :class:`~repro.sim.kernel.Kernel` — the event loop and clock.
 - :class:`~repro.sim.process.Process` — a running generator.
-- commands: :class:`~repro.sim.process.Sleep`,
-  :class:`~repro.sim.process.Wait`.
-- :class:`~repro.sim.events.SimEvent` — one-shot triggerable event.
+- :class:`~repro.sim.process.Sleep` and
+  :class:`~repro.sim.events.SimEvent` — the two things a process may
+  yield: a delay, or a one-shot triggerable event to wait on.
 - resources: :class:`~repro.sim.resources.SimLock`,
   :class:`~repro.sim.resources.Semaphore`,
   :class:`~repro.sim.resources.Channel`.
@@ -22,7 +22,7 @@ The public surface:
 
 from repro.sim.events import SimEvent
 from repro.sim.kernel import Kernel, SimulationError
-from repro.sim.process import Process, ProcessKilled, Sleep, Wait
+from repro.sim.process import Process, ProcessKilled, Sleep
 from repro.sim.resources import Channel, Semaphore, SimLock
 from repro.sim.rng import RngStreams
 from repro.sim.tracing import Tracer
@@ -39,5 +39,4 @@ __all__ = [
     "SimulationError",
     "Sleep",
     "Tracer",
-    "Wait",
 ]

@@ -1,6 +1,6 @@
 """One-shot triggerable events for process synchronisation.
 
-A :class:`SimEvent` starts untriggered; processes that ``yield Wait(ev)``
+A :class:`SimEvent` starts untriggered; processes that ``yield ev``
 suspend until someone calls :meth:`SimEvent.trigger`.  The trigger value
 is delivered as the result of the ``yield``.  Triggering is scheduled via
 the kernel (not delivered inline), so waiters always resume in a fresh

@@ -20,8 +20,9 @@ elements are never compared.
 
 Cancelled timers stay in the heap (O(1) cancel), are dropped when they
 reach the top, and are compacted in bulk once they outnumber the live
-entries, so cancel-heavy workloads (the datagram retry layer cancels a
-timer per delivered message) cannot grow the pending set without bound.
+entries, so cancel-heavy workloads (every protocol machine arms a
+timeout per wait and cancels it when the answer arrives or the
+transaction is forgotten) cannot grow the pending set without bound.
 """
 
 from __future__ import annotations

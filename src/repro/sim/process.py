@@ -1,11 +1,10 @@
 """Generator-based simulated processes.
 
-A process body is a generator that yields *commands*:
+A process body is a generator that yields one of two *commands*:
 
 - ``Sleep(dt)`` — suspend for ``dt`` virtual time units.
-- ``Wait(event)`` — suspend until the :class:`~repro.sim.events.SimEvent`
-  triggers; the trigger value becomes the result of the ``yield``.
-- a ``SimEvent`` directly — shorthand for ``Wait(event)``.
+- a :class:`~repro.sim.events.SimEvent` — suspend until it triggers;
+  the trigger value becomes the result of the ``yield``.
 
 Sub-routines compose with ``yield from``.  A process finishes when its
 generator returns; the return value is published on :attr:`Process.done`.
@@ -43,15 +42,6 @@ class Sleep:
         if duration < 0:
             raise SimulationError(f"negative sleep {duration!r}")
         self.duration = duration
-
-
-class Wait:
-    """Command: suspend until ``event`` triggers; yields its value."""
-
-    __slots__ = ("event",)
-
-    def __init__(self, event: SimEvent):
-        self.event = event
 
 
 class Process:
@@ -136,20 +126,15 @@ class Process:
     def _dispatch(self, command: Any) -> None:
         if isinstance(command, Sleep):
             self._pending_timer = self.kernel.schedule(command.duration, self._resume, None)
-        elif isinstance(command, Wait):
-            command.event.add_callback(self._guarded_resume)
         elif isinstance(command, SimEvent):
-            command.add_callback(self._guarded_resume)
+            # A callback registered before a kill cannot resurrect us:
+            # _resume refuses a dead process.
+            command.add_callback(self._resume)
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded {command!r}; expected "
-                "Sleep, Wait, or SimEvent"
+                "Sleep or SimEvent"
             )
-
-    def _guarded_resume(self, value: Any) -> None:
-        # Event callbacks registered before a kill must not resurrect us.
-        if self._alive:
-            self._resume(value)
 
 
 def spawn(kernel: Kernel, body: ProcessBody, name: str = "proc") -> Process:

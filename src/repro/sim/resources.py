@@ -20,7 +20,6 @@ from typing import Any, Deque, Generator, Optional
 
 from repro.sim.events import SimEvent
 from repro.sim.kernel import Kernel, SimulationError
-from repro.sim.process import Wait
 
 
 class SimLock:
@@ -53,7 +52,7 @@ class SimLock:
         ev = SimEvent(self._kernel, name=f"{self.name}.acquire")
         self._waiters.append((ev, owner))
         try:
-            yield Wait(ev)
+            yield ev
         except BaseException:
             # Killed while waiting (site crash).  Un-register, or — if
             # the lock was already handed to us as we died — pass it on,
@@ -112,7 +111,7 @@ class Semaphore:
         ev = SimEvent(self._kernel, name=f"{self.name}.down")
         self._waiters.append(ev)
         try:
-            yield Wait(ev)
+            yield ev
         except BaseException:
             # Killed while waiting (site crash).  Un-register, or — if a
             # unit was already handed to us as we died — return it, else
@@ -161,7 +160,7 @@ class Channel:
         ev = SimEvent(self._kernel, name=f"{self.name}.get")
         self._getters.append(ev)
         try:
-            item = yield Wait(ev)
+            item = yield ev
         except BaseException:
             # Killed while waiting (site crash).  Un-register, or — if an
             # item was already handed to us as we died — requeue it at

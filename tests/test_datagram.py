@@ -1,11 +1,14 @@
 """Unit tests for the TranMan datagram layer."""
 
-from repro.config import rt_pc_profile
+from repro.config import SystemConfig, rt_pc_profile
+from repro.core.messages import CommitAck
+from repro.core.tid import TID
 from repro.net.datagram import DatagramService
 from repro.net.lan import Lan
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RngStreams
 from repro.sim.tracing import Tracer
+from repro.system import CamelotSystem
 
 
 def build(n=2):
@@ -20,16 +23,14 @@ def build(n=2):
         name = f"s{i}"
         lan.register_site(name, None)
         services[name] = DatagramService(k, lan, name, Tracer(), peers=peers)
+        services[name].got = []
+        services[name].receiver = services[name].got.append
     return k, lan, services
 
 
 def drain(service):
-    items = []
-    while True:
-        ok, item = service.inbox.try_get()
-        if not ok:
-            break
-        items.append(item)
+    """What the endpoint handed its registered callable, in order."""
+    items, service.got[:] = list(service.got), []
     return items
 
 
@@ -83,3 +84,30 @@ def test_counters():
     drain(svc["s1"])
     assert svc["s0"].sent == 1
     assert svc["s1"].received == 1
+
+
+def test_mail_in_flight_across_a_restart_reaches_the_new_incarnation():
+    k, lan, svc = build()
+    svc["s0"].send("s1", "m")
+    # s1 restarts while the datagram is on the wire: the new endpoint
+    # replaces the old one in the shared registry.
+    reborn = DatagramService(k, lan, "s1", Tracer(), peers=svc["s0"].peers)
+    got = []
+    reborn.receiver = got.append
+    k.run()
+    assert [d.payload for d in got] == ["m"]
+    assert drain(svc["s1"]) == [] and svc["s1"].received == 0
+
+
+def test_loopback_to_a_site_that_crashes_in_the_same_instant_is_dropped():
+    """Loopback skips the LAN's dead-site check, so the datagram reaches
+    the dead incarnation's TranMan; its request port is gone, and the
+    mail is lost without a DeadPortError out of the kernel loop."""
+    system = CamelotSystem(SystemConfig(sites={"a": 1}))
+    tranman = system.tranman("a")
+    tranman.send("a", CommitAck(tid=TID("T1@a"), sender="a"))
+    system.crash_site("a")
+    assert tranman.port.dead
+    system.run_for(100.0)
+    assert system.runtime("a").dgram.received == 1
+    assert tranman.pool.handled == 0

@@ -26,7 +26,7 @@ def test_force_makes_durable(system, diskman):
     def body():
         rec = diskman.append(commit_record("T1@a", "a"))
         yield from diskman.force(rec.lsn)
-        return diskman.wal.is_durable(rec.lsn)
+        return rec.lsn <= diskman.wal.durable_lsn
 
     assert system.run_process(body())
     assert diskman.disk_writes == 1
@@ -35,7 +35,7 @@ def test_force_makes_durable(system, diskman):
 def test_lazy_sweep_flushes_eventually(system, diskman):
     diskman.append(commit_record("T1@a", "a"))
     system.run_for(500.0)
-    assert diskman.wal.flushed_lsn >= 1
+    assert diskman.wal.durable_lsn >= 1
     assert system.tracer.count("diskman.lazy_sweep") >= 1
 
 
@@ -45,7 +45,7 @@ def test_sweep_debounces_while_log_is_hot(system, diskman):
         system.kernel.schedule(i * 10.0, diskman.append,
                                commit_record(f"T{i}@a", "a"))
     system.run_for(24.0)  # constant traffic, still inside debounce
-    assert diskman.wal.flushed_lsn == 0
+    assert diskman.wal.durable_lsn == 0
 
 
 def test_watch_durable_fires(system, diskman):
@@ -63,7 +63,7 @@ def test_pageout_respects_wal_protocol(system, diskman):
     diskman.touch_page("s", "x", 1, rec.lsn)
     system.run_for(1_200.0)
     assert system.tracer.count("diskman.pageout") >= 1
-    assert diskman.wal.flushed_lsn >= rec.lsn
+    assert diskman.wal.durable_lsn >= rec.lsn
     assert diskman.data_disk.writes >= 1
 
 

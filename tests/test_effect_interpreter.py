@@ -19,8 +19,6 @@ from repro.core import effects as fx
 from repro.core.edge import ProtocolEdge
 from repro.core.interpreter import (
     HANDLERS,
-    PIGGYBACKED,
-    SENT,
     WITHHELD,
     Interpreter,
 )
@@ -43,8 +41,8 @@ class FakeEngine:
         self.prepare_inline = False  # local_prepare returns a wait
         self._handles = 0
 
-    def send(self, dst, message, accounting):
-        self.log.append(("send", dst, message, accounting))
+    def send(self, dst, message):
+        self.log.append(("send", dst, message))
 
     def multicast(self, dsts, message):
         self.log.append(("multicast", tuple(dsts), message))
@@ -70,7 +68,7 @@ class FakeEngine:
         del self.timers[handle]
 
     def trace(self, kind, detail):
-        self.log.append(("trace", kind))
+        self.log.append(("trace", kind, detail))
 
     def defer(self, note):
         note()
@@ -213,18 +211,35 @@ def test_send_flushes_that_destinations_lazy_queue_first(rig):
                              fx.LazySendDatagram("gamma", ack2)]))
     assert engine.log == [] and interp.lazy_pending
     finish(interp.run(None, [fx.SendDatagram("alpha", outcome)]))
-    assert engine.log == [("send", "alpha", ack, PIGGYBACKED),
-                          ("send", "alpha", outcome, SENT)]
+    # The interpreter accounts each send, immediately before it.
+    assert engine.log == [
+        ("trace", "tranman.piggyback", {"dst": "alpha"}),
+        ("send", "alpha", ack),
+        ("trace", "tranman.datagram", {"dst": "alpha",
+                                       "kind_of": "NbOutcome"}),
+        ("send", "alpha", outcome)]
     interp.sweep()
-    assert engine.log[-1] == ("send", "gamma", ack2, PIGGYBACKED)
+    assert engine.log[-2:] == [
+        ("trace", "tranman.piggyback", {"dst": "gamma"}),
+        ("send", "gamma", ack2)]
     assert not interp.lazy_pending
+
+
+def test_multicast_is_accounted_once_with_its_fanout(rig):
+    engine, _, interp = rig
+    outcome = NbOutcome(tid=T1, sender="beta")
+    finish(interp.run(None, [fx.MulticastDatagram(("alpha", "gamma"),
+                                                  outcome)]))
+    assert engine.log == [
+        ("trace", "tranman.multicast", {"fanout": 2, "kind_of": "NbOutcome"}),
+        ("multicast", ("alpha", "gamma"), outcome)]
 
 
 def test_lazy_send_to_own_site_goes_at_once_and_uncounted(rig):
     engine, _, interp = rig
     ack = CommitAck(tid=T1, sender="beta")
     finish(interp.run(None, [fx.LazySendDatagram("beta", ack)]))
-    assert engine.log == [("send", "beta", ack, None)]
+    assert engine.log == [("send", "beta", ack)]
     assert not interp.lazy_pending
 
 

@@ -10,6 +10,9 @@ in the repo by design; each stays well inside the 60 s smoke budget."""
 
 import os
 
+import pytest
+
+from repro.live.__main__ import main
 from repro.live.cluster import (
     control,
     demo_happy_path,
@@ -83,11 +86,34 @@ class TestRestartDiscovery:
                     lambda: (control(run_dir, "beta", {"cmd": "status"})
                              ["tombstones"].get(tid)) == "committed",
                     20.0, "commit across the restarted site")
-                # Traces are counted per kind, not kept.
+                # Traces are counted per kind, not kept; the §3.2 send
+                # accounting is among them (the coordinator's prepare
+                # and its commit notice, plus any retransmission).
                 traces = control(run_dir, "beta", {"cmd": "status"})["traces"]
                 assert traces["live.complete"] == 1
+                assert traces["tranman.datagram"] >= 2
+                # The control commands nobody sent are gone.
+                for cmd in ("hold", "transcript"):
+                    answer = control(run_dir, "beta", {"cmd": cmd})
+                    assert not answer["ok"] and "unknown" in answer["error"]
             finally:
                 stop_site(run_dir, "beta", beta)
             assert isinstance(old, int) and isinstance(new, int)
         finally:
             stop_site(run_dir, "alpha", alpha)
+
+
+class TestSiteFlags:
+    @pytest.mark.parametrize("flag", [
+        ["--wire-ms", "5"], ["--force-floor-ms", "5"],
+        ["--prepare-ms", "5"], ["--vote", "beta=no"]],
+        ids=lambda flag: flag[0])
+    def test_flags_nothing_passed_are_usage_errors(self, flag, tmp_path,
+                                                   capsys):
+        """Pacing and scripted votes are ``LiveSite`` arguments (the
+        conformance harness and the benchmark pass them in-process); the
+        site process takes a name, a directory and ``--hold`` only."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["site", "--name", "alpha", "--dir", str(tmp_path), *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -15,6 +15,7 @@ WALs."""
 
 import asyncio
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -28,16 +29,18 @@ from repro.live.conformance import (
     _diff_tranman,
     run_conformance,
     run_live_scenario,
+    tranman_leg,
 )
 from repro.live.scenario import (
     Scenario,
     ScenarioStep,
     conformance_cost,
     conformance_scenario,
+    run_scenario_steps,
 )
 from repro.live.host import SiteHost, Substrate
-from repro.live.simhost import run_sim_scenario
-from repro.live.walfile import read_records
+from repro.live.simhost import build_sim_cluster, run_sim_scenario
+from repro.live.walfile import MemoryWal, read_records
 from repro.log.records import commit_record
 
 
@@ -94,6 +97,37 @@ class TestTranManLeg:
                    for pair, msgs in report.tranman_pairs.items()}
         assert sum(len(msgs) for msgs in host.values()) == 20
         assert tranman == host
+
+    def test_two_phase_and_non_blocking_are_accounted_alike(self):
+        """The interpreter accounts a send, not the engine under it: on
+        the 20 messages both legs put on the wire byte for byte, each
+        site's §3.2 counts read the same from the TranMan's tracer as
+        from ``SiteHost``'s ``traces``."""
+        scenario = conformance_scenario()
+        scenario = dataclasses.replace(
+            scenario, steps=scenario.steps[:2],
+            horizon_ms=scenario.steps[2].at_ms)
+        kinds = ("tranman.datagram", "tranman.piggyback")
+
+        system, transcript = tranman_leg(scenario)
+        system.run_for(scenario.horizon_ms)
+        tranman = {site: {kind: sum(1 for e in system.tracer.of_kind(kind)
+                                    if e.site == site) for kind in kinds}
+                   for site in scenario.sites}
+
+        kernel, hosts, host_transcript = build_sim_cluster(
+            list(scenario.sites), scenario.cost,
+            prepare_ms=scenario.sim_prepare_ms)
+        for host in hosts.values():
+            host.start_sweeps()
+        run_scenario_steps(scenario, hosts, at=kernel.schedule)
+        kernel.run(until=scenario.horizon_ms)
+        host = {site: {kind: hosts[site].substrate.traces.get(kind, 0)
+                       for kind in kinds} for site in scenario.sites}
+
+        assert len(transcript.entries) == len(host_transcript.entries) == 20
+        assert tranman == host
+        assert sum(sum(counts.values()) for counts in host.values()) == 20
 
     def test_pin_leader_prepare_fanout_waits_for_its_own_vote(self, report):
         """``PcLeader.start()`` emits ``LocalPrepare`` first; the TranMan
@@ -178,9 +212,7 @@ class _RecordingSubstrate(Substrate):
     def __init__(self, log):
         self.log = log
         self.forces = []
-
-    def append(self, record):
-        return 1
+        self.wal = MemoryWal()
 
     def force(self, lsn, done):
         self.forces.append(done)

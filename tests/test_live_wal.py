@@ -7,7 +7,9 @@ uses, which is the property the live kill-9 demos stand on."""
 
 import os
 
+from repro.config import rt_pc_profile
 from repro.core.outcomes import Outcome
+from repro.log.disk import DiskModel
 from repro.log.records import (
     RecordKind,
     commit_record,
@@ -15,7 +17,13 @@ from repro.log.records import (
     prepare_record,
 )
 from repro.live.walfile import FileWal, MemoryWal, read_records
+from repro.log.storage import StableStore
+from repro.log.wal import WriteAheadLog
 from repro.servers.recovery import analyze
+from repro.sim.kernel import Kernel
+from repro.sim.tracing import Tracer
+
+from tests.conftest import run_proc
 
 
 def _wal(tmp_path, name="site.wal", fsync=False):
@@ -79,10 +87,13 @@ class TestAppendForce:
 
 
     def test_file_and_memory_wal_agree_step_for_step(self, tmp_path):
-        """One append / force / watch script against both: the same
-        LSNs, the same durable prefix after every step, watches released
-        in the same order — the file is all FileWal adds."""
-        def drive(wal):
+        """The log-tail contract, one append / force / watch script
+        against all three devices — ``WriteAheadLog`` driven on a
+        kernel, ``MemoryWal``, ``FileWal``: the same LSNs, the same
+        durable prefix after every step, watches released in the same
+        order.  What a device adds (modelled disk time and next-turn
+        callbacks, nothing, a file) must not show in any of them."""
+        def drive(wal, force, settle=lambda: None):
             log = []
 
             def append():
@@ -90,33 +101,57 @@ class TestAppendForce:
 
             def watch(lsn):
                 wal.watch_durable(lsn, lambda: log.append(("fired", lsn)))
+                settle()        # a device may defer the callback a turn
 
-            def force(lsn):
-                for fn in wal.force(lsn):
-                    fn()
+            def forced(lsn):
+                force(lsn)
                 log.append(("durable", wal.durable_lsn, wal.last_lsn))
 
+            forced(5)           # past the tail of an empty log: clamps
             for _ in range(4):
                 append()
             watch(3), watch(1), watch(2)
-            force(2)
-            watch(2)            # already durable: fires at once
-            force(1)            # behind the durable prefix: nothing moves
+            forced(2)
+            watch(2)            # already durable: fires without a force
+            forced(1)           # behind the durable prefix: nothing moves
             append()
             watch(5), watch(4)
-            force(None)
-            force(9)            # past the tail: nothing left to cover
+            forced(None)
+            forced(9)           # past the tail: nothing left to cover
+            append()            # LSN 6 was never published by forced(9)
+            log.append(("durable", wal.durable_lsn, wal.last_lsn))
             return log
 
-        file_wal = _wal(tmp_path)
-        script = drive(file_wal)
-        assert script == drive(MemoryWal())
+        def synchronous(wal):
+            def force(lsn):
+                for fn in wal.force(lsn):
+                    fn()
+            return force
+
+        def on_kernel(kernel, wal):
+            def force(lsn):
+                run_proc(kernel, wal.force(lsn))
+                kernel.run()    # watches fire on the next kernel turn
+            return force, kernel.run
+
+        kernel, cost, store = Kernel(), rt_pc_profile(), StableStore("a")
+        sim_wal = WriteAheadLog(kernel, cost, DiskModel(kernel, cost), store,
+                                "a", Tracer())
+        memory_wal, file_wal = MemoryWal(), _wal(tmp_path)
+        script = drive(file_wal, synchronous(file_wal))
+        assert script == drive(memory_wal, synchronous(memory_wal))
+        assert script == drive(sim_wal, *on_kernel(kernel, sim_wal))
         assert [step for step in script if step[0] != "lsn"] == [
+            ("durable", 0, 0),
             ("fired", 1), ("fired", 2), ("durable", 2, 4),
             ("fired", 2), ("durable", 2, 4),
             ("fired", 3), ("fired", 5), ("fired", 4), ("durable", 5, 5),
-            ("durable", 5, 5)]
+            ("durable", 5, 5), ("durable", 5, 6)]
+        assert [step[1] for step in script if step[0] == "lsn"] == \
+            [1, 2, 3, 4, 5, 6]
+        # The durable prefix is where each device keeps it.
         assert [r.lsn for r in read_records(file_wal.path)] == [1, 2, 3, 4, 5]
+        assert [r.lsn for r in store.records()] == [1, 2, 3, 4, 5]
         file_wal.close()
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.events import SimEvent
 from repro.sim.kernel import Kernel, SimulationError
-from repro.sim.process import Process, ProcessKilled, Sleep, Wait
+from repro.sim.process import Process, ProcessKilled, Sleep
 
 from tests.conftest import run_proc
 
@@ -39,7 +39,7 @@ def test_wait_on_event_receives_value():
     ev = SimEvent(k)
 
     def body():
-        value = yield Wait(ev)
+        value = yield ev
         return value
 
     proc = Process(k, body())
@@ -49,6 +49,8 @@ def test_wait_on_event_receives_value():
 
 
 def test_bare_event_yield_is_wait_shorthand():
+    # The event is the command (there is no wrapper to be shorthand
+    # for); here it has triggered before the process first runs.
     k = Kernel()
     ev = SimEvent(k)
 
@@ -157,7 +159,7 @@ def test_event_cannot_resurrect_killed_process():
     progress = []
 
     def body():
-        yield Wait(ev)
+        yield ev
         progress.append("resumed")
 
     proc = Process(k, body())
@@ -165,6 +167,28 @@ def test_event_cannot_resurrect_killed_process():
     ev.trigger("late")
     k.run()
     assert progress == []
+
+
+def test_process_killed_while_waiting_is_not_resumed_by_the_event():
+    """The event's callback is the process's own ``_resume``, registered
+    before the kill; it must find the process dead and do nothing."""
+    k = Kernel()
+    ev = SimEvent(k)
+    progress = []
+
+    def body():
+        progress.append("waiting")
+        yield ev
+        progress.append("resumed")
+
+    proc = Process(k, body())
+    k.run()
+    assert progress == ["waiting"] and proc.alive
+    proc.kill()
+    ev.trigger("late")
+    k.run()
+    assert progress == ["waiting"]
+    assert proc.done.value is None
 
 
 def test_kill_is_idempotent():

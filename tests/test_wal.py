@@ -68,14 +68,14 @@ def test_append_assigns_monotonic_lsns():
     r1 = wal.append(commit_record("T1@a", "a"))
     r2 = wal.append(commit_record("T2@a", "a"))
     assert (r1.lsn, r2.lsn) == (1, 2)
-    assert wal.tail_lsn == 2
+    assert wal.last_lsn == 2
 
 
 def test_append_is_volatile_until_forced():
     k, wal, disk, store = build_wal()
     wal.append(commit_record("T1@a", "a"))
     assert len(store) == 0
-    assert not wal.is_durable(1)
+    assert wal.durable_lsn == 0
 
 
 def test_force_writes_through_and_takes_disk_time():
@@ -88,7 +88,7 @@ def test_force_writes_through_and_takes_disk_time():
 
     elapsed = run_proc(k, body())
     assert elapsed >= 15.0
-    assert wal.is_durable(1)
+    assert wal.durable_lsn == 1
     assert len(store) == 1
 
 
@@ -147,8 +147,29 @@ def test_partial_force_leaves_later_records_buffered():
         yield from wal.force(1)
 
     run_proc(k, body())
-    assert wal.flushed_lsn == 1
+    assert wal.durable_lsn == 1
     assert len(wal.buffered_records()) == 1
+
+
+def test_force_past_the_tail_clamps_to_the_tail():
+    """A force for an LSN nobody appended yet covers what exists —
+    nothing, on an empty log — and must not publish the unwritten LSNs
+    as durable: the record that later takes one still needs its own
+    force to reach the store."""
+    k, wal, disk, store = build_wal()
+
+    def force(lsn):
+        yield from wal.force(lsn)
+
+    run_proc(k, force(5))
+    assert wal.durable_lsn == 0
+    assert (len(store), disk.writes) == (0, 0)
+    rec = wal.append(commit_record("T1@a", "a"))
+    assert rec.lsn == 1 and wal.durable_lsn == 0
+    run_proc(k, force(rec.lsn))
+    assert wal.durable_lsn == 1
+    assert [r.lsn for r in store.records()] == [1]
+    assert disk.writes == 1
 
 
 def test_lsn_continuity_across_restart():
@@ -164,14 +185,14 @@ def test_lsn_continuity_across_restart():
     wal2 = WriteAheadLog(k, rt_pc_profile(), disk, store, "a", Tracer())
     rec = wal2.append(commit_record("T2@a", "a"))
     assert rec.lsn == 2
-    assert wal2.flushed_lsn == 1
+    assert wal2.durable_lsn == 1
 
 
 def test_durability_watch_fires_after_flush():
     k, wal, disk, store = build_wal()
     rec = wal.append(commit_record("T1@a", "a"))
     fired = []
-    wal.add_durability_watch(rec.lsn, lambda: fired.append(k.now))
+    wal.watch_durable(rec.lsn, lambda: fired.append(k.now))
 
     def body():
         yield from wal.force(rec.lsn)
@@ -191,7 +212,7 @@ def test_durability_watch_immediate_when_already_durable():
 
     run_proc(k, body())
     fired = []
-    wal.add_durability_watch(rec.lsn, lambda: fired.append(True))
+    wal.watch_durable(rec.lsn, lambda: fired.append(True))
     k.run()
     assert fired == [True]
 
