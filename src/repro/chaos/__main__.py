@@ -65,9 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--bug", choices=sorted(BUGS), default=None,
                         help="seed a deliberate protocol bug (oracle "
                              "self-test)")
-    parser.add_argument("--max-boundaries", type=int, default=0,
-                        help="cap the systematic boundary sweep "
-                             "(0 = exhaustive)")
     parser.add_argument("--out", default="chaos-repros",
                         help="directory for shrunk repro files")
     parser.add_argument("--replay", metavar="FILE", default=None,
@@ -98,8 +95,7 @@ def _explore(args: argparse.Namespace) -> int:
     if args.mode in ("random", "both"):
         schedules += random_schedules(sites, args.seed, args.schedules)
     if args.mode in ("systematic", "both"):
-        schedules += systematic_schedules(
-            spec, max_boundaries=args.max_boundaries)
+        schedules += systematic_schedules(spec)
     if args.mode == "failover":
         schedules += leader_failover_schedules(sites, spec.coordinator)
     print(f"chaos: {len(schedules)} schedule(s), protocol={args.protocol}, "

@@ -63,27 +63,18 @@ def golden_boundaries(spec) -> List[float]:
     return sorted({time for time, _dst in monitor.arrivals})
 
 
-def systematic_schedules(spec, restart_after_ms: float = _RESTART_AFTER_MS,
-                         max_boundaries: int = 0) -> List[FaultSchedule]:
-    """Crash schedules for every (site, boundary, before/after) triple.
-
-    ``max_boundaries`` > 0 caps the sweep (evenly thinned, endpoints
-    kept) for quick smoke runs; 0 means exhaustive.
-    """
-    boundaries = golden_boundaries(spec)
-    if max_boundaries and len(boundaries) > max_boundaries:
-        step = (len(boundaries) - 1) / (max_boundaries - 1)
-        boundaries = [boundaries[round(i * step)]
-                      for i in range(max_boundaries)]
+def systematic_schedules(spec) -> List[FaultSchedule]:
+    """Crash schedules for every (site, boundary, before/after) triple,
+    in boundary order."""
     out: List[FaultSchedule] = []
-    for boundary in boundaries:
+    for boundary in golden_boundaries(spec):
         for site in spec.sites:
             for offset, phase in ((0.0, "pre"), (_EPSILON_MS, "post")):
                 crash_t = round(boundary + offset, 3)
                 out.append(FaultSchedule(
                     events=(
                         FaultEvent(crash_t, "crash", site=site),
-                        FaultEvent(round(crash_t + restart_after_ms, 3),
+                        FaultEvent(round(crash_t + _RESTART_AFTER_MS, 3),
                                    "restart", site=site),
                     ),
                     label=f"systematic/{site}@{boundary:g}/{phase}"))

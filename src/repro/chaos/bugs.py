@@ -81,7 +81,7 @@ def _vote_before_prepare_durable() -> Callable[[], None]:
             SendDatagram(self.coordinator,
                          VoteResponse(tid=self.tid, sender=self.site,
                                       vote=Vote.YES)),
-            StartTimer(twophase.OUTCOME_TIMER, self.outcome_timeout_ms),
+            StartTimer(twophase.OUTCOME_TIMER),
         ]
 
     twophase.TwoPhaseSubordinate.on_local_prepared = buggy

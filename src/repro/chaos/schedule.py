@@ -248,10 +248,7 @@ def random_schedules(sites: Sequence[str], seed: int,
 
 def leader_failover_schedules(
         sites: Sequence[str],
-        coordinator: Optional[str] = None,
-        crash_times: Sequence[float] = (100.0, 130.0, 160.0, 200.0, 260.0),
-        restart_delay_ms: float = DEFAULT_RESTART_DELAY_MS,
-        duplicate_p: float = 0.25) -> List[FaultSchedule]:
+        coordinator: Optional[str] = None) -> List[FaultSchedule]:
     """The leader-failover sweep: kill the coordinator inside the commit
     window and let a backup finish the transaction.
 
@@ -264,18 +261,17 @@ def leader_failover_schedules(
     sites = list(sites)
     leader = coordinator if coordinator is not None else sites[0]
     out: List[FaultSchedule] = []
-    for t in crash_times:
+    for t in (100.0, 130.0, 160.0, 200.0, 260.0):   # the commit window
         out.append(FaultSchedule(
             events=(FaultEvent(t, "crash", site=leader),),
             label=f"failover/dead@{t:g}"))
         out.append(FaultSchedule(
             events=(FaultEvent(t, "crash_restart", site=leader,
-                               delay=restart_delay_ms),),
+                               delay=DEFAULT_RESTART_DELAY_MS),),
             label=f"failover/restart@{t:g}"))
         out.append(FaultSchedule(
-            events=(FaultEvent(60.0, "duplicate",
-                               probability=duplicate_p),
+            events=(FaultEvent(60.0, "duplicate", probability=0.25),
                     FaultEvent(t, "crash_restart", site=leader,
-                               delay=restart_delay_ms)),
+                               delay=DEFAULT_RESTART_DELAY_MS)),
             label=f"failover/dup+restart@{t:g}"))
     return out

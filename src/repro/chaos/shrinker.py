@@ -31,14 +31,17 @@ def _oracles_of(result: RunResult) -> Set[str]:
     return {v.oracle for v in result.violations}
 
 
-def shrink_schedule(spec: ScenarioSpec, result: RunResult,
-                    max_runs: int = 200) -> Tuple[FaultSchedule, RunResult]:
+# Re-execution budget of one shrink.
+_MAX_RUNS = 200
+
+
+def shrink_schedule(spec: ScenarioSpec,
+                    result: RunResult) -> Tuple[FaultSchedule, RunResult]:
     """Minimise ``result.schedule`` while the same oracle(s) still fire.
 
     Returns the smallest schedule found and the run that certifies it.
-    ``max_runs`` bounds the re-execution budget; on exhaustion the best
-    schedule so far is returned (still a valid failing repro, possibly
-    not minimal).
+    On exhausting the ``_MAX_RUNS`` budget the best schedule so far is
+    returned (still a valid failing repro, possibly not minimal).
     """
     target = _oracles_of(result)
     if not target:
@@ -47,7 +50,7 @@ def shrink_schedule(spec: ScenarioSpec, result: RunResult,
     best_result = result
     runs = 0
     shrunk = True
-    while shrunk and runs < max_runs:
+    while shrunk and runs < _MAX_RUNS:
         shrunk = False
         for index in range(len(best_schedule.events)):
             candidate = FaultSchedule(
@@ -60,7 +63,7 @@ def shrink_schedule(spec: ScenarioSpec, result: RunResult,
                 best_schedule, best_result = candidate, attempt
                 shrunk = True
                 break   # restart the pass over the smaller schedule
-            if runs >= max_runs:
+            if runs >= _MAX_RUNS:
                 break
     return best_schedule, best_result
 

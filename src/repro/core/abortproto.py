@@ -54,15 +54,12 @@ class AbortInitiatorState(Enum):
 class AbortInitiator:
     """Runs at the site where the abort originates."""
 
-    def __init__(self, tid: TID, site: str, known_sites: Sequence[str],
-                 ack_timeout_ms: float = 1000.0, max_retries: int = 5,
-                 complete_call: bool = True):
+    max_retries = 5
+
+    def __init__(self, tid: TID, site: str, known_sites: Sequence[str]):
         self.tid = tid
         self.site = site
         self.known_sites: Set[str] = {s for s in known_sites if s != site}
-        self.ack_timeout_ms = ack_timeout_ms
-        self.max_retries = max_retries
-        self.complete_call = complete_call
         self.state = AbortInitiatorState.SPREADING
         self.acked: Set[str] = set()
         self.retries = 0
@@ -73,12 +70,11 @@ class AbortInitiator:
                                      "known": sorted(self.known_sites)}),
             WriteLog(abort_record(str(self.tid), self.site)),
             LocalAbort(self.tid),
+            Complete(self.tid, Outcome.ABORTED),
         ]
-        if self.complete_call:
-            effects.append(Complete(self.tid, Outcome.ABORTED))
         effects.extend(self._send_aborts(self.known_sites))
         if self.known_sites:
-            effects.append(StartTimer(ABORT_ACK_TIMER, self.ack_timeout_ms))
+            effects.append(StartTimer(ABORT_ACK_TIMER))
         else:
             effects.extend(self._finish())
         return effects
@@ -124,7 +120,7 @@ class AbortInitiator:
             return self._finish()
         pending = self.known_sites - self.acked
         effects = self._send_aborts(pending)
-        effects.append(StartTimer(ABORT_ACK_TIMER, self.ack_timeout_ms))
+        effects.append(StartTimer(ABORT_ACK_TIMER))
         return effects
 
     def _finish(self) -> Effects:

@@ -27,6 +27,8 @@ The hosts differ, from here, only in three facts handed over as
 callables: whether a transaction's family is known at this site (lost
 with volatile state in a crash), whether it is still running, and who
 wants to hear that a tombstone / pledge / read-only vote was recorded.
+The edge knows no durations: it builds machines, machines name their
+waits in protocol timeouts, and the interpreter owns the clock.
 """
 
 from __future__ import annotations
@@ -137,12 +139,11 @@ class PledgeAck:
 class ProtocolEdge:
     """One site's machine tables and the decisions made around them."""
 
-    def __init__(self, site: str, protocol_timeout_ms: float,
+    def __init__(self, site: str,
                  family_known: Callable[[TID], bool],
                  txn_active: Callable[[TID], bool],
                  recorded: Callable[[str], None]) -> None:
         self.site = site
-        self.timeout_ms = protocol_timeout_ms
         self._family_known = family_known
         self._txn_active = txn_active
         self._recorded = recorded
@@ -241,7 +242,6 @@ class ProtocolEdge:
                     use_multicast: bool = False) -> Any:
         """Build and install the coordinator machine for a commit call."""
         subs = sorted(s for s in subordinates if s != self.site)
-        timeout = self.timeout_ms
         machine: Any
         if protocol is ProtocolKind.NON_BLOCKING:
             n_sites = len(subs) + 1
@@ -254,8 +254,6 @@ class ProtocolEdge:
             machine = NbCoordinator(
                 tid, self.site, subs, quorum=quorum,
                 use_multicast=use_multicast,
-                vote_timeout_ms=timeout, repl_timeout_ms=timeout,
-                notify_timeout_ms=timeout,
                 # A takeover may have extracted our abort pledge while
                 # the family sat idle here (or before a crash); the
                 # coordinator must then refuse to drive a commit (see
@@ -271,13 +269,11 @@ class ProtocolEdge:
                            else len(all_sites) - 1)
             machine = PcLeader(
                 tid, self.site, subs, acceptors=all_sites[:n_acceptors],
-                quorum=QuorumSpec.paxos(n_acceptors),
-                vote_timeout_ms=timeout, notify_timeout_ms=timeout)
+                quorum=QuorumSpec.paxos(n_acceptors))
         else:
             machine = TwoPhaseCoordinator(
                 tid, self.site, subs, variant=variant,
-                use_multicast=use_multicast,
-                vote_timeout_ms=timeout, ack_timeout_ms=timeout)
+                use_multicast=use_multicast)
         self.machines[tid] = machine
         return machine
 
@@ -293,16 +289,12 @@ class ProtocolEdge:
             # unilateral abort would be unsafe (F >= 1).
             status = "paxos_election"
             takeover = PcCandidate(
-                tid, self.site, sub.sites, sub.acceptors, sub.quorum,
-                poll_timeout_ms=self.timeout_ms / 2,
-                notify_timeout_ms=self.timeout_ms)
+                tid, self.site, sub.sites, sub.acceptors, sub.quorum)
         elif isinstance(sub, NbSubordinate):
             status, data = sub.status_report()
             takeover = NbTakeover(
                 tid, self.site, sub.sites, sub.quorum,
-                own_status=status, own_decision_data=data,
-                poll_timeout_ms=self.timeout_ms / 2,
-                notify_timeout_ms=self.timeout_ms)
+                own_status=status, own_decision_data=data)
         else:
             return ()
         self.takeovers[tid] = takeover
@@ -411,8 +403,7 @@ class ProtocolEdge:
             return ((pmsg.sender, VoteResponse(
                 tid=tid, sender=site, vote=Vote.NO)),), ()
         sub = TwoPhaseSubordinate(tid, site, pmsg.sender,
-                                  variant=pmsg.variant,
-                                  outcome_timeout_ms=self.timeout_ms)
+                                  variant=pmsg.variant)
         return self._spawn(sub, sub.start)
 
     def _prepare_nb(self, pmsg: NbPrepare,
@@ -429,8 +420,7 @@ class ProtocolEdge:
             return ((pmsg.sender, NbVote(
                 tid=tid, sender=site, vote=Vote.NO)),), ()
         sub = NbSubordinate(tid, site, pmsg.sender, list(pmsg.sites),
-                            pmsg.quorum, outcome_timeout_ms=self.timeout_ms,
-                            already_pledged=pledged)
+                            pmsg.quorum, already_pledged=pledged)
         return self._spawn(sub, sub.start)
 
     def _replicate(self, pmsg: NbReplicate,
@@ -446,8 +436,7 @@ class ProtocolEdge:
                 tid=tid, sender=self.site, ok=True)),), ()
         # Quorum helper: a read-only (or forgotten) site drafted into the
         # commit quorum; the replicate message is self-contained.
-        helper = NbSubordinate.helper(
-            tid, self.site, pmsg, outcome_timeout_ms=self.timeout_ms)
+        helper = NbSubordinate.helper(tid, self.site, pmsg)
         return self._spawn(helper, partial(helper.on_message, pmsg))
 
     def _abort_join(self, pmsg: NbAbortJoin,
@@ -505,8 +494,7 @@ class ProtocolEdge:
             return _SILENCE
         sub = PcParticipant(tid, site, pmsg.sender,
                             list(pmsg.sites), list(pmsg.acceptors),
-                            QuorumSpec.paxos(len(pmsg.acceptors)),
-                            protocol_timeout_ms=self.timeout_ms)
+                            QuorumSpec.paxos(len(pmsg.acceptors)))
         return self._spawn(sub, sub.start)
 
     def _pc_acceptor(self, pmsg: Any, tomb: Optional[Outcome]) -> Routed:
@@ -531,14 +519,12 @@ class ProtocolEdge:
             # it answer the acceptor duty that arrived early.
             sub = PcParticipant(tid, site, leader,
                                 list(pmsg.sites), list(pmsg.acceptors),
-                                QuorumSpec.paxos(len(pmsg.acceptors)),
-                                protocol_timeout_ms=self.timeout_ms)
+                                QuorumSpec.paxos(len(pmsg.acceptors)))
             return self._spawn(sub, sub.start,
                                partial(sub.on_message, pmsg))
         sub = PcParticipant.recovered(
             tid, site, leader=leader, sites=list(pmsg.sites),
-            acceptors=list(pmsg.acceptors), prepared=False,
-            protocol_timeout_ms=self.timeout_ms)
+            acceptors=list(pmsg.acceptors), prepared=False)
         trace = Trace("pc.acceptor_rebuilt",
                       {"tid": str(tid), "kind_of": type(pmsg).__name__})
         return self._spawn(sub, lambda: [trace, *sub.on_message(pmsg)])

@@ -12,7 +12,11 @@ completions back in:
 - :class:`LocalPrepare` completes via
   ``machine.on_local_prepared(vote)``;
 - :class:`StartTimer` fires via ``machine.on_timer(token)`` unless a
-  later :class:`CancelTimer` with the same token was emitted.
+  later :class:`CancelTimer` with the same token was emitted.  It names
+  its wait as a multiple of the host's one protocol timeout — 1, or ½
+  where a takeover polls, or ½·2^k for the election backoff — never in
+  milliseconds: timeout/retry belongs to the transaction manager
+  (PAPER §4.2 fn. 1), so the machines carry no clock value at all.
 
 Fire-and-forget effects (sends, lock drops, completions) need no reply.
 """
@@ -137,10 +141,16 @@ class StartTakeover(Effect):
 
 @dataclass(frozen=True)
 class StartTimer(Effect):
-    """Request ``on_timer(token)`` after ``delay_ms`` (cancellable)."""
+    """Request ``on_timer(token)`` after ``timeouts`` protocol timeouts
+    (cancellable).  Machines keep no time: how long one timeout lasts is
+    the interpreter's single value."""
 
     token: str
-    delay_ms: float
+    timeouts: float = 1.0
+
+
+# A takeover or an election candidate polls at half a protocol timeout.
+POLL = 0.5
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ The machines decide what happens inside one protocol run, the
 and this module *executes*, once, for both engines (the simulated
 :mod:`repro.servers.tranman` and :mod:`repro.live.host`): one handler
 per effect class, the piggyback queue, the ``(machine, token)`` timer
-table, the running of the edge's replies and ordered steps, and the
+table and the clock behind it (machines name a wait in protocol
+timeouts; ``timeout_ms``, the one value this module is built with,
+turns it into a delay — the only place a timer is armed), the running
+of the edge's replies and ordered steps, and the
 §3.2 datagram accounting: a machine's send is traced as
 ``tranman.datagram`` / ``tranman.piggyback`` / ``tranman.multicast``
 immediately before it reaches the engine; stateless replies and
@@ -80,9 +83,12 @@ class Engine(Protocol):
 class Interpreter:
     """One site's effect executor, over its edge and its engine."""
 
-    def __init__(self, edge: ProtocolEdge, engine: Engine) -> None:
+    def __init__(self, edge: ProtocolEdge, engine: Engine,
+                 timeout_ms: float) -> None:
         self.edge = edge
         self.engine = engine
+        # The one protocol timeout: every StartTimer is a multiple of it.
+        self.timeout_ms = timeout_ms
         self._lazy: Dict[str, List[Any]] = {}
         self._timers: Dict[Tuple[Any, str], Any] = {}
 
@@ -206,7 +212,8 @@ class Interpreter:
     def _start_timer(self, machine: Any, effect: fx.StartTimer) -> None:
         self._cancel_timer(machine, effect)  # re-arming replaces
         self._timers[(machine, effect.token)] = self.engine.start_timer(
-            effect.delay_ms, partial(self._fire, machine, effect.token))
+            effect.timeouts * self.timeout_ms,
+            partial(self._fire, machine, effect.token))
 
     def _cancel_timer(self, machine: Any, effect: Any) -> None:
         handle = self._timers.pop((machine, effect.token), None)

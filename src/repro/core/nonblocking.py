@@ -64,6 +64,7 @@ from repro.core.effects import (
     LocalCommit,
     LocalPrepare,
     MulticastDatagram,
+    POLL,
     SendDatagram,
     StartTakeover,
     StartTimer,
@@ -141,13 +142,11 @@ class NbCoordinator:
     multiple coordinators, so this is free).
     """
 
+    max_prepare_retries = 3
+
     def __init__(self, tid: TID, site: str, subordinates: Sequence[str],
                  quorum: Optional[QuorumSpec] = None,
                  use_multicast: bool = False,
-                 vote_timeout_ms: float = 1500.0,
-                 repl_timeout_ms: float = 1500.0,
-                 notify_timeout_ms: float = 1500.0,
-                 max_prepare_retries: int = 3,
                  already_pledged: bool = False):
         self.tid = tid
         self.site = site
@@ -158,10 +157,6 @@ class NbCoordinator:
         if self.quorum.n_sites != len(self.sites):
             raise ValueError("quorum spec sized for a different site count")
         self.use_multicast = use_multicast
-        self.vote_timeout_ms = vote_timeout_ms
-        self.repl_timeout_ms = repl_timeout_ms
-        self.notify_timeout_ms = notify_timeout_ms
-        self.max_prepare_retries = max_prepare_retries
 
         self.state = NbCoordinatorState.LOCAL_PREPARING
         self.votes: Dict[str, Vote] = {}
@@ -225,7 +220,7 @@ class NbCoordinator:
         if not self.subordinates:
             return self._maybe_decide()
         effects = self._send_prepares(self.subordinates)
-        effects.append(StartTimer(NB_VOTE_TIMER, self.vote_timeout_ms))
+        effects.append(StartTimer(NB_VOTE_TIMER))
         return effects
 
     def _send_prepares(self, dsts: Sequence[str]) -> Effects:
@@ -311,7 +306,7 @@ class NbCoordinator:
                 effects.append(MulticastDatagram(tuple(remote), msg))
             else:
                 effects.extend(SendDatagram(s, msg) for s in remote)
-            effects.append(StartTimer(NB_REPL_TIMER, self.repl_timeout_ms))
+            effects.append(StartTimer(NB_REPL_TIMER))
         effects.extend(self._maybe_commit_point())
         return effects
 
@@ -352,7 +347,7 @@ class NbCoordinator:
             else:
                 effects.extend(SendDatagram(s, notice)
                                for s in self.notify_targets)
-            effects.append(StartTimer(NB_NOTIFY_TIMER, self.notify_timeout_ms))
+            effects.append(StartTimer(NB_NOTIFY_TIMER))
         effects.append(LocalCommit(self.tid))
         effects.append(WriteLog(commit_record(str(self.tid), self.site)))
         effects.append(Complete(self.tid, Outcome.COMMITTED))
@@ -441,7 +436,7 @@ class NbCoordinator:
             if self.prepare_retries < self.max_prepare_retries:
                 self.prepare_retries += 1
                 effects = self._send_prepares(missing)
-                effects.append(StartTimer(NB_VOTE_TIMER, self.vote_timeout_ms))
+                effects.append(StartTimer(NB_VOTE_TIMER))
                 return effects
             # Vote collection failed; replication never started, so a
             # unilateral abort is safe (no one can ever commit).
@@ -452,7 +447,7 @@ class NbCoordinator:
             msg = NbReplicate(tid=self.tid, sender=self.site,
                               decision_data=self.decision_data or {})
             effects: Effects = [SendDatagram(s, msg) for s in missing]
-            effects.append(StartTimer(NB_REPL_TIMER, self.repl_timeout_ms))
+            effects.append(StartTimer(NB_REPL_TIMER))
             return effects
         if token == NB_NOTIFY_TIMER and self.state is NbCoordinatorState.NOTIFYING:
             pending = [s for s in self.notify_targets
@@ -460,7 +455,7 @@ class NbCoordinator:
             notice = NbOutcome(tid=self.tid, sender=self.site,
                                outcome=Outcome.COMMITTED)
             effects = [SendDatagram(s, notice) for s in pending]
-            effects.append(StartTimer(NB_NOTIFY_TIMER, self.notify_timeout_ms))
+            effects.append(StartTimer(NB_NOTIFY_TIMER))
             return effects
         return []
 
@@ -508,14 +503,12 @@ class NbSubordinate:
 
     def __init__(self, tid: TID, site: str, coordinator: str,
                  sites: Sequence[str], quorum: QuorumSpec,
-                 outcome_timeout_ms: float = 3000.0,
                  already_pledged: bool = False):
         self.tid = tid
         self.site = site
         self.coordinator = coordinator
         self.sites = list(sites)
         self.quorum = quorum
-        self.outcome_timeout_ms = outcome_timeout_ms
         self.already_pledged = already_pledged
 
         self.state = NbSubState.PREPARING
@@ -541,15 +534,14 @@ class NbSubordinate:
                                             "quorum": self.quorum.to_dict()})]
 
     @classmethod
-    def helper(cls, tid: TID, site: str, replicate_msg: NbReplicate,
-               outcome_timeout_ms: float = 3000.0) -> "NbSubordinate":
+    def helper(cls, tid: TID, site: str,
+               replicate_msg: NbReplicate) -> "NbSubordinate":
         """A read-only (or previously uninvolved) site drafted into the
         commit quorum: it was forgotten locally, but the replicate
         message is self-contained."""
         data = replicate_msg.decision_data
         sub = cls(tid, site, data["coordinator"], data["sites"],
-                  QuorumSpec.from_dict(data["quorum"]),
-                  outcome_timeout_ms=outcome_timeout_ms)
+                  QuorumSpec.from_dict(data["quorum"]))
         sub.vote = Vote.READ_ONLY
         sub.state = NbSubState.PREPARED  # eligible for replication
         return sub
@@ -594,7 +586,7 @@ class NbSubordinate:
                 SendDatagram(self.coordinator,
                              NbVote(tid=self.tid, sender=self.site,
                                     vote=Vote.YES)),
-                StartTimer(NB_OUTCOME_TIMER, self.outcome_timeout_ms),
+                StartTimer(NB_OUTCOME_TIMER),
             ]
         if token == NB_REPL_FORCE and self.state is NbSubState.FORCING_REPLICATION:
             self.state = NbSubState.REPLICATED
@@ -605,7 +597,7 @@ class NbSubordinate:
                              NbReplicateAck(tid=self.tid, sender=self.site,
                                             ok=True)),
                 CancelTimer(NB_OUTCOME_TIMER),
-                StartTimer(NB_OUTCOME_TIMER, self.outcome_timeout_ms),
+                StartTimer(NB_OUTCOME_TIMER),
             ]
         if token == NB_PLEDGE_FORCE and self.state is NbSubState.FORCING_PLEDGE:
             self.state = NbSubState.PLEDGED
@@ -616,7 +608,7 @@ class NbSubordinate:
                              NbAbortJoinAck(tid=self.tid, sender=self.site,
                                             ok=True)),
                 CancelTimer(NB_OUTCOME_TIMER),
-                StartTimer(NB_OUTCOME_TIMER, self.outcome_timeout_ms),
+                StartTimer(NB_OUTCOME_TIMER),
             ]
         return []
 
@@ -767,7 +759,7 @@ class NbSubordinate:
             return [
                 Trace("nb.takeover", {"tid": str(self.tid), "site": self.site}),
                 StartTakeover(self.tid),
-                StartTimer(NB_OUTCOME_TIMER, self.outcome_timeout_ms),
+                StartTimer(NB_OUTCOME_TIMER),
             ]
         return []
 
@@ -788,19 +780,15 @@ class NbTakeover:
     exclusivity (change 4) keeps them from deciding differently.
     """
 
+    max_notify_retries = 10
+
     def __init__(self, tid: TID, site: str, sites: Sequence[str],
                  quorum: QuorumSpec, own_status: str,
-                 own_decision_data: Optional[Dict[str, Any]] = None,
-                 poll_timeout_ms: float = 800.0,
-                 notify_timeout_ms: float = 1500.0,
-                 max_notify_retries: int = 10):
+                 own_decision_data: Optional[Dict[str, Any]] = None):
         self.tid = tid
         self.site = site
         self.sites = list(sites)
         self.quorum = quorum
-        self.poll_timeout_ms = poll_timeout_ms
-        self.notify_timeout_ms = notify_timeout_ms
-        self.max_notify_retries = max_notify_retries
 
         self.state = NbTakeoverState.POLLING
         self.round = 0
@@ -838,7 +826,7 @@ class NbTakeover:
                                            round=self.round))
             for s in others
         ]
-        effects.append(StartTimer(NB_TAKEOVER_TIMER, self.poll_timeout_ms))
+        effects.append(StartTimer(NB_TAKEOVER_TIMER, POLL))
         return effects
 
     # ------------------------------------------------------------ inputs
@@ -924,7 +912,7 @@ class NbTakeover:
                         NB_REPL_FORCE))
                 else:
                     effects.append(SendDatagram(s, msg))
-            effects.append(StartTimer(NB_TAKEOVER_TIMER, self.poll_timeout_ms))
+            effects.append(StartTimer(NB_TAKEOVER_TIMER, POLL))
             return effects
         # Try the abort quorum: sites that can pledge are the reachable
         # ones without replication records.
@@ -948,14 +936,14 @@ class NbTakeover:
                 else:
                     effects.append(SendDatagram(
                         s, NbAbortJoin(tid=self.tid, sender=self.site)))
-            effects.append(StartTimer(NB_TAKEOVER_TIMER, self.poll_timeout_ms))
+            effects.append(StartTimer(NB_TAKEOVER_TIMER, POLL))
             return effects
         # Blocked: neither quorum reachable.  Poll again later — this is
         # the (provably unavoidable) multi-failure blocking case.
         return [Trace("nb.blocked", {"tid": str(self.tid),
                                      "replicated": sorted(self.replicated),
                                      "pledged": sorted(self.pledged)}),
-                StartTimer(NB_TAKEOVER_TIMER, self.poll_timeout_ms * 2)]
+                StartTimer(NB_TAKEOVER_TIMER, 2 * POLL)]
 
     def on_log_forced(self, token: str) -> Effects:
         if token == NB_REPL_FORCE and self.state is NbTakeoverState.PROMOTING:
@@ -1014,7 +1002,7 @@ class NbTakeover:
                                   {"tid": str(self.tid),
                                    "outcome": outcome.value})]
         effects.extend(self._send_outcome(self._notify_targets()))
-        effects.append(StartTimer(NB_TAKEOVER_TIMER, self.notify_timeout_ms))
+        effects.append(StartTimer(NB_TAKEOVER_TIMER))
         return effects
 
     def _notify_targets(self) -> List[str]:
@@ -1035,7 +1023,7 @@ class NbTakeover:
             self.state = NbTakeoverState.DONE
             return [Forget(self.tid)]
         effects = self._send_outcome(self._notify_targets())
-        effects.append(StartTimer(NB_TAKEOVER_TIMER, self.notify_timeout_ms))
+        effects.append(StartTimer(NB_TAKEOVER_TIMER))
         return effects
 
     def _on_outcome_ack(self, msg: NbOutcomeAck) -> Effects:

@@ -39,12 +39,13 @@ Layout choices (all from the paper's co-location optimizations):
 
 Election (:class:`PcCandidate`): ballots are made unique per site by
 ``round * len(sites) + site_index + 1``; a nacked or timed-out round
-backs off deterministically (``poll_timeout * 2**round``, a pure timer
-effect, so `flow-determinism` holds).  Phase 1 collects F+1 promises,
-free instances are filled with the abort value, and the vector must be
-*chosen* (accepted by F+1 acceptors at the candidate's ballot) before
-the candidate acts on it — acting on an unchosen abort vector could
-diverge from a later candidate that intersects a ballot-0 commit.
+backs off deterministically (half a protocol timeout ``* 2**round``, a
+pure timer effect, so `flow-determinism` holds).  Phase 1 collects F+1
+promises, free instances are filled with the abort value, and the
+vector must be *chosen* (accepted by F+1 acceptors at the candidate's
+ballot) before the candidate acts on it — acting on an unchosen abort
+vector could diverge from a later candidate that intersects a ballot-0
+commit.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from repro.core.effects import (
     LocalAbort,
     LocalCommit,
     LocalPrepare,
+    POLL,
     SendDatagram,
     StartTakeover,
     StartTimer,
@@ -242,12 +244,11 @@ class PcLeader(_AcceptorBatching):
     datagram out.
     """
 
+    max_vote_retries = 10
+    max_notify_retries = 10
+
     def __init__(self, tid: TID, site: str, subordinates: Sequence[str],
-                 acceptors: Sequence[str], quorum: QuorumSpec,
-                 vote_timeout_ms: float = 1500.0,
-                 notify_timeout_ms: float = 1500.0,
-                 max_vote_retries: int = 10,
-                 max_notify_retries: int = 10) -> None:
+                 acceptors: Sequence[str], quorum: QuorumSpec) -> None:
         if site not in acceptors:
             raise PcProtocolViolation(
                 f"leader {site} must belong to its acceptor set {acceptors}")
@@ -258,10 +259,6 @@ class PcLeader(_AcceptorBatching):
         self.acceptors = list(acceptors)
         self.remote_acceptors = [a for a in acceptors if a != site]
         self.quorum = quorum
-        self.vote_timeout_ms = vote_timeout_ms
-        self.notify_timeout_ms = notify_timeout_ms
-        self.max_vote_retries = max_vote_retries
-        self.max_notify_retries = max_notify_retries
 
         self.state = PcLeaderState.INIT
         self.local_vote: Optional[Vote] = None
@@ -296,7 +293,7 @@ class PcLeader(_AcceptorBatching):
             self.tid, self.site, sites=tuple(self.sites),
             acceptors=tuple(self.acceptors)))
             for sub in self.subordinates]
-        effects.append(StartTimer(PC_VOTE_TIMER, self.vote_timeout_ms))
+        effects.append(StartTimer(PC_VOTE_TIMER))
         return effects
 
     def _prepare_message(self) -> PcPrepare:
@@ -509,7 +506,7 @@ class PcLeader(_AcceptorBatching):
         missing = [s for s in self.subordinates if not self._voted(s)]
         effects: List[Effect] = [SendDatagram(s, self._prepare_message())
                                  for s in missing]
-        effects.append(StartTimer(PC_VOTE_TIMER, self.vote_timeout_ms))
+        effects.append(StartTimer(PC_VOTE_TIMER))
         return effects
 
     def _voted(self, sub: str) -> bool:
@@ -532,7 +529,7 @@ class PcLeader(_AcceptorBatching):
         effects: List[Effect] = [
             SendDatagram(s, PcOutcome(self.tid, self.site, outcome=outcome))
             for s in unacked]
-        effects.append(StartTimer(PC_NOTIFY_TIMER, self.notify_timeout_ms))
+        effects.append(StartTimer(PC_NOTIFY_TIMER))
         return effects
 
     # --------------------------------------------------------- decision
@@ -589,7 +586,7 @@ class PcLeader(_AcceptorBatching):
             for sub in self.notify_targets]
         effects += [LocalCommit(self.tid),
                     Complete(self.tid, Outcome.COMMITTED),
-                    StartTimer(PC_NOTIFY_TIMER, self.notify_timeout_ms)]
+                    StartTimer(PC_NOTIFY_TIMER)]
         if not self.notify_targets:
             self.state = PcLeaderState.DONE
             effects += [CancelTimer(PC_NOTIFY_TIMER),
@@ -623,13 +620,11 @@ class PcLeader(_AcceptorBatching):
 
     @classmethod
     def recovered(cls, tid: TID, site: str, update_subs: Sequence[str],
-                  acceptors: Sequence[str],
-                  notify_timeout_ms: float = 1500.0) -> "PcLeader":
+                  acceptors: Sequence[str]) -> "PcLeader":
         """Rebuilt from a forced decision record: the commit decision
         stands, only the notifications remain."""
         quorum = QuorumSpec.paxos(len(acceptors))
-        leader = cls(tid, site, list(update_subs), list(acceptors), quorum,
-                     notify_timeout_ms=notify_timeout_ms)
+        leader = cls(tid, site, list(update_subs), list(acceptors), quorum)
         leader.local_vote = Vote.YES
         leader.update_subs = list(update_subs)
         leader.notify_targets = sorted(update_subs)
@@ -645,7 +640,7 @@ class PcLeader(_AcceptorBatching):
             SendDatagram(s, PcOutcome(self.tid, self.site, outcome=outcome))
             for s in self.notify_targets]
         effects += [LocalCommit(self.tid),
-                    StartTimer(PC_NOTIFY_TIMER, self.notify_timeout_ms)]
+                    StartTimer(PC_NOTIFY_TIMER)]
         if not self.notify_targets:
             self.state = PcLeaderState.DONE
             effects += [WriteLog(end_record(str(self.tid), self.site)),
@@ -677,15 +672,13 @@ class PcParticipant(_AcceptorBatching):
 
     def __init__(self, tid: TID, site: str, leader: str,
                  sites: Sequence[str], acceptors: Sequence[str],
-                 quorum: QuorumSpec,
-                 protocol_timeout_ms: float = 1500.0) -> None:
+                 quorum: QuorumSpec) -> None:
         self.tid = tid
         self.site = site
         self.leader = leader
         self.sites = list(sites)
         self.acceptors = list(acceptors)
         self.quorum = quorum
-        self.protocol_timeout_ms = protocol_timeout_ms
         self.state = PcSubState.INIT
         self.vote: Optional[Vote] = None
         self.outcome: Optional[Outcome] = None
@@ -735,8 +728,7 @@ class PcParticipant(_AcceptorBatching):
                             self.acceptor.record(self.tid), (),
                             [(dst, self._vote_message(vote))
                              for dst in self._vote_targets()]),
-                        StartTimer(PC_OUTCOME_TIMER,
-                                   self.protocol_timeout_ms)]
+                        StartTimer(PC_OUTCOME_TIMER)]
             # Not an acceptor: the vote is the ballot-0 2a and the
             # acceptors make it durable before the leader counts it.
             self.state = PcSubState.DONE
@@ -772,8 +764,7 @@ class PcParticipant(_AcceptorBatching):
                 self.tid, self.site, vote=Vote.YES, leader=self.leader,
                 sites=tuple(self.sites), acceptors=tuple(self.acceptors)))
                 for dst in self._vote_targets()]
-            effects.append(StartTimer(PC_OUTCOME_TIMER,
-                                      self.protocol_timeout_ms))
+            effects.append(StartTimer(PC_OUTCOME_TIMER))
             return effects
         if token == PC_ACCEPT_FORCE:
             # Oldest batch only: later batches wait for their own force.
@@ -913,7 +904,7 @@ class PcParticipant(_AcceptorBatching):
         return [Trace("pc.takeover", {"tid": str(self.tid),
                                       "site": self.site}),
                 StartTakeover(self.tid),
-                StartTimer(PC_OUTCOME_TIMER, self.protocol_timeout_ms)]
+                StartTimer(PC_OUTCOME_TIMER)]
 
     # ---------------------------------------------------------- recovery
 
@@ -922,13 +913,11 @@ class PcParticipant(_AcceptorBatching):
                   sites: Sequence[str], acceptors: Sequence[str],
                   promised: int = 0,
                   accepted: Sequence[Sequence[Any]] = (),
-                  prepared: bool = True,
-                  protocol_timeout_ms: float = 1500.0) -> "PcParticipant":
+                  prepared: bool = True) -> "PcParticipant":
         """Rebuilt from durable facts: the prepare record (RM side) and
         the latest acceptor record, if any."""
         quorum = QuorumSpec.paxos(len(acceptors))
-        sub = cls(tid, site, leader, sites, acceptors, quorum,
-                  protocol_timeout_ms=protocol_timeout_ms)
+        sub = cls(tid, site, leader, sites, acceptors, quorum)
         if prepared:
             sub.vote = Vote.YES
             sub.state = PcSubState.PREPARED
@@ -958,8 +947,7 @@ class PcParticipant(_AcceptorBatching):
                 self.tid, self.site, vote=self.vote, leader=self.leader,
                 sites=tuple(self.sites), acceptors=tuple(self.acceptors)))
                 for dst in self._vote_targets()]
-        effects.append(StartTimer(PC_OUTCOME_TIMER,
-                                  self.protocol_timeout_ms))
+        effects.append(StartTimer(PC_OUTCOME_TIMER))
         return effects
 
 
@@ -984,19 +972,15 @@ class PcCandidate:
     index back off into larger ballots, so duelling candidates resolve.
     """
 
+    max_notify_retries = 10
+
     def __init__(self, tid: TID, site: str, sites: Sequence[str],
-                 acceptors: Sequence[str], quorum: QuorumSpec,
-                 poll_timeout_ms: float = 800.0,
-                 notify_timeout_ms: float = 1500.0,
-                 max_notify_retries: int = 10) -> None:
+                 acceptors: Sequence[str], quorum: QuorumSpec) -> None:
         self.tid = tid
         self.site = site
         self.sites = list(sites)
         self.acceptors = list(acceptors)
         self.quorum = quorum
-        self.poll_timeout_ms = poll_timeout_ms
-        self.notify_timeout_ms = notify_timeout_ms
-        self.max_notify_retries = max_notify_retries
         self.state = PcCandidateState.INIT
         self.attempt = 0
         self.round = 0
@@ -1040,7 +1024,7 @@ class PcCandidate:
         return effects
 
     def _backoff(self) -> float:
-        return self.poll_timeout_ms * (2 ** min(self.round, 5))
+        return POLL * (2 ** min(self.round, 5))
 
     # --------------------------------------------------------- messages
 
@@ -1147,7 +1131,7 @@ class PcCandidate:
         effects: List[Effect] = [
             SendDatagram(s, PcOutcome(self.tid, self.site, outcome=outcome))
             for s in self.notify_targets if s not in self.acked]
-        effects.append(StartTimer(PC_NOTIFY_TIMER, self.notify_timeout_ms))
+        effects.append(StartTimer(PC_NOTIFY_TIMER))
         return effects
 
     def _on_peer_outcome(self, msg: PcOutcome) -> List[Effect]:
@@ -1215,12 +1199,11 @@ class PcCandidate:
 
     @classmethod
     def resume_decision(cls, tid: TID, site: str, update_subs: Sequence[str],
-                        acceptors: Sequence[str], sites: Sequence[str],
-                        notify_timeout_ms: float = 1500.0) -> "PcCandidate":
+                        acceptors: Sequence[str],
+                        sites: Sequence[str]) -> "PcCandidate":
         """Rebuilt from an unacked decision record after a crash."""
         quorum = QuorumSpec.paxos(len(acceptors))
-        cand = cls(tid, site, sites, acceptors, quorum,
-                   notify_timeout_ms=notify_timeout_ms)
+        cand = cls(tid, site, sites, acceptors, quorum)
         cand.outcome = Outcome.COMMITTED
         cand.values = [(s, Vote.YES.value) for s in update_subs]
         cand.notify_targets = [s for s in update_subs if s != site]

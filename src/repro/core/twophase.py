@@ -40,7 +40,7 @@ notifications; outputs are :mod:`repro.core.effects`.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.effects import (
     CancelTimer,
@@ -111,20 +111,16 @@ SUB_COMMIT_DURABLE = "2pc.sub_commit_durable"
 class TwoPhaseCoordinator:
     """Coordinator-side state machine for one transaction."""
 
+    max_prepare_retries = 3
+
     def __init__(self, tid: TID, site: str, subordinates: Sequence[str],
                  variant: TwoPhaseVariant = TwoPhaseVariant.OPTIMIZED,
-                 use_multicast: bool = False,
-                 vote_timeout_ms: float = 1000.0,
-                 ack_timeout_ms: float = 1000.0,
-                 max_prepare_retries: int = 3):
+                 use_multicast: bool = False):
         self.tid = tid
         self.site = site
         self.subordinates = list(subordinates)
         self.variant = variant
         self.use_multicast = use_multicast
-        self.vote_timeout_ms = vote_timeout_ms
-        self.ack_timeout_ms = ack_timeout_ms
-        self.max_prepare_retries = max_prepare_retries
 
         self.state = CoordinatorState.COLLECTING
         self.votes: Dict[str, Vote] = {}
@@ -141,7 +137,7 @@ class TwoPhaseCoordinator:
         effects: Effects = [LocalPrepare(self.tid)]
         effects.extend(self._send_prepares(self.subordinates))
         if self.subordinates:
-            effects.append(StartTimer(VOTE_TIMER, self.vote_timeout_ms))
+            effects.append(StartTimer(VOTE_TIMER))
         return effects
 
     def _send_prepares(self, dsts: Sequence[str]) -> Effects:
@@ -223,7 +219,7 @@ class TwoPhaseCoordinator:
                 effects.append(MulticastDatagram(tuple(self.update_subs), notice()))
             else:
                 effects.extend(SendDatagram(s, notice()) for s in self.update_subs)
-            effects.append(StartTimer(ACK_TIMER, self.ack_timeout_ms))
+            effects.append(StartTimer(ACK_TIMER))
         effects.append(LocalCommit(self.tid))
         effects.append(Complete(self.tid, Outcome.COMMITTED))
         if not self.update_subs:
@@ -262,14 +258,14 @@ class TwoPhaseCoordinator:
             if self.prepare_retries < self.max_prepare_retries:
                 self.prepare_retries += 1
                 effects = self._send_prepares(missing)
-                effects.append(StartTimer(VOTE_TIMER, self.vote_timeout_ms))
+                effects.append(StartTimer(VOTE_TIMER))
                 return effects
             return self._decide_abort()
         if token == ACK_TIMER and self.state is CoordinatorState.COMMITTED:
             pending = [s for s in self.update_subs if s not in self.acked]
             effects = [SendDatagram(s, CommitNotice(tid=self.tid, sender=self.site))
                        for s in pending]
-            effects.append(StartTimer(ACK_TIMER, self.ack_timeout_ms))
+            effects.append(StartTimer(ACK_TIMER))
             return effects
         return []
 
@@ -300,11 +296,11 @@ class TwoPhaseCoordinator:
     # ---------------------------------------------------------- recovery
 
     @classmethod
-    def recovered(cls, tid: TID, site: str, pending_subs: Sequence[str],
-                  **kwargs: Any) -> "TwoPhaseCoordinator":
+    def recovered(cls, tid: TID, site: str,
+                  pending_subs: Sequence[str]) -> "TwoPhaseCoordinator":
         """Rebuild a committed coordinator found in the log (COORD_COMMIT
         without END): it must keep notifying until every ack arrives."""
-        coord = cls(tid, site, pending_subs, **kwargs)
+        coord = cls(tid, site, pending_subs)
         coord.state = CoordinatorState.COMMITTED
         coord.outcome = Outcome.COMMITTED
         coord.update_subs = list(pending_subs)
@@ -316,7 +312,7 @@ class TwoPhaseCoordinator:
         """Effects to emit right after :meth:`recovered`."""
         effects: Effects = [SendDatagram(s, CommitNotice(tid=self.tid, sender=self.site))
                             for s in self.update_subs]
-        effects.append(StartTimer(ACK_TIMER, self.ack_timeout_ms))
+        effects.append(StartTimer(ACK_TIMER))
         return effects
 
 
@@ -324,13 +320,11 @@ class TwoPhaseSubordinate:
     """Subordinate-side state machine for one transaction."""
 
     def __init__(self, tid: TID, site: str, coordinator: str,
-                 variant: TwoPhaseVariant = TwoPhaseVariant.OPTIMIZED,
-                 outcome_timeout_ms: float = 2000.0):
+                 variant: TwoPhaseVariant = TwoPhaseVariant.OPTIMIZED):
         self.tid = tid
         self.site = site
         self.coordinator = coordinator
         self.variant = variant
-        self.outcome_timeout_ms = outcome_timeout_ms
         self.state = SubordinateState.PREPARING
         self.vote: Optional[Vote] = None
         self.outcome: Optional[Outcome] = None
@@ -383,7 +377,7 @@ class TwoPhaseSubordinate:
                 SendDatagram(self.coordinator,
                              VoteResponse(tid=self.tid, sender=self.site,
                                           vote=Vote.YES)),
-                StartTimer(OUTCOME_TIMER, self.outcome_timeout_ms),
+                StartTimer(OUTCOME_TIMER),
             ]
         if token == SUB_COMMIT_FORCE and self.state is SubordinateState.COMMITTING:
             return self._commit_record_durable(forced=True)
@@ -519,7 +513,7 @@ class TwoPhaseSubordinate:
             effects.append(LocalAbort(self.tid))
         # Keep asking: we still owe the coordinator an answer, and we
         # want to learn (and report) whether we guessed right.
-        effects.append(StartTimer(OUTCOME_TIMER, self.outcome_timeout_ms))
+        effects.append(StartTimer(OUTCOME_TIMER))
         return effects
 
     def _resolve_heuristic(self, true_outcome: Outcome) -> Effects:
@@ -545,7 +539,7 @@ class TwoPhaseSubordinate:
             return [
                 SendDatagram(self.coordinator,
                              TxnInquiry(tid=self.tid, sender=self.site)),
-                StartTimer(OUTCOME_TIMER, self.outcome_timeout_ms),
+                StartTimer(OUTCOME_TIMER),
             ]
         if token == OUTCOME_TIMER and self.state is SubordinateState.PREPARED:
             # Blocked: keep asking.  If the coordinator has forgotten or
@@ -555,18 +549,18 @@ class TwoPhaseSubordinate:
                                               "site": self.site}),
                 SendDatagram(self.coordinator,
                              TxnInquiry(tid=self.tid, sender=self.site)),
-                StartTimer(OUTCOME_TIMER, self.outcome_timeout_ms),
+                StartTimer(OUTCOME_TIMER),
             ]
         return []
 
     # ---------------------------------------------------------- recovery
 
     @classmethod
-    def recovered(cls, tid: TID, site: str, coordinator: str,
-                  **kwargs: Any) -> "TwoPhaseSubordinate":
+    def recovered(cls, tid: TID, site: str,
+                  coordinator: str) -> "TwoPhaseSubordinate":
         """Rebuild a prepared subordinate found in the log (PREPARE with
         no outcome record): still blocked, must inquire."""
-        sub = cls(tid, site, coordinator, **kwargs)
+        sub = cls(tid, site, coordinator)
         sub.state = SubordinateState.PREPARED
         sub.vote = Vote.YES
         return sub
@@ -575,7 +569,7 @@ class TwoPhaseSubordinate:
         return [
             SendDatagram(self.coordinator,
                          TxnInquiry(tid=self.tid, sender=self.site)),
-            StartTimer(OUTCOME_TIMER, self.outcome_timeout_ms),
+            StartTimer(OUTCOME_TIMER),
         ]
 
 

@@ -60,13 +60,12 @@ def parent_map(tree: ast.AST) -> Dict[ast.AST, ast.AST]:
 Why = Tuple[str, str]
 
 
-def witness_chain(reached: Dict[str, Why], qname: str,
-                  limit: int = 12) -> str:
+def witness_chain(reached: Dict[str, Why], qname: str) -> str:
     """'f -> g -> primitive': the call chain :meth:`Program.reaching`
-    found from ``qname`` down to the primitive."""
+    found from ``qname`` down to the primitive (12 hops at most)."""
     parts: List[str] = []
     cur: Optional[str] = qname
-    for _ in range(limit):
+    for _ in range(12):
         if cur is None or cur not in reached:
             break
         kind, detail = reached[cur]

@@ -304,8 +304,8 @@ _LEN_FIXED = {"len(self.subordinates)": 1, "len(self.sites)": 2}
 _LITERALISH = ("Vote.", "Outcome.", "True", "False", "None", "'", '"')
 
 
-def _eval_base(a: cfg.Atom, m: _Machine, d: _Delivery,
-               n_subs: int) -> Optional[bool]:
+def _eval_base(a: cfg.Atom, m: _Machine,
+               d: _Delivery) -> Optional[bool]:
     lhs, rhs = a.lhs, a.rhs
     # --- self.state (reached only via entry_state_atoms) -------------
     if lhs == "self.state":
@@ -362,8 +362,6 @@ def _eval_base(a: cfg.Atom, m: _Machine, d: _Delivery,
                 return m.votes_received
             if term == "len(self.replicated)":
                 return m.replicated
-            if term == "len(self.subordinates)":
-                return n_subs
             if term in _LEN_FIXED:
                 return _LEN_FIXED[term]
             try:
@@ -392,9 +390,9 @@ def _eval_base(a: cfg.Atom, m: _Machine, d: _Delivery,
     return None
 
 
-def _eval_atom(a: cfg.Atom, m: _Machine, d: _Delivery,
-               n_subs: int) -> Optional[bool]:
-    base = _eval_base(a, m, d, n_subs)
+def _eval_atom(a: cfg.Atom, m: _Machine,
+               d: _Delivery) -> Optional[bool]:
+    base = _eval_base(a, m, d)
     if base is None:
         return None
     return base if a.positive else not base
@@ -415,12 +413,12 @@ def _mentions(text: str, subject: str) -> bool:
             or f"({subject})" in text)
 
 
-def _admit_path(path: cfg.Path, m: _Machine, d: _Delivery,
-                n_subs: int) -> Optional[int]:
+def _admit_path(path: cfg.Path, m: _Machine,
+                d: _Delivery) -> Optional[int]:
     """Determinacy score when the path is admissible, else None."""
     score = 0
     for a in cfg.entry_state_atoms(path):
-        v = _eval_atom(a, m, d, n_subs)
+        v = _eval_atom(a, m, d)
         if v is False:
             return None
         if v is True:
@@ -432,7 +430,7 @@ def _admit_path(path: cfg.Path, m: _Machine, d: _Delivery,
                and (_mentions(a.lhs, sub) or _mentions(a.rhs, sub))
                for sub in _VOLATILE):
             continue               # post-assignment world: indeterminate
-        v = _eval_atom(a, m, d, n_subs)
+        v = _eval_atom(a, m, d)
         if v is False:
             return None
         if v is True:
@@ -440,12 +438,12 @@ def _admit_path(path: cfg.Path, m: _Machine, d: _Delivery,
     return score
 
 
-def _choose(plist: List[cfg.Path], m: _Machine, d: _Delivery,
-            n_subs: int) -> Optional[cfg.Path]:
+def _choose(plist: List[cfg.Path], m: _Machine,
+            d: _Delivery) -> Optional[cfg.Path]:
     best: Optional[Tuple[int, int, int]] = None
     chosen: Optional[cfg.Path] = None
     for idx, path in enumerate(plist):
-        score = _admit_path(path, m, d, n_subs)
+        score = _admit_path(path, m, d)
         if score is None:
             continue
         rank = (score, 1 if path.events else 0, -idx)
@@ -454,12 +452,12 @@ def _choose(plist: List[cfg.Path], m: _Machine, d: _Delivery,
     return chosen
 
 
-def happy_path_counts(program: Program, coord_name: str, sub_name: str,
-                      n_subs: int = 1,
-                      limit: int = 200) -> Optional[Dict[str, int]]:
-    """Walk one write transaction between two machines; count forced
-    log writes and delivered datagrams.  None when the walk cannot
-    complete (missing machines or no admissible path)."""
+def happy_path_counts(program: Program, coord_name: str,
+                      sub_name: str) -> Optional[Dict[str, int]]:
+    """Walk one write transaction between two machines (one
+    subordinate, at most 200 deliveries); count forced log writes and
+    delivered datagrams.  None when the walk cannot complete (missing
+    machines or no admissible path)."""
     effect_names = cfg.effect_names_for(program)
     cache: Dict[str, List[cfg.Path]] = {}
 
@@ -484,7 +482,7 @@ def happy_path_counts(program: Program, coord_name: str, sub_name: str,
     datagrams = 0
     queue: List[Tuple[object, ...]] = [("start", coord)]
     delivered = 0
-    while queue and delivered < limit:
+    while queue and delivered < 200:
         item = queue.pop(0)
         delivered += 1
         kind, m = item[0], item[1]
@@ -524,7 +522,7 @@ def happy_path_counts(program: Program, coord_name: str, sub_name: str,
         plist = m.paths.get(method)
         if not plist:
             continue
-        path = _choose(plist, m, d, n_subs)
+        path = _choose(plist, m, d)
         if path is None:
             return None
         for ev in path.events:

@@ -33,7 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.lint.findings import Finding
 
 
-def _default_resource_classes() -> tuple:
+def _resource_classes() -> tuple:
     from repro.log.wal import WriteAheadLog
     from repro.mach.ports import Port
     from repro.sim.events import SimEvent
@@ -84,11 +84,10 @@ class RaceDetector:
     not causally ordered inside the group are reported as races.
     """
 
-    def __init__(self, resource_classes: Optional[tuple] = None,
-                 max_reports: int = 200):
-        self._resource_classes = (resource_classes
-                                  or _default_resource_classes())
-        self.max_reports = max_reports
+    MAX_REPORTS = 200
+
+    def __init__(self) -> None:
+        self._resource_classes = _resource_classes()
         self.races: List[RaceReport] = []
         self.events_seen = 0
         self._current_seq: Optional[int] = None
@@ -130,7 +129,7 @@ class RaceDetector:
 
     def _flush_group(self) -> None:
         group, self._group = self._group, []
-        if len(group) < 2 or len(self.races) >= self.max_reports:
+        if len(group) < 2 or len(self.races) >= self.MAX_REPORTS:
             return
         in_group = {seq: parent for seq, parent, *_ in group}
 
@@ -167,7 +166,7 @@ class RaceDetector:
                     second=f"{b_site[2]}",
                     first_site=a_site[:2],
                     second_site=b_site[:2]))
-                if len(self.races) >= self.max_reports:
+                if len(self.races) >= self.MAX_REPORTS:
                     return
 
 

@@ -4,7 +4,8 @@ Subcommands::
 
     python -m repro.live site --name alpha --dir /tmp/run
         One LiveSite process (used by the cluster driver; runs until a
-        control "stop" or SIGTERM).
+        control "stop" or SIGTERM — or a failed WAL write, which stops
+        it with exit status 1).
 
     python -m repro.live conformance [--dir DIR]
         Run the scripted scenario under the simulated LAN and under live
@@ -32,7 +33,7 @@ from typing import Optional
 def _run_site(args: argparse.Namespace) -> int:
     from repro.live.site import LiveSite
 
-    async def main() -> None:
+    async def main() -> Optional[OSError]:
         site = LiveSite(args.name, args.dir,
                         hold_force_tokens=tuple(args.hold))
         loop = asyncio.get_running_loop()
@@ -43,8 +44,13 @@ def _run_site(args: argparse.Namespace) -> int:
               f"(wal={site.wal.path}, recovered={site.recovered})",
               flush=True)
         await site.serve_until_stopped()
+        return site.failure
 
-    asyncio.run(main())
+    failure = asyncio.run(main())
+    if failure is not None:
+        print(f"[{args.name}] fail-stop on storage error: {failure}",
+              file=sys.stderr, flush=True)
+        return 1
     return 0
 
 

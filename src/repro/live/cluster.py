@@ -12,7 +12,8 @@ next step leaves behind.  The driver polls ``status`` until the hold
 registers, then SIGKILLs the process, so "crashed right after forcing
 the prepare record" is a scripted, repeatable event rather than a race.
 
-Two scripted demos double as the CI ``live-smoke`` assertions:
+Two scripted demos double as the CI ``live-smoke`` assertions — one
+choreography (:func:`_kill_demo`), two sets of arguments:
 
 - :func:`demo_two_phase_subordinate_kill` — subordinate dies
   mid-prepare; coordinator times out and aborts; the restarted
@@ -129,55 +130,71 @@ def _outcome_at(run_dir: str, site: str, tid: str) -> Optional[str]:
 # ---------------------------------------------------------------- demos
 
 
-def demo_two_phase_subordinate_kill(run_dir: str,
-                                    log: Any = print) -> Dict[str, str]:
-    """Kill a 2PC subordinate mid-prepare; recover it from its real WAL.
-
-    Returns the final per-site outcome map (all "aborted").
-    """
+def _kill_demo(run_dir: str, log: Any, protocol: str, family: str,
+               victim: str, hold: str, expected: str,
+               resolvers: Sequence[str], killed: str,
+               resolved: str) -> Dict[str, str]:
+    """The kill -9 choreography, once: alpha coordinates one ``protocol``
+    transaction over beta and gamma; ``victim`` wedges after forcing
+    ``hold`` and is SIGKILLed; ``resolvers`` must reach ``expected``
+    while it is down, the victim after its restart, and nobody may hold
+    anything else.  Returns the outcome map of the sites that know one."""
     sites = ["alpha", "beta", "gamma"]
     procs: Dict[str, subprocess.Popen] = {}
     try:
-        # gamma will wedge right after fsyncing its prepare record.
-        procs["alpha"] = spawn_site(run_dir, "alpha")
-        procs["beta"] = spawn_site(run_dir, "beta")
-        procs["gamma"] = spawn_site(run_dir, "gamma",
-                                    hold=["2pc.prepare_force"])
-        log("cluster up: alpha beta gamma "
-            "(gamma holds 2pc.prepare_force)")
+        for s in sites:
+            procs[s] = spawn_site(run_dir, s,
+                                  hold=[hold] if s == victim else ())
+        log(f"cluster up: alpha beta gamma ({victim} holds {hold})")
         begun = control(run_dir, "alpha",
-                        {"cmd": "begin", "protocol": "2pc",
+                        {"cmd": "begin", "protocol": protocol,
                          "subs": ["beta", "gamma"]})
         tid = begun["tid"]
-        log(f"alpha began 2PC transaction {tid}")
-        wait_until(lambda: _status(run_dir, "gamma")["held"],
-                   10.0, "gamma to reach the prepare-force hold")
-        kill9(procs.pop("gamma"))
-        log("gamma SIGKILLed with a durable prepare record and "
-            "no vote sent")
-        # Coordinator's vote timeout fires -> presumed abort.
-        wait_until(lambda: _outcome_at(run_dir, "alpha", tid) == "aborted",
-                   20.0, "alpha to time out and abort")
-        log(f"alpha aborted {tid} after vote timeout")
-        procs["gamma"] = spawn_site(run_dir, "gamma")
-        log("gamma restarted; recovering from its WAL")
-        wait_until(lambda: _outcome_at(run_dir, "gamma", tid) == "aborted",
-                   20.0, "recovered gamma to resolve by inquiry")
-        status = _status(run_dir, "gamma")
-        if not status["recovered"]:
-            raise ClusterError("gamma did not run recovery at boot")
+        log(f"alpha began {family} transaction {tid}")
+        wait_until(lambda: _status(run_dir, victim)["held"],
+                   10.0, f"{victim} to reach the {hold} hold")
+        kill9(procs.pop(victim))
+        log(killed)
+        for s in resolvers:
+            wait_until(
+                lambda s=s: _outcome_at(run_dir, s, tid) == expected,
+                30.0, f"{s} to resolve {tid} to {expected} "
+                      f"without {victim}")
+        log(resolved.format(tid=tid))
+        procs[victim] = spawn_site(run_dir, victim)
+        log(f"{victim} restarted; recovering from its WAL")
+        wait_until(lambda: _outcome_at(run_dir, victim, tid) == expected,
+                   20.0, f"recovered {victim} to resolve {tid}")
+        if not _status(run_dir, victim)["recovered"]:
+            raise ClusterError(f"{victim} did not run recovery at boot")
         outcomes = {s: _outcome_at(run_dir, s, tid) for s in sites}
         log(f"outcomes: {outcomes}")
-        for s in ("alpha", "gamma"):
-            if outcomes[s] != "aborted":
-                raise ClusterError(f"{s} resolved {tid} to {outcomes[s]!r}, "
-                                   "expected aborted")
-        if outcomes["beta"] not in (None, "aborted"):
-            raise ClusterError(f"beta disagrees: {outcomes['beta']!r}")
+        for s, outcome in outcomes.items():
+            # A bystander may have forgotten (or never learnt) the
+            # outcome; it may not hold a different one.
+            owes = s == victim or s in resolvers
+            if outcome != expected and (owes or outcome is not None):
+                raise ClusterError(f"{s} resolved {tid} to {outcome!r}, "
+                                   f"expected {expected}")
         return {s: o for s, o in outcomes.items() if o is not None}
     finally:
         for site, proc in procs.items():
             stop_site(run_dir, site, proc)
+
+
+def demo_two_phase_subordinate_kill(run_dir: str,
+                                    log: Any = print) -> Dict[str, str]:
+    """Kill a 2PC subordinate mid-prepare; recover it from its real WAL.
+
+    The coordinator's vote timeout fires and presumed abort decides.
+    Returns the final per-site outcome map (all "aborted").
+    """
+    return _kill_demo(
+        run_dir, log, protocol="2pc", family="2PC", victim="gamma",
+        hold="2pc.prepare_force", expected="aborted", resolvers=("alpha",),
+        killed="gamma SIGKILLed with a durable prepare record and "
+               "no vote sent",
+        resolved="alpha aborted {tid} after vote timeout")
 
 
 def demo_paxos_leader_kill(run_dir: str, log: Any = print) -> Dict[str, str]:
@@ -188,48 +205,13 @@ def demo_paxos_leader_kill(run_dir: str, log: Any = print) -> Dict[str, str]:
     The restarted leader finds its durable decision and completes
     notification.  Returns the per-site outcome map (all "committed").
     """
-    sites = ["alpha", "beta", "gamma"]
-    procs: Dict[str, subprocess.Popen] = {}
-    try:
-        # alpha (leader) wedges after fsyncing the decision record,
-        # before sending any PcOutcome.
-        procs["alpha"] = spawn_site(run_dir, "alpha", hold=["pc.decide"])
-        procs["beta"] = spawn_site(run_dir, "beta")
-        procs["gamma"] = spawn_site(run_dir, "gamma")
-        log("cluster up: alpha beta gamma (alpha holds pc.decide)")
-        begun = control(run_dir, "alpha",
-                        {"cmd": "begin", "protocol": "paxos",
-                         "subs": ["beta", "gamma"]})
-        tid = begun["tid"]
-        log(f"alpha began Paxos Commit transaction {tid}")
-        wait_until(lambda: _status(run_dir, "alpha")["held"],
-                   10.0, "alpha to reach the decide-force hold")
-        kill9(procs.pop("alpha"))
-        log("alpha (leader) SIGKILLed: decision durable, nobody told")
-        # Participants time out, run elections, and commit without alpha.
-        for s in ("beta", "gamma"):
-            wait_until(
-                lambda s=s: _outcome_at(run_dir, s, tid) == "committed",
-                30.0, f"{s} to commit via election (leaderless)")
-        log("beta and gamma committed by quorum election — "
-            "non-blocking at F=1 despite a dead leader")
-        procs["alpha"] = spawn_site(run_dir, "alpha")
-        log("alpha restarted; recovering from its WAL")
-        wait_until(lambda: _outcome_at(run_dir, "alpha", tid) == "committed",
-                   20.0, "recovered alpha to finish its commit")
-        status = _status(run_dir, "alpha")
-        if not status["recovered"]:
-            raise ClusterError("alpha did not run recovery at boot")
-        outcomes = {s: _outcome_at(run_dir, s, tid) for s in sites}
-        log(f"outcomes: {outcomes}")
-        for s in sites:
-            if outcomes[s] != "committed":
-                raise ClusterError(f"{s} resolved {tid} to {outcomes[s]!r}, "
-                                   "expected committed")
-        return {s: str(o) for s, o in outcomes.items()}
-    finally:
-        for site, proc in procs.items():
-            stop_site(run_dir, site, proc)
+    return _kill_demo(
+        run_dir, log, protocol="paxos", family="Paxos Commit",
+        victim="alpha", hold="pc.decide", expected="committed",
+        resolvers=("beta", "gamma"),
+        killed="alpha (leader) SIGKILLed: decision durable, nobody told",
+        resolved="beta and gamma committed by quorum election — "
+                 "non-blocking at F=1 despite a dead leader")
 
 
 def demo_happy_path(run_dir: str, log: Any = print) -> List[str]:

@@ -176,9 +176,8 @@ class FrameDecoder:
     framing cannot resynchronise), so callers must drop the connection.
     """
 
-    def __init__(self, max_payload: int = MAX_PAYLOAD):
+    def __init__(self) -> None:
         self._buf = bytearray()
-        self._max_payload = max_payload
 
     def feed(self, data: bytes) -> List[Tuple[int, Dict[str, Any]]]:
         self._buf.extend(data)
@@ -193,7 +192,7 @@ class FrameDecoder:
                 raise FrameError("version", str(version))
             if kind not in (KIND_MESSAGE, KIND_CONTROL):
                 raise FrameError("kind", str(kind))
-            if length > self._max_payload:
+            if length > MAX_PAYLOAD:
                 raise FrameError("oversize", f"{length} byte payload")
             if len(self._buf) < HEADER_SIZE + length:
                 return frames

@@ -155,7 +155,7 @@ def tranman_leg(scenario: Scenario) -> Tuple[CamelotSystem, Transcript]:
     for step in scenario.steps:
         body = system.application(step.site).minimal_transaction(
             [f"server0@{site}" for site in (step.site, *step.subordinates)],
-            protocol=PROTOCOLS[step.protocol], variant=step.variant)
+            protocol=PROTOCOLS[step.protocol])
         system.kernel.schedule(step.at_ms, system.spawn, body)
     return system, transcript
 

@@ -45,7 +45,7 @@ from repro.core.edge import PIGGYBACK_SWEEP_MS, ProtocolEdge, Step
 from repro.core.effects import LocalPrepare
 from repro.core.interpreter import WITHHELD, Interpreter, Run, Wait
 from repro.core.messages import FamilyAbort, FamilyAbortAck
-from repro.core.outcomes import Outcome, ProtocolKind, TwoPhaseVariant, Vote
+from repro.core.outcomes import Outcome, ProtocolKind, Vote
 from repro.core.tid import TID, TidGenerator
 from repro.log.records import LogRecord
 from repro.log.storage import LogTail
@@ -81,7 +81,6 @@ class SiteHost:
                  prepare_delay_ms: float = 0.0):
         self.site = site
         self.substrate = substrate
-        self.cost = cost
         self.scripted_votes = dict(votes or {})
         self.hold_force_tokens = set(hold_force_tokens)
         self.prepare_delay_ms = prepare_delay_ms
@@ -93,8 +92,7 @@ class SiteHost:
         # The edge owns the protocol tables (no retire log: demo-scale
         # host); the names below are the same objects, kept for drivers.
         self.edge = ProtocolEdge(
-            site, cost.protocol_timeout,
-            family_known=lambda tid: not self.conservative,
+            site, family_known=lambda tid: not self.conservative,
             txn_active=lambda tid: False, recorded=lambda tid_str: None)
         self.machines: Dict[TID, Any] = self.edge.machines
         self.takeovers: Dict[TID, Any] = self.edge.takeovers
@@ -107,7 +105,7 @@ class SiteHost:
         self.duplicates = 0
         self.on_complete: Optional[Callable[[TID, Outcome], None]] = None
 
-        self.interp = Interpreter(self.edge, self)
+        self.interp = Interpreter(self.edge, self, cost.protocol_timeout)
         # These primitives are the substrate's, and its WAL's, own.
         self.send = substrate.send
         self.watch_durable = substrate.wal.watch_durable
@@ -150,16 +148,13 @@ class SiteHost:
     # ----------------------------------------------------- driver API
 
     def begin_commit(self, protocol: str, subordinates: Sequence[str],
-                     tid: Optional[TID] = None,
-                     variant: TwoPhaseVariant = TwoPhaseVariant.OPTIMIZED
-                     ) -> TID:
+                     tid: Optional[TID] = None) -> TID:
         """Start commitment as coordinator; returns the transaction id."""
         if tid is None:
             tid = self.tid_gen.new_top_level()
         machine = self.edge.coordinator(
             tid, subordinates,
-            PROTOCOLS.get(protocol) or ProtocolKind(protocol),
-            variant=variant)
+            PROTOCOLS.get(protocol) or ProtocolKind(protocol))
         self._enqueue(self.interp.run(machine, machine.start()))
         return tid
 
@@ -167,8 +162,7 @@ class SiteHost:
         """Adopt a recovery plan built from the durable WAL prefix."""
         self.edge.restore(plan.tombstones, plan.pledges)
         self.conservative = True
-        for machine, resume in build_machines(
-                plan, self.site, protocol_timeout_ms=self.cost.protocol_timeout):
+        for machine, resume in build_machines(plan, self.site):
             self.edge.adopt(machine)
             self._inbox.append(self.interp.run(machine, list(resume)))
         self._pump()

@@ -2,10 +2,8 @@
 
 Busy CI runners make fixed ports a flake factory, so:
 
-- servers bind **ephemeral** ports (``port=0``) by default; when a
-  caller insists on a specific port, :func:`bind_server_socket` retries
-  around transient ``EADDRINUSE`` (a restarting site racing its
-  predecessor's TIME_WAIT) before falling back to an ephemeral one;
+- servers bind **ephemeral** loopback ports, always: the kernel picks
+  one that never collides, and nobody needs to know it in advance;
 - discovery runs over a **port-file handshake**: each site atomically
   publishes ``<dir>/<site>.port`` (write temp + ``os.replace``, so a
   reader never sees a half-written file), and peers re-read the file on
@@ -15,49 +13,22 @@ Busy CI runners make fixed ports a flake factory, so:
 
 from __future__ import annotations
 
-import errno
 import os
 import socket
 import time
 from typing import Optional
 
-# Retry cadence for explicit-port binds racing a TIME_WAIT predecessor.
-BIND_ATTEMPTS = 10
-BIND_RETRY_S = 0.1
 
-
-def bind_server_socket(host: str = "127.0.0.1", port: int = 0,
-                       attempts: int = BIND_ATTEMPTS) -> socket.socket:
-    """A bound, listening-ready TCP socket.
-
-    ``port=0`` asks the kernel for an ephemeral port (never collides).
-    An explicit port is retried on ``EADDRINUSE`` and, if it stays
-    busy, falls back to an ephemeral port — the port file tells peers
-    where we actually landed, so a specific port is only ever a
-    preference.
-    """
-    last_error: Optional[OSError] = None
-    for attempt in range(max(1, attempts)):
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            sock.bind((host, port))
-            return sock
-        except OSError as exc:
-            sock.close()
-            if exc.errno != errno.EADDRINUSE or port == 0:
-                raise
-            last_error = exc
-            if attempt + 1 < attempts:
-                time.sleep(BIND_RETRY_S)
-    # Preference unsatisfiable: take any free port instead of failing.
+def bind_server_socket() -> socket.socket:
+    """A bound, listening-ready TCP socket on an ephemeral loopback
+    port; the port file tells peers where it landed."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     try:
-        sock.bind((host, 0))
+        sock.bind(("127.0.0.1", 0))
     except OSError:
         sock.close()
-        raise last_error if last_error is not None else OSError("bind failed")
+        raise
     return sock
 
 
@@ -98,8 +69,8 @@ def read_port_file(directory: str, site: str) -> Optional[int]:
     return port if 0 < port < 65536 else None
 
 
-def wait_port_file(directory: str, site: str, timeout_s: float = 10.0,
-                   poll_s: float = 0.05) -> int:
+def wait_port_file(directory: str, site: str,
+                   timeout_s: float = 10.0) -> int:
     """Block (wall clock) until the peer publishes; driver-side helper."""
     deadline = time.monotonic() + timeout_s
     while True:
@@ -110,4 +81,4 @@ def wait_port_file(directory: str, site: str, timeout_s: float = 10.0,
             raise TimeoutError(
                 f"no port file for site {site!r} in {directory} "
                 f"after {timeout_s}s")
-        time.sleep(poll_s)
+        time.sleep(0.05)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.config import CostModel
-from repro.core.outcomes import TwoPhaseVariant, Vote
+from repro.core.outcomes import Vote
 from repro.live.codec import canonical_json, message_to_dict
 
 
@@ -71,7 +71,6 @@ class ScenarioStep:
     site: str                          # coordinator
     protocol: str                      # "2pc" | "nb" | "paxos"
     subordinates: Tuple[str, ...]
-    variant: TwoPhaseVariant = TwoPhaseVariant.OPTIMIZED
 
 
 @dataclass
@@ -121,6 +120,5 @@ def run_scenario_steps(scenario: Scenario, hosts: Dict[str, Any],
     """Schedule each step's ``begin_commit`` via the harness's timer."""
     for step in scenario.steps:
         def fire(s: ScenarioStep = step) -> None:
-            hosts[s.site].begin_commit(s.protocol, list(s.subordinates),
-                                       variant=s.variant)
+            hosts[s.site].begin_commit(s.protocol, list(s.subordinates))
         at(step.at_ms, fire)

@@ -21,6 +21,13 @@ Robustness contract (satellite: codec hardening): a malformed,
 truncated, oversized, or CRC-failing frame NEVER crashes the site — the
 connection is dropped and the event counted per cause in
 ``frame_drops``, mirroring ``Lan.drop_counts()``.
+
+Storage errors are the opposite case: a force whose write or fsync
+raised **fail-stops** the site (the WAL is dead, see
+:mod:`repro.live.walfile`).  The machine that asked is never told, the
+port file is cleared, ``serve_until_stopped`` returns with
+``LiveSite.failure`` set, and ``python -m repro.live site`` exits
+non-zero; recovery from what is really on disk is the restart's job.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.config import CostModel
-from repro.core.outcomes import TwoPhaseVariant, Vote
+from repro.core.outcomes import Vote
 from repro.servers.recovery import analyze
 from repro.live.codec import (
     KIND_MESSAGE,
@@ -102,11 +109,14 @@ class LiveSubstrate(Substrate):
     """The real-IO substrate behind one site's :class:`SiteHost`."""
 
     def __init__(self, site: str, port_dir: str, wal: FileWal,
-                 wire_ms: float, force_floor_ms: float):
+                 wire_ms: float, force_floor_ms: float,
+                 on_storage_error: Callable[[OSError], None]):
         self.site = site
         self.port_dir = port_dir
         self.wal = wal
         self.host: Optional[SiteHost] = None
+        # Told of every force that failed (LiveSite fail-stops on the first).
+        self.on_storage_error = on_storage_error
         self.transcript = Transcript()
         self.traces: Dict[str, int] = {}  # trace kind -> count
         self.inbound = _DelayLine(wire_ms)
@@ -218,7 +228,13 @@ class LiveSubstrate(Substrate):
         # follows it (that is the whole point of a force, and what the
         # kill-window choreography relies on); only the *completion*
         # callback is paced.
-        ready = self.wal.force(lsn)
+        try:
+            ready = self.wal.force(lsn)
+        except OSError as exc:
+            # Never ``done``: the record is not durable, and never will
+            # be by a retry.  The host stays parked; the site stops.
+            self.on_storage_error(exc)
+            return
         self.forces.put(lambda: self._force_done(ready, done))
 
     @staticmethod
@@ -256,12 +272,15 @@ class LiveSite:
         os.makedirs(run_dir, exist_ok=True)
         self.cost = cost if cost is not None else CostModel()
         self.wal = FileWal(os.path.join(run_dir, f"{site}.wal"), fsync=fsync)
-        self.substrate = LiveSubstrate(site, run_dir, self.wal,
-                                       wire_ms, force_floor_ms)
+        self.substrate = LiveSubstrate(site, run_dir, self.wal, wire_ms,
+                                       force_floor_ms, self._fail_stop)
         self.host = SiteHost(site, self.substrate, self.cost, votes=votes,
                              hold_force_tokens=hold_force_tokens,
                              prepare_delay_ms=prepare_ms)
         self.substrate.host = self.host
+        # The storage error this site fail-stopped on, if it did.
+        self.failure: Optional[OSError] = None
+        self._fail_stopping: Optional[asyncio.Future] = None
         self.recovered = False
         self.port: Optional[int] = None
         self._server: Optional[asyncio.base_events.Server] = None
@@ -295,7 +314,13 @@ class LiveSite:
         self.wal.close()
         self._stopping.set()
 
+    def _fail_stop(self, exc: OSError) -> None:
+        if self.failure is None:
+            self.failure = exc
+            self._fail_stopping = asyncio.ensure_future(self.stop())
+
     async def serve_until_stopped(self) -> None:
+        """Returns once stopped; ``failure`` says if by a storage error."""
         await self._stopping.wait()
 
     @property
@@ -356,8 +381,7 @@ class LiveSite:
             return {"ok": True, "site": self.site, "pid": os.getpid()}
         if cmd == "begin":
             tid = self.host.begin_commit(
-                payload["protocol"], list(payload["subs"]),
-                variant=TwoPhaseVariant(payload.get("variant", "optimized")))
+                payload["protocol"], list(payload["subs"]))
             return {"ok": True, "tid": str(tid)}
         if cmd == "status":
             return self._status()

@@ -14,6 +14,15 @@ Loading tolerates a torn tail — a crash mid-write leaves a partial or
 CRC-failing final record, which is exactly the not-yet-durable suffix
 the simulator's crash model also discards.  Opening for write truncates
 the file back to the valid prefix so new appends never follow garbage.
+
+A failed write is final.  Once a write, flush or fsync has raised, the
+bytes of that attempt may or may not be on the platter (after a failed
+``fsync`` the kernel may already have dropped the dirty pages), so
+nothing may follow them and nothing may be retried as if they were
+still pending: the :class:`FileWal` is dead — it publishes nothing,
+every later ``append`` / ``force`` raises — and the site above it
+fail-stops.  What really reached the disk is for the next open's scan
+to say.
 """
 
 from __future__ import annotations
@@ -91,6 +100,8 @@ class FileWal(LogTail):
     def __init__(self, path: str, fsync: bool = True):
         self.path = path
         self._fsync = fsync
+        # The first write/flush/fsync error; set once, never cleared.
+        self._failed: Optional[OSError] = None
         existing = b""
         try:
             with open(path, "rb") as fh:
@@ -120,18 +131,40 @@ class FileWal(LogTail):
         """The durable prefix found at open (input to recovery analysis)."""
         return list(self._recovered)
 
+    def _check_alive(self) -> None:
+        if self._failed is not None:
+            raise OSError(f"WAL {self.path} is dead: an earlier write "
+                          f"failed ({self._failed})") from self._failed
+
+    def append(self, record: LogRecord) -> LogRecord:
+        self._check_alive()
+        return super().append(record)
+
     def force(self, lsn: Optional[int] = None) -> List[Callable[[], None]]:
-        """:meth:`MemoryWal.force`, with a write and an fsync first."""
+        """:meth:`MemoryWal.force`, with a write and an fsync first.
+        An ``OSError`` from either kills the WAL (module docstring)."""
+        self._check_alive()
         records = self.take(lsn)
         if records:
-            for record in records:
-                body = json.dumps(record.to_dict(), sort_keys=True,
-                                  separators=(",", ":")).encode("utf-8")
-                self._file.write(_REC.pack(len(body), zlib.crc32(body)) + body)
-            self._file.flush()
-            if self._fsync:
-                os.fsync(self._file.fileno())
+            try:
+                for record in records:
+                    body = json.dumps(record.to_dict(), sort_keys=True,
+                                      separators=(",", ":")).encode("utf-8")
+                    self._file.write(
+                        _REC.pack(len(body), zlib.crc32(body)) + body)
+                self._file.flush()
+                if self._fsync:
+                    os.fsync(self._file.fileno())
+            except OSError as exc:
+                self._failed = exc
+                raise
         return self.publish(records)
 
     def close(self) -> None:
-        self._file.close()
+        try:
+            self._file.close()
+        except OSError:
+            # Closing flushes: a dead WAL fails again here, and has
+            # already said so.
+            if self._failed is None:
+                raise

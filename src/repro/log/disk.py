@@ -35,7 +35,6 @@ class DiskModel:
         self.name = name
         self._busy = SimLock(kernel, name=f"{name}.busy")
         self.writes = 0
-        self.bytes_written = 0
         self.busy_ms = 0.0
 
     def write_time(self, total_bytes: int) -> float:
@@ -52,7 +51,6 @@ class DiskModel:
         try:
             duration = self.write_time(total_bytes)
             self.writes += 1
-            self.bytes_written += total_bytes
             self.busy_ms += duration
             yield Sleep(duration)
         finally:
@@ -70,5 +68,4 @@ class DiskModel:
 
     def reset_stats(self) -> None:
         self.writes = 0
-        self.bytes_written = 0
         self.busy_ms = 0.0

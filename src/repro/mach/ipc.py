@@ -50,14 +50,13 @@ class ReplyHandle:
 class IpcFabric:
     """Prices and schedules local message transfer on every site."""
 
-    def __init__(self, kernel: Kernel, cost: CostModel, tracer: Tracer,
-                 site_alive: Optional[Dict[str, Any]] = None):
+    def __init__(self, kernel: Kernel, cost: CostModel, tracer: Tracer):
         self.kernel = kernel
         self.cost = cost
         self.tracer = tracer
         # Map of site name -> Site (or anything with .alive); consulted at
         # delivery time so in-flight mail to a crashing site is lost.
-        self.sites: Dict[str, Any] = site_alive if site_alive is not None else {}
+        self.sites: Dict[str, Any] = {}
 
     # ------------------------------------------------------------ costs
 

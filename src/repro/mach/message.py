@@ -13,11 +13,8 @@ messages in flight, as Camelot's ComMan does.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
-
-_msg_ids = itertools.count(1)
 
 
 @dataclass(slots=True)
@@ -51,7 +48,6 @@ class Message:
     outofline_kb: float = 0.0
     trans: Dict[str, Any] = field(default_factory=dict)
     sender: Optional[str] = None
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
 
     @property
     def is_outofline(self) -> bool:
@@ -64,4 +60,4 @@ class Message:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tid = self.trans.get("tid")
         tid_part = f" tid={tid}" if tid is not None else ""
-        return f"<Message #{self.msg_id} {self.kind}{tid_part}>"
+        return f"<Message {self.kind}{tid_part}>"

@@ -87,7 +87,6 @@ class NetMsgServer:
         self.site = site
         self.cost = cost
         self.tracer = tracer
-        self.forwarded = 0
 
     def wire_leg(self) -> float:
         """One-way wire+NMS-processing latency.
@@ -115,7 +114,6 @@ class NetMsgServer:
         partitioned away) — the caller is expected to initiate the abort
         protocol, as the paper prescribes for unresponsive operations.
         """
-        self.forwarded += 1
         msg.sender = self.site
         done = SimEvent(self.kernel, name="rpc.done", ignore_retrigger=True)
         shim = _RemoteReplyShim(self.kernel, dest_site)

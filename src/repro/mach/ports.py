@@ -9,14 +9,11 @@ NetMsgServer would report), and receivers are killed with their process.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Generator
 
 from repro.mach.message import Message
 from repro.sim.kernel import Kernel
 from repro.sim.resources import Channel
-
-_port_ids = itertools.count(1)
 
 
 class DeadPortError(RuntimeError):
@@ -31,11 +28,10 @@ class Port:
     :class:`~repro.mach.ipc.IpcFabric`, never call ``enqueue`` directly.
     """
 
-    def __init__(self, kernel: Kernel, site: str, name: str = ""):
+    def __init__(self, kernel: Kernel, site: str, name: str = "port"):
         self.kernel = kernel
         self.site = site
-        self.port_id = next(_port_ids)
-        self.name = name or f"port{self.port_id}"
+        self.name = name
         self.queue = Channel(kernel, name=f"{site}:{self.name}")
         self.dead = False
 

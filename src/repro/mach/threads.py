@@ -21,7 +21,7 @@ from typing import Any, Callable, Generator, List, Optional
 from repro.mach.message import Message
 from repro.mach.ports import Port
 from repro.sim.kernel import Kernel
-from repro.sim.process import Process, ProcessKilled
+from repro.sim.process import Process
 
 # A handler receives one message and returns a process-body generator.
 Handler = Callable[[Message], Generator[Any, Any, None]]
@@ -66,10 +66,7 @@ class CThreadsPool:
 
     def _worker_loop(self) -> Generator[Any, Any, None]:
         while True:
-            try:
-                msg = yield from self.port.receive()
-            except ProcessKilled:  # pragma: no cover - kill path
-                raise
+            msg = yield from self.port.receive()
             self.busy += 1
             try:
                 yield from self.handler(msg)

@@ -14,22 +14,22 @@ Accordingly this service is deliberately thin:
   the callable the endpoint's owner registered as
   :attr:`DatagramService.receiver` (the TranMan's puts it on its
   request port): no queue and no process of this layer's own;
-- timeout/retry and duplicate detection are *not* here: the protocol
-  state machines own their timers and answer a repeated message
-  idempotently, exactly as in Camelot.
+- timeout/retry and duplicate detection are *not* here: the TranMan's
+  effect interpreter arms every timer from its one protocol timeout
+  (the machines only name which wait they want and how many timeouts
+  long), and the machines answer a repeated message idempotently,
+  exactly as in Camelot.  A datagram carries nothing but its two ends
+  and its payload.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.net.lan import Lan
 from repro.sim.kernel import Kernel
 from repro.sim.tracing import Tracer
-
-_dgram_seq = itertools.count(1)
 
 
 @dataclass
@@ -43,7 +43,6 @@ class Datagram:
     src: str
     dst: str
     payload: Any
-    wire_seq: int = field(default_factory=lambda: next(_dgram_seq))
 
 
 class DatagramService:

@@ -255,23 +255,17 @@ class Lan:
                 self.tracer.record(self.kernel.now, "net.lost", site=src, dst=dst)
                 continue
             self.in_flight += 1
+            payload, deliver = payload_for(dst), deliver_for(dst)
             obs = self.tracer.obs
             if obs is not None:
-                payload = payload_for(dst)
                 now = self.kernel.now
                 obs.net(now, now + send_delay + transit,
                         src, dst, payload, multicast=True)
                 if obs.keep:
                     obs.gauge(now, "lan.in_flight", self.in_flight)
-                self.kernel.post(send_delay + transit, self._arrive, src,
-                                 dst, payload, deliver_for(dst))
-                self._duplicate(src, dst, payload, deliver_for(dst),
-                                send_delay + transit)
-            else:
-                self.kernel.post(send_delay + transit, self._arrive, src,
-                                 dst, payload_for(dst), deliver_for(dst))
-                self._duplicate(src, dst, payload_for(dst),
-                                deliver_for(dst), send_delay + transit)
+            self.kernel.post(send_delay + transit, self._arrive, src, dst,
+                             payload, deliver)
+            self._duplicate(src, dst, payload, deliver, send_delay + transit)
 
     def _arrive(self, src: str, dst: str, payload: Any, deliver: DeliverFn) -> None:
         self.in_flight -= 1

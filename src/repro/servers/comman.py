@@ -44,8 +44,7 @@ class CommunicationManager:
     """One site's ComMan: interposed RPC transport plus name service."""
 
     def __init__(self, kernel: Kernel, site: Site, fabric: IpcFabric,
-                 nms: NetMsgServer, cost: CostModel, tracer: Tracer,
-                 threads: int = 8):
+                 nms: NetMsgServer, cost: CostModel, tracer: Tracer):
         self.kernel = kernel
         self.site = site
         self.fabric = fabric
@@ -58,7 +57,7 @@ class CommunicationManager:
         # Inbound port for requests forwarded from remote ComMans.
         self.port = site.create_port("comman")
         self.pool = CThreadsPool(
-            kernel, self.port, self._serve_inbound, size=threads,
+            kernel, self.port, self._serve_inbound, size=8,
             name=f"{site.name}/comman",
             spawn=lambda body, nm: site.spawn(body, nm))
 

@@ -76,6 +76,8 @@ class DataServer:
         self._min_update_lsn: Dict[TID, int] = {}
         # Test hook: force the next prepare for a TID to vote NO.
         self.refuse_next_prepare: Set[TID] = set()
+        # Lock waits so far: staggers each waiter's timeout (see _lock).
+        self._wait_seq = 0
 
         self.port = site.create_port(name)
         self.pool = CThreadsPool(
@@ -202,7 +204,7 @@ class DataServer:
         # Stagger the timeout deterministically per waiter, so two
         # deadlocked transactions never give up in the same instant and
         # one of them survives as the winner.
-        self._wait_seq = getattr(self, "_wait_seq", 0) + 1
+        self._wait_seq += 1
         digest = hashlib.sha256(
             f"{self.name}:{tid}:{self._wait_seq}".encode()).digest()
         stagger = 0.75 + 0.5 * (digest[0] / 255.0)

@@ -32,7 +32,7 @@ from repro.log.storage import StableStore
 from repro.log.wal import WriteAheadLog
 from repro.mach.site import Site
 from repro.sim.kernel import Kernel
-from repro.sim.process import ProcessKilled, Sleep
+from repro.sim.process import Sleep
 from repro.sim.tracing import Tracer
 
 
@@ -82,7 +82,6 @@ class DiskManager:
         # segments (what survives a crash *besides* the log) is owned by
         # recovery, which in this model rebuilds from the log alone.
         self._pages: Dict[str, _BufferedPage] = {}
-        self.forces_requested = 0
         self._sweeper = site.spawn(self._lazy_flush_loop(), "diskman.sweep")
         self._pager = site.spawn(self._pageout_loop(), "diskman.pager")
 
@@ -94,7 +93,6 @@ class DiskManager:
 
     def force(self, lsn: Optional[int] = None) -> Generator[Any, Any, None]:
         """Synchronous force through the (possibly enabled) batcher."""
-        self.forces_requested += 1
         self.tracer.record(self.kernel.now, "diskman.force", site=self.site.name)
         obs = self.tracer.obs
         if obs is not None and obs.keep:
@@ -154,17 +152,14 @@ class DiskManager:
         commit force (a background flush must never add to the critical
         path).
         """
-        try:
-            while True:
-                yield Sleep(self.LAZY_FLUSH_POLL_MS)
-                if (self.wal.last_lsn > self.wal.durable_lsn
-                        and (self.kernel.now - self.wal.last_append_at)
-                        >= self.LAZY_FLUSH_DEBOUNCE_MS):
-                    self.tracer.record(self.kernel.now, "diskman.lazy_sweep",
-                                       site=self.site.name)
-                    yield from self.wal.force(self.wal.last_lsn)
-        except ProcessKilled:
-            raise
+        while True:
+            yield Sleep(self.LAZY_FLUSH_POLL_MS)
+            if (self.wal.last_lsn > self.wal.durable_lsn
+                    and (self.kernel.now - self.wal.last_append_at)
+                    >= self.LAZY_FLUSH_DEBOUNCE_MS):
+                self.tracer.record(self.kernel.now, "diskman.lazy_sweep",
+                                   site=self.site.name)
+                yield from self.wal.force(self.wal.last_lsn)
 
     # ------------------------------------------------------ buffer pool
 
@@ -190,22 +185,19 @@ class DiskManager:
         pageout of a page whose log records are not yet durable must
         force the log first.
         """
-        try:
-            while True:
-                yield Sleep(self.PAGEOUT_INTERVAL_MS)
-                for key in self.dirty_pages():
-                    entry = self._pages[key]
-                    # The page may be re-dirtied while we wait for the
-                    # log; loop until its records really are durable.
-                    while entry.rec_lsn > self.wal.durable_lsn:
-                        yield from self.wal.force(entry.rec_lsn)
-                    self._assert_wal_protocol(entry)
-                    yield from self.data_disk.write(256)
-                    entry.dirty = False
-                    self.tracer.record(self.kernel.now, "diskman.pageout",
-                                       site=self.site.name, page=key)
-        except ProcessKilled:
-            raise
+        while True:
+            yield Sleep(self.PAGEOUT_INTERVAL_MS)
+            for key in self.dirty_pages():
+                entry = self._pages[key]
+                # The page may be re-dirtied while we wait for the
+                # log; loop until its records really are durable.
+                while entry.rec_lsn > self.wal.durable_lsn:
+                    yield from self.wal.force(entry.rec_lsn)
+                self._assert_wal_protocol(entry)
+                yield from self.data_disk.write(256)
+                entry.dirty = False
+                self.tracer.record(self.kernel.now, "diskman.pageout",
+                                   site=self.site.name, page=key)
 
     def _assert_wal_protocol(self, entry: _BufferedPage) -> None:
         if entry.rec_lsn > self.wal.durable_lsn:

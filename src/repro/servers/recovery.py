@@ -254,16 +254,15 @@ def analyze(site: str, records: Iterable[LogRecord]) -> RecoveryPlan:
     return plan
 
 
-def build_machines(plan: RecoveryPlan, site: str,
-                   protocol_timeout_ms: float = 1500.0) -> List[Tuple[Any, List[Any]]]:
+def build_machines(plan: RecoveryPlan,
+                   site: str) -> List[Tuple[Any, List[Any]]]:
     """Turn the plan's in-doubt/unacked entries into (machine,
     resume-effects) pairs for :meth:`TransactionManager.adopt_recovered_machine`."""
     out: List[Tuple[Any, List[Any]]] = []
     for entry in plan.in_doubt:
         if entry.protocol == "two_phase":
             sub = TwoPhaseSubordinate.recovered(
-                entry.tid, site, entry.coordinator,
-                outcome_timeout_ms=protocol_timeout_ms)
+                entry.tid, site, entry.coordinator)
             out.append((sub, sub.resume_inquiry()))
             continue
         if entry.protocol == "paxos_commit":
@@ -273,15 +272,14 @@ def build_machines(plan: RecoveryPlan, site: str,
                 entry.acceptors,
                 promised=int(acc.get("promised", 0)),
                 accepted=acc.get("accepted", ()),
-                prepared=entry.prepared,
-                protocol_timeout_ms=protocol_timeout_ms)
+                prepared=entry.prepared)
             out.append((pc, pc.resume_inquiry()))
             continue
         quorum = QuorumSpec.from_dict(entry.quorum) if entry.quorum else \
             QuorumSpec.majority(max(1, len(entry.sites)))
         # Participant machine reflecting durable state...
-        sub = NbSubordinate(entry.tid, site, entry.coordinator, entry.sites,
-                            quorum, outcome_timeout_ms=protocol_timeout_ms)
+        sub = NbSubordinate(entry.tid, site, entry.coordinator,
+                            entry.sites, quorum)
         sub.vote = Vote.YES
         if entry.pledged:
             sub.state = NbSubState.PLEDGED
@@ -297,15 +295,12 @@ def build_machines(plan: RecoveryPlan, site: str,
         # ...plus a takeover to actually resolve it.
         takeover = NbTakeover(entry.tid, site, entry.sites, quorum,
                               own_status=own_status,
-                              own_decision_data=entry.decision_data,
-                              poll_timeout_ms=protocol_timeout_ms / 2,
-                              notify_timeout_ms=protocol_timeout_ms)
+                              own_decision_data=entry.decision_data)
         out.append((takeover, takeover.start()))
     for entry in plan.unacked_commits:
         if entry.protocol == "two_phase":
             coord = TwoPhaseCoordinator.recovered(
-                entry.tid, site, entry.pending_subordinates,
-                ack_timeout_ms=protocol_timeout_ms)
+                entry.tid, site, entry.pending_subordinates)
             out.append((coord, coord.resume_notifications()))
         elif entry.protocol == "paxos_commit":
             # The decision is durable, only notifications remain.  A
@@ -316,21 +311,17 @@ def build_machines(plan: RecoveryPlan, site: str,
             subs = [s for s in entry.pending_subordinates if s != site]
             if site in entry.acceptors:
                 leader = PcLeader.recovered(
-                    entry.tid, site, subs, entry.acceptors,
-                    notify_timeout_ms=protocol_timeout_ms)
+                    entry.tid, site, subs, entry.acceptors)
                 out.append((leader, leader.resume_notifications()))
             else:
                 cand = PcCandidate.resume_decision(
                     entry.tid, site, subs, entry.acceptors,
-                    sites=[site] + subs,
-                    notify_timeout_ms=protocol_timeout_ms)
+                    sites=[site] + subs)
                 out.append((cand, cand.start()))
         else:
             sites = [site] + [s for s in entry.pending_subordinates]
             takeover = NbTakeover(entry.tid, site, sites,
                                   QuorumSpec.majority(len(sites)),
-                                  own_status="committed",
-                                  poll_timeout_ms=protocol_timeout_ms / 2,
-                                  notify_timeout_ms=protocol_timeout_ms)
+                                  own_status="committed")
             out.append((takeover, takeover.start()))
     return out

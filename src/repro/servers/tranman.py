@@ -86,7 +86,7 @@ class TransactionManager:
         # The edge owns the protocol tables; the names below are the
         # same objects, kept for chaos oracles, recovery and tests.
         self.edge = ProtocolEdge(
-            site.name, cost.protocol_timeout,
+            site.name,
             family_known=lambda tid: self.families.family_of(tid) is not None,
             txn_active=self._is_active, recorded=self.note_retirable)
         self.machines: Dict[TID, Any] = self.edge.machines
@@ -104,7 +104,7 @@ class TransactionManager:
         self.tombstone_retention_ms = (cost.orphan_timeout
                                        + cost.protocol_timeout)
         self._retire_log: Deque[Tuple[float, str]] = deque()
-        self.interp = Interpreter(self.edge, self)
+        self.interp = Interpreter(self.edge, self, cost.protocol_timeout)
         # Three of its primitives are the substrate's own.  ``defer``:
         # another pool thread may be inside the participant machine's
         # effect batch, so a note runs after the running step.
@@ -378,8 +378,7 @@ class TransactionManager:
             desc.outcome = Outcome.ABORTED
         fam = self.families.family_of(tid)
         known = sorted(fam.all_sites() - {self.site.name}) if fam else []
-        initiator = AbortInitiator(tid, self.site.name, known,
-                                   ack_timeout_ms=self.cost.protocol_timeout)
+        initiator = AbortInitiator(tid, self.site.name, known)
         self.machines[tid] = initiator
         self._pending_calls[tid] = msg
         yield from self.interp.run(initiator, initiator.start())

@@ -107,9 +107,8 @@ def any_of(kernel: Kernel, events: list[SimEvent], name: str = "any_of") -> SimE
     return combined
 
 
-def timeout_event(kernel: Kernel, delay: float, value: Any = None,
-                  name: str = "timeout") -> SimEvent:
+def timeout_event(kernel: Kernel, delay: float) -> SimEvent:
     """An event that self-triggers ``delay`` from now."""
-    ev = SimEvent(kernel, name=name)
-    kernel.schedule(delay, ev.trigger, value)
+    ev = SimEvent(kernel, name="timeout")
+    kernel.schedule(delay, ev.trigger)
     return ev

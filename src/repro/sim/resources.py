@@ -97,12 +97,11 @@ class Semaphore:
     def value(self) -> int:
         return self._value
 
-    def up(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._waiters:
-                self._waiters.popleft().trigger(None)
-            else:
-                self._value += 1
+    def up(self) -> None:
+        if self._waiters:
+            self._waiters.popleft().trigger(None)
+        else:
+            self._value += 1
 
     def down(self) -> Generator[Any, Any, None]:
         if self._value > 0 and not self._waiters:

@@ -223,8 +223,7 @@ class CamelotSystem:
         # hook) so recovered state is pruned on the same retention
         # horizon as live state.
         runtime.tranman.edge.restore(plan.tombstones, plan.pledges)
-        for machine, effects in build_machines(
-                plan, name, protocol_timeout_ms=self.cost.protocol_timeout):
+        for machine, effects in build_machines(plan, name):
             runtime.tranman.adopt_recovered_machine(machine, effects)
         for tid_str, redo in plan.pending_redo.items():
             runtime.site.spawn(

@@ -3,7 +3,8 @@
 Executes effects synchronously into inspectable lists; log forces and
 timers complete only when the test says so — which is exactly what makes
 adversarial orderings (crash between force and send, duplicated votes,
-races between takeovers) easy to script.
+races between takeovers) easy to script.  ``timers`` maps an armed
+token to its wait in protocol timeouts (what ``StartTimer`` carries).
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class MachineHost:
             elif isinstance(effect, Forget):
                 self.forgotten.append(effect.tid)
             elif isinstance(effect, StartTimer):
-                self.timers[effect.token] = effect.delay_ms
+                self.timers[effect.token] = effect.timeouts
             elif isinstance(effect, CancelTimer):
                 self.timers.pop(effect.token, None)
             elif isinstance(effect, StartTakeover):

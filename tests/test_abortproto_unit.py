@@ -52,7 +52,8 @@ def test_initiator_retries_unacked_sites():
 def test_initiator_gives_up_after_max_retries_presumed_abort():
     from repro.core.abortproto import ABORT_ACK_TIMER
 
-    host = initiator(max_retries=2)
+    host = initiator()
+    host.machine.max_retries = 2
     host.fire_timer(ABORT_ACK_TIMER)
     host.fire_timer(ABORT_ACK_TIMER)
     assert host.forgotten == []

@@ -15,6 +15,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.config import CostModel, wan_profile
+from repro.core import abortproto, nonblocking, paxoscommit, twophase
 from repro.core import effects as fx
 from repro.core.edge import ProtocolEdge
 from repro.core.interpreter import (
@@ -22,10 +24,25 @@ from repro.core.interpreter import (
     WITHHELD,
     Interpreter,
 )
-from repro.core.messages import CommitAck, NbOutcome
-from repro.core.outcomes import Outcome, Vote
+from repro.core.messages import (
+    CommitAck,
+    NbOutcome,
+    NbPrepare,
+    PcPrepare,
+    PrepareRequest,
+)
+from repro.core.outcomes import Outcome, ProtocolKind, Vote
+from repro.core.quorum import QuorumSpec
 from repro.core.tid import TID
-from repro.log.records import commit_record
+from repro.log.records import (
+    commit_record,
+    coordinator_commit_record,
+    paxos_acceptor_record,
+    paxos_decision_record,
+    paxos_prepare_record,
+    prepare_record,
+)
+from repro.servers.recovery import analyze, build_machines
 
 T1 = TID("T1@alpha")
 
@@ -37,6 +54,7 @@ class FakeEngine:
     def __init__(self):
         self.log = []
         self.timers = {}          # live handle -> fn
+        self.delays = []          # every delay a timer was armed with
         self.spawned = []         # (step, label)
         self.prepare_inline = False  # local_prepare returns a wait
         self._handles = 0
@@ -58,6 +76,7 @@ class FakeEngine:
         self.log.append(("watch_durable", lsn))
 
     def start_timer(self, delay_ms, fn):
+        self.delays.append(delay_ms)
         self._handles += 1
         self.timers[self._handles] = fn
         # ``cancel()`` is all the interpreter may ask of a handle.
@@ -122,10 +141,10 @@ class StubMachine:
 @pytest.fixture
 def rig():
     engine = FakeEngine()
-    edge = ProtocolEdge("beta", 1000.0, family_known=lambda tid: True,
+    edge = ProtocolEdge("beta", family_known=lambda tid: True,
                         txn_active=lambda tid: False,
                         recorded=lambda tid_str: None)
-    return engine, edge, Interpreter(edge, engine)
+    return engine, edge, Interpreter(edge, engine, 1000.0)
 
 
 def finish(run, answer=None):
@@ -314,3 +333,138 @@ def test_later_steps_wait_for_the_step_before_to_pass_its_force(rig):
     assert takeover.calls == ["on_message"]
     assert engine.traces() == ["participant.forced.tok", "p.effect",
                                "t.effect"]
+
+
+# -------------------------------------- waits follow the cost model
+#
+# Machines keep no time: a StartTimer names its wait in protocol
+# timeouts and the interpreter, built with the engine's one
+# ``timeout_ms``, turns it into a delay.  So whatever builds a machine —
+# a commit call, a routed prepare, a takeover, crash recovery — its
+# waits can only be that value times 1, times 1/2 (a poll) or times
+# 1/2 * 2**k (the election backoff), at any cost model.
+
+ABC = ("a", "b", "c")
+
+
+def _commit_call(kind):
+    def build(edge, interp):
+        machine = edge.coordinator(T1, ["b", "c"], kind)
+        finish(interp.run(machine, machine.start()), Vote.YES)
+    return "a", build
+
+
+def _routed(message):
+    def build(edge, interp):
+        finish(interp.deliver(message), Vote.YES)
+    return "b", build
+
+
+def _recovered(site, *records):
+    def build(edge, interp):
+        for lsn, record in enumerate(records, start=1):
+            record.lsn = lsn
+        for machine, resume in build_machines(analyze(site, records), site):
+            edge.adopt(machine)
+            finish(interp.run(machine, resume), Vote.YES)
+    return site, build
+
+
+def _constructions():
+    """name -> (site, build): every way production builds a machine.
+    Takeovers and candidates are not built here: the timed-out
+    participants below ask the edge for them (``StartTakeover``)."""
+    majority = QuorumSpec.majority(3)
+    return {
+        "2pc coordinator": _commit_call(ProtocolKind.TWO_PHASE),
+        "nb coordinator": _commit_call(ProtocolKind.NON_BLOCKING),
+        "paxos leader": _commit_call(ProtocolKind.PAXOS_COMMIT),
+        "2pc subordinate": _routed(PrepareRequest(tid=T1, sender="a")),
+        "nb subordinate, then takeover": _routed(NbPrepare(
+            tid=T1, sender="a", sites=ABC, quorum=majority)),
+        "paxos participant, then candidate": _routed(PcPrepare(
+            tid=T1, sender="a", sites=ABC, acceptors=ABC)),
+        "recovered 2pc subordinate": _recovered(
+            "b", prepare_record("T1@a", "b", "a")),
+        "recovered 2pc coordinator": _recovered(
+            "a", coordinator_commit_record("T1@a", "a", ["b", "c"])),
+        "recovered nb subordinate + takeover": _recovered(
+            "b", prepare_record("T1@a", "b", "a", sites=list(ABC),
+                                quorum_sizes=majority.to_dict())),
+        "recovered nb commit (notifying takeover)": _recovered(
+            "b", prepare_record("T1@a", "b", "a", sites=list(ABC),
+                                quorum_sizes=majority.to_dict()),
+            commit_record("T1@a", "b")),
+        "recovered paxos participant": _recovered(
+            "b", paxos_prepare_record("T1@a", "b", "a", list(ABC), list(ABC)),
+            paxos_acceptor_record("T1@a", "b", 0, [["b", 0, "yes"]],
+                                  leader="a", sites=list(ABC),
+                                  acceptors=list(ABC))),
+        "recovered paxos leader": _recovered(
+            "a", paxos_decision_record("T1@a", "a", ["b", "c"], list(ABC))),
+        "recovered paxos candidate": _recovered(
+            "d", paxos_decision_record("T1@a", "d", ["a", "b"], list(ABC))),
+    }
+
+
+def _armed_multiples(timeout_ms, rounds=8):
+    """Per construction, every delay its machines arm — at start and
+    over ``rounds`` firings of every live timer, nobody ever answering
+    — as a multiple of ``timeout_ms``."""
+    armed = {}
+    for name, (site, build) in _constructions().items():
+        engine = FakeEngine()
+        engine.prepare_inline = True
+        edge = ProtocolEdge(site, family_known=lambda tid: True,
+                            txn_active=lambda tid: False,
+                            recorded=lambda tid_str: None)
+        interp = Interpreter(edge, engine, timeout_ms)
+        build(edge, interp)
+        for _ in range(rounds):
+            for handle in list(engine.timers):
+                fire = engine.timers.pop(handle, None)
+                if fire is None:
+                    continue  # cancelled by a step earlier in the round
+                fire()
+                while engine.spawned:
+                    step, _label = engine.spawned.pop(0)
+                    finish(interp.steps((step,)), Vote.YES)
+        armed[name] = [delay / timeout_ms for delay in engine.delays]
+    return armed
+
+
+def test_every_wait_is_a_multiple_of_the_one_protocol_timeout():
+    default, wan = CostModel().protocol_timeout, wan_profile().protocol_timeout
+    assert (default, wan) == (1500.0, 4000.0)
+    at_default, at_wan = _armed_multiples(default), _armed_multiples(wan)
+    # The same waits, in the same order, whatever a timeout lasts.
+    assert at_default == at_wan
+    allowed = {fx.POLL * 2 ** k for k in range(6)}   # 1/2, 1, 2 .. 16
+    for name, multiples in at_default.items():
+        assert multiples, f"{name} armed no timer"
+        assert set(multiples) <= allowed, (name, sorted(set(multiples)))
+    # Plain waits, polls and backed-off elections were all exercised.
+    seen = set().union(*at_default.values())
+    assert {fx.POLL, 1.0, 2.0, 16.0} <= seen
+    assert set(at_default["2pc coordinator"]) == {1.0}
+    assert fx.POLL in at_default["nb subordinate, then takeover"]
+    assert 16.0 in at_default["paxos participant, then candidate"]
+
+
+def test_no_machine_takes_a_timing_or_retry_parameter():
+    """The signature pin: no constructor or classmethod of a machine
+    class can be handed a wait or a retry cap."""
+    offenders = []
+    for module in (twophase, nonblocking, paxoscommit, abortproto):
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ != module.__name__:
+                continue
+            for name, member in vars(cls).items():
+                func = getattr(member, "__func__", member)
+                if not inspect.isfunction(func):
+                    continue
+                offenders += [
+                    f"{cls.__name__}.{name}({param})"
+                    for param in inspect.signature(func).parameters
+                    if "timeout" in param or "retries" in param]
+    assert offenders == []

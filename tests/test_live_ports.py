@@ -1,8 +1,7 @@
 """repro.live.ports: the port hygiene that keeps live clusters off the
-flaky-CI treadmill — ephemeral binds, EADDRINUSE fallback, and the
-atomic port-file handshake restarted sites use to find each other."""
+flaky-CI treadmill — ephemeral binds and the atomic port-file handshake
+restarted sites use to find each other."""
 
-import socket
 import threading
 
 import pytest
@@ -35,33 +34,6 @@ class TestBind:
         finally:
             a.close()
             b.close()
-
-    def test_busy_explicit_port_falls_back_to_ephemeral(self):
-        holder = socket.socket()
-        holder.bind(("127.0.0.1", 0))
-        holder.listen(1)
-        busy = holder.getsockname()[1]
-        try:
-            sock = bind_server_socket(port=busy, attempts=2)
-            try:
-                # Preference unsatisfiable -> some other free port, not
-                # an exception: the port file repairs discovery.
-                assert sock.getsockname()[1] != busy
-            finally:
-                sock.close()
-        finally:
-            holder.close()
-
-    def test_free_explicit_port_is_honoured(self):
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        want = probe.getsockname()[1]
-        probe.close()
-        sock = bind_server_socket(port=want, attempts=1)
-        try:
-            assert sock.getsockname()[1] == want
-        finally:
-            sock.close()
 
 
 class TestPortFiles:

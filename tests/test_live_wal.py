@@ -5,7 +5,11 @@ kill -9 between append and force.  Recovery reads it with the same
 :func:`repro.servers.recovery.analyze` discriminators the simulator
 uses, which is the property the live kill-9 demos stand on."""
 
+import asyncio
+import errno
 import os
+
+import pytest
 
 from repro.config import rt_pc_profile
 from repro.core.outcomes import Outcome
@@ -244,3 +248,92 @@ class TestRecoveryIntegration:
         assert [str(e.tid) for e in plan.in_doubt] == ["T1@coord"]
         assert plan.in_doubt[0].protocol == "two_phase"
         assert plan.tombstones["T2@coord"] is Outcome.COMMITTED
+
+
+class TestFailedWrite:
+    """ROADMAP item 3: a failing write or fsync is final.  The bytes of
+    the failed attempt may or may not be on disk, so the WAL publishes
+    nothing, refuses everything afterwards, and the site fail-stops —
+    a retry "as if the pages were still dirty" would write them twice."""
+
+    @staticmethod
+    def _fail_fsync_once(monkeypatch):
+        real, calls = os.fsync, []
+
+        def flaky(fd):
+            calls.append(fd)
+            if len(calls) == 1:
+                raise OSError(errno.EIO, "injected fsync failure")
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", flaky)
+
+    def test_failed_fsync_is_never_retried(self, tmp_path, monkeypatch):
+        wal = _wal(tmp_path, fsync=True)
+        self._fail_fsync_once(monkeypatch)
+        wal.append(commit_record("T1@a", "a"))
+        fired = []
+        wal.watch_durable(1, lambda: fired.append(1))
+        with pytest.raises(OSError):
+            wal.force(None)
+        assert wal.durable_lsn == 0 and fired == []
+        # The host's sweep forces again 50 ms later: fsync would succeed
+        # now, and must not be reached.
+        with pytest.raises(OSError):
+            wal.force(None)
+        with pytest.raises(OSError):
+            wal.append(end_record("T1@a", "a"))
+        assert wal.durable_lsn == 0 and wal.last_lsn == 1 and fired == []
+        assert [r.kind for r in read_records(wal.path)] in (
+            [], [RecordKind.COMMIT])   # once at most, never twice
+        wal.close()
+        # The next open decides what is really there, and renumbers it.
+        again = _wal(tmp_path, fsync=True)
+        assert [r.lsn for r in again.recovered_records] == [1]
+        assert again.durable_lsn == 1
+        assert again.append(end_record("T1@a", "a")).lsn == 2
+        again.close()
+
+    def test_failed_write_kills_the_wal_and_close_stays_quiet(self, tmp_path):
+        wal = _wal(tmp_path)
+        wal._file.close()
+
+        class FullDisk:
+            def write(self, data=b""):
+                raise OSError(errno.ENOSPC, "injected short write")
+
+            close = flush = write
+
+        wal._file = FullDisk()
+        wal.append(commit_record("T1@a", "a"))
+        with pytest.raises(OSError):
+            wal.force(None)
+        with pytest.raises(OSError):
+            wal.force(None)
+        assert wal.durable_lsn == 0
+        wal.close()   # flushes, fails again, has already said so
+        assert read_records(wal.path) == []
+
+    def test_live_site_fail_stops(self, tmp_path, monkeypatch):
+        """The error reaches the site: it stops serving instead of
+        wedging behind a force that never completes."""
+        from repro.live.ports import read_port_file
+        from repro.live.site import LiveSite
+
+        def broken(fd):
+            raise OSError(errno.EIO, "injected fsync failure")
+
+        async def scenario():
+            site = LiveSite("alpha", str(tmp_path))
+            await site.start()
+            assert read_port_file(str(tmp_path), "alpha") == site.port
+            monkeypatch.setattr(os, "fsync", broken)
+            site.host.begin_commit("2pc", [])
+            await asyncio.wait_for(site.serve_until_stopped(), timeout=5.0)
+            return site
+
+        site = asyncio.run(scenario())
+        assert isinstance(site.failure, OSError)
+        assert read_port_file(str(tmp_path), "alpha") is None
+        assert site.host.completions == {}   # the caller was never told
+        assert len(read_records(site.wal.path)) <= 1

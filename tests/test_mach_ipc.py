@@ -21,10 +21,6 @@ def make_fabric(kernel):
 # ------------------------------------------------------------- Message
 
 
-def test_message_ids_unique():
-    assert Message(kind="a").msg_id != Message(kind="a").msg_id
-
-
 def test_message_reply_preserves_trans():
     msg = Message(kind="op", trans={"tid": "T1@a"})
     reply = msg.reply("op_ok", value=3)

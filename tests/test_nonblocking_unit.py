@@ -212,7 +212,8 @@ def test_unilateral_abort_after_replication_is_violation():
 
 
 def test_vote_timeout_retries_then_aborts():
-    host = coordinator(max_prepare_retries=1)
+    host = coordinator()
+    host.machine.max_prepare_retries = 1
     host.local_prepared(Vote.YES)
     host.complete_force()
     host.fire_timer(NB_VOTE_TIMER)
@@ -419,7 +420,8 @@ def test_recovered_committed_coordinator_renotifies():
 
 
 def test_takeover_notify_retries_then_stands_down():
-    host = takeover(own_status="committed", max_notify_retries=2)
+    host = takeover(own_status="committed")
+    host.machine.max_notify_retries = 2
     for _ in range(2):
         host.fire_timer(NB_TAKEOVER_TIMER)
     assert host.forgotten == []

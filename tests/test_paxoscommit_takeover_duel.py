@@ -12,6 +12,7 @@ ballot-0 commit is always seen by a later candidate.
 
 import pytest
 
+from repro.core.effects import POLL
 from repro.core.messages import (
     PcOutcome,
     PcOutcomeAck,
@@ -179,9 +180,8 @@ def test_poll_timeout_retries_at_a_higher_ballot():
     first = host.machine.ballot
     host.fire_timer(PC_ELECTION_TIMER)
     assert host.machine.ballot > first
-    # Deterministic exponential backoff: the timer delay doubled.
-    assert host.timers[PC_ELECTION_TIMER] == \
-        host.machine.poll_timeout_ms * 2
+    # Deterministic exponential backoff: the poll multiple doubled.
+    assert host.timers[PC_ELECTION_TIMER] == 2 * POLL
 
 
 def test_losing_candidate_adopts_rival_outcome_and_stands_down():

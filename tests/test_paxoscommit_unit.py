@@ -162,8 +162,8 @@ def test_f0_fully_read_only_commits_with_no_durable_state():
 
 
 def test_f0_vote_timeout_aborts_like_2pc():
-    host = MachineHost(PcLeader(TID1, "a", ["b"], ["a"], Q1,
-                                max_vote_retries=0)).start()
+    host = MachineHost(PcLeader(TID1, "a", ["b"], ["a"], Q1)).start()
+    host.machine.max_vote_retries = 0
     host.local_prepared(Vote.YES)
     host.fire_timer(PC_VOTE_TIMER)
     # Sole acceptor: no acceptance can exist elsewhere, timeout abort is
@@ -211,8 +211,8 @@ def test_f1_leader_decides_only_on_acceptor_quorum_per_instance():
 
 
 def test_f1_vote_timeout_starts_election_not_unilateral_abort():
-    host = MachineHost(PcLeader(TID1, "a", ["b", "c"], SITES3, Q3,
-                                max_vote_retries=0)).start()
+    host = MachineHost(PcLeader(TID1, "a", ["b", "c"], SITES3, Q3)).start()
+    host.machine.max_vote_retries = 0
     host.local_prepared(Vote.YES)
     host.complete_force(PC_PREPARE_FORCE)
     host.fire_timer(PC_VOTE_TIMER)

@@ -66,7 +66,7 @@ def make(cls):
 
 
 def make_edge(state="none", known=True, active=False):
-    edge = ProtocolEdge(SITE, 1500.0, family_known=lambda tid: known,
+    edge = ProtocolEdge(SITE, family_known=lambda tid: known,
                         txn_active=lambda tid: active,
                         recorded=lambda tid_str: None)
     if state in ("committed", "aborted"):

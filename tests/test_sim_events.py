@@ -101,8 +101,7 @@ def test_any_of_requires_events():
 
 def test_timeout_event_fires_at_deadline():
     k = Kernel()
-    ev = timeout_event(k, 25.0, value="late")
+    ev = timeout_event(k, 25.0)
     k.run()
     assert ev.triggered
-    assert ev.value == "late"
     assert k.now == 25.0

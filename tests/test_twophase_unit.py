@@ -183,7 +183,8 @@ def test_local_no_vote_aborts():
 
 
 def test_vote_timeout_retries_then_aborts():
-    host = coordinator(max_prepare_retries=2)
+    host = coordinator()
+    host.machine.max_prepare_retries = 2
     host.local_prepared(Vote.YES)
     host.fire_timer(VOTE_TIMER)
     host.fire_timer(VOTE_TIMER)
