@@ -6,27 +6,18 @@ one column per site, one row per interesting event, datagram arrows
 between columns.  Used by ``examples/trace_timeline.py`` and handy when
 debugging protocol changes.
 
-Input is either a :class:`~repro.sim.tracing.Tracer` (event rows) or a
-:class:`~repro.obs.spans.SpanRecorder` (span rows); the kind
-vocabulary — which kinds get a row, which render as arrows, and their
-descriptions — lives in :mod:`repro.obs.kinds`, shared with the span
-instrumentation.
+Input is a :class:`~repro.sim.tracing.Tracer` that kept its events;
+the kind vocabulary — which kinds get a row, which render as arrows,
+and their descriptions — lives in :mod:`repro.obs.kinds`, shared with
+the span instrumentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
-if TYPE_CHECKING:
-    from repro.obs.spans import SpanRecorder
-
-from repro.obs.kinds import (
-    ARROW_KINDS,
-    SPAN_ARROW_KINDS,
-    TIMELINE_DESCRIPTIONS,
-    describe_span,
-)
+from repro.obs.kinds import ARROW_KINDS, TIMELINE_DESCRIPTIONS
 from repro.sim.tracing import Tracer
 
 
@@ -38,8 +29,10 @@ class TimelineRow:
     arrow_to: Optional[str] = None
 
 
-def _rows_from_tracer(tracer: Tracer, t0: float, t1: Optional[float],
-                      tid: Optional[str]) -> List[TimelineRow]:
+def extract_rows(tracer: Tracer, t0: float = 0.0,
+                 t1: Optional[float] = None,
+                 tid: Optional[str] = None) -> List[TimelineRow]:
+    """Pull timeline-worthy rows out of a tracer's events."""
     rows: List[TimelineRow] = []
     for event in tracer.events:
         if event.time < t0 or (t1 is not None and event.time > t1):
@@ -59,44 +52,11 @@ def _rows_from_tracer(tracer: Tracer, t0: float, t1: Optional[float],
     return rows
 
 
-def _rows_from_recorder(recorder, t0: float, t1: Optional[float],
-                        tid: Optional[str]) -> List[TimelineRow]:
-    rows: List[TimelineRow] = []
-    for span in recorder.all_spans():
-        if span.t0 < t0 or (t1 is not None and span.t0 > t1):
-            continue
-        if tid is not None and span.tid is not None and span.tid != tid:
-            continue
-        if span.kind in SPAN_ARROW_KINDS:
-            kind_of = span.detail.get("msg_kind", "datagram")
-            rows.append(TimelineRow(span.t0, span.site,
-                                    f"--{kind_of}-->",
-                                    arrow_to=span.detail.get("dst")))
-            continue
-        text = describe_span(span.kind, span.detail)
-        if text is not None and (span.kind in TIMELINE_DESCRIPTIONS
-                                 or span.duration > 0
-                                 or not span.closed):
-            rows.append(TimelineRow(span.t0, span.site, text))
-    rows.sort(key=lambda r: r.time)
-    return rows
-
-
-def extract_rows(source: Union[Tracer, "SpanRecorder"], t0: float = 0.0,
-                 t1: Optional[float] = None,
-                 tid: Optional[str] = None) -> List[TimelineRow]:
-    """Pull timeline-worthy rows out of a tracer or a span recorder."""
-    if hasattr(source, "events"):
-        return _rows_from_tracer(source, t0, t1, tid)
-    return _rows_from_recorder(source, t0, t1, tid)
-
-
-def render_timeline(source: Union[Tracer, "SpanRecorder"],
-                    sites: Sequence[str],
+def render_timeline(tracer: Tracer, sites: Sequence[str],
                     t0: float = 0.0, t1: Optional[float] = None,
                     tid: Optional[str] = None, width: int = 26) -> str:
     """One column per site, chronological rows, arrows labelled."""
-    rows = extract_rows(source, t0=t0, t1=t1, tid=tid)
+    rows = extract_rows(tracer, t0=t0, t1=t1, tid=tid)
     col_of: Dict[str, int] = {site: i for i, site in enumerate(sites)}
     header = "t (ms)".rjust(9) + "  " + "".join(
         site.ljust(width) for site in sites)

@@ -23,13 +23,10 @@ from repro.chaos.bugs import seeded_bug
 from repro.chaos.oracles import OracleContext, Violation, run_oracles
 from repro.chaos.schedule import FaultSchedule
 from repro.config import SystemConfig
-from repro.core.outcomes import Outcome, ProtocolKind
+from repro.core.outcomes import PROTOCOLS, Outcome, ProtocolKind
 from repro.mach.ipc import DeadCallError
 from repro.servers.application import TransactionAborted
 from repro.system import CamelotSystem
-
-PROTOCOLS = {"2pc": ProtocolKind.TWO_PHASE, "nb": ProtocolKind.NON_BLOCKING,
-             "paxos": ProtocolKind.PAXOS_COMMIT}
 
 # Orphan sweep fires at most orphan_timeout + sweep interval (30 s +
 # 7.5 s) after the transaction went idle; a few extra seconds cover the

@@ -44,6 +44,13 @@ class ProtocolKind(str, Enum):
         return self.value
 
 
+# The short protocol names drivers, the control channel and chaos
+# scenario files use.
+PROTOCOLS = {"2pc": ProtocolKind.TWO_PHASE,
+             "nb": ProtocolKind.NON_BLOCKING,
+             "paxos": ProtocolKind.PAXOS_COMMIT}
+
+
 class TwoPhaseVariant(str, Enum):
     """The three implementations measured in Figure 2.
 

@@ -31,14 +31,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
 from repro.config import SystemConfig
-from repro.core.outcomes import Outcome
+from repro.core.outcomes import PROTOCOLS, Outcome
 from repro.live.codec import canonical_json
-from repro.live.host import PROTOCOLS
 from repro.live.scenario import (
     Scenario,
     Transcript,
     conformance_scenario,
-    merge_pair_sequences,
     run_scenario_steps,
 )
 from repro.live.simhost import run_sim_scenario
@@ -144,14 +142,7 @@ def tranman_leg(scenario: Scenario) -> Tuple[CamelotSystem, Transcript]:
         cost=scenario.cost, sites={site: 1 for site in scenario.sites}))
     transcript = Transcript()
     for site in scenario.sites:
-        tranman = system.tranman(site)
-
-        def send(dst: str, message: Any, src: str = site,
-                 wire: Any = tranman.send) -> None:
-            transcript.record(src, dst, message)
-            wire(dst, message)
-
-        tranman.send = send
+        transcript.tap(site, system.tranman(site))
     for step in scenario.steps:
         body = system.application(step.site).minimal_transaction(
             [f"server0@{site}" for site in (step.site, *step.subordinates)],
@@ -172,7 +163,9 @@ async def run_live_scenario(scenario: Scenario, run_dir: str,
             force_floor_ms=scenario.live_force_floor_ms,
             prepare_ms=scenario.live_prepare_ms,
             votes=dict(scenario.votes), fsync=fsync)
-    for site in sites.values():
+    transcript = Transcript()
+    for name, site in sites.items():
+        transcript.tap(name, site.host)
         await site.start()
     loop = asyncio.get_running_loop()
     start = loop.time()
@@ -192,8 +185,7 @@ async def run_live_scenario(scenario: Scenario, run_dir: str,
             if all(s.settled for s in sites.values()):
                 break
         await asyncio.sleep(SETTLE_POLL_S)
-    live_pairs = merge_pair_sequences(
-        [s.substrate.transcript.pair_sequences() for s in sites.values()])
+    live_pairs = transcript.pair_sequences()
     completions = {name: {t: o.value for t, o in s.host.completions.items()}
                    for name, s in sites.items()}
     for site in sites.values():

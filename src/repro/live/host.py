@@ -45,16 +45,11 @@ from repro.core.edge import PIGGYBACK_SWEEP_MS, ProtocolEdge, Step
 from repro.core.effects import LocalPrepare
 from repro.core.interpreter import WITHHELD, Interpreter, Run, Wait
 from repro.core.messages import FamilyAbort, FamilyAbortAck
-from repro.core.outcomes import Outcome, ProtocolKind, Vote
+from repro.core.outcomes import PROTOCOLS, Outcome, ProtocolKind, Vote
 from repro.core.tid import TID, TidGenerator
 from repro.log.records import LogRecord
 from repro.log.storage import LogTail
 from repro.servers.recovery import RecoveryPlan, build_machines
-
-# The short protocol names the drivers and the control channel use.
-PROTOCOLS = {"2pc": ProtocolKind.TWO_PHASE,
-             "nb": ProtocolKind.NON_BLOCKING,
-             "paxos": ProtocolKind.PAXOS_COMMIT}
 
 
 class Substrate(Protocol):
@@ -176,7 +171,7 @@ class SiteHost:
             # Nested transactions and the family abort protocol need the
             # application/server layer the live host does not carry.
             if isinstance(pmsg, FamilyAbort):
-                self.substrate.send(pmsg.sender, FamilyAbortAck(
+                self.send(pmsg.sender, FamilyAbortAck(
                     tid=pmsg.tid, sender=self.site))
             return
         yield from self.interp.deliver(pmsg)
@@ -223,7 +218,7 @@ class SiteHost:
 
     def multicast(self, dsts: Sequence[str], message: Any) -> None:
         for dst in dsts:
-            self.substrate.send(dst, message)
+            self.send(dst, message)
 
     def append(self, record: LogRecord) -> int:
         self.substrate.wal.append(record)

@@ -25,7 +25,7 @@ and does not prove.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.config import CostModel
 from repro.core.outcomes import Vote
@@ -33,13 +33,23 @@ from repro.live.codec import canonical_json, message_to_dict
 
 
 class Transcript:
-    """Every datagram a harness put on the wire, in send order."""
+    """Every datagram the tapped engines put on the wire, in send order."""
 
     def __init__(self) -> None:
         self.entries: List[Tuple[str, str, Any]] = []
 
-    def record(self, src: str, dst: str, message: Any) -> None:
-        self.entries.append((src, dst, message))  # lint: bounded(scenario-scale run)
+    def tap(self, src: str, engine: Any) -> None:
+        """Record every message ``engine`` (site ``src``) sends from now
+        on: wraps its ``send`` primitive, the one both the interpreter
+        and the engine's own replies go through.  The only place a send
+        is recorded; an engine nobody tapped retains nothing."""
+        wire = engine.send
+
+        def send(dst: str, message: Any) -> None:
+            self.entries.append((src, dst, message))
+            wire(dst, message)
+
+        engine.send = send
 
     def pair_sequences(self) -> Dict[str, List[Dict[str, Any]]]:
         """Per ``"src->dst"`` pair, the FIFO sequence of messages."""
@@ -52,17 +62,6 @@ class Transcript:
     def canonical_bytes(self) -> bytes:
         """The byte string conformance compares (sorted pairs, FIFO within)."""
         return canonical_json(self.pair_sequences()).encode("utf-8")
-
-
-def merge_pair_sequences(per_site: Sequence[Dict[str, List[Dict[str, Any]]]]
-                         ) -> Dict[str, List[Dict[str, Any]]]:
-    """Combine per-site transcripts: each pair has exactly one sender, so
-    sequences never interleave across sources."""
-    merged: Dict[str, List[Dict[str, Any]]] = {}
-    for pairs in per_site:
-        for pair, messages in pairs.items():
-            merged.setdefault(pair, []).extend(messages)
-    return merged
 
 
 @dataclass

@@ -19,6 +19,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.config import CostModel
 from repro.core.outcomes import Vote
+from repro.net.datagram import DatagramService
 from repro.net.lan import Lan
 from repro.sim.kernel import Kernel, Timer
 from repro.sim.rng import RngStreams
@@ -31,36 +32,20 @@ from repro.live.walfile import MemoryWal
 class SimSubstrate(Substrate):
     """Substrate implementation over the discrete-event kernel."""
 
-    def __init__(self, site: str, kernel: Kernel, lan: Lan, cost: CostModel,
-                 transcript: Transcript):
+    def __init__(self, site: str, kernel: Kernel, cost: CostModel,
+                 dgram: DatagramService):
         self.site = site
         self.kernel = kernel
-        self.lan = lan
         self.cost = cost
-        self.transcript = transcript
+        # The simulated TranMan's wire: loopback off the LAN, transit on
+        # it, delivery to whichever endpoint the site has at arrival.
+        self.dgram = dgram
         self.wal = MemoryWal()
-        self.host: Optional[SiteHost] = None  # wired by build_sim_cluster
-        self.peers: Dict[str, "SimSubstrate"] = {}
         self.traces: Dict[str, int] = {}  # trace kind -> count
         self.alive = True  # Lan liveness probe
 
-    # ----------------------------------------------------------- wire
-
     def send(self, dst: str, message: Any) -> None:
-        self.transcript.record(self.site, dst, message)
-        if dst == self.site:
-            # Self-delivery loops back off the wire, like the
-            # DatagramService's post_soon loopback.
-            self.kernel.post_soon(self._deliver_self, message)
-            return
-        peer = self.peers[dst]
-        self.lan.unicast(self.site, dst, message,
-                         lambda payload: peer.host.deliver(self.site, payload)
-                         if peer.host is not None else None)
-
-    def _deliver_self(self, message: Any) -> None:
-        if self.host is not None:
-            self.host.deliver(self.site, message)
+        self.dgram.send(dst, message)
 
     # ------------------------------------------------------------ wal
 
@@ -85,22 +70,23 @@ def build_sim_cluster(sites: List[str], cost: CostModel,
                       votes: Optional[Dict[str, Vote]] = None,
                       prepare_ms: float = 5.0
                       ) -> Tuple[Kernel, Dict[str, SiteHost], Transcript]:
-    """A kernel, one wired SiteHost per site, and the shared transcript."""
+    """A kernel, one wired and tapped SiteHost per site, and the
+    transcript the taps share."""
     kernel = Kernel()
-    lan = Lan(kernel, cost, RngStreams(0), NullTracer())
+    tracer = NullTracer()
+    lan = Lan(kernel, cost, RngStreams(0), tracer)
     transcript = Transcript()
-    substrates: Dict[str, SimSubstrate] = {}
+    endpoints: Dict[str, DatagramService] = {}
     hosts: Dict[str, SiteHost] = {}
     for site in sites:
-        sub = SimSubstrate(site, kernel, lan, cost, transcript)
+        dgram = DatagramService(kernel, lan, site, tracer, endpoints)
+        sub = SimSubstrate(site, kernel, cost, dgram)
         lan.register_site(site, sub)
-        substrates[site] = sub
-    for site, sub in substrates.items():
-        sub.peers = substrates
-        host = SiteHost(site, sub, cost, votes=votes,
-                        prepare_delay_ms=prepare_ms)
-        sub.host = host
-        hosts[site] = host
+        host = hosts[site] = SiteHost(site, sub, cost, votes=votes,
+                                      prepare_delay_ms=prepare_ms)
+        dgram.receiver = (lambda message, host=host:
+                          host.deliver(message.sender, message))
+        transcript.tap(site, host)
     return kernel, hosts, transcript
 
 

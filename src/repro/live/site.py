@@ -51,7 +51,6 @@ from repro.live.codec import (
 from repro.live.host import SiteHost, Substrate
 from repro.live.ports import bind_server_socket, clear_port_file, \
     read_port_file, write_port_file
-from repro.live.scenario import Transcript
 from repro.live.walfile import FileWal
 
 # Outbound connection patience: how long a sender retries reaching a
@@ -117,7 +116,6 @@ class LiveSubstrate(Substrate):
         self.host: Optional[SiteHost] = None
         # Told of every force that failed (LiveSite fail-stops on the first).
         self.on_storage_error = on_storage_error
-        self.transcript = Transcript()
         self.traces: Dict[str, int] = {}  # trace kind -> count
         self.inbound = _DelayLine(wire_ms)
         self.forces = _DelayLine(force_floor_ms)
@@ -155,7 +153,6 @@ class LiveSubstrate(Substrate):
     # ----------------------------------------------------------- wire
 
     def send(self, dst: str, message: Any) -> None:
-        self.transcript.record(self.site, dst, message)
         if dst == self.site:
             # Loopback without the wire floor, like the simulator's
             # post_soon self-delivery.

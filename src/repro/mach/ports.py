@@ -26,6 +26,8 @@ class Port:
     ``enqueue`` is the raw, zero-latency primitive used by the IPC fabric
     after it has charged transfer latency; user code should send through
     :class:`~repro.mach.ipc.IpcFabric`, never call ``enqueue`` directly.
+    The one other caller is the TranMan, whose request port also takes
+    protocol messages straight off the datagram layer, as themselves.
     """
 
     def __init__(self, kernel: Kernel, site: str, name: str = "port"):
@@ -39,7 +41,7 @@ class Port:
         flag = " DEAD" if self.dead else ""
         return f"<Port {self.site}:{self.name}{flag}>"
 
-    def enqueue(self, msg: Message) -> None:
+    def enqueue(self, msg: Any) -> None:
         if self.dead:
             raise DeadPortError(f"send to dead port {self!r}")
         self.queue.put(msg)

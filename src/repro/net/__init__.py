@@ -10,14 +10,13 @@ of its observations shape this model:
 
 :class:`~repro.net.lan.Lan` models transit, jitter, serialization,
 multicast, partitions and message loss.  :class:`~repro.net.datagram.DatagramService`
-is the thin reliable-enough layer TranMans talk through (duplicate
-suppression here; timeout/retry belongs to the protocol state machines,
-as in Camelot).  :class:`~repro.net.failures.FailureInjector` scripts
+is the thin layer TranMans talk through (timeout/retry and duplicate
+detection belong to the protocol state machines, as in Camelot).  :class:`~repro.net.failures.FailureInjector` scripts
 crashes and partitions for experiments and tests.
 """
 
-from repro.net.datagram import Datagram, DatagramService
+from repro.net.datagram import DatagramService
 from repro.net.failures import FailureInjector
 from repro.net.lan import Lan
 
-__all__ = ["Datagram", "DatagramService", "FailureInjector", "Lan"]
+__all__ = ["DatagramService", "FailureInjector", "Lan"]

@@ -9,22 +9,24 @@ timeout/retry and duplicate detection" (paper §4.2, footnote 1).
 Accordingly this service is deliberately thin:
 
 - :meth:`DatagramService.send` / :meth:`DatagramService.multicast` put a
-  :class:`Datagram` on the LAN — unreliable, unordered;
-- an arriving datagram is handed, in the kernel turn it arrives in, to
+  protocol message (see :mod:`repro.core.messages`) on the LAN as it
+  is — unreliable, unordered, no envelope: a message names its own
+  sender, and the LAN is told where it goes;
+- an arriving message is handed, in the kernel turn it arrives in, to
   the callable the endpoint's owner registered as
   :attr:`DatagramService.receiver` (the TranMan's puts it on its
-  request port): no queue and no process of this layer's own;
+  request port, the simulated :class:`~repro.live.host.SiteHost`'s in
+  its inbox): no queue and no process of this layer's own;
 - timeout/retry and duplicate detection are *not* here: the TranMan's
   effect interpreter arms every timer from its one protocol timeout
   (the machines only name which wait they want and how many timeouts
   long), and the machines answer a repeated message idempotently,
-  exactly as in Camelot.  A datagram carries nothing but its two ends
-  and its payload.
+  exactly as in Camelot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.net.lan import Lan
@@ -32,22 +34,9 @@ from repro.sim.kernel import Kernel
 from repro.sim.tracing import Tracer
 
 
-@dataclass
-class Datagram:
-    """A protocol message on the wire.
-
-    ``payload`` is the protocol message object (see
-    :mod:`repro.core.messages`).
-    """
-
-    src: str
-    dst: str
-    payload: Any
-
-
 class DatagramService:
-    """One endpoint of the datagram layer, owned by one site's TranMan,
-    which sets :attr:`receiver` to take each received :class:`Datagram`.
+    """One endpoint of the datagram layer, owned by one site's engine,
+    which sets :attr:`receiver` to take each received message.
     """
 
     def __init__(self, kernel: Kernel, lan: Lan, site: str, tracer: Tracer,
@@ -63,7 +52,7 @@ class DatagramService:
             peers if peers is not None else {})
         self.peers[site] = self
         # Until an owner registers, nobody listens: mail is dropped.
-        self.receiver: Callable[[Datagram], None] = lambda dgram: None
+        self.receiver: Callable[[Any], None] = lambda payload: None
         self.sent = 0
         self.received = 0
 
@@ -73,41 +62,36 @@ class DatagramService:
         """One unreliable datagram to ``dst``."""
         if dst == self.site:
             # Local loopback: no LAN transit, deliver next turn.
-            self.kernel.post_soon(self._deliver, Datagram(self.site, dst, payload))
+            self.kernel.post_soon(self._deliver, payload)
             return
         self.sent += 1
-        dgram = Datagram(self.site, dst, payload)
-        self.lan.unicast(self.site, dst, dgram, self._deliver_at_destination)
+        self.lan.unicast(self.site, dst, payload, self._deliver_at(dst))
 
     def multicast(self, dsts: Sequence[str], payload: Any) -> None:
         """One physical multicast carrying ``payload`` to every dst."""
         remote = [d for d in dsts if d != self.site]
         if len(remote) != len(dsts):
-            self.kernel.post_soon(
-                self._deliver, Datagram(self.site, self.site, payload))
+            self.kernel.post_soon(self._deliver, payload)
         if not remote:
             return
         self.sent += len(remote)
-
-        def payload_for(dst: str) -> Datagram:
-            return Datagram(self.site, dst, payload)
-
-        def deliver_for(dst: str):
-            return self._deliver_at_destination
-
-        self.lan.multicast(self.site, remote, payload_for, deliver_for)
+        self.lan.multicast(self.site, remote, payload, self._deliver_at)
 
     # ---------------------------------------------------------- receive
 
-    def _deliver_at_destination(self, dgram: Datagram) -> None:
-        """Route an arriving datagram to the destination's endpoint."""
-        endpoint = self.peers.get(dgram.dst)
-        if endpoint is None:
-            self.tracer.record(self.kernel.now, "net.no_endpoint",
-                               site=dgram.dst)
-            return
-        endpoint._deliver(dgram)
+    def _deliver_at(self, dst: str) -> Callable[[Any], None]:
+        """What the LAN calls when a datagram arrives at ``dst``."""
+        return partial(self._arrived, dst)
 
-    def _deliver(self, dgram: Datagram) -> None:
+    def _arrived(self, dst: str, payload: Any) -> None:
+        """Hand an arriving datagram to whichever endpoint ``dst`` has
+        now (not the one it had at send time: see :attr:`peers`)."""
+        endpoint = self.peers.get(dst)
+        if endpoint is None:
+            self.tracer.record(self.kernel.now, "net.no_endpoint", site=dst)
+            return
+        endpoint._deliver(payload)
+
+    def _deliver(self, payload: Any) -> None:
         self.received += 1
-        self.receiver(dgram)
+        self.receiver(payload)

@@ -232,13 +232,10 @@ class Lan:
                          payload, deliver)
         self._duplicate(src, dst, payload, deliver, send_delay + transit)
 
-    def multicast(self, src: str, dsts: Sequence[str], payload_for: Callable[[str], Any],
+    def multicast(self, src: str, dsts: Sequence[str], payload: Any,
                   deliver_for: Callable[[str], DeliverFn]) -> None:
-        """Send to every destination with one send cycle and one jitter draw.
-
-        ``payload_for(dst)`` and ``deliver_for(dst)`` let the caller
-        customise per-destination payloads while sharing the transmission.
-        """
+        """Send ``payload`` to every destination with one send cycle and
+        one jitter draw; ``deliver_for(dst)(payload)`` runs at arrival."""
         if not self.site_alive(src):
             self.dropped_dead += len(dsts)
             self.tracer.record(self.kernel.now, "net.drop.dead", site=src,
@@ -255,7 +252,7 @@ class Lan:
                 self.tracer.record(self.kernel.now, "net.lost", site=src, dst=dst)
                 continue
             self.in_flight += 1
-            payload, deliver = payload_for(dst), deliver_for(dst)
+            deliver = deliver_for(dst)
             obs = self.tracer.obs
             if obs is not None:
                 now = self.kernel.now

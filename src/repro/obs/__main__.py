@@ -34,13 +34,21 @@ from repro.system import CamelotSystem
 
 DRAIN_MS = 300.0
 
+# The static formulas count primitives and omit every CPU burst.  A
+# pool thread dequeues a protocol message as itself, so the TranMan
+# burst behind each inbound datagram carries its TID and lands on the
+# critical path: two per 1-subordinate commit (prepare in, vote in),
+# 1.87 ms, 2% of the 93 ms prediction, on top of the 10% the other
+# omitted bursts were already given (+11.2% at ``--trials 3``).
+_DATAGRAM_CPU_TOLERANCE = 0.12
+
 SCENARIOS = {
     "update-1sub": dict(
         title="2PC update, 1 subordinate (stock scenario)",
         sites={"a": 1, "b": 1}, op="write",
         protocol=ProtocolKind.TWO_PHASE,
         static=lambda cost: sa.twophase_update_completion(1, cost),
-        tolerance=0.10),
+        tolerance=_DATAGRAM_CPU_TOLERANCE),
     "local-update": dict(
         title="local update (no subordinates)",
         sites={"a": 1}, op="write",
@@ -66,7 +74,7 @@ SCENARIOS = {
         sites={"a": 1, "b": 1}, op="write",
         protocol=ProtocolKind.PAXOS_COMMIT,
         static=lambda cost: sa.paxos_update_completion(1, cost),
-        tolerance=0.10),
+        tolerance=_DATAGRAM_CPU_TOLERANCE),
 }
 
 

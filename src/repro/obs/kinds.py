@@ -13,7 +13,7 @@ so span names and timeline rows use one vocabulary.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 # ----------------------------------------------------- primitive classes
 
@@ -100,25 +100,7 @@ TIMELINE_DESCRIPTIONS: Dict[str, Callable] = {
 # Trace kinds rendered as inter-site arrows in the timeline.
 ARROW_KINDS: Tuple[str, ...] = ("tranman.datagram", "tranman.multicast")
 
-# Span kinds rendered as arrows when a timeline is built from a span
-# store instead of a raw tracer.
+# Span kinds that cross sites: the causal edges of a span tree.
 SPAN_ARROW_KINDS: Tuple[str, ...] = ("net.datagram", "net.multicast",
                                      "rpc.netmsg")
 
-
-def describe_span(kind: str, detail: Dict) -> Optional[str]:
-    """Short human description of a span for timeline rows."""
-    if kind in SPAN_ARROW_KINDS:
-        return None  # rendered as an arrow, not a row
-    cls = classify(kind)
-    if cls is LOG_FORCE or cls == LOG_FORCE:
-        return "log force"
-    if kind.startswith("ipc."):
-        return f"{kind.split('.', 1)[1]} IPC ({detail.get('msg_kind', '?')})"
-    if kind == "lock.wait":
-        return f"lock wait ({detail.get('object', '?')})"
-    if kind == "lock.get":
-        return "get lock"
-    if kind == "cpu.service":
-        return f"cpu ({detail.get('component', '?')})"
-    return kind

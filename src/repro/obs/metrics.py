@@ -1,35 +1,9 @@
-"""Counters, gauges, and fixed-bucket histograms.
-
-Small, dependency-free metric primitives for the observability layer.
-Histograms use fixed bucket boundaries (defaults tuned for millisecond
-latencies) so percentile estimates cost O(buckets) memory regardless of
-sample count; exact values are also retained up to a cap for tests that
-want true quantiles on short runs.
-"""
+"""The time-weighted gauge :mod:`repro.obs.utilization` builds its
+occupancy figures on."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
-
-# Default bucket upper bounds in ms: sub-ms to multi-second latencies.
-DEFAULT_BOUNDS = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0,
-                  200.0, 500.0, 1_000.0, 2_000.0, 5_000.0)
-
-
-class Counter:
-    """Monotonic event count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        self.value += amount
+from typing import List, Optional, Tuple
 
 
 class Gauge:
@@ -86,105 +60,3 @@ class Gauge:
         if self.samples[-1][1] > 0:
             busy += end - self.samples[-1][0]
         return busy / span
-
-
-class Histogram:
-    """Fixed-boundary histogram with percentile estimation.
-
-    ``quantile`` interpolates within the winning bucket (and uses the
-    exact retained samples instead when the population is small enough
-    to still be fully retained, so short-run tests see true values).
-    """
-
-    EXACT_CAP = 4096
-
-    def __init__(self, name: str,
-                 bounds: Sequence[float] = DEFAULT_BOUNDS):
-        self.name = name
-        self.bounds = tuple(bounds)
-        self.bucket_counts = [0] * (len(self.bounds) + 1)
-        self.n = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-        self._exact: List[float] = []
-
-    def observe(self, value: float) -> None:
-        self.bucket_counts[bisect_right(self.bounds, value)] += 1
-        self.n += 1
-        self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        if len(self._exact) < self.EXACT_CAP:
-            self._exact.append(value)  # lint: bounded(kept only when obs keep=True)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.n if self.n else 0.0
-
-    def quantile(self, q: float) -> float:
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.n == 0:
-            return 0.0
-        if len(self._exact) == self.n:
-            ordered = sorted(self._exact)
-            idx = min(len(ordered) - 1, int(q * len(ordered)))
-            return ordered[idx]
-        target = q * self.n
-        cum = 0
-        for i, count in enumerate(self.bucket_counts):
-            if cum + count >= target and count:
-                lo = self.bounds[i - 1] if i > 0 else (self.min or 0.0)
-                hi = self.bounds[i] if i < len(self.bounds) \
-                    else (self.max or lo)
-                frac = (target - cum) / count
-                return lo + frac * (hi - lo)
-            cum += count
-        return self.max or 0.0
-
-    @property
-    def p50(self) -> float:
-        return self.quantile(0.50)
-
-    @property
-    def p95(self) -> float:
-        return self.quantile(0.95)
-
-    @property
-    def p99(self) -> float:
-        return self.quantile(0.99)
-
-
-class Registry:
-    """Named metric namespace; one per run."""
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
-        self.histograms: Dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        if name not in self.counters:
-            self.counters[name] = Counter(name)  # lint: bounded(keyed by metric name)
-        return self.counters[name]
-
-    def gauge(self, name: str) -> Gauge:
-        if name not in self.gauges:
-            self.gauges[name] = Gauge(name)  # lint: bounded(keyed by metric name)
-        return self.gauges[name]
-
-    def histogram(self, name: str,
-                  bounds: Sequence[float] = DEFAULT_BOUNDS) -> Histogram:
-        if name not in self.histograms:
-            self.histograms[name] = Histogram(name, bounds)  # lint: bounded(keyed by metric name)
-        return self.histograms[name]
-
-    def load_recorder(self, recorder) -> None:
-        """Fold a SpanRecorder's counters and gauges into the registry."""
-        for kind, count in recorder.counters.items():
-            self.counter(f"spans.{kind}").inc(count)
-        for name, samples in recorder.gauges.items():
-            gauge = self.gauge(name)
-            for time, value in samples:
-                gauge.set(time, value)

@@ -33,28 +33,17 @@ from repro.obs.kinds import SPAN_ARROW_KINDS
 def tid_of(obj: Any) -> Optional[str]:
     """Best-effort transaction id of a message-shaped object.
 
-    Handles protocol messages (``.tid``), Mach messages (``body``/
-    ``trans`` dicts) and datagrams (``.payload.tid``) without importing
-    any of their classes.
+    Handles protocol messages (``.tid``) and Mach messages (``body``/
+    ``trans`` dicts) without importing any of their classes.
     """
     tid = getattr(obj, "tid", None)
     if tid is not None:
         return str(tid)
-    payload = getattr(obj, "payload", None)
-    if payload is not None:
-        tid = getattr(payload, "tid", None)
-        if tid is not None:
-            return str(tid)
     body = getattr(obj, "body", None)
     if isinstance(body, dict):
         tid = body.get("tid")
         if tid is not None:
             return str(tid)
-        inner = body.get("payload")
-        if inner is not None:
-            tid = getattr(inner, "tid", None)
-            if tid is not None:
-                return str(tid)
     trans = getattr(obj, "trans", None)
     if isinstance(trans, dict):
         tid = trans.get("tid")
@@ -195,12 +184,8 @@ class SpanRecorder:
             kind = "net.multicast"
         else:
             kind = "net.datagram"
-        name = type(payload).__name__
-        inner = getattr(payload, "payload", None)
-        if inner is not None:
-            name = type(inner).__name__
         self.add(t0, t1, kind, site=src, tid=tid_of(payload), dst=dst,
-                 msg_kind=name)
+                 msg_kind=type(payload).__name__)
 
     def begin_cpu(self, time: float, component: str, site: Optional[str],
                   msg: Any = None) -> Optional[int]:

@@ -12,8 +12,9 @@ shares with the live host:
   experimental parameter of Figures 4-5); every thread waits for any
   type of input — application calls, server joins, inbound datagrams —
   processes it, and resumes waiting (paper §3.4).  Nothing stands
-  between the wire and the pool: the datagram layer enqueues an
-  arriving datagram on the port directly;
+  between the wire and the pool: an arriving protocol message goes on
+  the port as itself, beside the Mach messages, and a pool thread
+  tells the two apart by type;
 - the **family descriptor hash table**, each family protected by its own
   lock so only same-family operations contend;
 - the **primitives** the shared :mod:`repro.core.interpreter` executes
@@ -55,7 +56,7 @@ from repro.mach.ipc import IpcFabric
 from repro.mach.message import Message
 from repro.mach.site import Site
 from repro.mach.threads import CThreadsPool
-from repro.net.datagram import Datagram, DatagramService
+from repro.net.datagram import DatagramService
 from repro.servers.diskman import DiskManager
 from repro.sim.events import SimEvent, all_of
 from repro.sim.kernel import Kernel
@@ -144,13 +145,12 @@ class TransactionManager:
             self.family_locks[family] = lock
         return lock
 
-    def _take_datagram(self, dgram: Datagram) -> None:
+    def _take_datagram(self, pmsg: Any) -> None:
         """An arriving datagram goes straight onto the request port, so
         the one thread pool serves 'any type of input' as the paper
         describes.  Mail for a crashed incarnation is lost."""
         if not self.port.dead:
-            self.port.enqueue(Message(kind="_datagram",
-                                      body={"payload": dgram}))
+            self.port.enqueue(pmsg)
 
     def _piggyback_sweep(self) -> Generator[Any, Any, None]:
         """Flush lazily queued (piggybacked) messages periodically."""
@@ -201,7 +201,7 @@ class TransactionManager:
 
     # --------------------------------------------------------- dispatch
 
-    def _handle(self, msg: Message) -> Generator[Any, Any, None]:
+    def _handle(self, msg: Any) -> Generator[Any, Any, None]:
         obs = self.tracer.obs
         if obs is not None and obs.keep:
             obs.gauge(self.kernel.now, f"cpu.queue_depth.{self.site.name}",
@@ -214,10 +214,11 @@ class TransactionManager:
             if obs is not None:
                 obs.count_cpu()
             yield from self.site.consume_cpu(self.cost.tranman_service_cpu)
+        if not isinstance(msg, Message):
+            yield from self._on_datagram(msg)
+            return
         kind = msg.kind
-        if kind == "_datagram":
-            yield from self._on_datagram(msg.body["payload"])
-        elif kind == "begin_transaction":
+        if kind == "begin_transaction":
             yield from self._begin(msg)
         elif kind == "join":
             yield from self._join(msg)
@@ -385,8 +386,7 @@ class TransactionManager:
 
     # ----------------------------------------------- datagram dispatch
 
-    def _on_datagram(self, dgram: Datagram) -> Generator[Any, Any, None]:
-        pmsg = dgram.payload
+    def _on_datagram(self, pmsg: Any) -> Generator[Any, Any, None]:
         self.tracer.record(self.kernel.now, "tranman.dgram_in",
                            site=self.site.name, kind_of=type(pmsg).__name__)
         if self.edge.for_servers(pmsg):

@@ -49,12 +49,11 @@ def test_back_to_back_sends_serialize_at_nic():
 def test_multicast_single_cycle_and_shared_transit():
     k, lan = build()
     arrivals = []
-    lan.multicast("a", ["b", "c"], lambda d: d,
-                  lambda d: (lambda p: arrivals.append((p, k.now))))
+    lan.multicast("a", ["b", "c"], "m",
+                  lambda d: (lambda p: arrivals.append((d, p, k.now))))
     k.run()
-    assert sorted(p for p, _ in arrivals) == ["b", "c"]
-    times = {t for _, t in arrivals}
-    assert times == {10.0}  # simultaneous, one send cycle
+    # simultaneous, one send cycle
+    assert sorted(arrivals) == [("b", "m", 10.0), ("c", "m", 10.0)]
 
 
 def test_partition_drops_cross_group_traffic():
@@ -178,7 +177,7 @@ def test_send_jitter_charged_per_event_not_per_destination():
     for name in ("a", "b", "c", "d"):
         lan.register_site(name, None)
     arrivals = []
-    lan.multicast("a", ["b", "c", "d"], lambda d: d,
+    lan.multicast("a", ["b", "c", "d"], "m",
                   lambda d: (lambda p: arrivals.append(k.now)))
     k.run()
     assert len(set(arrivals)) == 1  # one draw for the whole group
@@ -232,7 +231,7 @@ def test_dead_source_counts_as_dead_drop():
     lan.register_site("a", FakeSite())
     lan.register_site("b", None)
     lan.unicast("a", "b", "x", lambda p: None)
-    lan.multicast("a", ["b"], lambda d: d, lambda d: (lambda p: None))
+    lan.multicast("a", ["b"], "x", lambda d: (lambda p: None))
     k.run()
     assert lan.dropped_dead == 2
     assert tracer.counters.get("net.drop.dead") == 2

@@ -1,18 +1,8 @@
-"""repro.obs.metrics: counters, time-weighted gauges, histograms."""
+"""repro.obs.metrics: the time-weighted gauge."""
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, Histogram, Registry
-from repro.obs.spans import SpanRecorder
-
-
-def test_counter_monotonic():
-    c = Counter("x")
-    c.inc()
-    c.inc(4)
-    assert c.value == 5
-    with pytest.raises(ValueError):
-        c.inc(-1)
+from repro.obs.metrics import Gauge
 
 
 def test_gauge_time_weighted_mean():
@@ -40,49 +30,3 @@ def test_gauge_empty_and_degenerate():
     g.set(5.0, 3.0)
     assert g.time_weighted_mean() == pytest.approx(3.0)
     assert g.last == 3.0 and g.max == 3.0
-
-
-def test_histogram_exact_quantiles_on_short_runs():
-    h = Histogram("lat")
-    for v in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]:
-        h.observe(v)
-    assert h.n == 10
-    assert h.mean == pytest.approx(5.5)
-    assert h.min == 1.0 and h.max == 10.0
-    assert h.p50 == pytest.approx(6.0)   # exact retained samples
-    assert h.p99 == pytest.approx(10.0)
-
-
-def test_histogram_interpolates_past_exact_cap():
-    h = Histogram("lat", bounds=(10.0, 20.0, 30.0))
-    for _ in range(Histogram.EXACT_CAP + 1000):
-        h.observe(15.0)
-    # All mass in (10, 20]: interpolation stays inside that bucket.
-    assert 10.0 <= h.p50 <= 20.0
-    assert 10.0 <= h.p95 <= 20.0
-
-
-def test_histogram_rejects_bad_quantile():
-    h = Histogram("lat")
-    with pytest.raises(ValueError):
-        h.quantile(1.5)
-    assert h.quantile(0.5) == 0.0  # empty histogram
-
-
-def test_registry_idempotent_names():
-    reg = Registry()
-    assert reg.counter("a") is reg.counter("a")
-    assert reg.gauge("g") is reg.gauge("g")
-    assert reg.histogram("h") is reg.histogram("h")
-
-
-def test_registry_load_recorder_folds_counts_and_gauges():
-    rec = SpanRecorder()
-    rec.add(0.0, 15.0, "log.force", site="a")
-    rec.add(15.0, 30.0, "log.force", site="a")
-    rec.gauge(1.0, "lan.in_flight", 1)
-    rec.gauge(2.0, "lan.in_flight", 0)
-    reg = Registry()
-    reg.load_recorder(rec)
-    assert reg.counter("spans.log.force").value == 2
-    assert reg.gauge("lan.in_flight").samples == [(1.0, 1), (2.0, 0)]

@@ -18,16 +18,8 @@ def test_tid_of_direct_attribute():
     assert tid_of(_Obj(tid="T1@a")) == "T1@a"
 
 
-def test_tid_of_payload_attribute():
-    assert tid_of(_Obj(payload=_Obj(tid="T2@a"))) == "T2@a"
-
-
 def test_tid_of_body_dict():
     assert tid_of(_Obj(body={"tid": "T3@a"})) == "T3@a"
-
-
-def test_tid_of_body_payload():
-    assert tid_of(_Obj(body={"payload": _Obj(tid="T4@a")})) == "T4@a"
 
 
 def test_tid_of_trans_dict():
@@ -114,12 +106,13 @@ def test_domain_hooks_classify_kinds():
     assert all(s.tid == "T1@a" for s in rec.spans)
 
 
-def test_net_unwraps_datagram_payload_name():
+def test_net_names_the_message_it_carries():
     class PrepareRequest:
         tid = "T1@a"
 
     rec = SpanRecorder()
-    rec.net(0.0, 10.0, "a", "b", _Obj(payload=PrepareRequest()))
+    rec.net(0.0, 10.0, "a", "b", PrepareRequest())
+    assert rec.spans[0].tid == "T1@a"
     assert rec.spans[0].detail["msg_kind"] == "PrepareRequest"
     assert rec.spans[0].detail["dst"] == "b"
 

@@ -2,7 +2,6 @@
 
 from repro import CamelotSystem, SystemConfig
 from repro.bench.timeline import extract_rows, render_timeline
-from repro.obs.spans import SpanRecorder
 from repro.sim.tracing import Tracer
 
 
@@ -73,55 +72,3 @@ def test_tid_filter_keeps_untagged_events():
 def test_empty_tracer_renders_header_only():
     text = render_timeline(Tracer(), ["a"])
     assert len(text.splitlines()) == 2
-
-
-# --------------------------------------------------- span-store input
-
-
-def test_rows_from_span_recorder():
-    rec = SpanRecorder()
-    rec.add(1.0, 16.0, "log.force", site="a", tid="T1@a")
-    rec.add(16.0, 26.0, "net.datagram", site="a", tid="T1@a", dst="b",
-            msg_kind="PrepareRequest")
-    rec.add(27.0, 27.8, "cpu.service", site="b", tid="T1@a",
-            component="tranman")
-    rows = extract_rows(rec)
-    assert [r.time for r in rows] == sorted(r.time for r in rows)
-    assert any("log force" in r.text for r in rows)
-    arrows = [r for r in rows if r.arrow_to is not None]
-    assert len(arrows) == 1
-    assert arrows[0].arrow_to == "b"
-    assert "PrepareRequest" in arrows[0].text
-
-
-def test_span_recorder_rows_render_in_columns():
-    rec = SpanRecorder()
-    rec.add(1.0, 16.0, "log.force", site="a", tid="T1@a")
-    rec.add(27.0, 27.8, "cpu.service", site="b", tid="T1@a",
-            component="server")
-    text = render_timeline(rec, ["a", "b"])
-    lines = text.splitlines()
-    col_b = lines[0].index("b")
-    b_lines = [l for l in lines if "cpu (server)" in l]
-    assert b_lines and b_lines[0].index("cpu (server)") == col_b
-
-
-def test_span_recorder_tid_filter():
-    rec = SpanRecorder()
-    rec.add(1.0, 2.0, "log.force", site="a", tid="T1@a")
-    rec.add(3.0, 4.0, "log.force", site="a", tid="T2@a")
-    rows = extract_rows(rec, tid="T1@a")
-    assert len(rows) == 1 and rows[0].time == 1.0
-
-
-def test_tracer_and_recorder_share_vocabulary():
-    """The same commit run produces arrow rows from both sources."""
-    system = CamelotSystem(SystemConfig(sites={"a": 1, "b": 1}))
-    rec = SpanRecorder()
-    system.tracer.attach_obs(rec)
-    run_commit(system)
-    tracer_arrows = {r.arrow_to for r in extract_rows(system.tracer)
-                     if r.arrow_to is not None}
-    span_arrows = {r.arrow_to for r in extract_rows(rec)
-                   if r.arrow_to is not None}
-    assert tracer_arrows == span_arrows >= {"a", "b"}

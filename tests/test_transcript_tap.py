@@ -1,0 +1,119 @@
+"""One wire, one tap: what ``Transcript.tap`` sees, what an untapped
+live site keeps, and the simulated ``SiteHost`` cluster on the
+``Lan``'s own fault knobs."""
+
+import asyncio
+from collections import deque
+
+import pytest
+
+from repro.core.messages import FamilyAbort, PrepareRequest
+from repro.core.tid import TID
+from repro.live.scenario import conformance_cost
+from repro.live.simhost import build_sim_cluster
+from repro.live.site import LiveSite
+
+SITES = ["alpha", "beta", "gamma"]
+
+
+def _types_sent(transcript, pair):
+    return [m["type"] for m in transcript.pair_sequences().get(pair, [])]
+
+
+def test_a_tapped_host_records_multicast_fanout_and_family_abort_ack():
+    """Both leave through the engine's own ``send`` primitive, the one
+    the tap wraps — not through the substrate behind its back."""
+    kernel, hosts, transcript = build_sim_cluster(SITES, conformance_cost())
+    tid = TID("T9@alpha")
+    hosts["alpha"].multicast(
+        ("beta", "gamma"), PrepareRequest(tid=tid, sender="alpha"))
+    assert _types_sent(transcript, "alpha->beta") == ["PrepareRequest"]
+    assert _types_sent(transcript, "alpha->gamma") == ["PrepareRequest"]
+    hosts["beta"].deliver("gamma", FamilyAbort(tid=tid, sender="gamma"))
+    assert _types_sent(transcript, "beta->gamma") == ["FamilyAbortAck"]
+
+
+def _sizes(substrate):
+    """Length of every container the substrate itself holds (the host's
+    protocol tables and the WAL are ROADMAP item 4's, not the wire's)."""
+    sizes = {}
+    for name, value in vars(substrate).items():
+        if name in ("host", "wal"):
+            continue
+        for key, part in (value.items() if isinstance(value, dict)
+                          else [(None, value)]):
+            if isinstance(part, asyncio.Queue):
+                sizes[name, key] = part.qsize()
+            elif hasattr(part, "pending"):
+                sizes[name, key] = part.pending
+            elif isinstance(part, (dict, list, set, deque)):
+                sizes[name, key] = len(part)
+    return sizes
+
+
+def test_an_untapped_live_site_keeps_no_per_message_state(tmp_path):
+    async def commits(n):
+        sites = {name: LiveSite(name, str(tmp_path), fsync=False)
+                 for name in SITES}
+        for site in sites.values():
+            assert not hasattr(site.substrate, "transcript")
+            await site.start()
+        alpha = sites["alpha"].host
+        done = asyncio.get_running_loop().create_future()
+        finished = [0]
+        sizes = []
+
+        async def settle():
+            while not all(site.settled for site in sites.values()):
+                await asyncio.sleep(0.005)
+            sizes.append({name: _sizes(site.substrate)
+                          for name, site in sites.items()})
+
+        def on_complete(tid, outcome):
+            finished[0] += 1
+            if finished[0] in (n // 4, n):
+                done.set_result(None)
+            else:
+                alpha.begin_commit("2pc", ["beta", "gamma"])
+
+        alpha.on_complete = on_complete
+        try:
+            for _ in range(2):      # to n // 4 commits, then on to n
+                alpha.begin_commit("2pc", ["beta", "gamma"])
+                await asyncio.wait_for(done, timeout=30.0)
+                done = asyncio.get_running_loop().create_future()
+                await asyncio.wait_for(settle(), timeout=30.0)
+        finally:
+            for site in sites.values():
+                await site.stop()
+        return finished[0], sizes
+
+    finished, (early, late) = asyncio.run(commits(200))
+    assert finished == 200
+    # Four times the messages, the same sizes: the per-peer queues and
+    # both delay lines drain to empty, the rest is keyed by peer or kind.
+    assert early == late
+    assert late["alpha"]["_out_queues", "beta"] == 0
+
+
+@pytest.mark.parametrize("family", ["2pc", "nb", "paxos"])
+def test_sim_cluster_resolves_under_duplicates_then_loss(family):
+    """ROADMAP item 3A's first step: the cluster rides ``Lan`` +
+    ``DatagramService``, so the LAN's fault knobs reach ``SiteHost``."""
+    for knob, value in (("duplicate_probability", 1.0),
+                        ("loss_probability", 0.2)):
+        kernel, hosts, _ = build_sim_cluster(SITES, conformance_cost())
+        lan = hosts["alpha"].substrate.dgram.lan
+        setattr(lan, knob, value)
+        for host in hosts.values():
+            host.start_sweeps()
+        tids = [str(hosts["alpha"].begin_commit(family, ["beta", "gamma"]))
+                for _ in range(5)]
+        kernel.run(until=120_000.0)
+        assert lan.duplicated > 0 or lan.dropped_loss > 0
+        for tid in tids:
+            outcomes = {site: {**host.tombstones, **host.completions}.get(tid)
+                        for site, host in hosts.items()}
+            assert len(set(outcomes.values())) == 1, (knob, outcomes)
+            assert outcomes["alpha"] is not None
+        assert all(host.idle for host in hosts.values()), knob

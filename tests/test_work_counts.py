@@ -13,7 +13,9 @@ import re
 
 from repro.config import SystemConfig
 from repro.live.conformance import tranman_leg
-from repro.live.scenario import conformance_scenario
+from repro.live.scenario import conformance_scenario, run_scenario_steps
+from repro.live.simhost import build_sim_cluster
+from repro.mach.message import Message
 from repro.system import CamelotSystem
 
 
@@ -46,6 +48,51 @@ def test_conformance_leg_fires_exactly_this_many_events():
     # layer and the request port would add one wake per datagram taken
     # (2,070 with one pump per site).
     assert monitor.fired == 2033
+
+
+def test_a_pool_thread_dequeues_the_message_the_sender_sent():
+    """No envelope and no Mach wrapper: the object a ``SendDatagram``
+    effect carried is, by identity, what the destination's request port
+    hands a pool thread."""
+    scenario = conformance_scenario()
+    system, transcript = tranman_leg(scenario)
+    dequeued = []
+    for site in scenario.sites:
+        pool = system.tranman(site).pool
+
+        def handler(msg, handle=pool.handler):
+            dequeued.append(msg)
+            return handle(msg)
+
+        pool.handler = handler
+    system.run_for(scenario.horizon_ms)
+    datagrams = [m for m in dequeued if not isinstance(m, Message)]
+    assert len(dequeued) == 16 + 17 + 18 and len(datagrams) == 36
+    assert sorted(map(id, datagrams)) == \
+        sorted(id(message) for _, _, message in transcript.entries)
+
+
+def test_sitehost_leg_fires_exactly_this_many_events():
+    """The SiteHost-over-kernel leg rides the TranMan's wire
+    (``DatagramService`` over ``Lan``).  Literals measured on the
+    private LAN path that wire replaced: one wire fires exactly the
+    events, deliveries and per-site counts the private one did."""
+    scenario = conformance_scenario()
+    kernel, hosts, transcript = build_sim_cluster(
+        list(scenario.sites), scenario.cost, votes=scenario.votes,
+        prepare_ms=scenario.sim_prepare_ms)
+    monitor = _CountingMonitor()
+    kernel.monitor = monitor
+    for host in hosts.values():
+        host.start_sweeps()
+    run_scenario_steps(scenario, hosts, at=kernel.schedule)
+    kernel.run(until=scenario.horizon_ms)
+    endpoints = {site: host.substrate.dgram for site, host in hosts.items()}
+    assert len(transcript.entries) == 39
+    assert endpoints["alpha"].lan.delivered == 39
+    assert {site: (e.sent, e.received) for site, e in endpoints.items()} == \
+        {"alpha": (12, 12), "beta": (13, 14), "gamma": (14, 13)}
+    assert monitor.fired == 327
 
 
 def test_a_booted_site_runs_exactly_these_processes():
