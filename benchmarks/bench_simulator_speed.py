@@ -5,7 +5,8 @@ The full Figure 2-5 regeneration runs hundreds of simulated seconds;
 if kernel event dispatch regresses badly, every experiment silently
 turns into a coffee break.  This bench enforces a kernel dispatch-rate
 floor so hot-path regressions fail loudly, a ceiling on what count-only
-tracing may cost, and a ceiling on an open-loop run's peak RSS.  The
+tracing may cost, a ceiling on the kernel events an open-loop
+transaction fires, and a ceiling on an open-loop run's peak RSS.  The
 repo's benchmark proper — speed with repeats, spread and per-layer
 attribution — is ``python -m perf``; this file only keeps coarse
 floors for CI and writes nothing.
@@ -19,12 +20,14 @@ import time
 from pathlib import Path
 
 from repro import CamelotSystem, SystemConfig
+from repro.bench.openloop import run_open_loop
 from repro.bench.workloads import serial_minimal_txns
 from repro.obs.spans import SpanRecorder
 from repro.sim.kernel import Kernel
 from repro.sim.tracing import NullTracer
 
 from benchmarks.conftest import emit
+from perf.trace import SimProbes
 
 # Dispatch-rate floor (events of simulated work per host second), for
 # the schedule() spin and the post() spin alike.  The schedule() spin
@@ -164,6 +167,23 @@ def test_tracing_overhead_floor():
     assert ratio <= 1.05, (
         f"count-only span instrumentation costs {ratio:.3f}x over an "
         f"untraced run; the layer must stay within 5% when spans are off")
+
+
+def test_open_loop_events_per_transaction_ceiling():
+    """A floor that guards work, not host speed: kernel events fired
+    per committed transaction on ``perf``'s ``sim_openloop`` call.  The
+    count repeats to the digit on any host (45.4 on this tree; 79.4
+    while the disk manager's daemons polled and every IPC delivery took
+    a second turn to wake its receiver), so the ceiling cannot flake,
+    and an idle loop or an unpriced hop creeping back in trips it."""
+    with SimProbes() as probes:
+        result = run_open_loop(sites=24, rate_tps=300.0, txns=450, seed=1,
+                               op="write", zipf_s=1.1, remote_fraction=0.15)
+    fired = int(probes.counts()["events"])
+    per_txn = fired / result.committed
+    emit(f"open loop: {fired:,} kernel events for {result.committed} "
+         f"transactions, {per_txn:.1f} per transaction (ceiling 46)")
+    assert result.committed == 450 and per_txn <= 46
 
 
 def test_open_loop_throughput_and_memory():

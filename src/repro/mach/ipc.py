@@ -98,7 +98,8 @@ class IpcFabric:
             self.tracer.record(self.kernel.now, "ipc.dropped", site=port.site,
                                kind_of=msg.kind)
             return
-        port.enqueue(msg)
+        # Our last act in a top-level kernel turn: the receiver runs in it.
+        port.queue.hand_off(msg)
 
     # -------------------------------------------------------------- rpc
 
@@ -155,7 +156,7 @@ class IpcFabric:
     def _trigger_reply(self, handle: ReplyHandle, response: Message) -> None:
         if not self._site_alive(handle.site):
             return
-        handle.event.trigger(response)
+        handle.event.hand_off(response)
 
     def fail_call(self, request: Message) -> None:
         """Abort a pending synchronous call (server died mid-request)."""

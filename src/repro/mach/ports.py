@@ -23,11 +23,14 @@ class DeadPortError(RuntimeError):
 class Port:
     """A message queue bound to a site.
 
-    ``enqueue`` is the raw, zero-latency primitive used by the IPC fabric
-    after it has charged transfer latency; user code should send through
+    ``enqueue`` is the raw, zero-latency primitive under the IPC
+    fabric; user code should send through
     :class:`~repro.mach.ipc.IpcFabric`, never call ``enqueue`` directly.
-    The one other caller is the TranMan, whose request port also takes
-    protocol messages straight off the datagram layer, as themselves.
+    (The fabric itself, having charged transfer latency, hands a live
+    port's mail to ``queue.hand_off`` so the receiver runs in the
+    delivery's own kernel turn.)  The callers are the NetMsgServer and
+    the TranMan, whose request port also takes protocol messages
+    straight off the datagram layer, as themselves.
     """
 
     def __init__(self, kernel: Kernel, site: str, name: str = "port"):

@@ -18,6 +18,18 @@ paper's primitive costs already include this interaction), and it owns:
 - the buffer pool / pageout model for servers' data segments,
   enforcing the WAL invariant: a dirty page may be written back only
   when every log record up to the page's ``rec_lsn`` is durable.
+
+Both background loops are *tickless*.  They act on a grid (every 10 ms
+the sweep looks at the tail, every 500 ms the pager looks for dirty
+pages, each grid restarting when a write of the loop's own returns),
+but they do not wake at every grid instant to find nothing to do: the
+grid is a float advanced by the same ``+=`` a chain of sleeps would
+perform, a loop with nothing a tick could act on parks until
+:meth:`DiskManager.append` / :meth:`~DiskManager.touch_page` wakes it,
+and otherwise sleeps straight to the first tick that can fire.  What
+happens, and when, is what polling did (``tests/test_diskman_tickless``
+holds the polling loops as the oracle; DESIGN.md §12 has the argument
+and the one tie rule); an idle site fires no disk-manager event at all.
 """
 
 from __future__ import annotations
@@ -31,8 +43,9 @@ from repro.log.records import LogRecord
 from repro.log.storage import StableStore
 from repro.log.wal import WriteAheadLog
 from repro.mach.site import Site
+from repro.sim.events import SimEvent
 from repro.sim.kernel import Kernel
-from repro.sim.process import Sleep
+from repro.sim.process import Sleep, SleepUntil
 from repro.sim.tracing import Tracer
 
 
@@ -82,6 +95,10 @@ class DiskManager:
         # segments (what survives a crash *besides* the log) is owned by
         # recovery, which in this model rebuilds from the log alone.
         self._pages: Dict[str, _BufferedPage] = {}
+        # What a parked daemon waits on: the sweep for the next append,
+        # the pager for the next dirtied page (None while it is awake).
+        self._sweep_idle: Optional[SimEvent] = None
+        self._pager_idle: Optional[SimEvent] = None
         self._sweeper = site.spawn(self._lazy_flush_loop(), "diskman.sweep")
         self._pager = site.spawn(self._pageout_loop(), "diskman.pager")
 
@@ -89,7 +106,12 @@ class DiskManager:
 
     def append(self, record: LogRecord) -> LogRecord:
         """Lazy log write (no disk I/O until a force or sweep)."""
-        return self.wal.append(record)
+        self.wal.append(record)
+        idle = self._sweep_idle
+        if idle is not None:
+            self._sweep_idle = None
+            idle.trigger()
+        return record
 
     def force(self, lsn: Optional[int] = None) -> Generator[Any, Any, None]:
         """Synchronous force through the (possibly enabled) batcher."""
@@ -152,14 +174,34 @@ class DiskManager:
         commit force (a background flush must never add to the critical
         path).
         """
+        wal, kernel = self.wal, self.kernel
+        poll, debounce = self.LAZY_FLUSH_POLL_MS, self.LAZY_FLUSH_DEBOUNCE_MS
+        tick = kernel.now
         while True:
-            yield Sleep(self.LAZY_FLUSH_POLL_MS)
-            if (self.wal.last_lsn > self.wal.durable_lsn
-                    and (self.kernel.now - self.wal.last_append_at)
-                    >= self.LAZY_FLUSH_DEBOUNCE_MS):
-                self.tracer.record(self.kernel.now, "diskman.lazy_sweep",
+            tick += poll
+            while wal.last_lsn <= wal.durable_lsn:
+                self._sweep_idle = SimEvent(kernel, name="diskman.sweep.idle")
+                yield self._sweep_idle
+            while tick - wal.last_append_at < debounce:
+                tick += poll
+            yield SleepUntil(tick)
+            if not self._sweep_due():
+                continue
+            # The polling timer for this tick was armed 10 ms ago, behind
+            # every disk write and pager wake-up that ends at this very
+            # instant; ours may be 35 ms old.  Step behind them too.
+            yield Sleep(0.0)
+            if self._sweep_due():
+                self.tracer.record(kernel.now, "diskman.lazy_sweep",
                                    site=self.site.name)
-                yield from self.wal.force(self.wal.last_lsn)
+                yield from wal.force(wal.last_lsn)
+                tick = kernel.now
+
+    def _sweep_due(self) -> bool:
+        wal = self.wal
+        return (wal.last_lsn > wal.durable_lsn
+                and (self.kernel.now - wal.last_append_at)
+                >= self.LAZY_FLUSH_DEBOUNCE_MS)
 
     # ------------------------------------------------------ buffer pool
 
@@ -174,6 +216,10 @@ class DiskManager:
         entry.value = value
         entry.dirty = True
         entry.rec_lsn = max(entry.rec_lsn, rec_lsn)
+        idle = self._pager_idle
+        if idle is not None:
+            self._pager_idle = None
+            idle.trigger()
 
     def dirty_pages(self) -> List[str]:
         return sorted(k for k, p in self._pages.items() if p.dirty)
@@ -185,8 +231,16 @@ class DiskManager:
         pageout of a page whose log records are not yet durable must
         force the log first.
         """
+        kernel = self.kernel
+        tick = kernel.now
         while True:
-            yield Sleep(self.PAGEOUT_INTERVAL_MS)
+            tick += self.PAGEOUT_INTERVAL_MS
+            while not any(p.dirty for p in self._pages.values()):
+                self._pager_idle = SimEvent(kernel, name="diskman.pager.idle")
+                yield self._pager_idle
+            while tick < kernel.now:
+                tick += self.PAGEOUT_INTERVAL_MS
+            yield SleepUntil(tick)
             for key in self.dirty_pages():
                 entry = self._pages[key]
                 # The page may be re-dirtied while we wait for the
@@ -194,10 +248,13 @@ class DiskManager:
                 while entry.rec_lsn > self.wal.durable_lsn:
                     yield from self.wal.force(entry.rec_lsn)
                 self._assert_wal_protocol(entry)
-                yield from self.data_disk.write(256)
+                # Clean *before* the write: a touch_page during it must
+                # leave the page dirty for the next round.
                 entry.dirty = False
-                self.tracer.record(self.kernel.now, "diskman.pageout",
+                yield from self.data_disk.write(256)
+                self.tracer.record(kernel.now, "diskman.pageout",
                                    site=self.site.name, page=key)
+            tick = kernel.now
 
     def _assert_wal_protocol(self, entry: _BufferedPage) -> None:
         if entry.rec_lsn > self.wal.durable_lsn:

@@ -10,9 +10,10 @@ The public surface:
 
 - :class:`~repro.sim.kernel.Kernel` — the event loop and clock.
 - :class:`~repro.sim.process.Process` — a running generator.
-- :class:`~repro.sim.process.Sleep` and
-  :class:`~repro.sim.events.SimEvent` — the two things a process may
-  yield: a delay, or a one-shot triggerable event to wait on.
+- :class:`~repro.sim.process.Sleep`,
+  :class:`~repro.sim.process.SleepUntil` and
+  :class:`~repro.sim.events.SimEvent` — the three things a process may
+  yield: a delay, an instant, or a one-shot triggerable event to wait on.
 - resources: :class:`~repro.sim.resources.SimLock`,
   :class:`~repro.sim.resources.Semaphore`,
   :class:`~repro.sim.resources.Channel`.
@@ -22,7 +23,7 @@ The public surface:
 
 from repro.sim.events import SimEvent
 from repro.sim.kernel import Kernel, SimulationError
-from repro.sim.process import Process, ProcessKilled, Sleep
+from repro.sim.process import Process, ProcessKilled, Sleep, SleepUntil
 from repro.sim.resources import Channel, Semaphore, SimLock
 from repro.sim.rng import RngStreams
 from repro.sim.tracing import Tracer
@@ -38,5 +39,6 @@ __all__ = [
     "SimLock",
     "SimulationError",
     "Sleep",
+    "SleepUntil",
     "Tracer",
 ]

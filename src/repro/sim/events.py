@@ -5,7 +5,11 @@ suspend until someone calls :meth:`SimEvent.trigger`.  The trigger value
 is delivered as the result of the ``yield``.  Triggering is scheduled via
 the kernel (not delivered inline), so waiters always resume in a fresh
 event-loop turn — the same discipline asyncio uses to avoid reentrancy
-surprises.
+surprises.  The one exception is :meth:`SimEvent.hand_off`, for a
+kernel callback that *is* a fresh turn and has nothing left to do in it
+(the IPC fabric's two delivery callbacks): there the second turn
+advanced no clock and modelled no cost, and was one kernel event in
+seven of an open-loop run.
 """
 
 from __future__ import annotations
@@ -56,6 +60,21 @@ class SimEvent:
         callbacks, self._callbacks = self._callbacks, []
         for fn in callbacks:
             self._kernel.post_soon(fn, value)
+
+    def hand_off(self, value: Any = None) -> None:
+        """:meth:`trigger` for a top-level kernel callback whose last act
+        this is: current waiters run now, in the caller's turn.
+
+        The fresh turn ``trigger`` buys exists so that a waiter never
+        runs inside another process's step; a kernel callback that does
+        nothing afterwards *is* a fresh turn, and the second one would
+        advance no clock and model no cost.  Never call this from a
+        process step or with work still to do.
+        """
+        callbacks, self._callbacks = self._callbacks, []
+        self.trigger(value)  # state and the retrigger rule; nobody left to post
+        for fn in callbacks:
+            fn(value)
 
 
 def all_of(kernel: Kernel, events: list[SimEvent], name: str = "all_of") -> SimEvent:

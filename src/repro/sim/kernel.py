@@ -140,6 +140,23 @@ class Kernel:
             self.monitor.on_schedule(seq)
         return timer
 
+    def schedule_at(self, time: float, fn: Callable[..., None], *args: Any) -> Timer:
+        """:meth:`schedule` to an absolute instant.
+
+        ``now + (time - now)`` is not always ``time`` in floats, and a
+        daemon that skips the idle instants of a polling grid must wake
+        *on* the grid for the skip to be unobservable.
+        """
+        if time < self._now:
+            raise SimulationError(f"schedule_at {time!r} is in the past")
+        seq = self._seq
+        self._seq = seq + 1
+        timer = Timer((time, seq, fn, args, False, self))
+        heappush(self._heap, timer)
+        if self.monitor is not None:
+            self.monitor.on_schedule(seq)
+        return timer
+
     def call_soon(self, fn: Callable[..., None], *args: Any) -> Timer:
         """Schedule ``fn(*args)`` at the current instant (after current event)."""
         return self.schedule(0.0, fn, *args)

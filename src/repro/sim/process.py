@@ -1,8 +1,9 @@
 """Generator-based simulated processes.
 
-A process body is a generator that yields one of two *commands*:
+A process body is a generator that yields one of three *commands*:
 
 - ``Sleep(dt)`` — suspend for ``dt`` virtual time units.
+- ``SleepUntil(t)`` — suspend until the clock reads exactly ``t``.
 - a :class:`~repro.sim.events.SimEvent` — suspend until it triggers;
   the trigger value becomes the result of the ``yield``.
 
@@ -42,6 +43,15 @@ class Sleep:
         if duration < 0:
             raise SimulationError(f"negative sleep {duration!r}")
         self.duration = duration
+
+
+class SleepUntil:
+    """Command: suspend the process until the clock reads ``time``."""
+
+    __slots__ = ("time",)
+
+    def __init__(self, time: float):
+        self.time = time
 
 
 class Process:
@@ -130,10 +140,12 @@ class Process:
             # A callback registered before a kill cannot resurrect us:
             # _resume refuses a dead process.
             command.add_callback(self._resume)
+        elif isinstance(command, SleepUntil):
+            self._pending_timer = self.kernel.schedule_at(command.time, self._resume, None)
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded {command!r}; expected "
-                "Sleep or SimEvent"
+                "Sleep, SleepUntil or SimEvent"
             )
 
 

@@ -146,6 +146,14 @@ class Channel:
         else:
             self._items.append(item)
 
+    def hand_off(self, item: Any) -> None:
+        """:meth:`put` as the last act of a kernel callback: a waiting
+        getter runs in this turn (:meth:`SimEvent.hand_off`)."""
+        if self._getters:
+            self._getters.popleft().hand_off(item)
+        else:
+            self._items.append(item)
+
     def put_front(self, item: Any) -> None:
         """Requeue an item at the head (used for message requeueing)."""
         if self._getters:

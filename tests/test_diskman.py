@@ -67,6 +67,20 @@ def test_pageout_respects_wal_protocol(system, diskman):
     assert diskman.data_disk.writes >= 1
 
 
+def test_a_touch_during_the_pageout_write_leaves_the_page_dirty(system, diskman):
+    """The pager used to clear the dirty bit *after* its ~15 ms write,
+    wiping a touch that landed inside it: the page read clean with its
+    newest value never written back."""
+    diskman.touch_page("s", "x", 1, 0)
+    system.kernel.schedule(505.0, diskman.touch_page, "s", "x", 2, 0)
+    system.run_for(605.0)  # first pageout: 500 -> ~515
+    assert diskman.data_disk.writes == 1
+    assert diskman.dirty_pages() == ["s/x"]
+    system.run_for(2_000.0)
+    assert diskman.data_disk.writes == 2
+    assert diskman.dirty_pages() == []
+
+
 def test_wal_protocol_assertion_guards_corruption(system, diskman):
     from repro.servers.diskman import _BufferedPage
 

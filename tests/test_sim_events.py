@@ -54,6 +54,21 @@ def test_callbacks_deferred_to_next_turn():
     assert seen == ["x"]
 
 
+def test_hand_off_runs_waiters_in_the_callers_turn():
+    """The one exception: a kernel callback's last act may wake its
+    waiter inline; the retrigger rules are ``trigger``'s."""
+    k = Kernel()
+    ev = SimEvent(k)
+    seen = []
+    ev.add_callback(seen.append)
+    k.schedule(3.0, ev.hand_off, "x")
+    k.run(max_events=1)
+    assert seen == ["x"] and ev.triggered and ev.value == "x"
+    with pytest.raises(SimulationError):
+        ev.hand_off("y")
+    SimEvent(k, ignore_retrigger=True).hand_off(1)
+
+
 def test_all_of_waits_for_every_event():
     k = Kernel()
     evs = [SimEvent(k) for _ in range(3)]

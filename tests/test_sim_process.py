@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.events import SimEvent
 from repro.sim.kernel import Kernel, SimulationError
-from repro.sim.process import Process, ProcessKilled, Sleep
+from repro.sim.process import Process, ProcessKilled, Sleep, SleepUntil
 
 from tests.conftest import run_proc
 
@@ -207,3 +207,33 @@ def test_kill_is_idempotent():
 def test_negative_sleep_rejected():
     with pytest.raises(SimulationError):
         Sleep(-0.5)
+
+
+def test_sleep_until_wakes_on_the_instant_a_relative_sleep_misses():
+    """``now + (t - now)`` is not ``t`` here, which is why a daemon that
+    must wake on a grid instant cannot get there with ``Sleep``."""
+    start, target = 8.3, 41.90573
+    assert start + (target - start) != target
+    woke = []
+
+    def body(command):
+        yield Sleep(start)
+        yield command(k.now)
+        woke.append(k.now)
+
+    for command in (lambda now: Sleep(target - now),
+                    lambda now: SleepUntil(target)):
+        k = Kernel()
+        run_proc(k, body(command))
+    assert woke[0] != target and woke[1] == target
+
+
+def test_sleep_until_the_past_is_rejected():
+    k = Kernel()
+
+    def body():
+        yield Sleep(5.0)
+        yield SleepUntil(4.0)
+
+    with pytest.raises(SimulationError):
+        run_proc(k, body())

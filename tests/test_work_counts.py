@@ -46,8 +46,12 @@ def test_conformance_leg_fires_exactly_this_many_events():
         {"alpha": 16, "beta": 17, "gamma": 18}
     # Measured on this tree.  A forwarding process between the datagram
     # layer and the request port would add one wake per datagram taken
-    # (2,070 with one pump per site).
-    assert monitor.fired == 2033
+    # (2,070 with one pump per site).  2,033 until the work that stood
+    # for nothing went: the disk manager's tickless sweep fires 105
+    # times where it polled 1,191 and its pager 30 for 33, and the 72
+    # receivers ``IpcFabric._deliver`` / ``_trigger_reply`` wake run in
+    # that callback's turn instead of a second one.
+    assert monitor.fired == 872
 
 
 def test_a_pool_thread_dequeues_the_message_the_sender_sent():
@@ -105,3 +109,20 @@ def test_a_booted_site_runs_exactly_these_processes():
     assert [n for n in names if not re.search(r"\.t\d+$", n)] == [
         "a/diskman.pager", "a/diskman.sweep",
         "a/tranman.orphans", "a/tranman.piggyback"]
+
+
+def test_an_idle_system_fires_almost_nothing():
+    """No work, no events: over ten simulated seconds three booted
+    sites fire each process's first step (108), the still-polled
+    ``tranman.piggyback`` every 50 ms (3 x 200) and the orphan reaper
+    once per site — and nothing from the disk manager, whose sweep and
+    pager park until something is appended or dirtied."""
+    system = CamelotSystem(SystemConfig(sites={"a": 1, "b": 1, "c": 1}))
+    monitor = _CountingMonitor()
+    system.kernel.monitor = monitor
+    system.run_for(1_000.0)
+    armed = system.kernel.pending
+    assert armed == 6  # one piggyback and one orphan timer per site
+    system.run_for(9_000.0)
+    assert monitor.fired == 108 + 600 + 3
+    assert system.kernel.pending == armed
