@@ -138,8 +138,8 @@ def test_tracing_overhead_floor():
 
     The span hooks in the substrates are guarded by a single attribute
     test (``tracer.obs is not None``); with a count-only SpanRecorder
-    attached the layer degrades to counter-stub calls (the recorder
-    rebinds its recording surface in ``__init__``).  Both legs run a
+    attached every hook leaves right after its counter increment.
+    Both legs run a
     NullTracer so the ratio bounds exactly the span layer, not the
     tracer's own pre-existing counting.
 
@@ -172,9 +172,12 @@ def test_tracing_overhead_floor():
 def test_open_loop_events_per_transaction_ceiling():
     """A floor that guards work, not host speed: kernel events fired
     per committed transaction on ``perf``'s ``sim_openloop`` call.  The
-    count repeats to the digit on any host (45.4 on this tree; 79.4
-    while the disk manager's daemons polled and every IPC delivery took
-    a second turn to wake its receiver), so the ceiling cannot flake,
+    count repeats to the digit on any host (20,406 events, 45.3 on this
+    tree; 20,418 while a deadline wait left its timer armed after the
+    event won — six of the call's 37 granted lock waits lived long
+    enough for theirs to fire; 79.4 per transaction while the disk
+    manager's daemons polled and every IPC delivery took a second turn
+    to wake its receiver), so the ceiling cannot flake,
     and an idle loop or an unpriced hop creeping back in trips it."""
     with SimProbes() as probes:
         result = run_open_loop(sites=24, rate_tps=300.0, txns=450, seed=1,

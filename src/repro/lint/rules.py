@@ -106,7 +106,7 @@ def check_unseeded_random(ctx: LintContext) -> List[Finding]:
 
 # ----------------------------------------------- rule: unordered iteration
 
-_POST_METHODS = ("post", "post_soon", "schedule", "schedule_at", "call_soon")
+_POST_METHODS = ("post", "post_soon", "schedule", "schedule_at")
 # Effect constructors whose list order becomes datagram post order when
 # the TranMan executes them — building these in a loop counts as
 # "feeding kernel.post() ordering" even though the post is elsewhere.

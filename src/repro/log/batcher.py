@@ -22,12 +22,12 @@ Figure 4 experiment is a single-flag toggle.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.log.wal import WriteAheadLog
 from repro.sim.events import SimEvent
 from repro.sim.kernel import Kernel, Timer
-from repro.sim.process import Process
+from repro.sim.process import Process, ProcessBody
 from repro.sim.tracing import Tracer
 
 
@@ -43,15 +43,22 @@ class _Round:
 
 
 class GroupCommitBatcher:
-    """Timer-based group commit in front of a WAL."""
+    """Timer-based group commit in front of a WAL.
+
+    A round is the site's volatile state: its flush runs on a process
+    from ``spawn`` (:meth:`repro.mach.site.Site.spawn`, killed with the
+    site) and the site's crash hook calls :meth:`drop_round`.
+    """
 
     def __init__(self, kernel: Kernel, wal: WriteAheadLog, tracer: Tracer,
+                 spawn: Callable[[ProcessBody, str], Process],
                  window_ms: float, batch_limit: int, enabled: bool = True):
         if batch_limit < 1:
             raise ValueError("batch limit must be >= 1")
         self.kernel = kernel
         self.wal = wal
         self.tracer = tracer
+        self._spawn = spawn
         self.window_ms = window_ms
         self.batch_limit = batch_limit
         self.enabled = enabled
@@ -99,7 +106,14 @@ class GroupCommitBatcher:
             return  # already fired via the batch limit
         self._round = None
         self._timer = None
-        Process(self.kernel, self._flush_round(rnd), name="gc.flush")
+        self._spawn(self._flush_round(rnd), "gc.flush")
+
+    def drop_round(self) -> None:
+        """The site crashed: the open round and its window timer were
+        volatile state (its waiters are already dead)."""
+        if self._timer is not None:
+            self._timer.cancel()
+        self._round = self._timer = None
 
     def _flush_round(self, rnd: _Round) -> Generator[Any, Any, None]:
         self.rounds_flushed += 1
@@ -110,10 +124,9 @@ class GroupCommitBatcher:
         if obs is not None:
             sid = obs.begin(self.kernel.now, "log.group_commit",
                             site=self.wal.site, batch=rnd.size)
-            yield from self.wal.force(rnd.target_lsn)
+        yield from self.wal.force(rnd.target_lsn)
+        if obs is not None:
             obs.end(sid, self.kernel.now)
-        else:
-            yield from self.wal.force(rnd.target_lsn)
         rnd.done.trigger(None)
 
     # ------------------------------------------------------- statistics

@@ -65,7 +65,3 @@ class DiskModel:
         if elapsed_ms <= 0:
             return 0.0
         return self.busy_ms / elapsed_ms
-
-    def reset_stats(self) -> None:
-        self.writes = 0
-        self.busy_ms = 0.0

@@ -90,7 +90,13 @@ class StableStore:
     def append(self, record: LogRecord) -> None:
         if record.lsn is None:
             raise ValueError("record must have an LSN before reaching disk")
-        self._records.append(record.to_dict())
+        records = self._records
+        if records and record.lsn <= records[-1]["lsn"]:
+            raise ValueError(
+                f"{self.site}: LSN {record.lsn} is not above the last one "
+                f"on disk ({records[-1]['lsn']}): a second writer, or a "
+                "dead incarnation's flush")
+        records.append(record.to_dict())
         self.appends += 1
 
     def append_many(self, records: List[LogRecord]) -> None:

@@ -30,7 +30,7 @@ from typing import Any, Dict, Generator, Optional
 from repro.config import CostModel
 from repro.mach.message import Message
 from repro.mach.ports import Port
-from repro.sim.events import SimEvent
+from repro.sim.events import SimEvent, wait_with_deadline
 from repro.sim.kernel import Kernel
 from repro.sim.tracing import Tracer
 
@@ -123,16 +123,10 @@ class IpcFabric:
         if timeout is None:
             response = yield handle.event
         else:
-            from repro.sim.events import any_of, timeout_event
-
-            winner = yield any_of(
-                self.kernel,
-                [handle.event, timeout_event(self.kernel, timeout)],
-                name="call-or-timeout")
-            index, value = winner
-            if index == 1:
+            replied, response = yield from wait_with_deadline(
+                self.kernel, handle.event, timeout, name="call-or-timeout")
+            if not replied:
                 return None
-            response = value
         if response is None:
             raise DeadCallError(f"call {msg.kind!r} to {port!r} lost")
         return response

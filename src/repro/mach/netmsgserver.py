@@ -26,7 +26,7 @@ from repro.mach.ipc import IpcFabric
 from repro.mach.message import Message
 from repro.mach.ports import Port
 from repro.net.lan import Lan
-from repro.sim.events import SimEvent, any_of, timeout_event
+from repro.sim.events import SimEvent, wait_with_deadline
 from repro.sim.kernel import Kernel
 from repro.sim.process import Sleep
 from repro.sim.tracing import Tracer
@@ -44,10 +44,7 @@ class NameDirectory:
         self._services: Dict[str, Tuple[str, Port]] = {}
 
     def register(self, service: str, site: str, port: Port) -> None:
-        self._services[service] = (site, port)
-
-    def unregister(self, service: str) -> None:
-        self._services.pop(service, None)
+        self._services[service] = (site, port)  # lint: bounded(one entry per service name; a restart re-registers over it)
 
     def lookup(self, service: str) -> Tuple[str, Port]:
         try:
@@ -131,12 +128,10 @@ class NetMsgServer:
         if timeout is None:
             response = yield done
             return response
-        winner = yield any_of(self.kernel,
-                              [done, timeout_event(self.kernel, timeout)],
-                              name="rpc-or-timeout")
-        index, value = winner
-        if index == 0:
-            return value
+        replied, response = yield from wait_with_deadline(
+            self.kernel, done, timeout, name="rpc-or-timeout")
+        if replied:
+            return response
         self.tracer.record(self.kernel.now, "nms.rpc_timeout", site=self.site,
                            dst=dest_site, kind_of=msg.kind)
         return None

@@ -71,7 +71,3 @@ class CpuScheduler:
         if elapsed_ms <= 0:
             return 0.0
         return self.busy_ms / (elapsed_ms * self.num_cpus)
-
-    def reset_stats(self) -> None:
-        self.busy_ms = 0.0
-        self.dispatches = 0

@@ -152,11 +152,6 @@ class Lan:
             return 0.0
         return self.rng.stream("lan.sendsched").expovariate(1.0 / mean)
 
-    def _lost(self) -> bool:
-        if self.loss_probability <= 0:
-            return False
-        return self.rng.stream("lan.loss").random() < self.loss_probability
-
     def _duplicate(self, src: str, dst: str, payload: Any,
                    deliver: DeliverFn, base_delay: float) -> None:
         """Maybe schedule a second arrival of the same datagram.
@@ -216,21 +211,8 @@ class Lan:
             transit = (max(0.0, self.cost.datagram - self.cost.datagram_send_cycle)
                        + self._jitter())
         self.tracer.record(self.kernel.now, "net.datagram", site=src, dst=dst)
-        if self._lost():
-            self.dropped_loss += 1
-            self.tracer.record(self.kernel.now, "net.lost", site=src, dst=dst)
-            return
-        self.in_flight += 1
-        obs = self.tracer.obs
-        if obs is not None:
-            now = self.kernel.now
-            obs.net(now, now + send_delay + transit,
-                    src, dst, payload, rpc=latency_override is not None)
-            if obs.keep:
-                obs.gauge(now, "lan.in_flight", self.in_flight)
-        self.kernel.post(send_delay + transit, self._arrive, src, dst,
-                         payload, deliver)
-        self._duplicate(src, dst, payload, deliver, send_delay + transit)
+        self._transmit(src, dst, payload, deliver, send_delay + transit,
+                       rpc=latency_override is not None)
 
     def multicast(self, src: str, dsts: Sequence[str], payload: Any,
                   deliver_for: Callable[[str], DeliverFn]) -> None:
@@ -247,22 +229,29 @@ class Lan:
         self.tracer.record(self.kernel.now, "net.multicast", site=src,
                            fanout=len(dsts))
         for dst in dsts:
-            if self._lost():
-                self.dropped_loss += 1
-                self.tracer.record(self.kernel.now, "net.lost", site=src, dst=dst)
-                continue
-            self.in_flight += 1
-            deliver = deliver_for(dst)
-            obs = self.tracer.obs
-            if obs is not None:
-                now = self.kernel.now
-                obs.net(now, now + send_delay + transit,
-                        src, dst, payload, multicast=True)
-                if obs.keep:
-                    obs.gauge(now, "lan.in_flight", self.in_flight)
-            self.kernel.post(send_delay + transit, self._arrive, src, dst,
-                             payload, deliver)
-            self._duplicate(src, dst, payload, deliver, send_delay + transit)
+            self._transmit(src, dst, payload, deliver_for(dst),
+                           send_delay + transit, multicast=True)
+
+    def _transmit(self, src: str, dst: str, payload: Any, deliver: DeliverFn,
+                  delay: float, rpc: bool = False,
+                  multicast: bool = False) -> None:
+        """One destination's share of a send: the loss draw, the flight
+        count, the span, the arrival and the duplicate draw."""
+        now = self.kernel.now
+        if (self.loss_probability > 0 and
+                self.rng.stream("lan.loss").random() < self.loss_probability):
+            self.dropped_loss += 1
+            self.tracer.record(now, "net.lost", site=src, dst=dst)
+            return
+        self.in_flight += 1
+        obs = self.tracer.obs
+        if obs is not None:
+            obs.net(now, now + delay, src, dst, payload, rpc=rpc,
+                    multicast=multicast)
+            if obs.keep:  # two samples per datagram counting would discard
+                obs.gauge(now, "lan.in_flight", self.in_flight)
+        self.kernel.post(delay, self._arrive, src, dst, payload, deliver)
+        self._duplicate(src, dst, payload, deliver, delay)
 
     def _arrive(self, src: str, dst: str, payload: Any, deliver: DeliverFn) -> None:
         self.in_flight -= 1

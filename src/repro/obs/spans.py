@@ -96,19 +96,6 @@ class SpanRecorder:
         self._next_sid = 0
         self.begun = 0
         self.ended = 0
-        if not keep:
-            # Count-only fast path: rebind the recording surface to
-            # counter-increment stubs (the Tracer rebinding idiom), so
-            # the hot hooks skip tid extraction, detail construction,
-            # and Span allocation entirely.
-            self.add = self._add_count_only          # type: ignore
-            self.begin = self._begin_count_only      # type: ignore
-            self.end = self._end_count_only          # type: ignore
-            self.instant = self._instant_count_only  # type: ignore
-            self.gauge = self._gauge_count_only      # type: ignore
-            self.ipc = self._ipc_count_only          # type: ignore
-            self.net = self._net_count_only          # type: ignore
-            self.begin_cpu = self._begin_cpu_count_only  # type: ignore
 
     # ------------------------------------------------------ generic API
 
@@ -169,11 +156,25 @@ class SpanRecorder:
     # ------------------------------------------ domain-specific helpers
     #
     # One-line hooks for the substrates, so the guarded call sites stay
-    # small and tid extraction lives here, not in sim code.
+    # small and tid extraction lives here, not in sim code.  They are
+    # the hottest hooks, so a count-only recorder leaves before any
+    # tid extraction or detail construction; the benchmark gate
+    # (``test_tracing_overhead_floor``) bounds what that mode may cost
+    # over an untraced run.
+
+    # Interned kinds carry cached hashes; an ``"ipc." + flavour``
+    # result never does.
+    _IPC_KINDS = {"inline": "ipc.inline", "oneway": "ipc.oneway",
+                  "outofline": "ipc.outofline", "immediate": "ipc.immediate"}
 
     def ipc(self, t0: float, t1: float, flavour: str, site: Optional[str],
             msg: Any) -> None:
-        self.add(t0, t1, f"ipc.{flavour}", site=site, tid=tid_of(msg),
+        kinds = self._IPC_KINDS
+        kind = kinds[flavour] if flavour in kinds else "ipc." + flavour
+        if not self.keep:
+            self.counters[kind] += 1
+            return
+        self.add(t0, t1, kind, site=site, tid=tid_of(msg),
                  msg_kind=getattr(msg, "kind", None))
 
     def net(self, t0: float, t1: float, src: str, dst: str, payload: Any,
@@ -184,88 +185,22 @@ class SpanRecorder:
             kind = "net.multicast"
         else:
             kind = "net.datagram"
+        if not self.keep:
+            self.counters[kind] += 1
+            return
         self.add(t0, t1, kind, site=src, tid=tid_of(payload), dst=dst,
                  msg_kind=type(payload).__name__)
 
     def begin_cpu(self, time: float, component: str, site: Optional[str],
                   msg: Any = None) -> Optional[int]:
+        if not self.keep:
+            self.counters["cpu.service"] += 1
+            self.begun += 1
+            return None
         return self.begin(time, "cpu.service", site=site,
                           tid=tid_of(msg) if msg is not None else None,
                           component=component,
                           msg_kind=getattr(msg, "kind", None))
-
-    def count_cpu(self) -> None:
-        """Count-only stand-in for a ``begin_cpu``/``end`` bracket.
-
-        The per-message dispatch paths are the hottest hook sites; when
-        the recorder is not keeping spans they take this single zero-arg
-        call instead of the two-call bracket.
-        """
-        self.counters["cpu.service"] += 1
-
-    # -------------------------------------------- count-only fast path
-    #
-    # Bound over the public surface when ``keep=False``: per-kind counts
-    # and begin/end balance stay exact, everything else is skipped.  The
-    # benchmark gate (``test_tracing_overhead_floor``) bounds what this
-    # mode may cost over an untraced run.
-
-    def _add_count_only(self, t0: float, t1: float, kind: str,
-                        site: Optional[str] = None,
-                        tid: Optional[str] = None,
-                        **detail: Any) -> Optional[int]:
-        self.counters[kind] += 1
-        return None
-
-    def _begin_count_only(self, time: float, kind: str,
-                          site: Optional[str] = None,
-                          tid: Optional[str] = None,
-                          **detail: Any) -> Optional[int]:
-        self.counters[kind] += 1
-        self.begun += 1
-        return None
-
-    def _end_count_only(self, sid: Optional[int], time: float) -> None:
-        self.ended += 1
-
-    def _instant_count_only(self, time: float, kind: str,
-                            site: Optional[str] = None,
-                            tid: Optional[str] = None,
-                            **detail: Any) -> None:
-        self.counters[kind] += 1
-
-    def _gauge_count_only(self, time: float, name: str,
-                          value: float) -> None:
-        pass
-
-    _IPC_KINDS = {"inline": "ipc.inline", "oneway": "ipc.oneway",
-                  "outofline": "ipc.outofline", "immediate": "ipc.immediate"}
-
-    def _ipc_count_only(self, t0: float, t1: float, flavour: str,
-                        site: Optional[str], msg: Any) -> None:
-        # Dict lookup instead of "ipc." + flavour: the interned constants
-        # carry cached hashes, the concat result never does.
-        kinds = self._IPC_KINDS
-        self.counters[kinds[flavour] if flavour in kinds
-                      else "ipc." + flavour] += 1
-
-    def _net_count_only(self, t0: float, t1: float, src: str, dst: str,
-                        payload: Any, rpc: bool = False,
-                        multicast: bool = False) -> None:
-        if rpc:
-            kind = "rpc.netmsg"
-        elif multicast:
-            kind = "net.multicast"
-        else:
-            kind = "net.datagram"
-        self.counters[kind] += 1
-
-    def _begin_cpu_count_only(self, time: float, component: str,
-                              site: Optional[str],
-                              msg: Any = None) -> Optional[int]:
-        self.counters["cpu.service"] += 1
-        self.begun += 1
-        return None
 
     # ----------------------------------------------------- consistency
 

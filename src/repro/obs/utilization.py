@@ -39,12 +39,6 @@ class UtilizationReport:
             return None
         return max(self.resources, key=lambda r: r.utilization)
 
-    def by_name(self, name: str) -> Optional[ResourceUsage]:
-        for resource in self.resources:
-            if resource.name == name:
-                return resource
-        return None
-
 
 def snapshot(system, recorder=None,
              elapsed_ms: Optional[float] = None) -> UtilizationReport:

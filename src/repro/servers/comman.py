@@ -58,8 +58,7 @@ class CommunicationManager:
         self.port = site.create_port("comman")
         self.pool = CThreadsPool(
             kernel, self.port, self._serve_inbound, size=8,
-            name=f"{site.name}/comman",
-            spawn=lambda body, nm: site.spawn(body, nm))
+            name=f"{site.name}/comman", spawn=site.spawn)
 
     # ------------------------------------------------------ client side
 

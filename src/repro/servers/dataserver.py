@@ -38,7 +38,7 @@ from repro.mach.site import Site
 from repro.mach.threads import CThreadsPool
 from repro.servers.diskman import DiskManager
 from repro.servers.lockmgr import LockManager, LockMode
-from repro.sim.events import SimEvent
+from repro.sim.events import SimEvent, wait_with_deadline
 from repro.sim.kernel import Kernel
 from repro.sim.process import Sleep
 from repro.sim.tracing import Tracer
@@ -82,23 +82,19 @@ class DataServer:
         self.port = site.create_port(name)
         self.pool = CThreadsPool(
             kernel, self.port, self._handle, size=threads,
-            name=f"{site.name}/{name}",
-            spawn=lambda body, nm: site.spawn(body, nm))
+            name=f"{site.name}/{name}", spawn=site.spawn)
         self.operations = 0
 
     # --------------------------------------------------------- dispatch
 
     def _handle(self, msg: Message) -> Generator[Any, Any, None]:
         obs = self.tracer.obs
-        if obs is not None and obs.keep:
+        if obs is not None:
             sid = obs.begin_cpu(self.kernel.now, "server", self.site.name,
                                 msg)
-            yield from self.site.consume_cpu(self.cost.server_service_cpu)
+        yield from self.site.consume_cpu(self.cost.server_service_cpu)
+        if obs is not None:
             obs.end(sid, self.kernel.now)
-        else:
-            if obs is not None:
-                obs.count_cpu()
-            yield from self.site.consume_cpu(self.cost.server_service_cpu)
         kind = msg.kind
         if kind == "operation":
             yield from self._op(msg)
@@ -199,8 +195,6 @@ class DataServer:
         if obs is not None:
             wait_sid = obs.begin(self.kernel.now, "lock.wait",
                                  site=self.site.name, tid=tid, object=obj)
-        from repro.sim.events import any_of, timeout_event
-
         # Stagger the timeout deterministically per waiter, so two
         # deadlocked transactions never give up in the same instant and
         # one of them survives as the winner.
@@ -208,15 +202,12 @@ class DataServer:
         digest = hashlib.sha256(
             f"{self.name}:{tid}:{self._wait_seq}".encode()).digest()
         stagger = 0.75 + 0.5 * (digest[0] / 255.0)
-        winner = yield any_of(
-            self.kernel,
-            [granted, timeout_event(self.kernel,
-                                    self.cost.lock_wait_timeout * stagger)],
+        won, __ = yield from wait_with_deadline(
+            self.kernel, granted, self.cost.lock_wait_timeout * stagger,
             name=f"{self.name}.lockwait")
         if obs is not None:
             obs.end(wait_sid, self.kernel.now)
-        index, __ = winner
-        if index == 0:
+        if won:
             return True
         # Timed out: withdraw from the queue (unless granted in the
         # same instant — then we keep it).

@@ -87,10 +87,11 @@ class DiskManager:
         self.wal = WriteAheadLog(kernel, cost, self.disk, store,
                                  site.name, tracer)
         self.batcher = GroupCommitBatcher(
-            kernel, self.wal, tracer,
+            kernel, self.wal, tracer, site.spawn,
             window_ms=cost.log_batch_timer,
             batch_limit=cost.log_batch_limit,
             enabled=group_commit)
+        site.on_crash.append(self.batcher.drop_round)
         # Buffer pool keyed by "server/page"; the disk image of data
         # segments (what survives a crash *besides* the log) is owned by
         # recovery, which in this model rebuilds from the log alone.
@@ -117,14 +118,11 @@ class DiskManager:
         """Synchronous force through the (possibly enabled) batcher."""
         self.tracer.record(self.kernel.now, "diskman.force", site=self.site.name)
         obs = self.tracer.obs
-        if obs is not None and obs.keep:
+        if obs is not None:
             sid = obs.begin_cpu(self.kernel.now, "logger", self.site.name)
-            yield from self.site.consume_cpu(self.cost.logger_service_cpu)
+        yield from self.site.consume_cpu(self.cost.logger_service_cpu)
+        if obs is not None:
             obs.end(sid, self.kernel.now)
-        else:
-            if obs is not None:
-                obs.count_cpu()
-            yield from self.site.consume_cpu(self.cost.logger_service_cpu)
         yield from self.batcher.force(lsn)
 
     def watch_durable(self, lsn: int, callback: Callable[[], None]) -> None:

@@ -125,8 +125,7 @@ class TransactionManager:
         self.port = site.create_port("tranman")
         self.pool = CThreadsPool(
             kernel, self.port, self._handle, size=threads,
-            name=f"{site.name}/tranman",
-            spawn=lambda body, name: site.spawn(body, name))
+            name=f"{site.name}/tranman", spawn=site.spawn)
         dgram.receiver = self._take_datagram
         self._sweeper = site.spawn(self._piggyback_sweep(), "tranman.piggyback")
         self._orphan_reaper = site.spawn(self._orphan_sweep(),
@@ -203,17 +202,16 @@ class TransactionManager:
 
     def _handle(self, msg: Any) -> Generator[Any, Any, None]:
         obs = self.tracer.obs
-        if obs is not None and obs.keep:
-            obs.gauge(self.kernel.now, f"cpu.queue_depth.{self.site.name}",
-                      self.site.cpu.queue_depth)
+        if obs is not None:
+            if obs.keep:  # a sample per message that counting would discard
+                obs.gauge(self.kernel.now,
+                          f"cpu.queue_depth.{self.site.name}",
+                          self.site.cpu.queue_depth)
             sid = obs.begin_cpu(self.kernel.now, "tranman", self.site.name,
                                 msg)
-            yield from self.site.consume_cpu(self.cost.tranman_service_cpu)
+        yield from self.site.consume_cpu(self.cost.tranman_service_cpu)
+        if obs is not None:
             obs.end(sid, self.kernel.now)
-        else:
-            if obs is not None:
-                obs.count_cpu()
-            yield from self.site.consume_cpu(self.cost.tranman_service_cpu)
         if not isinstance(msg, Message):
             yield from self._on_datagram(msg)
             return
@@ -421,14 +419,13 @@ class TransactionManager:
     def force(self, lsn: int, record: LogRecord,
               token: str) -> Generator[Any, Any, None]:
         obs = self.tracer.obs
-        if obs is None:
-            yield from self.diskman.force(lsn)
-            return
-        sid = obs.begin(self.kernel.now, "log.force", site=self.site.name,
-                        tid=record.tid or None,
-                        record_kind=record.kind.value)
+        if obs is not None:
+            sid = obs.begin(self.kernel.now, "log.force", site=self.site.name,
+                            tid=record.tid or None,
+                            record_kind=record.kind.value)
         yield from self.diskman.force(lsn)
-        obs.end(sid, self.kernel.now)
+        if obs is not None:
+            obs.end(sid, self.kernel.now)
 
     def trace(self, kind: str, detail: Dict[str, Any]) -> None:
         self.tracer.record(self.kernel.now, kind, site=self.site.name,

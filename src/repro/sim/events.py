@@ -14,7 +14,7 @@ seven of an open-loop run.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Generator, Tuple
 
 from repro.sim.kernel import Kernel, SimulationError
 
@@ -105,29 +105,24 @@ def all_of(kernel: Kernel, events: list[SimEvent], name: str = "all_of") -> SimE
     return combined
 
 
-def any_of(kernel: Kernel, events: list[SimEvent], name: str = "any_of") -> SimEvent:
-    """Return an event that triggers when the first of ``events`` does.
+def wait_with_deadline(kernel: Kernel, event: SimEvent, timeout: float,
+                       name: str = "deadline"
+                       ) -> Generator[SimEvent, Any, Tuple[bool, Any]]:
+    """Wait (``yield from``) for ``event`` at most ``timeout`` from now.
 
-    The combined value is ``(index, value)`` of the winner.  Later
-    triggers are ignored.
+    Returns ``(True, value)`` when the event triggered first and
+    ``(False, None)`` when the deadline did; at one instant the event
+    wins iff it was triggered before the deadline timer fired.  The
+    timer is cancelled on the way out — the event won, or the waiter
+    was killed — so no wait leaves one armed behind it.
     """
-    if not events:
-        raise SimulationError("any_of() needs at least one event")
-    combined = SimEvent(kernel, name=name, ignore_retrigger=True)
-
-    def make_cb(index: int) -> Callable[[Any], None]:
-        def cb(value: Any) -> None:
-            combined.trigger((index, value))
-
-        return cb
-
-    for i, ev in enumerate(events):
-        ev.add_callback(make_cb(i))
-    return combined
-
-
-def timeout_event(kernel: Kernel, delay: float) -> SimEvent:
-    """An event that self-triggers ``delay`` from now."""
-    ev = SimEvent(kernel, name="timeout")
-    kernel.schedule(delay, ev.trigger)
-    return ev
+    first = SimEvent(kernel, name=name, ignore_retrigger=True)
+    # The expiry takes a turn of its own, as the event's callback does:
+    # whichever was triggered first is the one ``first`` hears first.
+    timer = kernel.schedule(timeout, kernel.post_soon,
+                            first.trigger, (False, None))
+    event.add_callback(lambda value: first.trigger((True, value)))
+    try:
+        return (yield first)
+    finally:
+        timer.cancel()

@@ -14,9 +14,13 @@ this module, so the representation matters.  The pending set is one
 binary heap.  ``post`` entries are plain 4-element lists
 ``[time, seq, fn, args]`` (one C ``BUILD_LIST``, no subclass
 constructor, nothing to cancel); ``schedule`` entries are
-:class:`Timer` (a 6-element list subclass).  ``seq`` is unique, so heap
+:class:`Timer` (a 5-element list subclass).  ``seq`` is unique, so heap
 sifting is decided by C list comparison on ``(time, seq)`` and later
-elements are never compared.
+elements are never compared.  Both shapes keep the callback in slot 2,
+and a timer cancelled or fired has ``None`` there, so one dispatch arm
+(:meth:`Kernel._dispatch`) serves both.  The entry points stay four:
+two shapes (a handle or none) times two ways to name the instant (a
+delay, or the instant itself).
 
 Cancelled timers stay in the heap (O(1) cancel), are dropped when they
 reach the top, and are compacted in bulk once they outnumber the live
@@ -30,9 +34,9 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
-# Timer slot layout (a Timer IS a 6-element list; index names beat a
+# Timer slot layout (a Timer IS a 5-element list; index names beat a
 # second object per scheduled event on the allocation profile).
-_TIME, _SEQ, _FN, _ARGS, _CANCELLED, _KERNEL = range(6)
+_TIME, _SEQ, _FN, _ARGS, _KERNEL = range(5)
 
 _INF = float("inf")
 
@@ -50,29 +54,26 @@ class Timer(list):
     """Handle returned by :meth:`Kernel.schedule`; supports cancellation.
 
     Doubles as the queue entry itself: the payload list
-    ``[time, seq, fn, args, cancelled, kernel]`` is built by the C list
+    ``[time, seq, fn, args, kernel]`` is built by the C list
     constructor, so scheduling an event costs one allocation.
-    ``cancel`` is O(1) — the entry stays in the heap, marked, and is
-    dropped when it reaches the top (or compacted away in bulk).
+    ``cancel`` is O(1) — it clears the callback slot; the entry stays
+    in the heap and is dropped when it reaches the top (or compacted
+    away in bulk).  Firing clears the same slot, so a late cancel (even
+    from inside the timer's own callback) is a no-op.
     """
 
     __slots__ = ()
 
     @property
-    def time(self) -> float:
-        """Virtual time at which the callback fires (or would have)."""
-        return self[_TIME]
-
-    @property
     def active(self) -> bool:
         """True while the callback has neither fired nor been cancelled."""
-        return not self[_CANCELLED] and self[_FN] is not None
+        return self[_FN] is not None
 
     def cancel(self) -> None:
         """Prevent the callback from firing.  Idempotent."""
-        if self[_CANCELLED] or self[_FN] is None:
+        if self[_FN] is None:
             return  # already cancelled or already fired
-        self[_CANCELLED] = True
+        self[_FN] = None
         self[_KERNEL]._note_cancel()
 
 
@@ -134,7 +135,7 @@ class Kernel:
             raise SimulationError(f"negative delay {delay!r}")
         seq = self._seq
         self._seq = seq + 1
-        timer = Timer((self._now + delay, seq, fn, args, False, self))
+        timer = Timer((self._now + delay, seq, fn, args, self))
         heappush(self._heap, timer)
         if self.monitor is not None:
             self.monitor.on_schedule(seq)
@@ -151,24 +152,19 @@ class Kernel:
             raise SimulationError(f"schedule_at {time!r} is in the past")
         seq = self._seq
         self._seq = seq + 1
-        timer = Timer((time, seq, fn, args, False, self))
+        timer = Timer((time, seq, fn, args, self))
         heappush(self._heap, timer)
         if self.monitor is not None:
             self.monitor.on_schedule(seq)
         return timer
 
-    def call_soon(self, fn: Callable[..., None], *args: Any) -> Timer:
-        """Schedule ``fn(*args)`` at the current instant (after current event)."""
-        return self.schedule(0.0, fn, *args)
-
     def post(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule`: no :class:`Timer` handle.
 
         The entry is a plain 4-element list (C ``BUILD_LIST``, no
-        subclass constructor, no cancelled flag), which makes this the
-        cheapest way to inject an event.  Message delivery, process
-        wake-ups, and event triggers — the per-event hot path — never
-        cancel, so they post.
+        subclass constructor), which makes this the cheapest way to
+        inject an event.  Message delivery, process wake-ups, and event
+        triggers — the per-event hot path — never cancel, so they post.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
@@ -179,7 +175,7 @@ class Kernel:
             self.monitor.on_schedule(seq)
 
     def post_soon(self, fn: Callable[..., None], *args: Any) -> None:
-        """Fire-and-forget :meth:`call_soon` (see :meth:`post`)."""
+        """:meth:`post` at the current instant (after the current event)."""
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, [self._now, seq, fn, args])
@@ -199,34 +195,54 @@ class Kernel:
         heap = self._heap
         if (self._cancelled >= _COMPACT_MIN_CANCELLED
                 and self._cancelled * 2 > len(heap)):
-            heap[:] = [e for e in heap if e.__class__ is list or not e[4]]
+            heap[:] = [e for e in heap if e[2] is not None]
             heapify(heap)
             self._cancelled = 0
 
-    def step(self) -> bool:
-        """Run the single next event.  Returns False if none remained."""
+    def _dispatch(self, deadline: float, limit: int) -> int:
+        """The dispatch loop: fire entries in ``(time, seq)`` order until
+        the heap drains, the next live entry lies after ``deadline``
+        (it stays in the heap), or ``limit`` have fired (never, when
+        negative).  Returns how many fired."""
+        # The heap local stays valid across compaction (in place).
+        events = 0
         heap = self._heap
-        while heap:
-            entry = heappop(heap)
-            if entry.__class__ is not list and entry[4]:  # cancelled Timer
+        now = self._now
+        monitor = self.monitor
+        while events != limit:
+            # Zero-cost try (3.11): popping the empty heap is the rare
+            # path, so the per-event emptiness check is gone.
+            try:
+                entry = heappop(heap)
+            except IndexError:
+                break
+            fn = entry[2]
+            if fn is None:  # cancelled Timer
                 self._cancelled -= 1
                 continue
             time = entry[0]
-            if time < self._now:
+            if time > deadline:
+                heappush(heap, entry)
+                break
+            if time < now:
                 raise SimulationError("event heap time went backwards")
-            self._now = time
-            fn, args = entry[2], entry[3]
-            if entry.__class__ is not list:
-                entry[2] = None  # mark fired for Timer.active
-            monitor = self.monitor
+            self._now = now = time
+            args = entry[3]
+            entry[2] = None  # spent: Timer.active, and cancel() is a no-op
             if monitor is not None:
                 monitor.before_fire(time, entry[1], fn, args)
+            # Specialized no-arg call: CALL beats CALL_FUNCTION_EX and
+            # argless callbacks (process ticks, timer pokes) are common.
             if args:
                 fn(*args)
             else:
                 fn()
-            return True
-        return False
+            events += 1
+        return events
+
+    def step(self) -> bool:
+        """Run the single next event.  Returns False if none remained."""
+        return self._dispatch(_INF, 1) == 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the heap drains, ``until`` passes, or the budget ends.
@@ -238,79 +254,19 @@ class Kernel:
         if self._running:
             raise SimulationError("kernel is already running (reentrant run())")
         self._running = True
-        # Hoist the optional bounds and the hot attributes out of the
-        # dispatch loop.  The heap local stays valid across compaction
-        # (which filters in place).
         deadline = _INF if until is None else until
-        budget = -1 if max_events is None else max_events
-        events = 0
-        heap = self._heap
-        now = self._now
-        monitor = self.monitor
         try:
-            while True:
-                # Zero-cost try (3.11): popping the empty heap is the
-                # rare path, so the per-event emptiness check is gone.
-                try:
-                    entry = heappop(heap)
-                except IndexError:
-                    break
-                # Two dispatch arms so each event pays exactly one type
-                # check: posts (plain lists) have no cancelled flag and
-                # no fired-marking; Timers have both.
-                if entry.__class__ is list:
-                    time = entry[0]
-                    if time > deadline:
-                        heappush(heap, entry)
-                        break
-                    if events == budget:
-                        heappush(heap, entry)
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; "
-                            "likely a livelock")
-                    if time < now:
-                        raise SimulationError(
-                            "event heap time went backwards")
-                    self._now = now = time
-                    fn = entry[2]
-                    args = entry[3]
-                    if monitor is not None:
-                        monitor.before_fire(time, entry[1], fn, args)
-                    # Specialized no-arg call: CALL beats CALL_FUNCTION_EX
-                    # and argless callbacks (process ticks, timer pokes)
-                    # are common.
-                    if args:
-                        fn(*args)
-                    else:
-                        fn()
-                    events += 1
-                else:
-                    if entry[4]:  # cancelled Timer
-                        self._cancelled -= 1
-                        continue
-                    time = entry[0]
-                    if time > deadline:
-                        heappush(heap, entry)
-                        break
-                    if events == budget:
-                        heappush(heap, entry)
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; "
-                            "likely a livelock")
-                    if time < now:
-                        raise SimulationError(
-                            "event heap time went backwards")
-                    self._now = now = time
-                    fn = entry[2]
-                    args = entry[3]
-                    entry[2] = None  # mark fired for Timer.active
-                    if monitor is not None:
-                        monitor.before_fire(time, entry[1], fn, args)
-                    if args:
-                        fn(*args)
-                    else:
-                        fn()
-                    events += 1
+            fired = self._dispatch(
+                deadline, -1 if max_events is None else max_events)
+            if fired == max_events:
+                # Budget spent: a live entry still due is a livelock.
+                heap = self._heap
+                while heap and heap[0][2] is None:
+                    heappop(heap)
+                    self._cancelled -= 1
+                if heap and heap[0][0] <= deadline:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}; likely a livelock")
         finally:
             self._running = False
         if until is not None and self._now < until:

@@ -36,10 +36,6 @@ class SimLock:
         self._holder: Optional[Any] = None
         self._waiters: Deque[tuple[SimEvent, Any]] = deque()
 
-    @property
-    def holder(self) -> Optional[Any]:
-        return self._holder
-
     def acquire(self, owner: Any = None) -> Generator[Any, Any, None]:
         """Process-body coroutine: block until the lock is ours."""
         if owner is not None and self._holder is owner:
@@ -63,13 +59,6 @@ class SimLock:
                 if ev.triggered:
                     self.release()
             raise
-
-    def try_acquire(self, owner: Any = None) -> bool:
-        """Non-blocking acquire; True on success."""
-        if self._holder is None and not self._waiters:
-            self._holder = owner if owner is not None else object()
-            return True
-        return False
 
     def release(self) -> None:
         if self._holder is None:
@@ -179,12 +168,6 @@ class Channel:
                     self.put_front(ev.value)
             raise
         return item
-
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking get; returns (ok, item)."""
-        if self._items:
-            return True, self._items.popleft()
-        return False, None
 
     def drain(self) -> list[Any]:
         """Remove and return all queued items (crash cleanup)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 
 @dataclass(frozen=True)
@@ -44,12 +44,6 @@ class Tracer:
         # disabled case costs one attribute load; the tracer itself never
         # imports or calls into repro.obs.
         self.obs: Optional[Any] = None
-        if not keep_events:
-            # Per-event fast path for long runs: rebinding the method on
-            # the instance skips the keep_events branch and the
-            # TraceEvent machinery entirely (record() is called for
-            # every IPC, datagram, and log write).
-            self.record = self._record_count_only  # type: ignore[method-assign]
 
     def record(self, time: float, kind: str, site: Optional[str] = None,
                **detail: Any) -> None:
@@ -57,10 +51,6 @@ class Tracer:
         self.counters[kind] += 1
         if self.keep_events:
             self.events.append(TraceEvent(time=time, kind=kind, site=site, detail=detail))
-
-    def _record_count_only(self, time: float, kind: str,
-                           site: Optional[str] = None, **detail: Any) -> None:
-        self.counters[kind] += 1
 
     def count(self, kind: str) -> int:
         return self.counters.get(kind, 0)
@@ -110,15 +100,7 @@ class NullTracer(Tracer):
 
     def __init__(self) -> None:
         super().__init__(keep_events=False)
-        self.record = self._drop  # type: ignore[method-assign]
 
-    def _drop(self, time: float, kind: str, site: Optional[str] = None,
-              **detail: Any) -> None:
-        return
-
-    record = _drop
-
-
-def summarize_counts(tracer: Tracer, kinds: Iterable[str]) -> Dict[str, int]:
-    """Convenience: map each kind in ``kinds`` to its count."""
-    return {kind: tracer.count(kind) for kind in kinds}
+    def record(self, time: float, kind: str, site: Optional[str] = None,
+               **detail: Any) -> None:
+        """Count nothing, store nothing."""

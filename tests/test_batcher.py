@@ -1,5 +1,7 @@
 """Unit tests for group commit."""
 
+from functools import partial
+
 from repro.config import rt_pc_profile
 from repro.log.batcher import GroupCommitBatcher
 from repro.log.disk import DiskModel
@@ -7,7 +9,7 @@ from repro.log.records import commit_record
 from repro.log.storage import StableStore
 from repro.log.wal import WriteAheadLog
 from repro.sim.kernel import Kernel
-from repro.sim.process import Process, Sleep
+from repro.sim.process import Process, Sleep, spawn
 from repro.sim.tracing import Tracer
 
 
@@ -16,8 +18,9 @@ def build(enabled=True, window=30.0, limit=32):
     cost = rt_pc_profile()
     wal = WriteAheadLog(k, cost, DiskModel(k, cost), StableStore("a"),
                         "a", Tracer())
-    batcher = GroupCommitBatcher(k, wal, Tracer(), window_ms=window,
-                                 batch_limit=limit, enabled=enabled)
+    batcher = GroupCommitBatcher(k, wal, Tracer(), partial(spawn, k),
+                                 window_ms=window, batch_limit=limit,
+                                 enabled=enabled)
     return k, wal, batcher
 
 

@@ -97,3 +97,54 @@ def test_group_commit_wiring(system):
     assert dm.batcher.enabled
     dm2 = system.runtime("a").diskman
     assert not dm2.batcher.enabled
+
+
+# ------------------------------------- group commit across a site crash
+#
+# A round is volatile state of the machine that opened it: neither its
+# window timer nor its flush may outlive the site.
+
+def _gc_system():
+    return CamelotSystem(SystemConfig(sites={"a": 1}, group_commit=True))
+
+
+def _force_commit(system, tid):
+    """A site thread appends a commit record and forces it."""
+    runtime = system.runtime("a")
+
+    def body():
+        rec = runtime.diskman.append(commit_record(tid, "a"))
+        yield from runtime.diskman.force(rec.lsn)
+
+    runtime.site.spawn(body(), "committer")
+
+
+@pytest.mark.parametrize("crash_at", [
+    5.0,    # the round is open, its 30 ms window timer armed
+    40.0,   # the window closed at ~30 ms, the 15 ms write is in flight
+])
+def test_group_commit_round_dies_with_its_site(crash_at):
+    system = _gc_system()
+    store = system.stores.for_site("a")
+    _force_commit(system, "T1@a")
+    system.run_for(crash_at)
+    assert system.runtime("a").diskman.wal.last_lsn == 1
+    system.crash_site("a")
+    assert len(store) == 0
+    system.run_for(100.0)
+    assert [r.tid for r in store.records()] == []
+
+
+def test_restarted_site_is_not_written_by_its_dead_incarnation():
+    system = _gc_system()
+    store = system.stores.for_site("a")
+    _force_commit(system, "OLD@a")
+    system.run_for(5.0)
+    system.crash_site("a")
+    system.run_for(5.0)
+    system.restart_site("a")       # t=10: the old window timer is due at ~30
+    _force_commit(system, "NEW@a")
+    system.run_for(200.0)
+    lsns = [r.lsn for r in store.records()]
+    assert lsns == sorted(set(lsns))
+    assert [r.tid for r in store.records()] == ["NEW@a"]

@@ -94,9 +94,10 @@ def _assert_identical(workload, **run_kw):
 # ------------------------------------------------------------ workloads
 
 
-def test_cancel_heavy_100k_transcript_identical():
-    """The regression gate: 100k schedule/cancel timeout-class timers
-    produce the identical fired transcript on kernel and reference."""
+def _cancel_heavy(deliveries):
+    """The datagram-retry pattern: every delivery arms a timeout-class
+    timer and cancels it (ack arrived), except a 1-in-64 straggler whose
+    timeout is allowed to fire."""
 
     def workload(k, fired):
         rng = RngStreams(1234).stream("golden")
@@ -106,15 +107,12 @@ def test_cancel_heavy_100k_transcript_identical():
         def deliver(i):
             fired.append((k.now, ("deliver", i)))
             count[0] += 1
-            # Datagram pattern: every delivery arms a retry timeout,
-            # then cancels it (ack arrived) — except a
-            # 1-in-64 straggler whose timeout is allowed to fire.
             t = k.schedule(64.0 + rng.random() * 400.0, miss, i)
             if rng.random() < 1.0 / 64.0:
                 retries.append(t)
             else:
                 t.cancel()
-            if count[0] < 100_000:
+            if count[0] < deliveries:
                 k.post(rng.random() * 2.0, deliver, count[0])
 
         def miss(i):
@@ -122,10 +120,46 @@ def test_cancel_heavy_100k_transcript_identical():
 
         k.schedule(0.0, deliver, 0)
 
-    golden = _assert_identical(workload)
+    return workload
+
+
+def test_cancel_heavy_100k_transcript_identical():
+    """The regression gate: 100k schedule/cancel timeout-class timers
+    produce the identical fired transcript on kernel and reference."""
+    golden = _assert_identical(_cancel_heavy(100_000))
     kinds = {tag[0] for _, tag in golden}
     assert kinds == {"deliver", "miss"}  # stragglers really fired
     assert len(golden) > 100_000
+
+
+class _FireLog:
+    """A kernel monitor that keeps the ``(time, seq)`` of every dispatch."""
+
+    def __init__(self):
+        self.fired = []
+
+    def on_schedule(self, seq):
+        pass
+
+    def before_fire(self, time, seq, fn, args):
+        self.fired.append((time, seq))
+
+
+def test_step_loop_and_run_fire_the_same_time_seq_trace():
+    """``step`` is the dispatch loop run for one event: driving the
+    cancel-heavy schedule one step at a time (compactions included)
+    fires exactly the ``(time, seq)`` sequence one ``run`` does."""
+    traces = []
+    for drive in (Kernel.run, lambda k: all(iter(k.step, False))):
+        k = Kernel()
+        k.monitor = log = _FireLog()
+        _cancel_heavy(5_000)(k, [])
+        drive(k)
+        assert k.pending == 0 and k.heap_size == 0
+        traces.append(log.fired)
+    assert traces[0] == traces[1]
+    assert len(traces[0]) > 5_000
+    assert traces[0] == sorted(traces[0])
 
 
 def test_mixed_delay_fuzz_transcript_identical():

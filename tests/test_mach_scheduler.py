@@ -63,19 +63,6 @@ def test_utilization():
     assert cpu.utilization(10.0) == pytest.approx(0.5)
 
 
-def test_reset_stats():
-    k = Kernel()
-    cpu = CpuScheduler(k, num_cpus=1)
-
-    def body():
-        yield from cpu.run(1.0)
-
-    Process(k, body())
-    k.run()
-    cpu.reset_stats()
-    assert cpu.busy_ms == 0.0 and cpu.dispatches == 0
-
-
 def test_requires_a_cpu():
     with pytest.raises(ValueError):
         CpuScheduler(Kernel(), num_cpus=0)

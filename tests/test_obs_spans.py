@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import CamelotSystem, SystemConfig
+from repro.core.outcomes import ProtocolKind
 from repro.obs.spans import Span, SpanRecorder, assemble_tree, tid_of
 
 
@@ -142,7 +144,8 @@ def test_count_only_retains_nothing_but_counts_exactly():
     sid = rec.begin(0.0, "log.force", site="a")
     rec.end(sid, 15.0)
     rec.instant(1.0, "tranman.complete")
-    rec.count_cpu()
+    rec.end(rec.begin_cpu(1.0, "tranman", "a", _Obj(tid="T1@a", kind="op")),
+            1.8)
     rec.gauge(1.0, "lan.in_flight", 1)
     assert rec.spans == [] and rec.instants == []
     assert not rec.gauges
@@ -165,6 +168,39 @@ def test_count_only_unknown_ipc_flavour_still_counted():
     rec = SpanRecorder(keep=False)
     rec.ipc(0.0, 1.0, "weird", "a", _Obj())
     assert rec.count("ipc.weird") == 1
+
+
+@pytest.mark.parametrize("protocol", list(ProtocolKind),
+                         ids=lambda p: p.value)
+@pytest.mark.parametrize("group_commit", [False, True],
+                         ids=["plain", "group-commit"])
+def test_keep_and_count_only_count_the_same_run_alike(protocol, group_commit):
+    """Every hook has one body with an early count-only exit: on one
+    seeded three-site run the two modes must agree counter for counter
+    and both close every bracket they open."""
+    recorders = {}
+    for keep in (True, False):
+        system = CamelotSystem(SystemConfig(
+            sites={"a": 1, "b": 1, "c": 1}, seed=11,
+            group_commit=group_commit, use_multicast=group_commit))
+        recorders[keep] = recorder = SpanRecorder(keep=keep)
+        system.tracer.attach_obs(recorder)
+        app = system.application("a")
+        services = system.default_services()
+
+        def workload():
+            for op in ("write", "read", "write"):
+                yield from app.minimal_transaction(services, op=op,
+                                                   protocol=protocol)
+
+        system.run_process(workload())
+        system.run_for(2_000.0)
+        assert recorder.balanced and recorder.begun > 0
+    kept, counted = recorders[True], recorders[False]
+    assert dict(kept.counters) == dict(counted.counters)
+    assert (kept.begun, kept.ended) == (counted.begun, counted.ended)
+    assert kept.count("cpu.service") > 0 and kept.count("net.datagram") > 0
+    assert counted.spans == [] and not counted.gauges
 
 
 # ------------------------------------------------------------------- trees

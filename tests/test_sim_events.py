@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.sim.events import SimEvent, all_of, any_of, timeout_event
+from repro.sim.events import SimEvent, all_of, wait_with_deadline
 from repro.sim.kernel import Kernel, SimulationError
+from repro.sim.process import Process
 
 
 def test_trigger_wakes_callback_with_value():
@@ -90,33 +91,63 @@ def test_all_of_empty_triggers_immediately():
     assert combined.value == []
 
 
-def test_any_of_returns_winner_index_and_value():
+# ------------------------------------------------------ deadline wait
+
+
+def _waiter(k, event, timeout, out):
+    def body():
+        out.append((yield from wait_with_deadline(k, event, timeout)))
+        out.append(k.now)
+    return Process(k, body())
+
+
+def test_deadline_wait_event_wins_and_disarms_the_timer_at_once():
     k = Kernel()
-    evs = [SimEvent(k) for _ in range(3)]
-    combined = any_of(k, evs)
-    evs[2].trigger("winner")
+    ev, out = SimEvent(k), []
+    before = k.pending
+    _waiter(k, ev, 5_000.0, out)
+    k.schedule(3.0, ev.trigger, "reply")
+    k.run(until=4.0)
+    assert out == [(True, "reply"), 3.0]
+    # Nothing is left armed for the other 4,997 ms.
+    assert k.pending == before
     k.run()
-    assert combined.value == (2, "winner")
+    assert k.now == 4.0
 
 
-def test_any_of_ignores_later_triggers():
+def test_deadline_wait_timeout_wins():
     k = Kernel()
-    evs = [SimEvent(k), SimEvent(k)]
-    combined = any_of(k, evs)
-    evs[0].trigger("first")
-    evs[1].trigger("second")
+    ev, out = SimEvent(k), []
+    _waiter(k, ev, 25.0, out)
     k.run()
-    assert combined.value == (0, "first")
+    assert out == [(False, None), 25.0]
+    ev.trigger("too late")      # nobody is listening; not an error
+    k.run()
+    assert out == [(False, None), 25.0]
 
 
-def test_any_of_requires_events():
-    with pytest.raises(SimulationError):
-        any_of(Kernel(), [])
-
-
-def test_timeout_event_fires_at_deadline():
+@pytest.mark.parametrize("event_first", [True, False])
+def test_deadline_wait_same_instant_first_triggered_wins(event_first):
+    """A timer armed earlier fires earlier in its instant: an event
+    triggered by a still earlier entry of that instant beats the
+    deadline, one triggered by a later entry loses to it."""
     k = Kernel()
-    ev = timeout_event(k, 25.0)
+    ev, out = SimEvent(k), []
+    if event_first:
+        k.schedule(25.0, ev.trigger, "granted")
+    _waiter(k, ev, 25.0, out)       # arms its timer in its first step
+    if not event_first:
+        k.post_soon(k.schedule, 25.0, ev.trigger, "granted")
     k.run()
-    assert ev.triggered
-    assert k.now == 25.0
+    assert out == [(True, "granted") if event_first else (False, None), 25.0]
+    assert k.pending == 0
+
+
+def test_deadline_wait_killed_waiter_leaves_no_armed_timer():
+    k = Kernel()
+    out = []
+    proc = _waiter(k, SimEvent(k), 5_000.0, out)
+    k.run(until=1.0)
+    assert k.pending == 1
+    proc.kill()
+    assert k.pending == 0 and out == []

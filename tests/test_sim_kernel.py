@@ -37,15 +37,6 @@ def test_same_time_events_fire_in_scheduling_order():
     assert order == [0, 1, 2, 3, 4]
 
 
-def test_call_soon_runs_at_current_time():
-    k = Kernel()
-    k.schedule(7.0, lambda: k.call_soon(seen.append, k.now))
-    seen = []
-    k.run()
-    assert seen == [7.0]
-    assert k.now == 7.0
-
-
 def test_negative_delay_rejected():
     with pytest.raises(SimulationError):
         Kernel().schedule(-1.0, lambda: None)
@@ -155,6 +146,71 @@ def test_cancel_after_fire_does_not_corrupt_pending():
     assert k.pending == 0
     timer.cancel()  # late cancel of an already-fired timer: no-op
     assert k.pending == 0
+
+
+def test_cancel_from_inside_own_callback_is_a_no_op():
+    # Firing clears the same slot cancelling does: a callback that
+    # cancels its own (already popped) timer must not be counted as a
+    # cancelled entry still in the heap.
+    k = Kernel()
+    handle = []
+    handle.append(k.schedule(1.0, lambda: handle[0].cancel()))
+    k.schedule(2.0, lambda: None)
+    k.step()
+    assert not handle[0].active
+    assert (k.pending, k.heap_size) == (1, 1)
+    k.run()
+    assert (k.pending, k.heap_size) == (0, 0)
+
+
+def test_cancelled_then_compacted_timers_stay_cancelled():
+    # More than 64 cancelled and more than half the heap: the compactor
+    # drops them; handles held by callers must read the same afterwards.
+    k = Kernel()
+    fired = []
+    live = [k.schedule(10.0 + i, fired.append, i) for i in range(10)]
+    doomed = [k.schedule(5.0, fired.append, "doomed") for _ in range(100)]
+    for timer in doomed[:63]:
+        timer.cancel()
+    assert (k.pending, k.heap_size) == (47, 110)    # below the floor
+    for timer in doomed[63:]:
+        timer.cancel()
+    # The 64th cancel compacted (64 * 2 > 110); the 36 after it sit
+    # below the floor again.
+    assert (k.pending, k.heap_size) == (10, 46)
+    assert not any(t.active for t in doomed) and all(t.active for t in live)
+    for timer in doomed:
+        timer.cancel()                              # idempotent after it
+    assert (k.pending, k.heap_size) == (10, 46)
+    k.run()
+    assert fired == list(range(10))
+
+
+def test_stopped_run_leaves_the_unfired_entry_in_the_heap():
+    # Neither the deadline push-back nor the event budget may consume
+    # the entry they stop at, whichever shape it has.
+    for arm in (Kernel.schedule, Kernel.post):
+        k = Kernel()
+        fired = []
+        arm(k, 1.0, fired.append, "a")
+        arm(k, 5.0, fired.append, "b")
+        k.schedule(3.0, fired.append, "never").cancel()
+        k.run(until=4.0)
+        assert fired == ["a"] and k.pending == 1
+        with pytest.raises(SimulationError, match="max_events=0"):
+            k.run(max_events=0)
+        assert fired == ["a"] and k.pending == 1
+        k.run(max_events=1)     # exactly the budget: not a livelock
+        assert fired == ["a", "b"] and (k.pending, k.heap_size) == (0, 0)
+
+
+def test_max_events_ignores_entries_past_the_deadline():
+    k = Kernel()
+    fired = []
+    k.schedule(1.0, fired.append, "a")
+    k.schedule(9.0, fired.append, "later")
+    k.run(until=5.0, max_events=1)
+    assert fired == ["a"] and k.now == 5.0 and k.pending == 1
 
 
 def test_cancel_heavy_workload_keeps_heap_bounded():

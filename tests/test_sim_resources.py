@@ -68,15 +68,6 @@ def test_release_unheld_lock_raises():
         SimLock(k).release()
 
 
-def test_try_acquire():
-    k = Kernel()
-    lock = SimLock(k)
-    assert lock.try_acquire(owner="a")
-    assert not lock.try_acquire(owner="b")
-    lock.release()
-    assert lock.try_acquire(owner="b")
-
-
 # ----------------------------------------------------------- Semaphore
 
 
@@ -173,12 +164,7 @@ def test_channel_put_front():
     chan = Channel(k)
     chan.put("b")
     chan.put_front("a")
-    ok, item = chan.try_get()
-    assert ok and item == "a"
-
-
-def test_channel_try_get_empty():
-    assert Channel(Kernel()).try_get() == (False, None)
+    assert chan.drain() == ["a", "b"]
 
 
 def test_channel_drain():

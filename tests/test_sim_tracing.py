@@ -1,6 +1,6 @@
 """Unit tests for the tracer/counters."""
 
-from repro.sim.tracing import NullTracer, Tracer, summarize_counts
+from repro.sim.tracing import NullTracer, Tracer
 
 
 def test_record_counts_and_stores():
@@ -57,12 +57,6 @@ def test_null_tracer_drops_everything():
     t = NullTracer()
     t.record(0.0, "x")
     assert t.count("x") == 0
-
-
-def test_summarize_counts():
-    t = Tracer()
-    t.record(0.0, "a")
-    assert summarize_counts(t, ["a", "b"]) == {"a": 1, "b": 0}
 
 
 def test_clear():

@@ -52,6 +52,21 @@ def test_store_last_lsn():
     assert store.last_lsn() == 42
 
 
+@pytest.mark.parametrize("lsn", [41, 42])
+def test_store_refuses_an_lsn_not_above_its_last(lsn):
+    """Two records with one LSN, or one behind the durable prefix, is a
+    second writer (a dead incarnation's flush): refused, not stored."""
+    store = StableStore("a")
+    first = commit_record("T1@a", "a")
+    first.lsn = 42
+    store.append(first)
+    late = commit_record("T2@a", "a")
+    late.lsn = lsn
+    with pytest.raises(ValueError, match="not above"):
+        store.append(late)
+    assert len(store) == 1 and store.last_lsn() == 42
+
+
 def test_store_directory_is_per_site_and_stable():
     directory = StableStoreDirectory()
     a = directory.for_site("a")
