@@ -21,10 +21,17 @@ undecodable payload raises :class:`FrameError` with a ``cause`` tag.  A
 ``LiveSite`` never lets that propagate — it drops the connection and
 counts the drop by cause, mirroring ``Lan.drop_counts()``.
 
-The same ``message_to_dict`` serialisation (sorted keys, compact
-separators) is what the conformance harness canonicalizes transcripts
-with, so "what went on the wire" and "what the transcript says" cannot
-drift apart.
+The codec is *compiled*: at import, every class in ``ANY_MESSAGE``
+gets an encode plan (the literal JSON text between its field values,
+keys already sorted, and one text encoder per field) and a decode plan
+(one value decoder per field), both chosen by the field's declared
+type.  A field type the table below does not know fails the import, not
+a send.  No dataclass is reflected on per message.
+
+``message_to_dict`` parses the text the encode plan wrote, and that
+form (sorted keys, compact separators) is what the conformance harness
+canonicalizes transcripts with, so "what went on the wire" and "what
+the transcript says" cannot drift apart.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ import json
 import struct
 import zlib
 from enum import Enum
-from typing import Any, Callable, Dict, List, Tuple
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.messages import ANY_MESSAGE
 from repro.core.outcomes import Outcome, TwoPhaseVariant, Vote
@@ -50,32 +58,55 @@ MAX_PAYLOAD = 256 * 1024
 _HEADER = struct.Struct(">4sBBII")
 HEADER_SIZE = _HEADER.size
 
-_REGISTRY = {cls.__name__: cls for cls in ANY_MESSAGE}
-
 
 class FrameError(Exception):
-    """A frame violated the wire contract; ``cause`` tags the reason."""
+    """A frame violated the wire contract; ``cause`` tags the reason.
+    Raised by :meth:`FrameDecoder.feed`, ``frames`` holds the good
+    frames that preceded the bad one in the same call."""
 
     def __init__(self, cause: str, detail: str = ""):
         super().__init__(f"{cause}: {detail}" if detail else cause)
         self.cause = cause
+        self.frames: List[Tuple[int, Dict[str, Any]]] = []
 
 
-# ---------------------------------------------------- message <-> dict
+# ------------------------------------------------------ canonical JSON
 
 
-def _encode_value(value: Any) -> Any:
+def _plain(value: Any) -> Any:
+    """What the JSON encoder is told about a value it has no rule for."""
     if isinstance(value, TID):
         return str(value)
     if isinstance(value, QuorumSpec):
         return value.to_dict()
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, (tuple, list)):
-        return [_encode_value(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _encode_value(v) for k, v in value.items()}
-    return value
+    raise TypeError(f"{type(value).__name__} does not go on the wire")
+
+
+# The canonical serialisation shared by codec and conformance: one
+# encoder for every frame and transcript (``json.dumps`` with these
+# arguments would build a new one per call).
+canonical_json: Callable[[Any], str] = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=_plain).encode
+_loads: Callable[[str], Any] = json.JSONDecoder().decode
+
+
+# ------------------------------------------------- per-class wire plans
+
+
+def _tid_text(value: Any) -> str:
+    return _quote(str(value))
+
+
+def _member_of(enum: type) -> Callable[[Any], Any]:
+    """Wire value -> member, by one dict lookup (``enum(value)`` costs
+    ten); an unknown value raises, which decode reports as ``fields``."""
+    return {member.value: member for member in enum}.__getitem__
+
+
+def _quorum(value: Any) -> Optional[QuorumSpec]:
+    return None if value is None else QuorumSpec.from_dict(value)
 
 
 def _tuple_str(value: Any) -> Tuple[str, ...]:
@@ -90,70 +121,122 @@ def _tuple_acceptances(value: Any) -> Tuple[Tuple[str, int, str], ...]:
     return tuple((str(i), int(b), str(v)) for i, b, v in value)
 
 
-# Field names are consistent across every message class, so decode
-# dispatches on name; anything unlisted passes through as plain JSON.
-_FIELD_DECODERS: Dict[str, Callable[[Any], Any]] = {
-    "tid": TID.parse,
-    "variant": TwoPhaseVariant,
-    "vote": Vote,
-    "outcome": Outcome,
-    "quorum": lambda v: None if v is None else QuorumSpec.from_dict(v),
-    "sites": _tuple_str,
-    "acceptors": _tuple_str,
-    "known_sites": _tuple_str,
-    "votes": _tuple_pairs,
-    "values": _tuple_pairs,
-    "accepted": _tuple_acceptances,
+# Declared field type -> (value to JSON text, JSON value to field value;
+# None passes the value through).  The three enums are ``str``
+# subclasses, so a member is quoted like the string it is.
+_WIRE_TYPES: Dict[str, Tuple[Callable[[Any], str],
+                             Optional[Callable[[Any], Any]]]] = {
+    "TID": (_tid_text, TID.parse),
+    "str": (_quote, None),
+    "int": (canonical_json, None),
+    "bool": (canonical_json, None),
+    "TwoPhaseVariant": (_quote, _member_of(TwoPhaseVariant)),
+    "Vote": (_quote, _member_of(Vote)),
+    "Outcome": (_quote, _member_of(Outcome)),
+    "Optional[QuorumSpec]": (canonical_json, _quorum),
+    "Tuple[str, ...]": (canonical_json, _tuple_str),
+    "Tuple[Tuple[str, str], ...]": (canonical_json, _tuple_pairs),
+    "Tuple[Tuple[str, int, str], ...]": (canonical_json, _tuple_acceptances),
+    "Dict[str, Any]": (canonical_json, None),
+    "Optional[Dict[str, Any]]": (canonical_json, None),
 }
+
+_EncodePlan = Tuple[Tuple[Tuple[str, str, Callable[[Any], str]], ...], str]
+_DecodePlan = Tuple[type, Tuple[Tuple[str, Optional[Callable[[Any], Any]]],
+                                ...]]
+
+
+def compile_plans(classes: Iterable[type]
+                  ) -> Tuple[Dict[type, _EncodePlan], Dict[str, _DecodePlan]]:
+    """The encode plan of each class, keyed by class, and its decode
+    plan, keyed by the ``type`` name it travels under."""
+    encode: Dict[type, _EncodePlan] = {}
+    decode: Dict[str, _DecodePlan] = {}
+    for cls in classes:
+        codecs = {}
+        for f in dataclasses.fields(cls):
+            if f.type not in _WIRE_TYPES:
+                raise TypeError(f"{cls.__name__}.{f.name}: no wire codec "
+                                f"for a field declared {f.type!r}")
+            codecs[f.name] = _WIRE_TYPES[f.type]
+        # An encode plan is ((literal, field, text encoder), ...) and a
+        # closing literal: the text of a message is each literal followed
+        # by its field's value, then the closing one.
+        pieces, literal = [], "{"
+        for key in sorted([*codecs, "type"]):
+            literal += f"{_quote(key)}:"
+            if key == "type":
+                literal += _quote(cls.__name__)
+            else:
+                pieces.append((literal, key, codecs[key][0]))
+                literal = ""
+            literal += ","
+        encode[cls] = (tuple(pieces), literal[:-1] + "}")
+        decode[cls.__name__] = (cls, tuple(
+            (name, codec[1]) for name, codec in codecs.items()))
+    return encode, decode
+
+
+_ENCODE_PLANS, _DECODE_PLANS = compile_plans(ANY_MESSAGE)
+
+
+# ---------------------------------------------------- message <-> dict
+
+
+def _message_text(msg: Any) -> str:
+    """``msg`` as the canonical JSON object its frame carries."""
+    try:
+        pieces, closing = _ENCODE_PLANS[type(msg)]
+    except KeyError:
+        raise FrameError("type", f"{type(msg).__name__} is not a wire "
+                         "message") from None
+    parts = []
+    for literal, name, text in pieces:
+        parts.append(literal)
+        parts.append(text(getattr(msg, name)))
+    parts.append(closing)
+    return "".join(parts)
 
 
 def message_to_dict(msg: Any) -> Dict[str, Any]:
-    """One protocol-message dataclass as a JSON-ready dict."""
-    out: Dict[str, Any] = {"type": type(msg).__name__}
-    for f in dataclasses.fields(msg):
-        out[f.name] = _encode_value(getattr(msg, f.name))
-    return out
+    """One protocol message as the dict its wire text parses to."""
+    return _loads(_message_text(msg))
 
 
 def message_from_dict(data: Dict[str, Any]) -> Any:
     type_name = data.get("type")
-    cls = _REGISTRY.get(type_name)
-    if cls is None:
+    plan = _DECODE_PLANS.get(type_name)
+    if plan is None:
         raise FrameError("type", f"unknown message type {type_name!r}")
+    cls, fields = plan
     kwargs: Dict[str, Any] = {}
     try:
-        for f in dataclasses.fields(cls):
-            if f.name not in data:
-                continue
-            decode = _FIELD_DECODERS.get(f.name, lambda v: v)
-            kwargs[f.name] = decode(data[f.name])
+        for name, decode in fields:
+            if name in data:
+                value = data[name]
+                kwargs[name] = value if decode is None else decode(value)
         return cls(**kwargs)
-    except FrameError:
-        raise
     except Exception as exc:
         raise FrameError("fields", f"{type_name}: {exc}") from exc
-
-
-def canonical_json(value: Any) -> str:
-    """Canonical serialisation shared by codec and conformance."""
-    return json.dumps(_encode_value(value), sort_keys=True,
-                      separators=(",", ":"))
 
 
 # ------------------------------------------------------------- frames
 
 
-def encode_frame(kind: int, payload: Dict[str, Any]) -> bytes:
-    body = canonical_json(payload).encode("utf-8")
+def _frame(kind: int, body: bytes) -> bytes:
     if len(body) > MAX_PAYLOAD:
         raise FrameError("oversize", f"{len(body)} byte payload")
     return _HEADER.pack(MAGIC, VERSION, kind, len(body),
                         zlib.crc32(body)) + body
 
 
+def encode_frame(kind: int, payload: Dict[str, Any]) -> bytes:
+    return _frame(kind, canonical_json(payload).encode("utf-8"))
+
+
 def encode_message_frame(src: str, msg: Any) -> bytes:
-    return encode_frame(KIND_MESSAGE, {"src": src,
-                                       "msg": message_to_dict(msg)})
+    return _frame(KIND_MESSAGE, (
+        f'{{"msg":{_message_text(msg)},"src":{_quote(src)}}}').encode("ascii"))
 
 
 def encode_control_frame(payload: Dict[str, Any]) -> bytes:
@@ -172,41 +255,55 @@ def decode_message_payload(payload: Dict[str, Any]) -> Tuple[str, Any]:
 class FrameDecoder:
     """Incremental frame parser; raises :class:`FrameError` on garbage.
 
-    After an error the stream position is unrecoverable (length-prefixed
-    framing cannot resynchronise), so callers must drop the connection.
+    What a caller receives does not depend on how the stream was cut
+    into chunks: ``feed`` returns every whole frame buffered so far, and
+    when it meets a malformed one the error it raises carries the good
+    frames before it (``FrameError.frames``).  After an error the stream
+    position is unrecoverable (length-prefixed framing cannot
+    resynchronise), so callers must drop the connection.
     """
 
     def __init__(self) -> None:
         self._buf = bytearray()
 
     def feed(self, data: bytes) -> List[Tuple[int, Dict[str, Any]]]:
-        self._buf.extend(data)
+        buf = self._buf
+        buf += data
         frames: List[Tuple[int, Dict[str, Any]]] = []
-        while True:
-            if len(self._buf) < HEADER_SIZE:
-                return frames
-            magic, version, kind, length, crc = _HEADER.unpack_from(self._buf)
-            if magic != MAGIC:
-                raise FrameError("magic", magic.hex())
-            if version != VERSION:
-                raise FrameError("version", str(version))
-            if kind not in (KIND_MESSAGE, KIND_CONTROL):
-                raise FrameError("kind", str(kind))
-            if length > MAX_PAYLOAD:
-                raise FrameError("oversize", f"{length} byte payload")
-            if len(self._buf) < HEADER_SIZE + length:
-                return frames
-            body = bytes(self._buf[HEADER_SIZE:HEADER_SIZE + length])
-            del self._buf[:HEADER_SIZE + length]
-            if zlib.crc32(body) != crc:
-                raise FrameError("crc", "payload checksum mismatch")
-            try:
-                payload = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise FrameError("json", str(exc)) from exc
-            if not isinstance(payload, dict):
-                raise FrameError("json", "payload is not an object")
-            frames.append((kind, payload))
+        # Parse by offset; the consumed prefix is cut once, on the way out.
+        pos, have = 0, len(buf)
+        try:
+            while have - pos >= HEADER_SIZE:
+                magic, version, kind, length, crc = _HEADER.unpack_from(
+                    buf, pos)
+                if magic != MAGIC:
+                    raise FrameError("magic", magic.hex())
+                if version != VERSION:
+                    raise FrameError("version", str(version))
+                if kind != KIND_MESSAGE and kind != KIND_CONTROL:
+                    raise FrameError("kind", str(kind))
+                if length > MAX_PAYLOAD:
+                    raise FrameError("oversize", f"{length} byte payload")
+                end = pos + HEADER_SIZE + length
+                if end > have:
+                    break
+                body = buf[pos + HEADER_SIZE:end]
+                pos = end
+                if zlib.crc32(body) != crc:
+                    raise FrameError("crc", "payload checksum mismatch")
+                try:
+                    payload = _loads(body.decode("utf-8"))
+                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                    raise FrameError("json", str(exc)) from exc
+                if not isinstance(payload, dict):
+                    raise FrameError("json", "payload is not an object")
+                frames.append((kind, payload))
+        except FrameError as exc:
+            exc.frames = frames
+            raise
+        finally:
+            del buf[:pos]
+        return frames
 
     @property
     def buffered(self) -> int:

@@ -7,15 +7,23 @@ handshake (:mod:`repro.live.ports`): every outbound connection attempt
 re-reads the peer's port file, so a site that was ``kill -9``-ed and
 restarted on a fresh ephemeral port is found without any coordinator.
 
-Delivery discipline: TCP already gives per-connection FIFO; a single
-inbound *delay line* (one FIFO queue + one drainer task) preserves
-receipt order across senders while adding the scenario's ``wire_ms``
-latency floor, and a second delay line paces force completions by
-``force_floor_ms``.  Those floors are what lets the conformance harness
-compare live transcripts byte-for-byte against the simulator: they
-dominate real fsync and event-loop jitter, so causally-unordered races
-resolve the same way on both substrates.  Demo clusters run with both
-floors at zero.
+Delivery discipline: TCP already gives per-connection FIFO.  Outbound,
+each peer has an *outbox* — the frames queued for it, FIFO, at most
+``OUTBOX_MAX_BYTES`` of them — which that peer's one sender task empties
+whole: everything a wake-up finds queued leaves as one joined write, so
+a burst costs one ``send`` per peer, not one per frame.  A frame that
+would take an outbox past its bound (a reader too slow, or a peer being
+waited for) is dropped and counted ``"overflow"``; a batch whose peer
+stayed unreachable counts one ``"dead"`` drop per frame.  Inbound, every
+whole frame of a read is delivered — the good frames before a malformed
+one included — through a single *delay line* (one FIFO queue + one
+drainer task), which preserves receipt order across senders while adding
+the scenario's ``wire_ms`` latency floor; a second delay line paces
+force completions by ``force_floor_ms``.  Those floors are what lets
+the conformance harness compare live transcripts byte-for-byte against
+the simulator: they dominate real fsync and event-loop jitter, so
+causally-unordered races resolve the same way on both substrates.  Demo
+clusters run with both floors at zero.
 
 Robustness contract (satellite: codec hardening): a malformed,
 truncated, oversized, or CRC-failing frame NEVER crashes the site — the
@@ -57,6 +65,9 @@ from repro.live.walfile import FileWal
 # peer (re-reading its port file each attempt) before dropping a frame.
 CONNECT_TIMEOUT_S = 8.0
 CONNECT_POLL_S = 0.1
+# Bytes one peer's outbox may hold (some 40,000 ordinary frames, 16 of
+# the largest); a frame that would pass it is dropped as "overflow".
+OUTBOX_MAX_BYTES = 4 * 1024 * 1024
 
 
 class _DelayLine:
@@ -104,6 +115,19 @@ class _DelayLine:
             fn()
 
 
+class _Outbox:
+    """The frames queued for one peer, oldest first."""
+
+    def __init__(self) -> None:
+        self.frames: List[bytes] = []
+        self.size = 0  # bytes in ``frames``
+        self.wake = asyncio.Event()
+
+    @property
+    def pending(self) -> int:
+        return len(self.frames)
+
+
 class LiveSubstrate(Substrate):
     """The real-IO substrate behind one site's :class:`SiteHost`."""
 
@@ -120,7 +144,7 @@ class LiveSubstrate(Substrate):
         self.inbound = _DelayLine(wire_ms)
         self.forces = _DelayLine(force_floor_ms)
         self.frame_drops: Dict[str, int] = {}
-        self._out_queues: Dict[str, asyncio.Queue] = {}
+        self._out_queues: Dict[str, _Outbox] = {}
         self._out_tasks: Dict[str, asyncio.Task] = {}
         self._writers: Dict[str, asyncio.StreamWriter] = {}
 
@@ -141,8 +165,8 @@ class LiveSubstrate(Substrate):
         self._out_tasks.clear()
         self._writers.clear()
 
-    def count_drop(self, cause: str) -> None:
-        self.frame_drops[cause] = self.frame_drops.get(cause, 0) + 1
+    def count_drop(self, cause: str, frames: int = 1) -> None:
+        self.frame_drops[cause] = self.frame_drops.get(cause, 0) + frames
 
     def drop_counts(self) -> Dict[str, int]:
         """Per-cause dropped-input counters (cf. ``Lan.drop_counts``)."""
@@ -158,13 +182,18 @@ class LiveSubstrate(Substrate):
             # post_soon self-delivery.
             asyncio.get_running_loop().call_soon(self._deliver_self, message)
             return
-        queue = self._out_queues.get(dst)
-        if queue is None:
-            queue = asyncio.Queue()
-            self._out_queues[dst] = queue
+        outbox = self._out_queues.get(dst)
+        if outbox is None:
+            outbox = self._out_queues[dst] = _Outbox()
             self._out_tasks[dst] = asyncio.get_running_loop().create_task(
-                self._sender_loop(dst, queue))
-        queue.put_nowait(encode_message_frame(self.site, message))
+                self._sender_loop(dst, outbox))
+        frame = encode_message_frame(self.site, message)
+        if outbox.size + len(frame) > OUTBOX_MAX_BYTES:
+            self.count_drop("overflow")
+            return
+        outbox.frames.append(frame)
+        outbox.size += len(frame)
+        outbox.wake.set()
 
     def _deliver_self(self, message: Any) -> None:
         if self.host is not None:
@@ -190,9 +219,15 @@ class LiveSubstrate(Substrate):
             await asyncio.sleep(CONNECT_POLL_S)
         return None
 
-    async def _sender_loop(self, dst: str, queue: asyncio.Queue) -> None:
+    async def _sender_loop(self, dst: str, outbox: _Outbox) -> None:
         while True:
-            frame = await queue.get()
+            if not outbox.frames:
+                outbox.wake.clear()
+                await outbox.wake.wait()
+                continue
+            # Everything queued so far leaves as one write.
+            batch, outbox.frames, outbox.size = outbox.frames, [], 0
+            data = b"".join(batch)
             sent = False
             for _ in range(2):
                 writer = self._writers.get(dst)
@@ -202,7 +237,7 @@ class LiveSubstrate(Substrate):
                         break
                     self._writers[dst] = writer
                 try:
-                    writer.write(frame)
+                    writer.write(data)
                     await writer.drain()
                     sent = True
                     break
@@ -216,7 +251,7 @@ class LiveSubstrate(Substrate):
                 # Peer stayed unreachable past the connect budget: drop,
                 # like the LAN model's dead-site drop.  Protocol
                 # timeouts / recovery own redelivery semantics.
-                self.count_drop("dead")
+                self.count_drop("dead", len(batch))
 
     # ------------------------------------------------------------ wal
 
@@ -325,7 +360,8 @@ class LiveSite:
         """No protocol work in flight anywhere in this site."""
         return (self.host.idle and self.substrate.inbound.pending == 0
                 and self.substrate.forces.pending == 0
-                and all(q.empty() for q in self.substrate._out_queues.values()))
+                and all(outbox.pending == 0 for outbox in
+                        self.substrate._out_queues.values()))
 
     # ------------------------------------------------------ connections
 
@@ -337,13 +373,13 @@ class LiveSite:
                 data = await reader.read(65536)
                 if not data:
                     break
+                garbage = None
                 try:
                     frames = decoder.feed(data)
                 except FrameError as exc:
-                    # Never let wire garbage near the machines: count
-                    # and sever (framing cannot resynchronise).
-                    self.substrate.count_drop(exc.cause)
-                    break
+                    # The good frames before the bad one arrived whole:
+                    # deliver them, whatever chunks TCP cut the stream in.
+                    frames, garbage = exc.frames, exc.cause
                 for kind, payload in frames:
                     if kind == KIND_MESSAGE:
                         self._on_message_frame(payload)
@@ -351,6 +387,11 @@ class LiveSite:
                         response = await self._handle_control(payload)
                         writer.write(encode_control_frame(response))
                         await writer.drain()
+                if garbage is not None:
+                    # Never let wire garbage near the machines: count
+                    # and sever (framing cannot resynchronise).
+                    self.substrate.count_drop(garbage)
+                    break
         except (OSError, ConnectionError):
             pass  # peer vanished mid-read; drops are the sender's story
         except asyncio.CancelledError:

@@ -11,9 +11,11 @@ truncated, bit-flipped, and oversized bytes and requires a
 silently wrong message."""
 
 import dataclasses
+import hashlib
 import json
 import struct
 import zlib
+from enum import Enum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +40,7 @@ from repro.live.codec import (
     VERSION,
     FrameDecoder,
     FrameError,
+    compile_plans,
     decode_message_payload,
     encode_control_frame,
     encode_frame,
@@ -142,6 +145,239 @@ class TestRoundTrip:
         b = encode_control_frame({"cmd": "ping"})
         frames = FrameDecoder().feed(a + b)
         assert [k for k, _ in frames] == [KIND_MESSAGE, KIND_CONTROL]
+
+
+# ------------------------------------------------ the reflective oracle
+#
+# The codec this one replaced, kept as the reference: it walks
+# ``dataclasses.fields`` per message, converts every value through an
+# ``isinstance`` ladder and hands the result to ``json.dumps``.
+
+
+def _reference_value(value):
+    if isinstance(value, TID):
+        return str(value)
+    if isinstance(value, QuorumSpec):
+        return value.to_dict()
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [_reference_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _reference_value(v) for k, v in value.items()}
+    return value
+
+
+def _reference_to_dict(msg):
+    out = {"type": type(msg).__name__}
+    for f in dataclasses.fields(msg):
+        out[f.name] = _reference_value(getattr(msg, f.name))
+    return out
+
+
+_REFERENCE_DECODERS = {
+    "tid": TID.parse,
+    "variant": TwoPhaseVariant,
+    "vote": Vote,
+    "outcome": Outcome,
+    "quorum": lambda v: None if v is None else QuorumSpec.from_dict(v),
+    "sites": lambda v: tuple(str(x) for x in v),
+    "acceptors": lambda v: tuple(str(x) for x in v),
+    "known_sites": lambda v: tuple(str(x) for x in v),
+    "votes": lambda v: tuple((str(a), str(b)) for a, b in v),
+    "values": lambda v: tuple((str(a), str(b)) for a, b in v),
+    "accepted": lambda v: tuple((str(i), int(b), str(x)) for i, b, x in v),
+}
+
+
+_REFERENCE_REGISTRY = {cls.__name__: cls for cls in ANY_MESSAGE}
+
+
+def _reference_from_dict(data):
+    cls = _REFERENCE_REGISTRY[data["type"]]
+    return cls(**{f.name: _REFERENCE_DECODERS.get(f.name, lambda v: v)(
+        data[f.name]) for f in dataclasses.fields(cls) if f.name in data})
+
+
+def _reference_frame(src, msg):
+    body = json.dumps(
+        _reference_value({"src": src, "msg": _reference_to_dict(msg)}),
+        sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return struct.Struct(">4sBBII").pack(
+        MAGIC, VERSION, KIND_MESSAGE, len(body), zlib.crc32(body)) + body
+
+
+_names = st.one_of(_sites, st.text(max_size=12))  # quotes, escapes, non-ASCII
+_json_leaves = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.text(max_size=8))
+_nested = st.dictionaries(
+    st.text(max_size=6),
+    st.recursive(_json_leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+        max_leaves=8),
+    max_size=4)
+
+# One strategy per declared field type: the compiled plans are chosen by
+# it, so this table failing on a new type is the codec's failure too.
+_BY_TYPE = {
+    "TID": st.builds(TID, st.text(min_size=1, max_size=12).filter(
+        lambda family: ":" not in family), st.lists(
+        st.integers(min_value=1, max_value=99), max_size=4).map(tuple)),
+    "str": _names,
+    "int": st.integers(min_value=-2**40, max_value=2**70),
+    "bool": st.booleans(),
+    "TwoPhaseVariant": st.sampled_from(list(TwoPhaseVariant)),
+    "Vote": st.sampled_from(list(Vote)),
+    "Outcome": st.sampled_from(list(Outcome)),
+    "Optional[QuorumSpec]": st.one_of(st.none(), st.builds(
+        QuorumSpec.majority, st.integers(min_value=1, max_value=9))),
+    "Tuple[str, ...]": st.lists(_names, max_size=40).map(tuple),
+    "Tuple[Tuple[str, str], ...]": st.lists(
+        st.tuples(_names, _names), max_size=6).map(tuple),
+    "Tuple[Tuple[str, int, str], ...]": st.lists(
+        st.tuples(_names, st.integers(min_value=0, max_value=99), _names),
+        max_size=6).map(tuple),
+    "Dict[str, Any]": _nested,
+    "Optional[Dict[str, Any]]": st.one_of(st.none(), _nested),
+}
+
+
+def _instances(cls):
+    return st.builds(cls, **{f.name: _BY_TYPE[f.type]
+                             for f in dataclasses.fields(cls)})
+
+
+def _golden(cls):
+    """One fixed, fully populated instance of ``cls``."""
+    values = {
+        "TID": TID("T7@alpha", (2, 1)), "str": "beta", "int": 3,
+        "bool": False, "TwoPhaseVariant": TwoPhaseVariant.OPTIMIZED,
+        "Vote": Vote.READ_ONLY, "Outcome": Outcome.ABORTED,
+        "Optional[QuorumSpec]": QuorumSpec.majority(3),
+        "Tuple[str, ...]": ("alpha", "beta", "gamma"),
+        "Tuple[Tuple[str, str], ...]": (("alpha", "yes"), ("beta", "no")),
+        "Tuple[Tuple[str, int, str], ...]": (("alpha", 2, "yes"),),
+        "Dict[str, Any]": {"votes": {"beta": "yes"}, "sites": ["alpha"]},
+        "Optional[Dict[str, Any]]": {"quorum": {"n_sites": 3}},
+    }
+    return cls(**{f.name: values[f.type] for f in dataclasses.fields(cls)})
+
+
+class TestCompiledPlansAgainstTheOracle:
+    @pytest.mark.parametrize("cls", ANY_MESSAGE, ids=lambda c: c.__name__)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), src=_names)
+    def test_encodes_byte_identically_and_round_trips(self, cls, data, src):
+        msg = data.draw(_instances(cls))
+        frame = encode_message_frame(src, msg)
+        assert frame == _reference_frame(src, msg)
+        assert message_to_dict(msg) == _reference_to_dict(msg)
+        (kind, payload), = FrameDecoder().feed(frame)
+        got_src, got = decode_message_payload(payload)
+        assert (kind, got_src) == (KIND_MESSAGE, src)
+        assert got == _reference_from_dict(payload["msg"])
+        # ``decision_data`` lists and ``None`` come back as they left;
+        # every other field is typed again by its decoder.
+        assert got == msg
+
+    def test_every_enum_member_is_quoted_as_its_value(self):
+        tid = TID("T1@alpha")
+        for msg in ([PrepareRequest(tid, "a", variant=v)
+                     for v in TwoPhaseVariant]
+                    + [VoteResponse(tid, "a", vote=v) for v in Vote]
+                    + [NbPrepare(tid, "a", quorum=None)]):
+            assert encode_message_frame("a", msg) == _reference_frame("a", msg)
+
+    def test_golden_frames(self):
+        """The bytes on the wire, pinned: one golden frame per class."""
+        digest = hashlib.sha256()
+        for cls in ANY_MESSAGE:
+            frame = encode_message_frame("alpha", _golden(cls))
+            assert frame == _reference_frame("alpha", _golden(cls)), cls
+            digest.update(frame)
+        assert digest.hexdigest() == GOLDEN_SHA256
+
+    def test_a_field_the_plans_cannot_carry_fails_when_they_are_built(self):
+        """``compile_plans(ANY_MESSAGE)`` runs at import: a message class
+        with a field of an unknown type stops the import, not a send."""
+        @dataclasses.dataclass(frozen=True)
+        class Timestamped(CommitAck):
+            at: "float" = 0.0
+
+        with pytest.raises(TypeError, match="Timestamped.at"):
+            compile_plans(ANY_MESSAGE + (Timestamped,))
+        with pytest.raises(FrameError) as err:   # and it was never planned
+            encode_message_frame("alpha", Timestamped(TID("T1@a"), "a"))
+        assert err.value.cause == "type"
+
+
+GOLDEN_SHA256 = (
+    "eef9a0b88b60fde6cdfe9da7bf55101567339c9f36258e90e4ed29b7d5f8e5dd")
+
+
+class TestChunkingInvariance:
+    """What ``feed`` yields is a function of the byte stream, not of how
+    TCP cut it: the good frames before a malformed one are delivered
+    (``FrameError.frames``) however the chunks fall."""
+
+    @staticmethod
+    def _bad_tails():
+        ok = encode_control_frame({"cmd": "ping"})
+        body = b"[1,2,3]"
+
+        def header(magic=MAGIC, version=VERSION, kind=KIND_CONTROL,
+                   length=len(body), crc=zlib.crc32(body)):
+            return struct.Struct(">4sBBII").pack(
+                magic, version, kind, length, crc)
+
+        return {
+            "magic": b"GET / HTTP/1.1\r\n\r\n",
+            "version": header(version=VERSION + 1) + body,
+            "kind": header(kind=99) + body,
+            "oversize": header(length=MAX_PAYLOAD + 1),
+            "crc": ok[:-1] + bytes([ok[-1] ^ 0x01]),
+            "json": header() + body,
+        }
+
+    @staticmethod
+    def _drain(stream, cuts):
+        decoder, frames, cause = FrameDecoder(), [], None
+        edges = [0, *sorted(cuts), len(stream)]
+        try:
+            for a, b in zip(edges, edges[1:]):
+                frames += decoder.feed(stream[a:b])
+        except FrameError as exc:
+            frames += exc.frames
+            cause = exc.cause
+        return frames, cause
+
+    def test_good_frames_before_garbage_in_one_chunk_are_delivered(self):
+        good = [encode_message_frame("alpha", CommitAck(
+            tid=TID.parse(f"T{i}@alpha"), sender="alpha")) for i in range(3)]
+        stream = b"".join(good) + b"XXXX" + bytes(10)
+        whole, cause = self._drain(stream, [])
+        assert cause == "magic" and len(whole) == 3   # 0 on the parent
+        assert (whole, cause) == self._drain(stream, range(1, len(stream)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(messages=st.lists(_message_strategy(), max_size=5),
+           cause=st.sampled_from(["magic", "version", "kind", "oversize",
+                                  "crc", "json", None]),
+           data=st.data())
+    def test_any_split_yields_the_same_frames_and_cause(
+            self, messages, cause, data):
+        stream = b"".join(encode_message_frame(m.sender, m) for m in messages)
+        if cause is not None:
+            stream += self._bad_tails()[cause]
+        cuts = data.draw(st.sets(st.integers(min_value=0,
+                                             max_value=len(stream))))
+        whole = self._drain(stream, [])
+        assert whole == self._drain(stream, cuts)
+        assert whole == self._drain(stream, range(1, len(stream)))
+        frames, got_cause = whole
+        assert got_cause == cause
+        assert [decode_message_payload(p)[1] for _, p in frames] == messages
 
 
 class TestFuzzRejection:
@@ -313,3 +549,36 @@ class TestLiveSiteDropsGarbage:
         assert drops["crc"] == 1
         assert drops["oversize"] == 1
         assert drops["total"] == 4
+
+    def test_good_frames_before_garbage_reach_the_host(self, tmp_path):
+        """One TCP chunk holding three good frames and then garbage: the
+        three are delivered, then the connection is severed and counted
+        (the parent delivered none of them)."""
+        import asyncio
+        from repro.live.site import LiveSite
+
+        async def scenario():
+            site = LiveSite("alpha", str(tmp_path))
+            await site.start()
+            delivered = []
+            site.host.deliver = lambda src, message: delivered.append(
+                (src, message))
+            acks = [CommitAck(tid=TID.parse(f"T{i}@alpha"), sender="beta")
+                    for i in range(3)]
+            _, writer = await asyncio.open_connection("127.0.0.1", site.port)
+            writer.write(b"".join(encode_message_frame("beta", ack)
+                                  for ack in acks) + b"GET / HTTP/1.1\r\n")
+            await writer.drain()
+            for _ in range(200):
+                if site.substrate.drop_counts()["total"]:
+                    break
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.01)
+            drops = site.substrate.drop_counts()
+            writer.close()
+            await site.stop()
+            return acks, delivered, drops
+
+        acks, delivered, drops = asyncio.run(scenario())
+        assert delivered == [("beta", ack) for ack in acks]
+        assert drops == {"magic": 1, "total": 1}

@@ -7,7 +7,10 @@ uses, which is the property the live kill-9 demos stand on."""
 
 import asyncio
 import errno
+import json
 import os
+import struct
+import zlib
 
 import pytest
 
@@ -17,8 +20,10 @@ from repro.log.disk import DiskModel
 from repro.log.records import (
     RecordKind,
     commit_record,
+    coordinator_commit_record,
     end_record,
     prepare_record,
+    replication_record,
 )
 from repro.live.walfile import FileWal, MemoryWal, read_records
 from repro.log.storage import StableStore
@@ -232,6 +237,113 @@ class TestReopenAndTornTails:
         assert wal.recovered_records == []
         assert os.path.getsize(wal.path) > 0  # header written eagerly
         wal.close()
+
+
+def _batch_script():
+    """Forces of 1, 3, 0 and 2 records, payloads nested and non-ASCII."""
+    return [
+        [prepare_record("T1@a", "b", coordinator="a", sites=["a", "b"],
+                        quorum_sizes={"commit": 2, "abort": 1})],
+        [coordinator_commit_record("T1@a", "a", ["b", "c"]),
+         replication_record("T2@a", "a", {"votes": {"b": "yes"},
+                                          "note": "caf\u00e9 \"q\""}),
+         commit_record("T2@a", "a")],
+        [],
+        [end_record("T1@a", "a"), end_record("T2@a", "a")],
+    ]
+
+
+def _record_at_a_time(batches):
+    """The file the WAL this one replaced wrote for ``batches``: one
+    ``json.dumps`` and one ``write`` per record."""
+    out, lsn = b"RWAL\x01", 0
+    for batch in batches:
+        for record in batch:
+            lsn += 1
+            body = json.dumps({**record.to_dict(), "lsn": lsn}, sort_keys=True,
+                              separators=(",", ":")).encode("utf-8")
+            out += struct.pack(">II", len(body), zlib.crc32(body)) + body
+    return out
+
+
+class TestBatchedForce:
+    """A force hands the file everything it takes as one ``write``; the
+    bytes, and what a torn or failed one leaves, are the record-at-a-time
+    WAL's."""
+
+    def test_file_is_byte_identical_to_record_at_a_time(self, tmp_path):
+        wal = _wal(tmp_path)
+        writes = []
+        real = wal._file.write
+        wal._file = _Spy(wal._file, lambda data: writes.append(data)
+                         or real(data))
+        for batch in _batch_script():
+            for record in batch:
+                wal.append(record)
+            wal.force(None)
+        wal.close()
+        data = open(wal.path, "rb").read()
+        assert data == _record_at_a_time(_batch_script())
+        # One write per force that had something to write.
+        sizes = [len(_record_at_a_time(_batch_script()[:k])) for k in range(5)]
+        assert [len(w) for w in writes] == [
+            after - before for before, after in zip(sizes, sizes[1:])
+            if after > before]
+
+    def test_a_batch_cut_at_any_byte_reopens_to_whole_records(self, tmp_path):
+        first, batch = _batch_script()[:2]
+        whole = _record_at_a_time([first, batch])
+        ends = [len(_record_at_a_time([first, batch[:n]]))
+                for n in range(len(batch) + 1)]
+        path = str(tmp_path / "site.wal")
+        for cut in range(ends[0], len(whole) + 1):
+            with open(path, "wb") as fh:
+                fh.write(whole[:cut])
+            wal = _wal(tmp_path)
+            survived = sum(1 for end in ends[1:] if end <= cut)
+            assert [r.lsn for r in wal.recovered_records] == \
+                list(range(1, 2 + survived)), cut
+            assert os.path.getsize(path) == ends[survived], cut
+            wal.close()
+
+    def test_a_write_that_fails_mid_batch_publishes_nothing(self, tmp_path):
+        wal = _wal(tmp_path)
+        real = wal._file
+
+        def short_write(data):
+            real.write(data[:len(data) // 2])   # half the batch lands...
+            real.flush()
+            raise OSError(errno.ENOSPC, "injected short write")
+
+        wal._file = _Spy(real, short_write)
+        fired = []
+        for lsn, record in enumerate(_batch_script()[1], start=1):
+            wal.append(record)
+            wal.watch_durable(lsn, lambda lsn=lsn: fired.append(lsn))
+        with pytest.raises(OSError):
+            wal.force(None)
+        assert wal.durable_lsn == 0 and wal.last_lsn == 3 and fired == []
+        with pytest.raises(OSError):
+            wal.force(None)             # dead: the batch is never retried
+        with pytest.raises(OSError):
+            wal.append(end_record("T1@a", "a"))
+        assert fired == []
+        wal.close()
+        # ...and the next open keeps only the whole records among it.
+        again = _wal(tmp_path)
+        assert [r.kind for r in again.recovered_records] == \
+            [RecordKind.COORD_COMMIT]
+        again.close()
+
+
+class _Spy:
+    """A file whose ``write`` is replaced and whose rest passes through."""
+
+    def __init__(self, file, write):
+        self._file, self.write = file, write
+
+    def __getattr__(self, name):
+        return getattr(self._file, name)
 
 
 class TestRecoveryIntegration:

@@ -11,7 +11,8 @@ from repro.core.messages import FamilyAbort, PrepareRequest
 from repro.core.tid import TID
 from repro.live.scenario import conformance_cost
 from repro.live.simhost import build_sim_cluster
-from repro.live.site import LiveSite
+from repro.live.codec import encode_message_frame
+from repro.live.site import OUTBOX_MAX_BYTES, LiveSite
 
 SITES = ["alpha", "beta", "gamma"]
 
@@ -42,9 +43,7 @@ def _sizes(substrate):
             continue
         for key, part in (value.items() if isinstance(value, dict)
                           else [(None, value)]):
-            if isinstance(part, asyncio.Queue):
-                sizes[name, key] = part.qsize()
-            elif hasattr(part, "pending"):
+            if hasattr(part, "pending"):     # a delay line, an outbox
                 sizes[name, key] = part.pending
             elif isinstance(part, (dict, list, set, deque)):
                 sizes[name, key] = len(part)
@@ -83,17 +82,29 @@ def test_an_untapped_live_site_keeps_no_per_message_state(tmp_path):
                 await asyncio.wait_for(done, timeout=30.0)
                 done = asyncio.get_running_loop().create_future()
                 await asyncio.wait_for(settle(), timeout=30.0)
+            # A peer that never comes up (no port file): its outbox
+            # fills to the bound and no further, the rest is counted.
+            substrate = sites["alpha"].substrate
+            for _ in range(held + 25):
+                substrate.send("delta", message)
+            sizes.append(_sizes(substrate))
+            drops = substrate.drop_counts()
         finally:
             for site in sites.values():
                 await site.stop()
-        return finished[0], sizes
+        return finished[0], sizes, drops
 
-    finished, (early, late) = asyncio.run(commits(200))
+    message = PrepareRequest(tid=TID("T9@alpha"), sender="alpha")
+    held = OUTBOX_MAX_BYTES // len(encode_message_frame("alpha", message))
+    finished, (early, late, full), drops = asyncio.run(commits(200))
     assert finished == 200
-    # Four times the messages, the same sizes: the per-peer queues and
+    # Four times the messages, the same sizes: the per-peer outboxes and
     # both delay lines drain to empty, the rest is keyed by peer or kind.
     assert early == late
     assert late["alpha"]["_out_queues", "beta"] == 0
+    assert full["_out_queues", "delta"] == held
+    assert full["_out_queues", "beta"] == 0
+    assert drops == {"overflow": 25, "total": 25}
 
 
 @pytest.mark.parametrize("family", ["2pc", "nb", "paxos"])
