@@ -1,18 +1,23 @@
-"""Live message path: what a frame, a send and a force must keep costing.
+"""Live message path: what a frame, a send, a force and a commit's trip
+through the event loop must keep costing.
 
-Not a paper figure — two guards for CI's live job, beside
+Not a paper figure — three guards for CI's live job, beside
 ``python -m repro.live smoke``.  (a) The compiled wire codec against the
 reflective one it replaced (kept as the oracle in
 ``tests/test_live_codec.py``), as a ratio measured in one process, so
 host speed cancels.  (b) Exact counts on a scripted optimized-2PC run
 over loopback: one file ``write`` per force that wrote, fewer socket
-writes than frames, nothing dropped.  Speed with repeats and spread is
+writes than frames, nothing dropped.  (c) Work, not time: the asyncio
+callbacks one commit costs at one client over a fixed 2PC / NB / Paxos
+schedule, under a ceiling.  Speed with repeats and spread is
 ``python -m perf``; this file writes nothing.
 """
 
 import asyncio
 import time
+from asyncio.selector_events import _SelectorSocketTransport
 
+from repro.core.outcomes import Outcome
 from repro.live import site as live_site
 from repro.live.codec import FrameDecoder, decode_message_payload, \
     encode_message_frame
@@ -32,6 +37,13 @@ DECODE_RATIO_FLOOR = 1.15
 SITES = ("alpha", "beta", "gamma")
 CLIENTS = 8
 COMMITS = 50
+FAMILIES = ("2pc", "nb", "paxos")
+FAMILY_ROUNDS = 20
+# Measured 25.9 (46.8 with a reader task, a drainer task and a sender
+# task per hop).  The margin, 2.1, is for what counts per second rather
+# than per commit: three sites' 50 ms sweeps add 0.06 a commit here and
+# 1.2 on a host twenty times slower.
+CALLBACKS_PER_COMMIT_CEILING = 28
 
 
 def _best_ratio(fast, slow, n: int = 4_000, trials: int = 5) -> float:
@@ -73,31 +85,21 @@ def test_compiled_codec_beats_the_reflective_reference():
     assert decode >= DECODE_RATIO_FLOOR
 
 
-def test_one_write_per_force_and_fewer_sends_than_frames(tmp_path,
-                                                         monkeypatch):
-    counts = {"frames": 0, "socket_writes": 0, "forces": 0, "file_writes": 0}
+def _commits(tmp_path, monkeypatch, schedule, clients):
+    """Run ``schedule`` (one family per commit) from ``clients``
+    closed-loop clients at alpha over three loopback sites with fsync
+    off.  Returns what it counted: WAL file writes, the event loop's
+    callbacks while commits are in flight, commits that committed and
+    frames dropped."""
+    counts = {"file_writes": 0, "callbacks": 0, "committed": 0}
+    real_run = asyncio.events.Handle._run
+    in_flight = [False]
 
-    real_encode = live_site.encode_message_frame
-    real_send = asyncio.StreamWriter.write
-    real_force = FileWal.force
+    def run_handle(handle):
+        counts["callbacks"] += in_flight[0]
+        return real_run(handle)
 
-    def encode(src, message):
-        counts["frames"] += 1
-        return real_encode(src, message)
-
-    def send(writer, data):
-        counts["socket_writes"] += 1
-        real_send(writer, data)
-
-    def force(wal, lsn=None):
-        before = wal.durable_lsn
-        ready = real_force(wal, lsn)
-        counts["forces"] += wal.durable_lsn > before   # one that wrote
-        return ready
-
-    monkeypatch.setattr(live_site, "encode_message_frame", encode)
-    monkeypatch.setattr(asyncio.StreamWriter, "write", send)
-    monkeypatch.setattr(FileWal, "force", force)
+    monkeypatch.setattr(asyncio.events.Handle, "_run", run_handle)
 
     def counted(file):
         def write(data):
@@ -117,13 +119,16 @@ def test_one_write_per_force_and_fewer_sends_than_frames(tmp_path,
 
         def issue():
             progress["issued"] += 1
-            alpha.begin_commit("2pc", ["beta", "gamma"])
+            alpha.begin_commit(schedule[progress["issued"] - 1],
+                               ["beta", "gamma"])
 
         def on_complete(tid, outcome):
             progress["finished"] += 1
-            if progress["issued"] < COMMITS:
+            counts["committed"] += outcome is Outcome.COMMITTED
+            if progress["issued"] < len(schedule):
                 issue()
-            elif progress["finished"] == COMMITS:
+            elif progress["finished"] == len(schedule):
+                in_flight[0] = False
                 done.set_result(None)
 
         async def settled():
@@ -134,7 +139,8 @@ def test_one_write_per_force_and_fewer_sends_than_frames(tmp_path,
 
         alpha.on_complete = on_complete
         try:
-            for _ in range(CLIENTS):
+            in_flight[0] = True
+            for _ in range(clients):
                 issue()
             await asyncio.wait_for(done, timeout=30.0)
             await asyncio.wait_for(settled(), timeout=30.0)
@@ -144,12 +150,59 @@ def test_one_write_per_force_and_fewer_sends_than_frames(tmp_path,
             for site in sites.values():
                 await site.stop()
 
-    drops = asyncio.run(run())
+    counts["drops"] = asyncio.run(run())
+    return counts
+
+
+def test_one_write_per_force_and_fewer_sends_than_frames(tmp_path,
+                                                         monkeypatch):
+    counts = {"frames": 0, "socket_writes": 0, "forces": 0}
+
+    real_encode = live_site.encode_message_frame
+    real_send = _SelectorSocketTransport.write
+    real_force = FileWal.force
+
+    def encode(src, message):
+        counts["frames"] += 1
+        return real_encode(src, message)
+
+    def send(transport, data):
+        counts["socket_writes"] += 1
+        real_send(transport, data)
+
+    def force(wal, lsn=None):
+        before = wal.durable_lsn
+        ready = real_force(wal, lsn)
+        counts["forces"] += wal.durable_lsn > before   # one that wrote
+        return ready
+
+    # The flush hands the joined outbox to the connection's transport.
+    monkeypatch.setattr(live_site, "encode_message_frame", encode)
+    monkeypatch.setattr(_SelectorSocketTransport, "write", send)
+    monkeypatch.setattr(FileWal, "force", force)
+
+    counts.update(_commits(tmp_path, monkeypatch, ["2pc"] * COMMITS,
+                           CLIENTS))
     emit(f"{COMMITS} optimized-2PC commits, {CLIENTS} clients, 2 "
          f"subordinates: {counts['frames']} frames in "
          f"{counts['socket_writes']} socket writes, {counts['forces']} "
-         f"forces in {counts['file_writes']} file writes, {drops} drops")
+         f"forces in {counts['file_writes']} file writes, "
+         f"{counts['drops']} drops")
     assert counts["frames"] == 8 * COMMITS
     assert counts["socket_writes"] < counts["frames"]
     assert counts["file_writes"] == counts["forces"] > 0
-    assert drops == 0
+    assert counts["drops"] == 0
+
+
+def test_callbacks_per_commit_at_one_client(tmp_path, monkeypatch):
+    """One client, 2PC / NB / Paxos in turn: nothing overlaps, so every
+    hop of every commit is its own trip through the event loop."""
+    schedule = list(FAMILIES) * FAMILY_ROUNDS
+    counts = _commits(tmp_path, monkeypatch, schedule, 1)
+    per_commit = counts["callbacks"] / counts["committed"]
+    emit(f"{counts['committed']} commits (2PC/NB/Paxos in turn), 1 client: "
+         f"{per_commit:.1f} asyncio callbacks per commit "
+         f"(ceiling {CALLBACKS_PER_COMMIT_CEILING})")
+    assert counts["committed"] == len(schedule)
+    assert counts["drops"] == 0
+    assert per_commit <= CALLBACKS_PER_COMMIT_CEILING

@@ -5,7 +5,7 @@ Subcommands::
     python -m repro.live site --name alpha --dir /tmp/run
         One LiveSite process (used by the cluster driver; runs until a
         control "stop" or SIGTERM — or a failed WAL write, which stops
-        it with exit status 1).
+        it with exit status 1, as does an input that raised).
 
     python -m repro.live conformance [--dir DIR]
         Run the scripted scenario under the simulated LAN and under live
@@ -33,7 +33,7 @@ from typing import Optional
 def _run_site(args: argparse.Namespace) -> int:
     from repro.live.site import LiveSite
 
-    async def main() -> Optional[OSError]:
+    async def main() -> Optional[Exception]:
         site = LiveSite(args.name, args.dir,
                         hold_force_tokens=tuple(args.hold))
         loop = asyncio.get_running_loop()
@@ -48,7 +48,7 @@ def _run_site(args: argparse.Namespace) -> int:
 
     failure = asyncio.run(main())
     if failure is not None:
-        print(f"[{args.name}] fail-stop on storage error: {failure}",
+        print(f"[{args.name}] fail-stop: {failure!r}",
               file=sys.stderr, flush=True)
         return 1
     return 0

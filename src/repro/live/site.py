@@ -7,28 +7,39 @@ handshake (:mod:`repro.live.ports`): every outbound connection attempt
 re-reads the peer's port file, so a site that was ``kill -9``-ed and
 restarted on a fresh ephemeral port is found without any coordinator.
 
-Delivery discipline: TCP already gives per-connection FIFO.  Outbound,
-each peer has an *outbox* — the frames queued for it, FIFO, at most
-``OUTBOX_MAX_BYTES`` of them — which that peer's one sender task empties
-whole: everything a wake-up finds queued leaves as one joined write, so
-a burst costs one ``send`` per peer, not one per frame.  A frame that
-would take an outbox past its bound (a reader too slow, or a peer being
-waited for) is dropped and counted ``"overflow"``; a batch whose peer
-stayed unreachable counts one ``"dead"`` drop per frame.  Inbound, every
-whole frame of a read is delivered — the good frames before a malformed
-one included — through a single *delay line* (one FIFO queue + one
-drainer task), which preserves receipt order across senders while adding
-the scenario's ``wire_ms`` latency floor; a second delay line paces
-force completions by ``force_floor_ms``.  Those floors are what lets
-the conformance harness compare live transcripts byte-for-byte against
-the simulator: they dominate real fsync and event-loop jitter, so
-causally-unordered races resolve the same way on both substrates.  Demo
-clusters run with both floors at zero.
+Delivery discipline: TCP already gives per-connection FIFO, and a frame
+crosses the event loop with one callback per hop — no task, future or
+``asyncio.Event`` on the way.  Outbound, each peer has an *outbox*, the
+frames queued for it, FIFO.  A flush hands each connected transport
+everything queued for it as one joined write, so a burst costs one
+``send`` per peer, not one per frame.  A delay line flushes as the last
+act of every batch it runs, so the replies to a read leave in that
+read's own loop turn; a send from anywhere else (a timer, a control
+command, a caller outside the loop's callbacks) schedules one
+``call_soon`` flush.  A peer's one task only connects: it runs while
+there is no live connection, and writes the outbox once there is.
+``OUTBOX_MAX_BYTES`` bounds what the site holds for a peer — the outbox
+plus the bytes its transport has not yet handed to the kernel — so a
+frame that would pass it (a reader that stalls, or a peer being waited
+for) is dropped and counted ``"overflow"``; a batch whose peer stayed
+unreachable counts one ``"dead"`` drop per frame.  Inbound, each
+accepted connection is an ``asyncio.Protocol``: its ``data_received``
+feeds the bytes to a ``FrameDecoder`` and hands every whole frame — the
+good frames before a malformed one included — to a single *delay line*
+(one FIFO queue drained by one timer armed for its head), which
+preserves receipt order across senders while adding the scenario's
+``wire_ms`` latency floor; control frames are answered in place.  A
+second delay line paces force completions by ``force_floor_ms``.  Those
+floors are what lets the conformance harness compare live transcripts
+byte-for-byte against the simulator: they dominate real fsync and
+event-loop jitter, so causally-unordered races resolve the same way on
+both substrates.  Demo clusters run with both floors at zero.
 
 Robustness contract (satellite: codec hardening): a malformed,
 truncated, oversized, or CRC-failing frame NEVER crashes the site — the
 connection is dropped and the event counted per cause in
-``frame_drops``, mirroring ``Lan.drop_counts()``.
+``frame_drops``, mirroring ``Lan.drop_counts()``; a connection that ends
+in the middle of a frame counts one ``"torn"`` drop.
 
 Storage errors are the opposite case: a force whose write or fsync
 raised **fail-stops** the site (the WAL is dead, see
@@ -36,6 +47,8 @@ raised **fail-stops** the site (the WAL is dead, see
 port file is cleared, ``serve_until_stopped`` returns with
 ``LiveSite.failure`` set, and ``python -m repro.live site`` exits
 non-zero; recovery from what is really on disk is the restart's job.
+A delivered frame or force completion that raises fail-stops the site
+the same way, with that exception as the failure.
 """
 
 from __future__ import annotations
@@ -43,7 +56,7 @@ from __future__ import annotations
 import asyncio
 import os
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.config import CostModel
 from repro.core.outcomes import Vote
@@ -65,67 +78,105 @@ from repro.live.walfile import FileWal
 # peer (re-reading its port file each attempt) before dropping a frame.
 CONNECT_TIMEOUT_S = 8.0
 CONNECT_POLL_S = 0.1
-# Bytes one peer's outbox may hold (some 40,000 ordinary frames, 16 of
-# the largest); a frame that would pass it is dropped as "overflow".
+# Bytes one peer's outbox and transport buffer may hold together (some
+# 40,000 ordinary frames, 16 of the largest); a frame that would pass
+# it is dropped as "overflow".
 OUTBOX_MAX_BYTES = 4 * 1024 * 1024
 
 
 class _DelayLine:
-    """FIFO queue + single drainer: order-preserving paced callbacks.
+    """FIFO queue drained by one timer: order-preserving paced callbacks.
 
     asyncio's own timer heap does not promise FIFO for equal deadlines,
     so pacing via ``call_later`` per event could reorder same-instant
-    deliveries.  A deque drained by one task cannot.
+    deliveries.  One timer armed for the head of a deque cannot: it runs
+    every callback that is due, in order, calls ``after`` once, then
+    re-arms for the next (``call_at``; ``call_soon`` when the floor is
+    zero).  A callback that raises stops the line — nothing after it
+    runs — and is handed to ``on_error``.
     """
 
-    def __init__(self, floor_ms: float):
+    def __init__(self, floor_ms: float,
+                 on_error: Callable[[Exception], None],
+                 after: Callable[[], None]):
         self.floor_s = floor_ms / 1000.0
+        self.on_error = on_error
+        self.after = after
         self._queue: Deque[Tuple[float, Callable[[], None]]] = deque()
-        self._wake = asyncio.Event()
-        self._task: Optional[asyncio.Task] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._timer: Optional[asyncio.Handle] = None
 
     def start(self) -> None:
-        self._task = asyncio.get_running_loop().create_task(self._drain())
+        self._loop = asyncio.get_running_loop()
 
     def stop(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            self._task = None
+        """Disarm; a stopped line takes nothing and runs nothing."""
+        self._loop = None
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
     def put(self, fn: Callable[[], None]) -> None:
-        due = asyncio.get_running_loop().time() + self.floor_s
+        loop = self._loop
+        if loop is None:
+            return
+        due = loop.time() + self.floor_s
         self._queue.append((due, fn))
-        self._wake.set()
+        if self._timer is None:
+            # With no floor the entry is due now: it needs the next loop
+            # turn, not a place in the loop's timer heap.
+            self._timer = (loop.call_at(due, self._drain) if self.floor_s
+                           else loop.call_soon(self._drain))
 
     @property
     def pending(self) -> int:
         return len(self._queue)
 
-    async def _drain(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            if not self._queue:
-                self._wake.clear()
-                await self._wake.wait()
-                continue
-            due, fn = self._queue.popleft()
-            delay = due - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            fn()
+    def _drain(self) -> None:
+        loop, queue = self._loop, self._queue
+        try:
+            while queue:
+                due, fn = queue[0]
+                if due > loop.time():
+                    self._timer = loop.call_at(due, self._drain)
+                    break
+                queue.popleft()
+                fn()
+            else:
+                self._timer = None
+        except Exception as exc:
+            self.stop()
+            self.on_error(exc)
+            return
+        self.after()
 
 
 class _Outbox:
-    """The frames queued for one peer, oldest first."""
+    """One peer: the frames queued for it, oldest first, and its link."""
 
     def __init__(self) -> None:
         self.frames: List[bytes] = []
         self.size = 0  # bytes in ``frames``
-        self.wake = asyncio.Event()
+        self.transport: Optional[asyncio.Transport] = None
+        self.connecting: Optional[asyncio.Task] = None
 
     @property
     def pending(self) -> int:
         return len(self.frames)
+
+    def write(self) -> bool:
+        """Everything queued leaves as one write on a live connection;
+        False (and nothing taken) if there is none or the write killed it."""
+        if not self.frames:
+            return True
+        transport = self.transport
+        if transport is None or transport.is_closing():
+            return False
+        transport.write(b"".join(self.frames))
+        if transport.is_closing():
+            return False
+        self.frames, self.size = [], 0
+        return True
 
 
 class LiveSubstrate(Substrate):
@@ -133,37 +184,40 @@ class LiveSubstrate(Substrate):
 
     def __init__(self, site: str, port_dir: str, wal: FileWal,
                  wire_ms: float, force_floor_ms: float,
-                 on_storage_error: Callable[[OSError], None]):
+                 fail_stop: Callable[[Exception], None]):
         self.site = site
         self.port_dir = port_dir
         self.wal = wal
         self.host: Optional[SiteHost] = None
-        # Told of every force that failed (LiveSite fail-stops on the first).
-        self.on_storage_error = on_storage_error
+        # Told of a force that failed or an input that raised (LiveSite
+        # fail-stops on the first).
+        self.fail_stop = fail_stop
         self.traces: Dict[str, int] = {}  # trace kind -> count
-        self.inbound = _DelayLine(wire_ms)
-        self.forces = _DelayLine(force_floor_ms)
+        # What a batch of deliveries or force completions sent leaves
+        # as its last act, in its own loop turn.
+        self.inbound = _DelayLine(wire_ms, fail_stop, self._flush)
+        self.forces = _DelayLine(force_floor_ms, fail_stop, self._flush)
         self.frame_drops: Dict[str, int] = {}
         self._out_queues: Dict[str, _Outbox] = {}
-        self._out_tasks: Dict[str, asyncio.Task] = {}
-        self._writers: Dict[str, asyncio.StreamWriter] = {}
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._running = False
+        self._flush_due: Optional[asyncio.Handle] = None
 
     def start(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._running = True
         self.inbound.start()
         self.forces.start()
 
     def stop(self) -> None:
+        self._running = False
         self.inbound.stop()
         self.forces.stop()
-        for task in self._out_tasks.values():
-            task.cancel()
-        for writer in self._writers.values():
-            try:
-                writer.close()
-            except Exception:
-                pass
-        self._out_tasks.clear()
-        self._writers.clear()
+        for outbox in self._out_queues.values():
+            if outbox.connecting is not None:
+                outbox.connecting.cancel()
+            if outbox.transport is not None:
+                outbox.transport.close()
 
     def count_drop(self, cause: str, frames: int = 1) -> None:
         self.frame_drops[cause] = self.frame_drops.get(cause, 0) + frames
@@ -180,20 +234,36 @@ class LiveSubstrate(Substrate):
         if dst == self.site:
             # Loopback without the wire floor, like the simulator's
             # post_soon self-delivery.
-            asyncio.get_running_loop().call_soon(self._deliver_self, message)
+            self._loop.call_soon(self._deliver_self, message)
             return
         outbox = self._out_queues.get(dst)
         if outbox is None:
             outbox = self._out_queues[dst] = _Outbox()
-            self._out_tasks[dst] = asyncio.get_running_loop().create_task(
-                self._sender_loop(dst, outbox))
         frame = encode_message_frame(self.site, message)
-        if outbox.size + len(frame) > OUTBOX_MAX_BYTES:
+        held = outbox.size + len(frame)
+        if outbox.transport is not None:
+            held += outbox.transport.get_write_buffer_size()
+        if held > OUTBOX_MAX_BYTES:
             self.count_drop("overflow")
             return
         outbox.frames.append(frame)
         outbox.size += len(frame)
-        outbox.wake.set()
+        if self._flush_due is None:
+            self._flush_due = self._loop.call_soon(self._flush)
+
+    def _flush(self) -> None:
+        """Everything sent since the last flush leaves: one write per
+        peer, or that peer's connect task if it has no live connection.
+        The first send of a wake-up schedules it."""
+        due, self._flush_due = self._flush_due, None
+        if due is None or not self._running:
+            return
+        due.cancel()  # a no-op when it is the callback running now
+        for dst, outbox in self._out_queues.items():
+            # While a connect is in flight, it writes what is queued.
+            if outbox.connecting is None and not outbox.write():
+                outbox.connecting = self._loop.create_task(
+                    self._reconnect(dst, outbox))
 
     def _deliver_self(self, message: Any) -> None:
         if self.host is not None:
@@ -204,54 +274,38 @@ class LiveSubstrate(Substrate):
         self.inbound.put(lambda: self.host.deliver(src, message)
                          if self.host is not None else None)
 
-    async def _connect(self, dst: str) -> Optional[asyncio.StreamWriter]:
-        loop = asyncio.get_running_loop()
+    async def _connect(self, dst: str) -> Optional[asyncio.Transport]:
+        loop = self._loop
         deadline = loop.time() + CONNECT_TIMEOUT_S
         while loop.time() < deadline:
             port = read_port_file(self.port_dir, dst)
             if port is not None:
                 try:
-                    _, writer = await asyncio.open_connection(
-                        "127.0.0.1", port)
-                    return writer
+                    # Peers never answer on this link: the base
+                    # protocol closes it when the peer goes away.
+                    transport, _ = await loop.create_connection(
+                        asyncio.Protocol, "127.0.0.1", port)
+                    return transport
                 except OSError:
                     pass  # stale port file (peer died); re-read and retry
             await asyncio.sleep(CONNECT_POLL_S)
         return None
 
-    async def _sender_loop(self, dst: str, outbox: _Outbox) -> None:
-        while True:
-            if not outbox.frames:
-                outbox.wake.clear()
-                await outbox.wake.wait()
-                continue
-            # Everything queued so far leaves as one write.
-            batch, outbox.frames, outbox.size = outbox.frames, [], 0
-            data = b"".join(batch)
-            sent = False
+    async def _reconnect(self, dst: str, outbox: _Outbox) -> None:
+        try:
             for _ in range(2):
-                writer = self._writers.get(dst)
-                if writer is None or writer.is_closing():
-                    writer = await self._connect(dst)
-                    if writer is None:
-                        break
-                    self._writers[dst] = writer
-                try:
-                    writer.write(data)
-                    await writer.drain()
-                    sent = True
+                outbox.transport = await self._connect(dst)
+                if outbox.transport is None:
                     break
-                except (OSError, ConnectionError):
-                    try:
-                        writer.close()
-                    except Exception:
-                        pass
-                    self._writers.pop(dst, None)
-            if not sent:
-                # Peer stayed unreachable past the connect budget: drop,
-                # like the LAN model's dead-site drop.  Protocol
-                # timeouts / recovery own redelivery semantics.
-                self.count_drop("dead", len(batch))
+                if outbox.write():
+                    return
+            # Peer stayed unreachable past the connect budget: drop,
+            # like the LAN model's dead-site drop.  Protocol timeouts /
+            # recovery own redelivery semantics.
+            self.count_drop("dead", outbox.pending)
+            outbox.frames, outbox.size = [], 0
+        finally:
+            outbox.connecting = None
 
     # ------------------------------------------------------------ wal
 
@@ -265,7 +319,7 @@ class LiveSubstrate(Substrate):
         except OSError as exc:
             # Never ``done``: the record is not durable, and never will
             # be by a retry.  The host stays parked; the site stops.
-            self.on_storage_error(exc)
+            self.fail_stop(exc)
             return
         self.forces.put(lambda: self._force_done(ready, done))
 
@@ -283,6 +337,50 @@ class LiveSubstrate(Substrate):
 
     def trace(self, kind: str, detail: Dict[str, Any]) -> None:
         self.traces[kind] = self.traces.get(kind, 0) + 1
+
+
+class _Inbound(asyncio.Protocol):
+    """One accepted connection: each read goes to the decoder, and each
+    whole frame to the delay line (a message) or back down the
+    connection (a control command's answer)."""
+
+    def __init__(self, site: "LiveSite"):
+        self.site = site
+        self.decoder = FrameDecoder()
+        self.transport: Any = None
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        self.site._accepted.add(transport)
+
+    def data_received(self, data: bytes) -> None:
+        site, garbage = self.site, None
+        try:
+            frames = self.decoder.feed(data)
+        except FrameError as exc:
+            # The good frames before the bad one arrived whole: deliver
+            # them, whatever chunks TCP cut the stream in.
+            frames, garbage = exc.frames, exc.cause
+        for kind, payload in frames:
+            if kind == KIND_MESSAGE:
+                site._on_message_frame(payload)
+            else:
+                self.transport.write(
+                    encode_control_frame(site._handle_control(payload)))
+        if garbage is not None:
+            # Never let wire garbage near the machines: count and sever
+            # (framing cannot resynchronise).  The unread tail is part
+            # of this drop, not a torn frame.
+            site.substrate.count_drop(garbage)
+            self.decoder = FrameDecoder()
+            self.transport.close()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.site._accepted.discard(self.transport)
+        if self.decoder.buffered:
+            # The peer went away mid-frame (reset or killed): half a
+            # frame is a drop, never a delivery.
+            self.site.substrate.count_drop("torn")
 
 
 class LiveSite:
@@ -310,12 +408,13 @@ class LiveSite:
                              hold_force_tokens=hold_force_tokens,
                              prepare_delay_ms=prepare_ms)
         self.substrate.host = self.host
-        # The storage error this site fail-stopped on, if it did.
-        self.failure: Optional[OSError] = None
+        # The storage error or raising input this site fail-stopped on.
+        self.failure: Optional[Exception] = None
         self._fail_stopping: Optional[asyncio.Future] = None
         self.recovered = False
         self.port: Optional[int] = None
         self._server: Optional[asyncio.base_events.Server] = None
+        self._accepted: Set[Any] = set()  # inbound transports
         self._stopping = asyncio.Event()
 
     # -------------------------------------------------------- lifecycle
@@ -330,8 +429,8 @@ class LiveSite:
             self.recovered = True
         sock = bind_server_socket()
         self.port = sock.getsockname()[1]
-        self._server = await asyncio.start_server(self._on_connection,
-                                                  sock=sock)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Inbound(self), sock=sock)
         write_port_file(self.run_dir, self.site, self.port)
         self.host.start_sweeps()
 
@@ -339,6 +438,8 @@ class LiveSite:
         self.host.stop_sweeps()
         if self._server is not None:
             self._server.close()
+            for transport in list(self._accepted):
+                transport.close()
             await self._server.wait_closed()
             self._server = None
         self.substrate.stop()
@@ -346,13 +447,13 @@ class LiveSite:
         self.wal.close()
         self._stopping.set()
 
-    def _fail_stop(self, exc: OSError) -> None:
+    def _fail_stop(self, exc: Exception) -> None:
         if self.failure is None:
             self.failure = exc
             self._fail_stopping = asyncio.ensure_future(self.stop())
 
     async def serve_until_stopped(self) -> None:
-        """Returns once stopped; ``failure`` says if by a storage error."""
+        """Returns once stopped; ``failure`` says if by a fail-stop."""
         await self._stopping.wait()
 
     @property
@@ -365,43 +466,6 @@ class LiveSite:
 
     # ------------------------------------------------------ connections
 
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        decoder = FrameDecoder()
-        try:
-            while True:
-                data = await reader.read(65536)
-                if not data:
-                    break
-                garbage = None
-                try:
-                    frames = decoder.feed(data)
-                except FrameError as exc:
-                    # The good frames before the bad one arrived whole:
-                    # deliver them, whatever chunks TCP cut the stream in.
-                    frames, garbage = exc.frames, exc.cause
-                for kind, payload in frames:
-                    if kind == KIND_MESSAGE:
-                        self._on_message_frame(payload)
-                    else:
-                        response = await self._handle_control(payload)
-                        writer.write(encode_control_frame(response))
-                        await writer.drain()
-                if garbage is not None:
-                    # Never let wire garbage near the machines: count
-                    # and sever (framing cannot resynchronise).
-                    self.substrate.count_drop(garbage)
-                    break
-        except (OSError, ConnectionError):
-            pass  # peer vanished mid-read; drops are the sender's story
-        except asyncio.CancelledError:
-            pass  # loop teardown with the connection still open
-        finally:
-            try:
-                writer.close()
-            except Exception:
-                pass
-
     def _on_message_frame(self, payload: Dict[str, Any]) -> None:
         try:
             src, message = decode_message_payload(payload)
@@ -412,8 +476,7 @@ class LiveSite:
 
     # ---------------------------------------------------------- control
 
-    async def _handle_control(self, payload: Dict[str, Any]
-                              ) -> Dict[str, Any]:
+    def _handle_control(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         cmd = payload.get("cmd")
         if cmd == "ping":
             return {"ok": True, "site": self.site, "pid": os.getpid()}
@@ -424,8 +487,8 @@ class LiveSite:
         if cmd == "status":
             return self._status()
         if cmd == "stop":
-            asyncio.get_running_loop().call_soon(
-                lambda: asyncio.ensure_future(self.stop()))
+            # Runs after this answer is written.
+            asyncio.ensure_future(self.stop())
             return {"ok": True}
         return {"ok": False, "error": f"unknown command {cmd!r}"}
 

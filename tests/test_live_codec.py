@@ -533,8 +533,10 @@ class TestLiveSiteDropsGarbage:
             await blast(bytes(flipped))                          # crc
             await blast(struct.Struct(">4sBBII").pack(
                 MAGIC, VERSION, KIND_CONTROL, MAX_PAYLOAD + 9, 0))  # oversize
+            ping = encode_control_frame({"cmd": "ping"})
+            await blast(ping[:len(ping) // 2])                   # torn
             await asyncio.sleep(0.2)
-            # Still alive and serving after four hostile connections.
+            # Still alive and serving after five hostile connections.
             status = await loop.run_in_executor(
                 None, lambda: control(str(tmp_path), "alpha",
                                       {"cmd": "status"}))
@@ -548,7 +550,8 @@ class TestLiveSiteDropsGarbage:
         assert drops["version"] == 1
         assert drops["crc"] == 1
         assert drops["oversize"] == 1
-        assert drops["total"] == 4
+        assert drops["torn"] == 1
+        assert drops["total"] == 5
 
     def test_good_frames_before_garbage_reach_the_host(self, tmp_path):
         """One TCP chunk holding three good frames and then garbage: the

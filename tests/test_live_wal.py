@@ -449,3 +449,41 @@ class TestFailedWrite:
         assert read_port_file(str(tmp_path), "alpha") is None
         assert site.host.completions == {}   # the caller was never told
         assert len(read_records(site.wal.path)) <= 1
+
+    def test_live_site_fail_stops_on_a_raising_input(self, tmp_path):
+        """A delivered frame whose handling raises does not wedge the
+        delay line with the next one queued behind it: the site
+        fail-stops on that exception and nothing after it runs."""
+        from repro.core.messages import CommitAck
+        from repro.core.tid import TID
+        from repro.live.codec import encode_message_frame
+        from repro.live.ports import read_port_file
+        from repro.live.site import LiveSite
+
+        delivered = []
+
+        def deliver(src, message):
+            delivered.append(message)
+            raise RuntimeError("injected handler bug")
+
+        async def scenario():
+            site = LiveSite("alpha", str(tmp_path))
+            await site.start()
+            site.host.deliver = deliver
+            _, writer = await asyncio.open_connection("127.0.0.1", site.port)
+            writer.write(b"".join(
+                encode_message_frame("beta", CommitAck(
+                    tid=TID.parse(f"T{i}@alpha"), sender="beta"))
+                for i in range(2)))
+            await writer.drain()
+            try:
+                await asyncio.wait_for(site.serve_until_stopped(),
+                                       timeout=5.0)
+            finally:
+                writer.close()
+            return site
+
+        site = asyncio.run(scenario())
+        assert isinstance(site.failure, RuntimeError)
+        assert read_port_file(str(tmp_path), "alpha") is None
+        assert len(delivered) == 1

@@ -3,15 +3,18 @@ live site keeps, and the simulated ``SiteHost`` cluster on the
 ``Lan``'s own fault knobs."""
 
 import asyncio
+import socket
 from collections import deque
 
 import pytest
 
 from repro.core.messages import FamilyAbort, PrepareRequest
+from repro.core.outcomes import Outcome
 from repro.core.tid import TID
 from repro.live.scenario import conformance_cost
 from repro.live.simhost import build_sim_cluster
 from repro.live.codec import encode_message_frame
+from repro.live.ports import write_port_file
 from repro.live.site import OUTBOX_MAX_BYTES, LiveSite
 
 SITES = ["alpha", "beta", "gamma"]
@@ -52,15 +55,25 @@ def _sizes(substrate):
 
 def test_an_untapped_live_site_keeps_no_per_message_state(tmp_path):
     async def commits(n):
+        loop = asyncio.get_running_loop()
         sites = {name: LiveSite(name, str(tmp_path), fsync=False)
                  for name in SITES}
         for site in sites.values():
             assert not hasattr(site.substrate, "transcript")
             await site.start()
         alpha = sites["alpha"].host
-        done = asyncio.get_running_loop().create_future()
+        done = loop.create_future()
         finished = [0]
         sizes = []
+        # A peer that accepts and never reads, on a small receive buffer
+        # so that the kernel soon stops taking bytes from the sender.
+        stall = socket.socket()
+        stall.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        stall.bind(("127.0.0.1", 0))
+        stall.listen()
+        stall.setblocking(False)
+        write_port_file(str(tmp_path), "epsilon", stall.getsockname()[1])
+        stalled = {}
 
         async def settle():
             while not all(site.settled for site in sites.values()):
@@ -76,11 +89,12 @@ def test_an_untapped_live_site_keeps_no_per_message_state(tmp_path):
                 alpha.begin_commit("2pc", ["beta", "gamma"])
 
         alpha.on_complete = on_complete
+        conn = None
         try:
             for _ in range(2):      # to n // 4 commits, then on to n
                 alpha.begin_commit("2pc", ["beta", "gamma"])
                 await asyncio.wait_for(done, timeout=30.0)
-                done = asyncio.get_running_loop().create_future()
+                done = loop.create_future()
                 await asyncio.wait_for(settle(), timeout=30.0)
             # A peer that never comes up (no port file): its outbox
             # fills to the bound and no further, the rest is counted.
@@ -89,14 +103,43 @@ def test_an_untapped_live_site_keeps_no_per_message_state(tmp_path):
                 substrate.send("delta", message)
             sizes.append(_sizes(substrate))
             drops = substrate.drop_counts()
+            # The stalled reader: send until the kernel's buffers are
+            # full and the bound is reached.  What the site holds for
+            # it, outbox plus transport buffer, stops there.
+            substrate.send("epsilon", message)
+            conn, _ = await asyncio.wait_for(loop.sock_accept(stall), 10.0)
+            link = substrate._out_queues["epsilon"]
+            sent = 1
+            for _ in range(400):
+                for _ in range(held // 8):
+                    substrate.send("epsilon", message)
+                sent += held // 8
+                overflow = substrate.frame_drops["overflow"] - 25
+                if overflow:
+                    break
+                await asyncio.sleep(0.01)
+            stalled["held"] = link.size + link.transport.get_write_buffer_size()
+            stalled["overflow"] = overflow
+            stalled["entered"] = sent - overflow
+            for _ in range(25):
+                substrate.send("epsilon", message)
+            stalled["more"] = substrate.frame_drops["overflow"] - 25 - overflow
+            # ... and the sending site keeps serving its other peers.
+            alpha.on_complete = lambda tid, outcome: done.set_result(outcome)
+            alpha.begin_commit("2pc", ["beta", "gamma"])
+            stalled["outcome"] = await asyncio.wait_for(done, timeout=30.0)
         finally:
+            if conn is not None:
+                conn.close()
+            stall.close()
             for site in sites.values():
                 await site.stop()
-        return finished[0], sizes, drops
+        return finished[0], sizes, drops, stalled
 
     message = PrepareRequest(tid=TID("T9@alpha"), sender="alpha")
-    held = OUTBOX_MAX_BYTES // len(encode_message_frame("alpha", message))
-    finished, (early, late, full), drops = asyncio.run(commits(200))
+    frame = len(encode_message_frame("alpha", message))
+    held = OUTBOX_MAX_BYTES // frame
+    finished, (early, late, full), drops, stalled = asyncio.run(commits(200))
     assert finished == 200
     # Four times the messages, the same sizes: the per-peer outboxes and
     # both delay lines drain to empty, the rest is keyed by peer or kind.
@@ -105,6 +148,12 @@ def test_an_untapped_live_site_keeps_no_per_message_state(tmp_path):
     assert full["_out_queues", "delta"] == held
     assert full["_out_queues", "beta"] == 0
     assert drops == {"overflow": 25, "total": 25}
+    # The stalled reader: held bytes stop at the bound, with the kernel
+    # holding what it took (more than nothing) beyond it.
+    assert OUTBOX_MAX_BYTES - frame < stalled["held"] <= OUTBOX_MAX_BYTES
+    assert stalled["overflow"] > 0 and stalled["more"] == 25
+    assert stalled["entered"] * frame > stalled["held"]
+    assert stalled["outcome"] is Outcome.COMMITTED
 
 
 @pytest.mark.parametrize("family", ["2pc", "nb", "paxos"])
