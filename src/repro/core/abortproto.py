@@ -26,7 +26,6 @@ from enum import Enum
 from typing import List, Sequence, Set
 
 from repro.core.effects import (
-    CancelTimer,
     Complete,
     Effect,
     Forget,
@@ -37,6 +36,7 @@ from repro.core.effects import (
     WriteLog,
 )
 from repro.core.messages import FamilyAbort, FamilyAbortAck, ProtocolMessage
+from repro.core.notify import NotifyTail
 from repro.core.outcomes import Outcome
 from repro.core.tid import TID
 from repro.log.records import abort_record
@@ -51,18 +51,19 @@ class AbortInitiatorState(Enum):
     DONE = "done"
 
 
-class AbortInitiator:
+class AbortInitiator(NotifyTail):
     """Runs at the site where the abort originates."""
 
-    max_retries = 5
+    # Presumed abort makes giving up safe: any site that never hears the
+    # abort resolves it to abort on inquiry anyway.
+    max_notify_retries = 5
 
     def __init__(self, tid: TID, site: str, known_sites: Sequence[str]):
         self.tid = tid
         self.site = site
         self.known_sites: Set[str] = {s for s in known_sites if s != site}
+        self.unacked = tuple(sorted(self.known_sites))
         self.state = AbortInitiatorState.SPREADING
-        self.acked: Set[str] = set()
-        self.retries = 0
 
     def start(self) -> Effects:
         effects: Effects = [
@@ -86,8 +87,9 @@ class AbortInitiator:
                 for dst in sorted(dsts)]
 
     def on_message(self, msg: ProtocolMessage) -> Effects:
-        if isinstance(msg, FamilyAbortAck):
-            return self._on_ack(msg)
+        if isinstance(msg, FamilyAbortAck) \
+                and self.state is AbortInitiatorState.SPREADING:
+            return self._notify_ack(msg.sender, ABORT_ACK_TIMER)
         if isinstance(msg, FamilyAbort):
             # Someone else is also aborting this TID and knows sites we
             # may not; merge and ack them.
@@ -96,32 +98,19 @@ class AbortInitiator:
                 msg.sender, FamilyAbortAck(tid=self.tid, sender=self.site))]
             if new and self.state is AbortInitiatorState.SPREADING:
                 self.known_sites |= new
+                self.unacked = tuple(sorted({*self.unacked, *new}))
                 effects.extend(self._send_aborts(new))
             return effects
         return []
 
-    def _on_ack(self, msg: FamilyAbortAck) -> Effects:
-        if self.state is not AbortInitiatorState.SPREADING:
-            return []
-        self.acked.add(msg.sender)  # lint: bounded(per-abort machine, discarded on resolve)
-        if self.known_sites <= self.acked:
-            effects: Effects = [CancelTimer(ABORT_ACK_TIMER)]
-            effects.extend(self._finish())
-            return effects
-        return []
-
     def on_timer(self, token: str) -> Effects:
-        if token != ABORT_ACK_TIMER or self.state is not AbortInitiatorState.SPREADING:
-            return []
-        self.retries += 1
-        if self.retries > self.max_retries:
-            # Presumed abort makes giving up safe: any site that never
-            # hears the abort resolves it to abort on inquiry anyway.
-            return self._finish()
-        pending = self.known_sites - self.acked
-        effects = self._send_aborts(pending)
-        effects.append(StartTimer(ABORT_ACK_TIMER))
-        return effects
+        if token == ABORT_ACK_TIMER \
+                and self.state is AbortInitiatorState.SPREADING:
+            return self._notify_retry(FamilyAbort(
+                tid=self.tid, sender=self.site,
+                known_sites=tuple(sorted(self.known_sites | {self.site}))),
+                ABORT_ACK_TIMER)
+        return []
 
     def _finish(self) -> Effects:
         self.state = AbortInitiatorState.DONE

@@ -63,7 +63,6 @@ from repro.core.effects import (
     LocalAbort,
     LocalCommit,
     LocalPrepare,
-    MulticastDatagram,
     POLL,
     SendDatagram,
     StartTakeover,
@@ -84,6 +83,7 @@ from repro.core.messages import (
     NbVote,
     ProtocolMessage,
 )
+from repro.core.notify import NotifyTail
 from repro.core.outcomes import Outcome, Vote
 from repro.core.quorum import QuorumSpec
 from repro.core.tid import TID
@@ -133,7 +133,7 @@ class NbCoordinatorState(Enum):
     DONE = "done"
 
 
-class NbCoordinator:
+class NbCoordinator(NotifyTail):
     """Original-coordinator machine: the failure-free (and vote-NO) paths.
 
     Deliberately *not* resumed after a coordinator crash: recovery spawns
@@ -143,6 +143,7 @@ class NbCoordinator:
     """
 
     max_prepare_retries = 3
+    max_notify_retries = None   # change 4: no forgetting before every ack
 
     def __init__(self, tid: TID, site: str, subordinates: Sequence[str],
                  quorum: Optional[QuorumSpec] = None,
@@ -164,8 +165,6 @@ class NbCoordinator:
         self.update_sites: List[str] = []
         self.replication_targets: List[str] = []
         self.replicated: Set[str] = set()
-        self.outcome_acks: Set[str] = set()
-        self.notify_targets: List[str] = []
         self.decision_data: Optional[Dict[str, Any]] = None
         self.outcome: Optional[Outcome] = None
         self.prepare_retries = 0
@@ -224,11 +223,9 @@ class NbCoordinator:
         return effects
 
     def _send_prepares(self, dsts: Sequence[str]) -> Effects:
-        msg = NbPrepare(tid=self.tid, sender=self.site,
-                        sites=tuple(self.sites), quorum=self.quorum)
-        if self.use_multicast and len(dsts) > 1:
-            return [MulticastDatagram(tuple(dsts), msg)]
-        return [SendDatagram(dst, msg) for dst in dsts]
+        return self._fan_out(dsts, NbPrepare(
+            tid=self.tid, sender=self.site, sites=tuple(self.sites),
+            quorum=self.quorum))
 
     # ------------------------------------------------------------ inputs
 
@@ -237,8 +234,9 @@ class NbCoordinator:
             return self._on_vote(msg)
         if isinstance(msg, NbReplicateAck):
             return self._on_replicate_ack(msg)
-        if isinstance(msg, NbOutcomeAck):
-            return self._on_outcome_ack(msg)
+        if isinstance(msg, NbOutcomeAck) \
+                and self.state is NbCoordinatorState.NOTIFYING:
+            return self._notify_ack(msg.sender, NB_NOTIFY_TIMER)
         if isinstance(msg, NbStateRequest):
             return self._on_state_request(msg)
         if isinstance(msg, NbOutcome):
@@ -302,10 +300,7 @@ class NbCoordinator:
         msg = NbReplicate(tid=self.tid, sender=self.site,
                           decision_data=self.decision_data or {})
         if remote:
-            if self.use_multicast and len(remote) > 1:
-                effects.append(MulticastDatagram(tuple(remote), msg))
-            else:
-                effects.extend(SendDatagram(s, msg) for s in remote)
+            effects += self._fan_out(remote, msg)
             effects.append(StartTimer(NB_REPL_TIMER))
         effects.extend(self._maybe_commit_point())
         return effects
@@ -336,36 +331,18 @@ class NbCoordinator:
         effects: Effects = [CancelTimer(NB_REPL_TIMER),
                             Trace("nb.commit_point", {"tid": str(self.tid)})]
         # Notify every site that did any work: update sites and helpers.
-        self.notify_targets = [s for s in dict.fromkeys(
-            self.update_sites + self.replication_targets) if s != self.site]
-        notice = NbOutcome(tid=self.tid, sender=self.site,
-                           outcome=Outcome.COMMITTED)
-        if self.notify_targets:
-            if self.use_multicast and len(self.notify_targets) > 1:
-                effects.append(MulticastDatagram(tuple(self.notify_targets),
-                                                 notice))
-            else:
-                effects.extend(SendDatagram(s, notice)
-                               for s in self.notify_targets)
+        self.unacked = tuple(s for s in dict.fromkeys(
+            self.update_sites + self.replication_targets) if s != self.site)
+        if self.unacked:
+            effects += self._fan_out(self.unacked, NbOutcome(
+                tid=self.tid, sender=self.site, outcome=Outcome.COMMITTED))
             effects.append(StartTimer(NB_NOTIFY_TIMER))
         effects.append(LocalCommit(self.tid))
         effects.append(WriteLog(commit_record(str(self.tid), self.site)))
         effects.append(Complete(self.tid, Outcome.COMMITTED))
-        if not self.notify_targets:
+        if not self.unacked:
             effects.extend(self._finish())
         return effects
-
-    def _on_outcome_ack(self, msg: NbOutcomeAck) -> Effects:
-        if self.state is not NbCoordinatorState.NOTIFYING:
-            return []
-        if msg.sender not in self.notify_targets or msg.sender in self.outcome_acks:
-            return []
-        self.outcome_acks.add(msg.sender)  # lint: bounded(per-txn machine, discarded whole)
-        if len(self.outcome_acks) == len(self.notify_targets):
-            effects: Effects = [CancelTimer(NB_NOTIFY_TIMER)]
-            effects.extend(self._finish())
-            return effects
-        return []
 
     def _finish(self) -> Effects:
         # Change 4: we may expunge only now, when every site has decided.
@@ -450,13 +427,9 @@ class NbCoordinator:
             effects.append(StartTimer(NB_REPL_TIMER))
             return effects
         if token == NB_NOTIFY_TIMER and self.state is NbCoordinatorState.NOTIFYING:
-            pending = [s for s in self.notify_targets
-                       if s not in self.outcome_acks]
-            notice = NbOutcome(tid=self.tid, sender=self.site,
-                               outcome=Outcome.COMMITTED)
-            effects = [SendDatagram(s, notice) for s in pending]
-            effects.append(StartTimer(NB_NOTIFY_TIMER))
-            return effects
+            return self._notify_retry(
+                NbOutcome(tid=self.tid, sender=self.site,
+                          outcome=Outcome.COMMITTED), NB_NOTIFY_TIMER)
         return []
 
     # ------------------------------------------------------------ abort
@@ -675,7 +648,7 @@ class NbSubordinate:
         effects: Effects = [SendDatagram(
             msg.sender, NbOutcomeAck(tid=self.tid, sender=self.site))]
         if self.outcome is not None:
-            if self.outcome is not msg.outcome and self.outcome is not None:
+            if self.outcome is not msg.outcome:
                 raise NbProtocolViolation(
                     f"{self.tid}: conflicting outcomes at {self.site}")
             return effects
@@ -772,7 +745,7 @@ class NbTakeoverState(Enum):
     DONE = "done"
 
 
-class NbTakeover:
+class NbTakeover(NotifyTail):
     """Termination protocol: a participant acting as a (new) coordinator.
 
     Also used by crash recovery to finish transactions found prepared or
@@ -780,6 +753,8 @@ class NbTakeover:
     exclusivity (change 4) keeps them from deciding differently.
     """
 
+    # Unreachable sites will run their own takeover and find the quorum
+    # evidence: at the cap we may stand down.
     max_notify_retries = 10
 
     def __init__(self, tid: TID, site: str, sites: Sequence[str],
@@ -798,8 +773,9 @@ class NbTakeover:
         self.outcome: Optional[Outcome] = None
         self.replicated: Set[str] = {site} if own_status == "replicated" else set()
         self.pledged: Set[str] = {site} if own_status == "abort_pledged" else set()
-        self.outcome_acks: Set[str] = set()
-        self.notify_retries = 0
+        # Everyone, including our own site: the local participant machine
+        # learns the outcome through the same message as everyone else.
+        self.unacked = tuple(self.sites)
         self.decided_by_peer = False
 
     # --------------------------------------------------------- lifecycle
@@ -810,7 +786,7 @@ class NbTakeover:
             # Crash recovery found our own outcome but no end record:
             # just re-notify everyone else until they all acknowledge.
             self.decided_by_peer = True  # quorum evidence is in the log
-            self.outcome_acks.add(self.site)  # lint: bounded(per-takeover machine, discarded on resolve)
+            self.unacked = tuple(s for s in self.sites if s != self.site)
             return self._decide(Outcome.COMMITTED if own == "committed"
                                 else Outcome.ABORTED)
         return self._new_round()
@@ -838,8 +814,9 @@ class NbTakeover:
             return self._on_replicate_ack(msg)
         if isinstance(msg, NbAbortJoinAck):
             return self._on_pledge_ack(msg)
-        if isinstance(msg, NbOutcomeAck):
-            return self._on_outcome_ack(msg)
+        if isinstance(msg, NbOutcomeAck) \
+                and self.state is NbTakeoverState.NOTIFYING:
+            return self._notify_ack(msg.sender, NB_TAKEOVER_TIMER)
         if isinstance(msg, NbOutcome):
             return self._on_peer_outcome(msg)
         return []
@@ -881,7 +858,10 @@ class NbTakeover:
             # again from the top; durable facts are retained.
             return self._new_round()
         if self.state is NbTakeoverState.NOTIFYING:
-            return self._resend_outcome()
+            assert self.outcome is not None
+            return self._notify_retry(
+                NbOutcome(tid=self.tid, sender=self.site,
+                          outcome=self.outcome), NB_TAKEOVER_TIMER)
         return []
 
     # --------------------------------------------------------- evaluation
@@ -1001,39 +981,13 @@ class NbTakeover:
                             Trace("nb.takeover_decided",
                                   {"tid": str(self.tid),
                                    "outcome": outcome.value})]
-        effects.extend(self._send_outcome(self._notify_targets()))
-        effects.append(StartTimer(NB_TAKEOVER_TIMER))
-        return effects
+        return effects + self._notify(
+            NbOutcome(tid=self.tid, sender=self.site, outcome=outcome),
+            NB_TAKEOVER_TIMER)
 
-    def _notify_targets(self) -> List[str]:
-        # Everyone, including our own site: the local participant machine
-        # learns the outcome through the same message as everyone else.
-        return [s for s in self.sites if s not in self.outcome_acks]
-
-    def _send_outcome(self, targets: Sequence[str]) -> Effects:
-        assert self.outcome is not None
-        notice = NbOutcome(tid=self.tid, sender=self.site, outcome=self.outcome)
-        return [SendDatagram(s, notice) for s in targets]
-
-    def _resend_outcome(self) -> Effects:
-        self.notify_retries += 1
-        if self.notify_retries > self.max_notify_retries:
-            # Unreachable sites will run their own takeover and find the
-            # quorum evidence; we may stand down.
-            self.state = NbTakeoverState.DONE
-            return [Forget(self.tid)]
-        effects = self._send_outcome(self._notify_targets())
-        effects.append(StartTimer(NB_TAKEOVER_TIMER))
-        return effects
-
-    def _on_outcome_ack(self, msg: NbOutcomeAck) -> Effects:
-        if self.state is not NbTakeoverState.NOTIFYING:
-            return []
-        self.outcome_acks.add(msg.sender)
-        if not self._notify_targets():
-            self.state = NbTakeoverState.DONE
-            return [CancelTimer(NB_TAKEOVER_TIMER), Forget(self.tid)]
-        return []
+    def _finish(self) -> Effects:
+        self.state = NbTakeoverState.DONE
+        return [Forget(self.tid)]
 
     def _on_peer_outcome(self, msg: NbOutcome) -> Effects:
         """Another coordinator beat us to it; adopt and stand down."""

@@ -81,6 +81,7 @@ from repro.core.messages import (
     PcVote,
     ProtocolMessage,
 )
+from repro.core.notify import NotifyTail
 from repro.core.outcomes import Outcome, Vote
 from repro.core.quorum import QuorumSpec
 from repro.core.tid import TID
@@ -233,7 +234,7 @@ class PcLeaderState(Enum):
     DONE = "done"
 
 
-class PcLeader(_AcceptorBatching):
+class PcLeader(_AcceptorBatching, NotifyTail):
     """Ballot-0 leader: transaction coordinator plus co-located acceptor.
 
     Drives the prepare round, tallies ballot-0 acceptances per instance,
@@ -277,10 +278,7 @@ class PcLeader(_AcceptorBatching):
         self._force_batches: List[Tuple[List[str], List[Tuple[str, ProtocolMessage]]]] = []  # lint: bounded(drained at PC_ACCEPT_FORCE)
         self.outcome: Optional[Outcome] = None
         self.update_subs: List[str] = []
-        self.notify_targets: List[str] = []
-        self.acked: Set[str] = set()  # lint: bounded(subset of notify targets)
         self.vote_retries = 0
-        self.notify_retries = 0
 
     # ------------------------------------------------------------ start
 
@@ -389,8 +387,9 @@ class PcLeader(_AcceptorBatching):
             return self._on_p2a(msg)
         if isinstance(msg, PcOutcome):
             return self._on_peer_outcome(msg)
-        if isinstance(msg, PcOutcomeAck):
-            return self._on_outcome_ack(msg)
+        if isinstance(msg, PcOutcomeAck) \
+                and self.state is PcLeaderState.NOTIFYING:
+            return self._notify_ack(msg.sender, PC_NOTIFY_TIMER)
         return []
 
     def _on_vote(self, msg: PcVote) -> List[Effect]:
@@ -463,15 +462,11 @@ class PcLeader(_AcceptorBatching):
                     Forget(self.tid)]
         return effects
 
-    def _on_outcome_ack(self, msg: PcOutcomeAck) -> List[Effect]:
-        if self.state is not PcLeaderState.NOTIFYING:
-            return []
-        self.acked.add(msg.sender)
-        if set(self.notify_targets) - self.acked:
-            return []
+    def _finish(self) -> List[Effect]:
+        # Also how the leader stands down at the notify cap: the decision
+        # record and tombstone keep answering late inquiries.
         self.state = PcLeaderState.DONE
-        return [CancelTimer(PC_NOTIFY_TIMER),
-                WriteLog(end_record(str(self.tid), self.site)),
+        return [WriteLog(end_record(str(self.tid), self.site)),
                 Forget(self.tid)]
 
     # ----------------------------------------------------------- timers
@@ -479,8 +474,10 @@ class PcLeader(_AcceptorBatching):
     def on_timer(self, token: str) -> List[Effect]:
         if token == PC_VOTE_TIMER:
             return self._vote_timeout()
-        if token == PC_NOTIFY_TIMER:
-            return self._notify_timeout()
+        if token == PC_NOTIFY_TIMER and self.state is PcLeaderState.NOTIFYING:
+            return self._notify_retry(PcOutcome(
+                self.tid, self.site, outcome=Outcome.COMMITTED),
+                PC_NOTIFY_TIMER)
         return []
 
     def _vote_timeout(self) -> List[Effect]:
@@ -511,26 +508,6 @@ class PcLeader(_AcceptorBatching):
 
     def _voted(self, sub: str) -> bool:
         return sub in self.tally or sub in self.votes
-
-    def _notify_timeout(self) -> List[Effect]:
-        if self.state is not PcLeaderState.NOTIFYING:
-            return []
-        self.notify_retries += 1
-        if self.notify_retries > self.max_notify_retries:
-            # Stand down; the decision record and tombstone keep
-            # answering late inquiries.
-            self.state = PcLeaderState.DONE
-            return [WriteLog(end_record(str(self.tid), self.site)),
-                    Forget(self.tid)]
-        outcome = self.outcome
-        if outcome is None:
-            return []
-        unacked = [s for s in self.notify_targets if s not in self.acked]
-        effects: List[Effect] = [
-            SendDatagram(s, PcOutcome(self.tid, self.site, outcome=outcome))
-            for s in unacked]
-        effects.append(StartTimer(PC_NOTIFY_TIMER))
-        return effects
 
     # --------------------------------------------------------- decision
 
@@ -563,8 +540,8 @@ class PcLeader(_AcceptorBatching):
                             if self.votes.get(s) == Vote.YES.value]
         ro_acceptors = [a for a in self.remote_acceptors
                         if self.votes.get(a) == Vote.READ_ONLY.value]
-        self.notify_targets = sorted(set(self.update_subs)
-                                     | set(ro_acceptors))
+        self.unacked = tuple(sorted(set(self.update_subs)
+                                    | set(ro_acceptors)))
         if not self.update_subs and self.local_vote is Vote.READ_ONLY:
             # Fully read-only: no second round, nothing durable.
             self.outcome = Outcome.COMMITTED
@@ -580,18 +557,14 @@ class PcLeader(_AcceptorBatching):
     def _notify_commit(self) -> List[Effect]:
         self.outcome = Outcome.COMMITTED
         self.state = PcLeaderState.NOTIFYING
-        effects: List[Effect] = [
-            SendDatagram(sub, PcOutcome(self.tid, self.site,
-                                        outcome=Outcome.COMMITTED))
-            for sub in self.notify_targets]
+        notice = PcOutcome(self.tid, self.site, outcome=Outcome.COMMITTED)
+        effects: List[Effect] = [SendDatagram(s, notice)
+                                 for s in self.unacked]
         effects += [LocalCommit(self.tid),
                     Complete(self.tid, Outcome.COMMITTED),
                     StartTimer(PC_NOTIFY_TIMER)]
-        if not self.notify_targets:
-            self.state = PcLeaderState.DONE
-            effects += [CancelTimer(PC_NOTIFY_TIMER),
-                        WriteLog(end_record(str(self.tid), self.site)),
-                        Forget(self.tid)]
+        if not self.unacked:
+            effects += [CancelTimer(PC_NOTIFY_TIMER)] + self._finish()
         return effects
 
     def _abort(self) -> List[Effect]:
@@ -627,25 +600,16 @@ class PcLeader(_AcceptorBatching):
         leader = cls(tid, site, list(update_subs), list(acceptors), quorum)
         leader.local_vote = Vote.YES
         leader.update_subs = list(update_subs)
-        leader.notify_targets = sorted(update_subs)
+        leader.unacked = tuple(sorted(update_subs))
         leader.outcome = Outcome.COMMITTED
         leader.state = PcLeaderState.NOTIFYING
         return leader
 
     def resume_notifications(self) -> List[Effect]:
-        outcome = self.outcome
-        if outcome is None:
-            return []
-        effects: List[Effect] = [
-            SendDatagram(s, PcOutcome(self.tid, self.site, outcome=outcome))
-            for s in self.notify_targets]
-        effects += [LocalCommit(self.tid),
-                    StartTimer(PC_NOTIFY_TIMER)]
-        if not self.notify_targets:
-            self.state = PcLeaderState.DONE
-            effects += [WriteLog(end_record(str(self.tid), self.site)),
-                        Forget(self.tid)]
-        return effects
+        """Effects to emit right after :meth:`recovered`: the decision
+        force's continuation again, less the client's completion."""
+        return [e for e in self._notify_commit()
+                if not isinstance(e, Complete)]
 
 
 class PcSubState(Enum):
@@ -943,10 +907,7 @@ class PcParticipant(_AcceptorBatching):
         """Re-announce the vote and re-arm the takeover timer."""
         effects: List[Effect] = []
         if self.state is PcSubState.PREPARED and self.vote is not None:
-            effects += [SendDatagram(dst, PcVote(
-                self.tid, self.site, vote=self.vote, leader=self.leader,
-                sites=tuple(self.sites), acceptors=tuple(self.acceptors)))
-                for dst in self._vote_targets()]
+            effects += self._vote_datagrams(self.vote)
         effects.append(StartTimer(PC_OUTCOME_TIMER))
         return effects
 
@@ -961,7 +922,7 @@ class PcCandidateState(Enum):
     DONE = "done"
 
 
-class PcCandidate:
+class PcCandidate(NotifyTail):
     """A timed-out participant running the leader election.
 
     Phase 1 at a ballot unique to this site, value selection by the
@@ -991,9 +952,6 @@ class PcCandidate:
         self.values: List[Tuple[str, str]] = []
         self.outcome: Optional[Outcome] = None
         self.decided_by_peer = False
-        self.notify_targets: List[str] = []
-        self.acked: Set[str] = set()  # lint: bounded(subset of notify targets)
-        self.notify_retries = 0
 
     @property
     def ballot(self) -> int:
@@ -1006,7 +964,7 @@ class PcCandidate:
             raise PcProtocolViolation("candidate started twice")
         if self.outcome is not None:
             # Resuming an already-forced decision: straight to notify.
-            return self._notify()
+            return self._announce()
         return self._poll()
 
     def _poll(self) -> List[Effect]:
@@ -1035,8 +993,9 @@ class PcCandidate:
             return self._on_phase2b(msg)
         if isinstance(msg, PcOutcome):
             return self._on_peer_outcome(msg)
-        if isinstance(msg, PcOutcomeAck):
-            return self._on_outcome_ack(msg)
+        if isinstance(msg, PcOutcomeAck) \
+                and self.state is PcCandidateState.NOTIFYING:
+            return self._notify_ack(msg.sender, PC_NOTIFY_TIMER)
         return []
 
     def _on_p1b(self, msg: PcP1b) -> List[Effect]:
@@ -1089,7 +1048,9 @@ class PcCandidate:
 
     def _decide(self, outcome: Outcome) -> List[Effect]:
         self.outcome = outcome
-        self.update_targets()
+        # Includes our own site: the co-resident participant machine
+        # applies the outcome and acks back through the loopback path.
+        self.unacked = tuple(self.sites)
         effects: List[Effect] = [CancelTimer(PC_ELECTION_TIMER),
                                  Trace("pc.election_decided", {
                                      "tid": str(self.tid),
@@ -1104,35 +1065,28 @@ class PcCandidate:
                 PC_DECIDE_FORCE))
             return effects
         effects.append(WriteLog(abort_record(str(self.tid), self.site)))
-        effects += self._notify()
+        effects += self._announce()
         return effects
-
-    def update_targets(self) -> None:
-        # Includes our own site: the co-resident participant machine
-        # applies the outcome and acks back through the loopback path.
-        self.notify_targets = list(self.sites)
 
     def on_log_forced(self, token: str) -> List[Effect]:
         if token == PC_DECIDE_FORCE \
                 and self.state is PcCandidateState.FORCING_DECISION:
-            return self._notify()
+            return self._announce()
         return []
 
     def on_log_durable(self, token: str) -> List[Effect]:
         return []
 
-    def _notify(self) -> List[Effect]:
+    def _announce(self) -> List[Effect]:
         outcome = self.outcome
         if outcome is None:
             return []
         self.state = PcCandidateState.NOTIFYING
-        if not self.notify_targets:
-            self.update_targets()
-        effects: List[Effect] = [
-            SendDatagram(s, PcOutcome(self.tid, self.site, outcome=outcome))
-            for s in self.notify_targets if s not in self.acked]
-        effects.append(StartTimer(PC_NOTIFY_TIMER))
-        return effects
+        if not self.unacked:
+            # A resumed decision with no update subordinate tells all.
+            self.unacked = tuple(self.sites)
+        return self._notify(PcOutcome(self.tid, self.site, outcome=outcome),
+                            PC_NOTIFY_TIMER)
 
     def _on_peer_outcome(self, msg: PcOutcome) -> List[Effect]:
         """Someone else (original leader or rival candidate) decided."""
@@ -1150,14 +1104,17 @@ class PcCandidate:
         return [CancelTimer(PC_ELECTION_TIMER), CancelTimer(PC_NOTIFY_TIMER),
                 Forget(self.tid)]
 
-    def _on_outcome_ack(self, msg: PcOutcomeAck) -> List[Effect]:
-        if self.state is not PcCandidateState.NOTIFYING:
-            return []
-        self.acked.add(msg.sender)
-        if set(self.notify_targets) - self.acked:
-            return []
+    def _finish(self) -> List[Effect]:
+        # Like the leader: the END record closes the forced decision
+        # record, so recovery does not re-notify a finished commit.
         self.state = PcCandidateState.DONE
-        return [CancelTimer(PC_NOTIFY_TIMER), Forget(self.tid)]
+        return [WriteLog(end_record(str(self.tid), self.site)),
+                Forget(self.tid)]
+
+    def _notify_give_up(self) -> List[Effect]:
+        # No END: a restart of this site resumes the notifications.
+        self.state = PcCandidateState.DONE
+        return [Forget(self.tid)]
 
     # ----------------------------------------------------------- timers
 
@@ -1173,14 +1130,11 @@ class PcCandidate:
             self.round += 1
             self.attempt += 1
             return self._poll()
-        if token == PC_NOTIFY_TIMER:
-            if self.state is not PcCandidateState.NOTIFYING:
-                return []
-            self.notify_retries += 1
-            if self.notify_retries > self.max_notify_retries:
-                self.state = PcCandidateState.DONE
-                return [Forget(self.tid)]
-            return self._notify()
+        if token == PC_NOTIFY_TIMER \
+                and self.state is PcCandidateState.NOTIFYING:
+            assert self.outcome is not None
+            return self._notify_retry(PcOutcome(
+                self.tid, self.site, outcome=self.outcome), PC_NOTIFY_TIMER)
         return []
 
     def _nacked(self, promised: int) -> List[Effect]:
@@ -1206,7 +1160,7 @@ class PcCandidate:
         cand = cls(tid, site, sites, acceptors, quorum)
         cand.outcome = Outcome.COMMITTED
         cand.values = [(s, Vote.YES.value) for s in update_subs]
-        cand.notify_targets = [s for s in update_subs if s != site]
+        cand.unacked = tuple(s for s in update_subs if s != site)
         return cand
 
 

@@ -40,7 +40,7 @@ notifications; outputs are :mod:`repro.core.effects`.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.effects import (
     CancelTimer,
@@ -52,7 +52,6 @@ from repro.core.effects import (
     LocalAbort,
     LocalCommit,
     LocalPrepare,
-    MulticastDatagram,
     SendDatagram,
     StartTimer,
     Trace,
@@ -68,6 +67,7 @@ from repro.core.messages import (
     TxnInquiry,
     VoteResponse,
 )
+from repro.core.notify import NotifyTail
 from repro.core.outcomes import Outcome, TwoPhaseVariant, Vote
 from repro.core.tid import TID
 from repro.log.records import (
@@ -108,10 +108,11 @@ SUB_COMMIT_FORCE = "2pc.sub_commit_force"
 SUB_COMMIT_DURABLE = "2pc.sub_commit_durable"
 
 
-class TwoPhaseCoordinator:
+class TwoPhaseCoordinator(NotifyTail):
     """Coordinator-side state machine for one transaction."""
 
     max_prepare_retries = 3
+    max_notify_retries = None   # must keep notifying until every ack
 
     def __init__(self, tid: TID, site: str, subordinates: Sequence[str],
                  variant: TwoPhaseVariant = TwoPhaseVariant.OPTIMIZED,
@@ -126,7 +127,6 @@ class TwoPhaseCoordinator:
         self.votes: Dict[str, Vote] = {}
         self.local_vote: Optional[Vote] = None
         self.update_subs: List[str] = []
-        self.acked: Set[str] = set()
         self.outcome: Optional[Outcome] = None
         self.prepare_retries = 0
 
@@ -143,11 +143,8 @@ class TwoPhaseCoordinator:
     def _send_prepares(self, dsts: Sequence[str]) -> Effects:
         if not dsts:
             return []
-        msg_of = lambda: PrepareRequest(tid=self.tid, sender=self.site,
-                                        variant=self.variant)
-        if self.use_multicast and len(dsts) > 1:
-            return [MulticastDatagram(tuple(dsts), msg_of())]
-        return [SendDatagram(dst, msg_of()) for dst in dsts]
+        return self._fan_out(dsts, PrepareRequest(
+            tid=self.tid, sender=self.site, variant=self.variant))
 
     # ------------------------------------------------------------ inputs
 
@@ -162,8 +159,9 @@ class TwoPhaseCoordinator:
     def on_message(self, msg: ProtocolMessage) -> Effects:
         if isinstance(msg, VoteResponse):
             return self._on_vote(msg)
-        if isinstance(msg, CommitAck):
-            return self._on_ack(msg)
+        if isinstance(msg, CommitAck) \
+                and self.state is CoordinatorState.COMMITTED:
+            return self._notify_ack(msg.sender, ACK_TIMER)
         if isinstance(msg, TxnInquiry):
             return self._on_inquiry(msg)
         return []
@@ -212,33 +210,19 @@ class TwoPhaseCoordinator:
             return []
         self.state = CoordinatorState.COMMITTED
         self.outcome = Outcome.COMMITTED
+        self.unacked = tuple(self.update_subs)
         effects: Effects = []
-        notice = lambda: CommitNotice(tid=self.tid, sender=self.site)
-        if self.update_subs:
-            if self.use_multicast and len(self.update_subs) > 1:
-                effects.append(MulticastDatagram(tuple(self.update_subs), notice()))
-            else:
-                effects.extend(SendDatagram(s, notice()) for s in self.update_subs)
+        if self.unacked:
+            effects = self._fan_out(self.unacked, CommitNotice(
+                tid=self.tid, sender=self.site))
             effects.append(StartTimer(ACK_TIMER))
         effects.append(LocalCommit(self.tid))
         effects.append(Complete(self.tid, Outcome.COMMITTED))
-        if not self.update_subs:
-            effects.extend(self._finish_committed())
+        if not self.unacked:
+            effects.extend(self._finish())
         return effects
 
-    def _on_ack(self, msg: CommitAck) -> Effects:
-        if self.state is not CoordinatorState.COMMITTED:
-            return []
-        if msg.sender not in self.update_subs or msg.sender in self.acked:
-            return []
-        self.acked.add(msg.sender)  # lint: bounded(per-txn machine, discarded whole)
-        if len(self.acked) == len(self.update_subs):
-            effects: Effects = [CancelTimer(ACK_TIMER)]
-            effects.extend(self._finish_committed())
-            return effects
-        return []
-
-    def _finish_committed(self) -> Effects:
+    def _finish(self) -> Effects:
         self.state = CoordinatorState.DONE
         return [WriteLog(end_record(str(self.tid), self.site)),
                 Forget(self.tid)]
@@ -262,11 +246,8 @@ class TwoPhaseCoordinator:
                 return effects
             return self._decide_abort()
         if token == ACK_TIMER and self.state is CoordinatorState.COMMITTED:
-            pending = [s for s in self.update_subs if s not in self.acked]
-            effects = [SendDatagram(s, CommitNotice(tid=self.tid, sender=self.site))
-                       for s in pending]
-            effects.append(StartTimer(ACK_TIMER))
-            return effects
+            return self._notify_retry(
+                CommitNotice(tid=self.tid, sender=self.site), ACK_TIMER)
         return []
 
     # ------------------------------------------------------------ abort
@@ -304,16 +285,15 @@ class TwoPhaseCoordinator:
         coord.state = CoordinatorState.COMMITTED
         coord.outcome = Outcome.COMMITTED
         coord.update_subs = list(pending_subs)
+        coord.unacked = tuple(pending_subs)
         coord.votes = {s: Vote.YES for s in pending_subs}
         coord.local_vote = Vote.YES
         return coord
 
     def resume_notifications(self) -> Effects:
         """Effects to emit right after :meth:`recovered`."""
-        effects: Effects = [SendDatagram(s, CommitNotice(tid=self.tid, sender=self.site))
-                            for s in self.update_subs]
-        effects.append(StartTimer(ACK_TIMER))
-        return effects
+        return self._notify(CommitNotice(tid=self.tid, sender=self.site),
+                            ACK_TIMER)
 
 
 class TwoPhaseSubordinate:

@@ -4,7 +4,7 @@ Rather than lowering to basic blocks, the executor walks the structured
 statement AST directly and enumerates acyclic paths: every ``if`` forks
 the path with the branch condition recorded as guard :class:`Atom`
 facts, every loop forks a zero-iteration and a one-iteration path, and
-intra-class helper calls (``self._finish_committed()``) are inlined so
+intra-class helper calls (``self._finish()``) are inlined so
 a guard in the caller dominates the events of the callee.
 
 Along each path the executor records an ordered event stream:
@@ -12,8 +12,9 @@ Along each path the executor records an ordered event stream:
 - :class:`EffectEv` — construction of an effect object
   (``SendDatagram``, ``ForceLog``, ...), with the message class and its
   literal arguments resolved through simple local bindings
-  (``notice = lambda: CommitNotice(...)``), the force token, and a
-  snapshot of the guard facts live at the construction site;
+  (``notice = CommitNotice(...)``, also into an inlined helper's
+  parameter), the force token, and a snapshot of the guard facts live
+  at the construction site;
 - :class:`StateEv` — an enum-constant assignment to a ``self``
   attribute (``self.state = CoordinatorState.COMMITTED``), also with
   its guard snapshot.
@@ -366,7 +367,7 @@ class _Explorer:
     # ------------------------------------------------------------- entry
 
     def run(self) -> List[Path]:
-        start = _State(frozenset(), [], {})
+        start = _State(self._none_constants(), [], {})
         body = self.fn.node.body \
             if isinstance(self.fn.node,
                           (ast.FunctionDef, ast.AsyncFunctionDef)) else []
@@ -381,6 +382,29 @@ class _Explorer:
             paths.append(Path(st.facts, st.events, st.raised,
                               frozenset(st.assigned)))
         return paths
+
+    def _none_constants(self) -> FrozenSet[Atom]:
+        """``self.X is None`` for each ``X = None`` the explored class (or
+        the nearest base binding ``X``) declares and no method assigns: a
+        guard needing ``X`` set is dead code for this class."""
+        mro = [self.cls] if self.cls is not None else []
+        for cls in mro:
+            if len(mro) < 8:
+                mro.extend(self.program.classes[b] for b in cls.bases
+                           if b in self.program.classes)
+        bound: Dict[str, bool] = {}
+        for stmt in (stmt for cls in mro for stmt in cls.node.body):
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value:
+                for t in (stmt.targets if isinstance(stmt, ast.Assign)
+                          else [stmt.target]):
+                    if isinstance(t, ast.Name):
+                        bound.setdefault(t.id, canon(stmt.value) == "None")
+        stored = {n.attr for cls in mro for n in ast.walk(cls.node)
+                  if isinstance(n, ast.Attribute)
+                  and isinstance(n.ctx, ast.Store) and canon(n.value) == "self"}
+        return frozenset(Atom("cmp", f"self.{name}", "is", "None", True)
+                         for name, none in bound.items()
+                         if none and name not in stored)
 
     # --------------------------------------------------------- statements
 
@@ -518,7 +542,7 @@ class _Explorer:
                 st.facts = invalidate(st.facts, tc)
                 st.assigned.add(tc)
                 if isinstance(t, ast.Name):
-                    ctor = self._as_ctor(value)
+                    ctor = self._resolve_message(value, st.env)
                     if ctor is not None:
                         st.env[t.id] = ctor
                     else:
@@ -542,7 +566,7 @@ class _Explorer:
         """Record effect constructions (and inline intra-class helper
         calls) reachable while evaluating one expression."""
         if node is None or isinstance(node, ast.Lambda):
-            # Lambda bodies run when called; ctor lambdas resolve via env.
+            # Lambda bodies run when called, not here.
             return [s]
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
                              ast.DictComp)):
@@ -583,9 +607,21 @@ class _Explorer:
                     states = self._fan(states, child, stack)
                 out: List[_State] = []
                 callee = self.program.funcs[mq]
+                assert isinstance(callee.node, (ast.FunctionDef,
+                                                ast.AsyncFunctionDef))
+                params = [a.arg for a in callee.node.args.args]
+                bound: List[Tuple[Optional[str], ast.expr]] = [
+                    *zip(params[0 if callee.is_staticmethod else 1:],
+                         call.args),
+                    *[(k.arg, k.value) for k in call.keywords]]
                 for st in states:
                     sub = st.clone()
+                    # A message handed to the callee keeps its class there.
                     sub.env = {}
+                    for param, arg in bound:
+                        ctor = self._resolve_message(arg, st.env)
+                        if param is not None and ctor is not None:
+                            sub.env[param] = ctor
                     for ist in self._block(callee.node.body, sub,
                                            stack + (mq,)):
                         if not ist.raised:
@@ -659,23 +695,12 @@ class _Explorer:
     def _resolve_message(self, expr: Optional[ast.AST],
                          env: Dict[str, ast.Call]) -> Optional[ast.Call]:
         if isinstance(expr, ast.Call):
-            if isinstance(expr.func, ast.Name) and expr.func.id in env:
-                return env[expr.func.id]
             name = dotted_name(expr.func)
             if name is not None and name.split(".")[-1][:1].isupper():
                 return expr
             return None
         if isinstance(expr, ast.Name):
             return env.get(expr.id)
-        return None
-
-    def _as_ctor(self, value: ast.AST) -> Optional[ast.Call]:
-        if isinstance(value, ast.Lambda):
-            value = value.body
-        if isinstance(value, ast.Call):
-            name = dotted_name(value.func)
-            if name is not None and name.split(".")[-1][:1].isupper():
-                return value
         return None
 
     def _is_interesting(self, qname: str,
@@ -700,9 +725,11 @@ class _Explorer:
                     result = True
                     break
                 if name is not None and name.startswith("self.") \
-                        and name.count(".") == 1 and fn.cls is not None:
-                    sub = self.program.class_method(
-                        f"{fn.module}::{fn.cls}", name[5:])
+                        and name.count(".") == 1 and self.cls is not None:
+                    # ``self`` is the explored class, even inside a
+                    # method it inherits from a mixin.
+                    sub = self.program.class_method(self.cls.qname,
+                                                    name[5:])
                     if sub is not None and sub != qname \
                             and self._is_interesting(sub, _depth + 1):
                         result = True

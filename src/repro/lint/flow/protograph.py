@@ -293,14 +293,13 @@ class _Delivery:
 
 
 _TRUTHY_TRUE = {"self.update_subs", "self.subordinates", "self.update_sites",
-                "targets", "remote", "self.notify_targets", "dsts",
-                "self.sites"}
+                "remote", "self.unacked", "dsts", "self.sites"}
 _TRUTHY_FALSE = {"self.use_multicast", "self.already_pledged",
                  "self.remote_acceptors"}
 _IN_TRUE = {"targets", "self.subordinates", "self.replication_targets",
-            "self.sites", "self.update_sites"}
-_IN_FALSE = {"self.votes", "self.outcome_acks", "self.replicated"}
-_LEN_FIXED = {"len(self.subordinates)": 1, "len(self.sites)": 2}
+            "self.unacked"}
+_IN_FALSE = {"self.votes"}
+_LEN_FIXED = {"len(self.subordinates)": 1}
 _LITERALISH = ("Vote.", "Outcome.", "True", "False", "None", "'", '"')
 
 

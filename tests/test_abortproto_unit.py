@@ -38,29 +38,6 @@ def test_initiator_with_no_known_sites_finishes_immediately():
     assert host.forgotten == [TID1]
 
 
-def test_initiator_retries_unacked_sites():
-    from repro.core.abortproto import ABORT_ACK_TIMER
-
-    host = initiator()
-    host.deliver(FamilyAbortAck(tid=TID1, sender="b"))
-    host.fire_timer(ABORT_ACK_TIMER)
-    retry_targets = [d for d, m in host.sent if isinstance(m, FamilyAbort)]
-    assert retry_targets.count("c") == 2
-    assert retry_targets.count("b") == 1
-
-
-def test_initiator_gives_up_after_max_retries_presumed_abort():
-    from repro.core.abortproto import ABORT_ACK_TIMER
-
-    host = initiator()
-    host.machine.max_retries = 2
-    host.fire_timer(ABORT_ACK_TIMER)
-    host.fire_timer(ABORT_ACK_TIMER)
-    assert host.forgotten == []
-    host.fire_timer(ABORT_ACK_TIMER)
-    assert host.forgotten == [TID1]  # safe: presumed abort covers the rest
-
-
 def test_initiator_merges_incoming_knowledge():
     host = initiator(known=("b",))
     host.deliver(FamilyAbort(tid=TID1, sender="b",

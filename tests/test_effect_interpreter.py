@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.config import CostModel, wan_profile
-from repro.core import abortproto, nonblocking, paxoscommit, twophase
+from repro.core import abortproto, nonblocking, notify, paxoscommit, twophase
 from repro.core import effects as fx
 from repro.core.edge import ProtocolEdge
 from repro.core.interpreter import (
@@ -455,7 +455,7 @@ def test_no_machine_takes_a_timing_or_retry_parameter():
     """The signature pin: no constructor or classmethod of a machine
     class can be handed a wait or a retry cap."""
     offenders = []
-    for module in (twophase, nonblocking, paxoscommit, abortproto):
+    for module in (twophase, nonblocking, paxoscommit, abortproto, notify):
         for _, cls in inspect.getmembers(module, inspect.isclass):
             if cls.__module__ != module.__name__:
                 continue

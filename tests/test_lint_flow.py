@@ -266,6 +266,34 @@ class TestForceDiscipline:
         assert len(_ids(report, "flow-force-discipline")) == 1
 
 
+    def test_message_passed_into_a_helper_keeps_its_class(self, tmp_path):
+        """The notice reaches the send through the helper's parameter:
+        the unforced path must still be flagged, the forced one not."""
+        _write(tmp_path, "core/relay.py", """
+            class RelayCoordinator:
+                def __init__(self, tid):
+                    self.tid = tid
+
+                def on_message(self, msg):
+                    return self._tell(msg.sender,
+                                      CommitNotice(tid=self.tid, sender="c"))
+
+                def on_log_forced(self, token):
+                    if token == "COMMIT_FORCE":
+                        return self._tell("s1", CommitNotice(tid=self.tid,
+                                                             sender="c"))
+                    return []
+
+                def _tell(self, dst, notice):
+                    return [SendDatagram(dst, notice)]
+            """)
+        report = run_lint(root=tmp_path, rule_ids=["flow-force-discipline"])
+        found = _ids(report, "flow-force-discipline")
+        assert len(found) == 1
+        assert "RelayCoordinator.on_message" in found[0].message
+        assert "CommitNotice" in found[0].message
+
+
 # ----------------------------------------------------- path enumeration
 
 

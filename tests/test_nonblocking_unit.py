@@ -419,16 +419,6 @@ def test_recovered_committed_coordinator_renotifies():
     assert host.forgotten == [TID1]
 
 
-def test_takeover_notify_retries_then_stands_down():
-    host = takeover(own_status="committed")
-    host.machine.max_notify_retries = 2
-    for _ in range(2):
-        host.fire_timer(NB_TAKEOVER_TIMER)
-    assert host.forgotten == []
-    host.fire_timer(NB_TAKEOVER_TIMER)
-    assert host.forgotten == [TID1]
-
-
 def test_coordinator_replication_timeout_resends():
     host = coordinator()
     host.local_prepared(Vote.YES)

@@ -36,6 +36,7 @@ from repro.core.paxoscommit import (
 )
 from repro.core.quorum import QuorumSpec
 from repro.core.tid import TID
+from repro.servers.recovery import analyze
 
 from tests.machine_harness import MachineHost
 
@@ -215,7 +216,10 @@ def test_stale_ballot_messages_are_ignored():
     assert host.machine.promises == {} and host.machine.outcome is None
 
 
-def test_notify_retries_until_all_sites_ack():
+def test_candidate_that_collects_every_ack_leaves_no_unacked_commit():
+    """Like the leader, a winning candidate closes its forced decision
+    record with an END once every site has acked, so a restart of its
+    site finds no commit left to re-notify."""
     host = candidate("c")
     ballot = host.machine.ballot
     host.deliver(p1b("a", ballot, accepted=FULL_BALLOT0))
@@ -223,14 +227,13 @@ def test_notify_retries_until_all_sites_ack():
     host.deliver(PcPhase2b(TID1, "a", ballot=ballot))
     host.deliver(PcPhase2b(TID1, "c", ballot=ballot))
     host.complete_force(PC_DECIDE_FORCE)
-    host.deliver(PcOutcomeAck(TID1, "a"))
-    host.fire_timer("pc.notify")
-    resent = [d for d, m in host.sent if isinstance(m, PcOutcome)]
-    # a is acked; only b and c (self) are renotified.
-    assert resent.count("a") == 1 and resent.count("b") == 2
-    host.deliver(PcOutcomeAck(TID1, "b"))
-    host.deliver(PcOutcomeAck(TID1, "c"))
+    for site in SITES3:
+        host.deliver(PcOutcomeAck(TID1, site))
     assert host.forgotten == [TID1]
+    records = host.forced + host.written
+    for lsn, record in enumerate(records, start=1):
+        record.lsn = lsn
+    assert analyze("c", records).unacked_commits == []
 
 
 # ----------------------------- full election against real acceptor machines

@@ -3,6 +3,7 @@ the happy-path walk over them must agree with the paper's closed-form
 cost formulas, and the state-machine checks must catch dead enum
 members on synthetic trees."""
 
+import hashlib
 import json
 import textwrap
 from pathlib import Path
@@ -167,3 +168,20 @@ class TestEmitGraphs:
         dot = (tmp_path / "TwoPhaseSubordinate.dot").read_text()
         assert dot.startswith("digraph")
         assert '"FORCING_PREPARE" -> "PREPARED"' in dot
+
+    def test_emitted_specs_are_pinned(self, tmp_path):
+        """One sha256 over the ten machines' JSON specs: a transition
+        that moves anywhere in ``core/`` (an effect reordered, a row
+        gained or lost) fails here, not only in the CI artifact.  After
+        an intended change, diff ``python -m repro.lint --emit-graphs
+        DIR`` against the parent's and update the digest."""
+        import repro
+        root = Path(repro.__file__).resolve().parent
+        specs = sorted(p for p in emit_graphs(build_context(root), tmp_path)
+                       if p.suffix == ".json")
+        digest = hashlib.sha256()
+        for path in specs:
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert len(specs) == 10
+        assert digest.hexdigest() == (
+            "f6607238757ad130e8a6103f29246e09c9852952fb8e8296fc92934edfa4a767")

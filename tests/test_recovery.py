@@ -217,7 +217,7 @@ def test_paxos_decision_without_end_rebuilds_notifying_leader():
     machines = build_machines(plan, "a")
     machine, effects = machines[0]
     assert type(machine).__name__ == "PcLeader"
-    assert sorted(machine.notify_targets) == ["b", "c"]
+    assert machine.unacked == ("b", "c")
     assert effects                                  # resume_notifications
 
 
@@ -236,7 +236,7 @@ def test_paxos_decision_at_non_acceptor_site_resumes_candidate():
     machine, effects = machines[0]
     assert type(machine).__name__ == "PcCandidate"
     assert machine.outcome is Outcome.COMMITTED
-    assert sorted(machine.notify_targets) == ["a", "b"]
+    assert machine.unacked == ("a", "b")
     assert effects                                  # notify phase resumes
 
 

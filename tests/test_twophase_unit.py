@@ -18,7 +18,6 @@ from repro.core.twophase import (
     SubordinateState,
     TwoPhaseCoordinator,
     TwoPhaseSubordinate,
-    ACK_TIMER,
     OUTCOME_TIMER,
     VOTE_TIMER,
 )
@@ -251,15 +250,6 @@ def test_prepared_sub_resends_vote_on_duplicate_prepare():
     host.complete_force()
     host.deliver(PrepareRequest(tid=TID1, sender="a"))
     assert host.sent_kinds() == ["VoteResponse", "VoteResponse"]
-
-
-def test_ack_timeout_resends_commit_notice():
-    host = coordinator()
-    host.local_prepared(Vote.YES)
-    host.deliver(VoteResponse(tid=TID1, sender="b", vote=Vote.YES))
-    host.complete_force()
-    host.fire_timer(ACK_TIMER)
-    assert host.sent_kinds().count("CommitNotice") == 2
 
 
 def test_committed_sub_reacks_duplicate_notice():
