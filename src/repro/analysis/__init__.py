@@ -12,7 +12,7 @@ provides:
   completion-path formulas for every measured protocol variant (the
   paper's Table 3 and §4.3 ratios);
 - :mod:`repro.analysis.stats` — the summary statistics the figures
-  report (mean, sample stddev, confidence intervals).
+  report (mean, sample stddev, percentiles).
 """
 
 from repro.analysis.primitives import table1_rows, table2_rows

@@ -319,36 +319,3 @@ def path_counts(protocol: str, op: str, n_subs: int) -> Dict[str, int]:
         return {"log_forces": 2, "datagrams": 3 if n_subs else 0}
     return {"log_forces": 4, "datagrams": 5 if n_subs else 0}
 
-
-def protocol_graph_counts(protocol: str) -> Dict[str, int]:
-    """The same write-path counts, but *measured* from source.
-
-    Walks the transition graphs that :mod:`repro.lint.flow.protograph`
-    extracts from the live protocol modules (one coordinator against
-    one subordinate) and tallies forced log writes and delivered
-    datagrams.  ``python -m repro.lint`` cross-checks this against
-    :func:`path_counts` on every run, so the formulas above cannot
-    silently drift from the code they describe.
-    """
-    from pathlib import Path
-
-    from repro.lint.engine import build_context
-    from repro.lint.flow import flow_program
-    from repro.lint.flow.protograph import happy_path_counts
-
-    pairs = {
-        "two_phase": ("TwoPhaseCoordinator", "TwoPhaseSubordinate"),
-        "non_blocking": ("NbCoordinator", "NbSubordinate"),
-        "paxos_commit": ("PcLeader", "PcParticipant"),
-    }
-    if protocol not in pairs:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    import repro
-    root = Path(repro.__file__).resolve().parent
-    program = flow_program(build_context(root))
-    coord, sub = pairs[protocol]
-    counts = happy_path_counts(program, coord, sub)
-    if counts is None:
-        raise RuntimeError(
-            f"no admissible happy path extracted for {protocol}")
-    return counts

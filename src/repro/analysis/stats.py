@@ -2,7 +2,7 @@
 
 The paper reports means with standard deviations in parentheses
 (Figures 2-3); :func:`summarize` produces exactly that, plus the
-percentiles and confidence half-widths the benchmark harness prints.
+percentiles the benchmark harness prints.
 Implemented directly (no numpy dependency in the hot path) so the pure
 protocol tests stay dependency-light.
 """
@@ -25,16 +25,6 @@ class Summary:
     maximum: float
     p50: float
     p95: float
-
-    def paper_style(self) -> str:
-        """Mean with stddev in parentheses, as the paper's figures."""
-        return f"{self.mean:.1f} ({self.stdev:.0f})"
-
-    def ci95_half_width(self) -> float:
-        """Normal-approximation 95% confidence half-width of the mean."""
-        if self.n < 2:
-            return 0.0
-        return 1.96 * self.stdev / math.sqrt(self.n)
 
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -71,11 +61,3 @@ def summarize(values: Sequence[float]) -> Summary:
         p50=percentile(data, 0.50),
         p95=percentile(data, 0.95),
     )
-
-
-def coefficient_of_variation(values: Sequence[float]) -> float:
-    """stdev / mean — the variance metric the multicast experiment uses."""
-    s = summarize(values)
-    if s.mean == 0:
-        return 0.0
-    return s.stdev / s.mean

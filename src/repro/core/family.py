@@ -81,11 +81,6 @@ class FamilyDescriptor:
                 parent_desc.children.append(tid)
         return desc
 
-    def descendants_of(self, tid: TID) -> List[TransactionDescriptor]:
-        """Descriptors for proper descendants of ``tid`` in this table."""
-        return [d for t, d in self.transactions.items()
-                if tid.is_ancestor_of(t)]
-
     def all_sites(self) -> Set[str]:
         """Every site any family member spread to — the participant set
         for top-level commitment."""
@@ -144,14 +139,6 @@ class FamilyTable:
 
     def forget_family(self, family: str) -> None:
         self._families.pop(family, None)
-
-    def forget_transaction(self, tid: TID) -> None:
-        fam = self._families.get(tid.family)
-        if fam is None:
-            return
-        fam.transactions.pop(tid, None)
-        if fam.empty:
-            del self._families[tid.family]
 
     def active_families(self) -> List[str]:
         return sorted(self._families)

@@ -67,13 +67,5 @@ class TwoPhaseVariant(str, Enum):
     SEMI_OPTIMIZED = "semi_optimized"
     UNOPTIMIZED = "unoptimized"
 
-    @property
-    def forces_commit_record(self) -> bool:
-        return self is not TwoPhaseVariant.OPTIMIZED
-
-    @property
-    def piggybacks_ack(self) -> bool:
-        return self is not TwoPhaseVariant.UNOPTIMIZED
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

@@ -95,9 +95,9 @@ from repro.log.records import (
     paxos_prepare_record,
 )
 
-# Force tokens.  None may contain "REPL": the protocol-graph walk treats
-# REPL-flavoured force tokens as replication-quorum progress, which
-# belongs to the non-blocking family only.
+# Force tokens.  ``on_log_forced`` hears only the token, so the k-th
+# PC_ACCEPT_FORCE completion is matched to its queued replies by
+# order alone (``_AcceptorBatching``).
 PC_PREPARE_FORCE = "pc.prepare"
 PC_ACCEPT_FORCE = "pc.accept"
 PC_DECIDE_FORCE = "pc.decide"

@@ -88,11 +88,6 @@ class QuorumSpec:
     def can_abort(self, abort_pledges: int) -> bool:
         return abort_pledges >= self.abort_quorum
 
-    def commit_excluded(self, ineligible_sites: int) -> bool:
-        """True when so many sites can never join a commit quorum that
-        commitment is impossible (enough abort pledges / no-state sites)."""
-        return self.n_sites - ineligible_sites < self.commit_quorum
-
     def to_dict(self) -> dict:
         return {"n_sites": self.n_sites, "commit_quorum": self.commit_quorum,
                 "abort_quorum": self.abort_quorum}

@@ -70,23 +70,6 @@ class TID:
                 and len(self.path) < len(other.path)
                 and other.path[:len(self.path)] == self.path)
 
-    def is_descendant_of(self, other: "TID") -> bool:
-        return other.is_ancestor_of(self)
-
-    def is_related_to(self, other: "TID") -> bool:
-        """Same family: ancestor, descendant, sibling, or self."""
-        return self.family == other.family
-
-    def lowest_common_ancestor(self, other: "TID") -> "TID":
-        if self.family != other.family:
-            raise ValueError("no common ancestor across families")
-        common = []
-        for a, b in zip(self.path, other.path):
-            if a != b:
-                break
-            common.append(a)
-        return TID(self.family, tuple(common))
-
     # ----------------------------------------------------------- parse
 
     @classmethod

@@ -16,7 +16,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 from repro.lint.findings import Finding, LintReport, source_line
 from repro.lint.registry import all_rules
@@ -135,18 +135,21 @@ def _message_facts(ctx: LintContext) -> None:
                 ctx.any_message_names = {
                     e.id for e in node.value.elts if isinstance(e, ast.Name)}
     for f in ctx.files:
-        if not f.sub.startswith("core/") or f.tree is None:
-            continue
-        for node in ast.walk(f.tree):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "isinstance" and len(node.args) == 2):
-                target = node.args[1]
-                names = ([target] if isinstance(target, ast.Name)
-                         else list(target.elts)
-                         if isinstance(target, ast.Tuple) else [])
-                for n in names:
-                    if isinstance(n, ast.Name):
-                        ctx.handled_classes.add(n.id)
+        if f.sub.startswith("core/") and f.tree is not None:
+            ctx.handled_classes.update(isinstance_targets(f.tree))
+
+
+def isinstance_targets(tree: ast.AST) -> Iterator[str]:
+    """The class names tested by every ``isinstance(x, A)`` and
+    ``isinstance(x, (A, B))`` call in ``tree``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            target = node.args[1]
+            for n in (target.elts if isinstance(target, ast.Tuple)
+                      else [target]):
+                if isinstance(n, ast.Name):
+                    yield n.id
 
 
 def _costmodel_facts(ctx: LintContext) -> None:

@@ -19,8 +19,7 @@ three-stage pipeline:
 3. Four analyses on top (:mod:`~repro.lint.flow.rules` registers them):
    interprocedural determinism taint, sans-IO purity proof for
    ``core/``, path-sensitive log-force discipline, and static protocol
-   transition-graph extraction with count cross-checks against
-   :mod:`repro.analysis.static_analysis`.
+   transition-graph extraction with state and dispatch checks.
 
 Soundness limits (by design, documented in DESIGN.md): no dynamic
 dispatch resolution (a callee reached only through an untyped variable

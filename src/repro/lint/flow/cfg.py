@@ -28,8 +28,8 @@ pathological fan-out degrades coverage instead of runtime.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
 from repro.lint.flow.callgraph import FuncNode, Program, dotted_name
 
@@ -270,11 +270,6 @@ class Path:
     facts: FrozenSet[Atom]
     events: List[Event]
     raised: bool
-    # Canonical subjects (``self.state``, ``self.votes``, ...) written
-    # along the path.  Facts about an assigned subject in ``facts``
-    # describe the *post*-assignment world; consumers that need entry
-    # conditions (the protocol walk) must treat them as indeterminate.
-    assigned: FrozenSet[str] = frozenset()
 
 
 def entry_state_atoms(path: Path) -> FrozenSet[Atom]:
@@ -345,13 +340,12 @@ class _State:
     facts: FrozenSet[Atom]
     events: List[Event]
     env: Dict[str, ast.Call]
-    assigned: Set[str] = field(default_factory=set)
     terminated: bool = False
     raised: bool = False
 
     def clone(self) -> "_State":
         return _State(self.facts, list(self.events), dict(self.env),
-                      set(self.assigned), self.terminated, self.raised)
+                      self.terminated, self.raised)
 
 
 class _Explorer:
@@ -379,8 +373,7 @@ class _Explorer:
             if key in seen:
                 continue
             seen.add(key)
-            paths.append(Path(st.facts, st.events, st.raised,
-                              frozenset(st.assigned)))
+            paths.append(Path(st.facts, st.events, st.raised))
         return paths
 
     def _none_constants(self) -> FrozenSet[Atom]:
@@ -447,7 +440,6 @@ class _Explorer:
             target = canon(stmt.target).split("[")[0]
             for st in outs:
                 st.facts = invalidate(st.facts, target)
-                st.assigned.add(target)
             return outs
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
             return self._loop(stmt.body, canon(stmt.iter), None, s, stack)
@@ -538,9 +530,7 @@ class _Explorer:
                         and t.value.id == "self":
                     st.events.append(StateEv(t.attr, em[0], em[1],
                                              t, st.facts))
-                tc = canon(t).split("[")[0]
-                st.facts = invalidate(st.facts, tc)
-                st.assigned.add(tc)
+                st.facts = invalidate(st.facts, canon(t).split("[")[0])
                 if isinstance(t, ast.Name):
                     ctor = self._resolve_message(value, st.env)
                     if ctor is not None:

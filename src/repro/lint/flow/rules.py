@@ -53,6 +53,6 @@ def check_live_io_fence(ctx: LintContext) -> List[Finding]:
 
 @rule("flow-protocol-graph",
       "extract (state, input) -> (state', effects, forces) tables; flag "
-      "unreachable/dead-end states and count drift vs the analytic model")
+      "unreachable/dead-end states and dispatched messages with no row")
 def check_flow_protocol_graph(ctx: LintContext) -> List[Finding]:
     return _protograph.run(ctx, flow_program(ctx))

@@ -14,6 +14,8 @@ Loading tolerates a torn tail — a crash mid-write leaves a partial or
 CRC-failing final record, which is exactly the not-yet-durable suffix
 the simulator's crash model also discards.  Opening for write truncates
 the file back to the valid prefix so new appends never follow garbage.
+A damaged header is not a torn tail: opening or reading such a file
+raises and leaves it as it was.
 
 A failed write is final.  Once a write, flush or fsync has raised, the
 bytes of that attempt may or may not be on the platter (after a failed
@@ -44,11 +46,19 @@ _record_json: Callable[[dict], str] = json.JSONEncoder(
     sort_keys=True, separators=(",", ":")).encode
 
 
-def _scan(data: bytes) -> Tuple[List[LogRecord], int]:
-    """Parse the durable prefix; returns (records, valid byte length)."""
+def _scan(data: bytes, path: str) -> Tuple[List[LogRecord], int]:
+    """Parse the durable prefix; returns (records, valid byte length).
+
+    An empty file, or a strict prefix of the header (a crash during the
+    first header write), holds nothing.  Any other file that does not
+    start with this version's header raises: its records cannot be read,
+    and treating it as empty would erase them."""
     records: List[LogRecord] = []
-    if len(data) < len(_HEADER) or data[:4] != WAL_MAGIC:
+    if len(data) < len(_HEADER) and _HEADER.startswith(data):
         return records, 0
+    if data[:len(_HEADER)] != _HEADER:
+        raise ValueError(f"{path}: not a version-{WAL_VERSION} WAL "
+                         f"(header {data[:len(_HEADER)]!r})")
     pos = len(_HEADER)
     while True:
         if pos + _REC.size > len(data):
@@ -75,7 +85,7 @@ def read_records(path: str) -> List[LogRecord]:
             data = fh.read()
     except FileNotFoundError:
         return []
-    records, _ = _scan(data)
+    records, _ = _scan(data, path)
     return records
 
 
@@ -112,11 +122,10 @@ class FileWal(LogTail):
                 existing = fh.read()
         except FileNotFoundError:
             pass
-        self._recovered, valid = _scan(existing)
+        self._recovered, valid = _scan(existing, path)
         self._file = open(path, "r+b" if existing else "w+b")
         if valid < len(_HEADER):
-            # Fresh file, or a header so mangled nothing was readable:
-            # start over with a clean header.
+            # Fresh file, or a torn first header write: start over.
             self._file.truncate(0)
             self._file.seek(0)
             self._file.write(_HEADER)

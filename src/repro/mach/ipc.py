@@ -113,8 +113,8 @@ class IpcFabric:
         The default server-call cost is two ``inline`` legs = 3 ms, the
         paper's "local in-line IPC to server" row.  With ``timeout`` set
         the call returns None when no reply arrives in time (dead
-        server/port) instead of blocking forever; without it, a lost
-        server raises :class:`DeadCallError` only if explicitly failed.
+        server/port) instead of blocking forever; a reply of None raises
+        :class:`DeadCallError`.
         """
         handle = ReplyHandle(self.kernel, sender_site or (msg.sender or port.site))
         msg.reply_to = handle
@@ -151,13 +151,6 @@ class IpcFabric:
         if not self._site_alive(handle.site):
             return
         handle.event.hand_off(response)
-
-    def fail_call(self, request: Message) -> None:
-        """Abort a pending synchronous call (server died mid-request)."""
-        handle = request.reply_to
-        if handle is not None:
-            handle.event.trigger(None)
-
 
 class DeadCallError(RuntimeError):
     """A synchronous call's server vanished before replying."""

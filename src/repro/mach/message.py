@@ -49,10 +49,6 @@ class Message:
     trans: Dict[str, Any] = field(default_factory=dict)
     sender: Optional[str] = None
 
-    @property
-    def is_outofline(self) -> bool:
-        return self.outofline_kb > 0
-
     def reply(self, kind: str, **body: Any) -> "Message":
         """Construct a response message preserving transaction metadata."""
         return Message(kind=kind, body=body, trans=dict(self.trans))

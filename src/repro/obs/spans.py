@@ -209,9 +209,6 @@ class SpanRecorder:
         """Every begun span was ended (no dangling begin/end pairs)."""
         return self.begun == self.ended and not self._open
 
-    def open_spans(self) -> List[Span]:
-        return list(self._open.values())
-
     def count(self, kind: str) -> int:
         return self.counters.get(kind, 0)
 

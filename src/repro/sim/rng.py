@@ -31,13 +31,8 @@ class RngStreams:
         rng = self._streams.get(name)
         if rng is None:
             rng = random.Random(_derive_seed(self.master_seed, name))
-            self._streams[name] = rng
+            self._streams[name] = rng  # lint: bounded(one entry per stream name)
         return rng
-
-    def reseed(self, master_seed: int) -> None:
-        """Restart every stream from a new master seed."""
-        self.master_seed = master_seed
-        self._streams.clear()
 
     def uniform(self, name: str, lo: float, hi: float) -> float:
         return self.stream(name).uniform(lo, hi)

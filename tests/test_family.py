@@ -55,27 +55,6 @@ def test_family_aggregates_sites_and_servers():
     assert fam.all_servers() == {"srv"}
 
 
-def test_descendants_of():
-    table = FamilyTable()
-    root = TID("T1@a")
-    table.begin(root)
-    c1 = root.child(1)
-    table.begin(c1)
-    table.begin(c1.child(1))
-    table.begin(root.child(2))
-    descendants = table.family_of(root).descendants_of(c1)
-    assert [str(d.tid) for d in descendants] == ["T1@a:1.1"]
-
-
-def test_forget_transaction_reaps_empty_family():
-    table = FamilyTable()
-    tid = TID("T1@a")
-    table.begin(tid)
-    table.forget_transaction(tid)
-    assert "T1@a" not in table
-    assert len(table) == 0
-
-
 def test_forget_family_removes_all_members():
     table = FamilyTable()
     root = TID("T1@a")

@@ -222,9 +222,38 @@ class TestReopenAndTornTails:
         open(path, "wb").write(bytes(data))
         assert [r.kind for r in read_records(path)] == [RecordKind.PREPARE]
 
-    def test_mangled_header_means_empty_wal(self, tmp_path):
+    def _forced_file(self, tmp_path):
+        wal = _wal(tmp_path)
+        wal.append(prepare_record("T1@a", "b", coordinator="a"))
+        wal.append(coordinator_commit_record("T1@a", "a", ["b"]))
+        wal.force(None)
+        wal.close()
+        return wal.path
+
+    def _refused_untouched(self, path, data):
+        open(path, "wb").write(data)
+        with pytest.raises(ValueError, match="site.wal"):
+            FileWal(path, fsync=False)
+        with pytest.raises(ValueError, match="site.wal"):
+            read_records(path)
+        assert open(path, "rb").read() == data
+
+    def test_a_flipped_magic_bit_refuses_to_open(self, tmp_path):
+        """A damaged header is not an empty log: opening it must not
+        erase the forced records behind it."""
+        path = self._forced_file(tmp_path)
+        data = bytearray(open(path, "rb").read())
+        data[0] ^= 0x01
+        self._refused_untouched(path, bytes(data))
+
+    def test_another_version_refuses_to_open(self, tmp_path):
+        path = self._forced_file(tmp_path)
+        data = open(path, "rb").read()
+        self._refused_untouched(path, b"RWAL\x02" + data[5:])
+
+    def test_a_torn_first_header_write_starts_fresh(self, tmp_path):
         path = str(tmp_path / "site.wal")
-        open(path, "wb").write(b"not a wal at all")
+        open(path, "wb").write(b"RWA")
         wal = _wal(tmp_path)
         assert wal.recovered_records == []
         wal.append(commit_record("T1@a", "a"))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import rt_pc_profile
-from repro.mach.ipc import DeadCallError, IpcFabric
+from repro.mach.ipc import IpcFabric
 from repro.mach.message import Message
 from repro.mach.ports import DeadPortError, Port
 from repro.mach.site import Site
@@ -26,11 +26,6 @@ def test_message_reply_preserves_trans():
     reply = msg.reply("op_ok", value=3)
     assert reply.trans == {"tid": "T1@a"}
     assert reply.body == {"value": 3}
-
-
-def test_outofline_flag():
-    assert Message(kind="x", outofline_kb=4.0).is_outofline
-    assert not Message(kind="x").is_outofline
 
 
 # ---------------------------------------------------------------- Port
@@ -154,24 +149,3 @@ def test_reply_to_crashed_caller_dropped():
     Process(k, client())
     k.run()
     assert got == []  # caller never resumed
-
-
-def test_fail_call_raises_dead_call():
-    k = Kernel()
-    fabric = make_fabric(k)
-    port = Port(k, "b")
-
-    def server():
-        msg = yield from port.receive()
-        fabric.fail_call(msg)
-
-    def client():
-        with pytest.raises(DeadCallError):
-            yield from fabric.call(port, Message(kind="ping"),
-                                   sender_site="a")
-        return "handled"
-
-    Process(k, server())
-    proc = Process(k, client())
-    k.run()
-    assert proc.done.value == "handled"

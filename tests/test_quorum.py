@@ -45,12 +45,6 @@ def test_can_commit_and_abort_thresholds():
     assert spec.can_abort(3)
 
 
-def test_commit_excluded():
-    spec = QuorumSpec.majority(5)  # Qc=3
-    assert not spec.commit_excluded(2)   # 3 eligible left: possible
-    assert spec.commit_excluded(3)       # only 2 left: impossible
-
-
 def test_dict_roundtrip():
     spec = QuorumSpec.majority(4)
     assert QuorumSpec.from_dict(spec.to_dict()) == spec

@@ -33,13 +33,6 @@ def test_stream_is_cached():
     assert rngs.stream("x") is rngs.stream("x")
 
 
-def test_reseed_restarts():
-    rngs = RngStreams(7)
-    first = rngs.stream("x").random()
-    rngs.reseed(7)
-    assert rngs.stream("x").random() == first
-
-
 def test_helpers_draw_from_named_streams():
     rngs = RngStreams(3)
     value = rngs.uniform("u", 5.0, 6.0)

@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis.stats import (
-    coefficient_of_variation,
-    percentile,
-    summarize,
-)
+from repro.analysis.stats import percentile, summarize
 
 
 def test_summarize_basic():
@@ -33,18 +29,6 @@ def test_summarize_empty_rejected():
         summarize([])
 
 
-def test_paper_style_format():
-    s = summarize([10.0, 12.0, 14.0])
-    assert s.paper_style() == "12.0 (2)"
-
-
-def test_ci_half_width():
-    s = summarize([1.0] * 100)
-    assert s.ci95_half_width() == 0.0
-    s2 = summarize(list(range(100)))
-    assert s2.ci95_half_width() > 0
-
-
 def test_percentile_interpolates():
     data = [0.0, 10.0]
     assert percentile(data, 0.5) == 5.0
@@ -55,11 +39,6 @@ def test_percentile_interpolates():
 def test_percentile_empty_rejected():
     with pytest.raises(ValueError):
         percentile([], 0.5)
-
-
-def test_coefficient_of_variation():
-    assert coefficient_of_variation([5.0, 5.0, 5.0]) == 0.0
-    assert coefficient_of_variation([1.0, 9.0]) > 0.5
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,

@@ -41,7 +41,7 @@ def test_ancestor_descendant_relations():
     sibling = root.child(2)
     assert root.is_ancestor_of(grandchild)
     assert child.is_ancestor_of(grandchild)
-    assert grandchild.is_descendant_of(root)
+    assert not grandchild.is_ancestor_of(root)
     assert not child.is_ancestor_of(sibling)
     assert not child.is_ancestor_of(child)  # proper ancestry only
 
@@ -50,18 +50,7 @@ def test_cross_family_never_related_hierarchically():
     a = TID("T1@a").child(1)
     b = TID("T2@a").child(1)
     assert not a.is_ancestor_of(b)
-    assert not a.is_related_to(b)
-    assert a.is_related_to(TID("T1@a"))
-
-
-def test_lowest_common_ancestor():
-    fam = TID("T1@a")
-    x = fam.child(1).child(2)
-    y = fam.child(1).child(3)
-    assert x.lowest_common_ancestor(y) == fam.child(1)
-    assert x.lowest_common_ancestor(fam) == fam
-    with pytest.raises(ValueError):
-        x.lowest_common_ancestor(TID("T2@a"))
+    assert not TID("T1@a").is_ancestor_of(b)
 
 
 def test_parse_roundtrip_examples():

@@ -108,13 +108,6 @@ def test_subordinate_semi_optimized_forces_but_delays_ack():
     assert host.lazy_sent and isinstance(host.lazy_sent[0][1], CommitAck)
 
 
-def test_variant_properties():
-    assert not TwoPhaseVariant.OPTIMIZED.forces_commit_record
-    assert TwoPhaseVariant.SEMI_OPTIMIZED.forces_commit_record
-    assert TwoPhaseVariant.SEMI_OPTIMIZED.piggybacks_ack
-    assert not TwoPhaseVariant.UNOPTIMIZED.piggybacks_ack
-
-
 # ------------------------------------------------------- read-only
 
 
