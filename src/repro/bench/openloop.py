@@ -84,11 +84,12 @@ class ZipfSampler:
 class LatencySketch:
     """Fixed-size geometric histogram of latencies (milliseconds).
 
-    Buckets are quarter-powers-of-two starting at ``LO`` ms: bucket
-    ``i`` covers ``[LO * 2**(i/4), LO * 2**((i+1)/4))``, so any
-    reported percentile is within ~9% of the true value.  160 buckets
-    span 0.125 ms to ~1.4e11 ms; memory is constant no matter how many
-    samples land.
+    Buckets are quarter-powers-of-two starting at ``LO`` ms: bucket 0
+    holds ``ms <= LO`` and bucket ``i >= 1`` covers
+    ``[LO * 2**((i-1)/4), LO * 2**(i/4))``, so any reported percentile
+    is within ~9% of the true value.  The top bucket also takes
+    everything from ~9.7e10 ms up; memory is constant no matter how
+    many samples land.
     """
 
     LO = 0.125

@@ -24,7 +24,6 @@ from repro.chaos.oracles import OracleContext, Violation, run_oracles
 from repro.chaos.schedule import FaultSchedule
 from repro.config import SystemConfig
 from repro.core.outcomes import PROTOCOLS, Outcome, ProtocolKind
-from repro.mach.ipc import DeadCallError
 from repro.servers.application import TransactionAborted
 from repro.system import CamelotSystem
 
@@ -113,7 +112,7 @@ def start_workload(system: CamelotSystem,
             state["outcome"] = outcome
         except TransactionAborted:
             state["outcome"] = Outcome.ABORTED
-        except (DeadCallError, RuntimeError) as exc:
+        except RuntimeError as exc:
             # The coordinator site died under the application mid-call;
             # the outcome (if any) lives only in the sites' tombstones.
             state["error"] = type(exc).__name__

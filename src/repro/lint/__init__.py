@@ -9,11 +9,15 @@ on a port — silently corrupts every figure while all tests stay green.
 
 This package checks those properties mechanically:
 
-- :mod:`repro.lint.rules` — ~8 AST rules (wall-clock, unseeded random,
-  unordered iteration into the kernel, ``CostModel`` attribute
-  existence, message-handler completeness, presumed-abort/delayed-commit
-  log-force discipline, consumed fire-and-forget results, environment
-  reads) in a pluggable registry (:mod:`repro.lint.registry`).
+- :mod:`repro.lint.rules` — eight per-file AST rules (unordered
+  iteration into the kernel, ``CostModel`` attribute existence,
+  message-handler completeness, presumed-abort/delayed-commit log-force
+  discipline, consumed fire-and-forget results, chaos-oracle and obs
+  read-only discipline, unbounded growth) in a pluggable registry
+  (:mod:`repro.lint.registry`).
+- :mod:`repro.lint.flow` — five whole-program rules, among them
+  ``flow-determinism`` (no wall-clock, RNG or environment read reaches
+  sim-scoped code, under any alias or through any helper).
 - :mod:`repro.lint.races` — an opt-in simulation race detector: a kernel
   monitor that records same-timestamp event pairs scheduled from
   independent causes that touch the same port/lock/WAL object.

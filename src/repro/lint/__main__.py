@@ -5,7 +5,7 @@ Examples::
     python -m repro.lint                       # static rules, text report
     python -m repro.lint --format json         # machine-readable (CI)
     python -m repro.lint --races               # + simulation race scan
-    python -m repro.lint --rules wallclock,no-environ
+    python -m repro.lint --rules flow-determinism,unordered-iteration
     python -m repro.lint path/to/tree          # lint a different tree
 
 Exit status: 0 when there are no findings, 1 otherwise, 2 on usage

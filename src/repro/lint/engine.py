@@ -194,7 +194,8 @@ def run_lint(root: Optional[Path] = None,
     if rule_ids is not None:
         unknown = set(rule_ids) - set(rules)
         if unknown:
-            raise ValueError(f"unknown lint rule(s): {sorted(unknown)}")
+            raise ValueError(f"unknown lint rule(s): {sorted(unknown)}; "
+                             f"known: {', '.join(sorted(rules))}")
         rules = {rid: rules[rid] for rid in rule_ids}
 
     findings: List[Finding] = []

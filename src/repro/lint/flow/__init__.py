@@ -16,10 +16,12 @@ three-stage pipeline:
    structured-CFG symbolic executor that enumerates acyclic paths
    through a handler (inlining intra-class helpers), recording guard
    atoms, effect constructions, and state assignments in order.
-3. Four analyses on top (:mod:`~repro.lint.flow.rules` registers them):
-   interprocedural determinism taint, sans-IO purity proof for
-   ``core/``, path-sensitive log-force discipline, and static protocol
-   transition-graph extraction with state and dispatch checks.
+3. Five rules on top (:mod:`~repro.lint.flow.rules` registers them):
+   the determinism fence over sim-scoped code, sans-IO purity proof for
+   ``core/`` (the same fence with IO primitives, plus import and
+   constructor fences), path-sensitive log-force discipline, static
+   protocol transition-graph extraction with state and dispatch checks,
+   and the live-IO fence (imports and ``.fsync``; no call graph).
 
 Soundness limits (by design, documented in DESIGN.md): no dynamic
 dispatch resolution (a callee reached only through an untyped variable
@@ -44,7 +46,7 @@ __all__ = ["Program", "build_program", "flow_program"]
 def flow_program(ctx: "LintContext") -> Program:
     """The (cached) whole-program model for one lint run.
 
-    All four flow rules share a single call-graph build; the first rule
+    The four call-graph rules share a single build; the first rule
     to run pays for it, the rest reuse it through the context.
     """
     cached = getattr(ctx, "flow", None)

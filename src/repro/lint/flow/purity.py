@@ -11,10 +11,11 @@ This analysis machine-checks it three ways for every module under
 A. **Import fence** — pure modules may import only other pure modules,
    ``log/records.py`` (record constructors are data), and a small
    allowlist of stdlib value/type modules.
-B. **Reachability** — no function defined in a pure module may reach,
-   through any chain of project calls, an IO/concurrency/wall-clock
-   primitive (``socket.*``, ``threading.*``, ``time.*``, ``open`` ...).
-   Module-level statements are checked for direct primitive calls too.
+B. **Reachability** — no IO/concurrency/wall-clock primitive
+   (``socket.*``, ``threading.*``, ``time.*``, ``open`` ...) is used in
+   a pure module, in a function or at module level, or reached through
+   a call into a helper outside ``core/``: the fence of
+   :mod:`repro.lint.flow.taint` over ``core/``.
 C. **Constructor fence** — machine ``__init__`` signatures must not
    accept host resources (kernels, transports, disk managers): machines
    receive data, hosts own IO.
@@ -27,8 +28,8 @@ from typing import List, Optional, Set
 
 from repro.lint.engine import LintContext
 from repro.lint.findings import Finding
-from repro.lint.flow.callgraph import (FuncNode, Program, dotted_name,
-                                       witness_chain)
+from repro.lint.flow.callgraph import ExternalRef, Program, dotted_name
+from repro.lint.flow.taint import fence
 
 _ALLOWED_INTERNAL = ("core/", "log/records.py")
 _ALLOWED_STDLIB = {
@@ -36,10 +37,10 @@ _ALLOWED_STDLIB = {
     "abc", "collections", "functools",
 }
 
-_IO_PREFIXES = (
-    "socket.", "threading.", "subprocess.", "asyncio.", "os.", "time.",
-    "select.", "ssl.", "multiprocessing.", "signal.", "fcntl.",
-)
+_IO_MODULES = {
+    "socket", "threading", "subprocess", "asyncio", "os", "time",
+    "select", "ssl", "multiprocessing", "signal", "fcntl",
+}
 _IO_NAMES = {"open", "input", "print", "exec", "eval", "__import__"}
 
 _HOST_PARAM_NAMES = {
@@ -48,26 +49,11 @@ _HOST_PARAM_NAMES = {
 }
 
 
-def pure_files(program: Program) -> List[str]:
-    return sorted(
-        info.sub for info in program.files
-        if info.sub.startswith("core/"))
-
-
-def _io_primitive(dotted: str, is_call: bool) -> Optional[str]:
-    if dotted in _IO_NAMES and is_call:
-        return dotted
-    for prefix in _IO_PREFIXES:
-        if dotted.startswith(prefix) or dotted == prefix[:-1]:
-            return dotted
-    return None
-
-
-def _own_io(fn: FuncNode) -> Optional[str]:
-    for ref in fn.externals:
-        prim = _io_primitive(ref.dotted, ref.is_call)
-        if prim is not None:
-            return prim
+def _io_primitive(ref: ExternalRef) -> Optional[str]:
+    d = ref.dotted
+    if (d in _IO_NAMES and ref.is_call) \
+            or d.split(".", 1)[0] in _IO_MODULES:
+        return d
     return None
 
 
@@ -110,59 +96,6 @@ def _check_imports(ctx: LintContext, program: Program,
     return out
 
 
-def _check_reachability(ctx: LintContext, program: Program,
-                        subs: Set[str]) -> List[Finding]:
-    reaches = program.reaching(_own_io)
-    out: List[Finding] = []
-    for fn in program.funcs.values():
-        if fn.module not in subs:
-            continue
-        prim = _own_io(fn)
-        if prim is not None:
-            out.append(ctx.finding(
-                fn.info, fn.node, "flow-sansio-purity",
-                f"{fn.qname.split('::')[-1]} calls IO primitive {prim}; "
-                f"protocol code must return effect objects instead",
-                key=f"io:{fn.qname}"))
-            continue
-        for callee in program.callees(fn.qname):
-            if callee in reaches:
-                out.append(ctx.finding(
-                    fn.info, fn.node, "flow-sansio-purity",
-                    f"{fn.qname.split('::')[-1]} reaches IO primitive via "
-                    f"{witness_chain(reaches, callee)}; no socket/file/thread/"
-                    f"wall-clock call may be reachable from a handler",
-                    key=f"reach:{fn.qname}->{callee}"))
-                break
-    # Module level: direct primitive calls outside any function body.
-    for sub in sorted(subs):
-        info = ctx.file(sub)
-        if info is None or info.tree is None:
-            continue
-        table = program.module_symbols.get(sub, {})
-        for stmt in info.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef, ast.Import, ast.ImportFrom)):
-                continue
-            for node in ast.walk(stmt):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = dotted_name(node.func)
-                if name is None:
-                    continue
-                head, _, rest = name.partition(".")
-                sym = table.get(head)
-                if sym is not None and sym[0] == "external":
-                    name = f"{sym[1]}.{rest}" if rest else sym[1]
-                prim = _io_primitive(name, True)
-                if prim is not None:
-                    out.append(ctx.finding(
-                        info, node, "flow-sansio-purity",
-                        f"module-level IO call {prim} in pure module",
-                        key=f"module-io:{sub}:{prim}"))
-    return out
-
-
 def _check_ctor_fence(ctx: LintContext, program: Program,
                       subs: Set[str]) -> List[Finding]:
     out: List[Finding] = []
@@ -195,8 +128,11 @@ def _check_ctor_fence(ctx: LintContext, program: Program,
 
 
 def run(ctx: LintContext, program: Program) -> List[Finding]:
-    subs = set(pure_files(program))
+    subs = {info.sub for info in program.files
+            if info.sub.startswith("core/")}
     out = _check_imports(ctx, program, subs)
-    out.extend(_check_reachability(ctx, program, subs))
+    out.extend(fence(ctx, program, "flow-sansio-purity",
+                     lambda info: info.sub in subs, _io_primitive,
+                     "protocol code must return effect objects instead"))
     out.extend(_check_ctor_fence(ctx, program, subs))
     return out

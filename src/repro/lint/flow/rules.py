@@ -1,4 +1,4 @@
-"""Registration of the four whole-program flow rules.
+"""Registration of the five whole-program flow rules.
 
 Each rule is a thin adapter: build (or reuse) the shared
 :class:`~repro.lint.flow.callgraph.Program` for the tree being linted,
@@ -24,8 +24,9 @@ from repro.lint.registry import rule
 
 
 @rule("flow-determinism",
-      "sim-scoped code must not reach wall-clock/RNG/env through helpers "
-      "in other modules (interprocedural taint)")
+      "sim-scoped code must not read the wall clock, the global or "
+      "unseeded RNG or the environment, directly or through a helper in "
+      "any other module")
 def check_flow_determinism(ctx: LintContext) -> List[Finding]:
     return _taint.run(ctx, flow_program(ctx))
 

@@ -1,11 +1,12 @@
-"""The stock rule set: determinism and protocol-discipline checks.
+"""The per-file rule set: event-order and protocol-discipline checks.
 
 Every rule is a function ``(LintContext) -> list[Finding]`` registered
 with :func:`repro.lint.registry.rule`.  "Sim-scoped" rules apply only to
 code that runs inside the simulation clock (``sim/``, ``core/``,
-``net/``, ``mach/``, ``log/``, ``servers/``, ``system.py``,
-``config.py``); the harness (``bench/``, ``analysis/``) may time itself
-with wall clocks.
+``net/``, ``mach/``, ``log/``, ``servers/``, ``chaos/``, ``obs/``,
+``system.py``, ``config.py``: ``engine.SIM_SCOPED_DIRS`` and
+``SIM_SCOPED_FILES``).  Wall-clock, RNG and environment reads are the
+whole-program ``flow-determinism`` rule's (:mod:`repro.lint.flow.taint`).
 """
 
 from __future__ import annotations
@@ -36,72 +37,6 @@ def _is_kernel_attr(node: ast.AST) -> bool:
     if isinstance(node, ast.Attribute):
         return node.attr in ("kernel", "_kernel")
     return False
-
-
-# ----------------------------------------------------------- rule: clock
-
-_WALLCLOCK = {
-    "time.time", "time.monotonic", "time.perf_counter", "time.time_ns",
-    "time.monotonic_ns", "time.perf_counter_ns",
-    "datetime.now", "datetime.utcnow", "datetime.today",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "date.today", "datetime.date.today",
-}
-
-
-@rule("wallclock",
-      "No wall-clock reads inside simulation code: virtual time only.")
-def check_wallclock(ctx: LintContext) -> List[Finding]:
-    out: List[Finding] = []
-    for info in ctx.sim_files():
-        if info.tree is None:
-            continue
-        for node in ast.walk(info.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if name in _WALLCLOCK:
-                out.append(ctx.finding(
-                    info, node, "wallclock",
-                    f"wall-clock read {name}() in simulation code; "
-                    f"determinism requires Kernel.now / virtual time"))
-    return out
-
-
-# ------------------------------------------------------------ rule: rng
-
-_GLOBAL_RANDOM_FNS = {
-    "random", "randint", "randrange", "choice", "choices", "shuffle",
-    "sample", "uniform", "gauss", "normalvariate", "expovariate",
-    "betavariate", "triangular", "seed", "getrandbits",
-}
-
-
-@rule("unseeded-random",
-      "All randomness must come from seeded RngStreams, never the "
-      "global random module or an unseeded Random().")
-def check_unseeded_random(ctx: LintContext) -> List[Finding]:
-    out: List[Finding] = []
-    for info in ctx.sim_files():
-        if info.tree is None:
-            continue
-        for node in ast.walk(info.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if name is not None and name.startswith("random.") \
-                    and name.split(".", 1)[1] in _GLOBAL_RANDOM_FNS:
-                out.append(ctx.finding(
-                    info, node, "unseeded-random",
-                    f"{name}() uses the global (unseeded, shared) RNG; "
-                    f"draw from repro.sim.rng.RngStreams instead"))
-            elif name in ("Random", "random.Random") and not node.args \
-                    and not node.keywords:
-                out.append(ctx.finding(
-                    info, node, "unseeded-random",
-                    "Random() without a seed is nondeterministic; pass a "
-                    "seed derived from the master seed (see RngStreams)"))
-    return out
 
 
 # ----------------------------------------------- rule: unordered iteration
@@ -378,40 +313,6 @@ def check_consumed_fire_and_forget(ctx: LintContext) -> List[Finding]:
                     f"consumed; it returns no Timer handle — use "
                     f"schedule() if the caller needs to cancel"))
     return out
-
-
-# ------------------------------------------------- rule: environment
-
-
-@rule("no-environ",
-      "Simulation code must read configuration from SystemConfig, "
-      "never the process environment (host-dependent => nondeterminism).")
-def check_no_environ(ctx: LintContext) -> List[Finding]:
-    out: List[Finding] = []
-    for info in ctx.sim_files():
-        if info.tree is None:
-            continue
-        for node in ast.walk(info.tree):
-            name = None
-            if isinstance(node, ast.Attribute):
-                name = dotted_name(node)
-            elif isinstance(node, ast.Call):
-                name = dotted_name(node.func)
-            if name in ("os.environ", "os.getenv", "os.environb"):
-                out.append(ctx.finding(
-                    info, node, "no-environ",
-                    f"{name} read in simulation code; route host "
-                    f"configuration through SystemConfig so runs are "
-                    f"reproducible from the spec alone"))
-    # Attribute nodes nest (os.environ.get walks twice); dedupe.
-    seen: Set[Tuple[str, int, str]] = set()
-    unique: List[Finding] = []
-    for f in out:
-        k = (f.file, f.line, f.rule)
-        if k not in seen:
-            seen.add(k)
-            unique.append(f)
-    return unique
 
 
 # ------------------------------------------ rule: chaos oracle purity

@@ -113,8 +113,7 @@ class IpcFabric:
         The default server-call cost is two ``inline`` legs = 3 ms, the
         paper's "local in-line IPC to server" row.  With ``timeout`` set
         the call returns None when no reply arrives in time (dead
-        server/port) instead of blocking forever; a reply of None raises
-        :class:`DeadCallError`.
+        server/port) instead of blocking forever.
         """
         handle = ReplyHandle(self.kernel, sender_site or (msg.sender or port.site))
         msg.reply_to = handle
@@ -127,8 +126,6 @@ class IpcFabric:
                 self.kernel, handle.event, timeout, name="call-or-timeout")
             if not replied:
                 return None
-        if response is None:
-            raise DeadCallError(f"call {msg.kind!r} to {port!r} lost")
         return response
 
     def reply(self, request: Message, response: Message,
@@ -151,6 +148,3 @@ class IpcFabric:
         if not self._site_alive(handle.site):
             return
         handle.event.hand_off(response)
-
-class DeadCallError(RuntimeError):
-    """A synchronous call's server vanished before replying."""

@@ -24,7 +24,7 @@ from typing import Any, Dict, Generator, List, Optional
 from repro.config import CostModel
 from repro.core.outcomes import Outcome, ProtocolKind, TwoPhaseVariant
 from repro.core.tid import TID
-from repro.mach.ipc import DeadCallError, IpcFabric
+from repro.mach.ipc import IpcFabric
 from repro.mach.message import Message
 from repro.mach.ports import Port
 from repro.mach.site import Site
@@ -191,11 +191,8 @@ class Application:
         record = self._records.get(tid)
         if record is not None:
             record.operations += 1
-        try:
-            reply = yield from self.comman.call_service(service, msg,
-                                                        timeout=timeout)
-        except DeadCallError:
-            reply = None
+        reply = yield from self.comman.call_service(service, msg,
+                                                    timeout=timeout)
         if reply is None:
             # The paper's rule: an unresponsive operation means the
             # invoker should initiate the abort protocol.

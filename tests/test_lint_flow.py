@@ -10,10 +10,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import run_lint
+from repro.lint import all_rules, run_lint
 from repro.lint.engine import build_context
 from repro.lint.flow import flow_program
 from repro.lint.flow import cfg
+
+_FLOW_RULES = {"flow-determinism", "flow-sansio-purity",
+               "flow-force-discipline", "flow-protocol-graph",
+               "live-io-fence"}
+
+
+def _per_file_rules():
+    return sorted(set(all_rules()) - _FLOW_RULES)
 
 
 def _write(root: Path, rel: str, source: str) -> None:
@@ -113,14 +121,12 @@ class TestFlowDeterminism:
             and "time.time" in f.message
 
     def test_invisible_to_per_file_rules(self, tainted_tree):
-        report = run_lint(root=tainted_tree,
-                          rule_ids=["wallclock", "unseeded-random",
-                                    "no-environ"])
+        report = run_lint(root=tainted_tree, rule_ids=_per_file_rules())
         # The primitive lives outside sim scope; the helper call inside
         # sim scope is opaque to single-file analysis.
         assert not [f for f in report.findings if "kernel.py" in f.file]
 
-    def test_in_scope_primitives_left_to_per_file_rules(self, tmp_path):
+    def test_in_scope_primitive_flagged_once_at_the_use(self, tmp_path):
         _write(tmp_path, "sim/direct.py", """
             import time
 
@@ -133,10 +139,43 @@ class TestFlowDeterminism:
                 def tick(self):
                     return now()
             """)
-        flow = run_lint(root=tmp_path, rule_ids=["flow-determinism"])
-        assert not _ids(flow, "flow-determinism")   # no duplicate findings
-        perfile = run_lint(root=tmp_path, rule_ids=["wallclock"])
-        assert _ids(perfile, "wallclock")
+        found = _ids(run_lint(root=tmp_path, rule_ids=["flow-determinism"]),
+                     "flow-determinism")
+        # The read in now() is the finding; tick() calling now() is not
+        # a second one.
+        assert [(f.line, f.key) for f in found] == [
+            (6, "sim/direct.py::now:time.time()")]
+
+    # One sim/ file per shape neither the per-file rules nor the
+    # helper-only taint used to see: (source, line of the one finding).
+    GAPS = {
+        "alias_from": ("from time import perf_counter as pc\n"
+                       "def f():\n"
+                       "    return pc()\n", 3),
+        "alias_time": ("import time as t\n"
+                       "def f():\n"
+                       "    return t.time()\n", 3),
+        "alias_random": ("import random as r\n"
+                         "def f():\n"
+                         "    return r.random()\n", 3),
+        "alias_os": ("import os as o\n"
+                     "def f():\n"
+                     "    return o.environ.get('X')\n", 3),
+        "class_body": ("import time\n"
+                       "class Clock:\n"
+                       "    T0 = time.time()\n", 3),
+        "module_comprehension": ("import time\n"
+                                 "STAMPS = [time.time_ns() for _ in "
+                                 "range(3)]\n", 2),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(GAPS))
+    def test_gap_shape_flagged_once_at_its_line(self, tmp_path, shape):
+        source, line = self.GAPS[shape]
+        _write(tmp_path, "sim/gap.py", source)
+        found = _ids(run_lint(root=tmp_path, rule_ids=["flow-determinism"]),
+                     "flow-determinism")
+        assert [f.line for f in found] == [line], [f.message for f in found]
 
 
 # -------------------------------------------------------------- purity
@@ -177,12 +216,37 @@ class TestSansIoPurity:
         report = run_lint(root=tmp_path, rule_ids=["flow-sansio-purity"])
         keys = {f.key for f in _ids(report, "flow-sansio-purity")}
         assert "import:core/machine.py:socket" in keys
-        assert "io:core/machine.py::_resolve" in keys
-        assert any(k.startswith("reach:core/machine.py::Proto.lookup")
-                   for k in keys)
+        # The use is the finding; Proto.lookup calling _resolve, both
+        # in core/, is not a second one.
+        assert "core/machine.py::_resolve:socket.gethostname" in keys
+        assert not [k for k in keys if "Proto.lookup" in k]
         assert "ctor:core/machine.py::Proto:kernel" in keys
         assert "import:core/edge.py:socket" in keys
         assert "ctor:core/edge.py::ProtocolEdge:kernel" in keys
+
+    def test_call_into_an_io_helper_outside_core_flagged_at_the_call(
+            self, tmp_path):
+        _write(tmp_path, "log/records.py", """
+            def dump(record):
+                with open("records.log", "a") as out:
+                    out.write(repr(record))
+            """)
+        _write(tmp_path, "core/archiver.py", """
+            from log.records import dump
+
+
+            class Archiver:
+                def on_message(self, msg):
+                    dump(msg)
+                    return []
+            """)
+        report = run_lint(root=tmp_path, rule_ids=["flow-sansio-purity"])
+        found = _ids(report, "flow-sansio-purity")
+        assert [(f.file, f.line, f.key) for f in found] == [
+            ("core/archiver.py", 7,
+             "core/archiver.py::Archiver.on_message"
+             "->log/records.py::dump")]
+        assert "dump -> open" in found[0].message
 
     def test_pure_module_stays_clean(self, tmp_path):
         _write(tmp_path, "core/clean.py", """
@@ -242,9 +306,7 @@ class TestForceDiscipline:
 
     def test_invisible_to_per_file_rules(self, tmp_path):
         _write(tmp_path, "core/bad2pc.py", _BAD_MACHINE)
-        report = run_lint(
-            root=tmp_path,
-            rule_ids=["lazy-log-force", "wallclock", "unseeded-random"])
+        report = run_lint(root=tmp_path, rule_ids=_per_file_rules())
         assert not report.findings
 
     def test_force_in_same_effect_list_does_not_guard(self, tmp_path):
@@ -367,7 +429,7 @@ class TestBoundedAck:
 
 def test_live_tree_flow_rules_clean_within_budget():
     """All four whole-program analyses hold on the real tree, and the
-    full 16-rule run (flow included) fits the CI latency budget."""
+    full 13-rule run (flow included) fits the CI latency budget."""
     start = time.perf_counter()
     report = run_lint()
     elapsed = time.perf_counter() - start

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import run_lint
+from repro.lint import all_rules, run_lint
 from repro.lint.__main__ import main as lint_main
 
 
@@ -31,9 +31,9 @@ def fixture_tree(tmp_path: Path) -> Path:
                 self.kernel = kernel
 
             def go(self):
-                stamp = time.time()                      # wallclock
-                jitter = random.random()                 # unseeded-random
-                cache_dir = os.getenv("CACHE")           # no-environ
+                stamp = time.time()                      # flow-determinism
+                jitter = random.random()                 # flow-determinism
+                cache_dir = os.getenv("CACHE")           # flow-determinism
                 for dst in {"a", "b"}:                   # unordered-iteration
                     self.kernel.post(0.0, print, dst)
                 handle = self.kernel.post_soon(print, 1) # consumed result
@@ -117,11 +117,21 @@ def fixture_tree(tmp_path: Path) -> Path:
 
 
 ALL_RULES = {
-    "wallclock", "unseeded-random", "no-environ", "unordered-iteration",
+    "flow-determinism", "unordered-iteration",
     "consumed-fire-and-forget", "message-handlers", "lazy-log-force",
     "costmodel-attrs", "chaos-oracle-readonly", "obs-readonly",
     "unbounded-growth",
 }
+
+
+def test_registered_rules_are_exactly_these_thirteen():
+    assert set(all_rules()) == {
+        "unordered-iteration", "costmodel-attrs", "message-handlers",
+        "lazy-log-force", "consumed-fire-and-forget",
+        "chaos-oracle-readonly", "obs-readonly", "unbounded-growth",
+        "flow-determinism", "flow-sansio-purity", "flow-force-discipline",
+        "flow-protocol-graph", "live-io-fence",
+    }
 
 
 def test_every_rule_fires_on_fixture(fixture_tree):
@@ -136,8 +146,15 @@ def test_every_rule_fires_on_fixture(fixture_tree):
 def test_fixture_findings_carry_locations(fixture_tree):
     report = run_lint(root=fixture_tree)
     by_rule = {f.rule: f for f in report.findings}
-    assert by_rule["wallclock"].file.endswith("sim/bad_clock.py")
-    assert "time.time" in by_rule["wallclock"].message
+    clock = sorted((f.line, f.message) for f in report.findings
+                   if f.rule == "flow-determinism")
+    assert all(f.file.endswith("sim/bad_clock.py") for f in report.findings
+               if f.rule == "flow-determinism")
+    # time.time(), random.random(), os.getenv: one finding each.
+    assert [line for line, _ in clock] == [12, 13, 14]
+    for (_, message), prim in zip(clock, ("time.time()", "random.random()",
+                                          "os.getenv")):
+        assert prim in message
     assert by_rule["costmodel-attrs"].key == "attr:datagram_cost"
     assert "Orphan" in by_rule["message-handlers"].message
 
@@ -146,7 +163,7 @@ def test_cli_exits_nonzero_on_fixture(fixture_tree, capsys):
     rc = lint_main([str(fixture_tree)])
     out = capsys.readouterr().out
     assert rc == 1
-    assert "[wallclock]" in out
+    assert "[flow-determinism]" in out
     # findings are file:line prefixed
     assert "sim/bad_clock.py:" in out
 
@@ -183,11 +200,22 @@ def test_cli_json_format(fixture_tree, capsys):
 
 
 def test_rule_filter_and_unknown_rule(fixture_tree, capsys):
-    rc = lint_main([str(fixture_tree), "--rules", "wallclock"])
+    rc = lint_main([str(fixture_tree), "--rules", "flow-determinism"])
     out = capsys.readouterr().out
     assert rc == 1
-    assert "[wallclock]" in out and "[no-environ]" not in out
+    assert "[flow-determinism]" in out and "[unordered-iteration]" not in out
     assert lint_main([str(fixture_tree), "--rules", "nope"]) == 2
+
+
+@pytest.mark.parametrize("stale", ["wallclock", "unseeded-random",
+                                   "no-environ"])
+def test_stale_rule_id_fails_and_lists_known_ids(fixture_tree, capsys, stale):
+    """The per-file determinism rules were folded into flow-determinism:
+    naming one is a usage error that says what to ask for instead."""
+    assert lint_main([str(fixture_tree), "--rules", stale]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown lint rule(s): ['{stale}']" in err
+    assert all(rid in err for rid in all_rules())
 
 
 def test_determinism_rules_skip_harness_code(tmp_path):
