@@ -18,6 +18,7 @@ from repro.bench.figures import (
     Table3Row,
     ThroughputCurve,
 )
+from repro.obs.kinds import CLASS_LABELS
 
 
 def render_table(title: str, headers: Sequence[str],
@@ -117,17 +118,6 @@ def render_static_path(path) -> str:
 # ------------------------------------------------------ open-loop runs
 
 
-_ATTR_LABELS = {
-    "ipc": "local IPC",
-    "rpc": "Camelot RPC (NetMsgServer)",
-    "log_force": "log force",
-    "datagram": "inter-TranMan datagram",
-    "cpu": "CPU service",
-    "lock": "lock acquisition",
-    "lock_wait": "lock wait",
-}
-
-
 def render_open_loop(result) -> str:
     """One open-loop run: throughput + latency sketch + attribution.
 
@@ -154,7 +144,7 @@ def render_open_loop(result) -> str:
     attr = render_table(
         "attribution (per committed transaction, from counts)",
         ["PRIMITIVE CLASS", "COUNT/txn", "EST ms/txn"],
-        [(_ATTR_LABELS.get(row.cls, row.cls), f"{row.per_txn:8.2f}",
+        [(CLASS_LABELS[row.cls], f"{row.per_txn:8.2f}",
           f"{row.est_ms:8.2f}" if row.est_ms else "    -")
          for row in result.attribution])
     return head + "\n\n" + attr

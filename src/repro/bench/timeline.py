@@ -6,19 +6,45 @@ one column per site, one row per interesting event, datagram arrows
 between columns.  Used by ``examples/trace_timeline.py`` and handy when
 debugging protocol changes.
 
-Input is a :class:`~repro.sim.tracing.Tracer` that kept its events;
-the kind vocabulary — which kinds get a row, which render as arrows,
-and their descriptions — lives in :mod:`repro.obs.kinds`, shared with
-the span instrumentation.
+Input is a :class:`~repro.sim.tracing.Tracer` that kept its events.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.kinds import ARROW_KINDS, TIMELINE_DESCRIPTIONS
 from repro.sim.tracing import Tracer
+
+# Trace kinds worth a timeline row, and how to describe them.
+TIMELINE_DESCRIPTIONS: Dict[str, Callable] = {
+    "tranman.begin": lambda e: f"begin {e.detail.get('tid', '')}",
+    "tranman.join": lambda e: f"join {e.detail.get('server', '')}",
+    "tranman.commit_call": lambda e: "commit-transaction "
+        f"({e.detail.get('protocol', '')}, {e.detail.get('subs', 0)} subs)",
+    "tranman.local_prepared": lambda e: f"local vote: {e.detail.get('vote')}",
+    "diskman.force": lambda e: "log force",
+    "log.group_commit": lambda e: f"group commit x{e.detail.get('batch')}",
+    "tranman.complete": lambda e: f"COMPLETE: {e.detail.get('outcome')}",
+    "server.abort": lambda e: "undo + release locks",
+    "server.drop_locks": lambda e: "drop locks",
+    "nb.commit_point": lambda e: "COMMIT POINT (quorum formed)",
+    "nb.takeover": lambda e: "timeout -> becoming coordinator",
+    "nb.takeover_decided": lambda e: f"takeover decided: "
+        f"{e.detail.get('outcome')}",
+    "2pc.blocked_inquiry": lambda e: "blocked: inquiring",
+    "2pc.heuristic_resolve": lambda e: "HEURISTIC "
+        f"{e.detail.get('outcome')}",
+    "2pc.heuristic_damage": lambda e: "!! heuristic damage",
+    "fail.crash": lambda e: "**CRASH**",
+    "fail.restart": lambda e: "**RESTART**",
+    "recovery.plan": lambda e: f"recovery: {e.detail.get('in_doubt')} "
+        "in doubt",
+    "tranman.orphan_abort": lambda e: "orphan abort",
+}
+
+# Trace kinds rendered as inter-site arrows in the timeline.
+ARROW_KINDS: Tuple[str, ...] = ("tranman.datagram", "tranman.multicast")
 
 
 @dataclass

@@ -23,7 +23,7 @@ clauses are guarded by what the run's end state makes provable:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.outcomes import Outcome
 from repro.log.records import RecordKind
@@ -293,12 +293,4 @@ def check_resolution(ctx: OracleContext) -> List[Violation]:
                     f"the {ctx.spec.protocol} protocol "
                     f"(dead: {sorted(dead)})",
                     site=site))
-    return out
-
-
-def violations_of(results: Iterable[Any]) -> List[Violation]:
-    """Flatten the violations of many RunResults (CLI convenience)."""
-    out: List[Violation] = []
-    for result in results:
-        out.extend(result.violations)
     return out

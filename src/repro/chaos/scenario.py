@@ -121,18 +121,14 @@ def start_workload(system: CamelotSystem,
     return state
 
 
-def run_signature(system: CamelotSystem, state: Dict[str, Any]) -> str:
+def run_signature(system: CamelotSystem, state: Dict[str, Any],
+                  tombstones: Dict[str, Optional[str]]) -> str:
     """Condense a finished run into one hash for replay verification.
 
     Covers the full per-kind trace counters, the final virtual clock,
     and each site's tombstone for the chaos transaction — any scheduling
     or protocol divergence between two runs shows up here.
     """
-    tid = state.get("tid")
-    tombstones = {
-        name: (lambda o: o.value if o is not None else None)(
-            system.tranman(name).tombstones.get(tid)) if tid else None
-        for name in system.site_names()}
     outcome = state.get("outcome")
     payload = {
         "now": round(system.kernel.now, 6),
@@ -174,6 +170,6 @@ def run_schedule(spec: ScenarioSpec, schedule: FaultSchedule) -> RunResult:
             for name in system.site_names()}
         return RunResult(spec=spec, schedule=schedule, state=state,
                          violations=violations,
-                         signature=run_signature(system, state),
+                         signature=run_signature(system, state, tombstones),
                          tombstones=tombstones,
                          end_time=system.kernel.now)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.config import CostModel
-from repro.mach.ipc import IpcFabric
 from repro.mach.message import Message
 from repro.mach.ports import Port
 from repro.net.lan import Lan
@@ -74,12 +73,10 @@ class _RemoteReplyShim:
 class NetMsgServer:
     """One site's forwarding agent."""
 
-    def __init__(self, kernel: Kernel, lan: Lan, fabric: IpcFabric,
-                 directory: NameDirectory, site: str, cost: CostModel,
-                 tracer: Tracer):
+    def __init__(self, kernel: Kernel, lan: Lan, directory: NameDirectory,
+                 site: str, cost: CostModel, tracer: Tracer):
         self.kernel = kernel
         self.lan = lan
-        self.fabric = fabric
         self.directory = directory
         self.site = site
         self.cost = cost
@@ -147,17 +144,3 @@ class NetMsgServer:
             return
         self.lan.unicast(dest_site, self.site, response, done.trigger,
                          latency_override=self.wire_leg())
-
-    # Convenience: call by service name (lookup + remote or local call).
-
-    def call_service(self, service: str, msg: Message,
-                     timeout: Optional[float] = None
-                     ) -> Generator[Any, Any, Optional[Message]]:
-        dest_site, dest_port = self.directory.lookup(service)
-        if dest_site == self.site:
-            response = yield from self.fabric.call(dest_port, msg,
-                                                   sender_site=self.site)
-            return response
-        response = yield from self.remote_call(dest_site, dest_port, msg,
-                                               timeout=timeout)
-        return response

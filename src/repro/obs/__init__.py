@@ -14,8 +14,7 @@ from repro.obs.attribution import (
 from repro.obs.critical_path import CriticalPath, extract, extract_for_tid
 from repro.obs.export import to_trace_events, write_trace
 from repro.obs.kinds import PRIMITIVE_CLASSES, classify
-from repro.obs.metrics import Gauge
-from repro.obs.spans import Span, SpanRecorder, SpanTree, assemble_tree
+from repro.obs.spans import Span, SpanRecorder
 from repro.obs.utilization import UtilizationReport, snapshot
 
 __all__ = [
@@ -30,11 +29,8 @@ __all__ = [
     "write_trace",
     "PRIMITIVE_CLASSES",
     "classify",
-    "Gauge",
     "Span",
     "SpanRecorder",
-    "SpanTree",
-    "assemble_tree",
     "UtilizationReport",
     "snapshot",
 ]

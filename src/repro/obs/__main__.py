@@ -21,12 +21,7 @@ from typing import List, Optional
 from repro.analysis import static_analysis as sa
 from repro.config import SystemConfig
 from repro.core.outcomes import Outcome, ProtocolKind
-from repro.obs.attribution import (
-    attribute_run,
-    compare_static,
-    render_report,
-    report_ok,
-)
+from repro.obs.attribution import attribute_run, compare_static, render_report
 from repro.obs.export import write_trace
 from repro.obs.spans import SpanRecorder
 from repro.obs.utilization import snapshot
@@ -127,16 +122,17 @@ def _run_latency_scenario(name: str, args) -> int:
     static_path = spec["static"](system.cost)
     comparison = compare_static(summary, static_path)
     utilization = snapshot(system, recorder)
-    print(render_report(summary, spec["title"], comparison=comparison,
-                        static_label=static_path.label,
-                        tolerance=spec["tolerance"],
-                        utilization=utilization,
-                        balanced=recorder.balanced))
+    report, ok = render_report(summary, spec["title"],
+                               comparison=comparison,
+                               static_label=static_path.label,
+                               tolerance=spec["tolerance"],
+                               utilization=utilization,
+                               balanced=recorder.balanced)
+    print(report)
     if args.trace:
         n = write_trace(recorder, args.trace)
         print(f"\nwrote {n} trace events to {args.trace}")
-    return 0 if report_ok(summary, comparison, spec["tolerance"],
-                          recorder.balanced) else 1
+    return 0 if ok else 1
 
 
 def _run_figure4(args) -> int:

@@ -10,21 +10,11 @@ static agreement).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.critical_path import CriticalPath, extract_for_tid
-from repro.obs.kinds import PRIMITIVE_CLASSES
+from repro.obs.kinds import CLASS_LABELS, PRIMITIVE_CLASSES
 from repro.obs.utilization import UtilizationReport
-
-CLASS_LABELS = {
-    "ipc": "local IPC",
-    "rpc": "Camelot RPC (NetMsgServer)",
-    "log_force": "log force",
-    "datagram": "inter-TranMan datagram",
-    "cpu": "CPU service",
-    "lock": "lock acquisition",
-    "lock_wait": "lock wait",
-}
 
 
 @dataclass
@@ -115,8 +105,10 @@ def render_report(summary: AttributionSummary, title: str,
                   static_label: str = "",
                   tolerance: float = 0.10,
                   utilization: Optional[UtilizationReport] = None,
-                  balanced: bool = True) -> str:
-    """The per-primitive attribution table plus self-check lines."""
+                  balanced: bool = True) -> Tuple[str, bool]:
+    """The per-primitive attribution table plus self-check lines, and
+    whether the run passes: every printed check ok and at least one
+    committed transaction analysed (the CLI's exit status)."""
     lines = [f"repro.obs attribution — {title}",
              f"committed transactions analysed: {summary.n}", ""]
     lines.append("critical-path breakdown (mean per transaction):")
@@ -127,7 +119,7 @@ def render_report(summary: AttributionSummary, title: str,
         ms = summary.buckets_ms.get(cls, 0.0)
         if ms <= 0 and not summary.counts.get(cls):
             continue
-        lines.append(f"  {CLASS_LABELS.get(cls, cls):28s} "
+        lines.append(f"  {CLASS_LABELS[cls]:28s} "
                      f"{summary.counts.get(cls, 0.0):6.1f} {ms:9.2f} "
                      f"{100.0 * ms / wall:6.1f}%")
     lines.append(f"  {'(unattributed)':28s} {'':6s} "
@@ -137,20 +129,19 @@ def render_report(summary: AttributionSummary, title: str,
                  f"{summary.wall_ms:9.2f} {100.0:6.1f}%")
     lines.append("")
 
-    checks: List[str] = []
-    checks.append(f"spans balanced: {'ok' if balanced else 'FAIL'}")
-    bound_ok = (summary.attributed_ms + summary.gap_ms
-                <= summary.wall_ms + 1e-6)
-    checks.append("attributed + gaps <= wall: "
-                  f"{'ok' if bound_ok else 'FAIL'}")
+    checks = [("spans balanced", balanced),
+              ("attributed + gaps <= wall",
+               summary.attributed_ms + summary.gap_ms
+               <= summary.wall_ms + 1e-6)]
     if comparison is not None:
         lines.append(f"static prediction ({static_label}): "
                      f"{comparison.static_ms:.1f} ms; "
                      f"live comparable chain: {comparison.live_ms:.1f} ms "
                      f"({comparison.deviation:+.1%})")
-        checks.append(f"within {tolerance:.0%} of static: "
-                      f"{'ok' if comparison.within(tolerance) else 'FAIL'}")
-    lines.append("self-checks: " + "; ".join(checks))
+        checks.append((f"within {tolerance:.0%} of static",
+                       comparison.within(tolerance)))
+    lines.append("self-checks: " + "; ".join(
+        f"{label}: {'ok' if passed else 'FAIL'}" for label, passed in checks))
 
     if utilization is not None:
         lines.append("")
@@ -171,17 +162,5 @@ def render_report(summary: AttributionSummary, title: str,
         if bottleneck is not None:
             lines.append(f"  bottleneck: {bottleneck.name} "
                          f"({100.0 * bottleneck.utilization:.1f}%)")
-    return "\n".join(lines)
-
-
-def report_ok(summary: AttributionSummary,
-              comparison: Optional[StaticComparison],
-              tolerance: float, balanced: bool) -> bool:
-    """The pass/fail the CLI exit code and CI smoke job key off."""
-    if not balanced or summary.n == 0:
-        return False
-    if summary.attributed_ms + summary.gap_ms > summary.wall_ms + 1e-6:
-        return False
-    if comparison is not None and not comparison.within(tolerance):
-        return False
-    return True
+    ok = summary.n > 0 and all(passed for _, passed in checks)
+    return "\n".join(lines), ok

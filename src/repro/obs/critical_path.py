@@ -30,12 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs.kinds import (
-    ENVELOPE,
-    PRIMITIVE_CLASSES,
-    STATIC_COMPARABLE,
-    classify,
-)
+from repro.obs.kinds import ENVELOPE, PRIMITIVE_CLASSES, classify
 from repro.obs.spans import Span
 
 _EPS = 1e-9
@@ -107,11 +102,11 @@ class CriticalPath:
 
         Every attributed class counts, CPU included — the paper's
         primitive constants are wall-clock figures that fold handler
-        CPU in (see ``kinds.STATIC_COMPARABLE``); only unattributed
+        CPU in (see ``kinds.PRIMITIVE_CLASSES``); only unattributed
         gaps stay out.
         """
         buckets = self.buckets()
-        return sum(buckets.get(cls, 0.0) for cls in STATIC_COMPARABLE)
+        return sum(buckets.get(cls, 0.0) for cls in PRIMITIVE_CLASSES)
 
 
 def _self_segments(spans: Sequence[Span]) -> List[_Segment]:

@@ -25,9 +25,7 @@ whose overhead the benchmark gate bounds.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, Iterable, List, Optional, Tuple
-
-from repro.obs.kinds import SPAN_ARROW_KINDS
+from typing import Any, Dict, List, Optional, Tuple
 
 
 def tid_of(obj: Any) -> Optional[str]:
@@ -114,7 +112,7 @@ class SpanRecorder:
         if tid is not None and type(tid) is not str:
             tid = str(tid)
         sid = self._next_sid = self._next_sid + 1
-        self.spans.append(Span(sid, kind, site, t0, t1, tid, detail))
+        self.spans.append(Span(sid, kind, site, t0, t1, tid, detail))  # lint: bounded(kept only when keep=True; long runs count only)
         return sid
 
     def begin(self, time: float, kind: str, site: Optional[str] = None,
@@ -146,7 +144,7 @@ class SpanRecorder:
             if tid is not None and type(tid) is not str:
                 tid = str(tid)
             sid = self._next_sid = self._next_sid + 1
-            self.instants.append(Span(sid, kind, site, time, time, tid,
+            self.instants.append(Span(sid, kind, site, time, time, tid,  # lint: bounded(kept only when keep=True; long runs count only)
                                       detail))
 
     def gauge(self, time: float, name: str, value: float) -> None:
@@ -162,15 +160,14 @@ class SpanRecorder:
     # (``test_tracing_overhead_floor``) bounds what that mode may cost
     # over an untraced run.
 
-    # Interned kinds carry cached hashes; an ``"ipc." + flavour``
-    # result never does.
+    # One kind per flavour ``IpcFabric.latency_for`` prices; it raises
+    # on any other before this hook runs.
     _IPC_KINDS = {"inline": "ipc.inline", "oneway": "ipc.oneway",
                   "outofline": "ipc.outofline", "immediate": "ipc.immediate"}
 
     def ipc(self, t0: float, t1: float, flavour: str, site: Optional[str],
             msg: Any) -> None:
-        kinds = self._IPC_KINDS
-        kind = kinds[flavour] if flavour in kinds else "ipc." + flavour
+        kind = self._IPC_KINDS[flavour]
         if not self.keep:
             self.counters[kind] += 1
             return
@@ -209,9 +206,6 @@ class SpanRecorder:
         """Every begun span was ended (no dangling begin/end pairs)."""
         return self.begun == self.ended and not self._open
 
-    def count(self, kind: str) -> int:
-        return self.counters.get(kind, 0)
-
     # --------------------------------------------------------- queries
 
     def all_spans(self) -> List[Span]:
@@ -219,105 +213,3 @@ class SpanRecorder:
 
     def for_tid(self, tid: str) -> List[Span]:
         return [s for s in self.all_spans() if s.tid == tid]
-
-    def of_kind(self, kind: str) -> List[Span]:
-        return [s for s in self.all_spans() if s.kind == kind]
-
-    def tids(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for s in self.spans:
-            if s.tid is not None:
-                seen.setdefault(s.tid)
-        return list(seen)
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self.instants.clear()
-        self.counters.clear()
-        self.gauges.clear()
-        self._open.clear()
-        self.begun = self.ended = 0
-
-
-# --------------------------------------------------------------- trees
-
-
-class SpanNode:
-    """One span plus the spans nested inside it (same site)."""
-
-    __slots__ = ("span", "children")
-
-    def __init__(self, span: Span):
-        self.span = span
-        self.children: List["SpanNode"] = []
-
-    def walk(self) -> Iterable["SpanNode"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-
-class SpanTree:
-    """A transaction's spans, nested per site, with cross-site edges.
-
-    Nesting is by interval containment among closed spans on one site —
-    the discrete-event substrate interleaves coroutines, so begin/end
-    stacking cannot be assumed; containment is what the timestamps
-    guarantee.  ``edges`` stitches the causal cross-site links: each
-    network span points at the first span on the destination site that
-    starts at or after its arrival.
-    """
-
-    def __init__(self, tid: str, roots: Dict[str, List[SpanNode]],
-                 edges: List[Tuple[Span, Span]]):
-        self.tid = tid
-        self.roots = roots
-        self.edges = edges
-
-    def nodes(self) -> Iterable[SpanNode]:
-        for site_roots in self.roots.values():
-            for root in site_roots:
-                yield from root.walk()
-
-
-def assemble_tree(spans: List[Span], tid: str) -> SpanTree:
-    """Nest one transaction's spans per site and stitch cross-site edges."""
-    mine = [s for s in spans if s.tid == tid and s.closed]
-    by_site: Dict[str, List[Span]] = defaultdict(list)
-    for span in mine:
-        by_site[span.site or "?"].append(span)
-
-    roots: Dict[str, List[SpanNode]] = {}
-    for site, site_spans in sorted(by_site.items()):
-        # Longest intervals first at equal start: parents precede their
-        # children, so a stack scan nests them.
-        site_spans.sort(key=lambda s: (s.t0, -(s.t1 - s.t0), s.sid))
-        site_roots: List[SpanNode] = []
-        stack: List[SpanNode] = []
-        for span in site_spans:
-            node = SpanNode(span)
-            while stack and stack[-1].span.t1 < span.t1:
-                stack.pop()
-            if stack and stack[-1].span.t0 <= span.t0 \
-                    and span.t1 <= stack[-1].span.t1:
-                stack[-1].children.append(node)
-            else:
-                stack.clear()
-                site_roots.append(node)
-            stack.append(node)
-        roots[site] = site_roots
-
-    edges: List[Tuple[Span, Span]] = []
-    for span in mine:
-        if span.kind not in SPAN_ARROW_KINDS:
-            continue
-        dst = span.detail.get("dst")
-        if dst is None or dst not in by_site:
-            continue
-        successor = min(
-            (s for s in by_site[dst] if s.t0 >= span.t1
-             and s.kind not in SPAN_ARROW_KINDS),
-            key=lambda s: (s.t0, s.sid), default=None)
-        if successor is not None:
-            edges.append((span, successor))
-    return SpanTree(tid, roots, edges)

@@ -4,16 +4,14 @@ The paper's throughput argument is a bottleneck argument: update
 throughput saturates on the *logger disk* (~30 forces/sec without group
 commit), read throughput on the *TranMan/CPU*.  This module reads the
 busy-time counters the simulation already keeps (disk busy, CPU busy)
-plus the recorder's LAN-occupancy gauge, normalizes them over a run
+plus the recorder's LAN-occupancy samples, normalizes them over a run
 window, and names the saturated resource — all strictly read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-from repro.obs.metrics import Gauge
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -38,6 +36,32 @@ class UtilizationReport:
         if not self.resources:
             return None
         return max(self.resources, key=lambda r: r.utilization)
+
+
+def occupancy(samples: Sequence[Tuple[float, float]],
+              until: float) -> Tuple[float, float]:
+    """Busy fraction and time-weighted mean of a sampled level.
+
+    ``samples`` are ``(time, level)`` pairs in nondecreasing time
+    (simulation time, at least one); the level holds from each sample to
+    the next and from the last to ``until``.  Integrating that step
+    function is the right average for occupancy: a level held for
+    100 ms weighs 100x one held for 1 ms.
+    """
+    span = until - samples[0][0]
+    last = samples[-1][1]
+    if span <= 0:
+        return (1.0 if last > 0 else 0.0), last
+    busy = total = 0.0
+    for (t0, level), (t1, _) in zip(samples, samples[1:]):
+        total += level * (t1 - t0)
+        if level > 0:
+            busy += t1 - t0
+    tail = until - samples[-1][0]
+    total += last * tail
+    if last > 0:
+        busy += tail
+    return busy / span, total / span
 
 
 def snapshot(system, recorder=None,
@@ -74,15 +98,14 @@ def snapshot(system, recorder=None,
                     "num_cpus": float(cpu.num_cpus),
                     "queue_depth": float(cpu.queue_depth)}))
 
-    if recorder is not None and recorder.gauges.get("lan.in_flight"):
-        gauge = Gauge("lan.in_flight")
-        gauge.samples = list(recorder.gauges["lan.in_flight"])
+    in_flight = (recorder.gauges.get("lan.in_flight")
+                 if recorder is not None else None)
+    if in_flight:
+        busy, mean = occupancy(in_flight, system.kernel.now)
         resources.append(ResourceUsage(
-            name="lan", kind="lan",
-            utilization=gauge.busy_fraction(until=system.kernel.now),
-            detail={"mean_in_flight":
-                    gauge.time_weighted_mean(until=system.kernel.now),
-                    "max_in_flight": float(gauge.max or 0),
+            name="lan", kind="lan", utilization=busy,
+            detail={"mean_in_flight": mean,
+                    "max_in_flight": float(max(v for _, v in in_flight)),
                     "delivered": float(system.lan.delivered)}))
 
     cpu_by_component: Dict[str, float] = {}

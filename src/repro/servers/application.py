@@ -8,12 +8,12 @@ the application orders the transaction manager to either commit or
 abort" (paper §2).
 
 :class:`Application` provides those calls as process-body coroutines;
-:class:`TransactionHandle` adds a small convenience wrapper so examples
-read naturally::
+the :class:`~repro.core.tid.TID` that ``begin`` returns names the
+transaction in every later call::
 
-    txn = yield from app.begin()
-    yield from app.write(txn, "accounts", "alice", 90)
-    outcome = yield from app.commit(txn)
+    tid = yield from app.begin()
+    yield from app.write(tid, "server0@b", "alice", 90)
+    outcome = yield from app.commit(tid)
 """
 
 from __future__ import annotations

@@ -242,6 +242,8 @@ class DataServer:
         tid = TID.parse(msg.body["tid"])
         self.locks.release_family(tid.family)
         self._forget_family(tid.family, keep_values=True)
+        self.tracer.record(self.kernel.now, "server.drop_locks",
+                           site=self.site.name, server=self.name, tid=str(tid))
         obs = self.tracer.obs
         if obs is not None:
             obs.instant(self.kernel.now, "server.drop_locks",

@@ -147,8 +147,3 @@ class Process:
                 f"process {self.name!r} yielded {command!r}; expected "
                 "Sleep, SleepUntil or SimEvent"
             )
-
-
-def spawn(kernel: Kernel, body: ProcessBody, name: str = "proc") -> Process:
-    """Convenience constructor mirroring common simulator APIs."""
-    return Process(kernel, body, name=name)

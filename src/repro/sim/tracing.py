@@ -8,7 +8,6 @@ events to a :class:`Tracer`; experiments read counters and the raw trace.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -50,7 +49,7 @@ class Tracer:
         """Count (and optionally store) one event."""
         self.counters[kind] += 1
         if self.keep_events:
-            self.events.append(TraceEvent(time=time, kind=kind, site=site, detail=detail))
+            self.events.append(TraceEvent(time=time, kind=kind, site=site, detail=detail))  # lint: bounded(kept only when keep_events=True; long runs count only)
 
     def count(self, kind: str) -> int:
         return self.counters.get(kind, 0)
@@ -66,16 +65,6 @@ class Tracer:
     def of_kind(self, kind: str) -> List[TraceEvent]:
         return [e for e in self.events if e.kind == kind]
 
-    def between(self, t0: float, t1: float) -> List[TraceEvent]:
-        """Events with ``t0 <= time <= t1`` (bounds inclusive).
-
-        Events are appended in nondecreasing time order (the kernel's
-        clock never runs backwards), so both endpoints bisect.
-        """
-        lo = bisect_left(self.events, t0, key=lambda e: e.time)
-        hi = bisect_right(self.events, t1, lo=lo, key=lambda e: e.time)
-        return self.events[lo:hi]
-
     def snapshot(self) -> Dict[str, int]:
         """Copy of the counters; subtract two snapshots to scope a window."""
         return dict(self.counters)
@@ -89,10 +78,6 @@ class Tracer:
             if diff:
                 out[kind] = diff
         return out
-
-    def clear(self) -> None:
-        self.events.clear()
-        self.counters.clear()
 
 
 class NullTracer(Tracer):

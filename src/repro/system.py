@@ -87,8 +87,8 @@ class CamelotSystem:
             self.fabric.sites[name] = site
         else:
             site = self.runtimes[name].site
-        nms = NetMsgServer(self.kernel, self.lan, self.fabric,
-                           self.directory, name, self.cost, self.tracer)
+        nms = NetMsgServer(self.kernel, self.lan, self.directory, name,
+                           self.cost, self.tracer)
         dgram = DatagramService(self.kernel, self.lan, name, self.tracer,
                                 peers=self.dgram_peers)
         diskman = DiskManager(self.kernel, site, self.cost,

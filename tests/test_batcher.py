@@ -9,7 +9,7 @@ from repro.log.records import commit_record
 from repro.log.storage import StableStore
 from repro.log.wal import WriteAheadLog
 from repro.sim.kernel import Kernel
-from repro.sim.process import Process, Sleep, spawn
+from repro.sim.process import Process, Sleep
 from repro.sim.tracing import Tracer
 
 
@@ -18,7 +18,7 @@ def build(enabled=True, window=30.0, limit=32):
     cost = rt_pc_profile()
     wal = WriteAheadLog(k, cost, DiskModel(k, cost), StableStore("a"),
                         "a", Tracer())
-    batcher = GroupCommitBatcher(k, wal, Tracer(), partial(spawn, k),
+    batcher = GroupCommitBatcher(k, wal, Tracer(), partial(Process, k),
                                  window_ms=window, batch_limit=limit,
                                  enabled=enabled)
     return k, wal, batcher

@@ -18,7 +18,7 @@ from repro.chaos.schedule import (
 from repro.chaos.shrinker import replay, shrink_schedule, write_repro
 from repro.chaos.__main__ import main as chaos_main
 from repro.sim.kernel import Kernel
-from repro.sim.process import spawn
+from repro.sim.process import Process
 from repro.sim.resources import Semaphore
 
 
@@ -262,9 +262,9 @@ def test_semaphore_handoff_to_killed_waiter_is_returned():
         order.append("survivor")
         sem.up()
 
-    spawn(kernel, holder(), "holder")
-    victim_proc = spawn(kernel, victim(), "victim")
-    spawn(kernel, survivor(), "survivor")
+    Process(kernel, holder(), "holder")
+    victim_proc = Process(kernel, victim(), "victim")
+    Process(kernel, survivor(), "survivor")
     # Kill the victim exactly when the unit is released and handed over.
     kernel.schedule(10.0, victim_proc.kill)
     kernel.run()

@@ -8,6 +8,7 @@ from repro.mach.message import Message
 from repro.mach.netmsgserver import NameDirectory, NetMsgServer
 from repro.mach.site import Site
 from repro.net.lan import Lan
+from repro.servers.comman import CommunicationManager
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process
 from repro.sim.rng import RngStreams
@@ -30,7 +31,7 @@ def build_pair():
         lan.register_site(name, site)
         fabric.sites[name] = site
         sites[name] = site
-        nms[name] = NetMsgServer(k, lan, fabric, directory, name, cost, tracer)
+        nms[name] = NetMsgServer(k, lan, directory, name, cost, tracer)
     return k, sites, nms, directory, fabric
 
 
@@ -97,16 +98,20 @@ def test_remote_rpc_timeout_on_dead_destination():
 
 
 def test_call_service_local_is_plain_ipc():
+    """A service on the caller's own site: the ComMan looks it up in the
+    NetMsgServer's directory and makes one plain IPC round trip."""
     k, sites, nms, directory, fabric = build_pair()
     port = sites["a"].create_port("svc")
     directory.register("svc", "a", port)
+    comman = CommunicationManager(k, sites["a"], fabric, nms["a"],
+                                  nms["a"].cost, nms["a"].tracer)
 
     def server():
         msg = yield from port.receive()
         fabric.reply(msg, msg.reply("ok"))
 
     def client():
-        reply = yield from nms["a"].call_service("svc", Message(kind="x"))
+        reply = yield from comman.call_service("svc", Message(kind="x"))
         return (reply.kind, k.now)
 
     Process(k, server())

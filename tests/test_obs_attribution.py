@@ -13,12 +13,7 @@ import pytest
 from repro.analysis import static_analysis as sa
 from repro.config import SystemConfig
 from repro.core.outcomes import Outcome, ProtocolKind
-from repro.obs.attribution import (
-    attribute_run,
-    compare_static,
-    render_report,
-    report_ok,
-)
+from repro.obs.attribution import attribute_run, compare_static, render_report
 from repro.obs.spans import SpanRecorder
 from repro.system import CamelotSystem
 
@@ -141,16 +136,16 @@ def test_render_report_and_exit_predicate():
     summary = _summary(system, recorder, measured)
     static_path = sa.twophase_update_completion(1, system.cost)
     comparison = compare_static(summary, static_path)
-    text = render_report(summary, "2PC update, 1 sub",
-                         comparison=comparison,
-                         static_label=static_path.label, tolerance=0.10,
-                         balanced=recorder.balanced)
+    text, ok = render_report(summary, "2PC update, 1 sub",
+                             comparison=comparison,
+                             static_label=static_path.label, tolerance=0.10,
+                             balanced=recorder.balanced)
     assert "critical-path breakdown" in text
     assert "log force" in text
     assert "inter-TranMan datagram" in text
     assert "(unattributed)" in text
     assert "self-checks:" in text and "FAIL" not in text
-    assert report_ok(summary, comparison, 0.10, recorder.balanced)
+    assert ok
 
 
 def test_report_not_ok_when_unbalanced_or_off_static():
@@ -159,8 +154,18 @@ def test_report_not_ok_when_unbalanced_or_off_static():
     summary = _summary(system, recorder, measured)
     comparison = compare_static(summary,
                                 sa.local_update_completion(system.cost))
-    assert not report_ok(summary, comparison, 0.10, balanced=False)
+
+    def verdict(summary, comparison, tolerance, balanced):
+        text, ok = render_report(summary, "local update",
+                                 comparison=comparison, tolerance=tolerance,
+                                 balanced=balanced)
+        # The printed checks and the exit status are the same values.
+        assert ok == ("FAIL" not in text and summary.n > 0)
+        return ok
+
+    assert not verdict(summary, comparison, 0.10, balanced=False)
     # An absurdly tight tolerance must fail the gate.
-    assert not report_ok(summary, comparison, 0.0001, recorder.balanced)
+    assert not verdict(summary, comparison, 0.0001, recorder.balanced)
+    # No committed transaction fails although every printed check is ok.
     empty = attribute_run(recorder, [])
-    assert not report_ok(empty, None, 0.10, True)
+    assert not verdict(empty, None, 0.10, True)

@@ -69,6 +69,20 @@ def test_tid_filter_keeps_untagged_events():
     assert not any("begin" in r.text for r in rows_other)
 
 
+def test_two_site_commit_drops_locks_at_both_sites():
+    """Figure 1's event 11: each data server drops the transaction's
+    locks once the commit is decided, and the tid filter keeps the row."""
+    system = CamelotSystem(SystemConfig(sites={"a": 1, "b": 1}))
+    tid = run_commit(system)
+    system.run_for(500.0)  # the drops follow the commit's return
+    for rows in (extract_rows(system.tracer),
+                 extract_rows(system.tracer, tid=str(tid))):
+        assert sorted(r.site for r in rows if r.text == "drop locks") \
+            == ["a", "b"]
+    text = render_timeline(system.tracer, ["a", "b"], tid=str(tid))
+    assert text.count("drop locks") == 2
+
+
 def test_empty_tracer_renders_header_only():
     text = render_timeline(Tracer(), ["a"])
     assert len(text.splitlines()) == 2
