@@ -4,8 +4,8 @@ Not a paper figure — a guard that keeps the experiment suite usable.
 The full Figure 2-5 regeneration runs hundreds of simulated seconds;
 if kernel event dispatch regresses badly, every experiment silently
 turns into a coffee break.  This bench enforces a kernel dispatch-rate
-floor so hot-path regressions fail loudly, a ceiling on what count-only
-tracing may cost, a ceiling on the kernel events an open-loop
+floor so hot-path regressions fail loudly, a ceiling on the span hook
+calls a traced transaction makes, a ceiling on the kernel events an open-loop
 transaction fires, and a ceiling on an open-loop run's peak RSS.  The
 repo's benchmark proper — speed with repeats, spread and per-layer
 attribution — is ``python -m perf``; this file only keeps coarse
@@ -116,57 +116,37 @@ def test_kernel_dispatch_rate_floor():
             f"the {KERNEL_EVENTS_PER_SEC_FLOOR:,.0f} ev/s floor")
 
 
-def _txn_workload_seconds(tracer, recorder=None, n: int = 120) -> float:
-    """Host seconds for ``n`` serial distributed transactions."""
+SPAN_HOOKS = ("add", "begin", "end", "instant", "gauge", "ipc", "net",
+              "begin_cpu")
+
+
+def test_span_hook_calls_per_transaction_ceiling():
+    """Work, not a clock ratio: span-recorder hook calls per committed
+    transaction on 120 serial distributed transactions, count-only.
+    What count-only tracing costs is these calls, each leaving right
+    after its counter increment, so a new hook on a hot path shows here.
+    The count repeats to the digit on any host (7,909 calls, 65.9 per
+    transaction); the clock ratio this replaced, count-only over
+    untraced under a 1.05 ceiling, read 0.99-1.06 on one tree."""
+    recorder, calls = SpanRecorder(keep=False), {}
+    for name in SPAN_HOOKS:
+        def counted(*args, _hook=getattr(recorder, name), _name=name,
+                    **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _hook(*args, **kwargs)
+        setattr(recorder, name, counted)
     system = CamelotSystem(SystemConfig(sites={"a": 1, "b": 1},
                                         keep_trace_events=False),
-                           tracer=tracer)
-    if recorder is not None:
-        system.tracer.attach_obs(recorder)
+                           tracer=NullTracer())
+    system.tracer.attach_obs(recorder)
     app = system.application("a")
-    start = time.perf_counter()
     committed = system.run_process(
-        serial_minimal_txns(app, system.default_services(), n),
+        serial_minimal_txns(app, system.default_services(), 120),
         timeout_ms=600_000.0)
-    elapsed = time.perf_counter() - start
-    assert committed == n
-    return elapsed
-
-
-def test_tracing_overhead_floor():
-    """Count-only span instrumentation must stay within 5% of untraced.
-
-    The span hooks in the substrates are guarded by a single attribute
-    test (``tracer.obs is not None``); with a count-only SpanRecorder
-    attached every hook leaves right after its counter increment.
-    Both legs run a
-    NullTracer so the ratio bounds exactly the span layer, not the
-    tracer's own pre-existing counting.
-
-    Shared-container noise swamps single runs (the same workload
-    drifts +-30% between batches), so each measurement block
-    interleaves baseline/counted pairs and compares the minima —
-    alternating makes both legs sample the same load epochs.  Noise
-    only ever *inflates* a leg, so a block that lands under the
-    ceiling is sound evidence the true ratio is under it; a block over
-    the ceiling may just mean the counted leg never hit a quiet
-    window, hence up to three blocks, keeping the best.
-    """
-    ratio = float("inf")
-    for _block in range(3):
-        baselines, counteds = [], []
-        for _ in range(10):
-            baselines.append(_txn_workload_seconds(NullTracer()))
-            counteds.append(_txn_workload_seconds(
-                NullTracer(), recorder=SpanRecorder(keep=False)))
-        ratio = min(ratio, min(counteds) / min(baselines))
-        if ratio <= 1.05:
-            break
-    emit(f"tracing overhead: count-only span layer {ratio:.3f}x over "
-         f"untraced (ceiling 1.05x)")
-    assert ratio <= 1.05, (
-        f"count-only span instrumentation costs {ratio:.3f}x over an "
-        f"untraced run; the layer must stay within 5% when spans are off")
+    per_txn = sum(calls.values()) / committed
+    emit(f"span hooks: {sum(calls.values()):,} calls for {committed} "
+         f"transactions, {per_txn:.1f} per transaction (ceiling 67)")
+    assert committed == 120 and per_txn <= 67
 
 
 def test_open_loop_events_per_transaction_ceiling():

@@ -11,12 +11,17 @@ LAN into that interface; the live harness (:mod:`repro.live.site`)
 plugs asyncio TCP + an fsync-backed WAL file.
 
 Concurrency model (what makes transcripts comparable): one inbox, one
-input at a time.  An input (message, timer, durability notice, local
-vote) is an interpreter generator; it runs to quiescence — parked on
-``substrate.force`` wherever it waits for the log, resumed from the
-callback — before the next queued input starts.  The TranMan differs in
-exactly this: its pool threads run inputs side by side and await the
-local prepare inline (DESIGN.md §11 lists what follows from that).
+input at a time per transaction family — the TranMan's per-family lock
+rule.  An input (message, timer, durability notice, local vote) is an
+interpreter generator keyed by its TID's family; it runs to quiescence —
+parked on ``substrate.force`` wherever it waits for the log, resumed
+from the callback — before the next input *of its family* starts.  A
+parked input holds only its family: later inputs of that family wait
+behind it in arrival order, and inputs of every other family run on, so
+one site can have many forces in flight for its substrate to write
+together.  The TranMan differs in this: its pool threads run inputs side
+by side, two of one family included, and await the local prepare inline
+(DESIGN.md §11 lists what follows from that).
 
 The host itself is pure sans-IO: no asyncio, no sockets, no clock.  The
 ``live-io-fence`` lint rule would allow them here, but keeping the
@@ -38,7 +43,7 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 from typing import (Any, Callable, Deque, Dict, List, Optional, Protocol,
-                    Sequence, Set)
+                    Sequence, Set, Tuple)
 
 from repro.config import CostModel
 from repro.core.edge import PIGGYBACK_SWEEP_MS, ProtocolEdge, Step
@@ -106,12 +111,11 @@ class SiteHost:
         self.watch_durable = substrate.wal.watch_durable
         self.start_timer = substrate.start_timer
         self.trace = substrate.trace
-        # Inputs not yet started, the running one, whether it is parked
-        # on a force, and the answer that will resume it.
-        self._inbox: Deque[Run] = deque()
-        self._running: Optional[Run] = None
-        self._waiting = False
-        self._answer: Any = None
+        # Inputs to run, each with its family and the answer it resumes
+        # with; and each family parked on a force, with the inputs that
+        # arrived for it since, in order.
+        self._inbox: Deque[Tuple[str, Run, Any]] = deque()
+        self._parked: Dict[str, Deque[Run]] = {}
         self._active = False
         self._sweep_handle: Any = None
 
@@ -138,7 +142,7 @@ class SiteHost:
     def idle(self) -> bool:
         return (not self.machines and not self.takeovers
                 and not self.interp.lazy_pending
-                and self._running is None and not self._inbox)
+                and not self._inbox and not self._parked)
 
     # ----------------------------------------------------- driver API
 
@@ -150,7 +154,7 @@ class SiteHost:
         machine = self.edge.coordinator(
             tid, subordinates,
             PROTOCOLS.get(protocol) or ProtocolKind(protocol))
-        self._enqueue(self.interp.run(machine, machine.start()))
+        self._enqueue(tid, self.interp.run(machine, machine.start()))
         return tid
 
     def recover_from_plan(self, plan: RecoveryPlan) -> None:
@@ -159,12 +163,13 @@ class SiteHost:
         self.conservative = True
         for machine, resume in build_machines(plan, self.site):
             self.edge.adopt(machine)
-            self._inbox.append(self.interp.run(machine, list(resume)))
+            self._inbox.append((machine.tid.family,
+                                self.interp.run(machine, list(resume)), None))
         self._pump()
 
     def deliver(self, src: str, message: Any) -> None:
         """One datagram from the substrate."""
-        self._enqueue(self._route(message))
+        self._enqueue(message.tid, self._route(message))
 
     def _route(self, pmsg: Any) -> Run:
         if self.edge.for_servers(pmsg):
@@ -178,40 +183,47 @@ class SiteHost:
 
     # --------------------------------------------------------- engine
 
-    def _enqueue(self, run: Run) -> None:
-        self._inbox.append(run)
+    def _enqueue(self, tid: TID, run: Run) -> None:
+        self._inbox.append((tid.family, run, None))
         self._pump()
 
     def _pump(self) -> None:
-        if self._active or self._waiting:
+        if self._active:
             return
         self._active = True
+        inbox, parked = self._inbox, self._parked
         try:
-            while not self._waiting:
-                if self._running is None:
-                    if not self._inbox:
-                        return
-                    self._running = self._inbox.popleft()
-                answer, self._answer = self._answer, None
-                try:
-                    lsn, token = self._running.send(answer)
-                except StopIteration:
-                    self._running = None
+            while inbox:
+                family, run, answer = inbox.popleft()
+                behind = parked.get(family)
+                if behind is not None:
+                    behind.append(run)
                     continue
-                self._waiting = True
-                self.substrate.force(lsn, partial(self._force_done, token))
+                try:
+                    lsn, token = run.send(answer)
+                except StopIteration:
+                    continue
+                parked[family] = deque()
+                self.substrate.force(
+                    lsn, partial(self._force_done, family, run, token))
         finally:
             self._active = False
 
-    def _force_done(self, token: str) -> None:
-        self._waiting = False
+    def _force_done(self, family: str, run: Run, token: str) -> None:
+        answer: Any = None
         if token in self.hold_force_tokens:
             # Deterministic kill window: the record is durable but the
             # machine never re-enters — exactly the state a crash
             # between fsync and continuation would leave behind.
             self.held.append(token)
             self.substrate.trace("live.force_held", {"token": token})
-            self._answer = WITHHELD
+            answer = WITHHELD
+        # The parked run goes on first, then what queued behind it, all
+        # ahead of anything of that family still to arrive.
+        inbox = self._inbox
+        for later in reversed(self._parked.pop(family)):
+            inbox.appendleft((family, later, None))
+        inbox.appendleft((family, run, answer))
         self._pump()
 
     # ------- the interpreter's primitives (repro.core.interpreter.Engine)
@@ -229,15 +241,21 @@ class SiteHost:
         return (yield lsn, token)  # _pump parks on it, and answers
 
     def defer(self, note: Callable[[], None]) -> None:
-        note()  # one input at a time: no machine is mid-step
+        # One input at a time per family: the note's co-resident machine
+        # is of the running input's family, so it is mid-step nowhere.
+        note()
 
     def spawn(self, step: Step, label: str) -> None:
-        self._enqueue(self.interp.steps((step,)))
+        self._enqueue(step[0].tid, self.interp.steps((step,)))
 
     def local_prepare(self, machine: Any, effect: LocalPrepare) -> None:
         # Async, unlike the TranMan's awaited data-server round trip:
         # the rest of this effect batch (e.g. a leader's prepare sends)
-        # runs now; the vote re-enters via the inbox when it resolves.
+        # runs now; the vote re-enters via the inbox when it resolves —
+        # at once, behind this input, when there is no delay to wait.
+        if not self.prepare_delay_ms:
+            self._local_prepared(machine, effect.tid)
+            return
         self.substrate.start_timer(
             self.prepare_delay_ms,
             partial(self._local_prepared, machine, effect.tid))
@@ -246,7 +264,7 @@ class SiteHost:
         vote = self.scripted_votes.get(self.site, Vote.YES)
         self.substrate.trace("live.local_prepared",
                              {"tid": str(tid), "vote": vote.value})
-        self._enqueue(self.interp.local_prepared(machine, tid, vote))
+        self._enqueue(tid, self.interp.local_prepared(machine, tid, vote))
 
     def local_commit(self, tid: TID) -> None:
         self.substrate.trace("live.local_commit", {"tid": str(tid)})

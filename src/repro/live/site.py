@@ -35,15 +35,24 @@ byte-for-byte against the simulator: they dominate real fsync and
 event-loop jitter, so causally-unordered races resolve the same way on
 both substrates.  Demo clusters run with both floors at zero.
 
+Group commit: a force is queued, not written.  The same flush that
+writes each peer's outbox once per wake-up then makes one
+``FileWal.force`` to the highest LSN queued, so every force asked for
+in a wake-up shares one write (and one fsync); their completions then
+enter the force delay line in request order.  What fills a wake-up
+with forces is the host's per-family parking: a force holds only its
+own transaction family, so a read carrying eight families' prepares
+runs all eight to their forces before the flush.
+
 Robustness contract (satellite: codec hardening): a malformed,
 truncated, oversized, or CRC-failing frame NEVER crashes the site — the
 connection is dropped and the event counted per cause in
 ``frame_drops``, mirroring ``Lan.drop_counts()``; a connection that ends
 in the middle of a frame counts one ``"torn"`` drop.
 
-Storage errors are the opposite case: a force whose write or fsync
+Storage errors are the opposite case: a batched write or fsync that
 raised **fail-stops** the site (the WAL is dead, see
-:mod:`repro.live.walfile`).  The machine that asked is never told, the
+:mod:`repro.live.walfile`).  No machine in the batch is told, the
 port file is cleared, ``serve_until_stopped`` returns with
 ``LiveSite.failure`` set, and ``python -m repro.live site`` exits
 non-zero; recovery from what is really on disk is the restart's job.
@@ -56,6 +65,7 @@ from __future__ import annotations
 import asyncio
 import os
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.config import CostModel
@@ -202,6 +212,10 @@ class LiveSubstrate(Substrate):
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._running = False
         self._flush_due: Optional[asyncio.Handle] = None
+        # The completions of the forces asked for since the last flush,
+        # in order, and the highest LSN any force has asked for.
+        self._forcing: List[Callable[[], None]] = []
+        self._force_lsn = 0
 
     def start(self) -> None:
         self._loop = asyncio.get_running_loop()
@@ -252,9 +266,12 @@ class LiveSubstrate(Substrate):
             self._flush_due = self._loop.call_soon(self._flush)
 
     def _flush(self) -> None:
-        """Everything sent since the last flush leaves: one write per
-        peer, or that peer's connect task if it has no live connection.
-        The first send of a wake-up schedules it."""
+        """Everything sent or forced since the last flush leaves: one
+        write per peer (or that peer's connect task, if it has no live
+        connection), then one WAL write for all the forces.  The first
+        send or force of a wake-up schedules it.  The frames may go
+        first: none of them waits on these forces, whose completions
+        have not run, so a peer starts on them while the disk works."""
         due, self._flush_due = self._flush_due, None
         if due is None or not self._running:
             return
@@ -264,6 +281,8 @@ class LiveSubstrate(Substrate):
             if outbox.connecting is None and not outbox.write():
                 outbox.connecting = self._loop.create_task(
                     self._reconnect(dst, outbox))
+        if self._forcing:
+            self._write_forces()
 
     def _deliver_self(self, message: Any) -> None:
         if self.host is not None:
@@ -310,25 +329,36 @@ class LiveSubstrate(Substrate):
     # ------------------------------------------------------------ wal
 
     def force(self, lsn: int, done: Callable[[], None]) -> None:
-        # fsync NOW — the record must be durable before anything that
-        # follows it (that is the whole point of a force, and what the
-        # kill-window choreography relies on); only the *completion*
-        # callback is paced.
+        # Queued for this wake-up's flush, whose one write makes every
+        # force asked for in the meantime durable (group commit); only
+        # the *completions* are paced, and nothing that follows a force
+        # runs before them.
+        if lsn > self._force_lsn:
+            self._force_lsn = lsn
+        self._forcing.append(done)
+        if self._flush_due is None:
+            self._flush_due = self._loop.call_soon(self._flush)
+
+    def _write_forces(self) -> None:
+        dones, self._forcing = self._forcing, []
         try:
-            ready = self.wal.force(lsn)
-        except OSError as exc:
-            # Never ``done``: the record is not durable, and never will
-            # be by a retry.  The host stays parked; the site stops.
+            ready = self.wal.force(self._force_lsn)
+        except Exception as exc:
+            # No ``done``: the records are not durable, and never will
+            # be by a retry.  Their runs stay parked; the site stops —
+            # on a storage error, and on anything else the write raises
+            # (it would otherwise escape the loop callback it runs in).
             self.fail_stop(exc)
             return
-        self.forces.put(lambda: self._force_done(ready, done))
+        self.forces.put(partial(self._forces_done, ready, dones))
 
     @staticmethod
-    def _force_done(ready: List[Callable[[], None]],
-                    done: Callable[[], None]) -> None:
+    def _forces_done(ready: List[Callable[[], None]],
+                     dones: List[Callable[[], None]]) -> None:
         for fn in ready:
             fn()
-        done()
+        for done in dones:
+            done()
 
     # ---------------------------------------------------------- timers
 
@@ -460,6 +490,7 @@ class LiveSite:
     def settled(self) -> bool:
         """No protocol work in flight anywhere in this site."""
         return (self.host.idle and self.substrate.inbound.pending == 0
+                and not self.substrate._forcing
                 and self.substrate.forces.pending == 0
                 and all(outbox.pending == 0 for outbox in
                         self.substrate._out_queues.values()))

@@ -106,9 +106,11 @@ class FileWal(LogTail):
     All methods are synchronous; the live substrate calls them from the
     event loop (force latency *is* the durability cost the paper
     measures).  A force hands the file every record it takes as one
-    ``write``, however many were appended since the last one.
-    ``fsync=False`` trades real durability for speed in harnesses that
-    never crash-test.
+    ``write``, however many were appended since the last one — the live
+    substrate makes one force per event-loop wake-up, to the highest LSN
+    any of that wake-up's forces asked for, so that is one write for
+    all of them.  ``fsync=False`` trades real durability for speed in
+    harnesses that never crash-test.
     """
 
     def __init__(self, path: str, fsync: bool = True):

@@ -26,8 +26,9 @@ class LogTail:
     A force is split in two so a device may spend time in between:
     :meth:`take` names the records to write, :meth:`publish` says they
     are written.  One take may be outstanding at a time (the simulated
-    WAL holds its flush lock across the pair; the live devices write
-    synchronously).
+    WAL holds its flush lock across the pair; a live device takes,
+    writes and publishes in one synchronous call, made once per
+    event-loop wake-up for every force asked for in it).
     """
 
     def __init__(self, durable_lsn: int = 0) -> None:

@@ -157,8 +157,8 @@ class SpanRecorder:
     # small and tid extraction lives here, not in sim code.  They are
     # the hottest hooks, so a count-only recorder leaves before any
     # tid extraction or detail construction; the benchmark gate
-    # (``test_tracing_overhead_floor``) bounds what that mode may cost
-    # over an untraced run.
+    # (``test_span_hook_calls_per_transaction_ceiling``) bounds how many
+    # of these calls a transaction makes.
 
     # One kind per flavour ``IpcFabric.latency_for`` prices; it raises
     # on any other before this hook runs.

@@ -140,8 +140,9 @@ class TestTranManLeg:
 
     def test_pin_inputs_queued_behind_a_force_cost_redundant_outcomes(
             self, report):
-        """A force parks the whole SiteHost: late ``PcPhase2b``s queue
-        behind the decide force and each is re-answered."""
+        """A force parks its family on SiteHost: the late ``PcPhase2b``s
+        are the leader's family, queue behind the decide force and are
+        each re-answered."""
         def outcomes(pairs):
             return [_of(pairs, pair, "T1@gamma").count("PcOutcome")
                     for pair in ("gamma->alpha", "gamma->beta")]

@@ -78,7 +78,11 @@ def test_an_untapped_live_site_keeps_no_per_message_state(tmp_path):
         async def settle():
             while not all(site.settled for site in sites.values()):
                 await asyncio.sleep(0.005)
-            sizes.append({name: _sizes(site.substrate)
+            # The host's per-family tables: inputs to run, and families
+            # parked on a force with the inputs queued behind each.
+            sizes.append({name: {**_sizes(site.substrate),
+                                 "inbox": len(site.host._inbox),
+                                 "parked": len(site.host._parked)}
                           for name, site in sites.items()})
 
         def on_complete(tid, outcome):
@@ -141,10 +145,12 @@ def test_an_untapped_live_site_keeps_no_per_message_state(tmp_path):
     held = OUTBOX_MAX_BYTES // frame
     finished, (early, late, full), drops, stalled = asyncio.run(commits(200))
     assert finished == 200
-    # Four times the messages, the same sizes: the per-peer outboxes and
-    # both delay lines drain to empty, the rest is keyed by peer or kind.
+    # Four times the messages, the same sizes: the per-peer outboxes,
+    # both delay lines and the host's per-family tables drain to empty,
+    # the rest is keyed by peer or kind.
     assert early == late
     assert late["alpha"]["_out_queues", "beta"] == 0
+    assert all(site["inbox"] == site["parked"] == 0 for site in late.values())
     assert full["_out_queues", "delta"] == held
     assert full["_out_queues", "beta"] == 0
     assert drops == {"overflow": 25, "total": 25}
