@@ -25,14 +25,15 @@ returns on behalf of ``machine``.
 
 The hosts differ, from here, only in three facts handed over as
 callables: whether a transaction's family is known at this site (lost
-with volatile state in a crash), whether it is still running, and who
-wants to hear that a tombstone / pledge / read-only vote was recorded.
-The edge knows no durations: it builds machines, machines name their
-waits in protocol timeouts, and the interpreter owns the clock.
+with volatile state in a crash), whether it is still running, and the
+host's clock, read only to expire decided transactions' bookkeeping
+(the *retire log*).  Machines name their waits in protocol timeouts,
+and the interpreter arms them.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import partial
 from typing import (
     Any,
@@ -139,14 +140,19 @@ class PledgeAck:
 class ProtocolEdge:
     """One site's machine tables and the decisions made around them."""
 
-    def __init__(self, site: str,
+    def __init__(self, site: str, cost: Any,
                  family_known: Callable[[TID], bool],
                  txn_active: Callable[[TID], bool],
-                 recorded: Callable[[str], None]) -> None:
+                 now: Callable[[], float]) -> None:
         self.site = site
         self._family_known = family_known
         self._txn_active = txn_active
-        self._recorded = recorded
+        self._now = now
+        # Decided bookkeeping answers late inquiries: it must outlive
+        # every straggler (``cost`` is the host's CostModel), not the run.
+        self._retention_ms = cost.orphan_timeout + cost.protocol_timeout
+        # The retire log: each TID here by its newest record's time.
+        self._newest: OrderedDict[str, float] = OrderedDict()
         self.machines: Dict[TID, Any] = {}
         # Termination-protocol machines: NbTakeover or PcCandidate.
         self.takeovers: Dict[TID, Any] = {}
@@ -158,6 +164,8 @@ class ProtocolEdge:
         # TIDs this site answered READ_ONLY for: a retried prepare must
         # re-vote read-only, not NO (the machine is long forgotten).
         self.read_only_votes: Set[str] = set()
+        # Outcomes reported to a driver (only ``SiteHost`` has one).
+        self.completions: Dict[str, Outcome] = {}
         # Stateless pledges still being forced, by tid-string.
         self._pledging: Dict[str, PledgeAck] = {}
 
@@ -165,18 +173,37 @@ class ProtocolEdge:
 
     def note_outcome(self, tid_str: str, outcome: Outcome) -> None:
         self.tombstones[tid_str] = outcome
-        self._recorded(tid_str)
+        self._retain(tid_str)
 
     def note_read_only(self, tid_str: str) -> None:
         self.read_only_votes.add(tid_str)
-        self._recorded(tid_str)
+        self._retain(tid_str)
+
+    def note_completion(self, tid_str: str, outcome: Outcome) -> None:
+        self.completions[tid_str] = outcome
+        self._retain(tid_str)
+
+    def _retain(self, tid_str: str) -> None:
+        """Date ``tid_str``'s bookkeeping now, and expire every TID whose
+        newest record is past the horizon: pruned as records arrive, the
+        tables hold one horizon's TIDs, not the run's."""
+        now = self._now()
+        log = self._newest
+        log[tid_str] = now
+        log.move_to_end(tid_str)
+        oldest = next(iter(log))
+        while log[oldest] < now - self._retention_ms:
+            del log[oldest]
+            self.expire(oldest)
+            oldest = next(iter(log))
 
     def expire(self, tid_str: str) -> None:
         """Drop a completed transaction's bookkeeping: no straggler can
-        still ask about it (the host's retention horizon has passed)."""
+        still ask about it (the retention horizon has passed)."""
         self.tombstones.pop(tid_str, None)
         self.pledges.discard(tid_str)
         self.read_only_votes.discard(tid_str)
+        self.completions.pop(tid_str, None)
 
     def restore(self, tombstones: Mapping[str, Outcome],
                 pledges: Iterable[str]) -> None:
@@ -184,7 +211,7 @@ class ProtocolEdge:
         self.tombstones.update(tombstones)
         self.pledges.update(pledges)
         for tid_str in set(tombstones) | set(pledges):
-            self._recorded(tid_str)
+            self._retain(tid_str)
 
     def adopt(self, machine: Any) -> None:
         """Install a machine rebuilt by crash recovery."""
@@ -220,7 +247,7 @@ class ProtocolEdge:
         """
         if record.kind is RecordKind.ABORT_PLEDGE:
             self.pledges.add(record.tid)
-            self._recorded(record.tid)
+            self._retain(record.tid)
         elif record.kind is not RecordKind.REPLICATION:
             return None
         sub = self.machines.get(TID.parse(record.tid))

@@ -23,7 +23,8 @@ together.  The TranMan differs in this: its pool threads run inputs side
 by side, two of one family included, and await the local prepare inline
 (DESIGN.md §11 lists what follows from that).
 
-The host itself is pure sans-IO: no asyncio, no sockets, no clock.  The
+The host itself is pure sans-IO: no asyncio, no sockets, and no clock
+but ``substrate.now``, which its edge's retire log reads.  The
 ``live-io-fence`` lint rule would allow them here, but keeping the
 engine substrate-blind is the whole point.
 
@@ -61,11 +62,12 @@ class Substrate(Protocol):
     """What a harness must provide (see module docstring).  The host
     appends to and watches ``wal`` itself; ``force`` makes its prefix up
     to ``lsn`` durable, in the harness's own time, then calls ``done``.
-    A timer handle is stopped by its own ``cancel()``; ``start_timer``
-    delays are protocol milliseconds, virtual or real."""
+    A timer handle is stopped by its own ``cancel()``; ``now`` and
+    ``start_timer`` delays are protocol milliseconds, virtual or real."""
 
     wal: LogTail
 
+    def now(self) -> float: ...
     def send(self, dst: str, message: Any) -> None: ...
     def force(self, lsn: int, done: Callable[[], None]) -> None: ...
     def start_timer(self, delay_ms: float, fn: Callable[[], None]) -> Any: ...
@@ -89,16 +91,16 @@ class SiteHost:
         # A host that recovered from a non-empty WAL lost volatile state
         # in a crash: no transaction's family is known here any more.
         self.conservative = False
-        # The edge owns the protocol tables (no retire log: demo-scale
-        # host); the names below are the same objects, kept for drivers.
+        # The edge owns the protocol tables and their retire log; the
+        # names below are the same objects, kept for drivers.
         self.edge = ProtocolEdge(
-            site, family_known=lambda tid: not self.conservative,
-            txn_active=lambda tid: False, recorded=lambda tid_str: None)
+            site, cost, family_known=lambda tid: not self.conservative,
+            txn_active=lambda tid: False, now=substrate.now)
         self.machines: Dict[TID, Any] = self.edge.machines
         self.takeovers: Dict[TID, Any] = self.edge.takeovers
         self.tombstones: Dict[str, Outcome] = self.edge.tombstones
         self.pledges: Set[str] = self.edge.pledges
-        self.completions: Dict[str, Outcome] = {}
+        self.completions: Dict[str, Outcome] = self.edge.completions
         self.held: List[str] = []
         # Stays 0, kept for status readers: a retransmission must reach
         # its machine to be answered again, so none is suppressed.
@@ -273,7 +275,7 @@ class SiteHost:
         self.substrate.trace("live.local_abort", {"tid": str(tid)})
 
     def completed(self, tid: TID, outcome: Outcome) -> None:
-        self.completions[str(tid)] = outcome  # lint: bounded(demo-scale host, no retire log)
+        self.edge.note_completion(str(tid), outcome)
         self.substrate.trace("live.complete",
                              {"tid": str(tid), "outcome": outcome.value})
         if self.on_complete is not None:

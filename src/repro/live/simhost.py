@@ -44,6 +44,9 @@ class SimSubstrate(Substrate):
         self.traces: Dict[str, int] = {}  # trace kind -> count
         self.alive = True  # Lan liveness probe
 
+    def now(self) -> float:
+        return self.kernel.now
+
     def send(self, dst: str, message: Any) -> None:
         self.dgram.send(dst, message)
 

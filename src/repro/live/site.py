@@ -242,6 +242,9 @@ class LiveSubstrate(Substrate):
         out["total"] = sum(self.frame_drops.values())
         return out
 
+    def now(self) -> float:
+        return self._loop.time() * 1000.0
+
     # ----------------------------------------------------------- wire
 
     def send(self, dst: str, message: Any) -> None:

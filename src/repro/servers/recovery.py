@@ -257,7 +257,7 @@ def analyze(site: str, records: Iterable[LogRecord]) -> RecoveryPlan:
 def build_machines(plan: RecoveryPlan,
                    site: str) -> List[Tuple[Any, List[Any]]]:
     """Turn the plan's in-doubt/unacked entries into (machine,
-    resume-effects) pairs for :meth:`TransactionManager.adopt_recovered_machine`."""
+    resume-effects) pairs for both hosts' ``recover_from_plan``."""
     out: List[Tuple[Any, List[Any]]] = []
     for entry in plan.in_doubt:
         if entry.protocol == "two_phase":

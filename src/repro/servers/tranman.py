@@ -22,28 +22,18 @@ shares with the live host:
   manager, local server prepare/commit/abort rounds, timers.  A pool
   thread runs the interpreter's generator as its own, blocking in the
   simulator wherever that delegates to ``force`` or ``local_prepare``;
-- the clock-driven **retire log** that bounds the edge's tombstones,
-  pledges and read-only votes on long runs.
+- the **kernel clock** the edge's retire log reads, so that its
+  tombstones, pledges and read-only votes expire in simulated time.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import (
-    Any,
-    Deque,
-    Dict,
-    Generator,
-    List,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Any, Dict, Generator, List, Sequence, Set
 
 from repro.config import CostModel
 from repro.core.abortproto import AbortInitiator, AbortParticipant
 from repro.core.edge import PIGGYBACK_SWEEP_MS, ProtocolEdge, Step
-from repro.core.effects import Effect, LocalPrepare
+from repro.core.effects import LocalPrepare
 from repro.core.family import FamilyTable
 from repro.core.interpreter import Interpreter
 from repro.core.messages import FamilyAbort, NestedCommit
@@ -58,6 +48,7 @@ from repro.mach.site import Site
 from repro.mach.threads import CThreadsPool
 from repro.net.datagram import DatagramService
 from repro.servers.diskman import DiskManager
+from repro.servers.recovery import RecoveryPlan, build_machines
 from repro.sim.events import SimEvent, all_of
 from repro.sim.kernel import Kernel
 from repro.sim.process import Sleep
@@ -87,24 +78,14 @@ class TransactionManager:
         # The edge owns the protocol tables; the names below are the
         # same objects, kept for chaos oracles, recovery and tests.
         self.edge = ProtocolEdge(
-            site.name,
+            site.name, cost,
             family_known=lambda tid: self.families.family_of(tid) is not None,
-            txn_active=self._is_active, recorded=self.note_retirable)
+            txn_active=self._is_active, now=lambda: kernel.now)
         self.machines: Dict[TID, Any] = self.edge.machines
         self.takeovers: Dict[TID, Any] = self.edge.takeovers
         self.tombstones: Dict[str, Outcome] = self.edge.tombstones
         self.pledges: Set[str] = self.edge.pledges
         self.read_only_votes: Set[str] = self.edge.read_only_votes
-        # Completed-transaction bookkeeping (tombstones, pledges,
-        # read-only votes) answers late inquiries, so entries must
-        # outlive the protocol's retry horizon — but not the run: kept
-        # forever, a million-transaction run leaks one entry per
-        # transaction.  The retire log expires them once no straggler
-        # can still ask (orphan timeout + protocol timeout: 21 protocol
-        # timeouts at the defaults).
-        self.tombstone_retention_ms = (cost.orphan_timeout
-                                       + cost.protocol_timeout)
-        self._retire_log: Deque[Tuple[float, str]] = deque()
         self.interp = Interpreter(self.edge, self, cost.protocol_timeout)
         # Three of its primitives are the substrate's own.  ``defer``:
         # another pool thread may be inside the participant machine's
@@ -506,20 +487,6 @@ class TransactionManager:
 
     # ------------------------------------------------------ completions
 
-    def note_retirable(self, tid_str: str) -> None:
-        """Schedule completed-transaction bookkeeping for expiry.
-
-        Called whenever a tombstone, abort pledge, or read-only vote is
-        recorded; prunes entries past the retention horizon as it goes
-        (amortized O(1) per completion), so these maps stay bounded by
-        the retention window's transaction count, not the run's.
-        """
-        log = self._retire_log
-        log.append((self.kernel.now, tid_str))
-        horizon = self.kernel.now - self.tombstone_retention_ms
-        while log and log[0][0] < horizon:
-            self.edge.expire(log.popleft()[1])
-
     def completed(self, tid: TID, outcome: Outcome) -> None:
         if tid.is_top_level:
             if outcome is Outcome.COMMITTED:
@@ -572,13 +539,14 @@ class TransactionManager:
         self.site.spawn(self.interp.run(machine, effects),
                         "tranman.heuristic")
 
-    def adopt_recovered_machine(self, machine: Any,
-                                resume_effects: Sequence[Effect]) -> None:
-        """Install a machine rebuilt by crash recovery and run its
-        resumption effects."""
-        self.edge.adopt(machine)
-        self.site.spawn(self.interp.run(machine, list(resume_effects)),
-                        "tranman.recovered")
+    def recover_from_plan(self, plan: RecoveryPlan) -> None:
+        """Adopt a recovery plan built from the durable log, as SiteHost
+        does: each rebuilt machine resumes on a thread of its own."""
+        self.edge.restore(plan.tombstones, plan.pledges)
+        for machine, resume in build_machines(plan, self.site.name):
+            self.edge.adopt(machine)
+            self.site.spawn(self.interp.run(machine, list(resume)),
+                            "tranman.recovered")
 
 
 def _combine_votes(votes: List[Vote]) -> Vote:

@@ -30,7 +30,7 @@ from repro.servers.application import Application
 from repro.servers.comman import CommunicationManager
 from repro.servers.dataserver import DataServer
 from repro.servers.diskman import DiskManager
-from repro.servers.recovery import analyze, build_machines
+from repro.servers.recovery import analyze
 from repro.servers.tranman import TransactionManager
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process, ProcessBody, Sleep
@@ -219,12 +219,8 @@ class CamelotSystem:
                 merged.update(plan.base_values.get(server_name, {}))
                 merged.update(plan.redo_values.get(server_name, {}))
                 server.load_state(merged)
-        # Adopted bookkeeping joins the retire log (the edge's recorded
-        # hook) so recovered state is pruned on the same retention
-        # horizon as live state.
-        runtime.tranman.edge.restore(plan.tombstones, plan.pledges)
-        for machine, effects in build_machines(plan, name):
-            runtime.tranman.adopt_recovered_machine(machine, effects)
+        # The TranMan adopts the protocol state; in-doubt updates wait here.
+        runtime.tranman.recover_from_plan(plan)
         for tid_str, redo in plan.pending_redo.items():
             runtime.site.spawn(
                 self._pending_redo_watch(runtime, tid_str, redo),

@@ -141,9 +141,8 @@ class StubMachine:
 @pytest.fixture
 def rig():
     engine = FakeEngine()
-    edge = ProtocolEdge("beta", family_known=lambda tid: True,
-                        txn_active=lambda tid: False,
-                        recorded=lambda tid_str: None)
+    edge = ProtocolEdge("beta", CostModel(), family_known=lambda tid: True,
+                        txn_active=lambda tid: False, now=lambda: 0.0)
     return engine, edge, Interpreter(edge, engine, 1000.0)
 
 
@@ -415,9 +414,9 @@ def _armed_multiples(timeout_ms, rounds=8):
     for name, (site, build) in _constructions().items():
         engine = FakeEngine()
         engine.prepare_inline = True
-        edge = ProtocolEdge(site, family_known=lambda tid: True,
-                            txn_active=lambda tid: False,
-                            recorded=lambda tid_str: None)
+        edge = ProtocolEdge(site, CostModel(),
+                            family_known=lambda tid: True,
+                            txn_active=lambda tid: False, now=lambda: 0.0)
         interp = Interpreter(edge, engine, timeout_ms)
         build(edge, interp)
         for _ in range(rounds):

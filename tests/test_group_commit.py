@@ -39,6 +39,9 @@ class _HeldForces(Substrate):
         self.wal = MemoryWal()
         self.sent, self.forces, self.timers = [], [], []
 
+    def now(self):
+        return 0.0
+
     def send(self, dst, message):
         self.sent.append(message)
 

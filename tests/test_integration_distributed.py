@@ -3,6 +3,7 @@
 import pytest
 
 from repro import CamelotSystem, Outcome, SystemConfig, TwoPhaseVariant
+from repro.sim.process import Sleep
 
 
 @pytest.fixture
@@ -179,3 +180,36 @@ def test_atomicity_all_sites_agree(system):
         if tomb is not None:
             outcomes.add(tomb)
     assert outcomes == {Outcome.COMMITTED}
+
+
+def test_decided_bookkeeping_is_kept_for_one_retention_window(system):
+    """A run three retention horizons long (orphan + protocol timeout):
+    each TranMan keeps tombstones and read-only votes for the last
+    window's transactions only, and drops the early ones."""
+    app = system.application("a")
+    horizon = system.cost.orphan_timeout + system.cost.protocol_timeout
+    done = []
+
+    def workload():
+        for i in range(int(3 * horizon / 1_000.0)):
+            tid = yield from app.begin()
+            yield from app.write(tid, "server0@a", "x", i)
+            yield from app.write(tid, "server0@b", "x", i)
+            yield from app.read(tid, "server0@c", "x")
+            yield from app.commit(tid)
+            done.append((system.kernel.now, str(tid)))
+            yield Sleep(1_000.0)
+
+    system.run_process(workload(), timeout_ms=4 * horizon)
+    end = done[-1][0]
+    recent = {tid for t, tid in done if t > end - horizon + 1_000.0}
+    window = {tid for t, tid in done if t >= end - horizon - 1_000.0}
+    first, last = done[0][1], done[-1][1]
+    for site in ("a", "b"):
+        tombstones = set(system.tranman(site).tombstones)
+        assert recent <= tombstones <= window, site
+        assert first not in tombstones and last in tombstones
+    read_only = system.tranman("c").read_only_votes
+    assert recent <= read_only <= window
+    assert first not in read_only and last in read_only
+    assert len(window) < len(done) / 2

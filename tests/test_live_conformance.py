@@ -215,6 +215,9 @@ class _RecordingSubstrate(Substrate):
         self.forces = []
         self.wal = MemoryWal()
 
+    def now(self):
+        return 0.0
+
     def force(self, lsn, done):
         self.forces.append(done)
 

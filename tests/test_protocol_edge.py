@@ -40,6 +40,7 @@ from repro.core.quorum import QuorumSpec
 from repro.core.tid import TID
 from repro.live.host import SiteHost
 from repro.live.simhost import build_sim_cluster
+from repro.log.records import abort_pledge_record
 from repro.obs.spans import SpanRecorder
 from repro.servers.recovery import RecoveryPlan
 
@@ -66,9 +67,8 @@ def make(cls):
 
 
 def make_edge(state="none", known=True, active=False):
-    edge = ProtocolEdge(SITE, family_known=lambda tid: known,
-                        txn_active=lambda tid: active,
-                        recorded=lambda tid_str: None)
+    edge = ProtocolEdge(SITE, CostModel(), family_known=lambda tid: known,
+                        txn_active=lambda tid: active, now=lambda: 0.0)
     if state in ("committed", "aborted"):
         edge.tombstones[str(T)] = Outcome(state)
     elif state == "pledged":
@@ -375,3 +375,30 @@ class TestOneConstructor:
         assert host.completions[str(T)] is Outcome.ABORTED
         assert all(h.tombstones.get(str(T)) is not Outcome.COMMITTED
                    for h in hosts.values())
+
+
+class TestRetireLog:
+    """One log, one horizon (orphan + protocol timeout, 31.5 s at the
+    defaults), read on whatever clock the host hands the edge."""
+
+    def test_the_horizon_runs_from_a_transactions_newest_record(self):
+        clock = [0.0]
+        edge = ProtocolEdge(SITE, CostModel(), family_known=lambda tid: True,
+                            txn_active=lambda tid: False,
+                            now=lambda: clock[0])
+        edge.note_membership(abort_pledge_record("T1@a", SITE))
+        clock[0] = 31_000.0     # a takeover decides, long after the pledge
+        edge.note_outcome("T1@a", Outcome.ABORTED)
+        clock[0] = 31_600.0     # the pledge's own horizon has passed
+        edge.note_read_only("T2@a")
+        assert edge.tombstones["T1@a"] is Outcome.ABORTED
+        assert "T1@a" in edge.pledges
+        clock[0] = 31_000.0 + 31_500.0 + 1.0
+        edge.note_completion("T3@a", Outcome.COMMITTED)
+        assert "T1@a" not in edge.tombstones and "T1@a" not in edge.pledges
+        assert "T2@a" in edge.read_only_votes
+        clock[0] = 31_600.0 + 31_500.0 + 1.0
+        edge.note_outcome("T4@a", Outcome.COMMITTED)
+        assert not edge.read_only_votes
+        assert edge.completions == {"T3@a": Outcome.COMMITTED}
+        assert edge.tombstones == {"T4@a": Outcome.COMMITTED}

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.analysis.static_analysis import path_counts
+from repro.config import CostModel
 from repro.core.edge import ProtocolEdge
 from repro.core.interpreter import Interpreter
 from repro.core.outcomes import PROTOCOLS, Outcome, Vote
@@ -42,9 +43,9 @@ class _Site:
         self.outcome = None
         self.committed = False
         self._lsn = 0
-        edge = ProtocolEdge(name, family_known=lambda tid: True,
-                            txn_active=lambda tid: True,
-                            recorded=lambda tid_str: None)
+        edge = ProtocolEdge(name, CostModel(),
+                            family_known=lambda tid: True,
+                            txn_active=lambda tid: True, now=lambda: 0.0)
         self.interp = Interpreter(edge, self, 1000.0)
 
     def send(self, dst, message):

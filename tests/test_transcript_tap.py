@@ -1,6 +1,6 @@
 """One wire, one tap: what ``Transcript.tap`` sees, what an untapped
 live site keeps, and the simulated ``SiteHost`` cluster on the
-``Lan``'s own fault knobs."""
+``Lan``'s own fault knobs and over many retention horizons."""
 
 import asyncio
 import socket
@@ -8,7 +8,7 @@ from collections import deque
 
 import pytest
 
-from repro.core.messages import FamilyAbort, PrepareRequest
+from repro.core.messages import FamilyAbort, NbAbortJoin, PrepareRequest
 from repro.core.outcomes import Outcome
 from repro.core.tid import TID
 from repro.live.scenario import conformance_cost
@@ -160,6 +160,50 @@ def test_an_untapped_live_site_keeps_no_per_message_state(tmp_path):
     assert stalled["overflow"] > 0 and stalled["more"] == 25
     assert stalled["entered"] * frame > stalled["held"]
     assert stalled["outcome"] is Outcome.COMMITTED
+
+
+def test_a_sim_cluster_keeps_decided_bookkeeping_for_one_window():
+    """The edge's retire log under ``SiteHost``: one commit a second,
+    in turn per family, and one abort pledge a second asked of gamma,
+    for three and a half retention horizons of virtual time.
+    Tombstones, pledges and completions stop growing once the first
+    horizon has passed, and the early transactions are gone."""
+    cost = conformance_cost()
+    horizon = cost.orphan_timeout + cost.protocol_timeout
+    kernel, hosts, _ = build_sim_cluster(SITES, cost)
+    for host in hosts.values():
+        host.start_sweeps()
+    tids, sizes = [], []
+
+    def one_round(i):
+        alpha = hosts["alpha"]
+        tids.append(str(alpha.begin_commit(
+            ("2pc", "nb", "paxos")[i % 3], ["beta", "gamma"])))
+        # A takeover at beta asks gamma to pledge for a transaction
+        # gamma never saw: a stateless, forced pledge.
+        hosts["gamma"].deliver("beta", NbAbortJoin(
+            tid=TID(f"T{i}@beta"), sender="beta"))
+
+    def snapshot():
+        sizes.append({site: (len(host.tombstones), len(host.pledges),
+                             len(host.completions))
+                      for site, host in hosts.items()})
+
+    rounds = int(3.5 * horizon / 1_000.0)
+    for i in range(rounds):
+        kernel.schedule(i * 1_000.0, lambda i=i: one_round(i))
+    for at in range(40_000, rounds * 1_000, 30_000):
+        kernel.schedule(at + 900.0, snapshot)
+    kernel.run(until=rounds * 1_000.0)
+    first, *later = sizes
+    assert len(later) >= 2 and all(size == first for size in later)
+    assert first["gamma"][1] > 0 and first["alpha"][2] > 0
+    assert all(0 < tombs < rounds / 2 for tombs, _, _ in first.values())
+    for host in hosts.values():
+        assert tids[0] not in host.tombstones
+        assert tids[0] not in host.completions
+        assert tids[-1] in {**host.tombstones, **host.completions}
+    assert "T0@beta" not in hosts["gamma"].pledges
 
 
 @pytest.mark.parametrize("family", ["2pc", "nb", "paxos"])
