@@ -16,6 +16,7 @@ schedule, under a ceiling.  Speed with repeats and spread is
 """
 
 import asyncio
+import json
 import time
 from asyncio.selector_events import _SelectorSocketTransport
 
@@ -98,8 +99,10 @@ def _commits(tmp_path, monkeypatch, schedule, clients):
     closed-loop clients at alpha over three loopback sites with fsync
     off.  Returns what it counted: WAL file writes, the event loop's
     callbacks while commits are in flight, commits that committed and
-    frames dropped."""
-    counts = {"file_writes": 0, "callbacks": 0, "committed": 0}
+    frames dropped, and calls into the generic ``json`` encoder and
+    decoder while commits are in flight."""
+    counts = {"file_writes": 0, "callbacks": 0, "committed": 0,
+              "generic_json": 0}
     real_run = asyncio.events.Handle._run
     in_flight = [False]
 
@@ -108,6 +111,20 @@ def _commits(tmp_path, monkeypatch, schedule, clients):
         return real_run(handle)
 
     monkeypatch.setattr(asyncio.events.Handle, "_run", run_handle)
+
+    def generic(method):
+        def counted(*args, **kwargs):
+            counts["generic_json"] += in_flight[0]
+            return method(*args, **kwargs)
+        return counted
+
+    # A bound ``encode`` / ``decode`` taken at import still calls
+    # ``self.iterencode`` / ``self.raw_decode``, so these four see it.
+    for cls, name in ((json.JSONEncoder, "encode"),
+                      (json.JSONEncoder, "iterencode"),
+                      (json.JSONDecoder, "decode"),
+                      (json.JSONDecoder, "raw_decode")):
+        monkeypatch.setattr(cls, name, generic(getattr(cls, name)))
 
     def counted(file):
         def write(data):
@@ -200,7 +217,8 @@ def test_group_commit_and_fewer_sends_than_frames(tmp_path, monkeypatch):
          f"({writes_per_commit:.2f} per commit, ceiling "
          f"{FILE_WRITES_PER_COMMIT_CEILING}; {records_per_write:.1f} "
          f"records per write, floor {RECORDS_PER_WRITE_FLOOR}), "
-         f"{counts['drops']} drops")
+         f"{counts['drops']} drops, {counts['generic_json']} generic "
+         f"json calls")
     assert counts["committed"] == COMMITS
     assert counts["frames"] == 8 * COMMITS
     assert counts["socket_writes"] < counts["frames"]
@@ -208,6 +226,7 @@ def test_group_commit_and_fewer_sends_than_frames(tmp_path, monkeypatch):
     assert writes_per_commit <= FILE_WRITES_PER_COMMIT_CEILING
     assert records_per_write >= RECORDS_PER_WRITE_FLOOR
     assert counts["drops"] == 0
+    assert counts["generic_json"] == 0
 
 
 def test_callbacks_per_commit_at_one_client(tmp_path, monkeypatch):
@@ -218,7 +237,9 @@ def test_callbacks_per_commit_at_one_client(tmp_path, monkeypatch):
     per_commit = counts["callbacks"] / counts["committed"]
     emit(f"{counts['committed']} commits (2PC/NB/Paxos in turn), 1 client: "
          f"{per_commit:.1f} asyncio callbacks per commit "
-         f"(ceiling {CALLBACKS_PER_COMMIT_CEILING})")
+         f"(ceiling {CALLBACKS_PER_COMMIT_CEILING}), "
+         f"{counts['generic_json']} generic json calls")
     assert counts["committed"] == len(schedule)
     assert counts["drops"] == 0
+    assert counts["generic_json"] == 0
     assert per_commit <= CALLBACKS_PER_COMMIT_CEILING

@@ -16,17 +16,24 @@ field.  Control payloads are free-form JSON dicts used by the cluster
 driver (begin/status/transcript/stop).
 
 The decoder is incremental (feed it arbitrary chunks) and *strict*: a
-bad magic, unknown version, oversized length, CRC mismatch, or
-undecodable payload raises :class:`FrameError` with a ``cause`` tag.  A
-``LiveSite`` never lets that propagate — it drops the connection and
-counts the drop by cause, mirroring ``Lan.drop_counts()``.
+bad magic, unknown version, oversized length, CRC mismatch, or a
+payload that is not exactly one JSON object (the encoder writes no
+whitespace, so none is accepted around it) raises :class:`FrameError`
+with a ``cause`` tag, and so does a message field whose value is not of
+its declared type (``fields``).  A ``LiveSite`` never lets that reach a
+machine — it counts the drop by cause, mirroring ``Lan.drop_counts()``,
+and a framing error also drops the connection.
 
 The codec is *compiled*: at import, every class in ``ANY_MESSAGE``
 gets an encode plan (the literal JSON text between its field values,
 keys already sorted, and one text encoder per field) and a decode plan
-(one value decoder per field), both chosen by the field's declared
-type.  A field type the table below does not know fails the import, not
-a send.  No dataclass is reflected on per message.
+(in ``__init__`` order, one checking decoder per field), both chosen by
+the field's declared type.  A field type the table below does not know
+fails the import, not a send.  No dataclass is reflected on per
+message, and nothing per message builds an encoder: a string field is
+quoted, and every other value goes through one C encoder built at
+import (:func:`compact_encoder`).  A payload is parsed by one call to
+the C scanner, and a message is built positionally from its plan.
 
 ``message_to_dict`` parses the text the encode plan wrote, and that
 form (sorted keys, compact separators) is what the conformance harness
@@ -41,8 +48,9 @@ import json
 import struct
 import zlib
 from enum import Enum
+from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 from repro.core.messages import ANY_MESSAGE
 from repro.core.outcomes import Outcome, TwoPhaseVariant, Vote
@@ -84,12 +92,52 @@ def _plain(value: Any) -> Any:
     raise TypeError(f"{type(value).__name__} does not go on the wire")
 
 
-# The canonical serialisation shared by codec and conformance: one
-# encoder for every frame and transcript (``json.dumps`` with these
-# arguments would build a new one per call).
-canonical_json: Callable[[Any], str] = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), default=_plain).encode
-_loads: Callable[[str], Any] = json.JSONDecoder().decode
+def compact_encoder(default: Callable[[Any], Any]) -> Callable[[Any], str]:
+    """A value as canonical JSON text (sorted keys, compact separators,
+    ASCII), by one C encoder built here once — ``JSONEncoder.encode``
+    builds a new one per call.  It keeps the circular-reference check;
+    ``default`` is what it is told about a value it has no rule for.
+    Every caller shares its ``markers``: a site encodes on its event
+    loop's one thread."""
+    markers: Dict[int, Any] = {}
+    # indent None, separators ":" ",", sort_keys, not skipkeys, allow_nan:
+    # the arguments ``JSONEncoder(sort_keys=True, separators=(",", ":"))``
+    # passes.
+    encode = c_make_encoder(markers, default, _quote, None, ":", ",",
+                            True, False, True)
+
+    def text(value: Any) -> str:
+        try:
+            return "".join(encode(value, 0))
+        except BaseException:
+            # A raise leaves the ids of the containers it was inside in
+            # ``markers``; the next encode of one would read as a cycle.
+            markers.clear()
+            raise
+    return text
+
+
+# The canonical serialisation shared by codec and conformance: every
+# control frame, every non-string message field and every transcript.
+canonical_json: Callable[[Any], str] = compact_encoder(_plain)
+_scan = json.JSONDecoder().scan_once
+
+
+def _object(text: str) -> Dict[str, Any]:
+    """``text`` as the one JSON object it must be, by one call to the C
+    scanner: whitespace around it, or anything after it, is an error
+    (the encoder writes neither)."""
+    try:
+        value, end = _scan(text, 0)
+    except StopIteration:
+        raise FrameError("json", "no JSON value at offset 0") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise FrameError("json", str(exc)) from exc
+    if end != len(text):
+        raise FrameError("json", f"trailing data at offset {end}")
+    if type(value) is not dict:
+        raise FrameError("json", "payload is not an object")
+    return value
 
 
 # ------------------------------------------------- per-class wire plans
@@ -99,51 +147,101 @@ def _tid_text(value: Any) -> str:
     return _quote(str(value))
 
 
+# ``JSON value -> field value`` decoders.  Each checks the declared
+# type and raises if the value is not of it, which decode reports as
+# ``fields``: nothing the peer mistyped reaches a machine.
+
+def _exactly(kind: type) -> Callable[[Any], Any]:
+    """The value itself, if its type is exactly ``kind`` (so a ``bool``
+    is not an ``int``)."""
+    def decode(value: Any) -> Any:
+        if type(value) is not kind:
+            raise TypeError(f"{value!r} is not a {kind.__name__}")
+        return value
+    return decode
+
+
+_str, _int, _bool, _dict, _list = map(_exactly, (str, int, bool, dict, list))
+
+
+def _optional(decode: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    return lambda value: None if value is None else decode(value)
+
+
 def _member_of(enum: type) -> Callable[[Any], Any]:
     """Wire value -> member, by one dict lookup (``enum(value)`` costs
-    ten); an unknown value raises, which decode reports as ``fields``."""
+    ten); an unknown value raises."""
     return {member.value: member for member in enum}.__getitem__
 
 
-def _quorum(value: Any) -> Optional[QuorumSpec]:
-    return None if value is None else QuorumSpec.from_dict(value)
+def _tid(value: Any) -> TID:
+    tid = TID.parse(_str(value))
+    if not tid.family:
+        raise ValueError(f"TID {value!r} names no family")
+    return tid
 
 
-def _tuple_str(value: Any) -> Tuple[str, ...]:
-    return tuple(str(v) for v in value)
+def _quorum(value: Any) -> QuorumSpec:
+    spec = _dict(value)
+    return QuorumSpec(_int(spec["n_sites"]), _int(spec["commit_quorum"]),
+                      _int(spec["abort_quorum"]))
 
 
-def _tuple_pairs(value: Any) -> Tuple[Tuple[str, str], ...]:
-    return tuple((str(a), str(b)) for a, b in value)
+def _tuple_of(item: Callable[[Any], Any]) -> Callable[[Any], Tuple[Any, ...]]:
+    """A JSON list as a tuple, each element through ``item``."""
+    return lambda value: tuple(map(item, _list(value)))
 
 
-def _tuple_acceptances(value: Any) -> Tuple[Tuple[str, int, str], ...]:
-    return tuple((str(i), int(b), str(v)) for i, b, v in value)
+def _row(*columns: Callable[[Any], Any]) -> Callable[[Any], Tuple[Any, ...]]:
+    """A JSON list of ``len(columns)`` values as a tuple, each value
+    through its column's decoder."""
+    def decode(value: Any) -> Tuple[Any, ...]:
+        if len(_list(value)) != len(columns):
+            raise ValueError(f"{value!r} is not {len(columns)} long")
+        return tuple(column(v) for column, v in zip(columns, value))
+    return decode
 
 
-# Declared field type -> (value to JSON text, JSON value to field value;
-# None passes the value through).  The three enums are ``str``
-# subclasses, so a member is quoted like the string it is.
+# Declared field type -> (value to JSON text, JSON value to field
+# value).  Strings are quoted; every other value goes through the one
+# cached encoder.  The three enums are ``str`` subclasses, so a member
+# is quoted like the string it is.
 _WIRE_TYPES: Dict[str, Tuple[Callable[[Any], str],
-                             Optional[Callable[[Any], Any]]]] = {
-    "TID": (_tid_text, TID.parse),
-    "str": (_quote, None),
-    "int": (canonical_json, None),
-    "bool": (canonical_json, None),
+                             Callable[[Any], Any]]] = {
+    "TID": (_tid_text, _tid),
+    "str": (_quote, _str),
+    "int": (canonical_json, _int),
+    "bool": (canonical_json, _bool),
     "TwoPhaseVariant": (_quote, _member_of(TwoPhaseVariant)),
     "Vote": (_quote, _member_of(Vote)),
     "Outcome": (_quote, _member_of(Outcome)),
-    "Optional[QuorumSpec]": (canonical_json, _quorum),
-    "Tuple[str, ...]": (canonical_json, _tuple_str),
-    "Tuple[Tuple[str, str], ...]": (canonical_json, _tuple_pairs),
-    "Tuple[Tuple[str, int, str], ...]": (canonical_json, _tuple_acceptances),
-    "Dict[str, Any]": (canonical_json, None),
-    "Optional[Dict[str, Any]]": (canonical_json, None),
+    "Optional[QuorumSpec]": (canonical_json, _optional(_quorum)),
+    "Tuple[str, ...]": (canonical_json, _tuple_of(_str)),
+    "Tuple[Tuple[str, str], ...]": (canonical_json,
+                                    _tuple_of(_row(_str, _str))),
+    "Tuple[Tuple[str, int, str], ...]": (canonical_json,
+                                         _tuple_of(_row(_str, _int, _str))),
+    "Dict[str, Any]": (canonical_json, _dict),
+    "Optional[Dict[str, Any]]": (canonical_json, _optional(_dict)),
 }
 
+
+def _absent(f: "dataclasses.Field[Any]") -> Callable[[], Any]:
+    """What a field the payload leaves out decodes to: its default, or
+    (a field without one) an error."""
+    if f.default_factory is not dataclasses.MISSING:
+        return f.default_factory
+    if f.default is not dataclasses.MISSING:
+        return lambda default=f.default: default
+
+    def missing() -> Any:
+        raise KeyError(f"missing field {f.name!r}")
+    return missing
+
+
 _EncodePlan = Tuple[Tuple[Tuple[str, str, Callable[[Any], str]], ...], str]
-_DecodePlan = Tuple[type, Tuple[Tuple[str, Optional[Callable[[Any], Any]]],
-                                ...]]
+_DecodePlan = Tuple[type, Tuple[Tuple[str, Callable[[Any], Any],
+                                      Callable[[], Any]], ...]]
 
 
 def compile_plans(classes: Iterable[type]
@@ -153,8 +251,8 @@ def compile_plans(classes: Iterable[type]
     encode: Dict[type, _EncodePlan] = {}
     decode: Dict[str, _DecodePlan] = {}
     for cls in classes:
-        codecs = {}
-        for f in dataclasses.fields(cls):
+        codecs, fields = {}, dataclasses.fields(cls)
+        for f in fields:
             if f.type not in _WIRE_TYPES:
                 raise TypeError(f"{cls.__name__}.{f.name}: no wire codec "
                                 f"for a field declared {f.type!r}")
@@ -172,8 +270,10 @@ def compile_plans(classes: Iterable[type]
                 literal = ""
             literal += ","
         encode[cls] = (tuple(pieces), literal[:-1] + "}")
+        # A decode plan is the class and, in ``__init__`` order, each
+        # field's name, checking decoder and value when absent.
         decode[cls.__name__] = (cls, tuple(
-            (name, codec[1]) for name, codec in codecs.items()))
+            (f.name, codecs[f.name][1], _absent(f)) for f in fields))
     return encode, decode
 
 
@@ -200,7 +300,7 @@ def _message_text(msg: Any) -> str:
 
 def message_to_dict(msg: Any) -> Dict[str, Any]:
     """One protocol message as the dict its wire text parses to."""
-    return _loads(_message_text(msg))
+    return _object(_message_text(msg))
 
 
 def message_from_dict(data: Dict[str, Any]) -> Any:
@@ -209,13 +309,9 @@ def message_from_dict(data: Dict[str, Any]) -> Any:
     if plan is None:
         raise FrameError("type", f"unknown message type {type_name!r}")
     cls, fields = plan
-    kwargs: Dict[str, Any] = {}
     try:
-        for name, decode in fields:
-            if name in data:
-                value = data[name]
-                kwargs[name] = value if decode is None else decode(value)
-        return cls(**kwargs)
+        return cls(*[decode(data[name]) if name in data else absent()
+                     for name, decode, absent in fields])
     except Exception as exc:
         raise FrameError("fields", f"{type_name}: {exc}") from exc
 
@@ -292,12 +388,10 @@ class FrameDecoder:
                 if zlib.crc32(body) != crc:
                     raise FrameError("crc", "payload checksum mismatch")
                 try:
-                    payload = _loads(body.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                    text = body.decode("utf-8")
+                except UnicodeDecodeError as exc:
                     raise FrameError("json", str(exc)) from exc
-                if not isinstance(payload, dict):
-                    raise FrameError("json", "payload is not an object")
-                frames.append((kind, payload))
+                frames.append((kind, _object(text)))
         except FrameError as exc:
             exc.frames = frames
             raise

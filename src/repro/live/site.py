@@ -48,7 +48,10 @@ Robustness contract (satellite: codec hardening): a malformed,
 truncated, oversized, or CRC-failing frame NEVER crashes the site — the
 connection is dropped and the event counted per cause in
 ``frame_drops``, mirroring ``Lan.drop_counts()``; a connection that ends
-in the middle of a frame counts one ``"torn"`` drop.
+in the middle of a frame counts one ``"torn"`` drop.  A whole frame
+whose message names an unknown type or carries a field of another type
+than declared is counted (``"type"`` / ``"fields"``) and never reaches
+the host; the connection stays.
 
 Storage errors are the opposite case: a batched write or fsync that
 raised **fail-stops** the site (the WAL is dead, see

@@ -10,6 +10,9 @@ durability as a genuine ``os.fsync`` on a file the
 
 File layout: a 5-byte header (magic ``RWAL`` + version) followed by
 records, each ``length(4) | crc32(4) | canonical-JSON(LogRecord.to_dict)``.
+:func:`record_json` writes that text by plan, not by encoding the dict;
+only a non-empty payload meets an encoder, which has no rule for a
+value JSON lacks, so such a payload fails the force.
 Loading tolerates a torn tail — a crash mid-write leaves a partial or
 CRC-failing final record, which is exactly the not-yet-durable suffix
 the simulator's crash model also discards.  Opening for write truncates
@@ -33,17 +36,35 @@ import json
 import os
 import struct
 import zlib
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, List, Optional, Tuple
 
-from repro.log.records import LogRecord
+from repro.live.codec import compact_encoder
+from repro.log.records import LogRecord, RecordKind
 from repro.log.storage import LogTail
 
 WAL_MAGIC = b"RWAL"
 WAL_VERSION = 1
 _HEADER = WAL_MAGIC + bytes([WAL_VERSION])
 _REC = struct.Struct(">II")
-_record_json: Callable[[dict], str] = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":")).encode
+# A record's text up to its LSN, per kind: the keys are sorted, so
+# ``kind`` comes first and ``lsn`` next.
+_OPENING = {kind: f'{{"kind":{_quote(kind.value)},"lsn":'
+            for kind in RecordKind}
+# No rule for a value JSON lacks: a payload holding one fails the force.
+_payload_json = compact_encoder(json.JSONEncoder().default)
+
+
+def record_json(record: LogRecord) -> str:
+    """``record.to_dict()`` as canonical JSON, written by plan: the six
+    keys are literals, the strings are quoted, the integers are their
+    ``repr``, and only a non-empty payload meets an encoder."""
+    lsn, payload = record.lsn, record.payload
+    return (f'{_OPENING[record.kind]}'
+            f'{"null" if lsn is None else int.__repr__(lsn)},"payload":'
+            f'{_payload_json(payload) if payload else "{}"},"site":'
+            f'{_quote(record.site)},"size_bytes":'
+            f'{int.__repr__(record.size_bytes)},"tid":{_quote(record.tid)}}}')
 
 
 def _scan(data: bytes, path: str) -> Tuple[List[LogRecord], int]:
@@ -163,7 +184,7 @@ class FileWal(LogTail):
         if records:
             batch = []
             for record in records:
-                body = _record_json(record.to_dict()).encode("utf-8")
+                body = record_json(record).encode("ascii")
                 batch += _REC.pack(len(body), zlib.crc32(body)), body
             try:
                 self._file.write(b"".join(batch))

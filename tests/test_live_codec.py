@@ -24,6 +24,7 @@ from repro.core.messages import (
     ANY_MESSAGE,
     CommitAck,
     NbPrepare,
+    NbReplicate,
     PcPhase2b,
     PrepareRequest,
     VoteResponse,
@@ -92,9 +93,12 @@ def _value_for(field: dataclasses.Field) -> st.SearchStrategy:
         return st.sampled_from(["no_state", "prepared", "replicated",
                                 "abort_pledged", "committed", "aborted"])
     if name == "decision_data":
-        return st.one_of(st.none(),
-                         st.dictionaries(st.sampled_from(["k1", "k2"]),
-                                         st.integers(), max_size=2))
+        dicts = st.dictionaries(st.sampled_from(["k1", "k2"]), st.integers(),
+                                max_size=2)
+        # ``None`` only where the field is declared ``Optional``: the
+        # decoder refuses a value of another type than the declared one.
+        return (dicts if field.type == "Dict[str, Any]"
+                else st.one_of(st.none(), dicts))
     if field.type in ("bool", bool):
         return st.booleans()
     if field.type in ("int", int):
@@ -311,6 +315,18 @@ class TestCompiledPlansAgainstTheOracle:
             encode_message_frame("alpha", Timestamped(TID("T1@a"), "a"))
         assert err.value.cause == "type"
 
+    def test_the_cached_encoder_recovers_after_a_raise(self):
+        """Field values share one encoder, built once, so it must not
+        keep what a failed encode left behind: the dict it was inside
+        would read as a cycle the next time."""
+        data = {"votes": {"beta": object()}}
+        msg = NbReplicate(TID("T1@alpha"), "alpha", data)
+        with pytest.raises(TypeError):
+            encode_message_frame("alpha", msg)
+        del data["votes"]["beta"]
+        assert encode_message_frame("alpha", msg) == \
+            _reference_frame("alpha", msg)
+
 
 GOLDEN_SHA256 = (
     "eef9a0b88b60fde6cdfe9da7bf55101567339c9f36258e90e4ed29b7d5f8e5dd")
@@ -380,6 +396,32 @@ class TestChunkingInvariance:
         assert [decode_message_payload(p)[1] for _, p in frames] == messages
 
 
+_QUORUM = {"abort_quorum": 2, "commit_quorum": 2, "n_sites": 3}
+# Declared field type -> JSON values of another type.
+_WRONG_VALUES = {
+    "TID": ["", ":1", "T1@a:0", 7, ["T1@a"], None],
+    "str": [7, ["x"], None, True, {"x": 1}],
+    "int": [True, "3", 3.0, None, [3]],
+    "bool": [1, 0, "true", None],
+    "TwoPhaseVariant": ["maybe", ["optimized"], True, None],
+    "Vote": ["maybe", ["yes"], True, None],
+    "Outcome": ["maybe", ["committed"], 1, None],
+    "Optional[QuorumSpec]": [{**_QUORUM, "n_sites": 3.0},
+                             {"n_sites": 1, "commit_quorum": True,
+                              "abort_quorum": 1},
+                             {**_QUORUM, "n_sites": "3"},
+                             {"n_sites": 3}, [3, 2, 2], "q"],
+    "Tuple[str, ...]": [["x", 7], "abc", {"a": 1}, None, [None]],
+    "Tuple[Tuple[str, str], ...]": [[["a"]], [["a", 1]], [["a", "b", "c"]],
+                                    ["ab"], None],
+    "Tuple[Tuple[str, int, str], ...]": [[["a", "1", "yes"]],
+                                         [["a", True, "yes"]], [["a", 1]],
+                                         [[7, 1, "yes"]], None],
+    "Dict[str, Any]": [["x"], None, "x", 1],
+    "Optional[Dict[str, Any]]": [["x"], "x", 1, True],
+}
+
+
 class TestFuzzRejection:
     """Garbage in -> FrameError with the right cause, never a crash."""
 
@@ -443,6 +485,20 @@ class TestFuzzRejection:
             FrameDecoder().feed(frame)
         assert err.value.cause == "json"
 
+    @pytest.mark.parametrize("body", [
+        b' {"cmd":"ping"}', b'{"cmd":"ping"}\n', b'{"cmd":"ping"}{}',
+        b'{"cmd":"ping"}x', b"", b"[" * 5000 + b"]" * 5000],
+        ids=["leading-space", "trailing-newline", "second-object",
+             "trailing-byte", "empty", "too-deep"])
+    def test_a_payload_that_is_not_exactly_one_object(self, body):
+        """The encoder writes no whitespace, so one scan of the payload
+        must end exactly at its last byte."""
+        frame = struct.Struct(">4sBBII").pack(
+            MAGIC, VERSION, KIND_CONTROL, len(body), zlib.crc32(body)) + body
+        with pytest.raises(FrameError) as err:
+            FrameDecoder().feed(frame)
+        assert err.value.cause == "json"
+
     def test_unknown_message_type(self):
         with pytest.raises(FrameError) as err:
             decode_message_payload(
@@ -455,6 +511,34 @@ class TestFuzzRejection:
                 {"src": "alpha",
                  "msg": {"type": "VoteResponse", "tid": "T1@alpha",
                          "sender": "beta", "vote": "maybe"}})
+        assert err.value.cause == "fields"
+
+    @pytest.mark.parametrize("declared", sorted(_WRONG_VALUES))
+    def test_a_value_of_another_type_is_refused(self, declared):
+        """Each declared field type, fed values JSON can carry but the
+        type is not: a ``bool`` is no ``int``, a TID names a family."""
+        cls, name = next((cls, f.name) for cls in ANY_MESSAGE
+                         for f in dataclasses.fields(cls)
+                         if f.type == declared)
+        good = message_to_dict(_golden(cls))
+        assert message_from_dict(good) == _golden(cls)
+        for wrong in _WRONG_VALUES[declared]:
+            with pytest.raises(FrameError) as err:
+                decode_message_payload(
+                    {"src": "alpha", "msg": {**good, name: wrong}})
+            assert err.value.cause == "fields", (name, wrong)
+
+    def test_every_declared_type_has_wrong_values(self):
+        assert set(_WRONG_VALUES) == {f.type for cls in ANY_MESSAGE
+                                      for f in dataclasses.fields(cls)}
+
+    def test_a_left_out_field_takes_its_default(self):
+        msg = decode_message_payload({"src": "alpha", "msg": {
+            "type": "PrepareRequest", "tid": "T9@beta", "sender": "beta"}})[1]
+        assert msg == PrepareRequest(TID("T9@beta"), "beta")
+        with pytest.raises(FrameError) as err:
+            decode_message_payload({"src": "alpha", "msg": {
+                "type": "PrepareRequest", "tid": "T9@beta"}})
         assert err.value.cause == "fields"
 
     def test_missing_envelope(self):
@@ -585,3 +669,32 @@ class TestLiveSiteDropsGarbage:
         acks, delivered, drops = asyncio.run(scenario())
         assert delivered == [("beta", ack) for ack in acks]
         assert drops == {"magic": 1, "total": 1}
+
+    def test_a_mistyped_field_is_a_counted_drop(self, tmp_path):
+        """``"sender": 7`` is not a site: the frame is dropped and
+        counted ``fields`` and no outbox opens for a peer named 7 (an
+        unchecked decode delivered it, and the vote went to ``7``)."""
+        import asyncio
+        from repro.live.site import LiveSite
+
+        async def scenario():
+            site = LiveSite("alpha", str(tmp_path))
+            await site.start()
+            _, writer = await asyncio.open_connection("127.0.0.1", site.port)
+            writer.write(encode_frame(KIND_MESSAGE, {"src": "beta", "msg": {
+                "type": "PrepareRequest", "tid": "T9@beta", "sender": 7}}))
+            await writer.drain()
+            for _ in range(200):
+                if site.substrate.drop_counts()["total"]:
+                    break
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.05)
+            seen = (site.substrate.drop_counts(),
+                    dict(site.substrate._out_queues), dict(site.host.machines))
+            writer.close()
+            await site.stop()
+            return seen
+
+        drops, outboxes, machines = asyncio.run(scenario())
+        assert drops == {"fields": 1, "total": 1}
+        assert outboxes == {} and machines == {}
