@@ -7,10 +7,7 @@ provides an underestimate of the measured time", with the gap around
 5-10%% and larger (relatively) for small transactions.
 """
 
-from repro.analysis.static_analysis import (
-    local_update_completion,
-    twophase_update_completion,
-)
+from repro.analysis.static_analysis import completion, local_completion
 from repro.bench.figures import table3
 from repro.bench.report import render_static_path, render_table3
 
@@ -21,9 +18,9 @@ def test_table3(once):
     rows = once(table3, trials=20)
     emit(render_table3(rows))
     emit("Static path, local update:\n"
-         + render_static_path(local_update_completion()))
+         + render_static_path(local_completion("write")))
     emit("Static path, 1-subordinate 2PC update:\n"
-         + render_static_path(twophase_update_completion(1)))
+         + render_static_path(completion("two_phase", "write", 1)))
 
     by_label = {r.label: r for r in rows}
     # Static underestimates measured for the 2PC cases, as in the paper.

@@ -7,26 +7,25 @@ actions (or primitives) along the path" (paper §4.2).  This package
 provides:
 
 - :mod:`repro.analysis.primitives` — the paper's Tables 1 and 2 as data,
-  tied to the live :class:`~repro.config.CostModel`;
-- :mod:`repro.analysis.static_analysis` — critical-path and
-  completion-path formulas for every measured protocol variant (the
-  paper's Table 3 and §4.3 ratios);
+  and :func:`unit_costs`, what one of each primitive costs under a
+  :class:`~repro.config.CostModel`;
+- :mod:`repro.analysis.static_analysis` — one row list per protocol
+  family and one :func:`price` that sums it: the critical and
+  completion paths of every measured variant (the paper's Table 3) and
+  the §4.3 counts read off the same rows;
 - :mod:`repro.analysis.stats` — the summary statistics the figures
   report (mean, sample stddev, percentiles).
 """
 
-from repro.analysis.primitives import table1_rows, table2_rows
+from repro.analysis.primitives import table1_rows, table2_rows, unit_costs
 from repro.analysis.static_analysis import (
     PathTerm,
     StaticPath,
-    local_read_completion,
-    local_update_completion,
-    nonblocking_read_completion,
-    nonblocking_update_completion,
+    completion,
+    critical,
+    local_completion,
     path_counts,
-    twophase_read_completion,
-    twophase_update_completion,
-    twophase_update_critical,
+    price,
 )
 from repro.analysis.stats import Summary, summarize
 
@@ -34,15 +33,13 @@ __all__ = [
     "PathTerm",
     "StaticPath",
     "Summary",
-    "local_read_completion",
-    "local_update_completion",
-    "nonblocking_read_completion",
-    "nonblocking_update_completion",
+    "completion",
+    "critical",
+    "local_completion",
     "path_counts",
+    "price",
     "summarize",
     "table1_rows",
     "table2_rows",
-    "twophase_read_completion",
-    "twophase_update_completion",
-    "twophase_update_critical",
+    "unit_costs",
 ]

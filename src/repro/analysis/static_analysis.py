@@ -8,9 +8,11 @@ dropped and the call returns.  The shortest sequence of actions before
 (only) the call returns is the completion path.  In Camelot, the
 critical path is always longer than the completion path."
 
-Each formula returns a :class:`StaticPath`: an ordered list of
-(primitive, count, unit-cost) terms whose sum is the prediction.  The
-assumptions are the paper's: identical parallel operations proceed
+A path is a list of rows ``(action, count, primitive)``, written once
+per protocol family; :func:`price` turns rows into a :class:`StaticPath`
+by looking each primitive up in :func:`~repro.analysis.primitives.unit_costs`,
+and the sum of the terms is the prediction.  The assumptions are the
+paper's: identical parallel operations proceed
 perfectly in parallel with constant service time, and minor costs (CPU
 inside processes) are ignored — which is why static analysis
 *underestimates* the measured time, as the paper observes and this
@@ -25,9 +27,17 @@ that Dwork & Skeen's lower bound says is inherent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.primitives import (
+    CAMELOT_RPC,
+    DATAGRAM_PAIR,
+    IPC_ROUND_TRIP,
+    REMOTE_DROP_LOCKS,
+    unit_costs,
+)
 from repro.config import CostModel
+from repro.obs.kinds import DATAGRAM, IPC, LOCK, LOG_FORCE
 
 
 @dataclass(frozen=True)
@@ -64,258 +74,148 @@ class StaticPath:
         return out
 
 
-def _c(cost: Optional[CostModel]) -> CostModel:
-    return cost or CostModel()
+Row = Tuple[str, int, str]  # (action, count, primitive)
+
+_FAMILY_NAMES = {"two_phase": "2PC", "non_blocking": "NB",
+                 "paxos_commit": "Paxos Commit"}
 
 
-def _begin_and_ops(c: CostModel, n_subs: int, write: bool) -> List[PathTerm]:
-    """The non-commitment prefix: begin + one operation per site.
+def price(label: str, rows: Sequence[Row],
+          cost: Optional[CostModel] = None) -> StaticPath:
+    """Duchamp's sum: each row's count times its primitive's unit cost
+    (a row with count 0 is not on the path)."""
+    units = unit_costs(cost or CostModel())
+    return StaticPath(label, [PathTerm(action, count, units[primitive])
+                              for action, count, primitive in rows if count])
+
+
+def _prefix(n_subs: int) -> List[Row]:
+    """Begin, one operation per site, and the local half of the commit.
 
     Operation cost is the paper's: 3.5 ms local (3 op IPC + 0.5 lock),
     29 ms remote (28.5 RPC + 0.5 lock).  Remote operations are issued in
     sequence by the application, so they sum.
     """
-    terms = [PathTerm("begin-transaction IPC", 1, c.local_ipc),
-             PathTerm("local operation (IPC to server)", 1, 2 * c.local_ipc),
-             PathTerm("get lock (local)", 1, c.get_lock)]
-    if n_subs:
-        remote_rpc = (c.netmsg_rpc + 2 * c.local_ipc
-                      + 2 * c.comman_cpu_per_call)
-        terms.append(PathTerm("remote operation (Camelot RPC)", n_subs,
-                              remote_rpc))
-        terms.append(PathTerm("get lock (remote)", n_subs, c.get_lock))
-    return terms
+    return [("begin-transaction IPC", 1, IPC),
+            ("local operation (IPC to server)", 1, IPC_ROUND_TRIP),
+            ("get lock (local)", 1, LOCK),
+            ("remote operation (Camelot RPC)", n_subs, CAMELOT_RPC),
+            ("get lock (remote)", n_subs, LOCK),
+            ("commit-transaction IPC", 1, IPC),
+            ("local vote round (IPC to server)", 1, IPC_ROUND_TRIP)]
 
 
-def _commit_call(c: CostModel) -> List[PathTerm]:
-    return [PathTerm("commit-transaction IPC", 1, c.local_ipc)]
+def _prepare_round(rounds: int, vote: str, forces: int) -> List[Row]:
+    """The subordinates' prepare round; parallel sends count once."""
+    return [("datagram (prepare)", rounds, DATAGRAM),
+            ("subordinate vote round", rounds, IPC_ROUND_TRIP),
+            ("log force (subordinate prepare)", forces, LOG_FORCE),
+            (f"datagram ({vote})", rounds, DATAGRAM)]
 
 
-def _local_vote_round(c: CostModel) -> List[PathTerm]:
-    return [PathTerm("local vote round (IPC to server)", 1, 2 * c.local_ipc)]
-
-
-def _reply(c: CostModel) -> List[PathTerm]:
-    return [PathTerm("commit reply IPC", 1, c.local_ipc)]
-
-
-# ------------------------------------------------------------- local txns
-
-
-def local_update_completion(cost: Optional[CostModel] = None) -> StaticPath:
-    """Local update: one log write (forced) commits it — 24.5 ms static
-    against the paper's 31 ms measured."""
-    c = _c(cost)
-    terms = (_begin_and_ops(c, 0, write=True) + _commit_call(c)
-             + _local_vote_round(c)
-             + [PathTerm("log force (commit record)", 1, c.log_force)])
-    return StaticPath("local update completion", terms)
-
-
-def local_read_completion(cost: Optional[CostModel] = None) -> StaticPath:
-    """Local read: no log writes at all — 9.5 ms static vs 13 measured."""
-    c = _c(cost)
-    terms = (_begin_and_ops(c, 0, write=False) + _commit_call(c)
-             + _local_vote_round(c))
-    return StaticPath("local read completion", terms)
-
-
-# ---------------------------------------------------------- 2PC, update
-
-
-def twophase_update_completion(n_subs: int,
-                               cost: Optional[CostModel] = None) -> StaticPath:
-    """Optimized 2PC update, call-return path: 2 forces + 2 datagrams."""
-    c = _c(cost)
-    terms = (_begin_and_ops(c, n_subs, write=True) + _commit_call(c)
-             + _local_vote_round(c))
-    if n_subs:
-        terms += [
-            PathTerm("datagram (prepare)", 1, c.datagram),
-            PathTerm("subordinate vote round", 1, 2 * c.local_ipc),
-            PathTerm("log force (subordinate prepare)", 1, c.log_force),
-            PathTerm("datagram (vote)", 1, c.datagram),
-        ]
-    terms += [PathTerm("log force (coordinator commit)", 1, c.log_force)]
-    terms += _reply(c)
-    return StaticPath(f"2PC update completion, {n_subs} subs", terms)
-
-
-def twophase_update_critical(n_subs: int,
-                             cost: Optional[CostModel] = None) -> StaticPath:
-    """Critical path: completion plus the commit notice reaching the
-    subordinates and their lock drops (the paper's '2 log writes (both
-    forces) and two inter-site messages' beyond the vote round)."""
-    c = _c(cost)
-    path = twophase_update_completion(n_subs, c)
-    terms = list(path.terms)
-    if n_subs:
-        terms += [
-            PathTerm("datagram (commit notice)", 1, c.datagram),
-            PathTerm("drop locks at subordinate", 1,
-                     c.local_oneway_message + c.drop_lock),
-        ]
-    return StaticPath(f"2PC update critical, {n_subs} subs", terms)
-
-
-def twophase_read_completion(n_subs: int,
-                             cost: Optional[CostModel] = None) -> StaticPath:
-    """Read-only 2PC: one message round, zero log writes."""
-    c = _c(cost)
-    terms = (_begin_and_ops(c, n_subs, write=False) + _commit_call(c)
-             + _local_vote_round(c))
-    if n_subs:
-        terms += [
-            PathTerm("datagram (prepare)", 1, c.datagram),
-            PathTerm("subordinate vote round", 1, 2 * c.local_ipc),
-            PathTerm("datagram (read vote)", 1, c.datagram),
-        ]
-    terms += _reply(c)
-    return StaticPath(f"2PC read completion, {n_subs} subs", terms)
-
-
-# -------------------------------------------------------- non-blocking
-
-
-def nonblocking_update_completion(n_subs: int,
-                                  cost: Optional[CostModel] = None
-                                  ) -> StaticPath:
-    """Non-blocking update: 4 forces + 4 datagrams to the commit point
-    (the 5th datagram — the outcome notice — is beyond call return,
-    'the completion path is one datagram shorter')."""
-    c = _c(cost)
-    terms = (_begin_and_ops(c, n_subs, write=True) + _commit_call(c)
-             + _local_vote_round(c)
-             + [PathTerm("log force (coordinator prepare)", 1, c.log_force)])
-    if n_subs:
-        terms += [
-            PathTerm("datagram (prepare)", 1, c.datagram),
-            PathTerm("subordinate vote round", 1, 2 * c.local_ipc),
-            PathTerm("log force (subordinate prepare)", 1, c.log_force),
-            PathTerm("datagram (vote)", 1, c.datagram),
-        ]
-    terms += [PathTerm("log force (coordinator replication)", 1, c.log_force)]
-    if n_subs:
-        terms += [
-            PathTerm("datagram (replicate)", 1, c.datagram),
-            PathTerm("log force (subordinate replication)", 1, c.log_force),
-            PathTerm("datagram (replicate ack)", 1, c.datagram),
-        ]
-    terms += _reply(c)
-    return StaticPath(f"NB update completion, {n_subs} subs", terms)
-
-
-def nonblocking_update_critical(n_subs: int,
-                                cost: Optional[CostModel] = None
-                                ) -> StaticPath:
-    c = _c(cost)
-    path = nonblocking_update_completion(n_subs, c)
-    terms = list(path.terms)
-    if n_subs:
-        terms += [
-            PathTerm("datagram (outcome notice)", 1, c.datagram),
-            PathTerm("drop locks at subordinate", 1,
-                     c.local_oneway_message + c.drop_lock),
-        ]
-    return StaticPath(f"NB update critical, {n_subs} subs", terms)
-
-
-def nonblocking_read_completion(n_subs: int,
-                                cost: Optional[CostModel] = None
-                                ) -> StaticPath:
-    """Fully read-only: identical critical path to two-phase commit —
-    the paper's headline read-only result."""
-    path = twophase_read_completion(n_subs, cost)
-    return StaticPath(f"NB read completion, {n_subs} subs", path.terms)
-
-
-# -------------------------------------------------------- paxos commit
-
-
-def paxos_update_completion(n_subs: int,
-                            cost: Optional[CostModel] = None,
-                            faults_tolerated: int = 0) -> StaticPath:
-    """Paxos Commit update at F faults tolerated (N = 2F+1 acceptors).
-
-    F=0 degenerates to optimized 2PC's exact path — the leader is the
-    sole acceptor, the subordinate's prepare force doubles as its
-    ballot-0 acceptance, and the leader's decision force is the
-    commitment point (Gray & Lamport §4: "with F=0, Paxos Commit is
-    essentially 2PC").  Each extra fault tolerated adds, per
-    subordinate, one vote fan-out datagram to the 2F extra acceptors,
-    their acceptance forces, and their phase-2b reports; the completion
-    path grows by one acceptor force + two datagrams per F on the
-    slowest instance's chain.
-    """
-    c = _c(cost)
-    terms = (_begin_and_ops(c, n_subs, write=True) + _commit_call(c)
-             + _local_vote_round(c))
-    if faults_tolerated:
-        terms += [PathTerm("log force (leader prepare)", 1, c.log_force)]
-    if n_subs:
-        terms += [
-            PathTerm("datagram (prepare)", 1, c.datagram),
-            PathTerm("subordinate vote round", 1, 2 * c.local_ipc),
-            PathTerm("log force (subordinate prepare)", 1, c.log_force),
-            PathTerm("datagram (vote / ballot-0 2a)", 1, c.datagram),
-        ]
-        if faults_tolerated:
-            terms += [
-                PathTerm("log force (acceptor acceptance)",
-                         faults_tolerated, c.log_force),
-                PathTerm("datagram (phase-2b report)",
-                         faults_tolerated, 2 * c.datagram),
-            ]
-    terms += [PathTerm("log force (leader decision)", 1, c.log_force)]
-    terms += _reply(c)
-    return StaticPath(
-        f"Paxos Commit update completion, {n_subs} subs, F="
-        f"{faults_tolerated}", terms)
-
-
-def paxos_update_critical(n_subs: int,
-                          cost: Optional[CostModel] = None,
-                          faults_tolerated: int = 0) -> StaticPath:
-    c = _c(cost)
-    path = paxos_update_completion(n_subs, c, faults_tolerated)
-    terms = list(path.terms)
-    if n_subs:
-        terms += [
-            PathTerm("datagram (outcome notice)", 1, c.datagram),
-            PathTerm("drop locks at subordinate", 1,
-                     c.local_oneway_message + c.drop_lock),
-        ]
-    return StaticPath(
-        f"Paxos Commit update critical, {n_subs} subs, F="
-        f"{faults_tolerated}", terms)
-
-
-def paxos_read_completion(n_subs: int,
-                          cost: Optional[CostModel] = None) -> StaticPath:
-    """Fully read-only Paxos Commit: votes need no durability, so the
-    path collapses to the same one message round as read-only 2PC."""
-    path = twophase_read_completion(n_subs, cost)
-    return StaticPath(f"Paxos Commit read completion, {n_subs} subs",
-                      path.terms)
-
-
-# -------------------------------------------------------------- counts
-
-
-def path_counts(protocol: str, op: str, n_subs: int) -> Dict[str, int]:
-    """Critical-path primitive counts (the §4.3 ratios).
-
-    Returns {'log_forces': ..., 'datagrams': ...} for one transaction
-    with ``n_subs`` subordinates.
-    """
-    if protocol not in ("two_phase", "non_blocking", "paxos_commit"):
+def _check(protocol: str, op: str) -> None:
+    if protocol not in _FAMILY_NAMES:
         raise ValueError(f"unknown protocol {protocol!r}")
     if op not in ("read", "write"):
         raise ValueError(f"unknown op {op!r} (expected 'read' or 'write')")
-    if op == "read":
-        return {"log_forces": 0, "datagrams": 2 if n_subs else 0}
-    if protocol in ("two_phase", "paxos_commit"):
-        # Paxos Commit at F=0 degenerates to optimized 2PC exactly.
-        return {"log_forces": 2, "datagrams": 3 if n_subs else 0}
-    return {"log_forces": 4, "datagrams": 5 if n_subs else 0}
 
+
+def _rows(protocol: str, op: str, critical: bool, n_subs: int,
+          faults_tolerated: int) -> List[Row]:
+    """One path of one family, to call return or (``critical``) to the
+    last lock drop.
+
+    Optimized 2PC forces twice and sends two datagrams to call return.
+    The non-blocking protocol forces four times and sends four (the 5th,
+    the outcome notice, is beyond call return: "the completion path is
+    one datagram shorter").  Paxos Commit at F faults tolerated (N =
+    2F+1 acceptors) degenerates at F=0 to optimized 2PC's exact path:
+    the leader is the sole acceptor, the subordinate's prepare force
+    doubles as its ballot-0 acceptance, and the leader's decision force
+    is the commitment point (Gray & Lamport §4).  Each extra fault
+    tolerated adds one acceptor force and two datagrams on the slowest
+    instance's chain.  A read-only transaction is the same one message
+    round and no log write in every family, and its subordinates drop
+    their locks as they vote.
+    """
+    _check(protocol, op)
+    r = 1 if n_subs else 0  # one round reaches every subordinate
+    f = faults_tolerated
+    if op == "read":
+        rows = _prepare_round(r, "read vote", forces=0)
+    elif protocol == "two_phase":
+        rows = [*_prepare_round(r, "vote", forces=r),
+                ("log force (coordinator commit)", 1, LOG_FORCE)]
+    elif protocol == "non_blocking":
+        rows = [("log force (coordinator prepare)", 1, LOG_FORCE),
+                *_prepare_round(r, "vote", forces=r),
+                ("log force (coordinator replication)", 1, LOG_FORCE),
+                ("datagram (replicate)", r, DATAGRAM),
+                ("log force (subordinate replication)", r, LOG_FORCE),
+                ("datagram (replicate ack)", r, DATAGRAM)]
+    else:
+        rows = [("log force (leader prepare)", 1 if f else 0, LOG_FORCE),
+                *_prepare_round(r, "vote / ballot-0 2a", forces=r),
+                ("log force (acceptor acceptance)", r * f, LOG_FORCE),
+                ("datagram (phase-2b report)", r * f, DATAGRAM_PAIR),
+                ("log force (leader decision)", 1, LOG_FORCE)]
+    rows = _prefix(n_subs) + rows + [("commit reply IPC", 1, IPC)]
+    if critical and op == "write":
+        notice = "commit" if protocol == "two_phase" else "outcome"
+        rows += [(f"datagram ({notice} notice)", r, DATAGRAM),
+                 ("drop locks at subordinate", r, REMOTE_DROP_LOCKS)]
+    return rows
+
+
+def _priced(protocol: str, op: str, critical: bool, n_subs: int,
+            cost: Optional[CostModel], faults_tolerated: int) -> StaticPath:
+    rows = _rows(protocol, op, critical, n_subs, faults_tolerated)
+    label = (f"{_FAMILY_NAMES[protocol]} "
+             f"{'update' if op == 'write' else 'read'} "
+             f"{'critical' if critical else 'completion'}, {n_subs} subs")
+    if protocol == "paxos_commit" and op == "write":
+        label += f", F={faults_tolerated}"
+    return price(label, rows, cost)
+
+
+def completion(protocol: str, op: str, n_subs: int,
+               cost: Optional[CostModel] = None,
+               faults_tolerated: int = 0) -> StaticPath:
+    """The path to the commit call's return (``faults_tolerated``:
+    Paxos Commit updates only)."""
+    return _priced(protocol, op, False, n_subs, cost, faults_tolerated)
+
+
+def critical(protocol: str, n_subs: int, cost: Optional[CostModel] = None,
+             faults_tolerated: int = 0) -> StaticPath:
+    """An update's path to the last lock drop: completion plus the
+    notice reaching the subordinates and their lock drops (for 2PC, the
+    paper's '2 log writes (both forces) and two inter-site messages'
+    beyond the vote round)."""
+    return _priced(protocol, "write", True, n_subs, cost, faults_tolerated)
+
+
+def local_completion(op: str, cost: Optional[CostModel] = None) -> StaticPath:
+    """A local transaction: one forced log write commits an update
+    (24.5 ms static against the paper's 31 ms measured); a read writes
+    no log at all (9.5 ms static vs 13 measured)."""
+    _check("two_phase", op)
+    forces = 1 if op == "write" else 0
+    rows = _prefix(0) + [("log force (commit record)", forces, LOG_FORCE)]
+    return price(f"local {'update' if forces else 'read'} completion", rows,
+                 cost)
+
+
+def path_counts(protocol: str, op: str, n_subs: int) -> Dict[str, int]:
+    """Critical-path primitive counts (the §4.3 ratios), read off the
+    F=0 critical rows.
+
+    Returns {'log_forces': ..., 'datagrams': ...} for one transaction
+    with ``n_subs`` subordinates: the summed counts of the log-force
+    rows and of the datagram rows (a round's parallel sends count once).
+    """
+    rows = _rows(protocol, op, True, n_subs, 0)
+    return {"log_forces": sum(count for _, count, primitive in rows
+                              if primitive == LOG_FORCE),
+            "datagrams": sum(count for _, count, primitive in rows
+                             if primitive == DATAGRAM)}

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.analysis.primitives import CAMELOT_RPC, IPC_ROUND_TRIP, unit_costs
 from repro.analysis.stats import Summary, summarize
 from repro.config import SystemConfig, rt_pc_profile, vax_mp_profile
 from repro.core.outcomes import ProtocolKind, TwoPhaseVariant
@@ -51,9 +52,9 @@ class ThroughputResult:
 def _operation_cost(cost, n_subs: int) -> float:
     """The paper's per-transaction operation cost to subtract: 3.5 ms
     local plus 29 ms per remote operation."""
-    local = 2 * cost.local_ipc + cost.get_lock
-    remote = (cost.netmsg_rpc + 2 * cost.local_ipc
-              + 2 * cost.comman_cpu_per_call + cost.get_lock)
+    units = unit_costs(cost)
+    local = units[IPC_ROUND_TRIP] + cost.get_lock
+    remote = units[CAMELOT_RPC] + cost.get_lock
     return local + n_subs * remote
 
 

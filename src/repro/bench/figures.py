@@ -16,14 +16,12 @@ from repro.analysis.primitives import (
     PrimitiveRow,
     rpc_breakdown_rows,
     table1_rows,
+    table2_rows,
 )
 from repro.analysis.static_analysis import (
     StaticPath,
-    local_read_completion,
-    local_update_completion,
-    nonblocking_read_completion,
-    nonblocking_update_completion,
-    twophase_update_completion,
+    completion,
+    local_completion,
 )
 from repro.analysis.stats import Summary, summarize
 from repro.bench.experiment import (
@@ -57,11 +55,15 @@ class MeasuredPrimitive:
 
 def table2_measured(trials: int = 50) -> List[MeasuredPrimitive]:
     """Table 2, live: measure each Camelot primitive in the simulator
-    and compare with the configured constant."""
+    and compare with its configured Table 2 row."""
     cost = rt_pc_profile()
+    configured = {row.name: row.value for row in table2_rows(cost)}
     system = CamelotSystem(SystemConfig(cost=cost,
                                         sites={"s0": 1, "s1": 1}))
     out: List[MeasuredPrimitive] = []
+
+    def measured(name: str, value: float) -> None:
+        out.append(MeasuredPrimitive(name, configured[name], value))
 
     # Local in-line IPC to server: a peek round trip is two legs.
     rt0 = system.runtime("s0")
@@ -78,9 +80,7 @@ def table2_measured(trials: int = 50) -> List[MeasuredPrimitive]:
         return samples
 
     samples = system.run_process(ipc_probe(), name="ipc-probe")
-    out.append(MeasuredPrimitive("Local in-line IPC to server",
-                                 2 * cost.local_ipc,
-                                 summarize(samples).mean))
+    measured("Local in-line IPC to server", summarize(samples).mean)
 
     # Log force.
     from repro.log.records import commit_record
@@ -95,8 +95,7 @@ def table2_measured(trials: int = 50) -> List[MeasuredPrimitive]:
         return samples
 
     samples = system.run_process(force_probe(), name="force-probe")
-    out.append(MeasuredPrimitive("Log force", cost.log_force,
-                                 summarize(samples).mean))
+    measured("Log force", summarize(samples).mean)
 
     # Datagram: TranMan-to-TranMan one-way, timed send-to-arrival via
     # the trace (paced so NIC serialization does not skew the samples).
@@ -117,8 +116,7 @@ def table2_measured(trials: int = 50) -> List[MeasuredPrimitive]:
     arrivals = [e.time for e in system.tracer.events[before:]
                 if e.kind == "tranman.dgram_in" and e.site == "s1"]
     deltas = [a - s for s, a in zip(send_times, arrivals)]
-    out.append(MeasuredPrimitive("Datagram", cost.datagram,
-                                 summarize(deltas).mean if deltas else 0.0))
+    measured("Datagram", summarize(deltas).mean if deltas else 0.0)
 
     # Remote RPC through the full ComMan path.
     app = system.application("s0")
@@ -134,13 +132,10 @@ def table2_measured(trials: int = 50) -> List[MeasuredPrimitive]:
         return samples
 
     samples = system.run_process(rpc_probe(), name="rpc-probe")
-    expected = (cost.netmsg_rpc + 2 * cost.local_ipc
-                + 2 * cost.comman_cpu_per_call + cost.get_lock)
-    out.append(MeasuredPrimitive("Remote RPC", expected,
-                                 summarize(samples).mean))
+    measured("Remote RPC", summarize(samples).mean)
 
-    out.append(MeasuredPrimitive("Get lock", cost.get_lock, cost.get_lock))
-    out.append(MeasuredPrimitive("Drop lock", cost.drop_lock, cost.drop_lock))
+    measured("Get lock", cost.get_lock)
+    measured("Drop lock", cost.drop_lock)
     return out
 
 
@@ -242,15 +237,15 @@ def table3(trials: int = 25) -> List[Table3Row]:
     cases the paper tabulates, with the paper's own numbers attached."""
     nb = ProtocolKind.NON_BLOCKING
     anchors = [
-        ("local update", local_update_completion(), 24.5, 31.0,
+        ("local update", local_completion("write"), 24.5, 31.0,
          dict(n_subs=0, op="write")),
-        ("1-subordinate update", twophase_update_completion(1), 99.5, 110.0,
-         dict(n_subs=1, op="write")),
-        ("local read", local_read_completion(), 9.5, 13.0,
+        ("1-subordinate update", completion("two_phase", "write", 1),
+         99.5, 110.0, dict(n_subs=1, op="write")),
+        ("local read", local_completion("read"), 9.5, 13.0,
          dict(n_subs=0, op="read")),
-        ("1-subordinate NB update", nonblocking_update_completion(1),
+        ("1-subordinate NB update", completion("non_blocking", "write", 1),
          150.0, 145.0, dict(n_subs=1, op="write", protocol=nb)),
-        ("1-subordinate NB read", nonblocking_read_completion(1),
+        ("1-subordinate NB read", completion("non_blocking", "read", 1),
          70.0, 107.0, dict(n_subs=1, op="read", protocol=nb)),
     ]
     return [Table3Row(label, static,
@@ -359,12 +354,11 @@ def multicast_variance(trials: int = 40,
 
 @dataclass
 class LockContention:
-    """Back-to-back transactions on one object: how long the second
-    transaction's remote operation waits for the first's locks."""
+    """Back-to-back transactions on one object: how often the second
+    transaction's remote operation waits for the first's locks, per
+    protocol variant."""
 
-    lock_waits: int
-    mean_wait_ms: float
-    per_variant: Dict[str, int] = field(default_factory=dict)
+    per_variant: Dict[str, int]
 
 
 def lock_contention(txns: int = 20) -> LockContention:
@@ -387,5 +381,4 @@ def lock_contention(txns: int = 20) -> LockContention:
                                 variant=variant),
             timeout_ms=txns * 60_000.0, name=f"contention-{label}")
         waits[label] = system.tracer.count("server.lock_wait")
-    return LockContention(lock_waits=waits["unoptimized"],
-                          mean_wait_ms=0.0, per_variant=waits)
+    return LockContention(per_variant=waits)

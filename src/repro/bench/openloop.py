@@ -33,20 +33,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import log2
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List
 
+from repro.analysis.primitives import unit_costs
 from repro.config import SystemConfig, rt_pc_profile
-from repro.obs.kinds import (
-    CPU,
-    DATAGRAM,
-    IPC,
-    LOCK,
-    LOCK_WAIT,
-    LOG_FORCE,
-    PRIMITIVE_CLASSES,
-    RPC,
-    classify,
-)
+from repro.obs.kinds import PRIMITIVE_CLASSES, classify
 from repro.obs.spans import SpanRecorder
 from repro.servers.application import TransactionAborted
 from repro.sim.process import Sleep
@@ -175,22 +166,15 @@ class OpenLoopResult:
         return self.committed / self.txns if self.txns else 0.0
 
 
-# Unit costs for the estimated-ms column: the primitive classes whose
-# events have one configured cost each.  CPU service and lock waits
-# have no single unit (component- and contention-dependent), so their
-# rows report exact counts with est 0.
-_UNIT_COSTS = {
-    IPC: lambda c: c.local_ipc,
-    RPC: lambda c: c.netmsg_rpc,
-    DATAGRAM: lambda c: c.datagram,
-    LOG_FORCE: lambda c: c.log_force,
-    LOCK: lambda c: c.get_lock,
-}
-
-
 def _attribute_counts(counters: Dict[str, int], cost,
                       committed: int) -> List[AttributionRow]:
-    """Table-3-style breakdown from exact per-kind counters."""
+    """Table-3-style breakdown from exact per-kind counters.
+
+    A class is priced per span at its :func:`unit_costs` entry.  CPU
+    service and lock waits have no single unit (component- and
+    contention-dependent), so their rows report exact counts with est 0.
+    """
+    units = unit_costs(cost)
     per_class: Dict[str, float] = {}
     for kind, n in counters.items():
         cls = classify(kind)
@@ -202,10 +186,8 @@ def _attribute_counts(counters: Dict[str, int], cost,
         if cls not in per_class:
             continue
         per_txn = per_class[cls] / denom
-        unit = _UNIT_COSTS.get(cls)
-        rows.append(AttributionRow(
-            cls=cls, per_txn=per_txn,
-            est_ms=per_txn * unit(cost) if unit is not None else 0.0))
+        rows.append(AttributionRow(cls=cls, per_txn=per_txn,
+                                   est_ms=per_txn * units.get(cls, 0.0)))
     return rows
 
 

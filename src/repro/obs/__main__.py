@@ -42,19 +42,19 @@ SCENARIOS = {
         title="2PC update, 1 subordinate (stock scenario)",
         sites={"a": 1, "b": 1}, op="write",
         protocol=ProtocolKind.TWO_PHASE,
-        static=lambda cost: sa.twophase_update_completion(1, cost),
+        static=lambda cost: sa.completion("two_phase", "write", 1, cost),
         tolerance=_DATAGRAM_CPU_TOLERANCE),
     "local-update": dict(
         title="local update (no subordinates)",
         sites={"a": 1}, op="write",
         protocol=ProtocolKind.TWO_PHASE,
-        static=lambda cost: sa.local_update_completion(cost),
+        static=lambda cost: sa.local_completion("write", cost),
         tolerance=0.10),
     "local-read": dict(
         title="local read (read-only optimization)",
         sites={"a": 1}, op="read",
         protocol=ProtocolKind.TWO_PHASE,
-        static=lambda cost: sa.local_read_completion(cost),
+        static=lambda cost: sa.local_completion("read", cost),
         # Short path: the commit-reply IPC the static formula omits
         # weighs proportionally more.
         tolerance=0.15),
@@ -62,13 +62,13 @@ SCENARIOS = {
         title="non-blocking update, 1 subordinate",
         sites={"a": 1, "b": 1}, op="write",
         protocol=ProtocolKind.NON_BLOCKING,
-        static=lambda cost: sa.nonblocking_update_completion(1, cost),
+        static=lambda cost: sa.completion("non_blocking", "write", 1, cost),
         tolerance=0.15),
     "paxos-update-1sub": dict(
         title="Paxos Commit update, 1 subordinate (F=0: 2PC-degenerate)",
         sites={"a": 1, "b": 1}, op="write",
         protocol=ProtocolKind.PAXOS_COMMIT,
-        static=lambda cost: sa.paxos_update_completion(1, cost),
+        static=lambda cost: sa.completion("paxos_commit", "write", 1, cost),
         tolerance=_DATAGRAM_CPU_TOLERANCE),
 }
 

@@ -1,5 +1,6 @@
 """The `python -m repro` command-line interface."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -38,3 +39,17 @@ def test_module_invocation_end_to_end():
         capture_output=True, text=True, timeout=120)
     assert result.returncode == 0
     assert "Table 1" in result.stdout
+
+
+# sha256 of what ``python -m repro all`` prints: every table and figure,
+# the static analysis (Table 2, §4.1, Table 3) and the TM-only series of
+# Figures 2-3 included.  A refactor may not move a printed number.
+PINNED_ALL = "b6e55120757b45dfd71984dda1efd8208ff3434fec14270253de3f53da6eeb67"
+
+
+def test_all_output_is_pinned():
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "all"],
+        capture_output=True, timeout=300)
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout).hexdigest() == PINNED_ALL

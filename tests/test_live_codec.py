@@ -25,7 +25,6 @@ from repro.core.messages import (
     CommitAck,
     NbPrepare,
     NbReplicate,
-    PcPhase2b,
     PrepareRequest,
     VoteResponse,
 )
@@ -33,7 +32,6 @@ from repro.core.outcomes import Outcome, TwoPhaseVariant, Vote
 from repro.core.quorum import QuorumSpec
 from repro.core.tid import TID
 from repro.live.codec import (
-    HEADER_SIZE,
     KIND_CONTROL,
     KIND_MESSAGE,
     MAGIC,

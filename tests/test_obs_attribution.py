@@ -55,7 +55,7 @@ def test_local_update_matches_static_within_10pct():
                                       ProtocolKind.TWO_PHASE)
     summary = _summary(system, recorder, measured)
     comparison = compare_static(summary,
-                                sa.local_update_completion(system.cost))
+                                sa.local_completion("write", system.cost))
     assert comparison.within(0.10), f"deviation {comparison.deviation:+.1%}"
 
 
@@ -64,7 +64,7 @@ def test_twophase_1sub_update_matches_static_within_10pct():
                                       ProtocolKind.TWO_PHASE)
     summary = _summary(system, recorder, measured)
     comparison = compare_static(
-        summary, sa.twophase_update_completion(1, system.cost))
+        summary, sa.completion("two_phase", "write", 1, system.cost))
     assert comparison.within(0.10), f"deviation {comparison.deviation:+.1%}"
 
 
@@ -73,7 +73,7 @@ def test_local_read_matches_static_within_15pct():
                                       ProtocolKind.TWO_PHASE)
     summary = _summary(system, recorder, measured)
     comparison = compare_static(summary,
-                                sa.local_read_completion(system.cost))
+                                sa.local_completion("read", system.cost))
     assert comparison.within(0.15), f"deviation {comparison.deviation:+.1%}"
 
 
@@ -82,7 +82,7 @@ def test_nonblocking_1sub_update_matches_static_within_15pct():
                                       ProtocolKind.NON_BLOCKING)
     summary = _summary(system, recorder, measured)
     comparison = compare_static(
-        summary, sa.nonblocking_update_completion(1, system.cost))
+        summary, sa.completion("non_blocking", "write", 1, system.cost))
     assert comparison.within(0.15), f"deviation {comparison.deviation:+.1%}"
 
 
@@ -134,7 +134,7 @@ def test_render_report_and_exit_predicate():
     system, recorder, measured = _run({"a": 1, "b": 1}, "write",
                                       ProtocolKind.TWO_PHASE)
     summary = _summary(system, recorder, measured)
-    static_path = sa.twophase_update_completion(1, system.cost)
+    static_path = sa.completion("two_phase", "write", 1, system.cost)
     comparison = compare_static(summary, static_path)
     text, ok = render_report(summary, "2PC update, 1 sub",
                              comparison=comparison,
@@ -153,7 +153,7 @@ def test_report_not_ok_when_unbalanced_or_off_static():
                                       ProtocolKind.TWO_PHASE)
     summary = _summary(system, recorder, measured)
     comparison = compare_static(summary,
-                                sa.local_update_completion(system.cost))
+                                sa.local_completion("write", system.cost))
 
     def verdict(summary, comparison, tolerance, balanced):
         text, ok = render_report(summary, "local update",

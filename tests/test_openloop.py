@@ -11,6 +11,7 @@ from repro.bench.openloop import (
     run_open_loop,
     scale_curve,
 )
+from repro.config import rt_pc_profile
 
 
 # ------------------------------------------------------------- sampler
@@ -148,6 +149,16 @@ def test_open_loop_attribution_is_populated():
     # CPU has no single unit cost: counted, never priced.
     if "cpu" in est:
         assert est["cpu"] == 0.0
+
+
+def test_open_loop_prices_an_rpc_span_as_one_leg():
+    """Each remote operation is one NetMsgServer round trip: two
+    ``rpc.netmsg`` spans, request and reply, each half of netmsg_rpc."""
+    result = _small_run(rate_tps=20.0, txns=60, seed=1, remote_fraction=1.0)
+    rpc = next(row for row in result.attribution if row.cls == "rpc")
+    assert rpc.per_txn == pytest.approx(2.0)
+    assert rpc.est_ms == pytest.approx(
+        rpc.per_txn * rt_pc_profile().netmsg_rpc / 2)
 
 
 def test_scale_curve_shape_and_load_scaling():

@@ -24,10 +24,8 @@ from repro.core.messages import (
 from repro.core.outcomes import Outcome, Vote
 from repro.core.paxoscommit import (
     ABORT_FILLER,
-    PC_ACCEPT_FORCE,
     PC_DECIDE_FORCE,
     PC_ELECTION_TIMER,
-    PC_PREPARE_FORCE,
     PcCandidate,
     PcCandidateState,
     PcParticipant,

@@ -96,19 +96,21 @@ def _settle(run):
     assert list(run) == []
 
 
-def run_counts(protocol, op):
+def run_counts(protocol, op, n_subs=1):
     """Forces and delivered datagrams of one transaction, coordinator
-    ``a`` over subordinate ``b`` through the real edge and interpreter,
-    up to the point where ``a`` has completed and ``b`` has committed
-    locally (the §3.2 critical path)."""
+    ``a`` over ``n_subs`` subordinates through the real edge and
+    interpreter, up to the point where ``a`` has completed and every
+    subordinate has committed locally (the §3.2 critical path)."""
     vote = Vote.YES if op == "write" else Vote.READ_ONLY
     queue = deque()
-    sites = {name: _Site(name, queue, vote) for name in "ab"}
-    a, b = sites["a"], sites["b"]
-    coord = a.interp.edge.coordinator(TID("T1@a"), ["b"], PROTOCOLS[protocol])
+    subs = list("bcd"[:n_subs])
+    sites = {name: _Site(name, queue, vote) for name in ["a"] + subs}
+    a = sites["a"]
+    coord = a.interp.edge.coordinator(TID("T1@a"), subs, PROTOCOLS[protocol])
     _settle(a.interp.run(coord, coord.start()))
     datagrams = 0
-    while not (a.outcome is Outcome.COMMITTED and b.committed):
+    while not (a.outcome is Outcome.COMMITTED
+               and all(sites[name].committed for name in subs)):
         assert queue, "the run stalled before the transaction committed"
         kind, dst, payload = queue.popleft()
         interp = sites[dst].interp
@@ -117,7 +119,8 @@ def run_counts(protocol, op):
             _settle(interp.deliver(payload))
         else:
             _settle(interp.steps([payload]))
-    return {"log_forces": a.forces + b.forces, "datagrams": datagrams}
+    return {"log_forces": sum(site.forces for site in sites.values()),
+            "datagrams": datagrams}
 
 
 FAMILIES = {"2pc": "two_phase", "nb": "non_blocking", "paxos": "paxos_commit"}
@@ -128,13 +131,17 @@ class TestCountCrossCheck:
     formulas do: optimized presumed-abort 2PC forces twice and sends
     three datagrams, the non-blocking protocol forces four times and
     sends five, and a read-only transaction forces nothing and sends
-    two in every family."""
+    two in every family.  With no subordinate there is no message, and
+    a write forces once (twice under the non-blocking protocol)."""
 
-    @pytest.mark.parametrize("op", ["write", "read"])
-    @pytest.mark.parametrize("protocol", sorted(FAMILIES))
-    def test_counts_match_the_formula(self, protocol, op):
-        assert run_counts(protocol, op) == \
-            path_counts(FAMILIES[protocol], op, n_subs=1)
+    @pytest.mark.parametrize("protocol,op,n_subs", [
+        pytest.param(protocol, op, n_subs, id=f"{protocol}-{op}"
+                     + ("" if n_subs else "-0subs"))
+        for n_subs in (1, 0) for protocol in sorted(FAMILIES)
+        for op in ("write", "read")])
+    def test_counts_match_the_formula(self, protocol, op, n_subs):
+        assert run_counts(protocol, op, n_subs) == \
+            path_counts(FAMILIES[protocol], op, n_subs)
 
     def test_paxos_commit_matches_formula_and_degenerates_to_2pc(self):
         """Gray & Lamport's F=0 case: with two sites the leader is the

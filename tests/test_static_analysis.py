@@ -4,35 +4,27 @@ import pytest
 
 from repro.analysis.primitives import rpc_breakdown_rows, table1_rows, table2_rows
 from repro.analysis.static_analysis import (
-    local_read_completion,
-    local_update_completion,
-    nonblocking_read_completion,
-    nonblocking_update_completion,
-    nonblocking_update_critical,
+    completion,
+    critical,
+    local_completion,
     path_counts,
-    paxos_read_completion,
-    paxos_update_completion,
-    paxos_update_critical,
-    twophase_read_completion,
-    twophase_update_completion,
-    twophase_update_critical,
 )
 
 
 def test_local_update_matches_paper_static():
     """Paper Table 3: 24.5 ms static for the local update."""
-    assert local_update_completion().total == pytest.approx(24.5)
+    assert local_completion("write").total == pytest.approx(24.5)
 
 
 def test_local_read_matches_paper_static():
     """Paper: 9.5 ms static for the local read."""
-    assert local_read_completion().total == pytest.approx(9.5)
+    assert local_completion("read").total == pytest.approx(9.5)
 
 
 def test_one_sub_update_near_paper_static():
     """Paper accounts 99.5 of 110 ms; our formula lands in that band
     (the exact split of minor terms differs — see EXPERIMENTS.md)."""
-    total = twophase_update_completion(1).total
+    total = completion("two_phase", "write", 1).total
     assert 85.0 <= total <= 105.0
 
 
@@ -40,27 +32,27 @@ def test_update_critical_longer_than_completion():
     """'In Camelot, the critical path is always longer than the
     completion path.'"""
     for n in (1, 2, 3):
-        assert (twophase_update_critical(n).total
-                > twophase_update_completion(n).total)
-        assert (nonblocking_update_critical(n).total
-                > nonblocking_update_completion(n).total)
+        assert (critical("two_phase", n).total
+                > completion("two_phase", "write", n).total)
+        assert (critical("non_blocking", n).total
+                > completion("non_blocking", "write", n).total)
 
 
 def test_force_counts_on_paths():
     """2 forces for 2PC, 4 for non-blocking (paper §4.3)."""
-    two = twophase_update_critical(1)
+    two = critical("two_phase", 1)
     assert two.count_of("log force (subordinate prepare)") == 1
     forces_2pc = sum(t.count for t in two.terms if "log force" in t.name)
-    nb = nonblocking_update_critical(1)
+    nb = critical("non_blocking", 1)
     forces_nb = sum(t.count for t in nb.terms if "log force" in t.name)
     assert (forces_2pc, forces_nb) == (2, 4)
 
 
 def test_datagram_counts_on_paths():
     """3 datagrams for 2PC, 5 for non-blocking."""
-    two = twophase_update_critical(1)
+    two = critical("two_phase", 1)
     dgs_2pc = sum(t.count for t in two.terms if "datagram" in t.name)
-    nb = nonblocking_update_critical(1)
+    nb = critical("non_blocking", 1)
     dgs_nb = sum(t.count for t in nb.terms if "datagram" in t.name)
     assert (dgs_2pc, dgs_nb) == (3, 5)
 
@@ -87,21 +79,21 @@ def test_paxos_f0_static_equals_2pc():
     """Gray & Lamport §4: with F=0, Paxos Commit is essentially 2PC —
     the static completion formula must collapse to the same total."""
     for n in (1, 2, 3):
-        assert paxos_update_completion(n).total == \
-            pytest.approx(twophase_update_completion(n).total)
-    assert paxos_read_completion(1).total == \
-        pytest.approx(twophase_read_completion(1).total)
+        assert completion("paxos_commit", "write", n).total == \
+            pytest.approx(completion("two_phase", "write", n).total)
+    assert completion("paxos_commit", "read", 1).total == \
+        pytest.approx(completion("two_phase", "read", 1).total)
 
 
 def test_paxos_premium_grows_with_faults_tolerated():
-    f0 = paxos_update_completion(2, faults_tolerated=0).total
-    f1 = paxos_update_completion(2, faults_tolerated=1).total
-    f2 = paxos_update_completion(2, faults_tolerated=2).total
+    f0 = completion("paxos_commit", "write", 2, faults_tolerated=0).total
+    f1 = completion("paxos_commit", "write", 2, faults_tolerated=1).total
+    f2 = completion("paxos_commit", "write", 2, faults_tolerated=2).total
     assert f0 < f1 < f2
     # The F=1 premium never exceeds the non-blocking protocol's cost.
-    assert f1 <= nonblocking_update_completion(2).total
-    assert (paxos_update_critical(2, faults_tolerated=1).total
-            > paxos_update_completion(2, faults_tolerated=1).total)
+    assert f1 <= completion("non_blocking", "write", 2).total
+    assert (critical("paxos_commit", 2, faults_tolerated=1).total
+            > completion("paxos_commit", "write", 2, faults_tolerated=1).total)
 
 
 def test_path_counts_unknown_op_raises():
@@ -119,12 +111,11 @@ def test_path_counts_unknown_protocol_raises_before_op():
         path_counts("three_phase", "read", 1)
 
 
-@pytest.mark.parametrize("protocol,builder", [
-    ("two_phase", twophase_update_critical),
-    ("non_blocking", nonblocking_update_critical),
-])
+@pytest.mark.parametrize("protocol", ["two_phase", "non_blocking"],
+                         ids=["two_phase-twophase_update_critical",
+                              "non_blocking-nonblocking_update_critical"])
 @pytest.mark.parametrize("n_subs", [1, 2, 3])
-def test_formula_primitives_match_path_counts(protocol, builder, n_subs):
+def test_formula_primitives_match_path_counts(protocol, n_subs):
     """The Table-3 formulas and the §4.3 count table must agree on the
     number of critical-path primitives *per kind* for both protocols.
 
@@ -132,7 +123,7 @@ def test_formula_primitives_match_path_counts(protocol, builder, n_subs):
     regardless of fan-out: parallel sends), so the distinct datagram
     rounds — not the fan-out-weighted count — must match the table.
     """
-    path = builder(n_subs)
+    path = critical(protocol, n_subs)
     counts = path_counts(protocol, "write", n_subs)
     force_terms = sum(t.count for t in path.terms if "log force" in t.name)
     datagram_rounds = sum(1 for t in path.terms if "datagram" in t.name)
@@ -141,7 +132,7 @@ def test_formula_primitives_match_path_counts(protocol, builder, n_subs):
 
 
 def test_count_of_sums_duplicate_terms():
-    path = twophase_update_critical(2)
+    path = critical("two_phase", 2)
     # One prepare datagram round regardless of fan-out...
     assert path.count_of("datagram (prepare)") == 1
     # ...and zero occurrences of an unknown primitive.
@@ -155,7 +146,7 @@ def test_count_of_sums_duplicate_terms():
 def test_rows_formatting_details():
     """rows() renders one aligned line per term plus a TOTAL line whose
     value equals the path total."""
-    path = twophase_update_completion(1)
+    path = completion("two_phase", "write", 1)
     rows = path.rows()
     assert len(rows) == len(path.terms) + 1
     for term, row in zip(path.terms, rows):
@@ -176,26 +167,26 @@ def test_nb_ratio_roughly_two_to_one():
                if "operation" in t.name or "begin" in t.name]
         return path.total - sum(ops)
 
-    two = protocol_only(twophase_update_critical(1), 1)
-    nb = protocol_only(nonblocking_update_critical(1), 1)
+    two = protocol_only(critical("two_phase", 1), 1)
+    nb = protocol_only(critical("non_blocking", 1), 1)
     assert 1.6 <= nb / two <= 2.2
 
 
 def test_read_only_nb_equals_2pc_read():
     """'A transaction that is completely read-only has the same critical
     path performance as in two-phase commitment.'"""
-    assert (nonblocking_read_completion(2).total
-            == twophase_read_completion(2).total)
+    assert (completion("non_blocking", "read", 2).total
+            == completion("two_phase", "read", 2).total)
 
 
 def test_completion_grows_with_subordinates():
-    totals = [twophase_update_completion(n).total for n in range(4)]
+    totals = [completion("two_phase", "write", n).total for n in range(4)]
     assert totals == sorted(totals)
     assert totals[3] > totals[0]
 
 
 def test_rows_render():
-    path = local_update_completion()
+    path = local_completion("write")
     rows = path.rows()
     assert any("TOTAL" in r for r in rows)
     assert len(rows) == len(path.terms) + 1
