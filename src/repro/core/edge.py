@@ -250,7 +250,9 @@ class ProtocolEdge:
             self._retain(record.tid)
         elif record.kind is not RecordKind.REPLICATION:
             return None
-        sub = self.machines.get(TID.parse(record.tid))
+        # Commitment runs on top-level TIDs only, whose string is the
+        # family itself: no parse.
+        sub = self.machines.get(TID(record.tid))
         if not isinstance(sub, NbSubordinate):
             return None
         # A takeover's self-pledge (or self-promotion) must also bind the

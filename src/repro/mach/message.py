@@ -8,7 +8,10 @@ it is inline or out-of-line, and the IPC fabric prices it accordingly.
 
 The ``trans`` field carries transaction-related metadata (TID, site
 lists) in a well-known place so the communication manager can "spy" on
-messages in flight, as Camelot's ComMan does.
+messages in flight, as Camelot's ComMan does.  Bodies and ``trans``
+carry typed values — a :class:`~repro.core.tid.TID`, a ``Vote`` or
+``Outcome`` member — never their strings: nothing prices or serialises
+a body, so a string would only be parsed back at the receiver.
 """
 
 from __future__ import annotations

@@ -30,7 +30,8 @@ class Port:
     port's mail to ``queue.hand_off`` so the receiver runs in the
     delivery's own kernel turn.)  The callers are the NetMsgServer and
     the TranMan, whose request port also takes protocol messages
-    straight off the datagram layer, as themselves.
+    straight off the datagram layer, as themselves — with
+    ``queue.hand_off`` too, as the arrival callback's last act.
     """
 
     def __init__(self, kernel: Kernel, site: str, name: str = "port"):
@@ -50,11 +51,11 @@ class Port:
         self.queue.put(msg)
 
     def receive(self) -> Generator[Any, Any, Message]:
-        """Process-body coroutine: block until a message arrives."""
+        """``yield from`` it: block until a message arrives.  Returns the
+        channel's own ``get``, so a wait costs no wrapper frame."""
         if self.dead:
             raise DeadPortError(f"receive on dead port {self!r}")
-        msg = yield from self.queue.get()
-        return msg
+        return self.queue.get()
 
     def destroy(self) -> list[Message]:
         """Kill the port (site crash); returns and discards queued mail."""

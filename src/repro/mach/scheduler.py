@@ -52,7 +52,11 @@ class CpuScheduler:
         """
         if cost_ms <= 0:
             return
-        yield from self._slots.down()
+        slots = self._slots
+        if slots._value > 0 and not slots._waiters:
+            slots._value -= 1  # a free CPU: Semaphore.down's fast path, inline
+        else:
+            yield from slots.down()
         try:
             burst = cost_ms + self.context_switch_ms
             self.dispatches += 1

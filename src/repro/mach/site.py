@@ -83,8 +83,9 @@ class Site:
         return proc
 
     def consume_cpu(self, cost_ms: float) -> Generator[Any, Any, None]:
-        """Charge scaled CPU time on this site's processors."""
-        yield from self.cpu.run(self.cost.scaled_cpu(cost_ms))
+        """``yield from`` it: charge scaled CPU time on this site's
+        processors (the scheduler's own generator, no wrapper)."""
+        return self.cpu.run(self.cost.scaled_cpu(cost_ms))
 
     # ------------------------------------------------- failure handling
 

@@ -98,16 +98,15 @@ class Application:
               protocol: ProtocolKind = ProtocolKind.TWO_PHASE
               ) -> Generator[Any, Any, TID]:
         """Get a transaction identifier (paper Figure 1, event 2)."""
-        msg = Message(kind="begin_transaction",
-                      body={"protocol": protocol.value})
+        msg = Message(kind="begin_transaction", body={"protocol": protocol})
         if parent is not None:
-            msg.body["parent"] = str(parent)
+            msg.body["parent"] = parent
         reply = yield from self.fabric.call(self.tranman_port, msg,
                                             sender_site=self.site.name,
                                             reply_flavour="immediate")
         if reply.kind != "begin_ok":
             raise RuntimeError(f"begin failed: {reply.body.get('reason')}")
-        tid = TID.parse(reply.body["tid"])
+        tid = reply.body["tid"]
         record = TxnRecord(tid=tid, began_at=self.kernel.now)
         self._records[tid] = record
         if self.keep_history:
@@ -127,16 +126,16 @@ class Application:
         non-blocking protocol's replication quorums.
         """
         msg = Message(kind="commit_transaction",
-                      body={"tid": str(tid), "variant": variant.value,
+                      body={"tid": tid, "variant": variant,
                             "quorum_policy": quorum_policy})
         if protocol is not None:
-            msg.body["protocol"] = protocol.value
+            msg.body["protocol"] = protocol
         pre_record = self._records.get(tid)
         if pre_record is not None:
             pre_record.commit_called_at = self.kernel.now
         reply = yield from self.fabric.call(self.tranman_port, msg,
                                             sender_site=self.site.name)
-        outcome = Outcome(reply.body.get("outcome", Outcome.ABORTED.value)) \
+        outcome = reply.body.get("outcome", Outcome.ABORTED) \
             if reply.kind in ("commit_ok", "commit_aborted") else Outcome.ABORTED
         record = self._records.get(tid)
         if record is not None:
@@ -163,7 +162,7 @@ class Application:
         return outcome
 
     def abort(self, tid: TID) -> Generator[Any, Any, Outcome]:
-        msg = Message(kind="abort_transaction", body={"tid": str(tid)})
+        msg = Message(kind="abort_transaction", body={"tid": tid})
         reply = yield from self.fabric.call(self.tranman_port, msg,
                                             sender_site=self.site.name)
         record = self._records.get(tid)
@@ -183,11 +182,10 @@ class Application:
                   value: Any = None, timeout: Optional[float] = None
                   ) -> Generator[Any, Any, Any]:
         """One data operation; every operation explicitly lists its TID."""
-        body = {"tid": str(tid), "op": op, "object": obj}
+        body = {"tid": tid, "op": op, "object": obj}
         if op == "write":
             body["value"] = value
-        msg = Message(kind="operation", body=body,
-                      trans={"tid": str(tid)})
+        msg = Message(kind="operation", body=body, trans={"tid": tid})
         record = self._records.get(tid)
         if record is not None:
             record.operations += 1
@@ -205,26 +203,25 @@ class Application:
             raise TransactionAborted(tid, reply.body.get("reason", ""))
         return reply.body.get("value")
 
+    # ``read`` / ``read_for_update`` / ``write`` return the operation's
+    # own generator (``yield from`` them): no wrapper frame per resume.
+
     def read(self, tid: TID, service: str, obj: str,
              timeout: Optional[float] = None) -> Generator[Any, Any, Any]:
-        result = yield from self.operation(service, "read", obj, tid,
-                                           timeout=timeout)
-        return result
+        return self.operation(service, "read", obj, tid, timeout=timeout)
 
     def read_for_update(self, tid: TID, service: str, obj: str,
                         timeout: Optional[float] = None
                         ) -> Generator[Any, Any, Any]:
         """Read under a WRITE lock (SELECT FOR UPDATE): the idiom for a
         read-modify-write without the read-then-upgrade deadlock."""
-        result = yield from self.operation(service, "read_update", obj, tid,
-                                           timeout=timeout)
-        return result
+        return self.operation(service, "read_update", obj, tid,
+                              timeout=timeout)
 
     def write(self, tid: TID, service: str, obj: str, value: Any,
               timeout: Optional[float] = None) -> Generator[Any, Any, Any]:
-        result = yield from self.operation(service, "write", obj, tid,
-                                           value=value, timeout=timeout)
-        return result
+        return self.operation(service, "write", obj, tid, value=value,
+                              timeout=timeout)
 
     # ------------------------------------------------------- workloads
 

@@ -70,7 +70,8 @@ class CommunicationManager:
     def call_service(self, service: str, msg: Message,
                      timeout: Optional[float] = None
                      ) -> Generator[Any, Any, Optional[Message]]:
-        """Synchronous call to a (possibly remote) service.
+        """Synchronous call to a (possibly remote) service; ``yield
+        from`` the generator it returns.
 
         Local destinations bypass the ComMan machinery entirely — a
         local operation is a plain 3 ms server IPC, as the paper charges
@@ -78,12 +79,10 @@ class CommunicationManager:
         """
         dest_site, dest_port = self.nms.directory.lookup(service)
         if dest_site == self.site.name:
-            response = yield from self.fabric.call(
-                dest_port, msg, sender_site=self.site.name,
-                timeout=timeout)
-            return response
-        response = yield from self._remote_call(dest_site, service, msg, timeout)
-        return response
+            return self.fabric.call(dest_port, msg,
+                                    sender_site=self.site.name,
+                                    timeout=timeout)
+        return self._remote_call(dest_site, service, msg, timeout)
 
     def _remote_call(self, dest_site: str, service: str, msg: Message,
                      timeout: Optional[float]
@@ -95,7 +94,7 @@ class CommunicationManager:
         if tid is not None and self.tranman is not None:
             # Request-side spying: this transaction now spans dest_site.
             self.tranman.note_remote_site(tid, dest_site)
-            msg.trans.setdefault("tid", str(tid))
+            msg.trans.setdefault("tid", tid)
             msg.trans["origin_site"] = self.site.name
         # ComMan CPU (outbound traversal) + the extra ComMan->NMS IPC.
         yield from self.site.consume_cpu(self.cost.comman_cpu_per_call / 2.0)
@@ -155,13 +154,10 @@ class CommunicationManager:
         tid = self._tid_of(msg)
         if tid is not None and self.tranman is not None:
             known = self.tranman.known_sites(tid)
-            out.trans["tid"] = str(tid)
+            out.trans["tid"] = tid
             out.trans["sites_used"] = sorted(known | {self.site.name})
         self.fabric.reply(msg, out, flavour="immediate")
 
     @staticmethod
     def _tid_of(msg: Message) -> Optional[TID]:
-        raw = msg.trans.get("tid") or msg.body.get("tid")
-        if raw is None:
-            return None
-        return TID.parse(raw)
+        return msg.trans.get("tid") or msg.body.get("tid")

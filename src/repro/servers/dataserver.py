@@ -115,7 +115,7 @@ class DataServer:
     # ------------------------------------------------------- operations
 
     def _op(self, msg: Message) -> Generator[Any, Any, None]:
-        tid = TID.parse(msg.body["tid"])
+        tid = msg.body["tid"]
         op = msg.body["op"]
         obj = msg.body["object"]
         self.operations += 1
@@ -168,7 +168,7 @@ class DataServer:
         """
         self._joined.add(tid)
         if self.tranman_port is not None:
-            join = Message(kind="join", body={"tid": str(tid),
+            join = Message(kind="join", body={"tid": tid,
                                               "server": self.name})
             self.fabric.send(self.tranman_port, join, flavour="oneway",
                              sender_site=self.site.name)
@@ -218,7 +218,7 @@ class DataServer:
     # ------------------------------------------------------- commitment
 
     def _prepare(self, msg: Message) -> None:
-        tid = TID.parse(msg.body["tid"])
+        tid = msg.body["tid"]
         family_writes = [t for t in self._writes
                          if t.family == tid.family and self._writes[t]]
         if tid in self.refuse_next_prepare:
@@ -233,13 +233,13 @@ class DataServer:
         self.tracer.record(self.kernel.now, "server.prepare",
                            site=self.site.name, server=self.name,
                            vote=vote.value)
-        self.fabric.reply(msg, msg.reply("prepare_ok", vote=vote.value,
+        self.fabric.reply(msg, msg.reply("prepare_ok", vote=vote,
                                          max_lsn=max_lsn))
 
     def _drop_locks(self, msg: Message) -> None:
         """Top-level commit: event 11, 'drop the locks held by the
         transaction'.  Values already reflect the updates."""
-        tid = TID.parse(msg.body["tid"])
+        tid = msg.body["tid"]
         self.locks.release_family(tid.family)
         self._forget_family(tid.family, keep_values=True)
         self.tracer.record(self.kernel.now, "server.drop_locks",
@@ -253,7 +253,7 @@ class DataServer:
 
     def _abort(self, msg: Message) -> Generator[Any, Any, None]:
         """Undo the subtree rooted at tid and release its locks."""
-        tid = TID.parse(msg.body["tid"])
+        tid = msg.body["tid"]
         yield Sleep(self.cost.drop_lock)
         self.undo_subtree(tid)
         if tid.is_top_level:
@@ -288,7 +288,7 @@ class DataServer:
                 del self._reads[t]
 
     def _commit_child(self, msg: Message) -> None:
-        child = TID.parse(msg.body["tid"])
+        child = msg.body["tid"]
         parent = child.parent
         if parent is None:
             raise ValueError("commit_child for a top-level transaction")

@@ -128,9 +128,11 @@ class TransactionManager:
     def _take_datagram(self, pmsg: Any) -> None:
         """An arriving datagram goes straight onto the request port, so
         the one thread pool serves 'any type of input' as the paper
-        describes.  Mail for a crashed incarnation is lost."""
+        describes.  Mail for a crashed incarnation is lost.  This is the
+        last act of the arrival's kernel callback (``Lan._arrive`` or
+        the loopback post), so a waiting thread runs in that turn."""
         if not self.port.dead:
-            self.port.enqueue(pmsg)
+            self.port.queue.hand_off(pmsg)
 
     def _piggyback_sweep(self) -> Generator[Any, Any, None]:
         """Flush lazily queued (piggybacked) messages periodically."""
@@ -205,20 +207,17 @@ class TransactionManager:
             yield from self._commit(msg)
         elif kind == "abort_transaction":
             yield from self._abort(msg)
-        elif kind == "note_sites":
-            self._note_sites_msg(msg)
         else:
             raise ValueError(f"tranman: unknown message kind {kind!r}")
 
     # ----------------------------------------------- application calls
 
     def _begin(self, msg: Message) -> Generator[Any, Any, None]:
-        parent_raw = msg.body.get("parent")
-        if parent_raw is None:
+        parent = msg.body.get("parent")
+        if parent is None:
             tid = self.tid_gen.new_top_level()
             self.stats["begun"] += 1
         else:
-            parent = TID.parse(parent_raw)
             parent_desc = self.families.descriptor(parent)
             if parent_desc is None or not parent_desc.active:
                 self.fabric.reply(msg, msg.reply("begin_failed",
@@ -231,18 +230,16 @@ class TransactionManager:
         try:
             desc = self.families.begin(tid)
             desc.last_activity = self.kernel.now
-            raw_protocol = msg.body.get("protocol",
-                                        ProtocolKind.TWO_PHASE.value)
-            desc.protocol = ProtocolKind(raw_protocol)
+            desc.protocol = msg.body.get("protocol", ProtocolKind.TWO_PHASE)
         finally:
             lock.release()
         self.tracer.record(self.kernel.now, "tranman.begin",
                            site=self.site.name, tid=str(tid))
-        self.fabric.reply(msg, msg.reply("begin_ok", tid=str(tid)),
+        self.fabric.reply(msg, msg.reply("begin_ok", tid=tid),
                           flavour="immediate")
 
     def _join(self, msg: Message) -> Generator[Any, Any, None]:
-        tid = TID.parse(msg.body["tid"])
+        tid = msg.body["tid"]
         server = msg.body["server"]
         lock = self._family_lock(tid.family)
         yield from lock.acquire()
@@ -283,14 +280,10 @@ class TransactionManager:
             return set()
         return fam.all_sites()
 
-    def _note_sites_msg(self, msg: Message) -> None:
-        self.note_remote_sites(TID.parse(msg.body["tid"]),
-                               msg.body["sites"])
-
     # ------------------------------------------------------- commitment
 
     def _commit(self, msg: Message) -> Generator[Any, Any, None]:
-        tid = TID.parse(msg.body["tid"])
+        tid = msg.body["tid"]
         desc = self.families.descriptor(tid)
         if desc is None or not desc.active:
             self.fabric.reply(msg, msg.reply("commit_failed",
@@ -299,9 +292,8 @@ class TransactionManager:
         if not tid.is_top_level:
             self._commit_nested(tid, msg)
             return
-        protocol = ProtocolKind(msg.body.get("protocol", desc.protocol.value))
-        variant = TwoPhaseVariant(msg.body.get(
-            "variant", TwoPhaseVariant.OPTIMIZED.value))
+        protocol = msg.body.get("protocol", desc.protocol)
+        variant = msg.body.get("variant", TwoPhaseVariant.OPTIMIZED)
         self._pending_calls[tid] = msg
         machine = self.edge.coordinator(
             tid, self.families.family_of(tid).all_sites(), protocol,
@@ -326,10 +318,10 @@ class TransactionManager:
             self.interp.send_lazily(
                 remote, NestedCommit(tid=tid, sender=self.site.name))
         self.fabric.reply(msg, msg.reply("commit_ok",
-                                         outcome=Outcome.COMMITTED.value))
+                                         outcome=Outcome.COMMITTED))
 
     def _abort(self, msg: Message) -> Generator[Any, Any, None]:
-        tid = TID.parse(msg.body["tid"])
+        tid = msg.body["tid"]
         desc = self.families.descriptor(tid)
         if desc is None or not desc.active:
             self.fabric.reply(msg, msg.reply("abort_failed",
@@ -456,14 +448,14 @@ class TransactionManager:
 
     def _ask_server_vote(self, server: Any, tid: TID,
                          done: SimEvent) -> Generator[Any, Any, None]:
-        msg = Message(kind="prepare", body={"tid": str(tid)})
+        msg = Message(kind="prepare", body={"tid": tid})
         try:
             reply = yield from self.fabric.call(server.port, msg,
                                                 sender_site=self.site.name)
         except Exception:
             done.trigger(Vote.NO)
             return
-        done.trigger(Vote(reply.body["vote"]))
+        done.trigger(reply.body["vote"])
 
     def _tell_servers(self, tid: TID, kind: str) -> None:
         """One-way ``kind`` to every local server the family joined."""
@@ -474,7 +466,7 @@ class TransactionManager:
             server = self.servers.get(name)
             if server is None:
                 continue
-            msg = Message(kind=kind, body={"tid": str(tid)})
+            msg = Message(kind=kind, body={"tid": tid})
             self.fabric.send(server.port, msg, flavour="oneway",
                              sender_site=self.site.name)
 
@@ -506,7 +498,7 @@ class TransactionManager:
             self.fabric.reply(call, call.reply(
                 "commit_ok" if outcome is Outcome.COMMITTED
                 else "commit_aborted",
-                outcome=outcome.value))
+                outcome=outcome))
 
     def forgotten(self, tid: TID) -> None:
         # Family state goes when the top-level transaction resolves (and

@@ -7,9 +7,9 @@ the kernel (not delivered inline), so waiters always resume in a fresh
 event-loop turn — the same discipline asyncio uses to avoid reentrancy
 surprises.  The one exception is :meth:`SimEvent.hand_off`, for a
 kernel callback that *is* a fresh turn and has nothing left to do in it
-(the IPC fabric's two delivery callbacks): there the second turn
-advanced no clock and modelled no cost, and was one kernel event in
-seven of an open-loop run.
+(the IPC fabric's two delivery callbacks, and a datagram arriving at a
+TranMan): there the second turn advanced no clock and modelled no cost,
+and was one kernel event in seven of an open-loop run.
 """
 
 from __future__ import annotations
@@ -69,7 +69,9 @@ class SimEvent:
         runs inside another process's step; a kernel callback that does
         nothing afterwards *is* a fresh turn, and the second one would
         advance no clock and model no cost.  Never call this from a
-        process step or with work still to do.
+        process step or with work still to do.  The three callers:
+        ``IpcFabric._deliver`` and ``_trigger_reply``, and a datagram's
+        arrival (``TransactionManager._take_datagram``).
         """
         callbacks, self._callbacks = self._callbacks, []
         self.trigger(value)  # state and the retrigger rule; nobody left to post

@@ -88,11 +88,14 @@ class Kernel:
         assert k.now == 5.0
     """
 
-    __slots__ = ("_now", "_seq", "_heap", "_running", "_cancelled",
+    __slots__ = ("now", "_seq", "_heap", "_running", "_cancelled",
                  "monitor")
 
     def __init__(self) -> None:
-        self._now = 0.0
+        # Current virtual time (milliseconds by convention in repro).  A
+        # plain slot, read on nearly every hop; only the dispatch loop
+        # and ``run`` write it.
+        self.now = 0.0
         self._seq = 0
         self._heap: list = []       # heap of Timer | 4-list
         self._running = False
@@ -105,11 +108,6 @@ class Kernel:
         # immediately before each callback runs.  Attach before run():
         # the dispatch loop binds it once per run() call.
         self.monitor: Optional[Any] = None
-
-    @property
-    def now(self) -> float:
-        """Current virtual time (milliseconds by convention in repro)."""
-        return self._now
 
     @property
     def pending(self) -> int:
@@ -135,7 +133,7 @@ class Kernel:
             raise SimulationError(f"negative delay {delay!r}")
         seq = self._seq
         self._seq = seq + 1
-        timer = Timer((self._now + delay, seq, fn, args, self))
+        timer = Timer((self.now + delay, seq, fn, args, self))
         heappush(self._heap, timer)
         if self.monitor is not None:
             self.monitor.on_schedule(seq)
@@ -148,7 +146,7 @@ class Kernel:
         daemon that skips the idle instants of a polling grid must wake
         *on* the grid for the skip to be unobservable.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(f"schedule_at {time!r} is in the past")
         seq = self._seq
         self._seq = seq + 1
@@ -170,7 +168,7 @@ class Kernel:
             raise SimulationError(f"negative delay {delay!r}")
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._heap, [self._now + delay, seq, fn, args])
+        heappush(self._heap, [self.now + delay, seq, fn, args])
         if self.monitor is not None:
             self.monitor.on_schedule(seq)
 
@@ -178,7 +176,7 @@ class Kernel:
         """:meth:`post` at the current instant (after the current event)."""
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._heap, [self._now, seq, fn, args])
+        heappush(self._heap, [self.now, seq, fn, args])
         if self.monitor is not None:
             self.monitor.on_schedule(seq)
 
@@ -207,7 +205,7 @@ class Kernel:
         # The heap local stays valid across compaction (in place).
         events = 0
         heap = self._heap
-        now = self._now
+        now = self.now
         monitor = self.monitor
         while events != limit:
             # Zero-cost try (3.11): popping the empty heap is the rare
@@ -226,7 +224,7 @@ class Kernel:
                 break
             if time < now:
                 raise SimulationError("event heap time went backwards")
-            self._now = now = time
+            self.now = now = time
             args = entry[3]
             entry[2] = None  # spent: Timer.active, and cancel() is a no-op
             if monitor is not None:
@@ -269,5 +267,5 @@ class Kernel:
                         f"exceeded max_events={max_events}; likely a livelock")
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self.now < until:
+            self.now = until

@@ -100,7 +100,7 @@ class Process:
         if getattr(gen, "gi_running", False):
             # Killed from within our own execution (e.g. the body crashed
             # its own site): we cannot throw into a running frame.  The
-            # current step finishes; _resume/_dispatch refuse to continue
+            # current step finishes; _resume refuses to continue
             # a dead process, and the generator is closed next turn.
             self.kernel.post_soon(self._close_gen)
             self.done.trigger(None)
@@ -118,6 +118,7 @@ class Process:
             self._gen.close()
 
     def _resume(self, value: Any) -> None:
+        """One step: send ``value`` in, arm the wake-up it yields."""
         if not self._alive:
             return
         self._pending_timer = None
@@ -131,9 +132,6 @@ class Process:
             return
         if not self._alive:
             return  # killed from within this very step
-        self._dispatch(command)
-
-    def _dispatch(self, command: Any) -> None:
         if isinstance(command, Sleep):
             self._pending_timer = self.kernel.schedule(command.duration, self._resume, None)
         elif isinstance(command, SimEvent):

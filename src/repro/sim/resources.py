@@ -45,7 +45,7 @@ class SimLock:
         if self._holder is None and not self._waiters:
             self._holder = owner if owner is not None else object()
             return
-        ev = SimEvent(self._kernel, name=f"{self.name}.acquire")
+        ev = SimEvent(self._kernel, name=self.name)
         self._waiters.append((ev, owner))
         try:
             yield ev
@@ -96,7 +96,7 @@ class Semaphore:
         if self._value > 0 and not self._waiters:
             self._value -= 1
             return
-        ev = SimEvent(self._kernel, name=f"{self.name}.down")
+        ev = SimEvent(self._kernel, name=self.name)
         self._waiters.append(ev)
         try:
             yield ev
@@ -137,7 +137,9 @@ class Channel:
 
     def hand_off(self, item: Any) -> None:
         """:meth:`put` as the last act of a kernel callback: a waiting
-        getter runs in this turn (:meth:`SimEvent.hand_off`)."""
+        getter runs in this turn (:meth:`SimEvent.hand_off`).  The
+        callers are ``IpcFabric._deliver`` and a datagram's arrival at
+        ``TransactionManager._take_datagram``."""
         if self._getters:
             self._getters.popleft().hand_off(item)
         else:
@@ -153,7 +155,7 @@ class Channel:
     def get(self) -> Generator[Any, Any, Any]:
         if self._items:
             return self._items.popleft()
-        ev = SimEvent(self._kernel, name=f"{self.name}.get")
+        ev = SimEvent(self._kernel, name=self.name)
         self._getters.append(ev)
         try:
             item = yield ev

@@ -52,8 +52,8 @@ def test_request_spying_records_destination_site(system):
         tid = tm.tid_gen.new_top_level()
         tm.families.begin(tid)
         msg = Message(kind="operation",
-                      body={"tid": str(tid), "op": "read", "object": "x"},
-                      trans={"tid": str(tid)})
+                      body={"tid": tid, "op": "read", "object": "x"},
+                      trans={"tid": tid})
         yield from comman.call_service("server0@b", msg)
         return tid
 

@@ -18,6 +18,11 @@ def server(system):
 
 
 def call(system, port, kind, **body):
+    """One request; a ``tid`` travels as a :class:`TID`, the message
+    contract inside a site (tests spell it as its string)."""
+    if "tid" in body:
+        body["tid"] = TID.parse(body["tid"])
+
     def body_gen():
         reply = yield from system.fabric.call(port, Message(kind=kind,
                                                             body=body),

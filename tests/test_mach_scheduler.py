@@ -66,3 +66,24 @@ def test_utilization():
 def test_requires_a_cpu():
     with pytest.raises(ValueError):
         CpuScheduler(Kernel(), num_cpus=0)
+
+
+def test_burst_killed_on_a_free_cpu_returns_its_slot():
+    """A free CPU is taken inline, without ``Semaphore.down``; the burst's
+    ``finally`` must still give the unit back when a crash kills it."""
+    k = Kernel()
+    cpu = CpuScheduler(k, num_cpus=1, context_switch_ms=0.0)
+    slots = cpu._slots
+
+    def body():
+        yield from cpu.run(10.0)
+        return k.now
+
+    victim = Process(k, body())
+    k.run(until=5.0)
+    assert slots.value == 0 and cpu.queue_depth == 0
+    victim.kill()
+    assert slots.value == 1
+    later = Process(k, body())
+    k.run()
+    assert later.done.value == 15.0

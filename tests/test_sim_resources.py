@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.mach.ports import Port
 from repro.sim.kernel import Kernel, SimulationError
 from repro.sim.process import Process, Sleep
 from repro.sim.resources import Channel, Semaphore, SimLock
@@ -175,3 +176,72 @@ def test_channel_drain():
     assert chan.drain() == [1, 2]
     assert len(chan) == 0
 
+
+# ------------------------------------------------------ kill while waiting
+#
+# A site crash kills processes wherever they block.  Each wait below
+# un-registers a killed waiter, or passes on what was handed to it as it
+# died; without that, the next waiter starves.
+
+
+def _receiver(port, got):
+    msg = yield from port.receive()
+    got.append(msg)
+
+
+def test_process_killed_in_port_receive_leaves_no_ghost_getter():
+    k = Kernel()
+    port = Port(k, "a", name="p")
+    got = []
+    victim = Process(k, _receiver(port, got))
+    k.run()
+    victim.kill()
+    Process(k, _receiver(port, got))
+    k.run()
+    port.enqueue("m")
+    k.run()
+    assert got == ["m"]
+
+
+def test_item_handed_to_a_dying_receiver_is_requeued_at_the_head():
+    k = Kernel()
+    port = Port(k, "a", name="p")
+    got = []
+    victim = Process(k, _receiver(port, got))
+    k.run()
+
+    def deliver_then_crash():
+        port.enqueue("first")       # handed to the victim's wait...
+        victim.kill()               # ...which dies before it resumes
+        port.enqueue("second")
+
+    k.post(1.0, deliver_then_crash)
+    k.run()
+    assert got == [] and len(port.queue) == 2
+    Process(k, _receiver(port, got))
+    k.run()
+    assert got == ["first"]
+
+
+def test_semaphore_unit_handed_to_a_killed_waiter_comes_back():
+    k = Kernel()
+    sem = Semaphore(k, value=0)
+    got = []
+
+    def waiter(name):
+        yield from sem.down()
+        got.append(name)
+
+    victim = Process(k, waiter("victim"))
+    k.run()
+
+    def up_then_crash():
+        sem.up()          # the unit goes to the victim's wait...
+        victim.kill()     # ...which dies before it resumes
+
+    k.post(1.0, up_then_crash)
+    k.run()
+    assert got == [] and sem.value == 1
+    Process(k, waiter("next"))
+    k.run()
+    assert got == ["next"] and sem.value == 0
