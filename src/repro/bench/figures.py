@@ -103,7 +103,7 @@ def table2_measured(trials: int = 50) -> List[MeasuredPrimitive]:
     from repro.core.tid import TID
     from repro.sim.process import Sleep
 
-    before = len(system.tracer.events)
+    before = len(system.tracer.instants)
     send_times: List[float] = []
 
     def dgram_probe():
@@ -113,7 +113,7 @@ def table2_measured(trials: int = 50) -> List[MeasuredPrimitive]:
             yield Sleep(20.0)
 
     system.run_process(dgram_probe(), name="dgram-probe")
-    arrivals = [e.time for e in system.tracer.events[before:]
+    arrivals = [e.t0 for e in system.tracer.instants[before:]
                 if e.kind == "tranman.dgram_in" and e.site == "s1"]
     deltas = [a - s for s, a in zip(send_times, arrivals)]
     measured("Datagram", summarize(deltas).mean if deltas else 0.0)

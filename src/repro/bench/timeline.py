@@ -6,7 +6,7 @@ one column per site, one row per interesting event, datagram arrows
 between columns.  Used by ``examples/trace_timeline.py`` and handy when
 debugging protocol changes.
 
-Input is a :class:`~repro.sim.tracing.Tracer` that kept its events.
+Input is a :class:`~repro.sim.tracing.Tracer` that kept its instants.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.sim.tracing import Tracer
 
 # Trace kinds worth a timeline row, and how to describe them.
 TIMELINE_DESCRIPTIONS: Dict[str, Callable] = {
-    "tranman.begin": lambda e: f"begin {e.detail.get('tid', '')}",
+    "tranman.begin": lambda e: f"begin {e.tid or ''}",
     "tranman.join": lambda e: f"join {e.detail.get('server', '')}",
     "tranman.commit_call": lambda e: "commit-transaction "
         f"({e.detail.get('protocol', '')}, {e.detail.get('subs', 0)} subs)",
@@ -58,22 +58,20 @@ class TimelineRow:
 def extract_rows(tracer: Tracer, t0: float = 0.0,
                  t1: Optional[float] = None,
                  tid: Optional[str] = None) -> List[TimelineRow]:
-    """Pull timeline-worthy rows out of a tracer's events."""
+    """Pull timeline-worthy rows out of a tracer's kept instants."""
     rows: List[TimelineRow] = []
-    for event in tracer.events:
-        if event.time < t0 or (t1 is not None and event.time > t1):
+    for event in tracer.instants:
+        if event.t0 < t0 or (t1 is not None and event.t0 > t1):
             continue
-        if tid is not None:
-            event_tid = event.detail.get("tid")
-            if event_tid is not None and event_tid != tid:
-                continue
+        if tid is not None and event.tid is not None and event.tid != tid:
+            continue
         if event.kind in ARROW_KINDS:
             kind_of = event.detail.get("kind_of", "datagram")
             dst = event.detail.get("dst")
-            rows.append(TimelineRow(event.time, event.site,
+            rows.append(TimelineRow(event.t0, event.site,
                                     f"--{kind_of}-->", arrow_to=dst))
         elif event.kind in TIMELINE_DESCRIPTIONS:
-            rows.append(TimelineRow(event.time, event.site,
+            rows.append(TimelineRow(event.t0, event.site,
                                     TIMELINE_DESCRIPTIONS[event.kind](event)))
     return rows
 

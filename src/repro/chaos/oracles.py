@@ -120,13 +120,13 @@ class OracleContext:
         if tid is None:
             return out
         for event in self.system.tracer.of_kind("tranman.complete"):
-            if event.detail.get("tid") == tid:
+            if event.tid == tid:
                 out[f"complete@{event.site}"] = event.detail["outcome"]
         for event in self.system.tracer.of_kind("nb.takeover_decided"):
-            if event.detail.get("tid") in (tid, None):
+            if event.tid in (tid, None):
                 out[f"takeover@{event.site}"] = event.detail["outcome"]
         for event in self.system.tracer.of_kind("pc.election_decided"):
-            if event.detail.get("tid") in (tid, None):
+            if event.tid in (tid, None):
                 out[f"election@{event.site}"] = event.detail["outcome"]
         for site in self.system.site_names():
             tomb = self.system.tranman(site).tombstones.get(tid)

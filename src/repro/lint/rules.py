@@ -411,8 +411,8 @@ def check_chaos_oracle_readonly(ctx: LintContext) -> List[Finding]:
 
 
 # Parameter names / annotations through which simulation objects reach
-# obs code.  A SpanRecorder's own state is fair game; anything arriving
-# through one of these is not.
+# obs code.  A recorder's spans and gauges are fair game; anything
+# arriving through one of these is not.
 _OBS_SIM_PARAM_NAMES = {
     "system", "kernel", "tracer", "site", "lan", "runtime", "tranman",
     "diskman", "fabric", "server", "dgram", "comman",
@@ -430,6 +430,9 @@ _OBS_STEERING_METHODS = {
     "restart_site", "trigger", "enqueue", "record", "attach_obs",
     "partition", "heal", "force", "register_site",
 }
+# Recorder writes flagged on any receiver: the sink is a Tracer too, and
+# its counters feed the perf digests.
+_OBS_RECORDER_WRITES = {"record", "attach_obs"}
 
 
 @rule("obs-readonly",
@@ -454,10 +457,16 @@ def check_obs_readonly(ctx: LintContext) -> List[Finding]:
                 if a.arg in _OBS_SIM_PARAM_NAMES \
                         or (ann or "").split(".")[-1] in _OBS_SIM_TYPE_NAMES:
                     tainted.add(a.arg)
-            if not tainted:
-                continue
-            for node, what in _readonly_violations(func, tainted,
-                                                   _OBS_STEERING_METHODS):
+            found = _readonly_violations(func, tainted,
+                                         _OBS_STEERING_METHODS)
+            seen = {id(node) for node, _ in found}
+            found += [(n, f"calls .{n.func.attr}() on a recorder")
+                      for n in ast.walk(func)
+                      if isinstance(n, ast.Call)
+                      and isinstance(n.func, ast.Attribute)
+                      and n.func.attr in _OBS_RECORDER_WRITES
+                      and id(n) not in seen]
+            for node, what in found:
                 out.append(ctx.finding(
                     info, node, "obs-readonly",
                     f"obs function {func.name!r} {what}; the "

@@ -56,6 +56,7 @@ from repro.core.tid import TID, TidGenerator
 from repro.log.records import LogRecord
 from repro.log.storage import LogTail
 from repro.servers.recovery import RecoveryPlan, build_machines
+from repro.sim.tracing import Tracer
 
 
 class Substrate(Protocol):
@@ -66,12 +67,12 @@ class Substrate(Protocol):
     ``start_timer`` delays are protocol milliseconds, virtual or real."""
 
     wal: LogTail
+    tracer: Tracer
 
     def now(self) -> float: ...
     def send(self, dst: str, message: Any) -> None: ...
     def force(self, lsn: int, done: Callable[[], None]) -> None: ...
     def start_timer(self, delay_ms: float, fn: Callable[[], None]) -> Any: ...
-    def trace(self, kind: str, detail: Dict[str, Any]) -> None: ...
 
 
 class SiteHost:
@@ -112,7 +113,6 @@ class SiteHost:
         self.send = substrate.send
         self.watch_durable = substrate.wal.watch_durable
         self.start_timer = substrate.start_timer
-        self.trace = substrate.trace
         # Inputs to run, each with its family and the answer it resumes
         # with; and each family parked on a force, with the inputs that
         # arrived for it since, in order.
@@ -218,7 +218,7 @@ class SiteHost:
             # machine never re-enters — exactly the state a crash
             # between fsync and continuation would leave behind.
             self.held.append(token)
-            self.substrate.trace("live.force_held", {"token": token})
+            self.trace("live.force_held", {"token": token})
             answer = WITHHELD
         # The parked run goes on first, then what queued behind it, all
         # ahead of anything of that family still to arrive.
@@ -229,6 +229,11 @@ class SiteHost:
         self._pump()
 
     # ------- the interpreter's primitives (repro.core.interpreter.Engine)
+
+    def trace(self, kind: str, detail: Dict[str, Any]) -> None:
+        # Counted in the substrate's recorder, which keeps nothing: no
+        # clock is read on the live path.
+        self.substrate.tracer.counters[kind] += 1
 
     def multicast(self, dsts: Sequence[str], message: Any) -> None:
         for dst in dsts:
@@ -264,20 +269,18 @@ class SiteHost:
 
     def _local_prepared(self, machine: Any, tid: TID) -> None:
         vote = self.scripted_votes.get(self.site, Vote.YES)
-        self.substrate.trace("live.local_prepared",
-                             {"tid": str(tid), "vote": vote.value})
+        self.trace("live.local_prepared", {"tid": tid, "vote": vote.value})
         self._enqueue(tid, self.interp.local_prepared(machine, tid, vote))
 
     def local_commit(self, tid: TID) -> None:
-        self.substrate.trace("live.local_commit", {"tid": str(tid)})
+        self.trace("live.local_commit", {"tid": tid})
 
     def local_abort(self, tid: TID) -> None:
-        self.substrate.trace("live.local_abort", {"tid": str(tid)})
+        self.trace("live.local_abort", {"tid": tid})
 
     def completed(self, tid: TID, outcome: Outcome) -> None:
         self.edge.note_completion(str(tid), outcome)
-        self.substrate.trace("live.complete",
-                             {"tid": str(tid), "outcome": outcome.value})
+        self.trace("live.complete", {"tid": tid, "outcome": outcome.value})
         if self.on_complete is not None:
             self.on_complete(tid, outcome)
 

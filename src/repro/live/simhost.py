@@ -23,7 +23,7 @@ from repro.net.datagram import DatagramService
 from repro.net.lan import Lan
 from repro.sim.kernel import Kernel, Timer
 from repro.sim.rng import RngStreams
-from repro.sim.tracing import NullTracer
+from repro.sim.tracing import NullTracer, Tracer
 from repro.live.host import SiteHost, Substrate
 from repro.live.scenario import Scenario, Transcript, run_scenario_steps
 from repro.live.walfile import MemoryWal
@@ -41,7 +41,7 @@ class SimSubstrate(Substrate):
         # it, delivery to whichever endpoint the site has at arrival.
         self.dgram = dgram
         self.wal = MemoryWal()
-        self.traces: Dict[str, int] = {}  # trace kind -> count
+        self.tracer = Tracer(keep=False)
         self.alive = True  # Lan liveness probe
 
     def now(self) -> float:
@@ -64,9 +64,6 @@ class SimSubstrate(Substrate):
 
     def start_timer(self, delay_ms: float, fn: Callable[[], None]) -> Timer:
         return self.kernel.schedule(delay_ms, fn)
-
-    def trace(self, kind: str, detail: Dict[str, Any]) -> None:
-        self.traces[kind] = self.traces.get(kind, 0) + 1
 
 
 def build_sim_cluster(sites: List[str], cost: CostModel,

@@ -86,6 +86,7 @@ from repro.live.host import SiteHost, Substrate
 from repro.live.ports import bind_server_socket, clear_port_file, \
     read_port_file, write_port_file
 from repro.live.walfile import FileWal
+from repro.sim.tracing import Tracer
 
 # Outbound connection patience: how long a sender retries reaching a
 # peer (re-reading its port file each attempt) before dropping a frame.
@@ -205,7 +206,7 @@ class LiveSubstrate(Substrate):
         # Told of a force that failed or an input that raised (LiveSite
         # fail-stops on the first).
         self.fail_stop = fail_stop
-        self.traces: Dict[str, int] = {}  # trace kind -> count
+        self.tracer = Tracer(keep=False)
         # What a batch of deliveries or force completions sent leaves
         # as its last act, in its own loop turn.
         self.inbound = _DelayLine(wire_ms, fail_stop, self._flush)
@@ -370,9 +371,6 @@ class LiveSubstrate(Substrate):
 
     def start_timer(self, delay_ms: float, fn: Callable[[], None]) -> Any:
         return asyncio.get_running_loop().call_later(delay_ms / 1000.0, fn)
-
-    def trace(self, kind: str, detail: Dict[str, Any]) -> None:
-        self.traces[kind] = self.traces.get(kind, 0) + 1
 
 
 class _Inbound(asyncio.Protocol):
@@ -544,7 +542,7 @@ class LiveSite:
             "held": list(self.host.held),
             "drops": self.substrate.drop_counts(),
             "duplicates": self.host.duplicates,
-            "traces": dict(self.substrate.traces),
+            "traces": dict(self.substrate.tracer.counters),
             "recovered": self.recovered,
             "conservative": self.host.conservative,
             "wal_durable": self.wal.durable_lsn,

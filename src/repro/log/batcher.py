@@ -117,16 +117,10 @@ class GroupCommitBatcher:
 
     def _flush_round(self, rnd: _Round) -> Generator[Any, Any, None]:
         self.rounds_flushed += 1
-        self.tracer.record(self.kernel.now, "log.group_commit",
-                           site=self.wal.site, batch=rnd.size,
-                           lsn=rnd.target_lsn)
-        obs = self.tracer.obs
-        if obs is not None:
-            sid = obs.begin(self.kernel.now, "log.group_commit",
-                            site=self.wal.site, batch=rnd.size)
+        sid = self.tracer.begin_group_commit(self.kernel.now, self.wal.site,
+                                             rnd.size, rnd.target_lsn)
         yield from self.wal.force(rnd.target_lsn)
-        if obs is not None:
-            obs.end(sid, self.kernel.now)
+        self.tracer.end(sid, self.kernel.now)
         rnd.done.trigger(None)
 
     # ------------------------------------------------------- statistics

@@ -86,11 +86,7 @@ class IpcFabric:
             msg.sender = port.site
         latency = self.latency_for(flavour, msg)
         now = self.kernel.now
-        self.tracer.record(now, f"ipc.{flavour}", site=port.site,
-                           kind_of=msg.kind)
-        obs = self.tracer.obs
-        if obs is not None:
-            obs.ipc(now, now + latency, flavour, port.site, msg)
+        self.tracer.ipc(now, now + latency, flavour, port.site, msg)
         self.kernel.post(latency, self._deliver, port, msg)
 
     def _deliver(self, port: Port, msg: Message) -> None:
@@ -137,11 +133,7 @@ class IpcFabric:
         flavour = flavour or request.body.get("_reply_flavour", "inline")
         latency = self.latency_for(flavour, response)
         now = self.kernel.now
-        self.tracer.record(now, f"ipc.{flavour}",
-                           site=handle.site, kind_of=response.kind)
-        obs = self.tracer.obs
-        if obs is not None:
-            obs.ipc(now, now + latency, flavour, handle.site, response)
+        self.tracer.ipc(now, now + latency, flavour, handle.site, response)
         self.kernel.post(latency, self._trigger_reply, handle, response)
 
     def _trigger_reply(self, handle: ReplyHandle, response: Message) -> None:

@@ -153,7 +153,8 @@ class Lan:
         return self.rng.stream("lan.sendsched").expovariate(1.0 / mean)
 
     def _duplicate(self, src: str, dst: str, payload: Any,
-                   deliver: DeliverFn, base_delay: float) -> None:
+                   deliver: DeliverFn, base_delay: float,
+                   sid: Optional[int]) -> None:
         """Maybe schedule a second arrival of the same datagram.
 
         Models retransmission-induced duplication (a stale retry racing
@@ -172,7 +173,7 @@ class Lan:
                            dst=dst)
         lag = self.cost.datagram + self._jitter()
         self.kernel.post(base_delay + lag, self._arrive, src, dst,
-                         payload, deliver)
+                         payload, deliver, sid)
 
     def _serialize_send(self, src: str, cycle: float) -> float:
         """Reserve the sender NIC; returns the wire-entry delay from now.
@@ -244,20 +245,16 @@ class Lan:
             self.tracer.record(now, "net.lost", site=src, dst=dst)
             return
         self.in_flight += 1
-        obs = self.tracer.obs
-        if obs is not None:
-            obs.net(now, now + delay, src, dst, payload, rpc=rpc,
-                    multicast=multicast)
-            if obs.keep:  # two samples per datagram counting would discard
-                obs.gauge(now, "lan.in_flight", self.in_flight)
-        self.kernel.post(delay, self._arrive, src, dst, payload, deliver)
-        self._duplicate(src, dst, payload, deliver, delay)
+        sid = self.tracer.net(now, now + delay, src, dst, payload,
+                              self.in_flight, rpc=rpc, multicast=multicast)
+        self.kernel.post(delay, self._arrive, src, dst, payload, deliver, sid)
+        self._duplicate(src, dst, payload, deliver, delay, sid)
 
-    def _arrive(self, src: str, dst: str, payload: Any, deliver: DeliverFn) -> None:
+    def _arrive(self, src: str, dst: str, payload: Any, deliver: DeliverFn,
+                sid: Optional[int]) -> None:
         self.in_flight -= 1
-        obs = self.tracer.obs
-        if obs is not None and obs.keep:
-            obs.gauge(self.kernel.now, "lan.in_flight", self.in_flight)
+        if sid is not None:  # a kept transit: sample the occupancy it leaves
+            self.tracer.gauge(self.kernel.now, "lan.in_flight", self.in_flight)
         if not self.reachable(src, dst):
             self.dropped_partition += 1
             self.tracer.record(self.kernel.now, "net.drop.partition",

@@ -147,16 +147,14 @@ class Application:
                 self.aborted += 1
             if not self.keep_history:
                 self._records.pop(tid, None)
-            obs = self.tracer.obs
-            if obs is not None:
-                # Whole-transaction and commit-phase envelopes, recorded
-                # post-hoc from the client-side timestamps.
-                obs.add(record.began_at, record.committed_at, "txn",
-                        site=self.site.name, tid=str(tid),
-                        outcome=outcome.value)
-                if record.commit_called_at is not None:
-                    obs.add(record.commit_called_at, record.committed_at,
-                            "txn.commit", site=self.site.name, tid=str(tid))
+            # Whole-transaction and commit-phase envelopes, recorded
+            # post-hoc from the client-side timestamps.
+            self.tracer.add(record.began_at, record.committed_at, "txn",
+                            site=self.site.name, tid=tid,
+                            outcome=outcome.value)
+            if record.commit_called_at is not None:
+                self.tracer.add(record.commit_called_at, record.committed_at,
+                                "txn.commit", site=self.site.name, tid=tid)
         if reply.kind == "commit_failed":
             raise TransactionAborted(tid, reply.body.get("reason", ""))
         return outcome

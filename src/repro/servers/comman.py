@@ -125,7 +125,7 @@ class CommunicationManager:
         self.tranman.note_remote_sites(tid, [s for s in sites
                                              if s != self.site.name])
         self.tracer.record(self.kernel.now, "comman.spied",
-                           site=self.site.name, tid=str(tid),
+                           site=self.site.name, tid=tid,
                            sites=list(sites))
 
     # ------------------------------------------------------ server side

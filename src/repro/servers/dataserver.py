@@ -88,13 +88,10 @@ class DataServer:
     # --------------------------------------------------------- dispatch
 
     def _handle(self, msg: Message) -> Generator[Any, Any, None]:
-        obs = self.tracer.obs
-        if obs is not None:
-            sid = obs.begin_cpu(self.kernel.now, "server", self.site.name,
-                                msg)
+        sid = self.tracer.begin_cpu(self.kernel.now, "server", self.site.name,
+                                    msg)
         yield from self.site.consume_cpu(self.cost.server_service_cpu)
-        if obs is not None:
-            obs.end(sid, self.kernel.now)
+        self.tracer.end(sid, self.kernel.now)
         kind = msg.kind
         if kind == "operation":
             yield from self._op(msg)
@@ -131,7 +128,7 @@ class DataServer:
             # starvation) victim; the application is expected to abort.
             self.tracer.record(self.kernel.now, "server.lock_timeout",
                                site=self.site.name, object=obj,
-                               tid=str(tid))
+                               tid=tid)
             self.fabric.reply(msg, msg.reply("op_failed",
                                              reason="lock timeout"))
             return
@@ -173,16 +170,14 @@ class DataServer:
             self.fabric.send(self.tranman_port, join, flavour="oneway",
                              sender_site=self.site.name)
         self.tracer.record(self.kernel.now, "server.join", site=self.site.name,
-                           server=self.name, tid=str(tid))
+                           server=self.name, tid=tid)
 
     def _lock(self, obj: str, tid: TID,
               mode: LockMode) -> Generator[Any, Any, bool]:
         """Acquire a lock; False on lock-wait timeout (victim)."""
-        obs = self.tracer.obs
-        if obs is not None:
-            now = self.kernel.now
-            obs.add(now, now + self.cost.get_lock,
-                    "lock.get", site=self.site.name, tid=tid, object=obj)
+        now = self.kernel.now
+        self.tracer.add(now, now + self.cost.get_lock,
+                        "lock.get", site=self.site.name, tid=tid, object=obj)
         yield Sleep(self.cost.get_lock)
         granted = SimEvent(self.kernel, name=f"{self.name}.lock.{obj}",
                            ignore_retrigger=True)
@@ -190,11 +185,9 @@ class DataServer:
                               on_grant=lambda: granted.trigger(True)):
             return True
         self.tracer.record(self.kernel.now, "server.lock_wait",
-                           site=self.site.name, object=obj, tid=str(tid))
-        wait_sid = None
-        if obs is not None:
-            wait_sid = obs.begin(self.kernel.now, "lock.wait",
-                                 site=self.site.name, tid=tid, object=obj)
+                           site=self.site.name, tid=tid, object=obj)
+        wait_sid = self.tracer.begin(self.kernel.now, "lock.wait",
+                                     site=self.site.name, tid=tid, object=obj)
         # Stagger the timeout deterministically per waiter, so two
         # deadlocked transactions never give up in the same instant and
         # one of them survives as the winner.
@@ -205,8 +198,7 @@ class DataServer:
         won, __ = yield from wait_with_deadline(
             self.kernel, granted, self.cost.lock_wait_timeout * stagger,
             name=f"{self.name}.lockwait")
-        if obs is not None:
-            obs.end(wait_sid, self.kernel.now)
+        self.tracer.end(wait_sid, self.kernel.now)
         if won:
             return True
         # Timed out: withdraw from the queue (unless granted in the
@@ -242,12 +234,8 @@ class DataServer:
         tid = msg.body["tid"]
         self.locks.release_family(tid.family)
         self._forget_family(tid.family, keep_values=True)
-        self.tracer.record(self.kernel.now, "server.drop_locks",
-                           site=self.site.name, server=self.name, tid=str(tid))
-        obs = self.tracer.obs
-        if obs is not None:
-            obs.instant(self.kernel.now, "server.drop_locks",
-                        site=self.site.name, tid=tid, server=self.name)
+        self.tracer.instant(self.kernel.now, "server.drop_locks",
+                            site=self.site.name, tid=tid, server=self.name)
         if msg.reply_to is not None:
             self.fabric.reply(msg, msg.reply("drop_locks_ok"))
 
@@ -262,7 +250,7 @@ class DataServer:
         else:
             self.locks.abort_subtree(tid)
         self.tracer.record(self.kernel.now, "server.abort",
-                           site=self.site.name, server=self.name, tid=str(tid))
+                           site=self.site.name, server=self.name, tid=tid)
         if msg.reply_to is not None:
             self.fabric.reply(msg, msg.reply("abort_ok"))
 

@@ -117,12 +117,9 @@ class DiskManager:
     def force(self, lsn: Optional[int] = None) -> Generator[Any, Any, None]:
         """Synchronous force through the (possibly enabled) batcher."""
         self.tracer.record(self.kernel.now, "diskman.force", site=self.site.name)
-        obs = self.tracer.obs
-        if obs is not None:
-            sid = obs.begin_cpu(self.kernel.now, "logger", self.site.name)
+        sid = self.tracer.begin_cpu(self.kernel.now, "logger", self.site.name)
         yield from self.site.consume_cpu(self.cost.logger_service_cpu)
-        if obs is not None:
-            obs.end(sid, self.kernel.now)
+        self.tracer.end(sid, self.kernel.now)
         yield from self.batcher.force(lsn)
 
     def watch_durable(self, lsn: int, callback: Callable[[], None]) -> None:

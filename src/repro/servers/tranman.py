@@ -184,17 +184,10 @@ class TransactionManager:
     # --------------------------------------------------------- dispatch
 
     def _handle(self, msg: Any) -> Generator[Any, Any, None]:
-        obs = self.tracer.obs
-        if obs is not None:
-            if obs.keep:  # a sample per message that counting would discard
-                obs.gauge(self.kernel.now,
-                          f"cpu.queue_depth.{self.site.name}",
-                          self.site.cpu.queue_depth)
-            sid = obs.begin_cpu(self.kernel.now, "tranman", self.site.name,
-                                msg)
+        sid = self.tracer.begin_cpu(self.kernel.now, "tranman",
+                                    self.site.name, msg, self.site.cpu)
         yield from self.site.consume_cpu(self.cost.tranman_service_cpu)
-        if obs is not None:
-            obs.end(sid, self.kernel.now)
+        self.tracer.end(sid, self.kernel.now)
         if not isinstance(msg, Message):
             yield from self._on_datagram(msg)
             return
@@ -234,7 +227,7 @@ class TransactionManager:
         finally:
             lock.release()
         self.tracer.record(self.kernel.now, "tranman.begin",
-                           site=self.site.name, tid=str(tid))
+                           site=self.site.name, tid=tid)
         self.fabric.reply(msg, msg.reply("begin_ok", tid=tid),
                           flavour="immediate")
 
@@ -254,7 +247,7 @@ class TransactionManager:
         finally:
             lock.release()
         self.tracer.record(self.kernel.now, "tranman.join",
-                           site=self.site.name, tid=str(tid), server=server)
+                           site=self.site.name, tid=tid, server=server)
         if msg.reply_to is not None:
             self.fabric.reply(msg, msg.reply("join_ok"))
 
@@ -301,7 +294,7 @@ class TransactionManager:
             quorum_policy=msg.body.get("quorum_policy", "majority"),
             use_multicast=self.use_multicast)
         self.tracer.record(self.kernel.now, "tranman.commit_call",
-                           site=self.site.name, tid=str(tid),
+                           site=self.site.name, tid=tid,
                            protocol=protocol.value,
                            subs=len(machine.subordinates))
         yield from self.interp.run(machine, machine.start())
@@ -391,14 +384,11 @@ class TransactionManager:
 
     def force(self, lsn: int, record: LogRecord,
               token: str) -> Generator[Any, Any, None]:
-        obs = self.tracer.obs
-        if obs is not None:
-            sid = obs.begin(self.kernel.now, "log.force", site=self.site.name,
-                            tid=record.tid or None,
-                            record_kind=record.kind.value)
+        sid = self.tracer.begin(self.kernel.now, "log.force",
+                                site=self.site.name, tid=record.tid or None,
+                                record_kind=record.kind.value)
         yield from self.diskman.force(lsn)
-        if obs is not None:
-            obs.end(sid, self.kernel.now)
+        self.tracer.end(sid, self.kernel.now)
 
     def trace(self, kind: str, detail: Dict[str, Any]) -> None:
         self.tracer.record(self.kernel.now, kind, site=self.site.name,
@@ -442,7 +432,7 @@ class TransactionManager:
                                            name="tranman.votes")))
             combined = _combine_votes(votes)
         self.tracer.record(self.kernel.now, "tranman.local_prepared",
-                           site=self.site.name, tid=str(tid),
+                           site=self.site.name, tid=tid,
                            vote=combined.value)
         return combined
 
@@ -486,14 +476,9 @@ class TransactionManager:
             else:
                 self.stats["aborted"] += 1
         call = self._pending_calls.pop(tid, None)
-        self.tracer.record(self.kernel.now, "tranman.complete",
-                           site=self.site.name, tid=str(tid),
-                           outcome=outcome.value)
-        obs = self.tracer.obs
-        if obs is not None:
-            obs.instant(self.kernel.now, "tranman.complete",
-                        site=self.site.name, tid=tid,
-                        outcome=outcome.value)
+        self.tracer.instant(self.kernel.now, "tranman.complete",
+                            site=self.site.name, tid=tid,
+                            outcome=outcome.value)
         if call is not None:
             self.fabric.reply(call, call.reply(
                 "commit_ok" if outcome is Outcome.COMMITTED

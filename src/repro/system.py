@@ -64,7 +64,7 @@ class CamelotSystem:
         # An injected tracer (e.g. NullTracer for overhead baselines)
         # replaces the config-driven default.
         self.tracer = tracer if tracer is not None \
-            else Tracer(keep_events=self.config.keep_trace_events)
+            else Tracer(keep=self.config.keep_trace_events)
         self.stores = StableStoreDirectory()
         self.directory = NameDirectory()
         self.lan = Lan(self.kernel, self.cost, self.rng, self.tracer)

@@ -99,10 +99,9 @@ def run(manager_class, schedule):
         kernel.schedule(at, do, index, op, page)
     kernel.run(until=HORIZON_MS)
     observed = {
-        "sweeps": [e.time for e in tracer.events
-                   if e.kind == "diskman.lazy_sweep"],
-        "pageouts": [(e.time, e.detail["page"]) for e in tracer.events
-                     if e.kind == "diskman.pageout"],
+        "sweeps": [e.t0 for e in tracer.of_kind("diskman.lazy_sweep")],
+        "pageouts": [(e.t0, e.detail["page"])
+                     for e in tracer.of_kind("diskman.pageout")],
         "durable": durable,
         "dirty": dm.dirty_pages(),
         "log_writes": dm.disk.writes,

@@ -20,6 +20,7 @@ from repro.live.host import SiteHost, Substrate
 from repro.live.scenario import conformance_cost
 from repro.live.site import LiveSite, _Inbound
 from repro.live.walfile import MemoryWal, _scan
+from repro.sim.tracing import Tracer
 
 A, B = TID("T1@alpha"), TID("T2@alpha")
 
@@ -37,6 +38,7 @@ class _HeldForces(Substrate):
 
     def __init__(self):
         self.wal = MemoryWal()
+        self.tracer = Tracer(keep=False)
         self.sent, self.forces, self.timers = [], [], []
 
     def now(self):
@@ -52,9 +54,6 @@ class _HeldForces(Substrate):
         timer = _Timer(fn)
         self.timers.append((delay_ms, timer))
         return timer
-
-    def trace(self, kind, detail):
-        pass
 
     def fire_due(self):
         """Fire what a zero delay armed (nothing, unless a local vote
@@ -166,17 +165,17 @@ def test_eight_prepares_in_one_read_are_one_write_of_eight_records(
         site, writes = await _beta_site(tmp_path)
         try:
             _Inbound(site).data_received(_frames(8))
-            await _until(lambda: site.substrate.traces.get(
+            await _until(lambda: site.substrate.tracer.count(
                 "tranman.datagram") == 8)
-            return writes.data, site.substrate.traces
+            return writes.data, site.substrate.tracer
         finally:
             await site.stop()
 
-    data, traces = asyncio.run(scenario())
+    data, tracer = asyncio.run(scenario())
     assert [len(_records(d)) for d in data] == [8]
     assert {r.tid for r in _records(data[0])} == \
         {f"T{i}@alpha" for i in range(1, 9)}
-    assert traces["tranman.datagram"] == 8          # eight YES votes
+    assert tracer.count("tranman.datagram") == 8    # eight YES votes
 
 
 def test_a_failed_batched_write_fail_stops_with_no_completion(tmp_path):
@@ -192,7 +191,7 @@ def test_a_failed_batched_write_fail_stops_with_no_completion(tmp_path):
     assert [len(_records(d)) for d in data] == [8]   # one attempt, all 8
     # No ``done`` fired: every family is still parked, none voted.
     assert sorted(site.host._parked) == [f"T{i}@alpha" for i in range(1, 9)]
-    assert site.substrate.traces.get("tranman.datagram", 0) == 0
+    assert site.substrate.tracer.count("tranman.datagram") == 0
     assert site.wal.durable_lsn == 0
     with pytest.raises(OSError, match="dead"):
         site.wal.force(None)
@@ -213,15 +212,15 @@ def test_a_held_token_in_a_batch_withholds_only_its_own_family(tmp_path):
             site.substrate.inbound.put(lambda: mine.append(
                 site.host.begin_commit("2pc", [])))
             await _until(lambda: site.host.held and site.host.completions)
-            return mine[0], writes.data, site.host, site.substrate.traces
+            return mine[0], writes.data, site.host, site.substrate.tracer
         finally:
             await site.stop()
 
-    mine, data, host, traces = asyncio.run(scenario())
+    mine, data, host, tracer = asyncio.run(scenario())
     assert sorted(r.tid for r in _records(data[0])) == \
         sorted([str(mine), "T1@alpha"])
     assert host.held == ["2pc.prepare_force"]
     assert {t: o.value for t, o in host.completions.items()} == \
         {str(mine): "committed"}
-    assert traces.get("tranman.datagram", 0) == 0    # T1 never voted
+    assert tracer.count("tranman.datagram") == 0    # T1 never voted
     assert not host._parked

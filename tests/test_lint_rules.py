@@ -330,10 +330,18 @@ def test_obs_readonly_mutations_flagged_reads_clean(tmp_path):
             counts = dict(system.tracer.counters)
             counts["extra"] = 1                   # copy, not sim state
             return rows
+
+
+        def writes_a_recorder(recorder, spans):
+            recorder.record(0.0, "fake")          # the sink's counters
+            spans.attach_obs(None)                # redirects the hooks
+            return []
         """)
     report = run_lint(root=tmp_path, rule_ids=["obs-readonly"])
     assert len([f for f in report.findings if "'dirty'" in f.message]) == 5
     assert not [f for f in report.findings if "'clean'" in f.message]
+    assert len([f for f in report.findings
+                if "'writes_a_recorder'" in f.message]) == 2
 
 
 def test_obs_readonly_exempts_scenario_driver(tmp_path):

@@ -42,6 +42,7 @@ from repro.live.host import SiteHost, Substrate
 from repro.live.simhost import build_sim_cluster, run_sim_scenario
 from repro.live.walfile import MemoryWal, read_records
 from repro.log.records import commit_record
+from repro.sim.tracing import Tracer
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +103,8 @@ class TestTranManLeg:
         """The interpreter accounts a send, not the engine under it: on
         the 20 messages both legs put on the wire byte for byte, each
         site's §3.2 counts read the same from the TranMan's tracer as
-        from ``SiteHost``'s ``traces``."""
+        from each ``SiteHost`` substrate's, and the totals through one
+        call, ``Tracer.count``, on both engines' recorders."""
         scenario = conformance_scenario()
         scenario = dataclasses.replace(
             scenario, steps=scenario.steps[:2],
@@ -122,11 +124,14 @@ class TestTranManLeg:
             host.start_sweeps()
         run_scenario_steps(scenario, hosts, at=kernel.schedule)
         kernel.run(until=scenario.horizon_ms)
-        host = {site: {kind: hosts[site].substrate.traces.get(kind, 0)
+        host = {site: {kind: hosts[site].substrate.tracer.count(kind)
                        for kind in kinds} for site in scenario.sites}
 
         assert len(transcript.entries) == len(host_transcript.entries) == 20
         assert tranman == host
+        assert {kind: system.tracer.count(kind) for kind in kinds} == \
+            {kind: sum(h.substrate.tracer.count(kind) for h in hosts.values())
+             for kind in kinds}
         assert sum(sum(counts.values()) for counts in host.values()) == 20
 
     def test_pin_leader_prepare_fanout_waits_for_its_own_vote(self, report):
@@ -207,22 +212,35 @@ class TestDivergenceIsDetected:
         assert live.live_bytes != sim_bytes
 
 
+class _LoggedCounts(dict):
+    """Counters that append each counted kind to a shared log."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def __missing__(self, kind):
+        return 0
+
+    def __setitem__(self, kind, value):
+        self.log.append(kind)
+        super().__setitem__(kind, value)
+
+
 class _RecordingSubstrate(Substrate):
     """Logs traces; holds each force until the test releases it."""
 
     def __init__(self, log):
-        self.log = log
         self.forces = []
         self.wal = MemoryWal()
+        self.tracer = Tracer(keep=False)
+        self.tracer.counters = _LoggedCounts(log)
 
     def now(self):
         return 0.0
 
     def force(self, lsn, done):
         self.forces.append(done)
-
-    def trace(self, kind, detail):
-        self.log.append(kind)
 
 
 class _StubMachine:

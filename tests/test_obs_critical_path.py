@@ -8,8 +8,17 @@ import pytest
 
 from repro.obs.critical_path import extract, extract_for_tid
 from repro.obs.spans import Span, SpanRecorder
+from repro.sim.tracing import NullTracer
 
 TID = "T1@a"
+
+
+def _sink():
+    """A keeping recorder attached to a tracer that counts nothing
+    itself; hooks called on the tracer land in the recorder."""
+    tracer, rec = NullTracer(), SpanRecorder()
+    tracer.attach_obs(rec)
+    return tracer, rec
 
 
 def _span(sid, kind, site, t0, t1, tid=TID, **detail):
@@ -106,9 +115,9 @@ def test_static_comparable_includes_cpu_excludes_gaps():
 
 
 def test_extract_for_tid_uses_envelope_bounds():
-    rec = SpanRecorder()
-    rec.add(5.0, 30.0, "txn", site="a", tid=TID)
-    rec.add(10.0, 25.0, "log.force", site="a", tid=TID)
+    t, rec = _sink()
+    t.add(5.0, 30.0, "txn", site="a", tid=TID)
+    t.add(10.0, 25.0, "log.force", site="a", tid=TID)
     path = extract_for_tid(rec, TID)
     assert path is not None
     assert (path.t_start, path.t_end) == (5.0, 30.0)
@@ -117,15 +126,15 @@ def test_extract_for_tid_uses_envelope_bounds():
 
 
 def test_extract_for_tid_commit_envelope():
-    rec = SpanRecorder()
-    rec.add(0.0, 30.0, "txn", site="a", tid=TID)
-    rec.add(20.0, 30.0, "txn.commit", site="a", tid=TID)
-    rec.add(21.0, 29.0, "log.force", site="a", tid=TID)
+    t, rec = _sink()
+    t.add(0.0, 30.0, "txn", site="a", tid=TID)
+    t.add(20.0, 30.0, "txn.commit", site="a", tid=TID)
+    t.add(21.0, 29.0, "log.force", site="a", tid=TID)
     path = extract_for_tid(rec, TID, envelope="txn.commit")
     assert (path.t_start, path.t_end) == (20.0, 30.0)
 
 
 def test_extract_for_tid_none_without_envelope():
-    rec = SpanRecorder()
-    rec.add(0.0, 1.0, "log.force", site="a", tid=TID)
+    t, rec = _sink()
+    t.add(0.0, 1.0, "log.force", site="a", tid=TID)
     assert extract_for_tid(rec, TID) is None

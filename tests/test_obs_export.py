@@ -4,18 +4,27 @@ import json
 
 from repro.obs.export import to_trace_events, write_trace
 from repro.obs.spans import SpanRecorder
+from repro.sim.tracing import NullTracer
+
+
+def _sink():
+    """A keeping recorder attached to a tracer that counts nothing
+    itself; hooks called on the tracer land in the recorder."""
+    tracer, rec = NullTracer(), SpanRecorder()
+    tracer.attach_obs(rec)
+    return tracer, rec
 
 
 def _recorder():
-    rec = SpanRecorder()
-    rec.add(1.0, 2.5, "log.force", site="a", tid="T1@a", lsn=3)
-    rec.add(2.5, 12.5, "net.datagram", site="a", tid="T1@a", dst="b")
-    rec.add(13.0, 13.8, "cpu.service", site="b", tid="T1@a",
-            component="tranman")
-    rec.instant(14.0, "tranman.complete", site="b", tid="T1@a",
-                outcome="committed")
-    rec.gauge(1.0, "lan.in_flight", 1)
-    rec.gauge(12.5, "lan.in_flight", 0)
+    t, rec = _sink()
+    t.add(1.0, 2.5, "log.force", site="a", tid="T1@a", lsn=3)
+    t.add(2.5, 12.5, "net.datagram", site="a", tid="T1@a", dst="b")
+    t.add(13.0, 13.8, "cpu.service", site="b", tid="T1@a",
+          component="tranman")
+    t.instant(14.0, "tranman.complete", site="b", tid="T1@a",
+              outcome="committed")
+    t.gauge(1.0, "lan.in_flight", 1)
+    t.gauge(12.5, "lan.in_flight", 0)
     return rec
 
 
@@ -60,8 +69,8 @@ def test_non_json_detail_values_stringified():
         def __str__(self):
             return "weird"
 
-    rec = SpanRecorder()
-    rec.add(0.0, 1.0, "lock.get", site="a", obj=Weird())
+    t, rec = _sink()
+    t.add(0.0, 1.0, "lock.get", site="a", obj=Weird())
     doc = to_trace_events(rec)
     (x,) = [e for e in doc["traceEvents"] if e["ph"] == "X"]
     assert x["args"]["obj"] == "weird"
@@ -80,7 +89,7 @@ def test_write_trace_roundtrips(tmp_path):
 
 
 def test_open_spans_skipped():
-    rec = SpanRecorder()
-    rec.begin(0.0, "log.force", site="a")
+    t, rec = _sink()
+    t.begin(0.0, "log.force", site="a")
     doc = to_trace_events(rec)
     assert [e for e in doc["traceEvents"] if e["ph"] == "X"] == []

@@ -5,6 +5,7 @@ import pytest
 from repro import CamelotSystem, SystemConfig
 from repro.core.outcomes import ProtocolKind
 from repro.obs.spans import SpanRecorder, tid_of
+from repro.sim.tracing import NullTracer
 
 
 class _Obj:
@@ -44,9 +45,18 @@ def test_tid_of_none_when_absent():
 # ---------------------------------------------------------------- recorder
 
 
+def _sink(keep=True):
+    """A recorder attached to a tracer that counts nothing itself: the
+    hooks are called on the tracer, as substrates call them, and land in
+    the recorder."""
+    tracer, rec = NullTracer(), SpanRecorder(keep=keep)
+    tracer.attach_obs(rec)
+    return tracer, rec
+
+
 def test_add_records_closed_span():
-    rec = SpanRecorder()
-    sid = rec.add(1.0, 2.5, "log.force", site="a", tid="T1@a", lsn=7)
+    t, rec = _sink()
+    sid = t.add(1.0, 2.5, "log.force", site="a", tid="T1@a", lsn=7)
     assert sid is not None
     (span,) = rec.spans
     assert span.kind == "log.force"
@@ -57,10 +67,10 @@ def test_add_records_closed_span():
 
 
 def test_begin_end_bracket_and_balance():
-    rec = SpanRecorder()
-    sid = rec.begin(1.0, "cpu.service", site="a")
+    t, rec = _sink()
+    sid = t.begin(1.0, "cpu.service", site="a")
     assert not rec.balanced
-    rec.end(sid, 3.0)
+    t.end(sid, 3.0)
     assert rec.balanced
     assert rec.spans[0].duration == pytest.approx(2.0)
 
@@ -70,37 +80,37 @@ def test_tid_coerced_to_str_in_keep_mode():
         def __str__(self):
             return "T9@a"
 
-    rec = SpanRecorder()
-    rec.add(0.0, 1.0, "lock.get", site="a", tid=FakeTid())
-    sid = rec.begin(1.0, "lock.wait", site="a", tid=FakeTid())
-    rec.end(sid, 2.0)
-    rec.instant(2.0, "server.drop_locks", site="a", tid=FakeTid())
+    t, rec = _sink()
+    t.add(0.0, 1.0, "lock.get", site="a", tid=FakeTid())
+    sid = t.begin(1.0, "lock.wait", site="a", tid=FakeTid())
+    t.end(sid, 2.0)
+    t.instant(2.0, "server.drop_locks", site="a", tid=FakeTid())
     assert all(s.tid == "T9@a" for s in rec.all_spans())
     assert len(rec.for_tid("T9@a")) == 3
 
 
 def test_instant_has_zero_duration():
-    rec = SpanRecorder()
-    rec.instant(5.0, "tranman.complete", site="a", tid="T1@a")
+    t, rec = _sink()
+    t.instant(5.0, "tranman.complete", site="a", tid="T1@a")
     (span,) = rec.instants
     assert span.t0 == span.t1 == 5.0
 
 
 def test_gauge_samples_kept_in_order():
-    rec = SpanRecorder()
-    rec.gauge(1.0, "lan.in_flight", 1)
-    rec.gauge(2.0, "lan.in_flight", 0)
+    t, rec = _sink()
+    t.gauge(1.0, "lan.in_flight", 1)
+    t.gauge(2.0, "lan.in_flight", 0)
     assert rec.gauges["lan.in_flight"] == [(1.0, 1), (2.0, 0)]
 
 
 def test_domain_hooks_classify_kinds():
-    rec = SpanRecorder()
-    rec.ipc(0.0, 1.5, "inline", "a", _Obj(tid="T1@a", kind="operation"))
-    rec.net(2.0, 12.0, "a", "b", _Obj(tid="T1@a"))
-    rec.net(2.0, 12.0, "a", "b", _Obj(tid="T1@a"), rpc=True)
-    rec.net(2.0, 12.0, "a", "b", _Obj(tid="T1@a"), multicast=True)
-    sid = rec.begin_cpu(13.0, "tranman", "a", _Obj(tid="T1@a", kind="x"))
-    rec.end(sid, 13.8)
+    t, rec = _sink()
+    t.ipc(0.0, 1.5, "inline", "a", _Obj(tid="T1@a", kind="operation"))
+    t.net(2.0, 12.0, "a", "b", _Obj(tid="T1@a"), 1)
+    t.net(2.0, 12.0, "a", "b", _Obj(tid="T1@a"), 1, rpc=True)
+    t.net(2.0, 12.0, "a", "b", _Obj(tid="T1@a"), 1, multicast=True)
+    sid = t.begin_cpu(13.0, "tranman", "a", _Obj(tid="T1@a", kind="x"))
+    t.end(sid, 13.8)
     kinds = sorted(s.kind for s in rec.spans)
     assert kinds == ["cpu.service", "ipc.inline", "net.datagram",
                      "net.multicast", "rpc.netmsg"]
@@ -111,8 +121,8 @@ def test_net_names_the_message_it_carries():
     class PrepareRequest:
         tid = "T1@a"
 
-    rec = SpanRecorder()
-    rec.net(0.0, 10.0, "a", "b", PrepareRequest())
+    t, rec = _sink()
+    t.net(0.0, 10.0, "a", "b", PrepareRequest(), 1)
     assert rec.spans[0].tid == "T1@a"
     assert rec.spans[0].detail["msg_kind"] == "PrepareRequest"
     assert rec.spans[0].detail["dst"] == "b"
@@ -122,18 +132,18 @@ def test_net_names_the_message_it_carries():
 
 
 def test_count_only_retains_nothing_but_counts_exactly():
-    rec = SpanRecorder(keep=False)
-    rec.ipc(0.0, 1.5, "inline", "a", _Obj(tid="T1@a", kind="op"))
-    rec.ipc(0.0, 1.5, "oneway", "a", _Obj())
-    rec.net(0.0, 10.0, "a", "b", _Obj())
-    rec.net(0.0, 10.0, "a", "b", _Obj(), rpc=True)
-    rec.add(0.0, 1.0, "lock.get", site="a", tid="T1@a")
-    sid = rec.begin(0.0, "log.force", site="a")
-    rec.end(sid, 15.0)
-    rec.instant(1.0, "tranman.complete")
-    rec.end(rec.begin_cpu(1.0, "tranman", "a", _Obj(tid="T1@a", kind="op")),
-            1.8)
-    rec.gauge(1.0, "lan.in_flight", 1)
+    t, rec = _sink(keep=False)
+    t.ipc(0.0, 1.5, "inline", "a", _Obj(tid="T1@a", kind="op"))
+    t.ipc(0.0, 1.5, "oneway", "a", _Obj())
+    t.net(0.0, 10.0, "a", "b", _Obj(), 1)
+    t.net(0.0, 10.0, "a", "b", _Obj(), 1, rpc=True)
+    t.add(0.0, 1.0, "lock.get", site="a", tid="T1@a")
+    sid = t.begin(0.0, "log.force", site="a")
+    t.end(sid, 15.0)
+    t.instant(1.0, "tranman.complete")
+    t.end(t.begin_cpu(1.0, "tranman", "a", _Obj(tid="T1@a", kind="op")),
+          1.8)
+    t.gauge(1.0, "lan.in_flight", 1)
     assert rec.spans == [] and rec.instants == []
     assert not rec.gauges
     assert rec.counters == {"ipc.inline": 1, "ipc.oneway": 1,
@@ -144,10 +154,10 @@ def test_count_only_retains_nothing_but_counts_exactly():
 
 
 def test_count_only_tracks_begin_end_pairing():
-    rec = SpanRecorder(keep=False)
-    rec.begin(0.0, "log.force")
+    t, rec = _sink(keep=False)
+    t.begin(0.0, "log.force")
     assert not rec.balanced
-    rec.end(None, 1.0)
+    t.end(None, 1.0)
     assert rec.balanced
 
 

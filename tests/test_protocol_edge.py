@@ -323,7 +323,7 @@ class TestNeverBothQuorums:
         def when(kind, **detail):
             (event,) = [e for e in system.tracer.of_kind(kind)
                         if e.site == "b" and detail.items() <= e.detail.items()]
-            return event.time
+            return event.t0
         # The replicate really did land inside the pledge's force window...
         assert (when("log.append", kind_of="abort_pledge")
                 < when("tranman.dgram_in", kind_of="NbReplicate")
