@@ -3,17 +3,22 @@
 Frame layout (all integers big-endian)::
 
     magic    4 bytes   b"RPRO"
-    version  1 byte    1
+    version  1 byte    2
     kind     1 byte    1 = protocol message, 2 = control (cluster driver)
     length   4 bytes   payload byte count (<= MAX_PAYLOAD)
     crc32    4 bytes   CRC-32 of the payload bytes
     payload  N bytes   canonical JSON
 
-A protocol-message payload is an envelope ``{"src": <site>, "msg":
-{...}}`` where ``msg`` serialises one :mod:`repro.core.messages`
+A protocol-message payload is an envelope ``{"msgs": [{...}, ...],
+"src": <site>}``: one or more messages from one site, in the order it
+sent them.  Each element serialises one :mod:`repro.core.messages`
 dataclass; the ``type`` key names the class and every other key is a
-field.  Control payloads are free-form JSON dicts used by the cluster
-driver (begin/status/transcript/stop).
+field.  A site frames every message it queued for one peer in one
+event-loop wake-up together (cut only at ``MAX_PAYLOAD``), so a frame's
+header, CRC, envelope and scan are paid once per burst, not once per
+message.  Version 1 carried one message per frame (``"msg"``); its
+frames are refused as ``version``.  Control payloads are free-form JSON
+dicts used by the cluster driver (begin/status/transcript/stop).
 
 The decoder is incremental (feed it arbitrary chunks) and *strict*: a
 bad magic, unknown version, oversized length, CRC mismatch, or a
@@ -22,7 +27,9 @@ whitespace, so none is accepted around it) raises :class:`FrameError`
 with a ``cause`` tag, and so does a message field whose value is not of
 its declared type (``fields``).  A ``LiveSite`` never lets that reach a
 machine — it counts the drop by cause, mirroring ``Lan.drop_counts()``,
-and a framing error also drops the connection.
+and a framing error also drops the connection.  Framing causes count
+per frame; a message that names an unknown type or mistypes a field is
+one drop, and the frame's other messages still deliver.
 
 The codec is *compiled*: at import, every class in ``ANY_MESSAGE``
 gets an encode plan (the literal JSON text between its field values,
@@ -50,7 +57,7 @@ import zlib
 from enum import Enum
 from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Dict, Iterable, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.messages import ANY_MESSAGE
 from repro.core.outcomes import Outcome, TwoPhaseVariant, Vote
@@ -58,7 +65,7 @@ from repro.core.quorum import QuorumSpec
 from repro.core.tid import TID
 
 MAGIC = b"RPRO"
-VERSION = 1
+VERSION = 2
 KIND_MESSAGE = 1
 KIND_CONTROL = 2
 MAX_PAYLOAD = 256 * 1024
@@ -283,8 +290,9 @@ _ENCODE_PLANS, _DECODE_PLANS = compile_plans(ANY_MESSAGE)
 # ---------------------------------------------------- message <-> dict
 
 
-def _message_text(msg: Any) -> str:
-    """``msg`` as the canonical JSON object its frame carries."""
+def message_text(msg: Any) -> str:
+    """``msg`` as the canonical JSON object its frame carries (ASCII:
+    its length is its size in bytes)."""
     try:
         pieces, closing = _ENCODE_PLANS[type(msg)]
     except KeyError:
@@ -300,12 +308,14 @@ def _message_text(msg: Any) -> str:
 
 def message_to_dict(msg: Any) -> Dict[str, Any]:
     """One protocol message as the dict its wire text parses to."""
-    return _object(_message_text(msg))
+    return _object(message_text(msg))
 
 
 def message_from_dict(data: Dict[str, Any]) -> Any:
-    type_name = data.get("type")
-    plan = _DECODE_PLANS.get(type_name)
+    # Outside input: a message that is not an object, or whose type is
+    # not a string (unhashable, say), names no type.
+    type_name = data.get("type") if type(data) is dict else None
+    plan = _DECODE_PLANS.get(type_name) if type(type_name) is str else None
     if plan is None:
         raise FrameError("type", f"unknown message type {type_name!r}")
     cls, fields = plan
@@ -330,22 +340,47 @@ def encode_frame(kind: int, payload: Dict[str, Any]) -> bytes:
     return _frame(kind, canonical_json(payload).encode("utf-8"))
 
 
-def encode_message_frame(src: str, msg: Any) -> bytes:
+def encode_message_frame(src: str, *messages: Any) -> bytes:
+    """One frame carrying ``messages`` from ``src``, in order.  Each is
+    a protocol message or the :func:`message_text` already made of one
+    (a site encodes at send, to bound its outbox in bytes)."""
+    texts = ",".join([m if type(m) is str else message_text(m)
+                      for m in messages])
     return _frame(KIND_MESSAGE, (
-        f'{{"msg":{_message_text(msg)},"src":{_quote(src)}}}').encode("ascii"))
+        f'{{"msgs":[{texts}],"src":{_quote(src)}}}').encode("ascii"))
+
+
+def message_room(src: str) -> int:
+    """Payload bytes a message frame from ``src`` has for its messages:
+    it fits ``MAX_PAYLOAD`` while the texts' lengths plus one separator
+    byte each stay within this."""
+    return MAX_PAYLOAD + 1 - len(f'{{"msgs":[],"src":{_quote(src)}}}')
 
 
 def encode_control_frame(payload: Dict[str, Any]) -> bytes:
     return encode_frame(KIND_CONTROL, payload)
 
 
-def decode_message_payload(payload: Dict[str, Any]) -> Tuple[str, Any]:
-    """Envelope dict -> (src site, protocol message)."""
+def decode_message_payload(
+        payload: Dict[str, Any],
+        drop: Optional[Callable[[str], None]] = None) -> Tuple[str, List[Any]]:
+    """Envelope dict -> (src site, its protocol messages in order).  A
+    message that names no known type or mistypes a field raises
+    :class:`FrameError`; given ``drop``, its cause goes there instead
+    and the frame's other messages still decode."""
     src = payload.get("src")
-    body = payload.get("msg")
-    if not isinstance(src, str) or not isinstance(body, dict):
-        raise FrameError("envelope", "message frame missing src/msg")
-    return src, message_from_dict(body)
+    bodies = payload.get("msgs")
+    if type(src) is not str or type(bodies) is not list or not bodies:
+        raise FrameError("envelope", "message frame missing src/msgs")
+    if drop is None:
+        return src, [message_from_dict(body) for body in bodies]
+    messages = []
+    for body in bodies:
+        try:
+            messages.append(message_from_dict(body))
+        except FrameError as exc:
+            drop(exc.cause)
+    return src, messages
 
 
 class FrameDecoder:

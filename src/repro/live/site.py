@@ -9,10 +9,13 @@ restarted on a fresh ephemeral port is found without any coordinator.
 
 Delivery discipline: TCP already gives per-connection FIFO, and a frame
 crosses the event loop with one callback per hop — no task, future or
-``asyncio.Event`` on the way.  Outbound, each peer has an *outbox*, the
-frames queued for it, FIFO.  A flush hands each connected transport
-everything queued for it as one joined write, so a burst costs one
-``send`` per peer, not one per frame.  A delay line flushes as the last
+``asyncio.Event`` on the way.  Outbound, each peer has an *outbox*: the
+wire text of each message queued for it in this wake-up, FIFO, made at
+``send`` so the outbox is bounded in bytes.  A flush frames each
+connected peer's outbox as one frame (cut into more only where a
+backlog would pass ``MAX_PAYLOAD``) and hands it to the transport as one
+write, so a burst costs one header, CRC, envelope and scan per peer,
+not one per message, and one ``send``.  A delay line flushes as the last
 act of every batch it runs, so the replies to a read leave in that
 read's own loop turn; a send from anywhere else (a timer, a control
 command, a caller outside the loop's callbacks) schedules one
@@ -20,13 +23,14 @@ command, a caller outside the loop's callbacks) schedules one
 there is no live connection, and writes the outbox once there is.
 ``OUTBOX_MAX_BYTES`` bounds what the site holds for a peer — the outbox
 plus the bytes its transport has not yet handed to the kernel — so a
-frame that would pass it (a reader that stalls, or a peer being waited
-for) is dropped and counted ``"overflow"``; a batch whose peer stayed
-unreachable counts one ``"dead"`` drop per frame.  Inbound, each
-accepted connection is an ``asyncio.Protocol``: its ``data_received``
-feeds the bytes to a ``FrameDecoder`` and hands every whole frame — the
-good frames before a malformed one included — to a single *delay line*
-(one FIFO queue drained by one timer armed for its head), which
+message that would pass it (a reader that stalls, or a peer being
+waited for) is dropped and counted ``"overflow"``; a batch whose peer
+stayed unreachable counts one ``"dead"`` drop per message.  Inbound,
+each accepted connection is an ``asyncio.Protocol``: its
+``data_received`` feeds the bytes to a ``FrameDecoder`` and hands every
+whole frame — the good frames before a malformed one included — to a
+single *delay line* (one FIFO queue drained by one timer armed for its
+head) as one entry that delivers the frame's messages in order, which
 preserves receipt order across senders while adding the scenario's
 ``wire_ms`` latency floor; control frames are answered in place.  A
 second delay line paces force completions by ``force_floor_ms``.  Those
@@ -48,10 +52,11 @@ Robustness contract (satellite: codec hardening): a malformed,
 truncated, oversized, or CRC-failing frame NEVER crashes the site — the
 connection is dropped and the event counted per cause in
 ``frame_drops``, mirroring ``Lan.drop_counts()``; a connection that ends
-in the middle of a frame counts one ``"torn"`` drop.  A whole frame
-whose message names an unknown type or carries a field of another type
-than declared is counted (``"type"`` / ``"fields"``) and never reaches
-the host; the connection stays.
+in the middle of a frame counts one ``"torn"`` drop.  A message that
+names an unknown type or carries a field of another type than declared
+is counted (``"type"`` / ``"fields"``, one drop per message) and never
+reaches the host; the frame's other messages deliver, and the
+connection stays.
 
 Storage errors are the opposite case: a batched write or fsync that
 raised **fail-stops** the site (the WAL is dead, see
@@ -81,6 +86,8 @@ from repro.live.codec import (
     decode_message_payload,
     encode_control_frame,
     encode_message_frame,
+    message_room,
+    message_text,
 )
 from repro.live.host import SiteHost, Substrate
 from repro.live.ports import bind_server_socket, clear_port_file, \
@@ -89,12 +96,12 @@ from repro.live.walfile import FileWal
 from repro.sim.tracing import Tracer
 
 # Outbound connection patience: how long a sender retries reaching a
-# peer (re-reading its port file each attempt) before dropping a frame.
+# peer (re-reading its port file each attempt) before dropping its backlog.
 CONNECT_TIMEOUT_S = 8.0
 CONNECT_POLL_S = 0.1
 # Bytes one peer's outbox and transport buffer may hold together (some
-# 40,000 ordinary frames, 16 of the largest); a frame that would pass
-# it is dropped as "overflow".
+# 60,000 ordinary messages, 16 frames of the largest); a message that
+# would pass it is dropped as "overflow".
 OUTBOX_MAX_BYTES = 4 * 1024 * 1024
 
 
@@ -166,31 +173,50 @@ class _DelayLine:
 
 
 class _Outbox:
-    """One peer: the frames queued for it, oldest first, and its link."""
+    """One peer: the wire texts of the messages queued for it, oldest
+    first, and its link."""
 
-    def __init__(self) -> None:
-        self.frames: List[bytes] = []
-        self.size = 0  # bytes in ``frames``
+    def __init__(self, src: str) -> None:
+        self.src = src
+        # What one frame's messages may take (``codec.message_room``).
+        self.room = message_room(src)
+        self.texts: List[str] = []
+        self.size = 0  # bytes in ``texts``
         self.transport: Optional[asyncio.Transport] = None
         self.connecting: Optional[asyncio.Task] = None
 
     @property
     def pending(self) -> int:
-        return len(self.frames)
+        return len(self.texts)
 
     def write(self) -> bool:
         """Everything queued leaves as one write on a live connection;
         False (and nothing taken) if there is none or the write killed it."""
-        if not self.frames:
+        if not self.texts:
             return True
         transport = self.transport
         if transport is None or transport.is_closing():
             return False
-        transport.write(b"".join(self.frames))
+        transport.write(b"".join(self.frames()))
         if transport.is_closing():
             return False
-        self.frames, self.size = [], 0
+        self.texts, self.size = [], 0
         return True
+
+    def frames(self) -> List[bytes]:
+        """The queue as the fewest frames that each fit ``MAX_PAYLOAD``,
+        in order: one, unless a backlog passes it."""
+        texts, src, room = self.texts, self.src, self.room
+        if self.size + len(texts) <= room:
+            return [encode_message_frame(src, *texts)]
+        frames, start, used = [], 0, 0
+        for end, text in enumerate(texts):
+            if used + len(text) + 1 > room:
+                frames.append(encode_message_frame(src, *texts[start:end]))
+                start, used = end, 0
+            used += len(text) + 1
+        frames.append(encode_message_frame(src, *texts[start:]))
+        return frames
 
 
 class LiveSubstrate(Substrate):
@@ -237,8 +263,8 @@ class LiveSubstrate(Substrate):
             if outbox.transport is not None:
                 outbox.transport.close()
 
-    def count_drop(self, cause: str, frames: int = 1) -> None:
-        self.frame_drops[cause] = self.frame_drops.get(cause, 0) + frames
+    def count_drop(self, cause: str, n: int = 1) -> None:
+        self.frame_drops[cause] = self.frame_drops.get(cause, 0) + n
 
     def drop_counts(self) -> Dict[str, int]:
         """Per-cause dropped-input counters (cf. ``Lan.drop_counts``)."""
@@ -259,26 +285,29 @@ class LiveSubstrate(Substrate):
             return
         outbox = self._out_queues.get(dst)
         if outbox is None:
-            outbox = self._out_queues[dst] = _Outbox()
-        frame = encode_message_frame(self.site, message)
-        held = outbox.size + len(frame)
+            outbox = self._out_queues[dst] = _Outbox(self.site)
+        text = message_text(message)
+        if len(text) >= outbox.room:
+            raise FrameError("oversize", f"{len(text)} byte message")
+        held = outbox.size + len(text)
         if outbox.transport is not None:
             held += outbox.transport.get_write_buffer_size()
         if held > OUTBOX_MAX_BYTES:
             self.count_drop("overflow")
             return
-        outbox.frames.append(frame)
-        outbox.size += len(frame)
+        outbox.texts.append(text)
+        outbox.size += len(text)
         if self._flush_due is None:
             self._flush_due = self._loop.call_soon(self._flush)
 
     def _flush(self) -> None:
         """Everything sent or forced since the last flush leaves: one
-        write per peer (or that peer's connect task, if it has no live
-        connection), then one WAL write for all the forces.  The first
-        send or force of a wake-up schedules it.  The frames may go
-        first: none of them waits on these forces, whose completions
-        have not run, so a peer starts on them while the disk works."""
+        frame and one write per peer (or that peer's connect task, if it
+        has no live connection), then one WAL write for all the forces.
+        The first send or force of a wake-up schedules it.  The frames
+        may go first: none of them waits on these forces, whose
+        completions have not run, so a peer starts on them while the
+        disk works."""
         due, self._flush_due = self._flush_due, None
         if due is None or not self._running:
             return
@@ -295,10 +324,16 @@ class LiveSubstrate(Substrate):
         if self.host is not None:
             self.host.deliver(self.site, message)
 
-    def deliver_inbound(self, src: str, message: Any) -> None:
-        """Frame received: deliver through the paced FIFO delay line."""
-        self.inbound.put(lambda: self.host.deliver(src, message)
-                         if self.host is not None else None)
+    def deliver_inbound(self, src: str, messages: List[Any]) -> None:
+        """Frame received: its messages are one entry of the paced FIFO
+        delay line, delivered in order."""
+        self.inbound.put(partial(self._deliver_inbound, src, messages))
+
+    def _deliver_inbound(self, src: str, messages: List[Any]) -> None:
+        host = self.host
+        if host is not None:
+            for message in messages:
+                host.deliver(src, message)
 
     async def _connect(self, dst: str) -> Optional[asyncio.Transport]:
         loop = self._loop
@@ -329,7 +364,7 @@ class LiveSubstrate(Substrate):
             # like the LAN model's dead-site drop.  Protocol timeouts /
             # recovery own redelivery semantics.
             self.count_drop("dead", outbox.pending)
-            outbox.frames, outbox.size = [], 0
+            outbox.texts, outbox.size = [], 0
         finally:
             outbox.connecting = None
 
@@ -502,12 +537,16 @@ class LiveSite:
     # ------------------------------------------------------ connections
 
     def _on_message_frame(self, payload: Dict[str, Any]) -> None:
+        # A bad message is one counted drop; the rest of its frame goes on.
+        substrate = self.substrate
         try:
-            src, message = decode_message_payload(payload)
+            src, messages = decode_message_payload(payload,
+                                                   substrate.count_drop)
         except FrameError as exc:
-            self.substrate.count_drop(exc.cause)
+            substrate.count_drop(exc.cause)
             return
-        self.substrate.deliver_inbound(src, message)
+        if messages:
+            substrate.deliver_inbound(src, messages)
 
     # ---------------------------------------------------------- control
 

@@ -3,10 +3,11 @@ wire garbage survives the decoder.
 
 The round-trip half is property-based over the real message registry —
 each of the ~28 :mod:`repro.core.messages` dataclasses is generated
-with hypothesis-built field values, framed, chunked arbitrarily, and
-must decode equal (and re-encode byte-identically, the property the
-conformance harness leans on).  The fuzz half feeds malformed,
-truncated, bit-flipped, and oversized bytes and requires a
+with hypothesis-built field values, framed one or several to a frame,
+chunked arbitrarily, and must decode equal and in order (and re-encode
+byte-identically, the property the conformance harness leans on).  The
+fuzz half feeds malformed, truncated, bit-flipped, and oversized bytes
+and requires a
 :class:`FrameError` with an accurate cause tag — never a crash, never a
 silently wrong message."""
 
@@ -32,6 +33,7 @@ from repro.core.outcomes import Outcome, TwoPhaseVariant, Vote
 from repro.core.quorum import QuorumSpec
 from repro.core.tid import TID
 from repro.live.codec import (
+    HEADER_SIZE,
     KIND_CONTROL,
     KIND_MESSAGE,
     MAGIC,
@@ -45,6 +47,8 @@ from repro.live.codec import (
     encode_frame,
     encode_message_frame,
     message_from_dict,
+    message_room,
+    message_text,
     message_to_dict,
 )
 
@@ -112,13 +116,18 @@ def _message_strategy() -> st.SearchStrategy:
     return st.one_of(builders)
 
 
+# One frame's messages: a site frames what it queued for a peer in one
+# wake-up together, ~16 at eight clients.
+_FRAME_MESSAGES = st.lists(_message_strategy(), min_size=1, max_size=20)
+
+
 class TestRoundTrip:
     @settings(max_examples=300, deadline=None)
-    @given(msg=_message_strategy(), src=_sites,
+    @given(msgs=_FRAME_MESSAGES, src=_sites,
            chunk=st.integers(min_value=1, max_value=13))
     def test_any_message_survives_frame_and_chunked_decode(
-            self, msg, src, chunk):
-        frame = encode_message_frame(src, msg)
+            self, msgs, src, chunk):
+        frame = encode_message_frame(src, *msgs)
         decoder = FrameDecoder()
         frames = []
         for i in range(0, len(frame), chunk):
@@ -128,10 +137,31 @@ class TestRoundTrip:
         assert kind == KIND_MESSAGE
         got_src, got = decode_message_payload(payload)
         assert got_src == src
-        assert got == msg
+        assert got == msgs
         # Re-encoding is byte-stable: the conformance harness depends on
         # serialisation being canonical, not merely invertible.
-        assert encode_message_frame(got_src, got) == frame
+        assert encode_message_frame(got_src, *got) == frame
+        # A site frames the texts it made at send: the same bytes.
+        assert encode_message_frame(src, *map(message_text, msgs)) == frame
+
+    @settings(max_examples=100, deadline=None)
+    @given(msgs=_FRAME_MESSAGES, src=_sites)
+    def test_message_room_is_exactly_what_fits_max_payload(self, msgs, src):
+        """Texts whose lengths plus one byte each reach ``message_room``
+        make a frame of exactly ``MAX_PAYLOAD`` payload bytes; one byte
+        more is refused."""
+        texts = [message_text(m) for m in msgs]
+        pad = message_room(src) - sum(len(t) + 1 for t in texts)
+        # One more message whose ``sender`` is spaces fills what is left
+        # to the byte; one space more passes it.
+        empty = len(message_text(CommitAck(TID("T1@alpha"), ""))) + 1
+        frame = encode_message_frame(src, *texts, CommitAck(
+            TID("T1@alpha"), " " * (pad - empty)))
+        assert len(frame) - HEADER_SIZE == MAX_PAYLOAD
+        with pytest.raises(FrameError) as err:
+            encode_message_frame(src, *texts, CommitAck(
+                TID("T1@alpha"), " " * (pad - empty + 1)))
+        assert err.value.cause == "oversize"
 
     @settings(max_examples=100, deadline=None)
     @given(msg=_message_strategy())
@@ -201,9 +231,10 @@ def _reference_from_dict(data):
         data[f.name]) for f in dataclasses.fields(cls) if f.name in data})
 
 
-def _reference_frame(src, msg):
+def _reference_frame(src, *msgs):
     body = json.dumps(
-        _reference_value({"src": src, "msg": _reference_to_dict(msg)}),
+        _reference_value({"src": src,
+                          "msgs": [_reference_to_dict(m) for m in msgs]}),
         sort_keys=True, separators=(",", ":")).encode("utf-8")
     return struct.Struct(">4sBBII").pack(
         MAGIC, VERSION, KIND_MESSAGE, len(body), zlib.crc32(body)) + body
@@ -271,17 +302,18 @@ class TestCompiledPlansAgainstTheOracle:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), src=_names)
     def test_encodes_byte_identically_and_round_trips(self, cls, data, src):
-        msg = data.draw(_instances(cls))
-        frame = encode_message_frame(src, msg)
-        assert frame == _reference_frame(src, msg)
-        assert message_to_dict(msg) == _reference_to_dict(msg)
+        msgs = data.draw(st.lists(_instances(cls), min_size=1, max_size=3))
+        frame = encode_message_frame(src, *msgs)
+        assert frame == _reference_frame(src, *msgs)
+        assert [message_to_dict(m) for m in msgs] == \
+            [_reference_to_dict(m) for m in msgs]
         (kind, payload), = FrameDecoder().feed(frame)
         got_src, got = decode_message_payload(payload)
         assert (kind, got_src) == (KIND_MESSAGE, src)
-        assert got == _reference_from_dict(payload["msg"])
+        assert got == [_reference_from_dict(m) for m in payload["msgs"]]
         # ``decision_data`` lists and ``None`` come back as they left;
         # every other field is typed again by its decoder.
-        assert got == msg
+        assert got == msgs
 
     def test_every_enum_member_is_quoted_as_its_value(self):
         tid = TID("T1@alpha")
@@ -292,12 +324,17 @@ class TestCompiledPlansAgainstTheOracle:
             assert encode_message_frame("a", msg) == _reference_frame("a", msg)
 
     def test_golden_frames(self):
-        """The bytes on the wire, pinned: one golden frame per class."""
+        """The bytes on the wire, pinned: one golden frame per class,
+        then one frame carrying every class in registry order."""
         digest = hashlib.sha256()
-        for cls in ANY_MESSAGE:
-            frame = encode_message_frame("alpha", _golden(cls))
-            assert frame == _reference_frame("alpha", _golden(cls)), cls
+        goldens = [_golden(cls) for cls in ANY_MESSAGE]
+        for msg in goldens:
+            frame = encode_message_frame("alpha", msg)
+            assert frame == _reference_frame("alpha", msg), type(msg)
             digest.update(frame)
+        frame = encode_message_frame("alpha", *goldens)
+        assert frame == _reference_frame("alpha", *goldens)
+        digest.update(frame)
         assert digest.hexdigest() == GOLDEN_SHA256
 
     def test_a_field_the_plans_cannot_carry_fails_when_they_are_built(self):
@@ -327,7 +364,7 @@ class TestCompiledPlansAgainstTheOracle:
 
 
 GOLDEN_SHA256 = (
-    "eef9a0b88b60fde6cdfe9da7bf55101567339c9f36258e90e4ed29b7d5f8e5dd")
+    "a8a940b3da19b75243c094e5e0526bf61317356f8d897aec9abdf0505d34d4c5")
 
 
 class TestChunkingInvariance:
@@ -375,13 +412,15 @@ class TestChunkingInvariance:
         assert (whole, cause) == self._drain(stream, range(1, len(stream)))
 
     @settings(max_examples=150, deadline=None)
-    @given(messages=st.lists(_message_strategy(), max_size=5),
+    @given(batches=st.lists(st.lists(_message_strategy(), min_size=1,
+                                     max_size=4), max_size=5),
            cause=st.sampled_from(["magic", "version", "kind", "oversize",
                                   "crc", "json", None]),
            data=st.data())
     def test_any_split_yields_the_same_frames_and_cause(
-            self, messages, cause, data):
-        stream = b"".join(encode_message_frame(m.sender, m) for m in messages)
+            self, batches, cause, data):
+        stream = b"".join(encode_message_frame(batch[0].sender, *batch)
+                          for batch in batches)
         if cause is not None:
             stream += self._bad_tails()[cause]
         cuts = data.draw(st.sets(st.integers(min_value=0,
@@ -391,7 +430,7 @@ class TestChunkingInvariance:
         assert whole == self._drain(stream, range(1, len(stream)))
         frames, got_cause = whole
         assert got_cause == cause
-        assert [decode_message_payload(p)[1] for _, p in frames] == messages
+        assert [decode_message_payload(p)[1] for _, p in frames] == batches
 
 
 _QUORUM = {"abort_quorum": 2, "commit_quorum": 2, "n_sites": 3}
@@ -500,15 +539,15 @@ class TestFuzzRejection:
     def test_unknown_message_type(self):
         with pytest.raises(FrameError) as err:
             decode_message_payload(
-                {"src": "alpha", "msg": {"type": "NoSuchMessage"}})
+                {"src": "alpha", "msgs": [{"type": "NoSuchMessage"}]})
         assert err.value.cause == "type"
 
     def test_bad_field_value(self):
         with pytest.raises(FrameError) as err:
             decode_message_payload(
                 {"src": "alpha",
-                 "msg": {"type": "VoteResponse", "tid": "T1@alpha",
-                         "sender": "beta", "vote": "maybe"}})
+                 "msgs": [{"type": "VoteResponse", "tid": "T1@alpha",
+                           "sender": "beta", "vote": "maybe"}]})
         assert err.value.cause == "fields"
 
     @pytest.mark.parametrize("declared", sorted(_WRONG_VALUES))
@@ -523,7 +562,7 @@ class TestFuzzRejection:
         for wrong in _WRONG_VALUES[declared]:
             with pytest.raises(FrameError) as err:
                 decode_message_payload(
-                    {"src": "alpha", "msg": {**good, name: wrong}})
+                    {"src": "alpha", "msgs": [{**good, name: wrong}]})
             assert err.value.cause == "fields", (name, wrong)
 
     def test_every_declared_type_has_wrong_values(self):
@@ -531,18 +570,44 @@ class TestFuzzRejection:
                                       for f in dataclasses.fields(cls)}
 
     def test_a_left_out_field_takes_its_default(self):
-        msg = decode_message_payload({"src": "alpha", "msg": {
-            "type": "PrepareRequest", "tid": "T9@beta", "sender": "beta"}})[1]
-        assert msg == PrepareRequest(TID("T9@beta"), "beta")
+        msgs = decode_message_payload({"src": "alpha", "msgs": [{
+            "type": "PrepareRequest", "tid": "T9@beta", "sender": "beta"}]})[1]
+        assert msgs == [PrepareRequest(TID("T9@beta"), "beta")]
         with pytest.raises(FrameError) as err:
-            decode_message_payload({"src": "alpha", "msg": {
-                "type": "PrepareRequest", "tid": "T9@beta"}})
+            decode_message_payload({"src": "alpha", "msgs": [{
+                "type": "PrepareRequest", "tid": "T9@beta"}]})
         assert err.value.cause == "fields"
 
     def test_missing_envelope(self):
         with pytest.raises(FrameError) as err:
-            decode_message_payload({"msg": {"type": "CommitAck"}})
+            decode_message_payload({"msgs": [{"type": "CommitAck"}]})
         assert err.value.cause == "envelope"
+
+    @pytest.mark.parametrize("payload", [
+        {"src": "alpha", "msg": {"type": "CommitAck"}},
+        {"src": "alpha", "msgs": []},
+        {"src": "alpha", "msgs": {"type": "CommitAck"}},
+        {"src": 7, "msgs": [{"type": "CommitAck"}]}],
+        ids=["version-1-msg", "empty", "not-a-list", "src-not-a-site"])
+    def test_a_malformed_envelope_is_refused(self, payload):
+        with pytest.raises(FrameError) as err:
+            decode_message_payload(payload)
+        assert err.value.cause == "envelope"
+
+    def test_each_bad_message_is_its_own_drop(self):
+        """Given ``drop``, a message that names no known type or
+        mistypes a field is one cause there; the rest decode in order."""
+        good = [message_to_dict(CommitAck(TID(f"T{i}@alpha"), "beta"))
+                for i in range(3)]
+        drops = []
+        src, msgs = decode_message_payload({"src": "beta", "msgs": [
+            good[0], {"type": "NoSuchMessage"}, good[1],
+            {**good[2], "sender": 7}, "not an object",
+            {**good[0], "type": ["CommitAck"]}, good[2]]},
+            drops.append)
+        assert src == "beta"
+        assert msgs == [message_from_dict(g) for g in good]
+        assert drops == ["type", "fields", "type", "type"]
 
     def test_truncated_frame_just_waits(self):
         frame = self._ok_frame()
@@ -577,11 +642,11 @@ class TestFuzzRejection:
         for kind, payload in frames:
             if kind == KIND_MESSAGE:
                 try:
-                    src, msg = decode_message_payload(payload)
+                    src, msgs = decode_message_payload(payload)
                 except FrameError:
                     continue
-                assert (src, msg) == ("beta", VoteResponse(
-                    tid=TID.parse("T7@alpha"), sender="beta", vote=Vote.YES))
+                assert (src, msgs) == ("beta", [VoteResponse(
+                    tid=TID.parse("T7@alpha"), sender="beta", vote=Vote.YES)])
 
 
 class TestLiveSiteDropsGarbage:
@@ -669,30 +734,146 @@ class TestLiveSiteDropsGarbage:
         assert drops == {"magic": 1, "total": 1}
 
     def test_a_mistyped_field_is_a_counted_drop(self, tmp_path):
-        """``"sender": 7`` is not a site: the frame is dropped and
+        """``"sender": 7`` is not a site: the message is dropped and
         counted ``fields`` and no outbox opens for a peer named 7 (an
-        unchecked decode delivered it, and the vote went to ``7``)."""
+        unchecked decode delivered it, and the vote went to ``7``).  In
+        a frame of three it is the one drop: the other two reach the
+        host in order, and the connection stays."""
         import asyncio
         from repro.live.site import LiveSite
+
+        def prepare(n, sender="beta"):
+            return {"type": "PrepareRequest", "tid": f"T{n}@beta",
+                    "sender": sender}
+
+        async def dropped(site, n):
+            for _ in range(200):
+                if site.substrate.drop_counts()["total"] >= n:
+                    break
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.05)
 
         async def scenario():
             site = LiveSite("alpha", str(tmp_path))
             await site.start()
             _, writer = await asyncio.open_connection("127.0.0.1", site.port)
-            writer.write(encode_frame(KIND_MESSAGE, {"src": "beta", "msg": {
-                "type": "PrepareRequest", "tid": "T9@beta", "sender": 7}}))
+            writer.write(encode_frame(KIND_MESSAGE, {
+                "src": "beta", "msgs": [prepare(9, sender=7)]}))
+            await writer.drain()
+            await dropped(site, 1)
+            alone = (site.substrate.drop_counts(),
+                     dict(site.substrate._out_queues),
+                     dict(site.host.machines))
+            delivered, deliver = [], site.host.deliver
+            site.host.deliver = lambda src, message: (
+                delivered.append(message), deliver(src, message))
+            writer.write(encode_frame(KIND_MESSAGE, {
+                "src": "beta",
+                "msgs": [prepare(8), prepare(10, sender=7), prepare(11)]}))
+            await writer.drain()
+            await dropped(site, 2)
+            three = (site.substrate.drop_counts(),
+                     set(site.substrate._out_queues), delivered,
+                     len(site._accepted))
+            writer.close()
+            await site.stop()
+            return alone, three
+
+        (drops, outboxes, machines), three = asyncio.run(scenario())
+        assert drops == {"fields": 1, "total": 1}
+        assert outboxes == {} and machines == {}
+        drops, peers, delivered, connections = three
+        assert drops == {"fields": 2, "total": 2}
+        assert delivered == [PrepareRequest(TID("T8@beta"), "beta"),
+                             PrepareRequest(TID("T11@beta"), "beta")]
+        assert "7" not in peers and 7 not in peers
+        assert connections == 1
+
+    def test_a_version_1_frame_is_a_counted_drop(self, tmp_path):
+        """A peer that still sends one message per frame (version 1, a
+        ``"msg"`` envelope) is refused at the header: one ``version``
+        drop, nothing delivered."""
+        import asyncio
+        from repro.live.site import LiveSite
+
+        body = json.dumps({"msg": message_to_dict(CommitAck(
+            TID("T1@alpha"), "beta")), "src": "beta"}, sort_keys=True,
+            separators=(",", ":")).encode("ascii")
+        frame = struct.Struct(">4sBBII").pack(
+            MAGIC, 1, KIND_MESSAGE, len(body), zlib.crc32(body)) + body
+
+        async def scenario():
+            site = LiveSite("alpha", str(tmp_path))
+            await site.start()
+            delivered = []
+            site.host.deliver = lambda src, message: delivered.append(message)
+            _, writer = await asyncio.open_connection("127.0.0.1", site.port)
+            writer.write(frame)
             await writer.drain()
             for _ in range(200):
                 if site.substrate.drop_counts()["total"]:
                     break
                 await asyncio.sleep(0.01)
-            await asyncio.sleep(0.05)
-            seen = (site.substrate.drop_counts(),
-                    dict(site.substrate._out_queues), dict(site.host.machines))
+            await asyncio.sleep(0.01)
+            drops = site.substrate.drop_counts()
             writer.close()
             await site.stop()
-            return seen
+            return drops, delivered
 
-        drops, outboxes, machines = asyncio.run(scenario())
-        assert drops == {"fields": 1, "total": 1}
-        assert outboxes == {} and machines == {}
+        assert asyncio.run(scenario()) == ({"version": 1, "total": 1}, [])
+
+    def test_a_backlog_past_max_payload_arrives_whole_and_in_order(
+            self, tmp_path, monkeypatch):
+        """More than ``MAX_PAYLOAD`` queued for a peer whose port file
+        appears only later leaves cut into frames that each fit: every
+        message arrives once, in order, and nothing is dropped (as one
+        frame it would be refused ``oversize`` and sever the link).  A
+        message too big for any frame is refused at ``send``."""
+        import asyncio
+        from repro.live import site as live_site
+        from repro.live.site import LiveSite
+
+        payloads = []
+        real_encode = live_site.encode_message_frame
+
+        def encode(src, *messages):
+            frame = real_encode(src, *messages)
+            payloads.append(len(frame) - HEADER_SIZE)
+            return frame
+
+        monkeypatch.setattr(live_site, "encode_message_frame", encode)
+        acks = [CommitAck(TID(f"T{i}@alpha"), "alpha") for i in range(6000)]
+
+        async def scenario():
+            alpha = LiveSite("alpha", str(tmp_path))
+            beta = LiveSite("beta", str(tmp_path))
+            await alpha.start()
+            for ack in acks:
+                alpha.substrate.send("beta", ack)
+            queued = alpha.substrate._out_queues["beta"].size
+            # A message no frame can hold is refused at send, not queued.
+            with pytest.raises(FrameError) as err:
+                alpha.substrate.send("beta", CommitAck(
+                    TID("T1@alpha"), "x" * MAX_PAYLOAD))
+            assert err.value.cause == "oversize"
+            assert alpha.substrate._out_queues["beta"].size == queued
+            await asyncio.sleep(0.3)     # alpha is polling for beta's port
+            delivered = []
+            beta.host.deliver = lambda src, message: delivered.append(
+                (src, message))
+            await beta.start()
+            for _ in range(500):
+                if len(delivered) >= len(acks):
+                    break
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.05)
+            drops = [site.substrate.drop_counts() for site in (alpha, beta)]
+            await beta.stop()
+            await alpha.stop()
+            return queued, delivered, drops
+
+        queued, delivered, drops = asyncio.run(scenario())
+        assert queued > MAX_PAYLOAD
+        assert len(payloads) >= 2 and max(payloads) <= MAX_PAYLOAD
+        assert delivered == [("alpha", ack) for ack in acks]
+        assert drops == [{"total": 0}, {"total": 0}]

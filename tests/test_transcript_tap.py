@@ -13,7 +13,7 @@ from repro.core.outcomes import Outcome
 from repro.core.tid import TID
 from repro.live.scenario import conformance_cost
 from repro.live.simhost import build_sim_cluster
-from repro.live.codec import encode_message_frame
+from repro.live.codec import message_text
 from repro.live.ports import write_port_file
 from repro.live.site import OUTBOX_MAX_BYTES, LiveSite
 
@@ -141,8 +141,9 @@ def test_an_untapped_live_site_keeps_no_per_message_state(tmp_path):
         return finished[0], sizes, drops, stalled
 
     message = PrepareRequest(tid=TID("T9@alpha"), sender="alpha")
-    frame = len(encode_message_frame("alpha", message))
-    held = OUTBOX_MAX_BYTES // frame
+    # The outbox holds message texts; the flush frames them.
+    text = len(message_text(message))
+    held = OUTBOX_MAX_BYTES // text
     finished, (early, late, full), drops, stalled = asyncio.run(commits(200))
     assert finished == 200
     # Four times the messages, the same sizes: the per-peer outboxes,
@@ -156,9 +157,9 @@ def test_an_untapped_live_site_keeps_no_per_message_state(tmp_path):
     assert drops == {"overflow": 25, "total": 25}
     # The stalled reader: held bytes stop at the bound, with the kernel
     # holding what it took (more than nothing) beyond it.
-    assert OUTBOX_MAX_BYTES - frame < stalled["held"] <= OUTBOX_MAX_BYTES
+    assert OUTBOX_MAX_BYTES - text < stalled["held"] <= OUTBOX_MAX_BYTES
     assert stalled["overflow"] > 0 and stalled["more"] == 25
-    assert stalled["entered"] * frame > stalled["held"]
+    assert stalled["entered"] * text > stalled["held"]
     assert stalled["outcome"] is Outcome.COMMITTED
 
 
