@@ -341,13 +341,14 @@ def encode_frame(kind: int, payload: Dict[str, Any]) -> bytes:
 
 
 def encode_message_frame(src: str, *messages: Any) -> bytes:
-    """One frame carrying ``messages`` from ``src``, in order.  Each is
-    a protocol message or the :func:`message_text` already made of one
-    (a site encodes at send, to bound its outbox in bytes)."""
-    texts = ",".join([m if type(m) is str else message_text(m)
-                      for m in messages])
+    """One frame carrying ``messages`` from ``src``, in order: protocol
+    messages, or else all of them the :func:`message_text` already made
+    of one (a site encodes at send, to bound its outbox in bytes)."""
+    texts: Iterable[str] = messages
+    if messages and type(messages[0]) is not str:
+        texts = map(message_text, messages)
     return _frame(KIND_MESSAGE, (
-        f'{{"msgs":[{texts}],"src":{_quote(src)}}}').encode("ascii"))
+        f'{{"msgs":[{",".join(texts)}],"src":{_quote(src)}}}').encode("ascii"))
 
 
 def message_room(src: str) -> int:
@@ -372,13 +373,13 @@ def decode_message_payload(
     bodies = payload.get("msgs")
     if type(src) is not str or type(bodies) is not list or not bodies:
         raise FrameError("envelope", "message frame missing src/msgs")
-    if drop is None:
-        return src, [message_from_dict(body) for body in bodies]
     messages = []
     for body in bodies:
         try:
             messages.append(message_from_dict(body))
         except FrameError as exc:
+            if drop is None:
+                raise
             drop(exc.cause)
     return src, messages
 

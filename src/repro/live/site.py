@@ -100,8 +100,9 @@ from repro.sim.tracing import Tracer
 CONNECT_TIMEOUT_S = 8.0
 CONNECT_POLL_S = 0.1
 # Bytes one peer's outbox and transport buffer may hold together (some
-# 60,000 ordinary messages, 16 frames of the largest); a message that
-# would pass it is dropped as "overflow".
+# 60,000 ordinary messages, 17 frames of the largest); a message that
+# would pass it is dropped as "overflow".  The outbox counts each text
+# and its separator, not the header and envelope its frame will add.
 OUTBOX_MAX_BYTES = 4 * 1024 * 1024
 
 
@@ -176,12 +177,11 @@ class _Outbox:
     """One peer: the wire texts of the messages queued for it, oldest
     first, and its link."""
 
-    def __init__(self, src: str) -> None:
-        self.src = src
-        # What one frame's messages may take (``codec.message_room``).
-        self.room = message_room(src)
+    def __init__(self) -> None:
         self.texts: List[str] = []
-        self.size = 0  # bytes in ``texts``
+        # Bytes the texts take in a frame: each one's length plus the
+        # byte that separates it from the next.
+        self.size = 0
         self.transport: Optional[asyncio.Transport] = None
         self.connecting: Optional[asyncio.Task] = None
 
@@ -189,26 +189,29 @@ class _Outbox:
     def pending(self) -> int:
         return len(self.texts)
 
-    def write(self) -> bool:
-        """Everything queued leaves as one write on a live connection;
-        False (and nothing taken) if there is none or the write killed it."""
-        if not self.texts:
+    def write(self, src: str, room: int) -> bool:
+        """Everything queued leaves as one write on a live connection,
+        in frames from ``src`` whose texts fit ``room``
+        (``codec.message_room``); False (and nothing taken) if there is
+        no connection or the write killed it."""
+        texts = self.texts
+        if not texts:
             return True
         transport = self.transport
         if transport is None or transport.is_closing():
             return False
-        transport.write(b"".join(self.frames()))
+        if self.size <= room:
+            transport.write(encode_message_frame(src, *texts))
+        else:
+            transport.write(b"".join(self._frames(src, room)))
         if transport.is_closing():
             return False
         self.texts, self.size = [], 0
         return True
 
-    def frames(self) -> List[bytes]:
-        """The queue as the fewest frames that each fit ``MAX_PAYLOAD``,
-        in order: one, unless a backlog passes it."""
-        texts, src, room = self.texts, self.src, self.room
-        if self.size + len(texts) <= room:
-            return [encode_message_frame(src, *texts)]
+    def _frames(self, src: str, room: int) -> List[bytes]:
+        """A backlog past one frame as the fewest that fit, in order."""
+        texts = self.texts
         frames, start, used = [], 0, 0
         for end, text in enumerate(texts):
             if used + len(text) + 1 > room:
@@ -239,6 +242,8 @@ class LiveSubstrate(Substrate):
         self.forces = _DelayLine(force_floor_ms, fail_stop, self._flush)
         self.frame_drops: Dict[str, int] = {}
         self._out_queues: Dict[str, _Outbox] = {}
+        # What one frame from this site has for its messages' texts.
+        self._room = message_room(site)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._running = False
         self._flush_due: Optional[asyncio.Handle] = None
@@ -285,18 +290,19 @@ class LiveSubstrate(Substrate):
             return
         outbox = self._out_queues.get(dst)
         if outbox is None:
-            outbox = self._out_queues[dst] = _Outbox(self.site)
+            outbox = self._out_queues[dst] = _Outbox()
         text = message_text(message)
-        if len(text) >= outbox.room:
+        size = len(text) + 1
+        if size > self._room:
             raise FrameError("oversize", f"{len(text)} byte message")
-        held = outbox.size + len(text)
+        held = outbox.size + size
         if outbox.transport is not None:
             held += outbox.transport.get_write_buffer_size()
         if held > OUTBOX_MAX_BYTES:
             self.count_drop("overflow")
             return
         outbox.texts.append(text)
-        outbox.size += len(text)
+        outbox.size += size
         if self._flush_due is None:
             self._flush_due = self._loop.call_soon(self._flush)
 
@@ -312,9 +318,10 @@ class LiveSubstrate(Substrate):
         if due is None or not self._running:
             return
         due.cancel()  # a no-op when it is the callback running now
+        site, room = self.site, self._room
         for dst, outbox in self._out_queues.items():
             # While a connect is in flight, it writes what is queued.
-            if outbox.connecting is None and not outbox.write():
+            if outbox.connecting is None and not outbox.write(site, room):
                 outbox.connecting = self._loop.create_task(
                     self._reconnect(dst, outbox))
         if self._forcing:
@@ -327,7 +334,7 @@ class LiveSubstrate(Substrate):
     def deliver_inbound(self, src: str, messages: List[Any]) -> None:
         """Frame received: its messages are one entry of the paced FIFO
         delay line, delivered in order."""
-        self.inbound.put(partial(self._deliver_inbound, src, messages))
+        self.inbound.put(lambda: self._deliver_inbound(src, messages))
 
     def _deliver_inbound(self, src: str, messages: List[Any]) -> None:
         host = self.host
@@ -358,7 +365,7 @@ class LiveSubstrate(Substrate):
                 outbox.transport = await self._connect(dst)
                 if outbox.transport is None:
                     break
-                if outbox.write():
+                if outbox.write(self.site, self._room):
                     return
             # Peer stayed unreachable past the connect budget: drop,
             # like the LAN model's dead-site drop.  Protocol timeouts /

@@ -155,12 +155,12 @@ class TestRoundTrip:
         # One more message whose ``sender`` is spaces fills what is left
         # to the byte; one space more passes it.
         empty = len(message_text(CommitAck(TID("T1@alpha"), ""))) + 1
-        frame = encode_message_frame(src, *texts, CommitAck(
-            TID("T1@alpha"), " " * (pad - empty)))
+        frame = encode_message_frame(src, *texts, message_text(CommitAck(
+            TID("T1@alpha"), " " * (pad - empty))))
         assert len(frame) - HEADER_SIZE == MAX_PAYLOAD
         with pytest.raises(FrameError) as err:
-            encode_message_frame(src, *texts, CommitAck(
-                TID("T1@alpha"), " " * (pad - empty + 1)))
+            encode_message_frame(src, *texts, message_text(CommitAck(
+                TID("T1@alpha"), " " * (pad - empty + 1))))
         assert err.value.cause == "oversize"
 
     @settings(max_examples=100, deadline=None)

@@ -13,7 +13,8 @@ from repro.core.outcomes import Outcome
 from repro.core.tid import TID
 from repro.live.scenario import conformance_cost
 from repro.live.simhost import build_sim_cluster
-from repro.live.codec import message_text
+from repro.live.codec import encode_message_frame, message_room, \
+    message_text
 from repro.live.ports import write_port_file
 from repro.live.site import OUTBOX_MAX_BYTES, LiveSite
 
@@ -122,7 +123,11 @@ def test_an_untapped_live_site_keeps_no_per_message_state(tmp_path):
                 if overflow:
                     break
                 await asyncio.sleep(0.01)
-            stalled["held"] = link.size + link.transport.get_write_buffer_size()
+            # Held after the flush has framed the outbox into the
+            # transport's buffer: headers and envelopes included.
+            await asyncio.sleep(0)
+            assert link.pending == 0
+            stalled["held"] = link.transport.get_write_buffer_size()
             stalled["overflow"] = overflow
             stalled["entered"] = sent - overflow
             for _ in range(25):
@@ -141,9 +146,15 @@ def test_an_untapped_live_site_keeps_no_per_message_state(tmp_path):
         return finished[0], sizes, drops, stalled
 
     message = PrepareRequest(tid=TID("T9@alpha"), sender="alpha")
-    # The outbox holds message texts; the flush frames them.
-    text = len(message_text(message))
+    # The outbox holds message texts, each counted with the separator
+    # it takes in a frame; the flush frames them.
+    text = len(message_text(message)) + 1
     held = OUTBOX_MAX_BYTES // text
+    # What a frame adds to its texts: header and envelope, less the one
+    # separator its last text does not take.  The bound leaves these
+    # out, so one flush may pass it by that much per frame it makes.
+    per_frame = len(encode_message_frame("alpha", message)) - text
+    frames = OUTBOX_MAX_BYTES // message_room("alpha") + 1
     finished, (early, late, full), drops, stalled = asyncio.run(commits(200))
     assert finished == 200
     # Four times the messages, the same sizes: the per-peer outboxes,
@@ -157,7 +168,8 @@ def test_an_untapped_live_site_keeps_no_per_message_state(tmp_path):
     assert drops == {"overflow": 25, "total": 25}
     # The stalled reader: held bytes stop at the bound, with the kernel
     # holding what it took (more than nothing) beyond it.
-    assert OUTBOX_MAX_BYTES - text < stalled["held"] <= OUTBOX_MAX_BYTES
+    assert OUTBOX_MAX_BYTES - text < stalled["held"] \
+        <= OUTBOX_MAX_BYTES + frames * per_frame
     assert stalled["overflow"] > 0 and stalled["more"] == 25
     assert stalled["entered"] * text > stalled["held"]
     assert stalled["outcome"] is Outcome.COMMITTED
