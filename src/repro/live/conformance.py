@@ -34,6 +34,9 @@ from repro.config import SystemConfig
 from repro.core.outcomes import PROTOCOLS, Outcome
 from repro.live.codec import canonical_json
 from repro.live.scenario import (
+    LIVE_FORCE_FLOOR_MS,
+    LIVE_PREPARE_MS,
+    LIVE_WIRE_MS,
     Scenario,
     Transcript,
     conformance_scenario,
@@ -159,9 +162,8 @@ async def run_live_scenario(scenario: Scenario, run_dir: str,
     for name in scenario.sites:
         sites[name] = LiveSite(
             name, run_dir, cost=scenario.cost,
-            wire_ms=scenario.live_wire_ms,
-            force_floor_ms=scenario.live_force_floor_ms,
-            prepare_ms=scenario.live_prepare_ms,
+            wire_ms=LIVE_WIRE_MS, force_floor_ms=LIVE_FORCE_FLOOR_MS,
+            prepare_ms=LIVE_PREPARE_MS,
             votes=dict(scenario.votes), fsync=fsync)
     transcript = Transcript()
     for name, site in sites.items():

@@ -119,6 +119,7 @@ class SiteHost:
         self._inbox: Deque[Tuple[str, Run, Any]] = deque()
         self._parked: Dict[str, Deque[Run]] = {}
         self._active = False
+        self._stopped = False
         self._sweep_handle: Any = None
 
     # ------------------------------------------------------- lifecycle
@@ -127,10 +128,15 @@ class SiteHost:
         """Arm the periodic piggyback/WAL-tail flush (re-arms itself)."""
         self._sweep_handle = self.substrate.start_timer(PIGGYBACK_SWEEP_MS, self._sweep)
 
-    def stop_sweeps(self) -> None:
+    def stop(self) -> None:
+        """Fail-stop: no machine takes another step.  The sweep and every
+        protocol timer are cancelled, and no input runs from now on — a
+        vote, loopback or force completion already on its way included."""
         if self._sweep_handle is not None:
             self._sweep_handle.cancel()
             self._sweep_handle = None
+        self.interp.reset()
+        self._stopped = True
 
     def _sweep(self) -> None:
         wal = self.substrate.wal
@@ -195,7 +201,7 @@ class SiteHost:
         self._active = True
         inbox, parked = self._inbox, self._parked
         try:
-            while inbox:
+            while inbox and not self._stopped:
                 family, run, answer = inbox.popleft()
                 behind = parked.get(family)
                 if behind is not None:
@@ -268,6 +274,8 @@ class SiteHost:
             partial(self._local_prepared, machine, effect.tid))
 
     def _local_prepared(self, machine: Any, tid: TID) -> None:
+        if self._stopped:
+            return  # a prepare delay that outlived its site
         vote = self.scripted_votes.get(self.site, Vote.YES)
         self.trace("live.local_prepared", {"tid": tid, "vote": vote.value})
         self._enqueue(tid, self.interp.local_prepared(machine, tid, vote))

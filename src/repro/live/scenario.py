@@ -1,10 +1,10 @@
 """Scripted scenarios and canonical transcripts for conformance runs.
 
 A :class:`Scenario` is a deterministic list of "site X begins commitment
-of a transaction over protocol P" steps plus the pacing knobs each
-substrate needs.  Both harnesses execute the same scenario object; the
-:class:`Transcript` each produces is canonicalized to per-site-pair FIFO
-message sequences and compared byte for byte.
+of a transaction over protocol P" steps; the pacing each substrate
+needs is this module's constants.  Both harnesses execute the same
+scenario object; the :class:`Transcript` each produces is canonicalized
+to per-site-pair FIFO message sequences and compared byte for byte.
 
 Why per-pair FIFO is the right canonical form: TCP (live) and the
 jitter-free LAN model (sim) both preserve order *within* a (src, dst)
@@ -15,11 +15,11 @@ on and nothing the substrate is allowed to vary.
 
 Pacing: the conformance scenario zeroes the simulator's jitter and
 gives the live substrate artificial per-hop latency floors
-(``wire_ms``/``force_floor_ms``) large enough to dominate real fsync
-and event-loop noise, so the one genuinely timing-dependent ordering in
-the scenario (a Paxos acceptor hearing two RMs' votes) resolves the
-same way on both substrates.  DESIGN.md §11 spells out what this does
-and does not prove.
+(``LIVE_WIRE_MS`` / ``LIVE_FORCE_FLOOR_MS``) large enough to dominate
+real fsync and event-loop noise, so the one genuinely timing-dependent
+ordering in the scenario (a Paxos acceptor hearing two RMs' votes)
+resolves the same way on both substrates.  DESIGN.md §11 spells out
+what this does and does not prove.
 """
 
 from __future__ import annotations
@@ -30,6 +30,14 @@ from typing import Any, Callable, Dict, List, Tuple
 from repro.config import CostModel
 from repro.core.outcomes import Vote
 from repro.live.codec import canonical_json, message_to_dict
+
+# Simulated-substrate pacing: the local prepare's delay.
+SIM_PREPARE_MS = 5.0
+# Live-substrate pacing: artificial latency floors that dominate real IO
+# jitter so races resolve as they do under the model.
+LIVE_WIRE_MS = 40.0
+LIVE_FORCE_FLOOR_MS = 20.0
+LIVE_PREPARE_MS = 10.0
 
 
 class Transcript:
@@ -79,13 +87,6 @@ class Scenario:
     cost: CostModel
     horizon_ms: float                  # sim run length / live settle deadline
     votes: Dict[str, Vote] = field(default_factory=dict)
-    # Simulated-substrate pacing.
-    sim_prepare_ms: float = 5.0
-    # Live-substrate pacing: artificial latency floors that dominate real
-    # IO jitter so races resolve as they do under the model.
-    live_wire_ms: float = 40.0
-    live_force_floor_ms: float = 20.0
-    live_prepare_ms: float = 10.0
 
 
 def conformance_cost() -> CostModel:

@@ -25,7 +25,8 @@ from repro.sim.kernel import Kernel, Timer
 from repro.sim.rng import RngStreams
 from repro.sim.tracing import NullTracer, Tracer
 from repro.live.host import SiteHost, Substrate
-from repro.live.scenario import Scenario, Transcript, run_scenario_steps
+from repro.live.scenario import SIM_PREPARE_MS, Scenario, Transcript, \
+    run_scenario_steps
 from repro.live.walfile import MemoryWal
 
 
@@ -67,8 +68,7 @@ class SimSubstrate(Substrate):
 
 
 def build_sim_cluster(sites: List[str], cost: CostModel,
-                      votes: Optional[Dict[str, Vote]] = None,
-                      prepare_ms: float = 5.0
+                      votes: Optional[Dict[str, Vote]] = None
                       ) -> Tuple[Kernel, Dict[str, SiteHost], Transcript]:
     """A kernel, one wired and tapped SiteHost per site, and the
     transcript the taps share."""
@@ -83,7 +83,7 @@ def build_sim_cluster(sites: List[str], cost: CostModel,
         sub = SimSubstrate(site, kernel, cost, dgram)
         lan.register_site(site, sub)
         host = hosts[site] = SiteHost(site, sub, cost, votes=votes,
-                                      prepare_delay_ms=prepare_ms)
+                                      prepare_delay_ms=SIM_PREPARE_MS)
         dgram.receiver = (lambda message, host=host:
                           host.deliver(message.sender, message))
         transcript.tap(site, host)
@@ -94,8 +94,7 @@ def run_sim_scenario(scenario: Scenario) -> Transcript:
     """Execute the scenario on the simulated substrate; return transcript."""
     cost = scenario.cost
     kernel, hosts, transcript = build_sim_cluster(
-        list(scenario.sites), cost, votes=scenario.votes,
-        prepare_ms=scenario.sim_prepare_ms)
+        list(scenario.sites), cost, votes=scenario.votes)
     for host in hosts.values():
         host.start_sweeps()
     run_scenario_steps(
@@ -103,5 +102,5 @@ def run_sim_scenario(scenario: Scenario) -> Transcript:
         at=lambda delay_ms, fn: kernel.schedule(delay_ms, fn))
     kernel.run(until=scenario.horizon_ms)
     for host in hosts.values():
-        host.stop_sweeps()
+        host.stop()
     return transcript

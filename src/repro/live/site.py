@@ -2,10 +2,12 @@
 
 A LiveSite owns an asyncio TCP server, a :class:`~repro.live.walfile.FileWal`,
 and a :class:`~repro.live.host.SiteHost` interpreting the sans-IO
-machines' effects over them.  Peers are discovered through the port-file
-handshake (:mod:`repro.live.ports`): every outbound connection attempt
-re-reads the peer's port file, so a site that was ``kill -9``-ed and
-restarted on a fresh ephemeral port is found without any coordinator.
+machines' effects over them — the site itself is the host's
+:class:`~repro.live.host.Substrate`.  Peers are discovered through the
+port-file handshake (:mod:`repro.live.ports`): every outbound connection
+attempt re-reads the peer's port file, so a site that was ``kill -9``-ed
+and restarted on a fresh ephemeral port is found without any
+coordinator.
 
 Delivery discipline: TCP already gives per-connection FIFO, and a frame
 crosses the event loop with one callback per hop — no task, future or
@@ -66,6 +68,13 @@ port file is cleared, ``serve_until_stopped`` returns with
 non-zero; recovery from what is really on disk is the restart's job.
 A delivered frame or force completion that raises fail-stops the site
 the same way, with that exception as the failure.
+
+A stopped site, cleanly or by a fail-stop, runs no machine:
+:meth:`SiteHost.stop` cancels the sweep and every protocol timer the
+interpreter armed, and no input runs after it — a vote whose prepare
+delay is still pending, a loopback delivery or a completion already
+queued on the loop included.  A coordinator stopped while it waits for
+a vote never times out, logs an abort or tells anyone.
 """
 
 from __future__ import annotations
@@ -222,24 +231,75 @@ class _Outbox:
         return frames
 
 
-class LiveSubstrate(Substrate):
-    """The real-IO substrate behind one site's :class:`SiteHost`."""
+class _Inbound(asyncio.Protocol):
+    """One accepted connection: each read goes to the decoder, and each
+    whole frame to the delay line (a message) or back down the
+    connection (a control command's answer)."""
 
-    def __init__(self, site: str, port_dir: str, wal: FileWal,
-                 wire_ms: float, force_floor_ms: float,
-                 fail_stop: Callable[[Exception], None]):
+    def __init__(self, site: "LiveSite"):
         self.site = site
-        self.port_dir = port_dir
-        self.wal = wal
-        self.host: Optional[SiteHost] = None
-        # Told of a force that failed or an input that raised (LiveSite
-        # fail-stops on the first).
-        self.fail_stop = fail_stop
+        self.decoder = FrameDecoder()
+        self.transport: Any = None
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        self.site._accepted.add(transport)
+
+    def data_received(self, data: bytes) -> None:
+        site, garbage = self.site, None
+        try:
+            frames = self.decoder.feed(data)
+        except FrameError as exc:
+            # The good frames before the bad one arrived whole: deliver
+            # them, whatever chunks TCP cut the stream in.
+            frames, garbage = exc.frames, exc.cause
+        for kind, payload in frames:
+            if kind == KIND_MESSAGE:
+                site._on_message_frame(payload)
+            else:
+                self.transport.write(
+                    encode_control_frame(site._handle_control(payload)))
+        if garbage is not None:
+            # Never let wire garbage near the machines: count and sever
+            # (framing cannot resynchronise).  The unread tail is part
+            # of this drop, not a torn frame.
+            site.count_drop(garbage)
+            self.decoder = FrameDecoder()
+            self.transport.close()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.site._accepted.discard(self.transport)
+        if self.decoder.buffered:
+            # The peer went away mid-frame (reset or killed): half a
+            # frame is a drop, never a delivery.
+            self.site.count_drop("torn")
+
+
+class LiveSite(Substrate):
+    """One site: TCP server + WAL + host, embeddable or standalone, and
+    the real-IO substrate its :class:`SiteHost` runs over.
+
+    The conformance harness runs several LiveSites on one event loop
+    (real loopback TCP between them); ``python -m repro.live site`` runs
+    exactly one per OS process for the kill -9 demos.
+    """
+
+    def __init__(self, site: str, run_dir: str, cost: Optional[CostModel] = None,
+                 wire_ms: float = 0.0, force_floor_ms: float = 0.0,
+                 prepare_ms: float = 0.0,
+                 votes: Optional[Dict[str, Vote]] = None,
+                 hold_force_tokens: Tuple[str, ...] = (),
+                 fsync: bool = True):
+        self.site = site
+        self.run_dir = run_dir
+        os.makedirs(run_dir, exist_ok=True)
+        self.cost = cost if cost is not None else CostModel()
+        self.wal = FileWal(os.path.join(run_dir, f"{site}.wal"), fsync=fsync)
         self.tracer = Tracer(keep=False)
         # What a batch of deliveries or force completions sent leaves
         # as its last act, in its own loop turn.
-        self.inbound = _DelayLine(wire_ms, fail_stop, self._flush)
-        self.forces = _DelayLine(force_floor_ms, fail_stop, self._flush)
+        self.inbound = _DelayLine(wire_ms, self._fail_stop, self._flush)
+        self.forces = _DelayLine(force_floor_ms, self._fail_stop, self._flush)
         self.frame_drops: Dict[str, int] = {}
         self._out_queues: Dict[str, _Outbox] = {}
         # What one frame from this site has for its messages' texts.
@@ -251,14 +311,57 @@ class LiveSubstrate(Substrate):
         # in order, and the highest LSN any force has asked for.
         self._forcing: List[Callable[[], None]] = []
         self._force_lsn = 0
+        self.host = SiteHost(site, self, self.cost, votes=votes,
+                             hold_force_tokens=hold_force_tokens,
+                             prepare_delay_ms=prepare_ms)
+        # The storage error or raising input this site fail-stopped on.
+        self.failure: Optional[Exception] = None
+        self._fail_stopping: Optional[asyncio.Future] = None
+        self.recovered = False
+        self.port: Optional[int] = None
+        self._server: Optional[asyncio.base_events.Server] = None
+        self._accepted: Set[Any] = set()  # inbound transports
+        self._stopping = asyncio.Event()
 
-    def start(self) -> None:
+    # The name ``perf/`` reads the drop counters by: the site itself.
+    substrate = property(lambda self: self)
+
+    # -------------------------------------------------------- lifecycle
+
+    async def start(self) -> None:
+        """Recover from the WAL, start serving, publish our port."""
         self._loop = asyncio.get_running_loop()
         self._running = True
         self.inbound.start()
         self.forces.start()
+        records = self.wal.recovered_records
+        if records:
+            plan = analyze(self.site, records)
+            self.host.recover_from_plan(plan)
+            self.recovered = True
+        sock = bind_server_socket()
+        self.port = sock.getsockname()[1]
+        self._server = await self._loop.create_server(
+            lambda: _Inbound(self), sock=sock)
+        write_port_file(self.run_dir, self.site, self.port)
+        self.host.start_sweeps()
 
-    def stop(self) -> None:
+    async def stop(self) -> None:
+        self._halt()
+        if self._server is not None:
+            self._server.close()
+            for transport in list(self._accepted):
+                transport.close()
+            await self._server.wait_closed()
+            self._server = None
+        clear_port_file(self.run_dir, self.site)
+        self.wal.close()
+        self._stopping.set()
+
+    def _halt(self) -> None:
+        """Nothing at this site steps again: no machine, delay line,
+        flush or connect."""
+        self.host.stop()
         self._running = False
         self.inbound.stop()
         self.forces.stop()
@@ -267,6 +370,26 @@ class LiveSubstrate(Substrate):
                 outbox.connecting.cancel()
             if outbox.transport is not None:
                 outbox.transport.close()
+
+    def _fail_stop(self, exc: Exception) -> None:
+        if self.failure is None:
+            self.failure = exc
+            # At once: not even a callback already queued ahead of the
+            # stop runs.
+            self._halt()
+            self._fail_stopping = asyncio.ensure_future(self.stop())
+
+    async def serve_until_stopped(self) -> None:
+        """Returns once stopped; ``failure`` says if by a fail-stop."""
+        await self._stopping.wait()
+
+    @property
+    def settled(self) -> bool:
+        """No protocol work in flight anywhere in this site."""
+        return (self.host.idle and self.inbound.pending == 0
+                and not self._forcing and self.forces.pending == 0
+                and all(outbox.pending == 0
+                        for outbox in self._out_queues.values()))
 
     def count_drop(self, cause: str, n: int = 1) -> None:
         self.frame_drops[cause] = self.frame_drops.get(cause, 0) + n
@@ -286,7 +409,7 @@ class LiveSubstrate(Substrate):
         if dst == self.site:
             # Loopback without the wire floor, like the simulator's
             # post_soon self-delivery.
-            self._loop.call_soon(self._deliver_self, message)
+            self._loop.call_soon(self.host.deliver, dst, message)
             return
         outbox = self._out_queues.get(dst)
         if outbox is None:
@@ -327,26 +450,29 @@ class LiveSubstrate(Substrate):
         if self._forcing:
             self._write_forces()
 
-    def _deliver_self(self, message: Any) -> None:
-        if self.host is not None:
-            self.host.deliver(self.site, message)
+    def _on_message_frame(self, payload: Dict[str, Any]) -> None:
+        """A frame received: its messages are one entry of the paced
+        FIFO delay line, delivered in order.  A bad message is one
+        counted drop; the rest of its frame goes on."""
+        try:
+            src, messages = decode_message_payload(payload, self.count_drop)
+        except FrameError as exc:
+            self.count_drop(exc.cause)
+            return
+        if messages:
+            host = self.host
 
-    def deliver_inbound(self, src: str, messages: List[Any]) -> None:
-        """Frame received: its messages are one entry of the paced FIFO
-        delay line, delivered in order."""
-        self.inbound.put(lambda: self._deliver_inbound(src, messages))
+            def deliver() -> None:
+                for message in messages:
+                    host.deliver(src, message)
 
-    def _deliver_inbound(self, src: str, messages: List[Any]) -> None:
-        host = self.host
-        if host is not None:
-            for message in messages:
-                host.deliver(src, message)
+            self.inbound.put(deliver)
 
     async def _connect(self, dst: str) -> Optional[asyncio.Transport]:
         loop = self._loop
         deadline = loop.time() + CONNECT_TIMEOUT_S
         while loop.time() < deadline:
-            port = read_port_file(self.port_dir, dst)
+            port = read_port_file(self.run_dir, dst)
             if port is not None:
                 try:
                     # Peers never answer on this link: the base
@@ -397,7 +523,7 @@ class LiveSubstrate(Substrate):
             # be by a retry.  Their runs stay parked; the site stops —
             # on a storage error, and on anything else the write raises
             # (it would otherwise escape the loop callback it runs in).
-            self.fail_stop(exc)
+            self._fail_stop(exc)
             return
         self.forces.put(partial(self._forces_done, ready, dones))
 
@@ -413,147 +539,6 @@ class LiveSubstrate(Substrate):
 
     def start_timer(self, delay_ms: float, fn: Callable[[], None]) -> Any:
         return asyncio.get_running_loop().call_later(delay_ms / 1000.0, fn)
-
-
-class _Inbound(asyncio.Protocol):
-    """One accepted connection: each read goes to the decoder, and each
-    whole frame to the delay line (a message) or back down the
-    connection (a control command's answer)."""
-
-    def __init__(self, site: "LiveSite"):
-        self.site = site
-        self.decoder = FrameDecoder()
-        self.transport: Any = None
-
-    def connection_made(self, transport: Any) -> None:
-        self.transport = transport
-        self.site._accepted.add(transport)
-
-    def data_received(self, data: bytes) -> None:
-        site, garbage = self.site, None
-        try:
-            frames = self.decoder.feed(data)
-        except FrameError as exc:
-            # The good frames before the bad one arrived whole: deliver
-            # them, whatever chunks TCP cut the stream in.
-            frames, garbage = exc.frames, exc.cause
-        for kind, payload in frames:
-            if kind == KIND_MESSAGE:
-                site._on_message_frame(payload)
-            else:
-                self.transport.write(
-                    encode_control_frame(site._handle_control(payload)))
-        if garbage is not None:
-            # Never let wire garbage near the machines: count and sever
-            # (framing cannot resynchronise).  The unread tail is part
-            # of this drop, not a torn frame.
-            site.substrate.count_drop(garbage)
-            self.decoder = FrameDecoder()
-            self.transport.close()
-
-    def connection_lost(self, exc: Optional[Exception]) -> None:
-        self.site._accepted.discard(self.transport)
-        if self.decoder.buffered:
-            # The peer went away mid-frame (reset or killed): half a
-            # frame is a drop, never a delivery.
-            self.site.substrate.count_drop("torn")
-
-
-class LiveSite:
-    """One site: TCP server + WAL + host, embeddable or standalone.
-
-    The conformance harness runs several LiveSites on one event loop
-    (real loopback TCP between them); ``python -m repro.live site`` runs
-    exactly one per OS process for the kill -9 demos.
-    """
-
-    def __init__(self, site: str, run_dir: str, cost: Optional[CostModel] = None,
-                 wire_ms: float = 0.0, force_floor_ms: float = 0.0,
-                 prepare_ms: float = 0.0,
-                 votes: Optional[Dict[str, Vote]] = None,
-                 hold_force_tokens: Tuple[str, ...] = (),
-                 fsync: bool = True):
-        self.site = site
-        self.run_dir = run_dir
-        os.makedirs(run_dir, exist_ok=True)
-        self.cost = cost if cost is not None else CostModel()
-        self.wal = FileWal(os.path.join(run_dir, f"{site}.wal"), fsync=fsync)
-        self.substrate = LiveSubstrate(site, run_dir, self.wal, wire_ms,
-                                       force_floor_ms, self._fail_stop)
-        self.host = SiteHost(site, self.substrate, self.cost, votes=votes,
-                             hold_force_tokens=hold_force_tokens,
-                             prepare_delay_ms=prepare_ms)
-        self.substrate.host = self.host
-        # The storage error or raising input this site fail-stopped on.
-        self.failure: Optional[Exception] = None
-        self._fail_stopping: Optional[asyncio.Future] = None
-        self.recovered = False
-        self.port: Optional[int] = None
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._accepted: Set[Any] = set()  # inbound transports
-        self._stopping = asyncio.Event()
-
-    # -------------------------------------------------------- lifecycle
-
-    async def start(self) -> None:
-        """Recover from the WAL, start serving, publish our port."""
-        self.substrate.start()
-        records = self.wal.recovered_records
-        if records:
-            plan = analyze(self.site, records)
-            self.host.recover_from_plan(plan)
-            self.recovered = True
-        sock = bind_server_socket()
-        self.port = sock.getsockname()[1]
-        self._server = await asyncio.get_running_loop().create_server(
-            lambda: _Inbound(self), sock=sock)
-        write_port_file(self.run_dir, self.site, self.port)
-        self.host.start_sweeps()
-
-    async def stop(self) -> None:
-        self.host.stop_sweeps()
-        if self._server is not None:
-            self._server.close()
-            for transport in list(self._accepted):
-                transport.close()
-            await self._server.wait_closed()
-            self._server = None
-        self.substrate.stop()
-        clear_port_file(self.run_dir, self.site)
-        self.wal.close()
-        self._stopping.set()
-
-    def _fail_stop(self, exc: Exception) -> None:
-        if self.failure is None:
-            self.failure = exc
-            self._fail_stopping = asyncio.ensure_future(self.stop())
-
-    async def serve_until_stopped(self) -> None:
-        """Returns once stopped; ``failure`` says if by a fail-stop."""
-        await self._stopping.wait()
-
-    @property
-    def settled(self) -> bool:
-        """No protocol work in flight anywhere in this site."""
-        return (self.host.idle and self.substrate.inbound.pending == 0
-                and not self.substrate._forcing
-                and self.substrate.forces.pending == 0
-                and all(outbox.pending == 0 for outbox in
-                        self.substrate._out_queues.values()))
-
-    # ------------------------------------------------------ connections
-
-    def _on_message_frame(self, payload: Dict[str, Any]) -> None:
-        # A bad message is one counted drop; the rest of its frame goes on.
-        substrate = self.substrate
-        try:
-            src, messages = decode_message_payload(payload,
-                                                   substrate.count_drop)
-        except FrameError as exc:
-            substrate.count_drop(exc.cause)
-            return
-        if messages:
-            substrate.deliver_inbound(src, messages)
 
     # ---------------------------------------------------------- control
 
@@ -586,9 +571,9 @@ class LiveSite:
             "tombstones": {t: o.value
                            for t, o in self.host.tombstones.items()},
             "held": list(self.host.held),
-            "drops": self.substrate.drop_counts(),
+            "drops": self.drop_counts(),
             "duplicates": self.host.duplicates,
-            "traces": dict(self.substrate.tracer.counters),
+            "traces": dict(self.tracer.counters),
             "recovered": self.recovered,
             "conservative": self.host.conservative,
             "wal_durable": self.wal.durable_lsn,

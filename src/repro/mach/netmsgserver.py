@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.config import CostModel
+from repro.mach.ipc import ReplyHandle
 from repro.mach.message import Message
 from repro.mach.ports import Port
 from repro.net.lan import Lan
@@ -53,21 +54,6 @@ class NameDirectory:
 
     def services(self) -> list[str]:
         return sorted(self._services)
-
-
-class _RemoteReplyShim:
-    """Duck-typed :class:`~repro.mach.ipc.ReplyHandle` for remote calls.
-
-    The server replies through the normal ``fabric.reply`` path; the shim
-    intercepts the reply at the server's site and sends it home over the
-    LAN.
-    """
-
-    __slots__ = ("event", "site")
-
-    def __init__(self, kernel: Kernel, site: str):
-        self.event = SimEvent(kernel, name="remote-reply", ignore_retrigger=True)
-        self.site = site
 
 
 class NetMsgServer:
@@ -110,12 +96,14 @@ class NetMsgServer:
         """
         msg.sender = self.site
         done = SimEvent(self.kernel, name="rpc.done", ignore_retrigger=True)
-        shim = _RemoteReplyShim(self.kernel, dest_site)
-        msg.reply_to = shim
+        # The server replies through the normal ``fabric.reply`` path to a
+        # handle at its own site; the callback sends the reply home.
+        reply = ReplyHandle(self.kernel, dest_site)
+        msg.reply_to = reply
         # The reply hop out of the server is part of the measured 19.1 ms,
         # not an extra local IPC, so suppress the fabric's reply charge.
         msg.body["_reply_flavour"] = "immediate"
-        shim.event.add_callback(
+        reply.event.add_callback(
             lambda response: self._send_home(dest_site, response, done))
         self.tracer.record(self.kernel.now, "nms.rpc", site=self.site,
                            dst=dest_site, kind_of=msg.kind)

@@ -14,13 +14,13 @@ owns the schedule.
 Primitives are idempotent under generated schedules: crashing a site
 that is already down, restarting one that is already up, and healing
 when no partition is active are validated no-ops — each leaves a
-``*_noop`` entry in the trace and the failure log rather than silently
-diverging (a random schedule generator relies on this).
+``fail.*_noop`` record in the trace rather than silently diverging (a
+random schedule generator relies on this).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.net.lan import Lan
 from repro.sim.kernel import Kernel
@@ -36,7 +36,6 @@ class FailureInjector:
         self.lan = lan
         self.tracer = tracer
         self.restart_hook = restart_hook
-        self.log: List[tuple[float, str, Any]] = []
 
     # ------------------------------------------------------ primitives
 
@@ -52,10 +51,8 @@ class FailureInjector:
             # Already down: idempotent, but leave a trace of the attempt.
             self.tracer.record(self.kernel.now, "fail.crash_noop",
                                site=site_name)
-            self.log.append((self.kernel.now, "crash_noop", site_name))
             return
         self.tracer.record(self.kernel.now, "fail.crash", site=site_name)
-        self.log.append((self.kernel.now, "crash", site_name))  # lint: bounded(bounded by scenario fault count)
         site.crash()
 
     def restart(self, site_name: str) -> None:
@@ -65,10 +62,8 @@ class FailureInjector:
             # and then collide with its existing ports; no-op instead.
             self.tracer.record(self.kernel.now, "fail.restart_noop",
                                site=site_name)
-            self.log.append((self.kernel.now, "restart_noop", site_name))
             return
         self.tracer.record(self.kernel.now, "fail.restart", site=site_name)
-        self.log.append((self.kernel.now, "restart", site_name))
         if self.restart_hook is None:
             site.restart()
         else:
@@ -77,16 +72,13 @@ class FailureInjector:
     def partition(self, groups: Sequence[Sequence[str]]) -> None:
         self.tracer.record(self.kernel.now, "fail.partition",
                            groups=[list(g) for g in groups])
-        self.log.append((self.kernel.now, "partition", [list(g) for g in groups]))
         self.lan.partition(groups)
 
     def heal(self) -> None:
         if not self.lan.partitioned:
             self.tracer.record(self.kernel.now, "fail.heal_noop")
-            self.log.append((self.kernel.now, "heal_noop", None))
             return
         self.tracer.record(self.kernel.now, "fail.heal")
-        self.log.append((self.kernel.now, "heal", None))
         self.lan.heal()
 
     def set_loss(self, probability: float) -> None:
@@ -94,7 +86,6 @@ class FailureInjector:
             raise ValueError("loss probability must be in [0, 1)")
         self.tracer.record(self.kernel.now, "fail.loss",
                            probability=probability)
-        self.log.append((self.kernel.now, "loss", probability))
         self.lan.loss_probability = probability
 
     def set_duplication(self, probability: float) -> None:
@@ -102,7 +93,6 @@ class FailureInjector:
             raise ValueError("duplication probability must be in [0, 1)")
         self.tracer.record(self.kernel.now, "fail.duplicate",
                            probability=probability)
-        self.log.append((self.kernel.now, "duplicate", probability))
         self.lan.duplicate_probability = probability
 
     # -------------------------------------------------------- schedule

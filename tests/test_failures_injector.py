@@ -11,6 +11,12 @@ def system():
     return CamelotSystem(SystemConfig(sites={"a": 1, "b": 1}))
 
 
+def _faults(system):
+    """The injector's actions, in order, as its ``fail.*`` instants."""
+    return [span.kind[len("fail."):] for span in system.tracer.instants
+            if span.kind.startswith("fail.")]
+
+
 def test_crash_kills_site_processes(system):
     site = system.runtime("a").site
     assert site.alive and site.processes
@@ -64,14 +70,14 @@ def test_loss_probability_setting(system):
 def test_failure_log_records_actions(system):
     system.failures.crash("a")
     system.failures.heal()   # nothing partitioned: validated no-op
-    kinds = [kind for _, kind, __ in system.failures.log]
+    kinds = _faults(system)
     assert kinds == ["crash", "heal_noop"]
 
 
 def test_crash_of_dead_site_is_noop(system):
     system.failures.crash("a")
     system.failures.crash("a")
-    kinds = [kind for _, kind, __ in system.failures.log]
+    kinds = _faults(system)
     assert kinds == ["crash", "crash_noop"]
     assert system.runtime("a").site.crash_count == 1
     assert system.tracer.counters.get("fail.crash_noop") == 1
@@ -80,7 +86,7 @@ def test_crash_of_dead_site_is_noop(system):
 def test_restart_of_live_site_is_noop(system):
     old_port = system.runtime("a").tranman.port
     system.failures.restart("a")
-    kinds = [kind for _, kind, __ in system.failures.log]
+    kinds = _faults(system)
     assert kinds == ["restart_noop"]
     # A live site's ports must be untouched by the no-op.
     assert system.runtime("a").tranman.port is old_port
@@ -91,7 +97,7 @@ def test_heal_noop_real_noop_sequence(system):
     system.failures.partition([["a"], ["b"]])
     system.failures.heal()
     system.failures.heal()
-    kinds = [kind for _, kind, __ in system.failures.log]
+    kinds = _faults(system)
     assert kinds == ["heal_noop", "partition", "heal", "heal_noop"]
     assert system.lan.reachable("a", "b")
 
@@ -99,7 +105,8 @@ def test_heal_noop_real_noop_sequence(system):
 def test_set_loss_is_traced(system):
     system.failures.set_loss(0.25)
     assert system.tracer.counters.get("fail.loss") == 1
-    assert system.failures.log[-1][1:] == ("loss", 0.25)
+    assert _faults(system)[-1] == "loss"
+    assert system.tracer.instants[-1].detail == {"probability": 0.25}
 
 
 def test_restart_of_unknown_site_rejected(system):

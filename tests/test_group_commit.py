@@ -165,9 +165,9 @@ def test_eight_prepares_in_one_read_are_one_write_of_eight_records(
         site, writes = await _beta_site(tmp_path)
         try:
             _Inbound(site).data_received(_frames(8))
-            await _until(lambda: site.substrate.tracer.count(
+            await _until(lambda: site.tracer.count(
                 "tranman.datagram") == 8)
-            return writes.data, site.substrate.tracer
+            return writes.data, site.tracer
         finally:
             await site.stop()
 
@@ -191,7 +191,7 @@ def test_a_failed_batched_write_fail_stops_with_no_completion(tmp_path):
     assert [len(_records(d)) for d in data] == [8]   # one attempt, all 8
     # No ``done`` fired: every family is still parked, none voted.
     assert sorted(site.host._parked) == [f"T{i}@alpha" for i in range(1, 9)]
-    assert site.substrate.tracer.count("tranman.datagram") == 0
+    assert site.tracer.count("tranman.datagram") == 0
     assert site.wal.durable_lsn == 0
     with pytest.raises(OSError, match="dead"):
         site.wal.force(None)
@@ -209,10 +209,10 @@ def test_a_held_token_in_a_batch_withholds_only_its_own_family(tmp_path):
             _Inbound(site).data_received(_frames(1))
             # Behind the frame on the delay line: one batch, one wake-up.
             mine = []
-            site.substrate.inbound.put(lambda: mine.append(
+            site.inbound.put(lambda: mine.append(
                 site.host.begin_commit("2pc", [])))
             await _until(lambda: site.host.held and site.host.completions)
-            return mine[0], writes.data, site.host, site.substrate.tracer
+            return mine[0], writes.data, site.host, site.tracer
         finally:
             await site.stop()
 

@@ -720,11 +720,11 @@ class TestLiveSiteDropsGarbage:
                                   for ack in acks) + b"GET / HTTP/1.1\r\n")
             await writer.drain()
             for _ in range(200):
-                if site.substrate.drop_counts()["total"]:
+                if site.drop_counts()["total"]:
                     break
                 await asyncio.sleep(0.01)
             await asyncio.sleep(0.01)
-            drops = site.substrate.drop_counts()
+            drops = site.drop_counts()
             writer.close()
             await site.stop()
             return acks, delivered, drops
@@ -748,7 +748,7 @@ class TestLiveSiteDropsGarbage:
 
         async def dropped(site, n):
             for _ in range(200):
-                if site.substrate.drop_counts()["total"] >= n:
+                if site.drop_counts()["total"] >= n:
                     break
                 await asyncio.sleep(0.01)
             await asyncio.sleep(0.05)
@@ -761,8 +761,8 @@ class TestLiveSiteDropsGarbage:
                 "src": "beta", "msgs": [prepare(9, sender=7)]}))
             await writer.drain()
             await dropped(site, 1)
-            alone = (site.substrate.drop_counts(),
-                     dict(site.substrate._out_queues),
+            alone = (site.drop_counts(),
+                     dict(site._out_queues),
                      dict(site.host.machines))
             delivered, deliver = [], site.host.deliver
             site.host.deliver = lambda src, message: (
@@ -772,8 +772,8 @@ class TestLiveSiteDropsGarbage:
                 "msgs": [prepare(8), prepare(10, sender=7), prepare(11)]}))
             await writer.drain()
             await dropped(site, 2)
-            three = (site.substrate.drop_counts(),
-                     set(site.substrate._out_queues), delivered,
+            three = (site.drop_counts(),
+                     set(site._out_queues), delivered,
                      len(site._accepted))
             writer.close()
             await site.stop()
@@ -811,11 +811,11 @@ class TestLiveSiteDropsGarbage:
             writer.write(frame)
             await writer.drain()
             for _ in range(200):
-                if site.substrate.drop_counts()["total"]:
+                if site.drop_counts()["total"]:
                     break
                 await asyncio.sleep(0.01)
             await asyncio.sleep(0.01)
-            drops = site.substrate.drop_counts()
+            drops = site.drop_counts()
             writer.close()
             await site.stop()
             return drops, delivered
@@ -849,14 +849,14 @@ class TestLiveSiteDropsGarbage:
             beta = LiveSite("beta", str(tmp_path))
             await alpha.start()
             for ack in acks:
-                alpha.substrate.send("beta", ack)
-            queued = alpha.substrate._out_queues["beta"].size
+                alpha.send("beta", ack)
+            queued = alpha._out_queues["beta"].size
             # A message no frame can hold is refused at send, not queued.
             with pytest.raises(FrameError) as err:
-                alpha.substrate.send("beta", CommitAck(
+                alpha.send("beta", CommitAck(
                     TID("T1@alpha"), "x" * MAX_PAYLOAD))
             assert err.value.cause == "oversize"
-            assert alpha.substrate._out_queues["beta"].size == queued
+            assert alpha._out_queues["beta"].size == queued
             await asyncio.sleep(0.3)     # alpha is polling for beta's port
             delivered = []
             beta.host.deliver = lambda src, message: delivered.append(
@@ -867,7 +867,7 @@ class TestLiveSiteDropsGarbage:
                     break
                 await asyncio.sleep(0.01)
             await asyncio.sleep(0.05)
-            drops = [site.substrate.drop_counts() for site in (alpha, beta)]
+            drops = [site.drop_counts() for site in (alpha, beta)]
             await beta.stop()
             await alpha.stop()
             return queued, delivered, drops

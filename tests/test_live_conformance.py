@@ -118,8 +118,7 @@ class TestTranManLeg:
                    for site in scenario.sites}
 
         kernel, hosts, host_transcript = build_sim_cluster(
-            list(scenario.sites), scenario.cost,
-            prepare_ms=scenario.sim_prepare_ms)
+            list(scenario.sites), scenario.cost)
         for host in hosts.values():
             host.start_sweeps()
         run_scenario_steps(scenario, hosts, at=kernel.schedule)

@@ -597,3 +597,50 @@ class TestFailedWrite:
         assert isinstance(site.failure, RuntimeError)
         assert read_port_file(str(tmp_path), "alpha") is None
         assert len(delivered) == 1
+
+    @pytest.mark.parametrize("how", ["stop", "fail_stop"])
+    def test_a_stopped_site_runs_no_machine(self, tmp_path, monkeypatch, how):
+        """Fail-stop: a stopped site takes no further step.  Its 2PC
+        coordinator, stopped while it waits for a vote from a peer that
+        never started, does not time out and abort ten timeouts later:
+        nothing is counted, logged, queued, reported or raised."""
+        from dataclasses import replace
+
+        from repro.config import CostModel
+        from repro.live.site import LiveSite
+
+        def broken(fd):
+            raise OSError(errno.EIO, "injected fsync failure")
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            raised = []
+            loop.set_exception_handler(lambda _, ctx: raised.append(ctx))
+            site = LiveSite("alpha", str(tmp_path),
+                            cost=replace(CostModel(), protocol_timeout=50.0))
+            completed = []
+            site.host.on_complete = lambda tid, outcome: completed.append(tid)
+            await site.start()
+            site.host.begin_commit("2pc", ["beta"])   # beta never starts
+            if how == "stop":
+                await site.stop()
+            else:
+                # A one-site commit forces, the fsync fails, the WAL dies.
+                monkeypatch.setattr(os, "fsync", broken)
+                site.host.begin_commit("2pc", [])
+                await asyncio.wait_for(site.serve_until_stopped(), timeout=5.0)
+                assert isinstance(site.failure, OSError)
+
+            def state():
+                return (dict(site.tracer.counters), site.wal.last_lsn,
+                        {dst: outbox.pending
+                         for dst, outbox in site._out_queues.items()})
+
+            before = state()
+            await asyncio.sleep(10 * 0.050 + 0.1)
+            return before, state(), completed, raised
+
+        before, after, completed, raised = asyncio.run(scenario())
+        assert after == before
+        assert completed == []
+        assert raised == []

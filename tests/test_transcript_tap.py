@@ -60,7 +60,7 @@ def test_an_untapped_live_site_keeps_no_per_message_state(tmp_path):
         sites = {name: LiveSite(name, str(tmp_path), fsync=False)
                  for name in SITES}
         for site in sites.values():
-            assert not hasattr(site.substrate, "transcript")
+            assert not hasattr(site, "transcript")
             await site.start()
         alpha = sites["alpha"].host
         done = loop.create_future()
@@ -81,7 +81,7 @@ def test_an_untapped_live_site_keeps_no_per_message_state(tmp_path):
                 await asyncio.sleep(0.005)
             # The host's per-family tables: inputs to run, and families
             # parked on a force with the inputs queued behind each.
-            sizes.append({name: {**_sizes(site.substrate),
+            sizes.append({name: {**_sizes(site),
                                  "inbox": len(site.host._inbox),
                                  "parked": len(site.host._parked)}
                           for name, site in sites.items()})
@@ -103,7 +103,7 @@ def test_an_untapped_live_site_keeps_no_per_message_state(tmp_path):
                 await asyncio.wait_for(settle(), timeout=30.0)
             # A peer that never comes up (no port file): its outbox
             # fills to the bound and no further, the rest is counted.
-            substrate = sites["alpha"].substrate
+            substrate = sites["alpha"]
             for _ in range(held + 25):
                 substrate.send("delta", message)
             sizes.append(_sizes(substrate))

@@ -89,8 +89,7 @@ def test_sitehost_leg_fires_exactly_this_many_events():
     events, deliveries and per-site counts the private one did."""
     scenario = conformance_scenario()
     kernel, hosts, transcript = build_sim_cluster(
-        list(scenario.sites), scenario.cost, votes=scenario.votes,
-        prepare_ms=scenario.sim_prepare_ms)
+        list(scenario.sites), scenario.cost, votes=scenario.votes)
     monitor = _CountingMonitor()
     kernel.monitor = monitor
     for host in hosts.values():
