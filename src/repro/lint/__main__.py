@@ -4,7 +4,6 @@ Examples::
 
     python -m repro.lint                       # static rules, text report
     python -m repro.lint --format json         # machine-readable (CI)
-    python -m repro.lint --races               # + simulation race scan
     python -m repro.lint --rules flow-determinism,unordered-iteration
     python -m repro.lint path/to/tree          # lint a different tree
 
@@ -33,10 +32,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--rules", default=None,
                         help="comma-separated rule ids (default: all)")
-    parser.add_argument("--races", action="store_true",
-                        help="also run the simulation race detector "
-                             "(same-timestamp event pairs on shared "
-                             "ports/locks/WAL)")
     parser.add_argument("--emit-graphs", metavar="DIR", default=None,
                         help="write extracted protocol transition graphs "
                              "(one JSON spec + Graphviz .dot per machine) "
@@ -59,18 +54,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     rule_ids = ([r.strip() for r in args.rules.split(",") if r.strip()]
                 if args.rules else None)
 
-    extra = None
-    if args.races:
-        from repro.lint.races import scan_for_races
-        extra = scan_for_races()
-
     roots = [Path(p) for p in args.paths] or [None]
     reports = []
     try:
         for root in roots:
-            reports.append(run_lint(root=root, rule_ids=rule_ids,
-                                    extra_findings=extra))
-            extra = None  # race findings attach to the first tree only
+            reports.append(run_lint(root=root, rule_ids=rule_ids))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

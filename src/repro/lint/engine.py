@@ -1,11 +1,9 @@
 """Lint engine: parse the tree once, build cross-file facts, run rules.
 
 The engine is what makes the rules *codebase-aware*: before any rule
-runs it extracts, from the tree being linted,
-
-- the protocol message classes declared in ``core/messages.py`` and the
-  classes actually dispatched on (``isinstance``) anywhere in ``core/``,
-- the ``CostModel`` dataclass fields and methods from ``config.py``.
+runs it extracts, from the tree being linted, the protocol message
+classes declared in ``core/messages.py`` (the transition-graph
+extractor labels inputs with them).
 
 Rules receive one :class:`LintContext` and return findings; the engine
 fills in default stable keys (the stripped source line).
@@ -16,7 +14,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.lint.findings import Finding, LintReport, source_line
 from repro.lint.registry import all_rules
@@ -59,10 +57,6 @@ class LintContext:
     files: List[FileInfo] = field(default_factory=list)
     # ---- cross-file facts -------------------------------------------
     message_classes: Dict[str, int] = field(default_factory=dict)
-    any_message_names: Set[str] = field(default_factory=set)
-    handled_classes: Set[str] = field(default_factory=set)
-    costmodel_fields: Set[str] = field(default_factory=set)
-    costmodel_methods: Set[str] = field(default_factory=set)
     # Cached whole-program model (built on demand by the flow rules via
     # :func:`repro.lint.flow.flow_program`; typed loosely to keep the
     # engine import-independent of the flow package).
@@ -115,62 +109,24 @@ def collect_files(root: Path) -> List[FileInfo]:
 
 
 def _message_facts(ctx: LintContext) -> None:
-    """Declared message classes, the ANY_MESSAGE roster, and every class
-    name dispatched on via ``isinstance`` anywhere under ``core/``."""
+    """The message classes declared in ``core/messages.py``: subclasses,
+    direct or not, of ``ProtocolMessage``."""
     info = ctx.file("core/messages.py")
-    if info is not None and info.tree is not None:
-        declared: Set[str] = {"ProtocolMessage"}
-        for node in info.tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
-            if bases & declared:
-                declared.add(node.name)
-                ctx.message_classes[node.name] = node.lineno
-        for node in info.tree.body:
-            if (isinstance(node, ast.Assign) and node.targets
-                    and isinstance(node.targets[0], ast.Name)
-                    and node.targets[0].id == "ANY_MESSAGE"
-                    and isinstance(node.value, ast.Tuple)):
-                ctx.any_message_names = {
-                    e.id for e in node.value.elts if isinstance(e, ast.Name)}
-    for f in ctx.files:
-        if f.sub.startswith("core/") and f.tree is not None:
-            ctx.handled_classes.update(isinstance_targets(f.tree))
-
-
-def isinstance_targets(tree: ast.AST) -> Iterator[str]:
-    """The class names tested by every ``isinstance(x, A)`` and
-    ``isinstance(x, (A, B))`` call in ``tree``."""
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "isinstance" and len(node.args) == 2):
-            target = node.args[1]
-            for n in (target.elts if isinstance(target, ast.Tuple)
-                      else [target]):
-                if isinstance(n, ast.Name):
-                    yield n.id
-
-
-def _costmodel_facts(ctx: LintContext) -> None:
-    info = ctx.file("config.py")
     if info is None or info.tree is None:
         return
+    declared: Set[str] = {"ProtocolMessage"}
     for node in info.tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == "CostModel":
-            for stmt in node.body:
-                if (isinstance(stmt, ast.AnnAssign)
-                        and isinstance(stmt.target, ast.Name)):
-                    ctx.costmodel_fields.add(stmt.target.id)
-                elif isinstance(stmt, (ast.FunctionDef,
-                                       ast.AsyncFunctionDef)):
-                    ctx.costmodel_methods.add(stmt.name)
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
+        if bases & declared:
+            declared.add(node.name)
+            ctx.message_classes[node.name] = node.lineno
 
 
 def build_context(root: Path) -> LintContext:
     ctx = LintContext(root=root, files=collect_files(root))
     _message_facts(ctx)
-    _costmodel_facts(ctx)
     return ctx
 
 
@@ -178,18 +134,18 @@ def build_context(root: Path) -> LintContext:
 
 
 def run_lint(root: Optional[Path] = None,
-             rule_ids: Optional[Sequence[str]] = None,
-             extra_findings: Optional[Iterable[Finding]] = None
-             ) -> LintReport:
-    """Lint ``root`` (default: the installed ``repro`` package).
-
-    ``extra_findings`` lets dynamic passes (the race detector) feed the
-    same report as the AST rules.
-    """
+             rule_ids: Optional[Sequence[str]] = None) -> LintReport:
+    """Lint ``root`` (default: the installed ``repro`` package)."""
     if root is None:
         import repro
         root = Path(repro.__file__).resolve().parent
-    ctx = build_context(Path(root))
+    return lint_context(build_context(Path(root)), rule_ids)
+
+
+def lint_context(ctx: LintContext,
+                 rule_ids: Optional[Sequence[str]] = None) -> LintReport:
+    """Run the rules over an already-parsed tree (:func:`run_lint`'s
+    second half; a caller that also emits graphs parses once)."""
     rules = all_rules()
     if rule_ids is not None:
         unknown = set(rule_ids) - set(rules)
@@ -201,8 +157,6 @@ def run_lint(root: Optional[Path] = None,
     findings: List[Finding] = []
     for rid in sorted(rules):
         findings.extend(rules[rid](ctx))
-    if extra_findings:
-        findings.extend(extra_findings)
 
     # Default stable keys: the stripped source line at the finding.
     keyed: List[Finding] = []

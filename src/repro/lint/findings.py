@@ -1,14 +1,13 @@
 """Finding record and report rendering (text + JSON).
 
-A finding is one rule violation at one source location.  Its
-``fingerprint`` names it across runs: rule id, file (repo-relative), and
-a *stable key* — by default the stripped source line, so it survives
-unrelated edits that shift line numbers.
+A finding is one rule violation at one source location, named by its
+rule id, file (repo-relative) and a *stable key* — by default the
+stripped source line, so it survives unrelated edits that shift line
+numbers.  Rules that can reach one site by many paths dedupe on the key.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -18,10 +17,10 @@ from typing import List, Optional
 class Finding:
     """One rule violation.
 
-    ``key`` is the stable identity behind the fingerprint; rules that can
-    name a symbol (a message class, a CostModel attribute) should pass
-    one explicitly, otherwise the engine fills in the stripped source
-    line of ``line``.
+    ``key`` is the finding's stable identity; rules that can name a
+    symbol (a message class, a state member) should pass one
+    explicitly, otherwise the engine fills in the stripped source line
+    of ``line``.
     """
 
     rule: str
@@ -30,11 +29,6 @@ class Finding:
     message: str
     key: str = ""
     column: int = 0
-
-    @property
-    def fingerprint(self) -> str:
-        payload = f"{self.rule}|{self.file}|{self.key or self.message}"
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     @property
     def location(self) -> str:
@@ -72,7 +66,6 @@ def _as_dict(f: Finding) -> dict:
         "line": f.line,
         "column": f.column,
         "message": f.message,
-        "fingerprint": f.fingerprint,
     }
 
 

@@ -214,8 +214,8 @@ def run(ctx: LintContext, program: Program) -> List[Finding]:
                         f"host executes effects asynchronously, so the "
                         f"claim can outrun the log",
                         key=f"{cls.name}.{method}:{ev.message_cls}:{line}"))
-    # One finding per unique fingerprint key (many paths can cross the
-    # same unguarded send site).
+    # One finding per key (many paths can cross the same unguarded
+    # send site).
     deduped: Dict[str, Finding] = {}
     for f in out:
         deduped.setdefault(f.key, f)

@@ -33,9 +33,9 @@ import ast
 import json
 from dataclasses import dataclass
 from pathlib import Path as FsPath
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.engine import LintContext, isinstance_targets
+from repro.lint.engine import LintContext
 from repro.lint.findings import Finding
 from repro.lint.flow import cfg
 from repro.lint.flow.callgraph import (ClassNode, Program, dotted_name,
@@ -342,13 +342,26 @@ def _check_states(ctx: LintContext, program: Program) -> List[Finding]:
     return out
 
 
+def _isinstance_targets(tree: ast.AST) -> Iterator[str]:
+    """The class names tested by every ``isinstance(x, A)`` and
+    ``isinstance(x, (A, B))`` call in ``tree``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            target = node.args[1]
+            for n in (target.elts if isinstance(target, ast.Tuple)
+                      else [target]):
+                if isinstance(n, ast.Name):
+                    yield n.id
+
+
 def _check_dispatch(ctx: LintContext, cls: ClassNode,
                     rows: List[Transition],
                     message_names: Set[str]) -> List[Finding]:
     if not message_names:
         return []
     inputs = {r.input for r in rows}
-    dispatched = set(isinstance_targets(cls.node)) & message_names
+    dispatched = set(_isinstance_targets(cls.node)) & message_names
     out: List[Finding] = []
     for name in sorted(dispatched - inputs):
         out.append(ctx.finding(

@@ -147,146 +147,6 @@ def check_unordered_iteration(ctx: LintContext) -> List[Finding]:
     return out
 
 
-# ------------------------------------------------ rule: CostModel attrs
-
-
-def _cost_typed_names(func: ast.AST) -> Set[str]:
-    """Parameter/local names that hold a CostModel in this function."""
-    names: Set[str] = set()
-    args = getattr(func, "args", None)
-    if args is not None:
-        all_args = list(args.args) + list(args.posonlyargs) \
-            + list(args.kwonlyargs)
-        for a in all_args:
-            ann = a.annotation
-            text = ast.dump(ann) if ann is not None else ""
-            if "CostModel" in text:
-                names.add(a.arg)
-    for n in ast.walk(func):
-        if isinstance(n, ast.Assign) and len(n.targets) == 1 \
-                and isinstance(n.targets[0], ast.Name) \
-                and isinstance(n.value, ast.Call):
-            callee = dotted_name(n.value.func) or ""
-            leaf = callee.rsplit(".", 1)[-1]
-            if leaf in ("_c", "CostModel", "rt_pc_profile", "vax_mp_profile",
-                        "wan_profile", "with_overrides"):
-                names.add(n.targets[0].id)
-    return names
-
-
-@rule("costmodel-attrs",
-      "Every CostModel attribute referenced anywhere must be a real "
-      "dataclass field or method.")
-def check_costmodel_attrs(ctx: LintContext) -> List[Finding]:
-    valid = ctx.costmodel_fields | ctx.costmodel_methods
-    if not valid:
-        return []
-    out: List[Finding] = []
-
-    def check_attr(info: FileInfo, node: ast.Attribute) -> None:
-        attr = node.attr
-        if attr.startswith("__"):
-            return
-        if attr not in valid:
-            out.append(ctx.finding(
-                info, node, "costmodel-attrs",
-                f"unknown CostModel attribute {attr!r} (not a field or "
-                f"method of repro.config.CostModel)",
-                key=f"attr:{attr}"))
-
-    for info in ctx.files:
-        if info.tree is None or info.sub == "config.py":
-            continue
-        # (a) names bound to a CostModel inside each function
-        for func in _walk_funcs(info.tree):
-            names = _cost_typed_names(func)
-            if not names:
-                continue
-            for n in ast.walk(func):
-                if isinstance(n, ast.Attribute) \
-                        and isinstance(n.value, ast.Name) \
-                        and n.value.id in names:
-                    check_attr(info, n)
-        # (b) `<anything>.cost.<attr>` chains, the idiom substrates use
-        for n in ast.walk(info.tree):
-            if isinstance(n, ast.Attribute) \
-                    and isinstance(n.value, ast.Attribute) \
-                    and n.value.attr == "cost":
-                check_attr(info, n)
-    return out
-
-
-# -------------------------------------------- rule: message handlers
-
-
-@rule("message-handlers",
-      "Every message type declared in core/messages.py must be "
-      "dispatched on (isinstance) somewhere in core/, and listed in "
-      "ANY_MESSAGE.")
-def check_message_handlers(ctx: LintContext) -> List[Finding]:
-    info = ctx.file("core/messages.py")
-    if info is None or not ctx.message_classes:
-        return []
-    out: List[Finding] = []
-    for name, lineno in sorted(ctx.message_classes.items()):
-        if name not in ctx.handled_classes:
-            out.append(Finding(
-                rule="message-handlers", file=info.rel, line=lineno,
-                message=(f"message type {name} has no isinstance handler "
-                         f"in any core/ protocol module: it would be "
-                         f"silently dropped"),
-                key=f"unhandled:{name}"))
-        if ctx.any_message_names and name not in ctx.any_message_names:
-            out.append(Finding(
-                rule="message-handlers", file=info.rel, line=lineno,
-                message=(f"message type {name} is missing from "
-                         f"ANY_MESSAGE (fuzzers and exhaustiveness "
-                         f"checks iterate it)"),
-                key=f"unlisted:{name}"))
-    return out
-
-
-# ----------------------------------------- rule: lazy-path log forces
-
-
-@rule("lazy-log-force",
-      "No blocking log force where the paper requires laziness: abort "
-      "records are never forced (presumed abort), and the OPTIMIZED "
-      "delayed-commit branch writes its commit record lazily.")
-def check_lazy_log_force(ctx: LintContext) -> List[Finding]:
-    out: List[Finding] = []
-    for info in ctx.sim_files():
-        if info.tree is None or not info.sub.startswith("core/"):
-            continue
-        for node in ast.walk(info.tree):
-            # ForceLog(abort_record(...)) — presumed abort violation.
-            if isinstance(node, ast.Call) \
-                    and dotted_name(node.func) == "ForceLog" and node.args \
-                    and isinstance(node.args[0], ast.Call) \
-                    and (dotted_name(node.args[0].func) or "").endswith(
-                        "abort_record"):
-                out.append(ctx.finding(
-                    info, node, "lazy-log-force",
-                    "abort record is forced; presumed abort requires "
-                    "abort records to be written lazily (never forced)"))
-            # ForceLog inside an `if ... TwoPhaseVariant.OPTIMIZED` body.
-            if isinstance(node, ast.If) and any(
-                    isinstance(t, ast.Attribute) and t.attr == "OPTIMIZED"
-                    and (dotted_name(t) or "").endswith(
-                        "TwoPhaseVariant.OPTIMIZED")
-                    for t in ast.walk(node.test)):
-                for inner in node.body:
-                    for c in ast.walk(inner):
-                        if isinstance(c, ast.Call) \
-                                and dotted_name(c.func) == "ForceLog":
-                            out.append(ctx.finding(
-                                info, c, "lazy-log-force",
-                                "log force on the OPTIMIZED delayed-"
-                                "commit branch; the optimization exists "
-                                "to skip exactly this force"))
-    return out
-
-
 # ------------------------------------ rule: consumed fire-and-forget
 
 

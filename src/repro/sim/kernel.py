@@ -100,7 +100,7 @@ class Kernel:
         self._heap: list = []       # heap of Timer | 4-list
         self._running = False
         self._cancelled = 0     # cancelled Timers still in the heap
-        # Opt-in instrumentation (e.g. the repro.lint race detector).
+        # Opt-in instrumentation (chaos's boundary probe, perf's counters).
         # When set, the monitor sees every schedule and every dispatch;
         # when None (the default) the hot path pays one predictable
         # branch per event.  Protocol: monitor.on_schedule(seq) at

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import time
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
+import repro
 from repro.config import CostModel, SystemConfig, rt_pc_profile
+from repro.lint.engine import build_context, lint_context
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process
 from repro.sim.rng import RngStreams
@@ -51,3 +57,18 @@ def two_sites() -> CamelotSystem:
 @pytest.fixture
 def three_sites() -> CamelotSystem:
     return CamelotSystem(SystemConfig(sites={"a": 1, "b": 1, "c": 1}))
+
+
+@pytest.fixture(scope="session")
+def tree_lint() -> SimpleNamespace:
+    """One whole-tree lint run per session, timed from parse to report.
+
+    Each tree-clean test filters its own rule's findings out of
+    ``report``; the graph tests reuse the parsed tree (``ctx``, whose
+    whole-program model is built once).
+    """
+    start = time.perf_counter()
+    ctx = build_context(Path(repro.__file__).resolve().parent)
+    report = lint_context(ctx)
+    return SimpleNamespace(ctx=ctx, report=report,
+                           seconds=time.perf_counter() - start)

@@ -5,7 +5,6 @@ core/, unguarded COMMIT sends on one CFG path — plus the engine pieces
 ``# lint: bounded()`` acknowledgement, and the lint runtime budget."""
 
 import textwrap
-import time
 from pathlib import Path
 
 import pytest
@@ -427,16 +426,15 @@ class TestBoundedAck:
 # ------------------------------------------------------- live-tree gates
 
 
-def test_live_tree_flow_rules_clean_within_budget():
+def test_live_tree_flow_rules_clean_within_budget(tree_lint):
     """All four whole-program analyses hold on the real tree, and the
-    full 13-rule run (flow included) fits the CI latency budget."""
-    start = time.perf_counter()
-    report = run_lint()
-    elapsed = time.perf_counter() - start
+    session's full whole-tree run (flow included) fits the CI latency
+    budget."""
+    report = tree_lint.report
     flow_rules = {"flow-determinism", "flow-sansio-purity",
                   "flow-force-discipline", "flow-protocol-graph"}
     assert flow_rules <= set(report.rules_run)
     assert not [f for f in report.findings if f.rule in flow_rules], (
         [f.message for f in report.findings])
-    assert elapsed < 30.0, (
-        f"whole-tree lint took {elapsed:.1f}s; budget is 30s")
+    assert tree_lint.seconds < 30.0, (
+        f"whole-tree lint took {tree_lint.seconds:.1f}s; budget is 30s")

@@ -113,17 +113,16 @@ class TestLicensedUses:
 
 
 class TestRealTree:
-    def test_repro_tree_is_clean_with_no_baseline(self):
+    def test_repro_tree_is_clean_with_no_baseline(self, tree_lint):
         """The fence holds at zero on the real tree: repro.core,
         repro.sim, repro.net, repro.servers, repro.log never touch the
         live-substrate primitives, with nothing grandfathered."""
-        report = run_lint(rule_ids=["live-io-fence"])
-        leaks = [f for f in report.findings if f.rule == "live-io-fence"]
+        leaks = [f for f in tree_lint.report.findings
+                 if f.rule == "live-io-fence"]
         assert leaks == []
 
-    def test_sansio_purity_still_clean_too(self):
+    def test_sansio_purity_still_clean_too(self, tree_lint):
         """The pre-existing purity proof is unaffected by the new live
         package (live/ is outside core/, so nothing changed scope)."""
-        report = run_lint(rule_ids=["flow-sansio-purity"])
-        assert [f for f in report.findings
+        assert [f for f in tree_lint.report.findings
                 if f.rule == "flow-sansio-purity"] == []

@@ -39,55 +39,6 @@ def fixture_tree(tmp_path: Path) -> Path:
                 handle = self.kernel.post_soon(print, 1) # consumed result
                 return stamp, jitter, cache_dir, handle
         """)
-    _write(tmp_path, "core/messages.py", """
-        class ProtocolMessage:
-            pass
-
-
-        class Ping(ProtocolMessage):
-            pass
-
-
-        class Orphan(ProtocolMessage):
-            '''Seeded: never handled, not in ANY_MESSAGE.'''
-
-
-        ANY_MESSAGE = (Ping,)
-        """)
-    _write(tmp_path, "core/proto.py", """
-        from .messages import Ping
-
-
-        class TwoPhaseVariant:
-            OPTIMIZED = 1
-
-
-        def on_message(msg, variant):
-            if isinstance(msg, Ping):
-                return []
-            if variant is TwoPhaseVariant.OPTIMIZED:
-                return [ForceLog(commit_record("t"))]    # lazy-log-force
-            return [ForceLog(abort_record("t"))]         # presumed abort
-        """)
-    _write(tmp_path, "config.py", """
-        from dataclasses import dataclass
-
-
-        @dataclass
-        class CostModel:
-            log_force: float = 15.0
-            datagram: float = 10.0
-
-            def bcopy(self, kb):
-                return kb
-        """)
-    _write(tmp_path, "analysis/formulas.py", """
-        from config import CostModel
-
-
-        def total(c: CostModel):
-            return c.log_force + c.datagram_cost         # costmodel-attrs
-        """)
     _write(tmp_path, "chaos/oracles.py", """
         def oracle(name):
             def register(fn):
@@ -118,16 +69,14 @@ def fixture_tree(tmp_path: Path) -> Path:
 
 ALL_RULES = {
     "flow-determinism", "unordered-iteration",
-    "consumed-fire-and-forget", "message-handlers", "lazy-log-force",
-    "costmodel-attrs", "chaos-oracle-readonly", "obs-readonly",
+    "consumed-fire-and-forget", "chaos-oracle-readonly", "obs-readonly",
     "unbounded-growth",
 }
 
 
-def test_registered_rules_are_exactly_these_thirteen():
+def test_registered_rules_are_exactly_these_ten():
     assert set(all_rules()) == {
-        "unordered-iteration", "costmodel-attrs", "message-handlers",
-        "lazy-log-force", "consumed-fire-and-forget",
+        "unordered-iteration", "consumed-fire-and-forget",
         "chaos-oracle-readonly", "obs-readonly", "unbounded-growth",
         "flow-determinism", "flow-sansio-purity", "flow-force-discipline",
         "flow-protocol-graph", "live-io-fence",
@@ -145,7 +94,6 @@ def test_every_rule_fires_on_fixture(fixture_tree):
 
 def test_fixture_findings_carry_locations(fixture_tree):
     report = run_lint(root=fixture_tree)
-    by_rule = {f.rule: f for f in report.findings}
     clock = sorted((f.line, f.message) for f in report.findings
                    if f.rule == "flow-determinism")
     assert all(f.file.endswith("sim/bad_clock.py") for f in report.findings
@@ -155,8 +103,6 @@ def test_fixture_findings_carry_locations(fixture_tree):
     for (_, message), prim in zip(clock, ("time.time()", "random.random()",
                                           "os.getenv")):
         assert prim in message
-    assert by_rule["costmodel-attrs"].key == "attr:datagram_cost"
-    assert "Orphan" in by_rule["message-handlers"].message
 
 
 def test_cli_exits_nonzero_on_fixture(fixture_tree, capsys):
@@ -168,11 +114,18 @@ def test_cli_exits_nonzero_on_fixture(fixture_tree, capsys):
     assert "sim/bad_clock.py:" in out
 
 
-def test_cli_exits_zero_on_repaired_tree(capsys):
+def test_cli_exits_zero_on_repaired_tree(tree_lint, monkeypatch, capsys):
     """The live package tree is the 'repaired tree': lint must pass,
-    with no suppression file to lean on."""
+    with no suppression file to lean on.  The CLI reads the session's
+    one whole-tree run instead of parsing the tree again."""
     repo_root = Path(__file__).resolve().parent.parent
     assert not (repo_root / "lint-baseline.json").exists()
+
+    def session_run(root=None, rule_ids=None):
+        assert (root, rule_ids) == (None, None)
+        return tree_lint.report
+
+    monkeypatch.setattr("repro.lint.__main__.run_lint", session_run)
     assert lint_main([]) == 0
 
 
@@ -195,8 +148,7 @@ def test_cli_json_format(fixture_tree, capsys):
     assert set(payload) == {"findings", "checked_files", "rules", "clean"}
     assert {f["rule"] for f in payload["findings"]} == ALL_RULES
     for f in payload["findings"]:
-        assert set(f) == {"rule", "file", "line", "column", "message",
-                          "fingerprint"}
+        assert set(f) == {"rule", "file", "line", "column", "message"}
 
 
 def test_rule_filter_and_unknown_rule(fixture_tree, capsys):

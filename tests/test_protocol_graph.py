@@ -19,7 +19,6 @@ from repro.core.interpreter import Interpreter
 from repro.core.outcomes import PROTOCOLS, Outcome, Vote
 from repro.core.tid import TID
 from repro.lint import run_lint
-from repro.lint.engine import build_context
 from repro.lint.flow.protograph import emit_graphs
 
 
@@ -235,19 +234,18 @@ class TestStateChecks:
         report = run_lint(root=tmp_path, rule_ids=["flow-protocol-graph"])
         assert not report.findings
 
-    def test_live_tree_clean(self):
-        report = run_lint(rule_ids=["flow-protocol-graph"])
-        assert not report.findings, [f.message for f in report.findings]
+    def test_live_tree_clean(self, tree_lint):
+        found = [f for f in tree_lint.report.findings
+                 if f.rule == "flow-protocol-graph"]
+        assert not found, [f.message for f in found]
 
 
 # ------------------------------------------------------- graph emission
 
 
 class TestEmitGraphs:
-    def test_specs_and_dot_for_all_machines(self, tmp_path):
-        import repro
-        root = Path(repro.__file__).resolve().parent
-        written = emit_graphs(build_context(root), tmp_path)
+    def test_specs_and_dot_for_all_machines(self, tmp_path, tree_lint):
+        written = emit_graphs(tree_lint.ctx, tmp_path)
         names = {p.name for p in written}
         assert "TwoPhaseCoordinator.json" in names
         assert "TwoPhaseSubordinate.dot" in names
@@ -267,15 +265,13 @@ class TestEmitGraphs:
         assert dot.startswith("digraph")
         assert '"FORCING_PREPARE" -> "PREPARED"' in dot
 
-    def test_emitted_specs_are_pinned(self, tmp_path):
+    def test_emitted_specs_are_pinned(self, tmp_path, tree_lint):
         """One sha256 over the ten machines' JSON specs: a transition
         that moves anywhere in ``core/`` (an effect reordered, a row
         gained or lost) fails here, not only in the CI artifact.  After
         an intended change, diff ``python -m repro.lint --emit-graphs
         DIR`` against the parent's and update the digest."""
-        import repro
-        root = Path(repro.__file__).resolve().parent
-        specs = sorted(p for p in emit_graphs(build_context(root), tmp_path)
+        specs = sorted(p for p in emit_graphs(tree_lint.ctx, tmp_path)
                        if p.suffix == ".json")
         digest = hashlib.sha256()
         for path in specs:

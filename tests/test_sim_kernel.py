@@ -341,7 +341,7 @@ def test_cancel_storm_with_posts_keeps_pending_exact():
 
 
 def test_monitor_hook_sees_every_event_without_reordering():
-    """Kernel.monitor (the race-detector hook) must observe every
+    """Kernel.monitor (the chaos boundary probe's hook) must observe every
     schedule and every dispatch while leaving event order untouched."""
 
     class Recorder:
