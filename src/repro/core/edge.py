@@ -221,9 +221,7 @@ class ProtocolEdge:
             self.machines[machine.tid] = machine
 
     def is_live(self, machine: Any) -> bool:
-        tid = getattr(machine, "tid", None)
-        if tid is None:
-            return False
+        tid = machine.tid
         return (self.machines.get(tid) is machine
                 or self.takeovers.get(tid) is machine)
 
@@ -252,15 +250,22 @@ class ProtocolEdge:
             return None
         # Commitment runs on top-level TIDs only, whose string is the
         # family itself: no parse.
-        sub = self.machines.get(TID(record.tid))
+        tid = TID(record.tid)
+        pledge = record.kind is RecordKind.ABORT_PLEDGE
+        takeover = self.takeovers.get(tid)
+        if isinstance(takeover, NbTakeover):
+            # This site just joined a quorum; a takeover here that still
+            # holds the status it started from would offer the site to
+            # the other quorum too.
+            takeover.note_local_membership(
+                "abort_pledged" if pledge else "replicated")
+        sub = self.machines.get(tid)
         if not isinstance(sub, NbSubordinate):
             return None
         # A takeover's self-pledge (or self-promotion) must also bind the
         # co-resident participant machine, or it could later accept a
         # replicate (or pledge) and put this site in both quorums.
-        return (sub.note_local_pledge
-                if record.kind is RecordKind.ABORT_PLEDGE
-                else sub.note_local_replication)
+        return sub.note_local_pledge if pledge else sub.note_local_replication
 
     # ----------------------------------------------------- construction
 
@@ -501,10 +506,8 @@ class ProtocolEdge:
         if str(tid) in self.read_only_votes:
             # Re-vote read-only to the same targets the live machine
             # would use: every acceptor (the instance still needs an
-            # acceptor quorum) plus the leader.
+            # acceptor quorum), the leader, acceptor 0, among them.
             targets = [a for a in pmsg.acceptors if a != site]
-            if pmsg.sender not in targets:
-                targets.append(pmsg.sender)
             vote = PcVote(tid=tid, sender=site, vote=Vote.READ_ONLY,
                           leader=pmsg.sender, sites=pmsg.sites,
                           acceptors=pmsg.acceptors)

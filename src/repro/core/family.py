@@ -111,9 +111,6 @@ class FamilyTable:
     def __init__(self) -> None:
         self._families: Dict[str, FamilyDescriptor] = {}
 
-    def __len__(self) -> int:
-        return len(self._families)
-
     def __contains__(self, family: str) -> bool:
         return family in self._families
 

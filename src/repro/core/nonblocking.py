@@ -778,6 +778,12 @@ class NbTakeover(NotifyTail):
         self.unacked = tuple(self.sites)
         self.decided_by_peer = False
 
+    def note_local_membership(self, status: str) -> None:
+        """A replication record or abort pledge of this site was appended
+        (``"replicated"`` / ``"abort_pledged"``): report that from now on,
+        so this site is never promoted or pledged into the other quorum."""
+        self.reports[self.site] = status  # lint: bounded(own site's entry, set at init)
+
     # --------------------------------------------------------- lifecycle
 
     def start(self) -> Effects:
@@ -930,12 +936,10 @@ class NbTakeover(NotifyTail):
             self.replicated.add(self.site)
             if self.quorum.can_commit(len(self.replicated)):
                 return self._decide(Outcome.COMMITTED)
-            return []
-        if token == NB_PLEDGE_FORCE and self.state is NbTakeoverState.PLEDGING:
+        elif token == NB_PLEDGE_FORCE and self.state is NbTakeoverState.PLEDGING:
             self.pledged.add(self.site)
             if self.quorum.can_abort(len(self.pledged)):
                 return self._decide(Outcome.ABORTED)
-            return []
         return []
 
     def _on_replicate_ack(self, msg: NbReplicateAck) -> Effects:

@@ -18,9 +18,6 @@ class Vote(str, Enum):
     NO = "no"
     READ_ONLY = "read_only"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 class Outcome(str, Enum):
     """The fate of a transaction at one site."""
@@ -39,9 +36,6 @@ class ProtocolKind(str, Enum):
     TWO_PHASE = "two_phase"
     NON_BLOCKING = "non_blocking"
     PAXOS_COMMIT = "paxos_commit"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 # The short protocol names drivers, the control channel and chaos
@@ -66,6 +60,3 @@ class TwoPhaseVariant(str, Enum):
     OPTIMIZED = "optimized"
     SEMI_OPTIMIZED = "semi_optimized"
     UNOPTIMIZED = "unoptimized"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value

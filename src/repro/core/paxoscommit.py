@@ -371,9 +371,6 @@ class PcLeader(_AcceptorBatching, NotifyTail):
             return self._notify_commit()
         return []
 
-    def on_log_durable(self, token: str) -> List[Effect]:
-        return []
-
     # --------------------------------------------------------- messages
 
     def on_message(self, msg: ProtocolMessage) -> List[Effect]:
@@ -739,10 +736,8 @@ class PcParticipant(_AcceptorBatching):
         return []
 
     def _vote_targets(self) -> List[str]:
-        targets = [a for a in self.acceptors if a != self.site]
-        if self.leader not in targets and self.leader != self.site:
-            targets.append(self.leader)
-        return targets
+        # The leader is always acceptor 0 (``ProtocolEdge.coordinator``).
+        return [a for a in self.acceptors if a != self.site]
 
     def on_log_durable(self, token: str) -> List[Effect]:
         if token == PC_COMMIT_DURABLE and not self._acked:
@@ -1072,9 +1067,6 @@ class PcCandidate(NotifyTail):
         if token == PC_DECIDE_FORCE \
                 and self.state is PcCandidateState.FORCING_DECISION:
             return self._announce()
-        return []
-
-    def on_log_durable(self, token: str) -> List[Effect]:
         return []
 
     def _announce(self) -> List[Effect]:

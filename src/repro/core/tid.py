@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -38,11 +38,6 @@ class TID:
         return not self.path
 
     @property
-    def depth(self) -> int:
-        """Nesting depth: 0 for a top-level transaction."""
-        return len(self.path)
-
-    @property
     def parent(self) -> Optional["TID"]:
         if not self.path:
             return None
@@ -56,13 +51,6 @@ class TID:
         if index < 1:
             raise ValueError("child indices start at 1")
         return TID(self.family, self.path + (index,))
-
-    def ancestors(self) -> Iterator["TID"]:
-        """Proper ancestors, nearest first (parent, grandparent, ...)."""
-        tid = self.parent
-        while tid is not None:
-            yield tid
-            tid = tid.parent
 
     def is_ancestor_of(self, other: "TID") -> bool:
         """Proper ancestor test (a transaction is not its own ancestor)."""

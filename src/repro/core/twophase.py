@@ -382,7 +382,6 @@ class TwoPhaseSubordinate:
                 return self._on_commit()
             if msg.outcome is Outcome.ABORTED:
                 return self._on_abort()
-            return []
         return []
 
     def _on_duplicate_prepare(self) -> Effects:

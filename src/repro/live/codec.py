@@ -54,7 +54,6 @@ import dataclasses
 import json
 import struct
 import zlib
-from enum import Enum
 from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -90,12 +89,8 @@ class FrameError(Exception):
 
 def _plain(value: Any) -> Any:
     """What the JSON encoder is told about a value it has no rule for."""
-    if isinstance(value, TID):
-        return str(value)
     if isinstance(value, QuorumSpec):
         return value.to_dict()
-    if isinstance(value, Enum):
-        return value.value
     raise TypeError(f"{type(value).__name__} does not go on the wire")
 
 

@@ -39,9 +39,6 @@ class RecordKind(str, Enum):
     CHECKPOINT = "checkpoint"
     END = "end"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 @dataclass
 class LogRecord:

@@ -115,10 +115,6 @@ class StableStore:
             return 0
         return self._records[-1]["lsn"]
 
-    def truncate(self) -> None:
-        """Discard everything (fresh-disk scenarios in tests)."""
-        self._records.clear()
-
     def truncate_before(self, lsn: int) -> int:
         """Reclaim records with lsn < ``lsn`` (checkpointing).  Returns
         how many records were dropped."""

@@ -55,8 +55,3 @@ class Message:
     def reply(self, kind: str, **body: Any) -> "Message":
         """Construct a response message preserving transaction metadata."""
         return Message(kind=kind, body=body, trans=dict(self.trans))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        tid = self.trans.get("tid")
-        tid_part = f" tid={tid}" if tid is not None else ""
-        return f"<Message {self.kind}{tid_part}>"

@@ -28,7 +28,6 @@ from repro.mach.ports import Port
 from repro.net.lan import Lan
 from repro.sim.events import SimEvent, wait_with_deadline
 from repro.sim.kernel import Kernel
-from repro.sim.process import Sleep
 from repro.sim.tracing import Tracer
 
 
@@ -75,13 +74,6 @@ class NetMsgServer:
         19.1 ms NetMsgServer round trip.
         """
         return max(0.0, self.cost.netmsg_rpc / 2.0 - self.cost.datagram_send_cycle)
-
-    # ----------------------------------------------------- name service
-
-    def lookup(self, service: str) -> Generator[Any, Any, Tuple[str, Port]]:
-        """Name lookup: one local RPC to the NetMsgServer."""
-        yield Sleep(2 * self.cost.local_ipc)
-        return self.directory.lookup(service)
 
     # ------------------------------------------------------ remote RPC
 

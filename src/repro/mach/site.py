@@ -60,9 +60,6 @@ class Site:
         self.ports[name] = port
         return port
 
-    def port(self, name: str) -> Port:
-        return self.ports[name]
-
     # -------------------------------------------------------- processes
 
     def spawn(self, body: ProcessBody, name: str) -> Process:

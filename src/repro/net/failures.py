@@ -20,7 +20,7 @@ random schedule generator relies on this).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.net.lan import Lan
 from repro.sim.kernel import Kernel
@@ -31,7 +31,7 @@ class FailureInjector:
     """Schedules failures against a LAN and a set of sites."""
 
     def __init__(self, kernel: Kernel, lan: Lan, tracer: Tracer,
-                 restart_hook: Optional[Callable[[str], None]] = None):
+                 restart_hook: Callable[[str], None]):
         self.kernel = kernel
         self.lan = lan
         self.tracer = tracer
@@ -64,10 +64,7 @@ class FailureInjector:
                                site=site_name)
             return
         self.tracer.record(self.kernel.now, "fail.restart", site=site_name)
-        if self.restart_hook is None:
-            site.restart()
-        else:
-            self.restart_hook(site_name)
+        self.restart_hook(site_name)
 
     def partition(self, groups: Sequence[Sequence[str]]) -> None:
         self.tracer.record(self.kernel.now, "fail.partition",

@@ -164,7 +164,8 @@ class Application:
         reply = yield from self.fabric.call(self.tranman_port, msg,
                                             sender_site=self.site.name)
         record = self._records.get(tid)
-        if record is not None:
+        # A commit call that raced this abort has recorded its outcome.
+        if record is not None and record.outcome is None:
             record.committed_at = self.kernel.now
             record.outcome = Outcome.ABORTED
             self.aborted += 1

@@ -62,11 +62,6 @@ class CommunicationManager:
 
     # ------------------------------------------------------ client side
 
-    def lookup(self, service: str) -> Generator[Any, Any, tuple]:
-        """Name service facade (paper Figure 1, event 1)."""
-        result = yield from self.nms.lookup(service)
-        return result
-
     def call_service(self, service: str, msg: Message,
                      timeout: Optional[float] = None
                      ) -> Generator[Any, Any, Optional[Message]]:

@@ -276,16 +276,11 @@ class DataServer:
                 del self._reads[t]
 
     def _commit_child(self, msg: Message) -> None:
-        child = msg.body["tid"]
-        parent = child.parent
-        if parent is None:
-            raise ValueError("commit_child for a top-level transaction")
-        self.locks.commit_child(child)
+        # LockManager.commit_child refuses a top-level TID.
+        self.locks.commit_child(msg.body["tid"])
         # The child's writes become the parent's for undo purposes: keep
         # the entries (they carry the child's TID, which remains a
         # descendant of every ancestor — subtree undo still finds them).
-        if msg.reply_to is not None:
-            self.fabric.reply(msg, msg.reply("commit_child_ok"))
 
     def _forget_family(self, family: str, keep_values: bool) -> None:
         for table in (self._writes, self._reads, self._max_update_lsn,

@@ -248,8 +248,6 @@ class TransactionManager:
             lock.release()
         self.tracer.record(self.kernel.now, "tranman.join",
                            site=self.site.name, tid=tid, server=server)
-        if msg.reply_to is not None:
-            self.fabric.reply(msg, msg.reply("join_ok"))
 
     def note_remote_site(self, tid: TID, remote: str) -> None:
         """ComMan spying, request direction."""
@@ -335,8 +333,11 @@ class TransactionManager:
                 self.fabric.reply(msg, msg.reply(
                     "abort_failed", reason="replication phase begun"))
                 return
-            self._pending_calls.setdefault(tid, msg)
+            # The commit call is the family's pending call and hears the
+            # abort through it; this call is answered once it has run.
             yield from self.interp.run(machine, effects)
+            self.fabric.reply(msg, msg.reply("commit_aborted",
+                                             outcome=Outcome.ABORTED))
             return
         if not tid.is_top_level:
             self.stats["nested_aborted"] += 1

@@ -33,12 +33,3 @@ class RngStreams:
             rng = random.Random(_derive_seed(self.master_seed, name))
             self._streams[name] = rng  # lint: bounded(one entry per stream name)
         return rng
-
-    def uniform(self, name: str, lo: float, hi: float) -> float:
-        return self.stream(name).uniform(lo, hi)
-
-    def expovariate(self, name: str, rate: float) -> float:
-        return self.stream(name).expovariate(rate)
-
-    def gauss(self, name: str, mu: float, sigma: float) -> float:
-        return self.stream(name).gauss(mu, sigma)

@@ -53,14 +53,17 @@ def test_participant_aborts_acks_and_forwards_unknown_sites():
     participant = AbortParticipant("b")
     msg = FamilyAbort(tid=TID1, sender="a", known_sites=("a", "b"))
     host = MachineHost(machine=None)
-    host.execute(participant.on_abort(msg, locally_known_sites=["c", "d"]))
+    # Eight unknown sites: a set of them iterates out of sorted order
+    # under every hash seed 0-9, so the forwards' order is checked too.
+    unknown = ["j", "i", "h", "g", "f", "e", "d", "c"]
+    host.execute(participant.on_abort(msg, locally_known_sites=unknown))
     assert host.local_aborts == [TID1]
     acks = [d for d, m in host.sent if isinstance(m, FamilyAbortAck)]
     assert acks == ["a"]
-    forwards = sorted(d for d, m in host.sent if isinstance(m, FamilyAbort))
-    assert forwards == ["c", "d"]
+    forwards = [d for d, m in host.sent if isinstance(m, FamilyAbort)]
+    assert forwards == sorted(unknown)
     forwarded = [m for _, m in host.sent if isinstance(m, FamilyAbort)][0]
-    assert set(forwarded.known_sites) == {"a", "b", "c", "d"}
+    assert set(forwarded.known_sites) == {"a", "b", *unknown}
 
 
 def test_participant_does_not_forward_already_known_sites():

@@ -10,6 +10,7 @@ from repro import (
     TID,
     TransactionAborted,
 )
+from repro.servers.application import TxnRecord
 
 
 @pytest.fixture
@@ -114,3 +115,21 @@ def test_protocol_default_from_begin(system):
 
     tid, outcome = system.run_process(workload())
     assert outcome is Outcome.COMMITTED
+
+
+def test_unfinished_record_has_no_latency():
+    record = TxnRecord(tid=TID("T1@a"), began_at=1.0, commit_called_at=2.0)
+    assert record.latency_ms is None and record.commit_latency_ms is None
+
+
+def test_streaming_mode_forgets_an_aborted_transaction(system):
+    app = system.application("a")
+    app.keep_history = False
+
+    def workload():
+        tid = yield from app.begin()
+        yield from app.write(tid, "server0@a", "x", 1)
+        yield from app.abort(tid)
+
+    system.run_process(workload())
+    assert app.aborted == 1 and not app._records and not app.history

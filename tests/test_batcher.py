@@ -2,6 +2,8 @@
 
 from functools import partial
 
+import pytest
+
 from repro.config import rt_pc_profile
 from repro.log.batcher import GroupCommitBatcher
 from repro.log.disk import DiskModel
@@ -136,3 +138,8 @@ def test_records_appended_during_round_still_covered():
     Process(k, late())
     k.run()
     assert dict(done) == {"early": True, "late": True}
+
+
+def test_a_batch_limit_below_one_is_refused():
+    with pytest.raises(ValueError):
+        build(limit=0)

@@ -110,3 +110,23 @@ def test_loopback_to_a_site_that_crashes_in_the_same_instant_is_dropped():
     system.run_for(100.0)
     assert system.runtime("a").dgram.received == 1
     assert tranman.pool.handled == 0
+
+
+def test_multicast_to_self_only_goes_no_further():
+    k, lan, svc = build()
+    svc["s0"].multicast(["s0"], "m")
+    k.run()
+    assert drain(svc["s0"]) == ["m"]
+    assert svc["s0"].sent == 0 and lan.delivered == 0
+    assert lan.tracer.of_kind("net.multicast") == []   # no empty send
+
+
+def test_arrival_with_no_endpoint_is_dropped_and_traced():
+    k, lan, svc = build()
+    tracer = svc["s0"].tracer
+    svc["s0"].send("s1", "m")
+    del svc["s0"].peers["s1"]        # the site went away mid-flight
+    k.run()
+    assert drain(svc["s1"]) == [] and svc["s1"].received == 0
+    assert [e.site for e in tracer.of_kind("net.no_endpoint")] == \
+        ["s1"]

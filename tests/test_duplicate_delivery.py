@@ -210,6 +210,20 @@ def test_live_host_answers_a_retransmitted_prepare_again():
     assert hosts["beta"].duplicates == 0
 
 
+def test_a_stopped_host_takes_no_vote_from_a_pending_prepare_delay():
+    """The data-server round (a timer on the substrate, not one of the
+    interpreter's) can outlive its host: once stopped, it votes nothing."""
+    kernel, hosts, transcript = build_sim_cluster(["alpha", "beta"],
+                                                  conformance_cost())
+    hosts["beta"].deliver("alpha", PrepareRequest(tid=TID("T9@alpha"),
+                                                  sender="alpha"))
+    kernel.run(until=1.0)
+    hosts["beta"].stop()
+    kernel.run(until=200.0)
+    assert _types_sent(transcript, "beta->alpha") == []
+    assert hosts["beta"].substrate.tracer.counters["live.local_prepared"] == 0
+
+
 def test_live_host_answers_a_repeated_inquiry_again():
     kernel, hosts, transcript = build_sim_cluster(["alpha", "beta"],
                                                   conformance_cost())

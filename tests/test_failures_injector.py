@@ -163,3 +163,8 @@ def test_restart_runs_recovery_and_new_ports(system):
     assert old_port.dead
     system.run_for(1_000.0)
     assert system.server("server0@a").peek("x") == 1
+
+
+def test_duplication_probability_must_be_below_one(system):
+    with pytest.raises(ValueError):
+        system.failures.set_duplication(1.0)

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro import CamelotSystem, Outcome, SystemConfig, TwoPhaseVariant
+from repro import (
+    CamelotSystem,
+    Outcome,
+    SystemConfig,
+    TransactionAborted,
+    TwoPhaseVariant,
+)
 from repro.sim.process import Sleep
 
 
@@ -213,3 +219,47 @@ def test_decided_bookkeeping_is_kept_for_one_retention_window(system):
     assert recent <= read_only <= window
     assert first not in read_only and last in read_only
     assert len(window) < len(done) / 2
+
+
+@pytest.mark.parametrize("when", ["voting", "decided"])
+def test_abort_racing_a_running_commit(system, when):
+    """An abort-transaction call that lands while the family's commit
+    machine runs: before the decision it aborts the machine, and the
+    commit reports the abort; after the decision the abort loses."""
+    app, tm = system.application("a"), system.tranman("a")
+    seen = {}
+
+    def committer():
+        tid = seen["tid"] = yield from app.begin()
+        yield from app.write(tid, "server0@a", "x", 1)
+        yield from app.write(tid, "server0@b", "x", 1)
+        try:
+            seen["commit"] = yield from app.commit(tid)
+        except TransactionAborted as exc:
+            seen["commit"] = exc.reason
+
+    def aborter():
+        while True:
+            machine = tm.machines.get(seen.get("tid"))
+            if machine is not None and \
+                    (machine.outcome is None) == (when == "voting"):
+                break
+            yield Sleep(0.1)
+        try:
+            seen["abort"] = yield from app.abort(seen["tid"])
+        except TransactionAborted as exc:
+            seen["abort"] = exc.reason
+
+    system.spawn(committer(), "committer")
+    system.spawn(aborter(), "aborter")
+    system.run_for(60_000.0)
+    if when == "voting":
+        assert (seen["commit"], seen["abort"]) == (Outcome.ABORTED,
+                                                   Outcome.ABORTED)
+        assert (app.committed_count(), app.aborted) == (0, 1)
+        assert system.server("server0@b").peek("x") is None
+    else:
+        assert (seen["commit"], seen["abort"]) == (Outcome.COMMITTED,
+                                                   "already decided")
+        assert (app.committed_count(), app.aborted) == (1, 0)
+        assert system.server("server0@b").peek("x") == 1

@@ -5,6 +5,7 @@ These are the scenarios the non-blocking protocol exists for (paper
 able to decide, where two-phase commit blocks.
 """
 
+import inspect
 
 from repro import CamelotSystem, Outcome, ProtocolKind, SystemConfig
 
@@ -266,3 +267,36 @@ def test_2pc_subordinate_crash_in_delayed_commit_window_recovers_commit():
     assert not locks_held(system, "b")
     assert system.tracer.count("2pc.heuristic_resolve") == 0
     assert system.tracer.count("2pc.heuristic_damage") == 0
+
+
+def test_a_crash_mid_prepare_kills_the_vote_request_and_aborts():
+    """A subordinate site crashes while its TranMan waits on its data
+    server's prepare vote: the vote request dies with the site (the kill
+    is not an error to turn into a NO vote) and the coordinator aborts."""
+    system = CamelotSystem(SystemConfig(sites={"a": 1, "b": 1}))
+    app = system.application("a")
+    seen = {}
+
+    def workload():
+        tid = yield from app.begin()
+        yield from app.write(tid, "server0@a", "x", 1)
+        yield from app.write(tid, "server0@b", "x", 1)
+        seen["outcome"] = yield from app.commit(tid)
+
+    system.spawn(workload())
+    site_b = system.runtime("b").site
+
+    def asking():
+        return [p for p in site_b.processes
+                if p.alive and "tranman.prep" in p.name
+                and inspect.getgeneratorstate(p._gen) == "GEN_SUSPENDED"]
+
+    for _ in range(100_000):
+        if asking():
+            break
+        system.kernel.step()
+    else:
+        raise AssertionError("b never asked its server for a vote")
+    system.crash_site("b")
+    system.run_for(120_000.0)
+    assert seen["outcome"] is Outcome.ABORTED

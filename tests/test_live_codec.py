@@ -789,6 +789,66 @@ class TestLiveSiteDropsGarbage:
         assert "7" not in peers and 7 not in peers
         assert connections == 1
 
+    def test_a_frame_without_messages_is_an_envelope_drop(self, tmp_path):
+        """A message frame must carry a ``src`` and a non-empty ``msgs``
+        list; one that does not is one ``envelope`` drop, nothing
+        delivered, and the site keeps serving."""
+        import asyncio
+        from repro.live.site import LiveSite
+
+        async def scenario():
+            site = LiveSite("alpha", str(tmp_path))
+            await site.start()
+            _, writer = await asyncio.open_connection("127.0.0.1", site.port)
+            writer.write(encode_frame(KIND_MESSAGE, {"src": "beta"}))
+            await writer.drain()
+            for _ in range(200):
+                if site.drop_counts()["total"]:
+                    break
+                await asyncio.sleep(0.01)
+            drops, machines = site.drop_counts(), dict(site.host.machines)
+            writer.close()
+            await site.stop()
+            return drops, machines
+
+        drops, machines = asyncio.run(scenario())
+        assert drops == {"envelope": 1, "total": 1} and machines == {}
+
+    def test_a_peer_that_never_listens_is_one_dead_drop(self, tmp_path,
+                                                         monkeypatch):
+        """A send to a site that never publishes a port: the connect task
+        gives up at its budget and drops what was queued, counted
+        ``dead`` per message (the LAN model's dead-site drop)."""
+        import asyncio
+        from repro.live import site as live_site
+
+        monkeypatch.setattr(live_site, "CONNECT_TIMEOUT_S", 0.2)
+        monkeypatch.setattr(live_site, "CONNECT_POLL_S", 0.02)
+
+        async def scenario():
+            site = live_site.LiveSite("alpha", str(tmp_path))
+            await site.start()
+            connect, attempts = site._connect, []
+
+            async def counted(dst):
+                attempts.append(dst)
+                return await connect(dst)
+
+            site._connect = counted
+            site.send("ghost", CommitAck(TID("T1@alpha"), "alpha"))
+            site.send("ghost", CommitAck(TID("T2@alpha"), "alpha"))
+            for _ in range(300):
+                if site.drop_counts()["total"]:
+                    break
+                await asyncio.sleep(0.01)
+            drops, held = site.drop_counts(), site._out_queues["ghost"].pending
+            await site.stop()
+            return drops, held, attempts
+
+        drops, held, attempts = asyncio.run(scenario())
+        assert drops == {"dead": 2, "total": 2} and held == 0
+        assert attempts == ["ghost"]      # one connect budget, not two
+
     def test_a_version_1_frame_is_a_counted_drop(self, tmp_path):
         """A peer that still sends one message per frame (version 1, a
         ``"msg"`` envelope) is refused at the header: one ``version``
@@ -877,3 +937,37 @@ class TestLiveSiteDropsGarbage:
         assert len(payloads) >= 2 and max(payloads) <= MAX_PAYLOAD
         assert delivered == [("alpha", ack) for ack in acks]
         assert drops == [{"total": 0}, {"total": 0}]
+
+
+class TestSitePlumbing:
+    """The two guards of ``live/site.py`` no socket run reaches on cue."""
+
+    def test_a_stopped_delay_line_takes_nothing(self):
+        from repro.live.site import _DelayLine
+
+        ran = []
+        line = _DelayLine(0.0, on_error=ran.append, after=lambda: None)
+        line.stop()
+        line.put(lambda: ran.append("ran"))
+        assert line.pending == 0 and ran == []
+
+    def test_a_write_that_kills_the_connection_keeps_the_backlog(self):
+        """``transport.write`` can find the peer gone and close: the
+        outbox reports it and keeps its texts for the reconnect."""
+        from repro.live.site import _Outbox
+
+        class Dying:
+            closing = False
+
+            def is_closing(self):
+                return self.closing
+
+            def write(self, data):
+                self.closing = True
+
+        outbox = _Outbox()
+        outbox.transport = Dying()
+        text = message_text(CommitAck(TID("T1@alpha"), "alpha"))
+        outbox.texts, outbox.size = [text], len(text) + 1
+        assert not outbox.write("alpha", message_room("alpha"))
+        assert outbox.texts == [text]

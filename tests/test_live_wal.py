@@ -224,6 +224,27 @@ class TestReopenAndTornTails:
         open(path, "wb").write(bytes(data))
         assert [r.kind for r in read_records(path)] == [RecordKind.PREPARE]
 
+    @pytest.mark.parametrize("body", [b"not json", b'{"kind": "prepare"}'])
+    def test_a_checksummed_record_that_does_not_parse_stops_the_scan(
+            self, tmp_path, body):
+        """A frame whose CRC holds but whose body is not a record (bad
+        JSON, a missing field) ends the durable prefix like a torn one:
+        a good record after it is not read."""
+        wal = _wal(tmp_path)
+        wal.append(prepare_record("T1@a", "b", coordinator="a"))
+        wal.force(None)
+        wal.close()
+        path = str(tmp_path / "site.wal")
+        after = record_json(commit_record("T1@a", "b")).encode()
+        with open(path, "ab") as fh:
+            for data in (body, after):
+                fh.write(struct.pack(">II", len(data), zlib.crc32(data))
+                         + data)
+        assert [r.kind for r in read_records(path)] == [RecordKind.PREPARE]
+
+    def test_a_missing_file_holds_no_records(self, tmp_path):
+        assert read_records(str(tmp_path / "never-written.wal")) == []
+
     def _forced_file(self, tmp_path):
         wal = _wal(tmp_path)
         wal.append(prepare_record("T1@a", "b", coordinator="a"))

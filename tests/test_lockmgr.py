@@ -187,3 +187,31 @@ def test_lock_table_invariants_under_random_ops(ops):
                         continue
                     assert (a.is_ancestor_of(b) or b.is_ancestor_of(a)), \
                         f"unrelated conflict on {o}: {a} vs {b}"
+
+
+def test_unknown_objects_are_free_and_unheld():
+    lm = LockManager()
+    assert lm.can_grant("x", T1, LockMode.WRITE)
+    assert not lm.holds("x", T1)
+    assert not lm.cancel_wait("x", T1)
+
+
+def test_holder_re_request_is_granted_while_its_child_reads():
+    """A parent re-requesting the write lock it holds while its child
+    reads is granted at once (the child is not its ancestor, so the
+    request is not compatible, yet the parent already holds it)."""
+    lm = LockManager()
+    assert lm.acquire("x", T1, LockMode.WRITE)
+    assert lm.acquire("x", C1, LockMode.READ)
+    grants = lm.grants
+    assert lm.acquire("x", T1, LockMode.WRITE)
+    assert lm.grants == grants + 1 and lm.holds("x", T1, LockMode.WRITE)
+
+
+def test_child_write_upgrades_a_parent_read_retention():
+    lm = LockManager()
+    assert lm.acquire("x", C1, LockMode.READ)
+    lm.commit_child(C1)                    # T1 retains READ
+    assert lm.acquire("x", C2, LockMode.WRITE)
+    lm.commit_child(C2)                    # ... and now WRITE
+    assert not lm.can_grant("x", T2, LockMode.READ)

@@ -149,3 +149,23 @@ def test_reply_to_crashed_caller_dropped():
     Process(k, client())
     k.run()
     assert got == []  # caller never resumed
+
+
+def test_reply_without_a_reply_handle_is_refused():
+    k = Kernel()
+    with pytest.raises(ValueError):
+        make_fabric(k).reply(Message(kind="oneway"), Message(kind="ok"))
+
+
+def test_a_port_name_is_created_once_per_site():
+    site = Site(Kernel(), "a", rt_pc_profile())
+    site.create_port("p")
+    with pytest.raises(ValueError):
+        site.create_port("p")
+
+
+def test_restarting_a_live_site_changes_nothing():
+    site = Site(Kernel(), "a", rt_pc_profile())
+    port = site.create_port("p")
+    site.restart()
+    assert site.alive and site.ports == {"p": port} and not port.dead

@@ -45,20 +45,6 @@ def test_directory_register_lookup():
         directory.lookup("nothing-registered")
 
 
-def test_lookup_charges_local_rpc():
-    k, sites, nms, directory, fabric = build_pair()
-    port = sites["a"].create_port("svc")
-    directory.register("svc", "a", port)
-
-    def body():
-        result = yield from nms["a"].lookup("svc")
-        return (result, k.now)
-
-    proc = Process(k, body())
-    k.run()
-    assert proc.done.value == (("a", port), 3.0)
-
-
 def test_remote_rpc_round_trip_is_paper_19_1ms():
     k, sites, nms, directory, fabric = build_pair()
     port = sites["b"].create_port("svc")
@@ -95,6 +81,24 @@ def test_remote_rpc_timeout_on_dead_destination():
     k.run()
     assert proc.done.value is None
     assert k.now >= 100.0
+
+
+def test_remote_rpc_to_a_destroyed_port_is_dropped_at_arrival():
+    """The site is up but the port died (its server was torn down): the
+    request is dropped where it lands, traced, and the caller times out."""
+    k, sites, nms, directory, fabric = build_pair()
+    port = sites["b"].create_port("svc")
+    port.destroy()
+
+    def client():
+        return (yield from nms["a"].remote_call("b", port,
+                                                Message(kind="ping"),
+                                                timeout=100.0))
+
+    proc = Process(k, client())
+    k.run()
+    assert proc.done.value is None
+    assert [s.site for s in nms["b"].tracer.of_kind("nms.dead_port")] == ["b"]
 
 
 def test_call_service_local_is_plain_ipc():

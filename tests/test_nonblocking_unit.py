@@ -16,6 +16,7 @@ from repro.core.messages import (
 )
 from repro.core.nonblocking import (
     NB_OUTCOME_TIMER,
+    NB_PREPARE_FORCE,
     NB_REPL_TIMER,
     NB_TAKEOVER_TIMER,
     NB_VOTE_TIMER,
@@ -130,6 +131,20 @@ def test_subordinate_two_forces_on_path():
     assert host.local_commits == [TID1]
     assert host.written_kinds() == ["commit"]  # lazy
     assert host.forgotten == [TID1]
+
+
+def test_yes_vote_leaves_only_after_the_prepare_force():
+    """A YES vote promises the prepare record is durable: the vote is not
+    among the effects that ask for the force, only among those of its
+    completion."""
+    host = subordinate()
+    host.local_prepared(Vote.YES)
+    assert host.forced_kinds() == ["prepare"]
+    assert host.pending_forces == [NB_PREPARE_FORCE]
+    assert host.sent == []
+    host.complete_force(NB_PREPARE_FORCE)
+    assert [(d, type(m).__name__, m.vote) for d, m in host.sent] == \
+        [("a", "NbVote", Vote.YES)]
 
 
 def test_subordinate_prepare_record_carries_sites_and_quorum():
@@ -454,3 +469,78 @@ def test_already_pledged_coordinator_aborts_before_preparing():
     assert host.local_aborts == [TID1]
     assert "prepare" not in host.forced_kinds()
     assert not any(isinstance(m, NbPrepare) for _, m in host.sent)
+
+
+def test_coordinator_local_no_vote_aborts():
+    host = coordinator()
+    host.local_prepared(Vote.NO)
+    assert host.completions == [Outcome.ABORTED]
+    assert [d for d, m in host.sent if isinstance(m, NbOutcome)] == ["b", "c"]
+
+
+def test_coordinator_quorum_must_fit_its_sites():
+    with pytest.raises(ValueError):
+        NbCoordinator(TID1, "a", ["b"], quorum=Q3)
+
+
+def test_coordinator_before_its_vote_reports_no_state():
+    host = coordinator()
+    host.deliver(NbStateRequest(tid=TID1, sender="b", round=2))
+    (report,) = [m for _, m in host.sent if isinstance(m, NbStateReport)]
+    assert (report.status, report.round) == ("no_state", 2)
+
+
+def test_takeover_resuming_a_logged_abort_renotifies():
+    host = takeover(own_status="aborted")
+    outcomes = [(d, m.outcome) for d, m in host.sent
+                if isinstance(m, NbOutcome)]
+    assert outcomes == [("a", Outcome.ABORTED), ("c", Outcome.ABORTED)]
+
+
+def test_takeover_counts_reported_pledges_toward_abort():
+    host = takeover(own_status="abort_pledged")
+    host.deliver(NbStateReport(tid=TID1, sender="c", status="abort_pledged"))
+    assert host.machine.outcome is None       # a report still missing
+    host.deliver(NbStateReport(tid=TID1, sender="a", status="prepared"))
+    assert host.machine.outcome is Outcome.ABORTED
+    assert host.forced == []                  # both pledges were there
+
+
+def test_takeover_own_promotion_short_of_the_quorum_waits():
+    quorum = QuorumSpec(n_sites=3, commit_quorum=3, abort_quorum=1)
+    host = takeover(quorum=quorum)
+    host.deliver(NbStateReport(tid=TID1, sender="a", status="replicated",
+                               decision_data=decision_data()))
+    host.deliver(NbStateReport(tid=TID1, sender="c", status="prepared"))
+    assert host.forced_kinds() == ["replication"]
+    host.complete_force()
+    assert host.machine.outcome is None and host.sent_kinds()[-1] == \
+        "NbReplicate"
+
+
+def test_coordinator_adopts_a_takeover_commit_post_replication():
+    host = coordinator()
+    host.local_prepared(Vote.YES)
+    host.complete_force()
+    host.deliver(NbVote(tid=TID1, sender="b", vote=Vote.YES))
+    host.deliver(NbVote(tid=TID1, sender="c", vote=Vote.YES))
+    host.complete_force()
+    host.deliver(NbOutcome(tid=TID1, sender="b", outcome=Outcome.COMMITTED))
+    assert host.completions == [Outcome.COMMITTED]
+    assert host.local_commits == [TID1] and host.forgotten == [TID1]
+    assert host.written_kinds() == ["commit"]
+
+
+def test_takeover_commits_on_refused_pledges_at_the_next_evaluation():
+    """Pledge refusals are replication evidence: once they make a
+    commit quorum, the next round's evaluation commits."""
+    host = takeover()
+    host.deliver(NbStateReport(tid=TID1, sender="a", status="prepared"))
+    host.deliver(NbStateReport(tid=TID1, sender="c", status="no_state"))
+    assert host.forced_kinds() == ["abort_pledge"]      # pledging
+    for site in ("a", "c"):
+        host.deliver(NbAbortJoinAck(tid=TID1, sender=site, ok=False))
+    assert host.machine.outcome is None
+    host.fire_timer(NB_TAKEOVER_TIMER)                  # a new round
+    host.fire_timer(NB_TAKEOVER_TIMER)                  # nobody answered
+    assert host.machine.outcome is Outcome.COMMITTED

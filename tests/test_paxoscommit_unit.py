@@ -16,6 +16,7 @@ from repro.core.messages import (
     PcOutcome,
     PcOutcomeAck,
     PcP1a,
+    PcP2a,
     PcPhase2b,
     PcPrepare,
     PcVote,
@@ -29,6 +30,8 @@ from repro.core.paxoscommit import (
     PC_OUTCOME_TIMER,
     PC_PREPARE_FORCE,
     PC_VOTE_TIMER,
+    PaxosAcceptor,
+    PcCandidate,
     PcLeader,
     PcLeaderState,
     PcParticipant,
@@ -561,3 +564,62 @@ def test_recovered_leader_resumes_notifications():
     host.deliver(PcOutcomeAck(TID1, "c"))
     assert host.written_kinds() == ["end"]
     assert host.forgotten == [TID1]
+
+
+def test_acceptor_refuses_a_lower_ballot():
+    acceptor = PaxosAcceptor("a", leader="a", sites=SITES3,
+                             acceptors=SITES3)
+    assert acceptor.promise(5)
+    assert not acceptor.promise(3)
+    assert not acceptor.accept_vector(4, [("b", "yes")])
+    assert acceptor.accept_vector(5, [("b", "yes")])
+
+
+def test_leader_local_no_vote_aborts():
+    host = f0_leader()
+    host.local_prepared(Vote.NO)
+    assert host.machine.outcome is Outcome.ABORTED
+    assert [(d, m.outcome) for d, m in host.sent
+            if isinstance(m, PcOutcome)] == [("b", Outcome.ABORTED)]
+
+
+def test_candidate_started_twice_is_a_violation():
+    candidate = PcCandidate(TID1, "b", SITES3, SITES3, Q3)
+    candidate.start()
+    with pytest.raises(PcProtocolViolation):
+        candidate.start()
+
+
+def test_resumed_decision_without_update_subordinates_tells_every_site():
+    candidate = PcCandidate.resume_decision(TID1, "a", [], SITES3, SITES3)
+    host = MachineHost(candidate).start()
+    assert [(d, m.outcome) for d, m in host.sent
+            if isinstance(m, PcOutcome)] == \
+        [(s, Outcome.COMMITTED) for s in SITES3]
+
+
+def test_decided_participant_answers_a_phase_2a_with_the_outcome():
+    host = f0_participant()
+    host.local_prepared(Vote.YES)
+    host.complete_force()
+    host.deliver(PcOutcome(TID1, "a", outcome=Outcome.COMMITTED))
+    before = len(host.sent)
+    host.deliver(PcP2a(TID1, "c", ballot=7))
+    assert [(d, type(m).__name__, m.outcome) for d, m in host.sent[before:]] \
+        == [("c", "PcOutcome", Outcome.COMMITTED)]
+
+
+def test_acceptor_nacks_a_phase_2a_below_its_promise():
+    host = MachineHost(PcParticipant(TID1, "b", "a", SITES3, SITES3,
+                                     Q3)).start()
+    host.local_prepared(Vote.YES)
+    host.complete_force(PC_PREPARE_FORCE)
+    host.deliver(PcP1a(TID1, "c", ballot=6, leader="c",
+                       sites=tuple(SITES3), acceptors=tuple(SITES3)))
+    host.complete_force(PC_ACCEPT_FORCE)
+    before = len(host.sent)
+    host.deliver(PcP2a(TID1, "a", ballot=3, values=(("b", "yes"),)))
+    [(dst, nack)] = host.sent[before:]
+    assert dst == "a" and type(nack).__name__ == "PcP1b"
+    assert (nack.ballot, nack.promised) == (3, 6)
+    assert host.pending_forces == []          # nothing accepted

@@ -34,8 +34,13 @@ from repro.core.messages import (
     PcVote,
     TxnInquiry,
 )
-from repro.core.nonblocking import NbCoordinator
-from repro.core.outcomes import Outcome, ProtocolKind, TwoPhaseVariant
+from repro.core.nonblocking import (
+    NB_PREPARE_FORCE,
+    NB_TAKEOVER_TIMER,
+    NbCoordinator,
+    NbSubordinate,
+)
+from repro.core.outcomes import Outcome, ProtocolKind, TwoPhaseVariant, Vote
 from repro.core.quorum import QuorumSpec
 from repro.core.tid import TID
 from repro.live.host import SiteHost
@@ -295,6 +300,38 @@ class TestNeverBothQuorums:
         assert not steps and T not in edge.machines  # no helper
         (dst, ack), = replies
         assert dst == PEER and isinstance(ack, NbReplicateAck) and not ack.ok
+
+    @pytest.mark.parametrize("late", ["replicate", "abort_join"])
+    def test_takeover_hears_its_own_site_join_a_quorum(self, late):
+        """A participant that joins a quorum after its site's takeover
+        started (a late NbReplicate, or another takeover's NbAbortJoin)
+        binds that takeover too: it neither pledges a replicated site nor
+        promotes a pledged one.  Unbound, it pledged a site holding a
+        replication record while the coordinator committed on it (the
+        protocol fuzz's split)."""
+        edge = make_edge()
+        sub = NbSubordinate(T, SITE, PEER, SITES, QuorumSpec.majority(3))
+        edge.machines[T] = sub
+        sub.start()
+        sub.on_local_prepared(Vote.YES)
+        sub.on_log_forced(NB_PREPARE_FORCE)
+        (takeover, start), = edge.start_takeover(T)
+        start()
+        assert takeover.reports[SITE] == "prepared"
+        (force,) = [e for e in sub.on_message(make(
+            NbReplicate if late == "replicate" else NbAbortJoin))
+            if isinstance(e, ForceLog)]
+        note = edge.note_membership(force.record)   # on append
+        assert note is not None
+        joined = "replicated" if late == "replicate" else "abort_pledged"
+        assert takeover.reports[SITE] == joined
+        # The one peer that answers could complete the other quorum.
+        peer = ("prepared" if late == "replicate" else "replicated")
+        takeover.on_message(NbStateReport(
+            tid=T, sender="c", status=peer, round=takeover.round,
+            decision_data=make(NbReplicate).decision_data))
+        effects = takeover.on_timer(NB_TAKEOVER_TIMER)
+        assert not [e for e in effects if isinstance(e, ForceLog)]
 
     def test_second_abort_join_is_acked_only_after_the_force(self):
         edge, pledge, force = self._pledging_edge()

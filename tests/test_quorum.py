@@ -114,3 +114,9 @@ def test_no_split_brain_property(n, data):
     replicated = data.draw(st.integers(min_value=0, max_value=n))
     pledged = data.draw(st.integers(min_value=0, max_value=n - replicated))
     assert not (spec.can_commit(replicated) and spec.can_abort(pledged))
+
+
+@pytest.mark.parametrize("abort_quorum", [0, 4])
+def test_abort_quorum_out_of_range_is_refused(abort_quorum):
+    with pytest.raises(ValueError):
+        QuorumSpec(n_sites=3, commit_quorum=2, abort_quorum=abort_quorum)

@@ -1,5 +1,6 @@
 """Recovery: pure log analysis plus crash/restart integration."""
 
+import pytest
 
 from repro import CamelotSystem, Outcome, ProtocolKind, SystemConfig, TID
 from repro.core.quorum import QuorumSpec
@@ -375,3 +376,33 @@ def test_wal_protocol_enforced_after_restart():
         system.restart_site("a")
     system.run_for(2_000.0)
     assert system.server("server0@a").peek("x") == 2
+
+
+def test_a_logged_top_level_abort_is_an_abort_tombstone():
+    records = with_lsns([update_record("T1@a", "a", "s0", "x", None, 5),
+                         abort_record("T1@a", "a")])
+    plan = analyze("a", records)
+    assert plan.tombstones == {"T1@a": Outcome.ABORTED}
+
+
+@pytest.mark.parametrize("ending", [commit_record, abort_record, end_record])
+def test_a_resolved_pure_acceptor_record_is_not_in_doubt(ending):
+    records = with_lsns([
+        paxos_acceptor_record("T1@a", "c", 0, [["b", 0, "yes"]], leader="a",
+                              sites=["a", "b", "c"],
+                              acceptors=["a", "b", "c"]),
+        ending("T1@a", "c"),
+    ])
+    assert analyze("c", records).in_doubt == []
+
+
+def test_nb_pledged_in_doubt_rebuilds_a_pledged_participant():
+    records = with_lsns([
+        prepare_record("T1@a", "b", "a", sites=["a", "b"]),
+        abort_pledge_record("T1@a", "b"),
+    ])
+    (sub, _), (takeover, _) = build_machines(analyze("b", records), "b")
+    assert sub.state.value == "pledged"
+    assert takeover.reports["b"] == "abort_pledged"
+    # No quorum in the prepare record: majority over its sites.
+    assert (sub.quorum.commit_quorum, sub.quorum.abort_quorum) == (2, 1)

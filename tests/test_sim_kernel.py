@@ -379,3 +379,12 @@ def test_monitor_hook_sees_every_event_without_reordering():
     assert len(mon.fired) == 4              # cancelled timer never fires
     times = [t for t, _ in mon.fired]
     assert times == sorted(times)
+
+
+def test_a_spent_budget_with_only_cancelled_entries_left_is_no_livelock():
+    k = Kernel()
+    fired = []
+    k.schedule(1.0, fired.append, "a")
+    k.schedule(2.0, fired.append, "b").cancel()
+    k.run(max_events=1)
+    assert fired == ["a"] and k.pending == 0 and k.heap_size == 0

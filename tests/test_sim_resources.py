@@ -245,3 +245,17 @@ def test_semaphore_unit_handed_to_a_killed_waiter_comes_back():
     Process(k, waiter("next"))
     k.run()
     assert got == ["next"] and sem.value == 0
+
+
+def test_channel_put_front_hands_a_waiting_getter_the_item():
+    k = Kernel()
+    chan = Channel(k)
+
+    def getter():
+        return (yield from chan.get())
+
+    proc = Process(k, getter())
+    k.run()
+    chan.put_front("a")   # the getter is waiting: it takes the item
+    k.run()
+    assert proc.done.value == "a" and chan.drain() == []

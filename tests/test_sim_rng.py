@@ -31,11 +31,3 @@ def test_different_seeds_different_sequences():
 def test_stream_is_cached():
     rngs = RngStreams(0)
     assert rngs.stream("x") is rngs.stream("x")
-
-
-def test_helpers_draw_from_named_streams():
-    rngs = RngStreams(3)
-    value = rngs.uniform("u", 5.0, 6.0)
-    assert 5.0 <= value <= 6.0
-    assert rngs.expovariate("e", 2.0) > 0
-    __ = rngs.gauss("g", 0.0, 1.0)

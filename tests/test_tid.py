@@ -10,7 +10,6 @@ from repro.core.tid import TID, TidGenerator
 def test_top_level_properties():
     tid = TID("T1@a")
     assert tid.is_top_level
-    assert tid.depth == 0
     assert tid.parent is None
     assert tid.top_level == tid
 
@@ -18,7 +17,6 @@ def test_top_level_properties():
 def test_child_and_parent():
     tid = TID("T1@a").child(1).child(2)
     assert str(tid) == "T1@a:1.2"
-    assert tid.depth == 2
     assert str(tid.parent) == "T1@a:1"
     assert tid.top_level == TID("T1@a")
 
@@ -26,12 +24,6 @@ def test_child_and_parent():
 def test_child_indices_start_at_one():
     with pytest.raises(ValueError):
         TID("T1@a").child(0)
-
-
-def test_ancestors_nearest_first():
-    tid = TID("T1@a", (1, 2, 3))
-    assert [str(t) for t in tid.ancestors()] == \
-        ["T1@a:1.2", "T1@a:1", "T1@a"]
 
 
 def test_ancestor_descendant_relations():

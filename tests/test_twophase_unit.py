@@ -14,6 +14,7 @@ from repro.core.messages import (
 from repro.core.outcomes import Outcome, TwoPhaseVariant, Vote
 from repro.core.tid import TID
 from repro.core.twophase import (
+    ACK_TIMER,
     ProtocolViolation,
     SubordinateState,
     TwoPhaseCoordinator,
@@ -265,6 +266,24 @@ def test_duplicate_ack_ignored():
     host.deliver(CommitAck(tid=TID1, sender="b"))
     host.deliver(CommitAck(tid=TID1, sender="b"))
     assert host.forgotten == []  # still missing c
+
+
+@pytest.mark.parametrize("ending", ["last ack", "aborted"])
+def test_ack_timer_outside_committed_does_nothing(ending):
+    """The ack-timer retry belongs to COMMITTED alone: a late expiry after
+    the last ack (DONE) or after an abort neither resends the notice nor
+    re-arms itself."""
+    host = coordinator(subs=("b",))
+    host.local_prepared(Vote.YES)
+    if ending == "last ack":
+        host.deliver(VoteResponse(tid=TID1, sender="b", vote=Vote.YES))
+        host.complete_force()
+        host.deliver(CommitAck(tid=TID1, sender="b"))
+        assert host.forgotten == [TID1]
+    else:
+        host.deliver(VoteResponse(tid=TID1, sender="b", vote=Vote.NO))
+        assert host.completions == [Outcome.ABORTED]
+    assert host.machine.on_timer(ACK_TIMER) == []
 
 
 # --------------------------------------------------- blocking window

@@ -26,6 +26,11 @@ def build_wal(site="a"):
 # ------------------------------------------------------- stable store
 
 
+def test_an_empty_store_has_no_lsns():
+    store = StableStore("a")
+    assert (store.first_lsn(), store.last_lsn()) == (0, 0)
+
+
 def test_store_requires_lsn():
     store = StableStore("a")
     with pytest.raises(ValueError):
