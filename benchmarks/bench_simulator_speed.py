@@ -163,9 +163,11 @@ def test_span_hook_calls_per_transaction_ceiling():
 def test_open_loop_events_per_transaction_ceiling():
     """A floor that guards work, not host speed: kernel events fired
     per committed transaction on ``perf``'s ``sim_openloop`` call.  The
-    count repeats to the digit on any host (20,134 events, 44.7 on this
-    tree; 20,406 while each arriving datagram took a second turn to wake
-    its TranMan thread; 20,418 while a deadline wait left its timer
+    count repeats to the digit on any host (18,452 events, 41.0 on this
+    tree; 20,134 while each local prepare round spawned a process per
+    server and joined them with ``all_of``, and a NetMsgServer RPC's
+    arrivals woke their waiters a turn late; 20,406 while each arriving
+    datagram took a second turn to wake its TranMan thread; 20,418 while a deadline wait left its timer
     armed after the event won — six of the call's 37 granted lock waits
     lived long enough for theirs to fire; 79.4 per transaction while the
     disk manager's daemons polled and every IPC delivery took a second
@@ -177,8 +179,8 @@ def test_open_loop_events_per_transaction_ceiling():
     fired = int(probes.counts()["events"])
     per_txn = fired / result.committed
     emit(f"open loop: {fired:,} kernel events for {result.committed} "
-         f"transactions, {per_txn:.1f} per transaction (ceiling 45)")
-    assert result.committed == 450 and per_txn <= 45
+         f"transactions, {per_txn:.1f} per transaction (ceiling 42)")
+    assert result.committed == 450 and per_txn <= 42
 
 
 def test_open_loop_throughput_and_memory():

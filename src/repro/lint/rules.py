@@ -58,12 +58,17 @@ def _set_annotated(ann: Optional[ast.AST]) -> bool:
 
 
 def _set_typed_names(tree: ast.AST) -> Tuple[Set[str], Set[str]]:
-    """(self attributes, plain names) annotated as sets anywhere in the
-    file: ``self.x: Set[str] = ...`` and ``dsts: Set[str]`` params."""
+    """(self attributes, plain names) typed as sets anywhere in the
+    file: ``self.x: Set[str] = ...``, ``dsts: Set[str]`` params, and a
+    plain name assigned a set expression (``todo = set(...) - done``)."""
     attrs: Set[str] = set()
     names: Set[str] = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.AnnAssign) and _set_annotated(node.annotation):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name) \
+                and _unordered_iterable(node.value, attrs, names):
+            names.add(node.targets[0].id)
+        elif isinstance(node, ast.AnnAssign) and _set_annotated(node.annotation):
             if isinstance(node.target, ast.Attribute) \
                     and isinstance(node.target.value, ast.Name) \
                     and node.target.value.id == "self":
@@ -285,10 +290,10 @@ _OBS_SIM_TYPE_NAMES = {
 # Calls that steer the simulation rather than read it.
 _OBS_STEERING_METHODS = {
     "post", "post_soon", "schedule", "spawn", "run", "run_for",
-    "run_until_idle", "run_process", "step", "send", "reply", "call",
-    "unicast", "multicast", "crash", "restart", "crash_site",
-    "restart_site", "trigger", "enqueue", "record", "attach_obs",
-    "partition", "heal", "force", "register_site",
+    "run_process", "step", "send", "reply", "call", "ask", "unicast",
+    "multicast", "crash", "restart", "crash_site", "restart_site",
+    "trigger", "enqueue", "record", "attach_obs", "partition", "heal",
+    "force", "register_site",
 }
 # Recorder writes flagged on any receiver: the sink is a Tracer too, and
 # its counters feed the perf digests.

@@ -20,7 +20,8 @@ two ``inline`` legs: request + reply.
 
 Replies travel on lightweight reply handles (:class:`ReplyHandle`), not
 full ports: the requester blocks on a one-shot event, the responder
-answers through :meth:`IpcFabric.reply`.
+answers through :meth:`IpcFabric.reply`, and the handle carries the
+flavour that answer is priced at.
 """
 
 from __future__ import annotations
@@ -38,13 +39,15 @@ FLAVOURS = ("inline", "oneway", "outofline", "immediate")
 
 
 class ReplyHandle:
-    """One-shot reply slot carried in ``Message.reply_to``."""
+    """One-shot reply slot carried in ``Message.reply_to``, with the
+    flavour its reply is priced at."""
 
-    __slots__ = ("event", "site")
+    __slots__ = ("event", "site", "flavour")
 
-    def __init__(self, kernel: Kernel, site: str):
+    def __init__(self, kernel: Kernel, site: str, flavour: str):
         self.event = SimEvent(kernel, name="reply", ignore_retrigger=True)
         self.site = site
+        self.flavour = flavour
 
 
 class IpcFabric:
@@ -57,18 +60,19 @@ class IpcFabric:
         # Map of site name -> Site (or anything with .alive); consulted at
         # delivery time so in-flight mail to a crashing site is lost.
         self.sites: Dict[str, Any] = {}
+        # The flavours whose price does not depend on the message.
+        self._fixed = {"inline": cost.local_ipc,
+                       "oneway": cost.local_oneway_message,
+                       "immediate": 0.0}
 
     # ------------------------------------------------------------ costs
 
     def latency_for(self, flavour: str, msg: Message) -> float:
-        if flavour == "inline":
-            return self.cost.local_ipc
-        if flavour == "oneway":
-            return self.cost.local_oneway_message
+        latency = self._fixed.get(flavour)
+        if latency is not None:
+            return latency
         if flavour == "outofline":
             return self.cost.local_outofline_ipc + self.cost.bcopy(msg.outofline_kb)
-        if flavour == "immediate":
-            return 0.0
         raise ValueError(f"unknown IPC flavour {flavour!r}")
 
     def _site_alive(self, site: str) -> bool:
@@ -99,6 +103,19 @@ class IpcFabric:
 
     # -------------------------------------------------------------- rpc
 
+    def ask(self, port: Port, msg: Message, flavour: str = "inline",
+            sender_site: Optional[str] = None,
+            reply_flavour: Optional[str] = None) -> ReplyHandle:
+        """The send half of :meth:`call`: send ``msg`` with a reply
+        handle and return the handle, whose ``event`` the caller waits
+        on.  A thread that asks several servers at once sends them all
+        before it waits on any."""
+        handle = ReplyHandle(self.kernel, sender_site or (msg.sender or port.site),
+                             reply_flavour or flavour)
+        msg.reply_to = handle
+        self.send(port, msg, flavour=flavour, sender_site=sender_site)
+        return handle
+
     def call(self, port: Port, msg: Message, flavour: str = "inline",
              sender_site: Optional[str] = None,
              reply_flavour: Optional[str] = None,
@@ -111,10 +128,7 @@ class IpcFabric:
         the call returns None when no reply arrives in time (dead
         server/port) instead of blocking forever.
         """
-        handle = ReplyHandle(self.kernel, sender_site or (msg.sender or port.site))
-        msg.reply_to = handle
-        msg.body.setdefault("_reply_flavour", reply_flavour or flavour)
-        self.send(port, msg, flavour=flavour, sender_site=sender_site)
+        handle = self.ask(port, msg, flavour, sender_site, reply_flavour)
         if timeout is None:
             response = yield handle.event
         else:
@@ -130,7 +144,7 @@ class IpcFabric:
         handle = request.reply_to
         if handle is None:
             raise ValueError(f"message {request!r} has no reply handle")
-        flavour = flavour or request.body.get("_reply_flavour", "inline")
+        flavour = flavour or handle.flavour
         latency = self.latency_for(flavour, response)
         now = self.kernel.now
         self.tracer.ipc(now, now + latency, flavour, handle.site, response)

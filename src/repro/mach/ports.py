@@ -28,10 +28,10 @@ class Port:
     :class:`~repro.mach.ipc.IpcFabric`, never call ``enqueue`` directly.
     (The fabric itself, having charged transfer latency, hands a live
     port's mail to ``queue.hand_off`` so the receiver runs in the
-    delivery's own kernel turn.)  The callers are the NetMsgServer and
-    the TranMan, whose request port also takes protocol messages
-    straight off the datagram layer, as themselves — with
-    ``queue.hand_off`` too, as the arrival callback's last act.
+    delivery's own kernel turn.)  So do the NetMsgServer, for a remote
+    request, and the TranMan, whose request port also takes protocol
+    messages straight off the datagram layer, as themselves: each hand
+    off is the last act of a datagram arrival's turn.
     """
 
     def __init__(self, kernel: Kernel, site: str, name: str = "port"):

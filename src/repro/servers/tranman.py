@@ -42,14 +42,13 @@ from repro.core.outcomes import Outcome, ProtocolKind, TwoPhaseVariant, Vote
 from repro.core.tid import TID, TidGenerator
 from repro.core.twophase import TwoPhaseSubordinate
 from repro.log.records import LogRecord
-from repro.mach.ipc import IpcFabric
+from repro.mach.ipc import IpcFabric, ReplyHandle
 from repro.mach.message import Message
 from repro.mach.site import Site
 from repro.mach.threads import CThreadsPool
 from repro.net.datagram import DatagramService
 from repro.servers.diskman import DiskManager
 from repro.servers.recovery import RecoveryPlan, build_machines
-from repro.sim.events import SimEvent, all_of
 from repro.sim.kernel import Kernel
 from repro.sim.process import Sleep
 from repro.sim.resources import SimLock
@@ -410,7 +409,9 @@ class TransactionManager:
 
     def local_prepare(self, machine: Any, effect: LocalPrepare
                       ) -> Generator[Any, Any, Vote]:
-        """The data-server round, awaited inline on this pool thread."""
+        """The data-server round, awaited inline on this pool thread:
+        every joined server is asked at once, and the round ends at the
+        last reply."""
         tid = effect.tid
         fam = self.families.family_of(tid)
         servers = sorted(fam.all_servers()) if fam is not None else []
@@ -418,35 +419,22 @@ class TransactionManager:
         if not servers:
             combined = Vote.READ_ONLY
         else:
-            events = []
+            asked: List[ReplyHandle] = []
             for name in servers:
                 server = self.servers.get(name)
                 if server is None:
                     votes.append(Vote.NO)
                     continue
-                done = SimEvent(self.kernel, name=f"prep.{name}")
-                events.append(done)
-                self.site.spawn(self._ask_server_vote(server, tid, done),
-                                f"tranman.prep.{name}")
-            if events:
-                votes.extend((yield all_of(self.kernel, events,
-                                           name="tranman.votes")))
+                asked.append(self.fabric.ask(
+                    server.port, Message(kind="prepare", body={"tid": tid}),
+                    sender_site=self.site.name))
+            for handle in asked:
+                votes.append((yield handle.event).body["vote"])
             combined = _combine_votes(votes)
         self.tracer.record(self.kernel.now, "tranman.local_prepared",
                            site=self.site.name, tid=tid,
                            vote=combined.value)
         return combined
-
-    def _ask_server_vote(self, server: Any, tid: TID,
-                         done: SimEvent) -> Generator[Any, Any, None]:
-        msg = Message(kind="prepare", body={"tid": tid})
-        try:
-            reply = yield from self.fabric.call(server.port, msg,
-                                                sender_site=self.site.name)
-        except Exception:
-            done.trigger(Vote.NO)
-            return
-        done.trigger(reply.body["vote"])
 
     def _tell_servers(self, tid: TID, kind: str) -> None:
         """One-way ``kind`` to every local server the family joined."""

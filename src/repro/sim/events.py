@@ -7,9 +7,10 @@ the kernel (not delivered inline), so waiters always resume in a fresh
 event-loop turn — the same discipline asyncio uses to avoid reentrancy
 surprises.  The one exception is :meth:`SimEvent.hand_off`, for a
 kernel callback that *is* a fresh turn and has nothing left to do in it
-(the IPC fabric's two delivery callbacks, and a datagram arriving at a
-TranMan): there the second turn advanced no clock and modelled no cost,
-and was one kernel event in seven of an open-loop run.
+(the IPC fabric's two delivery callbacks, a datagram arriving at a
+TranMan, and a NetMsgServer RPC's request and reply arrivals): there
+the second turn advanced no clock and modelled no cost, and was one
+kernel event in seven of an open-loop run.
 """
 
 from __future__ import annotations
@@ -69,42 +70,16 @@ class SimEvent:
         runs inside another process's step; a kernel callback that does
         nothing afterwards *is* a fresh turn, and the second one would
         advance no clock and model no cost.  Never call this from a
-        process step or with work still to do.  The three callers:
-        ``IpcFabric._deliver`` and ``_trigger_reply``, and a datagram's
-        arrival (``TransactionManager._take_datagram``).
+        process step or with work still to do.  The callers:
+        ``IpcFabric._deliver`` and ``_trigger_reply``, a datagram's
+        arrival (``TransactionManager._take_datagram``), and a
+        NetMsgServer RPC's request and reply arrivals
+        (``NetMsgServer._deliver_request``, ``_send_home``'s ``done``).
         """
         callbacks, self._callbacks = self._callbacks, []
         self.trigger(value)  # state and the retrigger rule; nobody left to post
         for fn in callbacks:
             fn(value)
-
-
-def all_of(kernel: Kernel, events: list[SimEvent], name: str = "all_of") -> SimEvent:
-    """Return an event that triggers once every event in ``events`` has.
-
-    The combined value is the list of individual values, in input order.
-    An empty list triggers immediately.
-    """
-    combined = SimEvent(kernel, name=name)
-    remaining = len(events)
-    values: list[Any] = [None] * len(events)
-    if remaining == 0:
-        combined.trigger([])
-        return combined
-
-    def make_cb(index: int) -> Callable[[Any], None]:
-        def cb(value: Any) -> None:
-            nonlocal remaining
-            values[index] = value
-            remaining -= 1
-            if remaining == 0:
-                combined.trigger(values)
-
-        return cb
-
-    for i, ev in enumerate(events):
-        ev.add_callback(make_cb(i))
-    return combined
 
 
 def wait_with_deadline(kernel: Kernel, event: SimEvent, timeout: float,

@@ -138,8 +138,9 @@ class Channel:
     def hand_off(self, item: Any) -> None:
         """:meth:`put` as the last act of a kernel callback: a waiting
         getter runs in this turn (:meth:`SimEvent.hand_off`).  The
-        callers are ``IpcFabric._deliver`` and a datagram's arrival at
-        ``TransactionManager._take_datagram``."""
+        callers are ``IpcFabric._deliver``, a datagram's arrival at
+        ``TransactionManager._take_datagram`` and a remote request's at
+        ``NetMsgServer._deliver_request``."""
         if self._getters:
             self._getters.popleft().hand_off(item)
         else:

@@ -171,12 +171,6 @@ class CamelotSystem:
     def run_for(self, duration_ms: float) -> None:
         self.kernel.run(until=self.kernel.now + duration_ms)
 
-    def run_until_idle(self, max_ms: Optional[float] = None) -> None:
-        """Run until the heap drains (periodic sweepers make this rare;
-        prefer :meth:`run_for` with a bound)."""
-        self.kernel.run(until=None if max_ms is None
-                        else self.kernel.now + max_ms)
-
     def run_process(self, body: ProcessBody, timeout_ms: float = 60_000.0,
                     name: str = "workload") -> Any:
         """Spawn a process and run the kernel until it finishes."""

@@ -5,8 +5,6 @@ These are the scenarios the non-blocking protocol exists for (paper
 able to decide, where two-phase commit blocks.
 """
 
-import inspect
-
 from repro import CamelotSystem, Outcome, ProtocolKind, SystemConfig
 
 
@@ -272,7 +270,8 @@ def test_2pc_subordinate_crash_in_delayed_commit_window_recovers_commit():
 def test_a_crash_mid_prepare_kills_the_vote_request_and_aborts():
     """A subordinate site crashes while its TranMan waits on its data
     server's prepare vote: the vote request dies with the site (the kill
-    is not an error to turn into a NO vote) and the coordinator aborts."""
+    is not an error to turn into a NO vote, so b never finishes its
+    local prepare) and the coordinator aborts."""
     system = CamelotSystem(SystemConfig(sites={"a": 1, "b": 1}))
     app = system.application("a")
     seen = {}
@@ -284,15 +283,16 @@ def test_a_crash_mid_prepare_kills_the_vote_request_and_aborts():
         seen["outcome"] = yield from app.commit(tid)
 
     system.spawn(workload())
-    site_b = system.runtime("b").site
 
-    def asking():
-        return [p for p in site_b.processes
-                if p.alive and "tranman.prep" in p.name
-                and inspect.getgeneratorstate(p._gen) == "GEN_SUSPENDED"]
+    def asked_at_b():
+        # The TranMan's ``prepare`` IPC to server0@b has been sent: it is
+        # in flight, or queued at the server's port.
+        return any(e.kind == "ipc.inline" and e.site == "b"
+                   and e.detail["kind_of"] == "prepare"
+                   for e in system.tracer.instants)
 
     for _ in range(100_000):
-        if asking():
+        if asked_at_b():
             break
         system.kernel.step()
     else:
@@ -300,3 +300,5 @@ def test_a_crash_mid_prepare_kills_the_vote_request_and_aborts():
     system.crash_site("b")
     system.run_for(120_000.0)
     assert seen["outcome"] is Outcome.ABORTED
+    assert not [e for e in system.tracer.of_kind("tranman.local_prepared")
+                if e.site == "b"]

@@ -219,6 +219,26 @@ def test_unsorted_set_attr_feeding_effects_flagged(tmp_path):
     assert "self.acked" in report.findings[0].message
 
 
+def test_local_assigned_a_set_expression_feeding_effects_flagged(tmp_path):
+    """A plain local is set-typed by what it is assigned: a set
+    expression (the abort forwarder's shape) iterated unsorted fires,
+    the same local sorted does not."""
+    _write(tmp_path, "core/forward.py", """
+        def forward(known, sender_knew, me):
+            forward_to = set(known) - sender_knew - {me}
+            return [SendDatagram(dst, "m") for dst in forward_to]
+
+
+        def forward_sorted(known, sender_knew, me):
+            forward_to = set(known) - sender_knew - {me}
+            return [SendDatagram(dst, "m") for dst in sorted(forward_to)]
+        """)
+    report = run_lint(root=tmp_path)
+    assert [(f.rule, f.line) for f in report.findings] == \
+        [("unordered-iteration", 4)]
+    assert "'forward_to'" in report.findings[0].message
+
+
 def test_oracle_mutations_flagged_reads_clean(tmp_path):
     """chaos-oracle-readonly: every mutation shape through the context
     parameter (or a local aliasing it) fires; pure reads stay clean."""

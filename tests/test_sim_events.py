@@ -1,8 +1,8 @@
-"""Unit tests for SimEvent and combinators."""
+"""Unit tests for SimEvent and the deadline wait."""
 
 import pytest
 
-from repro.sim.events import SimEvent, all_of, wait_with_deadline
+from repro.sim.events import SimEvent, wait_with_deadline
 from repro.sim.kernel import Kernel, SimulationError
 from repro.sim.process import Process
 
@@ -68,27 +68,6 @@ def test_hand_off_runs_waiters_in_the_callers_turn():
     with pytest.raises(SimulationError):
         ev.hand_off("y")
     SimEvent(k, ignore_retrigger=True).hand_off(1)
-
-
-def test_all_of_waits_for_every_event():
-    k = Kernel()
-    evs = [SimEvent(k) for _ in range(3)]
-    combined = all_of(k, evs)
-    evs[1].trigger("b")
-    evs[0].trigger("a")
-    k.run()
-    assert not combined.triggered
-    evs[2].trigger("c")
-    k.run()
-    assert combined.triggered
-    assert combined.value == ["a", "b", "c"]
-
-
-def test_all_of_empty_triggers_immediately():
-    k = Kernel()
-    combined = all_of(k, [])
-    assert combined.triggered
-    assert combined.value == []
 
 
 # ------------------------------------------------------ deadline wait

@@ -56,8 +56,13 @@ def test_conformance_leg_fires_exactly_this_many_events():
     # receivers ``IpcFabric._deliver`` / ``_trigger_reply`` wake run in
     # that callback's turn instead of a second one (872).  The 36
     # datagrams above wake their pool thread in the arrival's own turn
-    # too (``TransactionManager._take_datagram``): 872 - 36 = 836.
-    assert monitor.fired == 836
+    # too (``TransactionManager._take_datagram``): 872 - 36 = 836.  The
+    # nine local prepare rounds ask their one server each from the pool
+    # thread itself, which the reply wakes in its own turn: no process
+    # per server, no ``all_of`` callback, no combined trigger (-27).
+    # The six NetMsgServer RPCs wake the remote ComMan thread and the
+    # caller in the arrivals' own turns (-12): 836 - 39 = 797.
+    assert monitor.fired == 797
 
 
 def test_a_pool_thread_dequeues_the_message_the_sender_sent():
