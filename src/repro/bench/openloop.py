@@ -119,9 +119,8 @@ class LatencySketch:
         return self.LO * 2.0 ** ((i - 0.5) / 4.0)
 
     def quantile(self, q: float) -> float:
-        """Approximate q-quantile (0 < q <= 1) from the histogram."""
-        if not self.count:
-            return 0.0
+        """Approximate q-quantile (0 < q <= 1) from the histogram; 0.0
+        when empty (``max`` starts at 0.0 and clamps the answer)."""
         target = q * self.count
         seen = 0
         for i, n in enumerate(self.counts):

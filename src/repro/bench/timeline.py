@@ -93,7 +93,5 @@ def render_timeline(tracer: Tracer, sites: Sequence[str],
             text = f"{text} {row.arrow_to}"
         if row.site in col_of:
             cells[col_of[row.site]] = text[:width].ljust(width)
-        elif row.site is None and cells:
-            cells[0] = text[:width].ljust(width)
         lines.append(f"{row.time:9.1f}  " + "".join(cells).rstrip())
     return "\n".join(lines)

@@ -98,8 +98,6 @@ class OracleContext:
                 and self.system.lan.loss_probability == 0.0)
 
     def tombstone(self, site: str) -> Optional[Outcome]:
-        if self.tid is None:
-            return None
         return self.system.tranman(site).tombstones.get(self.tid)
 
     def unresolved_machines(self, site: str) -> int:
@@ -117,8 +115,6 @@ class OracleContext:
         """
         tid = self.tid
         out: Dict[str, str] = {}
-        if tid is None:
-            return out
         for event in self.system.tracer.of_kind("tranman.complete"):
             if event.tid == tid:
                 out[f"complete@{event.site}"] = event.detail["outcome"]
@@ -138,12 +134,10 @@ class OracleContext:
         return out
 
     def durable_kinds(self, site: str) -> List[RecordKind]:
-        """Record kinds the site's stable log holds for the chaos txn."""
-        tid = self.tid
-        if tid is None:
-            return []
+        """Record kinds the site's stable log holds for the chaos txn
+        (asked only once there is one)."""
         return [r.kind for r in self.system.stores.for_site(site).records()
-                if r.tid == tid]
+                if r.tid == self.tid]
 
     def all_writes_done(self) -> bool:
         return len(self.state.get("written", ())) == len(self.spec.sites)
@@ -176,8 +170,6 @@ def check_atomicity(ctx: OracleContext) -> List[Violation]:
 def check_durability(ctx: OracleContext) -> List[Violation]:
     """Committed effects survive crashes, restarts, and recovery."""
     out: List[Violation] = []
-    if ctx.tid is None:
-        return out
     expected = 9  # the workload's write value
     for site in ctx.live_sites():
         if ctx.tombstone(site) is Outcome.COMMITTED:
@@ -242,8 +234,6 @@ def check_lock_leakage(ctx: OracleContext) -> List[Violation]:
     """Once a live site has no protocol machine left, its data servers
     must hold no locks: whoever resolved the txn released them."""
     out: List[Violation] = []
-    if ctx.tid is None:
-        return out
     for site in ctx.live_sites():
         if ctx.unresolved_machines(site):
             continue  # still legitimately blocked / notifying

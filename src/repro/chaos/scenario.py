@@ -112,10 +112,6 @@ def start_workload(system: CamelotSystem,
             state["outcome"] = outcome
         except TransactionAborted:
             state["outcome"] = Outcome.ABORTED
-        except RuntimeError as exc:
-            # The coordinator site died under the application mid-call;
-            # the outcome (if any) lives only in the sites' tombstones.
-            state["error"] = type(exc).__name__
 
     system.spawn(body(), name="chaos.txn")
     return state

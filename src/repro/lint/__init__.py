@@ -13,7 +13,7 @@ This package checks those properties mechanically:
   iteration into the kernel, consumed fire-and-forget results,
   chaos-oracle and obs read-only discipline, unbounded growth) in a
   pluggable registry (:mod:`repro.lint.registry`).
-- :mod:`repro.lint.flow` — five whole-program rules, among them
+- :mod:`repro.lint.flow` — four whole-program rules, among them
   ``flow-determinism`` (no wall-clock, RNG or environment read reaches
   sim-scoped code, under any alias or through any helper).
 

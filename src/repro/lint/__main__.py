@@ -27,8 +27,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="Codebase-aware determinism/protocol lint for repro.")
-    parser.add_argument("paths", nargs="*",
-                        help="tree(s) to lint (default: the repro package)")
+    parser.add_argument("path", nargs="?", default=None,
+                        help="tree to lint (default: the repro package)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--rules", default=None,
                         help="comma-separated rule ids (default: all)")
@@ -37,36 +37,22 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(one JSON spec + Graphviz .dot per machine) "
                              "to DIR and exit")
     args = parser.parse_args(argv)
+    root = Path(args.path) if args.path else None
 
     if args.emit_graphs is not None:
         from repro.lint.engine import build_context
         from repro.lint.flow.protograph import emit_graphs
-        if args.paths:
-            root = Path(args.paths[0])
-        else:
-            import repro
-            root = Path(repro.__file__).resolve().parent
-        written = emit_graphs(build_context(root), Path(args.emit_graphs))
-        for path in written:
+        for path in emit_graphs(build_context(root), Path(args.emit_graphs)):
             print(path)
         return 0
 
     rule_ids = ([r.strip() for r in args.rules.split(",") if r.strip()]
                 if args.rules else None)
-
-    roots = [Path(p) for p in args.paths] or [None]
-    reports = []
     try:
-        for root in roots:
-            reports.append(run_lint(root=root, rule_ids=rule_ids))
+        report = run_lint(root=root, rule_ids=rule_ids)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    report = reports[0]
-    for other in reports[1:]:
-        report.findings.extend(other.findings)
-        report.checked_files += other.checked_files
 
     if args.format == "json":
         print(render_json(report))

@@ -39,9 +39,9 @@ class FileInfo:
     path: Path            # absolute
     rel: str              # display path (repo-relative when possible)
     sub: str              # path relative to the lint root (scoping key)
-    source: str = ""
-    lines: List[str] = field(default_factory=list)
-    tree: Optional[ast.AST] = None
+    source: str
+    lines: List[str]
+    tree: ast.Module
 
     @property
     def sim_scoped(self) -> bool:
@@ -89,19 +89,16 @@ def _display_rel(path: Path, sub: str) -> str:
 
 
 def collect_files(root: Path) -> List[FileInfo]:
+    """Parse every ``.py`` file under ``root``.  A file that cannot be
+    read or parsed raises: no rule could check it, so the tree is not
+    clean."""
     infos: List[FileInfo] = []
     for path in sorted(root.rglob("*.py")):
-        if "__pycache__" in path.parts:
-            continue
         sub = path.relative_to(root).as_posix()
-        info = FileInfo(path=path, rel=_display_rel(path, sub), sub=sub)
-        try:
-            info.source = path.read_text()
-            info.tree = ast.parse(info.source, filename=str(path))
-            info.lines = info.source.splitlines()
-        except (OSError, SyntaxError):
-            info.tree = None
-        infos.append(info)
+        source = path.read_text()
+        infos.append(FileInfo(path=path, rel=_display_rel(path, sub), sub=sub,
+                              source=source, lines=source.splitlines(),
+                              tree=ast.parse(source, filename=str(path))))
     return infos
 
 
@@ -112,7 +109,7 @@ def _message_facts(ctx: LintContext) -> None:
     """The message classes declared in ``core/messages.py``: subclasses,
     direct or not, of ``ProtocolMessage``."""
     info = ctx.file("core/messages.py")
-    if info is None or info.tree is None:
+    if info is None:
         return
     declared: Set[str] = {"ProtocolMessage"}
     for node in info.tree.body:
@@ -124,7 +121,11 @@ def _message_facts(ctx: LintContext) -> None:
             ctx.message_classes[node.name] = node.lineno
 
 
-def build_context(root: Path) -> LintContext:
+def build_context(root: Optional[Path] = None) -> LintContext:
+    """Parse ``root`` (default: the installed ``repro`` package)."""
+    if root is None:
+        import repro
+        root = Path(repro.__file__).resolve().parent
     ctx = LintContext(root=root, files=collect_files(root))
     _message_facts(ctx)
     return ctx
@@ -136,10 +137,7 @@ def build_context(root: Path) -> LintContext:
 def run_lint(root: Optional[Path] = None,
              rule_ids: Optional[Sequence[str]] = None) -> LintReport:
     """Lint ``root`` (default: the installed ``repro`` package)."""
-    if root is None:
-        import repro
-        root = Path(repro.__file__).resolve().parent
-    return lint_context(build_context(Path(root)), rule_ids)
+    return lint_context(build_context(root), rule_ids)
 
 
 def lint_context(ctx: LintContext,

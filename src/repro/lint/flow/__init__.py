@@ -2,9 +2,8 @@
 
 The per-file AST rules in :mod:`repro.lint.rules` cannot see across a
 call: a helper one module away can return ``time.time()`` into the
-simulator, or a handler can send a COMMIT notice on a path where the
-log force never happened.  This package closes that gap with a light
-three-stage pipeline:
+simulator, or IO can be reached from ``core/`` through a helper.  This
+package closes that gap with a light three-stage pipeline:
 
 1. :mod:`~repro.lint.flow.callgraph` — a project-wide function index
    and call graph: import/alias resolution (including relative
@@ -16,19 +15,17 @@ three-stage pipeline:
    structured-CFG symbolic executor that enumerates acyclic paths
    through a handler (inlining intra-class helpers), recording guard
    atoms, effect constructions, and state assignments in order.
-3. Five rules on top (:mod:`~repro.lint.flow.rules` registers them):
+3. Four rules on top (:mod:`~repro.lint.flow.rules` registers them):
    the determinism fence over sim-scoped code, sans-IO purity proof for
    ``core/`` (the same fence with IO primitives, plus import and
-   constructor fences), path-sensitive log-force discipline, static
-   protocol transition-graph extraction with state and dispatch checks,
-   and the live-IO fence (imports and ``.fsync``; no call graph).
+   constructor fences), static protocol transition-graph extraction
+   with state and dispatch checks, and the live-IO fence (imports and
+   ``.fsync``; no call graph).
 
 Soundness limits (by design, documented in DESIGN.md): no dynamic
 dispatch resolution (a callee reached only through an untyped variable
-is not followed), no ``getattr``/``setattr`` tracking, and sends whose
-payload field is an attribute read (``outcome=self.outcome``) are not
-classified — the analyses are tuned to be useful gates, not proofs of
-everything.
+is not followed) and no ``getattr``/``setattr`` tracking — the analyses
+are tuned to be useful gates, not proofs of everything.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ __all__ = ["Program", "build_program", "flow_program"]
 def flow_program(ctx: "LintContext") -> Program:
     """The (cached) whole-program model for one lint run.
 
-    The four call-graph rules share a single build; the first rule
+    The three call-graph rules share a single build; the first rule
     to run pays for it, the rest reuse it through the context.
     """
     cached = getattr(ctx, "flow", None)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+                    Tuple, Union)
 
 from repro.lint.engine import FileInfo
 
@@ -98,13 +98,16 @@ class CallEdge:
     kind: str                    # "func" | "init"
 
 
+FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+
+
 @dataclass
 class FuncNode:
     qname: str
     module: str                  # FileInfo.sub
     cls: Optional[str]           # enclosing class name, if a method
     name: str
-    node: ast.AST                # FunctionDef | AsyncFunctionDef
+    node: FuncDef
     info: FileInfo
     is_classmethod: bool = False
     is_staticmethod: bool = False
@@ -141,12 +144,6 @@ class Program:
 
     # ------------------------------------------------------------ lookups
 
-    def func(self, qname: str) -> Optional[FuncNode]:
-        return self.funcs.get(qname)
-
-    def cls(self, qname: str) -> Optional[ClassNode]:
-        return self.classes.get(qname)
-
     def class_method(self, class_qname: str, name: str,
                      _depth: int = 0) -> Optional[str]:
         """Method lookup through the (project-internal) MRO, depth-capped."""
@@ -164,10 +161,7 @@ class Program:
     def callees(self, qname: str) -> Iterable[str]:
         """Callee func qnames of one function (class edges follow to
         ``__init__`` when it exists)."""
-        fn = self.funcs.get(qname)
-        if fn is None:
-            return
-        for edge in fn.calls:
+        for edge in self.funcs[qname].calls:
             if edge.kind == "func":
                 yield edge.callee
             else:
@@ -198,13 +192,10 @@ class Program:
                         break
         return reached
 
-    def resolve_symbol(self, sub: str, name: str,
-                       _depth: int = 0) -> Optional[Symbol]:
-        """Chase a name through module symbol tables (re-exports)."""
-        table = self.module_symbols.get(sub)
-        if table is None or _depth > 3:
-            return None
-        return table.get(name)
+    def resolve_symbol(self, sub: str, name: str) -> Optional[Symbol]:
+        """What module ``sub`` binds ``name`` to, if anything (a name a
+        module re-exports resolves to what it imported)."""
+        return self.module_symbols[sub].get(name)
 
     def resolve_module(self, modpath: str, level: int,
                        current_sub: str) -> Optional[str]:
@@ -261,8 +252,6 @@ class _Builder:
 
     def index_defs(self) -> None:
         for info in self.program.files:
-            if info.tree is None:
-                continue
             table: Dict[str, Symbol] = {}
             self.program.module_symbols[info.sub] = table
             for node in info.tree.body:
@@ -298,8 +287,6 @@ class _Builder:
 
     def resolve_imports(self) -> None:
         for info in self.program.files:
-            if info.tree is None:
-                continue
             table = self.program.module_symbols.setdefault(info.sub, {})
             for node in ast.walk(info.tree):
                 if isinstance(node, ast.Import):
@@ -332,8 +319,7 @@ class _Builder:
         modpath = node.module or ""
         mod_sub = self.resolve_module(modpath, node.level, sub)
         for alias in node.names:
-            if alias.name == "*":
-                continue
+            # ``import *`` binds the name ``*``, which no code looks up.
             bound = alias.asname or alias.name
             # `from pkg import submodule` binds a module, not a symbol.
             as_module = self.resolve_module(
@@ -363,8 +349,6 @@ class _Builder:
                 sym = table.get(name.split(".", 1)[0])
                 if sym is not None and sym[0] == "class":
                     cls.bases.append(sym[1])
-                elif name in {n for n in table} and table[name][0] == "class":
-                    cls.bases.append(table[name][1])
             self._infer_attr_types(cls, table)
 
     def _ann_class(self, ann: Optional[ast.AST],
@@ -429,10 +413,9 @@ class _Builder:
                 if t is not None:
                     cls.attr_types[item.target.id] = t
         init_q = cls.methods.get("__init__")
-        init = self.program.funcs.get(init_q) if init_q else None
-        if init is None or not isinstance(
-                init.node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if init_q is None:
             return
+        init = self.program.funcs[init_q]
         param_types: Dict[str, str] = {}
         args = init.node.args
         for a in (*args.posonlyargs, *args.args, *args.kwonlyargs):
@@ -471,8 +454,6 @@ class _Builder:
                      table: Dict[str, Symbol]) -> Dict[str, str]:
         types: Dict[str, str] = {}
         node = fn.node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return types
         args = node.args
         for a in (*args.posonlyargs, *args.args, *args.kwonlyargs):
             t = self._ann_class(a.annotation, table)

@@ -10,14 +10,13 @@ a guard in the caller dominates the events of the callee.
 Along each path the executor records an ordered event stream:
 
 - :class:`EffectEv` — construction of an effect object
-  (``SendDatagram``, ``ForceLog``, ...), with the message class and its
-  literal arguments resolved through simple local bindings
-  (``notice = CommitNotice(...)``, also into an inlined helper's
-  parameter), the force token, and a snapshot of the guard facts live
-  at the construction site;
+  (``SendDatagram``, ``ForceLog``, ...), with the message class
+  resolved through simple local bindings (``notice =
+  CommitNotice(...)``, also into an inlined helper's parameter) and the
+  force or timer token;
 - :class:`StateEv` — an enum-constant assignment to a ``self``
-  attribute (``self.state = CoordinatorState.COMMITTED``), also with
-  its guard snapshot.
+  attribute (``self.state = CoordinatorState.COMMITTED``), with a
+  snapshot of the guard facts live at the assignment.
 
 Facts are invalidated when their subject is reassigned, and paths whose
 guard set becomes self-contradictory (``x is A`` and ``x is B``) are
@@ -83,9 +82,8 @@ def effect_names_for(program: Program) -> FrozenSet[str]:
 
 
 def canon(node: Optional[ast.AST]) -> str:
-    """Stable textual form of an expression, used as guard-atom terms."""
-    if node is None:
-        return "<none>"
+    """Stable textual form of an expression, used as guard-atom terms
+    (``<expr>`` for any shape it does not spell out)."""
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
@@ -99,8 +97,6 @@ def canon(node: Optional[ast.AST]) -> str:
         return f"{fname}(...)"
     if isinstance(node, ast.Subscript):
         return f"{canon(node.value)}[...]"
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return f"-{canon(node.operand)}"
     if isinstance(node, ast.Tuple):
         return "(" + ", ".join(canon(e) for e in node.elts) + ")"
     return "<expr>"
@@ -176,7 +172,6 @@ def atoms(test: ast.AST, value: bool = True) -> FrozenSet[Atom]:
         if type(op) in _CMP_OPS:
             return frozenset({Atom("cmp", lhs, _CMP_OPS[type(op)],
                                    rhs, value)})
-        return frozenset({Atom("truthy", canon(test), "", "", value)})
     if isinstance(test, ast.Call) and isinstance(test.func, ast.Name) \
             and test.func.id == "isinstance" and len(test.args) == 2:
         return frozenset({Atom("isinstance", canon(test.args[0]), "isinstance",
@@ -186,13 +181,12 @@ def atoms(test: ast.AST, value: bool = True) -> FrozenSet[Atom]:
 
 def _constant_like(term: str) -> bool:
     """Terms that denote distinct values: enum members, ALL_CAPS module
-    constants, literals."""
-    if not term:
-        return False
+    constants, literals.  (Only ever asked about a compared ``canon``
+    term, which is never empty.)"""
     tail = term.rsplit(".", 1)[-1]
     if tail.isupper() and any(c.isalpha() for c in tail):
         return True
-    return term[0] in "'\"-0123456789" or term in ("True", "False", "None")
+    return term[0] in "'\"0123456789" or term in ("True", "False", "None")
 
 
 def admit(facts: FrozenSet[Atom],
@@ -227,23 +221,13 @@ class EffectEv:
     """Construction of one effect object on a path."""
 
     kind: str
-    node: ast.AST
-    facts: FrozenSet[Atom]
     message_cls: Optional[str] = None
-    message_args: Tuple[str, ...] = ()
-    message_kwargs: Tuple[Tuple[str, str], ...] = ()
     token: Optional[str] = None
     multiplicity: Optional[str] = None   # comprehension iterable, if any
 
     def key(self) -> Tuple[object, ...]:
-        return ("effect", self.kind, self.message_cls, self.message_args,
-                self.message_kwargs, self.token, self.multiplicity)
-
-    def kwarg(self, name: str) -> Optional[str]:
-        for k, v in self.message_kwargs:
-            if k == name:
-                return v
-        return None
+        return ("effect", self.kind, self.message_cls, self.token,
+                self.multiplicity)
 
 
 @dataclass
@@ -253,7 +237,6 @@ class StateEv:
     attr: str
     enum_cls: str
     member: str
-    node: ast.AST
     facts: FrozenSet[Atom]
 
     def key(self) -> Tuple[object, ...]:
@@ -324,8 +307,6 @@ def enum_assign_sites(node: ast.AST) -> Iterator[Tuple[str, str, str, ast.AST]]:
 def first_param(fn: FuncNode) -> Optional[str]:
     """Name of the first non-self/cls parameter of a method."""
     node = fn.node
-    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return None
     names = [a.arg for a in (*node.args.posonlyargs, *node.args.args)]
     if not fn.is_staticmethod and names and names[0] in ("self", "cls"):
         names = names[1:]
@@ -362,10 +343,7 @@ class _Explorer:
 
     def run(self) -> List[Path]:
         start = _State(self._none_constants(), [], {})
-        body = self.fn.node.body \
-            if isinstance(self.fn.node,
-                          (ast.FunctionDef, ast.AsyncFunctionDef)) else []
-        finals = self._block(body, start, (self.fn.qname,))
+        finals = self._block(self.fn.node.body, start, (self.fn.qname,))
         paths: List[Path] = []
         seen = set()
         for st in finals:
@@ -431,9 +409,7 @@ class _Explorer:
             return self._scan(stmt.value, s, stack)
         if isinstance(stmt, ast.Assign):
             return self._assign(stmt.targets, stmt.value, s, stack)
-        if isinstance(stmt, ast.AnnAssign):
-            if stmt.value is None:
-                return [s]
+        if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
             return self._assign([stmt.target], stmt.value, s, stack)
         if isinstance(stmt, ast.AugAssign):
             outs = self._scan(stmt.value, s, stack)
@@ -529,7 +505,7 @@ class _Explorer:
                         and isinstance(t.value, ast.Name) \
                         and t.value.id == "self":
                     st.events.append(StateEv(t.attr, em[0], em[1],
-                                             t, st.facts))
+                                             st.facts))
                 st.facts = invalidate(st.facts, canon(t).split("[")[0])
                 if isinstance(t, ast.Name):
                     ctor = self._resolve_message(value, st.env)
@@ -597,8 +573,6 @@ class _Explorer:
                     states = self._fan(states, child, stack)
                 out: List[_State] = []
                 callee = self.program.funcs[mq]
-                assert isinstance(callee.node, (ast.FunctionDef,
-                                                ast.AsyncFunctionDef))
                 params = [a.arg for a in callee.node.args.args]
                 bound: List[Tuple[Optional[str], ast.expr]] = [
                     *zip(params[0 if callee.is_staticmethod else 1:],
@@ -652,7 +626,7 @@ class _Explorer:
 
     def _effect_event(self, kind: str, call: ast.Call,
                       st: _State) -> EffectEv:
-        ev = EffectEv(kind=kind, node=call, facts=st.facts)
+        ev = EffectEv(kind=kind)
         if kind in ("ForceLog", "WriteLog", "StartTimer", "CancelTimer"):
             token_expr: Optional[ast.AST] = None
             if len(call.args) >= 2:
@@ -676,10 +650,6 @@ class _Explorer:
                 fname = dotted_name(ctor.func)
                 if fname is not None:
                     ev.message_cls = fname.split(".")[-1]
-                    ev.message_args = tuple(canon(a) for a in ctor.args)
-                    ev.message_kwargs = tuple(
-                        (kw.arg, canon(kw.value))
-                        for kw in ctor.keywords if kw.arg is not None)
         return ev
 
     def _resolve_message(self, expr: Optional[ast.AST],
@@ -693,19 +663,14 @@ class _Explorer:
             return env.get(expr.id)
         return None
 
-    def _is_interesting(self, qname: str,
-                        _depth: int = 0) -> bool:
+    def _is_interesting(self, qname: str) -> bool:
         """Only helpers that (transitively) build effects or assign enum
         state are worth inlining; forking on a pure predicate helper
         would multiply paths for nothing."""
         if qname in self._interesting:
             return self._interesting[qname]
-        if _depth > _MAX_INLINE_DEPTH:
-            return False
         self._interesting[qname] = False  # recursion guard
-        fn = self.program.funcs.get(qname)
-        if fn is None:
-            return False
+        fn = self.program.funcs[qname]
         result = False
         for node in ast.walk(fn.node):
             if isinstance(node, ast.Call):
@@ -721,7 +686,7 @@ class _Explorer:
                     sub = self.program.class_method(self.cls.qname,
                                                     name[5:])
                     if sub is not None and sub != qname \
-                            and self._is_interesting(sub, _depth + 1):
+                            and self._is_interesting(sub):
                         result = True
                         break
         if not result:
@@ -733,8 +698,6 @@ class _Explorer:
 
 
 def explore(program: Program, fn: FuncNode,
-            effect_names: Optional[FrozenSet[str]] = None) -> List[Path]:
+            effect_names: FrozenSet[str]) -> List[Path]:
     """Enumerate the acyclic event paths of one function."""
-    names = effect_names if effect_names is not None \
-        else effect_names_for(program)
-    return _Explorer(program, fn, names).run()
+    return _Explorer(program, fn, effect_names).run()

@@ -51,7 +51,7 @@ def _fenced_module(modpath: str) -> str:
 def run(ctx: LintContext) -> List[Finding]:
     out: List[Finding] = []
     for info in ctx.files:
-        if info.sub.startswith(FENCED_PACKAGE) or info.tree is None:
+        if info.sub.startswith(FENCED_PACKAGE):
             continue
         for node in ast.walk(info.tree):
             if isinstance(node, ast.Import):

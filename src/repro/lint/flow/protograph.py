@@ -33,14 +33,52 @@ import ast
 import json
 from dataclasses import dataclass
 from pathlib import Path as FsPath
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.engine import LintContext
 from repro.lint.findings import Finding
 from repro.lint.flow import cfg
-from repro.lint.flow.callgraph import (ClassNode, Program, dotted_name,
-                                       parent_map)
-from repro.lint.flow.forcepath import entry_paths, machine_classes
+from repro.lint.flow.callgraph import (ClassNode, FuncNode, Program,
+                                       dotted_name, parent_map)
+
+# ------------------------------------------------------------- machines
+
+HANDLER_NAMES = {
+    "on_message", "on_timer", "on_log_forced", "on_log_durable",
+    "start", "on_local_prepared",
+}
+# Recovery entries and edge notices are not protocol inputs: no rows.
+_EXEMPT_PREFIXES = ("resume_", "note_")
+
+
+def machine_classes(program: Program) -> List[ClassNode]:
+    """Protocol machines: pure-core classes with at least one handler."""
+    out = []
+    for cls in program.classes.values():
+        if not cls.module.startswith("core/"):
+            continue
+        if any(name in cls.methods for name in HANDLER_NAMES):
+            out.append(cls)
+    return sorted(out, key=lambda c: c.qname)
+
+
+def entry_methods(program: Program, cls: ClassNode) -> List[FuncNode]:
+    """The externally driven inputs of one machine."""
+    out = []
+    for name, qname in sorted(cls.methods.items()):
+        if name.startswith("_") or name.startswith(_EXEMPT_PREFIXES):
+            continue
+        fn = program.funcs[qname]
+        if fn.is_classmethod or fn.is_staticmethod:
+            continue
+        out.append(fn)
+    return out
+
+
+def entry_paths(program: Program, cls: ClassNode,
+                effect_names: FrozenSet[str]) -> Dict[str, List[cfg.Path]]:
+    return {fn.name: cfg.explore(program, fn, effect_names)
+            for fn in entry_methods(program, cls)}
 
 # ----------------------------------------------------------- transitions
 
@@ -71,8 +109,6 @@ def _token_term(text: str) -> Optional[str]:
 
 
 def _token_of(path: cfg.Path, param: Optional[str]) -> Optional[str]:
-    if param is None:
-        return None
     for a in path.facts:
         if a.kind == "cmp" and a.positive and a.op in ("==", "is") \
                 and a.lhs == param:
@@ -155,16 +191,22 @@ def extract(program: Program, cls: ClassNode,
 # ------------------------------------------------------ spec / graphviz
 
 
-def _state_enum(program: Program, cls: ClassNode) -> Tuple[str, List[str]]:
-    """(enum class name, members) for a machine's ``self.state`` enum."""
+def _initial_state(program: Program,
+                   cls: ClassNode) -> Tuple[str, Optional[str]]:
+    """(enum class name, member) ``__init__`` assigns to ``self.state``;
+    ``("", None)`` when it assigns none."""
     init_q = cls.methods.get("__init__")
-    enum_name = ""
     if init_q is not None:
-        for attr, ecls, _member, _n in cfg.enum_assign_sites(
+        for attr, ecls, member, _n in cfg.enum_assign_sites(
                 program.funcs[init_q].node):
             if attr == "state":
-                enum_name = ecls
-                break
+                return ecls, member
+    return "", None
+
+
+def _state_enum(program: Program, cls: ClassNode) -> Tuple[str, List[str]]:
+    """(enum class name, members) for a machine's ``self.state`` enum."""
+    enum_name = _initial_state(program, cls)[0]
     members: List[str] = []
     if enum_name:
         for other in program.classes.values():
@@ -178,17 +220,6 @@ def _state_enum(program: Program, cls: ClassNode) -> Tuple[str, List[str]]:
     return enum_name, members
 
 
-def _initial_state(program: Program, cls: ClassNode) -> Optional[str]:
-    init_q = cls.methods.get("__init__")
-    if init_q is None:
-        return None
-    for attr, _ecls, member, _n in cfg.enum_assign_sites(
-            program.funcs[init_q].node):
-        if attr == "state":
-            return member
-    return None
-
-
 def spec(program: Program, cls: ClassNode,
          rows: List[Transition]) -> Dict[str, object]:
     enum_name, members = _state_enum(program, cls)
@@ -197,7 +228,7 @@ def spec(program: Program, cls: ClassNode,
         "module": cls.module,
         "state_enum": enum_name,
         "states": members,
-        "initial": _initial_state(program, cls),
+        "initial": _initial_state(program, cls)[1],
         "transitions": [
             {"input": r.input, "src": r.src, "dst": r.dst,
              "effects": list(r.effects), "forces": r.forces,
@@ -242,9 +273,8 @@ def emit_graphs(ctx: LintContext, outdir: FsPath) -> List[FsPath]:
     message_names = set(ctx.message_classes)
     outdir.mkdir(parents=True, exist_ok=True)
     written: List[FsPath] = []
-    cache: Dict[str, List[cfg.Path]] = {}
     for cls in machine_classes(program):
-        paths = entry_paths(program, cls, effect_names, cache)
+        paths = entry_paths(program, cls, effect_names)
         rows = extract(program, cls, paths, message_names)
         mspec = spec(program, cls, rows)
         jpath = outdir / f"{cls.name}.json"
@@ -259,12 +289,11 @@ def emit_graphs(ctx: LintContext, outdir: FsPath) -> List[FsPath]:
 
 
 def _use_kind(node: ast.AST, parents: Dict[ast.AST, ast.AST]) -> str:
-    """Classify one ``Enum.MEMBER`` read: 'check' | 'enter' | 'both'."""
-    cur: Optional[ast.AST] = node
-    for _ in range(12):
-        cur = parents.get(cur)
-        if cur is None:
-            return "both"
+    """Classify one ``Enum.MEMBER`` read: 'check' | 'enter' | 'both'.
+    The climb ends: every expression sits inside a statement."""
+    cur = node
+    while True:
+        cur = parents[cur]
         if isinstance(cur, ast.Compare):
             return "check"
         if isinstance(cur, (ast.Assign, ast.AnnAssign, ast.AugAssign,
@@ -272,7 +301,6 @@ def _use_kind(node: ast.AST, parents: Dict[ast.AST, ast.AST]) -> str:
             return "enter"
         if isinstance(cur, ast.stmt):
             return "both"
-    return "both"
 
 
 def _member_uses(ctx: LintContext,
@@ -281,8 +309,6 @@ def _member_uses(ctx: LintContext,
     """(enum, member) -> kinds of use anywhere in the tree."""
     uses: Dict[Tuple[str, str], Set[str]] = {}
     for info in ctx.files:
-        if info.tree is None:
-            continue
         parents = parent_map(info.tree)
         for node in ast.walk(info.tree):
             if not isinstance(node, ast.Attribute):
@@ -376,9 +402,8 @@ def run(ctx: LintContext, program: Program) -> List[Finding]:
     effect_names = cfg.effect_names_for(program)
     message_names = set(ctx.message_classes)
     out: List[Finding] = []
-    cache: Dict[str, List[cfg.Path]] = {}
     for cls in machine_classes(program):
-        paths = entry_paths(program, cls, effect_names, cache)
+        paths = entry_paths(program, cls, effect_names)
         rows = extract(program, cls, paths, message_names)
         out.extend(_check_dispatch(ctx, cls, rows, message_names))
     out.extend(_check_states(ctx, program))

@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 from typing import List, Optional, Set
 
-from repro.lint.engine import LintContext
+from repro.lint.engine import FileInfo, LintContext
 from repro.lint.findings import Finding
 from repro.lint.flow.callgraph import ExternalRef, Program, dotted_name
 from repro.lint.flow.taint import fence
@@ -58,12 +58,10 @@ def _io_primitive(ref: ExternalRef) -> Optional[str]:
 
 
 def _check_imports(ctx: LintContext, program: Program,
-                   subs: Set[str]) -> List[Finding]:
+                   core: List[FileInfo]) -> List[Finding]:
     out: List[Finding] = []
-    for sub in sorted(subs):
-        info = ctx.file(sub)
-        if info is None or info.tree is None:
-            continue
+    for info in core:
+        sub = info.sub
         for node in ast.walk(info.tree):
             if isinstance(node, ast.Import):
                 specs = [(alias.name, 0) for alias in node.names]
@@ -107,7 +105,6 @@ def _check_ctor_fence(ctx: LintContext, program: Program,
         if init is None:
             continue
         node = init.node
-        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         for arg in (*node.args.posonlyargs, *node.args.args,
                     *node.args.kwonlyargs):
             if arg.arg in ("self", "cls"):
@@ -128,9 +125,10 @@ def _check_ctor_fence(ctx: LintContext, program: Program,
 
 
 def run(ctx: LintContext, program: Program) -> List[Finding]:
-    subs = {info.sub for info in program.files
-            if info.sub.startswith("core/")}
-    out = _check_imports(ctx, program, subs)
+    core = sorted((info for info in program.files
+                   if info.sub.startswith("core/")), key=lambda i: i.sub)
+    subs = {info.sub for info in core}
+    out = _check_imports(ctx, program, core)
     out.extend(fence(ctx, program, "flow-sansio-purity",
                      lambda info: info.sub in subs, _io_primitive,
                      "protocol code must return effect objects instead"))

@@ -1,10 +1,10 @@
-"""Registration of the five whole-program flow rules.
+"""Registration of the four whole-program flow rules.
 
 Each rule is a thin adapter: build (or reuse) the shared
 :class:`~repro.lint.flow.callgraph.Program` for the tree being linted,
 then hand it to the analysis module.  Keeping registration separate
 from the analyses lets tests drive ``taint.run`` / ``purity.run`` /
-``forcepath.run`` / ``protograph.run`` directly on synthetic trees
+``protograph.run`` directly on synthetic trees
 without touching the global registry.
 """
 
@@ -15,7 +15,6 @@ from typing import List
 from repro.lint.engine import LintContext
 from repro.lint.findings import Finding
 from repro.lint.flow import flow_program
-from repro.lint.flow import forcepath as _forcepath
 from repro.lint.flow import livefence as _livefence
 from repro.lint.flow import protograph as _protograph
 from repro.lint.flow import purity as _purity
@@ -36,13 +35,6 @@ def check_flow_determinism(ctx: LintContext) -> List[Finding]:
       "no host resources in machine constructors")
 def check_flow_sansio_purity(ctx: LintContext) -> List[Finding]:
     return _purity.run(ctx, flow_program(ctx))
-
-
-@rule("flow-force-discipline",
-      "every CFG path that sends a COMMIT/vote-carrying message must be "
-      "dominated by a log force, quorum, or durable-state guard")
-def check_flow_force_discipline(ctx: LintContext) -> List[Finding]:
-    return _forcepath.run(ctx, flow_program(ctx))
 
 
 @rule("live-io-fence",

@@ -70,7 +70,7 @@ def _stray_refs(program: Program, info: FileInfo,
     """External calls and environment reads in ``info`` outside every
     function node in ``funcs``, names normalized through its imports."""
     table = program.module_symbols.get(info.sub, {})
-    todo: List[ast.AST] = [info.tree] if info.tree is not None else []
+    todo: List[ast.AST] = [info.tree]
     while todo:
         node = todo.pop()
         if id(node) in funcs:

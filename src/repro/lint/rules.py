@@ -34,9 +34,8 @@ def _is_kernel_attr(node: ast.AST) -> bool:
     """True for ``kernel`` / ``_kernel`` / ``*.kernel`` / ``*._kernel``."""
     if isinstance(node, ast.Name):
         return node.id in ("kernel", "_kernel")
-    if isinstance(node, ast.Attribute):
-        return node.attr in ("kernel", "_kernel")
-    return False
+    return isinstance(node, ast.Attribute) \
+        and node.attr in ("kernel", "_kernel")
 
 
 # ----------------------------------------------- rule: unordered iteration
@@ -119,8 +118,6 @@ def _unordered_iterable(node: ast.AST, set_attrs: Set[str],
 def check_unordered_iteration(ctx: LintContext) -> List[Finding]:
     out: List[Finding] = []
     for info in ctx.sim_files():
-        if info.tree is None:
-            continue
         set_attrs, set_names = _set_typed_names(info.tree)
         for func in _walk_funcs(info.tree):
             calls_kernel = any(
@@ -161,8 +158,6 @@ def check_unordered_iteration(ctx: LintContext) -> List[Finding]:
 def check_consumed_fire_and_forget(ctx: LintContext) -> List[Finding]:
     out: List[Finding] = []
     for info in ctx.sim_files():
-        if info.tree is None:
-            continue
         parents = parent_map(info.tree)
         for node in ast.walk(info.tree):
             if not (isinstance(node, ast.Call)
@@ -251,7 +246,7 @@ def _readonly_violations(func: ast.AST, tainted: Set[str],
       "tranman state through their context but must never mutate it.")
 def check_chaos_oracle_readonly(ctx: LintContext) -> List[Finding]:
     info = ctx.file("chaos/oracles.py")
-    if info is None or info.tree is None:
+    if info is None:
         return []
     out: List[Finding] = []
     for func in info.tree.body:
@@ -292,7 +287,7 @@ _OBS_STEERING_METHODS = {
     "post", "post_soon", "schedule", "spawn", "run", "run_for",
     "run_process", "step", "send", "reply", "call", "ask", "unicast",
     "multicast", "crash", "restart", "crash_site", "restart_site",
-    "trigger", "enqueue", "record", "attach_obs", "partition", "heal",
+    "trigger", "record", "attach_obs", "partition", "heal",
     "force", "register_site",
 }
 # Recorder writes flagged on any receiver: the sink is a Tracer too, and
@@ -308,8 +303,6 @@ def check_obs_readonly(ctx: LintContext) -> List[Finding]:
     out: List[Finding] = []
     for info in ctx.files:
         if not info.sub.startswith("obs/") or info.sub == "obs/__main__.py":
-            continue
-        if info.tree is None:
             continue
         for func in ast.walk(info.tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -403,7 +396,7 @@ def _container_attrs(cls: ast.ClassDef) -> Dict[str, ast.AST]:
 _BOUNDED_ACK = re.compile(r"#\s*lint:\s*bounded\(([^)]+)\)")
 
 
-def _bounded_ack(info: "FileInfo", *nodes: Optional[ast.AST]) -> bool:
+def _bounded_ack(info: "FileInfo", *nodes: ast.AST) -> bool:
     """True when any of the given sites carries an inline
     ``# lint: bounded(<reason>)`` acknowledgement on its source line.
 
@@ -412,13 +405,8 @@ def _bounded_ack(info: "FileInfo", *nodes: Optional[ast.AST]) -> bool:
     suppression there is, kept next to the code it describes so it
     cannot outlive a refactor silently.
     """
-    for node in nodes:
-        lineno = getattr(node, "lineno", None)
-        if lineno is None or lineno > len(info.lines):
-            continue
-        if _BOUNDED_ACK.search(info.lines[lineno - 1]):
-            return True
-    return False
+    return any(_BOUNDED_ACK.search(info.lines[getattr(node, "lineno") - 1])
+               for node in nodes)
 
 
 @rule("unbounded-growth",
@@ -440,8 +428,6 @@ def check_unbounded_growth(ctx: LintContext) -> List[Finding]:
     """
     out: List[Finding] = []
     for info in ctx.sim_files():
-        if info.tree is None:
-            continue
         for cls in ast.walk(info.tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
@@ -483,7 +469,7 @@ def check_unbounded_growth(ctx: LintContext) -> List[Finding]:
             for attr, node in sorted(grows.items()):
                 if attr in shrinks or attr not in containers:
                     continue
-                if _bounded_ack(info, node, containers.get(attr)):
+                if _bounded_ack(info, node, containers[attr]):
                     continue
                 out.append(ctx.finding(
                     info, node, "unbounded-growth",

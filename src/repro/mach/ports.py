@@ -2,9 +2,9 @@
 
 A port is the only rendezvous in the system; all higher layers (RPC,
 servers, the transaction manager's request interface) receive through
-one.  Ports die when their site crashes — sends to a dead port raise at
-delivery time in the fabric (modelling the connection breakage a real
-NetMsgServer would report), and receivers are killed with their process.
+one.  Ports die when their site crashes — the fabric drops mail for a
+dead port at delivery time (``ipc.dropped``), and receivers are killed
+with their process.
 """
 
 from __future__ import annotations
@@ -17,21 +17,19 @@ from repro.sim.resources import Channel
 
 
 class DeadPortError(RuntimeError):
-    """Delivery attempted to a port whose owner has crashed."""
+    """Receive attempted on a port whose owner has crashed."""
 
 
 class Port:
     """A message queue bound to a site.
 
-    ``enqueue`` is the raw, zero-latency primitive under the IPC
-    fabric; user code should send through
-    :class:`~repro.mach.ipc.IpcFabric`, never call ``enqueue`` directly.
-    (The fabric itself, having charged transfer latency, hands a live
-    port's mail to ``queue.hand_off`` so the receiver runs in the
-    delivery's own kernel turn.)  So do the NetMsgServer, for a remote
-    request, and the TranMan, whose request port also takes protocol
-    messages straight off the datagram layer, as themselves: each hand
-    off is the last act of a datagram arrival's turn.
+    Mail reaches a port through :class:`~repro.mach.ipc.IpcFabric`,
+    which charges the transfer latency, drops mail for a dead port, and
+    hands a live port's mail to ``queue.hand_off`` so the receiver runs
+    in the delivery's own kernel turn.  So do the NetMsgServer, for a
+    remote request, and the TranMan, whose request port also takes
+    protocol messages straight off the datagram layer, as themselves:
+    each hand off is the last act of a datagram arrival's turn.
     """
 
     def __init__(self, kernel: Kernel, site: str, name: str = "port"):
@@ -44,11 +42,6 @@ class Port:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = " DEAD" if self.dead else ""
         return f"<Port {self.site}:{self.name}{flag}>"
-
-    def enqueue(self, msg: Any) -> None:
-        if self.dead:
-            raise DeadPortError(f"send to dead port {self!r}")
-        self.queue.put(msg)
 
     def receive(self) -> Generator[Any, Any, Message]:
         """``yield from`` it: block until a message arrives.  Returns the

@@ -153,11 +153,8 @@ def _run_figure4(args) -> int:
 
     def client(app, obj):
         while system.kernel.now < duration:
-            try:
-                yield from app.minimal_transaction(services, op="write",
-                                                   obj=obj)
-            except Exception:
-                pass
+            yield from app.minimal_transaction(services, op="write",
+                                               obj=obj)
 
     for i in range(clients):
         # Disjoint objects: the saturation question is about the logger,

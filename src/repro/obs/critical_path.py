@@ -143,9 +143,8 @@ def extract(spans: Sequence[Span], tid: str, t_start: float,
         for seg in segments:
             if seg.t0 >= cursor - _EPS:
                 continue
+            # So eff > seg.t0 + _EPS: every segment outlasts _EPS.
             eff = min(seg.t1, cursor)
-            if eff <= seg.t0 + _EPS:
-                continue
             if best is None or eff > best_eff + _EPS \
                     or (abs(eff - best_eff) <= _EPS and seg.t0 < best.t0):
                 best, best_eff = seg, eff

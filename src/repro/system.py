@@ -32,7 +32,7 @@ from repro.servers.dataserver import DataServer
 from repro.servers.diskman import DiskManager
 from repro.servers.recovery import analyze
 from repro.servers.tranman import TransactionManager
-from repro.sim.kernel import Kernel
+from repro.sim.kernel import Kernel, SimulationError
 from repro.sim.process import Process, ProcessBody, Sleep
 from repro.sim.rng import RngStreams
 from repro.sim.tracing import Tracer
@@ -173,12 +173,19 @@ class CamelotSystem:
 
     def run_process(self, body: ProcessBody, timeout_ms: float = 60_000.0,
                     name: str = "workload") -> Any:
-        """Spawn a process and run the kernel until it finishes."""
+        """Spawn a process and run the kernel until it finishes.
+
+        Raises ``TimeoutError`` when the clock passes the deadline, and
+        ``SimulationError`` when the heap drains first: nothing is left
+        that could ever wake the process, so it is deadlocked, not slow.
+        """
         proc = self.spawn(body, name=name)
         deadline = self.kernel.now + timeout_ms
         while proc.alive and self.kernel.now < deadline:
             if not self.kernel.step():
-                break
+                raise SimulationError(
+                    f"{name} cannot finish: the event heap drained at "
+                    f"{self.kernel.now}ms with the process still waiting")
         if proc.alive:
             raise TimeoutError(f"{name} did not finish within {timeout_ms}ms")
         return proc.done.value

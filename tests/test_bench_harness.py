@@ -4,11 +4,12 @@ workloads, figure helpers)."""
 import pytest
 
 from repro.bench.experiment import (
+    ThroughputResult,
     _operation_cost,
     measure_latency,
     measure_throughput,
 )
-from repro.bench.figures import FigureSeries
+from repro.bench.figures import FigureSeries, ThroughputCurve
 from repro.config import rt_pc_profile
 from repro import CamelotSystem, SystemConfig
 from repro.bench.workloads import closed_loop, serial_minimal_txns, transfer
@@ -75,6 +76,38 @@ def test_closed_loop_stops_at_deadline():
     assert system.kernel.now >= 500.0
     # Every recorded commit began before the deadline.
     assert all(r.began_at < 500.0 for r in app.history)
+
+
+def _held_x(system):
+    """A transaction that writes ``x`` at a and never finishes: every
+    later lock request on ``x`` outwaits the lock-wait timeout."""
+    holder = system.application("a", name="holder")
+
+    def hold():
+        tid = yield from holder.begin()
+        yield from holder.write(tid, "server0@a", "x", 0)
+
+    system.run_process(hold())
+
+
+@pytest.mark.parametrize("workload", [
+    lambda app: serial_minimal_txns(app, ["server0@a"], 2),
+    lambda app: closed_loop(app, ["server0@a"], until_ms=8_000.0),
+], ids=["serial", "closed_loop"])
+def test_workloads_count_an_aborted_transaction_and_go_on(workload):
+    system = CamelotSystem(SystemConfig(sites={"a": 1}))
+    _held_x(system)
+    app = system.application("a")
+    assert system.run_process(workload(app)) == 0
+    assert app.aborted == 2
+
+
+def test_throughput_curve_lists_each_points_tps():
+    curve = ThroughputCurve(label="x", points=[
+        ThroughputResult(pairs=p, threads=1, group_commit=False, op="write",
+                         tps=10.0 * p, committed=p, duration_ms=1.0)
+        for p in (1, 2)])
+    assert curve.tps() == [10.0, 20.0]
 
 
 def test_transfer_insufficient_funds_is_clean():

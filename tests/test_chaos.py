@@ -6,20 +6,29 @@ import json
 import pytest
 
 from repro.chaos.boundaries import golden_boundaries, systematic_schedules
+from repro.chaos import shrinker
 from repro.chaos.bugs import BUGS, seeded_bug
 from repro.chaos.oracles import Violation
-from repro.chaos.scenario import ScenarioSpec, run_schedule
+from repro.chaos.scenario import (RunResult, ScenarioSpec, build_system,
+                                  run_schedule, start_workload)
 from repro.chaos.schedule import (
     FaultEvent,
     FaultSchedule,
     random_schedule,
     random_schedules,
 )
-from repro.chaos.shrinker import replay, shrink_schedule, write_repro
+from repro.chaos.shrinker import (load_repro, replay, shrink_schedule,
+                                  write_repro)
 from repro.chaos.__main__ import main as chaos_main
+from repro.core.outcomes import Outcome, Vote
+from repro.core.tid import TID
+from repro.core.twophase import TwoPhaseSubordinate
+from repro.servers.lockmgr import LockMode
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process
 from repro.sim.resources import Semaphore
+
+from tests.machine_harness import MachineHost
 
 
 # ------------------------------------------------------------ schedules
@@ -57,6 +66,21 @@ def test_schedule_json_round_trip():
     assert json.dumps(back.to_json(), sort_keys=True) == blob
 
 
+@pytest.mark.parametrize("event, text", [
+    (FaultEvent(5.0, "crash", site="b"), "t=5 crash(b)"),
+    (FaultEvent(5.0, "restart", site="b"), "t=5 restart(b)"),
+    (FaultEvent(5.0, "partition", groups=(("a",), ("b", "c"))),
+     "t=5 partition(a|b,c)"),
+    (FaultEvent(5.0, "crash_restart", site="b", delay=100.0),
+     "t=5 crash_restart(b, back@105)"),
+    (FaultEvent(5.0, "loss", probability=0.25), "t=5 loss(p=0.25)"),
+    (FaultEvent(5.0, "duplicate", probability=0.5), "t=5 duplicate(p=0.5)"),
+    (FaultEvent(5.0, "heal"), "t=5 heal"),
+])
+def test_fault_event_describe(event, text):
+    assert event.describe() == text
+
+
 def test_schedule_orders_events_by_time():
     sched = FaultSchedule(events=(
         FaultEvent(200.0, "heal"),
@@ -67,6 +91,25 @@ def test_schedule_orders_events_by_time():
 
 
 # ------------------------------------------------------------- scenario
+
+
+def test_unknown_protocol_is_refused():
+    with pytest.raises(ValueError, match="unknown protocol 'x'"):
+        ScenarioSpec(protocol="x")
+
+
+def test_a_chaos_transaction_that_aborts_records_an_aborted_outcome():
+    """A lock held at b outlasts the chaos write's lock wait: the server
+    refuses the write, the application aborts, and the workload records
+    the outcome instead of dying with the exception."""
+    spec = ScenarioSpec(protocol="2pc")
+    system = build_system(spec)
+    system.server("server0@b").locks.acquire("x", TID.parse("T9@b"),
+                                             LockMode.WRITE)
+    state = start_workload(system, spec)
+    system.run_for(10_000.0)
+    assert state["written"] == ["server0@a"]
+    assert state["outcome"] is Outcome.ABORTED
 
 
 def test_fault_free_run_is_clean_and_deterministic():
@@ -196,6 +239,41 @@ def test_without_bug_same_schedule_is_clean():
     ), label="clean")
     result = run_schedule(spec, sched)
     assert result.ok, [v.describe() for v in result.violations]
+
+
+def test_seeded_bug_passes_a_no_vote_through():
+    """The bug corrupts only the YES vote; a NO vote still aborts."""
+    with seeded_bug("vote_before_prepare_durable"):
+        host = MachineHost(TwoPhaseSubordinate(TID("T1@a"), "b", "a")).start()
+        host.local_prepared(Vote.NO)
+    assert host.sent[0][1].vote is Vote.NO
+    assert host.written_kinds() == ["abort"]
+
+
+def test_shrink_stops_at_its_run_budget(monkeypatch):
+    """No candidate reproduces; the shrink gives up after its budget and
+    returns the failing run it was given."""
+    spec = ScenarioSpec(protocol="2pc")
+    failing = RunResult(
+        spec=spec, state={}, signature="",
+        violations=(Violation("atomicity", "split"),),
+        schedule=FaultSchedule(events=(FaultEvent(1.0, "heal"),
+                                       FaultEvent(2.0, "heal"))))
+    clean = RunResult(spec=spec, schedule=FaultSchedule(), state={},
+                      violations=(), signature="")
+    runs = []
+    monkeypatch.setattr(shrinker, "_MAX_RUNS", 1)
+    monkeypatch.setattr(shrinker, "run_schedule",
+                        lambda spec, sched: runs.append(sched) or clean)
+    assert shrink_schedule(spec, failing) == (failing.schedule, failing)
+    assert len(runs) == 1
+
+
+def test_load_repro_refuses_another_format(tmp_path):
+    path = tmp_path / "repro.json"
+    path.write_text(json.dumps({"format": "something-else"}))
+    with pytest.raises(ValueError, match="not a .* repro file"):
+        load_repro(str(path))
 
 
 def test_shrink_requires_a_failing_result():

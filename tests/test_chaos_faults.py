@@ -56,6 +56,7 @@ def test_schedule_horizon_covers_the_restart():
 
 def test_new_kinds_json_round_trip():
     sched = FaultSchedule(events=(
+        FaultEvent(40.0, "partition", groups=(("a",), ("b", "c"))),
         FaultEvent(60.0, "duplicate", probability=0.25),
         FaultEvent(130.0, "crash_restart", site="b", delay=4_000.0),
     ), label="rt")

@@ -1,7 +1,7 @@
 """repro.lint.flow: the whole-program layer sees what per-file rules
 cannot — taint through helpers in other modules, IO reachable from
-core/, unguarded COMMIT sends on one CFG path — plus the engine pieces
-(call graph, path enumeration) on synthetic trees, the inline
+core/ — plus the engine pieces (call graph, path enumeration and the
+labels protograph reads off them) on synthetic trees, the inline
 ``# lint: bounded()`` acknowledgement, and the lint runtime budget."""
 
 import textwrap
@@ -12,11 +12,10 @@ import pytest
 from repro.lint import all_rules, run_lint
 from repro.lint.engine import build_context
 from repro.lint.flow import flow_program
-from repro.lint.flow import cfg
+from repro.lint.flow import cfg, protograph
 
 _FLOW_RULES = {"flow-determinism", "flow-sansio-purity",
-               "flow-force-discipline", "flow-protocol-graph",
-               "live-io-fence"}
+               "flow-protocol-graph", "live-io-fence"}
 
 
 def _per_file_rules():
@@ -80,6 +79,70 @@ class TestCallGraph:
         # Attribute call through a constructor-typed attribute.
         assert "sim/engine.py::Kernel.tick" in list(
             program.callees("sim/engine.py::Runner.go"))
+
+
+    def test_relative_and_module_qualified_references(self, tmp_path):
+        """Relative imports (one and two levels up), ``import pkg`` and
+        ``import pkg.mod as alias`` of project modules, and classes
+        reached through a module: each resolves to its definition."""
+        _write(tmp_path, "core/__init__.py", "")
+        _write(tmp_path, "core/helpers.py", """
+            class Box:
+                def __init__(self):
+                    self.n = 0
+
+                def peek(self):
+                    return self.n
+
+
+            def util():
+                return 1
+            """)
+        _write(tmp_path, "core/sub/__init__.py", "")
+        _write(tmp_path, "core/sub/deep.py", """
+            from ..helpers import util
+
+
+            def f():
+                return util()
+            """)
+        _write(tmp_path, "core/machine.py", """
+            from . import helpers
+            import core
+            import core.helpers as ch
+
+
+            class Cycle(Loop):
+                pass
+
+
+            class Loop(Cycle):
+                pass
+
+
+            class M:
+                def __init__(self):
+                    self.box = ch.Box()
+
+                def go(self, tag: "not a type("):
+                    ch.Box()
+                    ch.Box.peek(self.box)
+                    ch.missing()
+                    core.helpers.util()
+                    return helpers.util()
+            """)
+        program = flow_program(build_context(tmp_path))
+        assert set(program.callees("core/machine.py::M.go")) == {
+            "core/helpers.py::Box.__init__", "core/helpers.py::Box.peek",
+            "core/helpers.py::util"}
+        assert list(program.callees("core/sub/deep.py::f")) == [
+            "core/helpers.py::util"]
+        assert program.classes["core/machine.py::M"].attr_types == {
+            "box": "core/helpers.py::Box"}
+        # A project package is no external primitive.
+        assert program.funcs["core/machine.py::M.go"].externals == []
+        # Inheritance that loops back on itself ends the method lookup.
+        assert program.class_method("core/machine.py::Cycle", "m") is None
 
 
 # --------------------------------------------------------- determinism
@@ -166,6 +229,9 @@ class TestFlowDeterminism:
         "module_comprehension": ("import time\n"
                                  "STAMPS = [time.time_ns() for _ in "
                                  "range(3)]\n", 2),
+        "seedless_random": ("import random\n"
+                            "def f():\n"
+                            "    return random.Random()\n", 3),
     }
 
     @pytest.mark.parametrize("shape", sorted(GAPS))
@@ -175,6 +241,18 @@ class TestFlowDeterminism:
         found = _ids(run_lint(root=tmp_path, rule_ids=["flow-determinism"]),
                      "flow-determinism")
         assert [f.line for f in found] == [line], [f.message for f in found]
+
+
+    def test_call_through_a_subscript_is_not_followed(self, tmp_path):
+        """Outside functions a fence reads direct uses only (DESIGN.md
+        §9): a call whose callee is no name is passed over."""
+        _write(tmp_path, "sim/table.py", """
+            import time
+            CLOCKS = {"wall": time.time}
+            STAMP = CLOCKS["wall"]()
+            """)
+        report = run_lint(root=tmp_path, rule_ids=["flow-determinism"])
+        assert report.findings == []
 
 
 # -------------------------------------------------------------- purity
@@ -212,6 +290,21 @@ class TestSansIoPurity:
                     self.site = site
                     self.kernel = kernel
             """)
+        # A host class imported from the tree, and passed in under a
+        # neutral name that only its annotation gives away.
+        _write(tmp_path, "sim/kernel.py", """
+            class Kernel:
+                pass
+            """)
+        _write(tmp_path, "core/timed.py", """
+            from sim.kernel import Kernel
+
+
+            class Timed:
+                def __init__(self, tid, clock: Kernel):
+                    self.tid = tid
+                    self.clock = clock
+            """)
         report = run_lint(root=tmp_path, rule_ids=["flow-sansio-purity"])
         keys = {f.key for f in _ids(report, "flow-sansio-purity")}
         assert "import:core/machine.py:socket" in keys
@@ -222,6 +315,8 @@ class TestSansIoPurity:
         assert "ctor:core/machine.py::Proto:kernel" in keys
         assert "import:core/edge.py:socket" in keys
         assert "ctor:core/edge.py::ProtocolEdge:kernel" in keys
+        assert "import:core/timed.py:sim/kernel.py" in keys
+        assert "ctor:core/timed.py::Timed:clock" in keys
 
     def test_call_into_an_io_helper_outside_core_flagged_at_the_call(
             self, tmp_path):
@@ -269,92 +364,6 @@ class TestSansIoPurity:
         assert not _ids(report, "flow-sansio-purity")
 
 
-# ----------------------------------------------------- force discipline
-
-
-_BAD_MACHINE = """
-    class BadCoordinator:
-        def __init__(self, tid):
-            self.tid = tid
-
-        def on_message(self, msg):
-            if msg.kind == "inquiry":
-                # Seeded violation: the COMMIT claim races the force on
-                # this early-return path.
-                return [SendDatagram("s1", CommitNotice(tid=self.tid,
-                                                        sender="c"))]
-            return [ForceLog("commit-record", "COMMIT_FORCE")]
-
-        def on_log_forced(self, token):
-            if token == "COMMIT_FORCE":
-                # Guarded: force completion dominates this send.
-                return [SendDatagram("s1", CommitNotice(tid=self.tid,
-                                                        sender="c"))]
-            return []
-    """
-
-
-class TestForceDiscipline:
-    def test_unguarded_path_flagged_guarded_path_clean(self, tmp_path):
-        _write(tmp_path, "core/bad2pc.py", _BAD_MACHINE)
-        report = run_lint(root=tmp_path, rule_ids=["flow-force-discipline"])
-        found = _ids(report, "flow-force-discipline")
-        assert len(found) == 1
-        assert "on_message" in found[0].message
-        assert "CommitNotice" in found[0].message
-
-    def test_invisible_to_per_file_rules(self, tmp_path):
-        _write(tmp_path, "core/bad2pc.py", _BAD_MACHINE)
-        report = run_lint(root=tmp_path, rule_ids=_per_file_rules())
-        assert not report.findings
-
-    def test_force_in_same_effect_list_does_not_guard(self, tmp_path):
-        _write(tmp_path, "core/racy.py", """
-            class RacyMachine:
-                def __init__(self, tid):
-                    self.tid = tid
-
-                def on_message(self, msg):
-                    # The host executes effects asynchronously: listing
-                    # the force first guards nothing.
-                    return [
-                        ForceLog("commit-record", "COMMIT_FORCE"),
-                        SendDatagram("s1", CommitNotice(tid=self.tid,
-                                                        sender="c")),
-                    ]
-            """)
-        report = run_lint(root=tmp_path, rule_ids=["flow-force-discipline"])
-        assert len(_ids(report, "flow-force-discipline")) == 1
-
-
-    def test_message_passed_into_a_helper_keeps_its_class(self, tmp_path):
-        """The notice reaches the send through the helper's parameter:
-        the unforced path must still be flagged, the forced one not."""
-        _write(tmp_path, "core/relay.py", """
-            class RelayCoordinator:
-                def __init__(self, tid):
-                    self.tid = tid
-
-                def on_message(self, msg):
-                    return self._tell(msg.sender,
-                                      CommitNotice(tid=self.tid, sender="c"))
-
-                def on_log_forced(self, token):
-                    if token == "COMMIT_FORCE":
-                        return self._tell("s1", CommitNotice(tid=self.tid,
-                                                             sender="c"))
-                    return []
-
-                def _tell(self, dst, notice):
-                    return [SendDatagram(dst, notice)]
-            """)
-        report = run_lint(root=tmp_path, rule_ids=["flow-force-discipline"])
-        found = _ids(report, "flow-force-discipline")
-        assert len(found) == 1
-        assert "RelayCoordinator.on_message" in found[0].message
-        assert "CommitNotice" in found[0].message
-
-
 # ----------------------------------------------------- path enumeration
 
 
@@ -385,6 +394,103 @@ class TestCfgPaths:
         rendered = {a.render() for a in with_force[0].facts}
         assert any("skip" in r and "not" in r for r in rendered)
         assert any("trace" in r and "not" in r for r in rendered)
+
+    def test_message_passed_into_a_helper_keeps_its_class(self, tmp_path):
+        """The notice reaches the send through the helper's parameter:
+        both transition rows still label the send with its class."""
+        _write(tmp_path, "core/relay.py", """
+            class RelayCoordinator:
+                def __init__(self, tid):
+                    self.tid = tid
+
+                def on_message(self, msg):
+                    return self._tell(msg.sender,
+                                      CommitNotice(tid=self.tid, sender="c"))
+
+                def on_log_forced(self, token):
+                    if token == "COMMIT_FORCE":
+                        return self._tell("s1", CommitNotice(tid=self.tid,
+                                                             sender="c"))
+                    return []
+
+                def _tell(self, dst, notice):
+                    return [SendDatagram(dst, notice)]
+            """)
+        program = flow_program(build_context(tmp_path))
+        cls = program.classes["core/relay.py::RelayCoordinator"]
+        paths = protograph.entry_paths(program, cls,
+                                       cfg.effect_names_for(program))
+        rows = protograph.extract(program, cls, paths, set())
+        assert {(r.input, r.effects) for r in rows} == {
+            ("message:*", ("SendDatagram(CommitNotice)",)),
+            ("forced:COMMIT_FORCE", ("SendDatagram(CommitNotice)",)),
+        }
+
+
+    def test_statement_and_expression_shapes(self, tmp_path):
+        """Each statement form the explorer walks, by the rows it yields:
+        ``with`` and ``try`` bodies are walked in line (a return inside
+        ``with`` ends the path; ``finally`` runs after the body), an
+        ``assert`` that contradicts the guards ends its path raised, a
+        bare annotation is skipped, a lambda body is not run, a dict
+        comprehension and a ``message=`` keyword keep the sent class,
+        and a helper that only assigns state is inlined — a raise inside
+        it ends the path before the rest of the expression."""
+        _write(tmp_path, "core/shapes.py", """
+            from enum import Enum
+
+
+            class S(Enum):
+                IDLE = 1
+                DONE = 2
+
+
+            class Shapes:
+                def __init__(self):
+                    self.state = S.IDLE
+
+                def on_message(self, msg):
+                    note: int
+                    with msg.lock:
+                        if msg.kind == "a":
+                            return [Trace("a", {})]
+                    try:
+                        out = [ForceLog("r", "TOK")]
+                    finally:
+                        self.state = S.DONE
+                    return out
+
+                def on_timer(self, token):
+                    return self._check(token) + [Trace("t", {})]
+
+                def on_local_prepared(self, vote):
+                    if self.state is S.IDLE:
+                        assert self.state is S.DONE
+                    self.later = lambda: [SendDatagram("b", Ping())]
+                    return [SendDatagram("c", message=Ping())] + list(
+                        {d: SendDatagram(d, Ping()) for d in vote}.values())
+
+                def _check(self, token):
+                    if token == "BAD":
+                        raise ValueError(token)
+                    self.state = S.DONE
+                    return []
+            """)
+        program = flow_program(build_context(tmp_path))
+        cls = program.classes["core/shapes.py::Shapes"]
+        paths = protograph.entry_paths(program, cls,
+                                       cfg.effect_names_for(program))
+        rows = {(r.method, r.src, r.dst, r.effects, r.raised)
+                for r in protograph.extract(program, cls, paths, set())}
+        sends = ("SendDatagram(Ping)", "SendDatagram(Ping)")
+        assert rows == {
+            ("on_message", "*", "*", ("Trace",), False),
+            ("on_message", "*", "DONE", ("ForceLog['TOK']",), False),
+            ("on_timer", "*", "*", (), True),
+            ("on_timer", "*", "DONE", ("Trace",), False),
+            ("on_local_prepared", "IDLE", "IDLE", (), True),
+            ("on_local_prepared", "*", "*", sends, False),
+        }
 
 
 # --------------------------------------------------------- bounded ack
@@ -427,12 +533,12 @@ class TestBoundedAck:
 
 
 def test_live_tree_flow_rules_clean_within_budget(tree_lint):
-    """All four whole-program analyses hold on the real tree, and the
+    """All three whole-program analyses hold on the real tree, and the
     session's full whole-tree run (flow included) fits the CI latency
     budget."""
     report = tree_lint.report
     flow_rules = {"flow-determinism", "flow-sansio-purity",
-                  "flow-force-discipline", "flow-protocol-graph"}
+                  "flow-protocol-graph"}
     assert flow_rules <= set(report.rules_run)
     assert not [f for f in report.findings if f.rule in flow_rules], (
         [f.message for f in report.findings])

@@ -20,6 +20,19 @@ def _fence(root: Path):
     return [f for f in report.findings if f.rule == "live-io-fence"]
 
 
+def test_relative_import_of_a_project_module_is_no_leak(tmp_path):
+    """``from .selectors import ...`` names the package's own module,
+    not the stdlib one."""
+    _write(tmp_path, "sim/selectors.py", """
+        def pick(xs):
+            return xs[0]
+        """)
+    _write(tmp_path, "sim/poller.py", """
+        from .selectors import pick
+        """)
+    assert _fence(tmp_path) == []
+
+
 class TestSeededLeaks:
     def test_plain_import_asyncio_outside_live(self, tmp_path):
         _write(tmp_path, "net/fastpath.py", """

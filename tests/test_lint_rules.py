@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import all_rules, run_lint
+from repro.lint import all_rules, rule, run_lint
 from repro.lint.__main__ import main as lint_main
+from repro.lint.findings import source_line
 
 
 def _write(root: Path, rel: str, source: str) -> None:
@@ -74,11 +75,11 @@ ALL_RULES = {
 }
 
 
-def test_registered_rules_are_exactly_these_ten():
+def test_registered_rules_are_exactly_these_nine():
     assert set(all_rules()) == {
         "unordered-iteration", "consumed-fire-and-forget",
         "chaos-oracle-readonly", "obs-readonly", "unbounded-growth",
-        "flow-determinism", "flow-sansio-purity", "flow-force-discipline",
+        "flow-determinism", "flow-sansio-purity",
         "flow-protocol-graph", "live-io-fence",
     }
 
@@ -239,6 +240,22 @@ def test_local_assigned_a_set_expression_feeding_effects_flagged(tmp_path):
     assert "'forward_to'" in report.findings[0].message
 
 
+def test_dict_view_feeding_kernel_posts_flagged(tmp_path):
+    _write(tmp_path, "sim/fanout.py", """
+        class Fanout:
+            def __init__(self, kernel):
+                self.kernel = kernel
+                self.peers = {}
+
+            def go(self):
+                for dst, _ in self.peers.items():
+                    self.kernel.post(0.0, print, dst)
+        """)
+    report = run_lint(root=tmp_path, rule_ids=["unordered-iteration"])
+    assert [f.line for f in report.findings] == [8]
+    assert ".items() view" in report.findings[0].message
+
+
 def test_oracle_mutations_flagged_reads_clean(tmp_path):
     """chaos-oracle-readonly: every mutation shape through the context
     parameter (or a local aliasing it) fires; pure reads stay clean."""
@@ -314,6 +331,17 @@ def test_obs_readonly_mutations_flagged_reads_clean(tmp_path):
     assert not [f for f in report.findings if "'clean'" in f.message]
     assert len([f for f in report.findings
                 if "'writes_a_recorder'" in f.message]) == 2
+
+
+def test_readonly_taint_follows_a_tuple_loop_target(tmp_path):
+    _write(tmp_path, "obs/sweep.py", """
+        def crash_all(system):
+            for name, site in system.sites.items():
+                site.crash()
+        """)
+    report = run_lint(root=tmp_path, rule_ids=["obs-readonly"])
+    assert [f.line for f in report.findings] == [4]
+    assert ".crash()" in report.findings[0].message
 
 
 def test_obs_readonly_exempts_scenario_driver(tmp_path):
@@ -404,3 +432,22 @@ def test_unbounded_growth_subscript_assignment_counts(tmp_path):
         """)
     report = run_lint(root=tmp_path, rule_ids=["unbounded-growth"])
     assert {f.key for f in report.findings} == {"ByKey.index"}
+
+
+def test_an_unparsable_file_fails_the_run(tmp_path):
+    """A file no rule can read must not let the tree lint clean."""
+    _write(tmp_path, "sim/broken.py", "def f(:\n")
+    with pytest.raises(SyntaxError):
+        run_lint(root=tmp_path)
+
+
+def test_a_rule_id_registers_once():
+    with pytest.raises(ValueError, match="duplicate lint rule id"):
+        rule("unordered-iteration", "again")(lambda ctx: [])
+    assert all_rules()["unordered-iteration"].__name__ \
+        == "check_unordered_iteration"
+
+
+def test_source_line_outside_the_file_is_none():
+    assert source_line(["x = 1"], 1) == "x = 1"
+    assert source_line(["x = 1"], 2) is None

@@ -34,8 +34,8 @@ def test_message_reply_preserves_trans():
 def test_port_receive_fifo():
     k = Kernel()
     port = Port(k, "a", name="p")
-    port.enqueue(Message(kind="m1"))
-    port.enqueue(Message(kind="m2"))
+    port.queue.put(Message(kind="m1"))
+    port.queue.put(Message(kind="m2"))
 
     def body():
         first = yield from port.receive()
@@ -47,10 +47,13 @@ def test_port_receive_fifo():
 
 def test_dead_port_rejects_traffic():
     k = Kernel()
+    fabric = make_fabric(k)
     port = Port(k, "a")
     port.destroy()
-    with pytest.raises(DeadPortError):
-        port.enqueue(Message(kind="x"))
+    fabric.send(port, Message(kind="x"))
+    k.run()
+    assert len(port.queue) == 0
+    assert fabric.tracer.count("ipc.dropped") == 1
     with pytest.raises(DeadPortError):
         next(port.receive())
 
@@ -58,7 +61,7 @@ def test_dead_port_rejects_traffic():
 def test_destroy_drains_queued_mail():
     k = Kernel()
     port = Port(k, "a")
-    port.enqueue(Message(kind="x"))
+    port.queue.put(Message(kind="x"))
     dropped = port.destroy()
     assert len(dropped) == 1
 

@@ -27,7 +27,7 @@ def test_pool_drains_port():
 
     _pool(k, port, handler, size=2)
     for i in range(4):
-        port.enqueue(Message(kind=f"m{i}"))
+        port.queue.put(Message(kind=f"m{i}"))
     k.run()
     assert sorted(handled) == ["m0", "m1", "m2", "m3"]
 
@@ -43,8 +43,8 @@ def test_single_thread_serializes():
         spans.append((start, k.now))
 
     _pool(k, port, handler, size=1)
-    port.enqueue(Message(kind="a"))
-    port.enqueue(Message(kind="b"))
+    port.queue.put(Message(kind="a"))
+    port.queue.put(Message(kind="b"))
     k.run()
     assert spans == [(0.0, 10.0), (10.0, 20.0)]
 
@@ -60,7 +60,7 @@ def test_many_threads_run_in_parallel():
 
     _pool(k, port, handler, size=4)
     for _ in range(4):
-        port.enqueue(Message(kind="x"))
+        port.queue.put(Message(kind="x"))
     k.run()
     assert done_at == [10.0] * 4
 
@@ -91,7 +91,7 @@ def test_pool_busy_and_handled_counters():
         yield Sleep(5.0)
 
     pool = _pool(k, port, handler, size=2)
-    port.enqueue(Message(kind="x"))
+    port.queue.put(Message(kind="x"))
     k.run()
     assert pool.handled == 1
     assert pool.busy == 0

@@ -13,7 +13,9 @@ import pytest
 from repro.analysis import static_analysis as sa
 from repro.config import SystemConfig
 from repro.core.outcomes import Outcome, ProtocolKind
-from repro.obs.attribution import attribute_run, compare_static, render_report
+from repro.obs.attribution import (AttributionSummary, StaticComparison,
+                                   attribute_run, compare_static,
+                                   render_report)
 from repro.obs.spans import SpanRecorder
 from repro.system import CamelotSystem
 
@@ -169,3 +171,10 @@ def test_report_not_ok_when_unbalanced_or_off_static():
     # No committed transaction fails although every printed check is ok.
     empty = attribute_run(recorder, [])
     assert not verdict(empty, None, 0.10, True)
+
+
+def test_nothing_to_compare_reads_zero():
+    """No committed path, or a static prediction of zero: the means and
+    the deviation read 0 instead of dividing by zero."""
+    assert AttributionSummary(paths=[]).static_comparable_ms == 0.0
+    assert StaticComparison(static_ms=0.0, live_ms=5.0).deviation == 0.0

@@ -5,7 +5,7 @@ import pytest
 
 from repro import CamelotSystem, SystemConfig
 from repro.obs.spans import SpanRecorder
-from repro.obs.utilization import occupancy, snapshot
+from repro.obs.utilization import UtilizationReport, occupancy, snapshot
 
 
 def test_gauge_time_weighted_mean():
@@ -30,3 +30,6 @@ def test_gauge_empty_and_degenerate():
     # A window of zero length reads the last level.
     assert occupancy([(5.0, 3.0)], until=5.0) == (1.0, 3.0)
     assert occupancy([(5.0, 0.0)], until=5.0) == (0.0, 0.0)
+    # Nothing measured: no bottleneck to name.
+    assert UtilizationReport(elapsed_ms=0.0, resources=[]).bottleneck() \
+        is None

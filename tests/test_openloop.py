@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.bench import __main__ as bench_cli
 from repro.bench.openloop import (
     LatencySketch,
     ZipfSampler,
@@ -94,6 +95,19 @@ def test_latency_sketch_exact_mean_min_max():
     assert sketch.min <= sketch.quantile(0.999) <= sketch.max
 
 
+def test_latency_sketch_bucket_zero_reports_its_edge():
+    """Bucket 0 holds everything at or under ``LO``; a quantile landing
+    there reports ``LO`` itself (clamped into [min, max])."""
+    sketch = LatencySketch()
+    for ms in (0.01, 100.0):
+        sketch.add(ms)
+    assert sketch.quantile(0.5) == LatencySketch.LO
+
+
+def test_empty_latency_sketch_quantile_is_zero():
+    assert LatencySketch().quantile(0.5) == 0.0
+
+
 def test_latency_sketch_fixed_size():
     sketch = LatencySketch()
     for i in range(50_000):
@@ -151,6 +165,21 @@ def test_open_loop_attribution_is_populated():
         assert est["cpu"] == 0.0
 
 
+def test_open_loop_attribution_omits_a_class_the_run_never_used():
+    result = _small_run(remote_fraction=0.0)
+    assert "rpc" not in {row.cls for row in result.attribution}
+
+
+def test_open_loop_counts_aborted_transactions_as_done():
+    """Overload on one hot object: later arrivals outwait the lock-wait
+    timeout and abort; each still counts as resolved."""
+    result = run_open_loop(sites=1, rate_tps=1000.0, txns=300, objects=1,
+                           remote_fraction=0.0)
+    assert result.aborted > 0
+    assert result.committed + result.aborted == 300
+    assert result.unfinished == 0
+
+
 def test_open_loop_prices_an_rpc_span_as_one_leg():
     """Each remote operation is one NetMsgServer round trip: two
     ``rpc.netmsg`` spans, request and reply, each half of netmsg_rpc."""
@@ -169,3 +198,25 @@ def test_scale_curve_shape_and_load_scaling():
     assert results[1].offered_tps == pytest.approx(60.0)
     for r in results:
         assert r.unfinished == 0
+
+
+# ------------------------------------------------------------------ CLI
+
+
+def test_cli_open_loop_run(capsys):
+    rc = bench_cli.main(["--open-loop", "--sites", "2", "--rate", "50",
+                         "--txns", "20"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "Open-loop run: 2 sites, 50 tps offered" in out
+    assert "peak RSS" in out
+
+
+def test_peak_rss_reads_bytes_where_the_platform_reports_bytes(
+        monkeypatch):
+    """Linux reports ``ru_maxrss`` in KiB, macOS in bytes."""
+    for maxrss, mib in ((40 * 1024, 40.0), (3 << 30, 3072.0)):
+        monkeypatch.setattr(bench_cli.resource, "getrusage",
+                            lambda who, r=maxrss: type(
+                                "Usage", (), {"ru_maxrss": r})())
+        assert bench_cli.peak_rss_mb() == mib

@@ -30,7 +30,7 @@ import random
 from functools import partial
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import nonblocking as nb
@@ -337,11 +337,12 @@ def check_nb(seed, n_subs, votes, dup, stale, takeovers):
         assert net.hosts["c0"].machine.outcome is not None
     assert len(set(decided.values())) <= 1, f"split outcomes: {decided}"
     if Outcome.COMMITTED in decided.values():
-        # Commit implies a commit quorum's worth of replication records.
-        replicated = sum(
-            1 for host in net.hosts.values()
-            if any(r.kind.value == "replication" for r in host.forced))
-        assert replicated >= quorum.commit_quorum
+        # Commit implies a commit quorum's worth of sites holding a
+        # replication record: a takeover forces its own site's.
+        replicated = {
+            site for site, host in net._all()
+            if any(r.kind.value == "replication" for r in host.forced)}
+        assert len(replicated) >= quorum.commit_quorum
 
 
 def check_paxos(seed, f, n_subs, votes, dup, stale, takeovers):
@@ -390,6 +391,9 @@ def test_2pc_fuzz_agreement(seed, n_subs, votes, dup, stale):
 @FUZZ
 @given(seed=SEED, n_subs=st.integers(min_value=1, max_value=4),
        votes=SUB_VOTES, dup=DUP, stale=STALE, takeovers=st.booleans())
+@example(seed=6433, n_subs=2,
+         votes=[Vote.YES, Vote.READ_ONLY, Vote.YES, Vote.YES],
+         dup=0.125, stale=0.125, takeovers=True)
 def test_nb_fuzz_agreement(seed, n_subs, votes, dup, stale, takeovers):
     check_nb(seed, n_subs, votes, dup, stale, takeovers)
 

@@ -210,6 +210,56 @@ class TestStateChecks:
         keys = {f.key for f in report.findings}
         assert "deadend:ToyState.STUCK" in keys
 
+    def test_member_read_under_a_statement_counts_as_checked(self, tmp_path):
+        """A read that is neither a comparison nor an assignment (here a
+        loop over members) counts as both entering and consulting."""
+        _write(tmp_path, "core/toy.py", """
+            from enum import Enum
+
+
+            class ToyState(Enum):
+                IDLE = "idle"
+                STUCK = "stuck"
+
+
+            class Toy:
+                def __init__(self, tid):
+                    self.tid = tid
+                    self.state = ToyState.IDLE
+
+                def on_message(self, msg):
+                    if self.state is ToyState.IDLE:
+                        for self.state in (ToyState.STUCK,):
+                            pass
+                    return []
+            """)
+        report = run_lint(root=tmp_path, rule_ids=["flow-protocol-graph"])
+        assert report.findings == []
+
+    def test_dispatch_with_no_row_flagged(self, tmp_path):
+        """The extraction self-check: a message class the machine tests
+        for that no transition row carries."""
+        _write(tmp_path, "core/messages.py", """
+            class ProtocolMessage:
+                pass
+
+
+            class Ping(ProtocolMessage):
+                pass
+            """)
+        _write(tmp_path, "core/toy.py", """
+            from core.messages import Ping
+
+
+            class Toy:
+                def on_message(self, msg):
+                    if isinstance(msg, Ping):
+                        pass
+                    return []
+            """)
+        report = run_lint(root=tmp_path, rule_ids=["flow-protocol-graph"])
+        assert [f.key for f in report.findings] == ["dispatch:Toy:Ping"]
+
     def test_terminal_done_state_allowed(self, tmp_path):
         _write(tmp_path, "core/toy.py", """
             from enum import Enum

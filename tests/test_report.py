@@ -1,12 +1,14 @@
 """Unit tests for table/figure rendering."""
 
 from repro.analysis.primitives import PrimitiveRow, table1_rows
+from repro.analysis.static_analysis import local_completion
 from repro.analysis.stats import summarize
 from repro.bench.figures import MulticastComparison, RpcBreakdown
 from repro.bench.report import (
     render_multicast,
     render_primitive_table,
     render_rpc_breakdown,
+    render_static_path,
     render_table,
 )
 
@@ -53,3 +55,16 @@ def test_render_multicast_reports_reduction():
     text = render_multicast(comparison)
     assert "stddev reduction" in text
     assert comparison.variance_reduction > 0.9
+
+
+def test_multicast_reduction_of_a_spread_free_unicast_is_zero():
+    flat = summarize([100.0, 100.0, 100.0])
+    assert flat.stdev == 0.0
+    assert MulticastComparison(
+        unicast=flat, multicast=summarize([90.0, 110.0])
+    ).variance_reduction == 0.0
+
+
+def test_render_static_path_is_one_line_per_row():
+    path = local_completion("write")
+    assert render_static_path(path).splitlines() == path.rows()

@@ -198,7 +198,7 @@ def test_process_killed_in_port_receive_leaves_no_ghost_getter():
     victim.kill()
     Process(k, _receiver(port, got))
     k.run()
-    port.enqueue("m")
+    port.queue.put("m")
     k.run()
     assert got == ["m"]
 
@@ -211,9 +211,9 @@ def test_item_handed_to_a_dying_receiver_is_requeued_at_the_head():
     k.run()
 
     def deliver_then_crash():
-        port.enqueue("first")       # handed to the victim's wait...
+        port.queue.put("first")       # handed to the victim's wait...
         victim.kill()               # ...which dies before it resumes
-        port.enqueue("second")
+        port.queue.put("second")
 
     k.post(1.0, deliver_then_crash)
     k.run()

@@ -4,6 +4,7 @@ import pytest
 
 from repro import CamelotSystem, SystemConfig
 from repro.sim.events import SimEvent
+from repro.sim.kernel import SimulationError
 from repro.sim.process import Sleep
 
 
@@ -55,14 +56,15 @@ def test_run_process_stops_at_a_drained_heap():
     """A workload waiting on an event nothing will trigger, on a system
     with nothing left to run (its one site crashed): ``run_process``
     stops where the heap drains, not at the deadline it can never
-    reach, and still raises ``TimeoutError``."""
+    reach, and reports a deadlock, not a timeout."""
     system = CamelotSystem(SystemConfig(sites={"a": 1}))
     system.crash_site("a")
 
     def stuck():
         yield SimEvent(system.kernel)
 
-    with pytest.raises(TimeoutError):
+    with pytest.raises(SimulationError,
+                       match=r"heap drained at 0\.0ms"):
         system.run_process(stuck(), timeout_ms=60_000.0)
     assert system.kernel.now == 0.0 and system.kernel.pending == 0
 

@@ -86,3 +86,12 @@ def test_two_site_commit_drops_locks_at_both_sites():
 def test_empty_tracer_renders_header_only():
     text = render_timeline(Tracer(), ["a"])
     assert len(text.splitlines()) == 2
+
+
+def test_heuristic_decisions_get_their_rows():
+    tracer = Tracer()
+    tracer.record(7.0, "2pc.heuristic_resolve", site="b",
+                  outcome="committed")
+    tracer.record(8.0, "2pc.heuristic_damage", site="b")
+    assert [(r.site, r.text) for r in extract_rows(tracer)] == [
+        ("b", "HEURISTIC committed"), ("b", "!! heuristic damage")]
