@@ -821,7 +821,9 @@ class PcParticipant(_AcceptorBatching):
             # The ack promises a durable commit record; until the lazy
             # write is covered we stay silent and let the notifier retry.
             return []
-        if self.outcome is not None:
+        if self.outcome is not None or self.state is PcSubState.DONE:
+            # Decided, or out since its vote (NO, or read-only with no
+            # acceptor duties): the ack is all it owes.
             return self._reack(msg.sender)
         self.outcome = msg.outcome
         self._notifier = msg.sender

@@ -85,7 +85,6 @@ class CoordinatorState(Enum):
     COLLECTING = "collecting"
     FORCING_COMMIT = "forcing_commit"
     COMMITTED = "committed"
-    ABORTED = "aborted"
     DONE = "done"
 
 
@@ -94,7 +93,6 @@ class SubordinateState(Enum):
     FORCING_PREPARE = "forcing_prepare"
     PREPARED = "prepared"
     COMMITTING = "committing"
-    COMMITTED = "committed"
     HEURISTIC = "heuristic"
     DONE = "done"
 
@@ -253,9 +251,8 @@ class TwoPhaseCoordinator(NotifyTail):
     # ------------------------------------------------------------ abort
 
     def _decide_abort(self) -> Effects:
-        if self.state in (CoordinatorState.ABORTED, CoordinatorState.DONE):
+        if self.state is CoordinatorState.DONE:
             return []
-        self.state = CoordinatorState.ABORTED
         self.outcome = Outcome.ABORTED
         # Presumed abort: lazy record, no acknowledgements, forget at once.
         effects: Effects = [CancelTimer(VOTE_TIMER)] if self.subordinates else []
@@ -397,7 +394,6 @@ class TwoPhaseSubordinate:
             return self._resolve_heuristic(Outcome.COMMITTED)
         if self.state is not SubordinateState.PREPARED:
             if self.state in (SubordinateState.COMMITTING,
-                              SubordinateState.COMMITTED,
                               SubordinateState.DONE):
                 return self._maybe_reack()
             return []
@@ -419,7 +415,6 @@ class TwoPhaseSubordinate:
         return effects
 
     def _commit_record_durable(self, forced: bool) -> Effects:
-        self.state = SubordinateState.COMMITTED
         effects: Effects = []
         if self.variant is TwoPhaseVariant.UNOPTIMIZED:
             effects.append(LocalCommit(self.tid))  # locks held until now
@@ -438,8 +433,8 @@ class TwoPhaseSubordinate:
 
     def _maybe_reack(self) -> Effects:
         # A retransmitted commit notice means our ack was lost.
-        if self.outcome is Outcome.COMMITTED and self.state in (
-                SubordinateState.COMMITTED, SubordinateState.DONE):
+        if self.outcome is Outcome.COMMITTED \
+                and self.state is SubordinateState.DONE:
             return [SendDatagram(self.coordinator,
                                  CommitAck(tid=self.tid, sender=self.site))]
         return []
@@ -447,8 +442,7 @@ class TwoPhaseSubordinate:
     def _on_abort(self) -> Effects:
         if self.state is SubordinateState.HEURISTIC:
             return self._resolve_heuristic(Outcome.ABORTED)
-        if self.state in (SubordinateState.COMMITTING,
-                          SubordinateState.COMMITTED):
+        if self.state is SubordinateState.COMMITTING:
             raise ProtocolViolation(
                 f"{self.tid}: abort notice after commit at {self.site}")
         if self.state is SubordinateState.DONE:

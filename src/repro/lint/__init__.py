@@ -13,9 +13,10 @@ This package checks those properties mechanically:
   iteration into the kernel, consumed fire-and-forget results,
   chaos-oracle and obs read-only discipline, unbounded growth) in a
   pluggable registry (:mod:`repro.lint.registry`).
-- :mod:`repro.lint.flow` — four whole-program rules, among them
+- :mod:`repro.lint.flow` — three whole-program rules:
   ``flow-determinism`` (no wall-clock, RNG or environment read reaches
-  sim-scoped code, under any alias or through any helper).
+  sim-scoped code, under any alias or through any helper), the sans-IO
+  purity fence over ``core/`` and the live-IO fence.
 
 Each rule catches a defect the test suite does not (DESIGN.md §9, the
 mutant table).  There is no suppression file: an intentional exception

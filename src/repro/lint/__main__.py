@@ -32,19 +32,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--rules", default=None,
                         help="comma-separated rule ids (default: all)")
-    parser.add_argument("--emit-graphs", metavar="DIR", default=None,
-                        help="write extracted protocol transition graphs "
-                             "(one JSON spec + Graphviz .dot per machine) "
-                             "to DIR and exit")
     args = parser.parse_args(argv)
     root = Path(args.path) if args.path else None
-
-    if args.emit_graphs is not None:
-        from repro.lint.engine import build_context
-        from repro.lint.flow.protograph import emit_graphs
-        for path in emit_graphs(build_context(root), Path(args.emit_graphs)):
-            print(path)
-        return 0
 
     rule_ids = ([r.strip() for r in args.rules.split(",") if r.strip()]
                 if args.rules else None)

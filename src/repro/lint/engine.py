@@ -1,9 +1,4 @@
-"""Lint engine: parse the tree once, build cross-file facts, run rules.
-
-The engine is what makes the rules *codebase-aware*: before any rule
-runs it extracts, from the tree being linted, the protocol message
-classes declared in ``core/messages.py`` (the transition-graph
-extractor labels inputs with them).
+"""Lint engine: parse the tree once, run rules.
 
 Rules receive one :class:`LintContext` and return findings; the engine
 fills in default stable keys (the stripped source line).
@@ -14,7 +9,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence
 
 from repro.lint.findings import Finding, LintReport, source_line
 from repro.lint.registry import all_rules
@@ -55,8 +50,6 @@ class LintContext:
 
     root: Path
     files: List[FileInfo] = field(default_factory=list)
-    # ---- cross-file facts -------------------------------------------
-    message_classes: Dict[str, int] = field(default_factory=dict)
     # Cached whole-program model (built on demand by the flow rules via
     # :func:`repro.lint.flow.flow_program`; typed loosely to keep the
     # engine import-independent of the flow package).
@@ -102,33 +95,12 @@ def collect_files(root: Path) -> List[FileInfo]:
     return infos
 
 
-# ------------------------------------------------------ cross-file facts
-
-
-def _message_facts(ctx: LintContext) -> None:
-    """The message classes declared in ``core/messages.py``: subclasses,
-    direct or not, of ``ProtocolMessage``."""
-    info = ctx.file("core/messages.py")
-    if info is None:
-        return
-    declared: Set[str] = {"ProtocolMessage"}
-    for node in info.tree.body:
-        if not isinstance(node, ast.ClassDef):
-            continue
-        bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
-        if bases & declared:
-            declared.add(node.name)
-            ctx.message_classes[node.name] = node.lineno
-
-
 def build_context(root: Optional[Path] = None) -> LintContext:
     """Parse ``root`` (default: the installed ``repro`` package)."""
     if root is None:
         import repro
         root = Path(repro.__file__).resolve().parent
-    ctx = LintContext(root=root, files=collect_files(root))
-    _message_facts(ctx)
-    return ctx
+    return LintContext(root=root, files=collect_files(root))
 
 
 # ---------------------------------------------------------------- runner
@@ -137,13 +109,7 @@ def build_context(root: Optional[Path] = None) -> LintContext:
 def run_lint(root: Optional[Path] = None,
              rule_ids: Optional[Sequence[str]] = None) -> LintReport:
     """Lint ``root`` (default: the installed ``repro`` package)."""
-    return lint_context(build_context(root), rule_ids)
-
-
-def lint_context(ctx: LintContext,
-                 rule_ids: Optional[Sequence[str]] = None) -> LintReport:
-    """Run the rules over an already-parsed tree (:func:`run_lint`'s
-    second half; a caller that also emits graphs parses once)."""
+    ctx = build_context(root)
     rules = all_rules()
     if rule_ids is not None:
         unknown = set(rule_ids) - set(rules)

@@ -109,7 +109,6 @@ class FuncNode:
     name: str
     node: FuncDef
     info: FileInfo
-    is_classmethod: bool = False
     is_staticmethod: bool = False
     calls: List[CallEdge] = field(default_factory=list)
     externals: List[ExternalRef] = field(default_factory=list)
@@ -278,7 +277,6 @@ class _Builder:
             deco = {dotted_name(d) for d in item.decorator_list}
             fn = FuncNode(qname=mq, module=info.sub, cls=node.name,
                           name=item.name, node=item, info=info,
-                          is_classmethod="classmethod" in deco,
                           is_staticmethod="staticmethod" in deco)
             self.program.funcs[mq] = fn
             cls.methods[item.name] = mq

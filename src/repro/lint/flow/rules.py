@@ -1,11 +1,10 @@
-"""Registration of the four whole-program flow rules.
+"""Registration of the three whole-program flow rules.
 
 Each rule is a thin adapter: build (or reuse) the shared
 :class:`~repro.lint.flow.callgraph.Program` for the tree being linted,
 then hand it to the analysis module.  Keeping registration separate
-from the analyses lets tests drive ``taint.run`` / ``purity.run`` /
-``protograph.run`` directly on synthetic trees
-without touching the global registry.
+from the analyses lets tests drive ``taint.run`` / ``purity.run``
+directly on synthetic trees without touching the global registry.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from repro.lint.engine import LintContext
 from repro.lint.findings import Finding
 from repro.lint.flow import flow_program
 from repro.lint.flow import livefence as _livefence
-from repro.lint.flow import protograph as _protograph
 from repro.lint.flow import purity as _purity
 from repro.lint.flow import taint as _taint
 from repro.lint.registry import rule
@@ -43,9 +41,3 @@ def check_flow_sansio_purity(ctx: LintContext) -> List[Finding]:
 def check_live_io_fence(ctx: LintContext) -> List[Finding]:
     return _livefence.run(ctx)
 
-
-@rule("flow-protocol-graph",
-      "extract (state, input) -> (state', effects, forces) tables; flag "
-      "unreachable/dead-end states and dispatched messages with no row")
-def check_flow_protocol_graph(ctx: LintContext) -> List[Finding]:
-    return _protograph.run(ctx, flow_program(ctx))

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import time
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-import repro
 from repro.config import CostModel, SystemConfig, rt_pc_profile
-from repro.lint.engine import build_context, lint_context
+from repro.lint import run_lint
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process
 from repro.sim.rng import RngStreams
@@ -64,11 +62,17 @@ def tree_lint() -> SimpleNamespace:
     """One whole-tree lint run per session, timed from parse to report.
 
     Each tree-clean test filters its own rule's findings out of
-    ``report``; the graph tests reuse the parsed tree (``ctx``, whose
-    whole-program model is built once).
+    ``report``.
     """
     start = time.perf_counter()
-    ctx = build_context(Path(repro.__file__).resolve().parent)
-    report = lint_context(ctx)
-    return SimpleNamespace(ctx=ctx, report=report,
+    report = run_lint()
+    return SimpleNamespace(report=report,
                            seconds=time.perf_counter() - start)
+
+
+@pytest.fixture(scope="session")
+def transition_graph() -> dict:
+    """The fixed corpus run once per session under the transition
+    recorder: ``graph`` and the fixed fuzz schedules run per family."""
+    from tests.transition_graph import record_corpus
+    return record_corpus()

@@ -1,7 +1,6 @@
 """repro.lint.flow: the whole-program layer sees what per-file rules
 cannot — taint through helpers in other modules, IO reachable from
-core/ — plus the engine pieces (call graph, path enumeration and the
-labels protograph reads off them) on synthetic trees, the inline
+core/ — plus the call graph on synthetic trees, the inline
 ``# lint: bounded()`` acknowledgement, and the lint runtime budget."""
 
 import textwrap
@@ -12,10 +11,8 @@ import pytest
 from repro.lint import all_rules, run_lint
 from repro.lint.engine import build_context
 from repro.lint.flow import flow_program
-from repro.lint.flow import cfg, protograph
 
-_FLOW_RULES = {"flow-determinism", "flow-sansio-purity",
-               "flow-protocol-graph", "live-io-fence"}
+_FLOW_RULES = {"flow-determinism", "flow-sansio-purity", "live-io-fence"}
 
 
 def _per_file_rules():
@@ -364,135 +361,6 @@ class TestSansIoPurity:
         assert not _ids(report, "flow-sansio-purity")
 
 
-# ----------------------------------------------------- path enumeration
-
-
-class TestCfgPaths:
-    def test_early_return_paths_keep_distinct_guards(self, tmp_path):
-        _write(tmp_path, "core/paths.py", """
-            class M:
-                def __init__(self):
-                    self.count = 0
-
-                def on_message(self, msg):
-                    if msg.kind == "skip":
-                        return []
-                    if msg.kind == "trace":
-                        return [Trace("seen", {})]
-                    return [ForceLog("rec", "TOK")]
-            """)
-        program = flow_program(build_context(tmp_path))
-        fn = program.funcs["core/paths.py::M.on_message"]
-        paths = cfg.explore(program, fn, cfg.effect_names_for(program))
-        assert len(paths) == 3
-        with_force = [p for p in paths if any(
-            isinstance(e, cfg.EffectEv) and e.kind == "ForceLog"
-            for e in p.events)]
-        assert len(with_force) == 1
-        # The force path is guarded by the *negation* of both early
-        # returns.
-        rendered = {a.render() for a in with_force[0].facts}
-        assert any("skip" in r and "not" in r for r in rendered)
-        assert any("trace" in r and "not" in r for r in rendered)
-
-    def test_message_passed_into_a_helper_keeps_its_class(self, tmp_path):
-        """The notice reaches the send through the helper's parameter:
-        both transition rows still label the send with its class."""
-        _write(tmp_path, "core/relay.py", """
-            class RelayCoordinator:
-                def __init__(self, tid):
-                    self.tid = tid
-
-                def on_message(self, msg):
-                    return self._tell(msg.sender,
-                                      CommitNotice(tid=self.tid, sender="c"))
-
-                def on_log_forced(self, token):
-                    if token == "COMMIT_FORCE":
-                        return self._tell("s1", CommitNotice(tid=self.tid,
-                                                             sender="c"))
-                    return []
-
-                def _tell(self, dst, notice):
-                    return [SendDatagram(dst, notice)]
-            """)
-        program = flow_program(build_context(tmp_path))
-        cls = program.classes["core/relay.py::RelayCoordinator"]
-        paths = protograph.entry_paths(program, cls,
-                                       cfg.effect_names_for(program))
-        rows = protograph.extract(program, cls, paths, set())
-        assert {(r.input, r.effects) for r in rows} == {
-            ("message:*", ("SendDatagram(CommitNotice)",)),
-            ("forced:COMMIT_FORCE", ("SendDatagram(CommitNotice)",)),
-        }
-
-
-    def test_statement_and_expression_shapes(self, tmp_path):
-        """Each statement form the explorer walks, by the rows it yields:
-        ``with`` and ``try`` bodies are walked in line (a return inside
-        ``with`` ends the path; ``finally`` runs after the body), an
-        ``assert`` that contradicts the guards ends its path raised, a
-        bare annotation is skipped, a lambda body is not run, a dict
-        comprehension and a ``message=`` keyword keep the sent class,
-        and a helper that only assigns state is inlined — a raise inside
-        it ends the path before the rest of the expression."""
-        _write(tmp_path, "core/shapes.py", """
-            from enum import Enum
-
-
-            class S(Enum):
-                IDLE = 1
-                DONE = 2
-
-
-            class Shapes:
-                def __init__(self):
-                    self.state = S.IDLE
-
-                def on_message(self, msg):
-                    note: int
-                    with msg.lock:
-                        if msg.kind == "a":
-                            return [Trace("a", {})]
-                    try:
-                        out = [ForceLog("r", "TOK")]
-                    finally:
-                        self.state = S.DONE
-                    return out
-
-                def on_timer(self, token):
-                    return self._check(token) + [Trace("t", {})]
-
-                def on_local_prepared(self, vote):
-                    if self.state is S.IDLE:
-                        assert self.state is S.DONE
-                    self.later = lambda: [SendDatagram("b", Ping())]
-                    return [SendDatagram("c", message=Ping())] + list(
-                        {d: SendDatagram(d, Ping()) for d in vote}.values())
-
-                def _check(self, token):
-                    if token == "BAD":
-                        raise ValueError(token)
-                    self.state = S.DONE
-                    return []
-            """)
-        program = flow_program(build_context(tmp_path))
-        cls = program.classes["core/shapes.py::Shapes"]
-        paths = protograph.entry_paths(program, cls,
-                                       cfg.effect_names_for(program))
-        rows = {(r.method, r.src, r.dst, r.effects, r.raised)
-                for r in protograph.extract(program, cls, paths, set())}
-        sends = ("SendDatagram(Ping)", "SendDatagram(Ping)")
-        assert rows == {
-            ("on_message", "*", "*", ("Trace",), False),
-            ("on_message", "*", "DONE", ("ForceLog['TOK']",), False),
-            ("on_timer", "*", "*", (), True),
-            ("on_timer", "*", "DONE", ("Trace",), False),
-            ("on_local_prepared", "IDLE", "IDLE", (), True),
-            ("on_local_prepared", "*", "*", sends, False),
-        }
-
-
 # --------------------------------------------------------- bounded ack
 
 
@@ -533,12 +401,10 @@ class TestBoundedAck:
 
 
 def test_live_tree_flow_rules_clean_within_budget(tree_lint):
-    """All three whole-program analyses hold on the real tree, and the
-    session's full whole-tree run (flow included) fits the CI latency
-    budget."""
+    """Both call-graph analyses hold on the real tree, and the session's
+    full whole-tree run (flow included) fits the CI latency budget."""
     report = tree_lint.report
-    flow_rules = {"flow-determinism", "flow-sansio-purity",
-                  "flow-protocol-graph"}
+    flow_rules = {"flow-determinism", "flow-sansio-purity"}
     assert flow_rules <= set(report.rules_run)
     assert not [f for f in report.findings if f.rule in flow_rules], (
         [f.message for f in report.findings])

@@ -75,12 +75,11 @@ ALL_RULES = {
 }
 
 
-def test_registered_rules_are_exactly_these_nine():
+def test_registered_rules_are_exactly_these_eight():
     assert set(all_rules()) == {
         "unordered-iteration", "consumed-fire-and-forget",
         "chaos-oracle-readonly", "obs-readonly", "unbounded-growth",
-        "flow-determinism", "flow-sansio-purity",
-        "flow-protocol-graph", "live-io-fence",
+        "flow-determinism", "flow-sansio-purity", "live-io-fence",
     }
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.edge import PledgeAck
 from repro.core.messages import (
     NbAbortJoin,
     NbAbortJoinAck,
@@ -188,6 +189,41 @@ def test_read_only_sites_drafted_as_quorum_helpers_when_needed():
     # One read-only site must be drafted to reach the quorum.
     replicates = [d for d, m in host.sent if isinstance(m, NbReplicate)]
     assert len(replicates) == 1
+
+
+def test_read_only_coordinator_replicates_only_at_its_subordinates():
+    """A coordinator that only read holds no replication record: two
+    YES votes form Qc=2 by themselves, so replication starts from the
+    last vote with nothing forced here, and their acks commit."""
+    host = coordinator()
+    host.local_prepared(Vote.READ_ONLY)
+    assert host.sent_kinds() == ["NbPrepare", "NbPrepare"]
+    host.deliver(NbVote(tid=TID1, sender="b", vote=Vote.YES))
+    host.deliver(NbVote(tid=TID1, sender="c", vote=Vote.YES))
+    assert host.machine.state is NbCoordinatorState.REPLICATING
+    assert host.forced == []
+    assert [d for d, m in host.sent if isinstance(m, NbReplicate)] == \
+        ["b", "c"]
+    host.deliver(NbReplicateAck(tid=TID1, sender="b", ok=True))
+    assert host.completions == []
+    host.deliver(NbReplicateAck(tid=TID1, sender="c", ok=True))
+    assert host.completions == [Outcome.COMMITTED]
+
+
+def test_commit_weighted_coordinator_commits_on_its_own_replication():
+    """Under the commit-weighted policy (Qc=1) the coordinator's own
+    replication record is a commit quorum: its force is the commit
+    point, and the outcome follows the replicate messages out."""
+    host = coordinator(quorum=QuorumSpec.commit_weighted(3))
+    host.local_prepared(Vote.YES)
+    host.complete_force()
+    host.deliver(NbVote(tid=TID1, sender="b", vote=Vote.YES))
+    host.deliver(NbVote(tid=TID1, sender="c", vote=Vote.YES))
+    host.complete_force()                       # own replication record
+    assert host.machine.state is NbCoordinatorState.NOTIFYING
+    assert host.completions == [Outcome.COMMITTED]
+    assert host.sent_kinds()[-4:] == ["NbReplicate", "NbReplicate",
+                                      "NbOutcome", "NbOutcome"]
 
 
 def test_helper_machine_from_replicate_message():
@@ -516,6 +552,32 @@ def test_takeover_own_promotion_short_of_the_quorum_waits():
     host.complete_force()
     assert host.machine.outcome is None and host.sent_kinds()[-1] == \
         "NbReplicate"
+
+
+def test_takeover_commits_on_its_own_promotion_force():
+    """Prepared here, replicated at a: promoting itself completes Qc=2,
+    so the forced replication record decides the commit."""
+    host = takeover()
+    host.deliver(NbStateReport(tid=TID1, sender="a", status="replicated",
+                               decision_data=decision_data()))
+    host.deliver(NbStateReport(tid=TID1, sender="c", status="prepared"))
+    assert host.forced_kinds() == ["replication"]
+    host.complete_force()
+    assert host.machine.outcome is Outcome.COMMITTED
+    assert host.sent_kinds()[-2:] == ["NbOutcome", "NbOutcome"]
+
+
+def test_stateless_pledge_answers_every_waiter_once_forced():
+    """The edge's one-shot pledge machine: force, then ack each
+    NbAbortJoin that waited on the force."""
+    forced = []
+    host = MachineHost(PledgeAck(TID1, "b", forced=forced.append)).start()
+    assert host.forced_kinds() == ["abort_pledge"]
+    host.machine.waiters += ["a", "c"]
+    host.complete_force()
+    assert forced == [str(TID1)]
+    assert [(d, type(m).__name__, m.ok) for d, m in host.sent] == [
+        ("a", "NbAbortJoinAck", True), ("c", "NbAbortJoinAck", True)]
 
 
 def test_coordinator_adopts_a_takeover_commit_post_replication():

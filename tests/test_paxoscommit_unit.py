@@ -293,6 +293,25 @@ def test_duplicate_outcome_at_participant_is_idempotent():
     assert len(host.sent) == sends
 
 
+@pytest.mark.parametrize("vote,outcome", [
+    (Vote.READ_ONLY, Outcome.COMMITTED), (Vote.NO, Outcome.ABORTED)])
+def test_participant_out_since_its_vote_only_acks_a_late_outcome(vote,
+                                                                 outcome):
+    """A participant that left at its vote (read-only with no acceptor
+    duties, or NO) is DONE with no outcome of its own.  An outcome that
+    reaches it then (a candidate tells every site) is acked and changes
+    nothing: no second local commit or abort, no record."""
+    host = f0_participant()
+    host.local_prepared(vote)
+    before = (list(host.local_commits), list(host.local_aborts),
+              list(host.written), len(host.sent))
+    host.deliver(PcOutcome(TID1, "c", outcome=outcome))
+    assert host.machine.state is PcSubState.DONE
+    assert (host.local_commits, host.local_aborts, host.written) == \
+        before[:3]
+    assert host.sent[before[3]:] == [("c", PcOutcomeAck(TID1, "b"))]
+
+
 def test_duplicate_ack_at_leader_writes_one_end_record():
     host = f0_leader()
     host.local_prepared(Vote.YES)

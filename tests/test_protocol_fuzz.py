@@ -47,6 +47,7 @@ from repro.core.messages import (
     NbReplicateAck,
     NbVote,
     PcOutcome,
+    PcOutcomeAck,
     PcP1a,
     PcP2a,
     PcPhase2b,
@@ -406,12 +407,14 @@ def test_paxos_fuzz_agreement(seed, f, n_subs, votes, dup, stale, takeovers):
     check_paxos(seed, f, n_subs, votes, dup, stale, takeovers)
 
 
-@pytest.mark.parametrize("family", ["2pc", "nb", "paxos"])
-def test_fuzz_over_fixed_schedules(family):
-    """The same checks over 200 fixed draws per family.  What hypothesis
-    draws changes from run to run; these do not, so every path they
-    reach is reached by every run."""
-    for seed in range(200):
+FIXED_SCHEDULES = 200
+
+
+def run_fixed_schedules(family):
+    """The same checks over 200 fixed draws of one family; returns how
+    many ran.  What hypothesis draws changes from run to run; these do
+    not, so every path they reach is reached by every run."""
+    for seed in range(FIXED_SCHEDULES):
         draw = random.Random(seed)
         n_subs = draw.randint(2 if family == "paxos" else 1, 4)
         votes = [draw.choice(VOTES) for _ in range(4)]
@@ -424,6 +427,16 @@ def test_fuzz_over_fixed_schedules(family):
         else:
             check_paxos(seed, draw.choice([0, 1]), n_subs, votes, dup,
                         stale, takeovers)
+    return FIXED_SCHEDULES
+
+
+@pytest.mark.parametrize("family", ["2pc", "nb", "paxos"])
+def test_fuzz_over_fixed_schedules(family, transition_graph):
+    """The fixed schedules run once per session, under the transition
+    recorder (``tests/transition_graph.py``), whose graph
+    ``tests/test_protocol_graph.py`` checks; an invariant a schedule
+    breaks fails that recording, and with it this test."""
+    assert transition_graph["schedules"][family] == FIXED_SCHEDULES
 
 
 @FUZZ
@@ -551,6 +564,8 @@ STALE = {
         lambda: _pc_participant().on_log_forced(pc.PC_DECIDE_FORCE),
     "pc participant: another machine's timer":
         lambda: _pc_participant().on_timer(pc.PC_VOTE_TIMER),
+    "pc participant: an outcome ack, which only notifiers take":
+        lambda: _pc_participant().on_message(PcOutcomeAck(T, "c")),
     "pc participant, no acceptor: a ballot-0 vote":
         lambda: _pc_participant().on_message(PcVote(
             T, "c", vote=Vote.YES, leader="a", sites=("a", "b"),

@@ -1,13 +1,9 @@
-"""flow-protocol-graph: the statically extracted transition graphs and
-the state-machine checks on synthetic trees; and the §3.2 primitive
-counts, measured by running the protocol machines, against the paper's
-closed-form cost formulas."""
+"""The protocol machines, run: the §3.2 primitive counts against the
+paper's closed-form cost formulas, and the transition graph the
+recorder (``tests/transition_graph.py``) reads off the fixed corpus,
+checked and pinned."""
 
-import hashlib
-import json
-import textwrap
 from collections import deque
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -16,16 +12,11 @@ from repro.analysis.static_analysis import path_counts
 from repro.config import CostModel
 from repro.core.edge import ProtocolEdge
 from repro.core.interpreter import Interpreter
+from repro.core.messages import ANY_MESSAGE
 from repro.core.outcomes import PROTOCOLS, Outcome, Vote
 from repro.core.tid import TID
-from repro.lint import run_lint
-from repro.lint.flow.protograph import emit_graphs
 
-
-def _write(root: Path, rel: str, source: str) -> None:
-    path = root / rel
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(textwrap.dedent(source))
+from tests.transition_graph import digest
 
 
 # ------------------------------------------------- counts cross-check
@@ -124,6 +115,10 @@ def run_counts(protocol, op, n_subs=1):
 
 FAMILIES = {"2pc": "two_phase", "nb": "non_blocking", "paxos": "paxos_commit"}
 
+# Every (protocol, op, n_subs) the cross-check runs.
+COUNT_GRID = [(protocol, op, n_subs) for n_subs in (1, 0)
+              for protocol in sorted(FAMILIES) for op in ("write", "read")]
+
 
 class TestCountCrossCheck:
     """The machines, run, price one transaction exactly as the analysis
@@ -136,8 +131,7 @@ class TestCountCrossCheck:
     @pytest.mark.parametrize("protocol,op,n_subs", [
         pytest.param(protocol, op, n_subs, id=f"{protocol}-{op}"
                      + ("" if n_subs else "-0subs"))
-        for n_subs in (1, 0) for protocol in sorted(FAMILIES)
-        for op in ("write", "read")])
+        for protocol, op, n_subs in COUNT_GRID])
     def test_counts_match_the_formula(self, protocol, op, n_subs):
         assert run_counts(protocol, op, n_subs) == \
             path_counts(FAMILIES[protocol], op, n_subs)
@@ -151,181 +145,69 @@ class TestCountCrossCheck:
                                                 "datagrams": 3}
 
 
-# ------------------------------------------------- state-machine checks
+# ------------------------------------------- the observed transition graph
+
+# States no row may leave: DONE, and per machine the other states it
+# forgets in.  A Paxos participant acks and forgets in COMMITTING once
+# its lazy commit record is durable.
+TERMINAL = {"PcParticipant": {"COMMITTING"}}
+
+# Message classes the edge handles before any machine sees them.
+EDGE_HANDLED = {"NestedCommit"}
 
 
-class TestStateChecks:
-    def test_unreachable_member_flagged(self, tmp_path):
-        _write(tmp_path, "core/toy.py", """
-            from enum import Enum
+def _terminal(machine):
+    return {"DONE"} | TERMINAL.get(machine, set())
 
 
-            class ToyState(Enum):
-                IDLE = "idle"
-                RUNNING = "running"
-                ZOMBIE = "zombie"
+class TestObservedGraph:
+    """The graph the recorder read off the fixed corpus
+    (``tests/transition_graph.py``): one row per distinct (machine,
+    input, state before, state after, effects) a run produced."""
 
+    def test_every_state_is_entered(self, transition_graph):
+        """An enum member that is neither the constructor's state nor
+        where some row ends is protocol surface no run reaches."""
+        unreached = [
+            f"{name}.{state}"
+            for name, m in transition_graph["graph"].items()
+            for state in m["states"]
+            if state not in m["initial"]
+            and state not in {r["dst"] for r in m["rows"]}]
+        assert unreached == []
 
-            class Toy:
-                def __init__(self, tid):
-                    self.tid = tid
-                    self.state = ToyState.IDLE
+    def test_no_row_leaves_a_terminal_state(self, transition_graph):
+        leaving = [
+            (name, r["input"], r["src"], r["dst"], r["effects"])
+            for name, m in transition_graph["graph"].items()
+            for r in m["rows"]
+            if r["src"] in _terminal(name) and r["dst"] != r["src"]]
+        assert leaving == []
 
-                def on_message(self, msg):
-                    if self.state is ToyState.IDLE:
-                        self.state = ToyState.RUNNING
-                        return []
-                    if self.state is ToyState.RUNNING:
-                        return []
-                    return []
-            """)
-        report = run_lint(root=tmp_path, rule_ids=["flow-protocol-graph"])
-        keys = {f.key for f in report.findings}
-        assert "unreachable:ToyState.ZOMBIE" in keys
-        assert not any(k.startswith("unreachable:") and "ZOMBIE" not in k
-                       for k in keys)
+    def test_every_entered_state_is_left(self, transition_graph):
+        stuck = []
+        for name, m in transition_graph["graph"].items():
+            entered = set(m["initial"]) | {r["dst"] for r in m["rows"]}
+            left = {r["src"] for r in m["rows"] if r["dst"] != r["src"]}
+            stuck += [f"{name}.{state}"
+                      for state in sorted(entered - left - {None}
+                                          - _terminal(name))]
+        assert stuck == []
 
-    def test_dead_end_member_flagged(self, tmp_path):
-        _write(tmp_path, "core/toy.py", """
-            from enum import Enum
+    def test_every_message_class_reaches_a_machine(self, transition_graph):
+        inputs = {r["input"] for m in transition_graph["graph"].values()
+                  for r in m["rows"]}
+        assert {cls.__name__ for cls in ANY_MESSAGE} - inputs == \
+            EDGE_HANDLED
 
-
-            class ToyState(Enum):
-                IDLE = "idle"
-                STUCK = "stuck"
-
-
-            class Toy:
-                def __init__(self, tid):
-                    self.tid = tid
-                    self.state = ToyState.IDLE
-
-                def on_message(self, msg):
-                    if self.state is ToyState.IDLE:
-                        self.state = ToyState.STUCK
-                        return []
-                    return []
-            """)
-        report = run_lint(root=tmp_path, rule_ids=["flow-protocol-graph"])
-        keys = {f.key for f in report.findings}
-        assert "deadend:ToyState.STUCK" in keys
-
-    def test_member_read_under_a_statement_counts_as_checked(self, tmp_path):
-        """A read that is neither a comparison nor an assignment (here a
-        loop over members) counts as both entering and consulting."""
-        _write(tmp_path, "core/toy.py", """
-            from enum import Enum
-
-
-            class ToyState(Enum):
-                IDLE = "idle"
-                STUCK = "stuck"
-
-
-            class Toy:
-                def __init__(self, tid):
-                    self.tid = tid
-                    self.state = ToyState.IDLE
-
-                def on_message(self, msg):
-                    if self.state is ToyState.IDLE:
-                        for self.state in (ToyState.STUCK,):
-                            pass
-                    return []
-            """)
-        report = run_lint(root=tmp_path, rule_ids=["flow-protocol-graph"])
-        assert report.findings == []
-
-    def test_dispatch_with_no_row_flagged(self, tmp_path):
-        """The extraction self-check: a message class the machine tests
-        for that no transition row carries."""
-        _write(tmp_path, "core/messages.py", """
-            class ProtocolMessage:
-                pass
-
-
-            class Ping(ProtocolMessage):
-                pass
-            """)
-        _write(tmp_path, "core/toy.py", """
-            from core.messages import Ping
-
-
-            class Toy:
-                def on_message(self, msg):
-                    if isinstance(msg, Ping):
-                        pass
-                    return []
-            """)
-        report = run_lint(root=tmp_path, rule_ids=["flow-protocol-graph"])
-        assert [f.key for f in report.findings] == ["dispatch:Toy:Ping"]
-
-    def test_terminal_done_state_allowed(self, tmp_path):
-        _write(tmp_path, "core/toy.py", """
-            from enum import Enum
-
-
-            class ToyState(Enum):
-                IDLE = "idle"
-                DONE = "done"
-
-
-            class Toy:
-                def __init__(self, tid):
-                    self.tid = tid
-                    self.state = ToyState.IDLE
-
-                def on_message(self, msg):
-                    if self.state is ToyState.IDLE:
-                        self.state = ToyState.DONE
-                        return []
-                    return []
-            """)
-        report = run_lint(root=tmp_path, rule_ids=["flow-protocol-graph"])
-        assert not report.findings
-
-    def test_live_tree_clean(self, tree_lint):
-        found = [f for f in tree_lint.report.findings
-                 if f.rule == "flow-protocol-graph"]
-        assert not found, [f.message for f in found]
-
-
-# ------------------------------------------------------- graph emission
-
-
-class TestEmitGraphs:
-    def test_specs_and_dot_for_all_machines(self, tmp_path, tree_lint):
-        written = emit_graphs(tree_lint.ctx, tmp_path)
-        names = {p.name for p in written}
-        assert "TwoPhaseCoordinator.json" in names
-        assert "TwoPhaseSubordinate.dot" in names
-        assert "NbCoordinator.json" in names
-
-        spec = json.loads((tmp_path / "TwoPhaseSubordinate.json").read_text())
-        assert spec["machine"] == "TwoPhaseSubordinate"
-        assert spec["initial"] == "PREPARING"
-        assert spec["transitions"], "extracted graph must not be empty"
-        # The prepared-vote edge: the YES vote is only sent from the
-        # forced-prepare continuation.
-        assert any(t["src"] == "FORCING_PREPARE" and t["dst"] == "PREPARED"
-                   and t["input"].startswith("forced:")
-                   for t in spec["transitions"])
-
-        dot = (tmp_path / "TwoPhaseSubordinate.dot").read_text()
-        assert dot.startswith("digraph")
-        assert '"FORCING_PREPARE" -> "PREPARED"' in dot
-
-    def test_emitted_specs_are_pinned(self, tmp_path, tree_lint):
-        """One sha256 over the ten machines' JSON specs: a transition
-        that moves anywhere in ``core/`` (an effect reordered, a row
-        gained or lost) fails here, not only in the CI artifact.  After
-        an intended change, diff ``python -m repro.lint --emit-graphs
-        DIR`` against the parent's and update the digest."""
-        specs = sorted(p for p in emit_graphs(tree_lint.ctx, tmp_path)
-                       if p.suffix == ".json")
-        digest = hashlib.sha256()
-        for path in specs:
-            digest.update(path.name.encode() + b"\0" + path.read_bytes())
-        assert len(specs) == 10
-        assert digest.hexdigest() == (
-            "f6607238757ad130e8a6103f29246e09c9852952fb8e8296fc92934edfa4a767")
+    def test_graph_is_pinned(self, transition_graph):
+        """One sha256 over the observed graph: a row that moves anywhere
+        in ``core/`` (an effect reordered, a row gained or lost) fails
+        here.  After an intended change, diff ``python -m
+        tests.transition_graph OUT.json`` against the parent's and
+        account for every moved row before updating the digest."""
+        graph = transition_graph["graph"]
+        assert len(graph) == 10
+        assert sum(len(m["rows"]) for m in graph.values()) == 446
+        assert digest(graph) == (
+            "619bff96c326456008cb65c2edfbf6814a06289c2582483a05bf26157c1b6046")
